@@ -126,31 +126,49 @@ def pseudo_orbit_blocks(
     return tuple(segment_blocks(seg, splittings, f) for seg in po.segments())
 
 
-def _segment_margin_rows(blocks, lam, epsilon, seg_index, start):
-    n = len(blocks)
+def _segment_terms(blocks):
+    """Per-block arrays behind a segment's margin rows.
+
+    Returns the log partial products sum_{j<k} log||D_j|| (k = 1..n) and
+    sum_{j>=k} log m(A_j) (k = 0..n-1), the ratios ||D_j|| / m(A_j), and
+    the off-diagonal sizes max(||B_j||, ||C_j||).
+    """
     a = np.array([min_norm(b.A) for b in blocks])
     d = np.array([op_norm(b.D) for b in blocks])
     off = np.array([max(op_norm(b.B), op_norm(b.C)) for b in blocks])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cum_d = np.cumsum(np.log(d))
+        tail_a = np.cumsum(np.log(a)[::-1])[::-1]
+        ratio = np.where(a > 0, d / a, np.inf)
+    return cum_d, tail_a, ratio, off
+
+
+def _rate_margins(cum_d, tail_a, ratio, lam):
+    """Right-hand sides and slacks of the three rate conditions at lam."""
+    n = len(ratio)
     log_lam = math.log(lam)
-    with np.errstate(divide="ignore"):
-        log_d = np.log(d)
-        log_a = np.log(a)
-    rows = []
-    cum_d = np.cumsum(log_d)
-    for k in range(1, n + 1):
-        rhs = k * log_lam
-        rows.append(MarginRow("contraction_product", seg_index, start + k,
-                              float(cum_d[k - 1]), rhs, rhs - float(cum_d[k - 1])))
-    tail_a = np.cumsum(log_a[::-1])[::-1]
-    for k in range(n):
-        rhs = (k - n) * log_lam
-        rows.append(MarginRow("expansion_product", seg_index, start + k,
-                              float(tail_a[k]), rhs, float(tail_a[k]) - rhs))
+    contraction_rhs = np.arange(1, n + 1) * log_lam
+    expansion_rhs = np.arange(-n, 0) * log_lam
     lam2 = lam * lam
+    return (contraction_rhs, contraction_rhs - cum_d,
+            expansion_rhs, tail_a - expansion_rhs,
+            lam2, lam2 - ratio)
+
+
+def _segment_margin_rows(blocks, lam, epsilon, seg_index, start):
+    cum_d, tail_a, ratio, off = _segment_terms(blocks)
+    c_rhs, c_margin, e_rhs, e_margin, lam2, r_margin = _rate_margins(cum_d, tail_a, ratio, lam)
+    n = len(ratio)
+    rows = []
+    for k in range(1, n + 1):
+        rows.append(MarginRow("contraction_product", seg_index, start + k,
+                              float(cum_d[k - 1]), float(c_rhs[k - 1]), float(c_margin[k - 1])))
+    for k in range(n):
+        rows.append(MarginRow("expansion_product", seg_index, start + k,
+                              float(tail_a[k]), float(e_rhs[k]), float(e_margin[k])))
     for j in range(n):
-        ratio = d[j] / a[j] if a[j] > 0 else math.inf
         rows.append(MarginRow("ratio", seg_index, start + j,
-                              float(ratio), lam2, lam2 - float(ratio)))
+                              float(ratio[j]), lam2, float(r_margin[j])))
         rows.append(MarginRow("offdiag", seg_index, start + j,
                               float(off[j]), epsilon, epsilon - float(off[j])))
     return rows
@@ -242,38 +260,42 @@ def min_feasible_lambda(
     splittings: SplittingAssignment,
     f: SmoothMap,
     epsilon: float,
-    tol: float = 1e-6,
     blocks=None,
 ) -> float | None:
-    """Smallest lambda passing the non-residual conditions, by bisection.
+    """Smallest lambda passing the non-residual conditions, in closed form.
 
-    Every condition tightens monotonically as lambda decreases, so
-    bisection on a pass/fail predicate is valid.  Returns None when even
-    lambda = 1 - 1e-9 fails (including an epsilon-infeasible orbit).
+    Every rate condition is linear in log(lambda), so the threshold is
+    exp(max(cum_log_d[k-1] / k, -tail_log_a[k] / (n - k), log(d_j / a_j) / 2))
+    over all segments, nudged up by the few ulps that rounding may need
+    for the certificate's margins to pass.  Returns None when the
+    off-diagonal check fails or the threshold is at least 1 - 1e-9, and
+    never less than 1e-9.
     """
     if blocks is None:
         blocks = pseudo_orbit_blocks(po, splittings, f)
-    flat = [b for seg in blocks for b in seg]
-    if any(max(op_norm(b.B), op_norm(b.C)) > epsilon + PASS_TOL for b in flat):
+    hi = 1.0 - 1e-9
+    terms = [_segment_terms(seg_blocks) for seg_blocks in blocks]
+    if any(off.max() > epsilon + PASS_TOL for *_, off in terms):
         return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lam = float(np.max(np.concatenate([
+            part
+            for cum_d, tail_a, ratio, _ in terms
+            for part in (cum_d / np.arange(1, len(ratio) + 1),
+                         -tail_a / np.arange(len(ratio), 0, -1),
+                         0.5 * np.log(ratio))
+        ])))
+    if not log_lam < math.log(hi):
+        return None
+    lam = max(math.exp(log_lam), 1e-9)
 
-    def feasible(lam: float) -> bool:
-        for seg, seg_blocks in zip(po.segments(), blocks):
-            rows = _segment_margin_rows(seg_blocks, lam, epsilon, seg.index, seg.start)
-            if not _passed(rows, PASS_TOL):
+    def passes(lam):
+        for cum_d, tail_a, ratio, _ in terms:
+            _, c_margin, _, e_margin, _, r_margin = _rate_margins(cum_d, tail_a, ratio, lam)
+            if min(c_margin.min(), e_margin.min(), r_margin.min()) < -PASS_TOL:
                 return False
         return True
 
-    hi = 1.0 - 1e-9
-    if not feasible(hi):
-        return None
-    lo = 1e-9
-    if feasible(lo):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    while lam < hi and not passes(lam):
+        lam = float(np.nextafter(lam, 1.0))
+    return lam if lam < hi else None

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .certification import certify_pseudo_orbit, is_quasi_hyperbolic, pseudo_orbit_blocks
+from .certification import certify_pseudo_orbit, is_quasi_hyperbolic
 from .config import (
     ConfigError,
     RunConfig,
@@ -31,7 +31,7 @@ from .config import (
     parse_config,
 )
 from .refinement import (
-    GraphTransformDivergence,
+    GraphTransformError,
     PreconditionError,
     make_refinement_config,
     refine,
@@ -134,21 +134,16 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     rcfg = make_refinement_config(
         lam, lam_tilde, bounds.R,
         lam0=block.get("lambda0"),
-        fp_tol=float(block.get("fp_tol", 1e-12)),
-        max_iter=int(block.get("max_iter", 10_000)),
         offdiag_tol=float(block.get("offdiag_tol", 1e-8)),
     )
     report = _base_report(cfg, "refine", None)
     try:
         result = refine(po, splittings, f, rcfg)
-    except PreconditionError as exc:
-        report["error"] = {"kind": "precondition", "message": str(exc)}
+    except (PreconditionError, GraphTransformError) as exc:
+        kind = "precondition" if isinstance(exc, PreconditionError) else "graph_transform"
+        report["error"] = {"kind": kind, "message": str(exc)}
         _emit(_report_json(report), _out_path(cfg, args))
         return EXIT_FAILED
-    except GraphTransformDivergence as exc:
-        report["error"] = {"kind": "non_convergence", "message": str(exc)}
-        _emit(_report_json(report), _out_path(cfg, args))
-        return EXIT_NO_CONVERGENCE
     if args.timing:
         report["timing"] = {"wall_s": time.perf_counter() - start}
     report["refinement"] = {
@@ -158,8 +153,6 @@ def cmd_refine(cfg: RunConfig, args) -> int:
         "is_quasi_hyperbolic": is_quasi_hyperbolic(result.certificate, rcfg.offdiag_tol),
         "max_offdiagonal": result.max_offdiagonal,
         "max_invariance_residual": result.max_invariance_residual,
-        "unstable_sweeps": len(result.unstable_updates),
-        "stable_sweeps": len(result.stable_updates),
         "splittings": [
             {
                 "unstable": [[float(v) for v in row] for row in sp.unstable],
@@ -187,11 +180,10 @@ def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
                            "message": "certification or size preconditions failed"}
         _emit(_report_json(report), _out_path(cfg, args))
         return EXIT_FAILED
-    blocks = pseudo_orbit_blocks(po, splittings, f)
     if periodic:
-        result = solve_periodic(po, splittings, f, g, scfg, blocks=blocks)
+        result = solve_periodic(po, splittings, f, g, scfg, blocks=cert.blocks)
     else:
-        result = solve_finite(po, splittings, f, g, scfg, blocks=blocks)
+        result = solve_finite(po, splittings, f, g, scfg, blocks=cert.blocks)
     if args.timing:
         report["timing"] = {"wall_s": time.perf_counter() - start}
     report["result"] = result.to_dict()
@@ -231,6 +223,7 @@ def _sweep_payload(raw: dict, axis: str, value: float) -> dict:
 
 
 def _run_sweep_cell(payload: dict, seed_override) -> dict:
+    start = time.perf_counter()
     try:
         cfg = parse_config(payload)
         f = build_system(cfg)
@@ -242,17 +235,19 @@ def _run_sweep_cell(payload: dict, seed_override) -> dict:
         delta = float(cfg.certification.get("delta", 0.0))
         cert = certify_pseudo_orbit(po, splittings, f, lam, eps, delta)
         scfg = _solver_config(cfg, po, f)
-        result = solve_finite(po, splittings, f, g, scfg)
-        return {
+        result = solve_finite(po, splittings, f, g, scfg, blocks=cert.blocks)
+        cell = {
             "certified": cert.passed,
             "converged": result.converged,
             "max_shadow_distance": result.max_distance,
             "iterations": result.iterations,
         }
-    except Exception as exc:  # cell failures are recorded, not fatal
-        return {"certified": False, "converged": False,
+    except Exception as exc:  # recorded per cell; cmd_sweep reports it and fails
+        cell = {"certified": False, "converged": False,
                 "max_shadow_distance": float("nan"), "iterations": 0,
-                "error": str(exc)}
+                "error": f"{type(exc).__name__}: {exc}"}
+    cell["wall_ms"] = (time.perf_counter() - start) * 1e3
+    return cell
 
 
 def cmd_sweep(cfg: RunConfig, args) -> int:
@@ -262,34 +257,28 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
     values = [float(v) for v in cfg.sweep["values"]]
     payloads = [_sweep_payload(cfg.raw, axis, v) for v in values]
     jobs = args.jobs if args.jobs else min(os.cpu_count() or 1, len(values))
-    cells = []
-    timings = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_sweep_cell, p, args.seed) for p in payloads]
-            for fut in futures:
-                t0 = time.perf_counter()
-                cells.append(fut.result())
-                timings.append((time.perf_counter() - t0) * 1e3)
+            cells = list(pool.map(_run_sweep_cell, payloads, [args.seed] * len(payloads)))
     else:
-        for p in payloads:
-            t0 = time.perf_counter()
-            cells.append(_run_sweep_cell(p, args.seed))
-            timings.append((time.perf_counter() - t0) * 1e3)
+        cells = [_run_sweep_cell(p, args.seed) for p in payloads]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     header = ["axis_value", "certified", "converged", "max_shadow_distance", "iterations"]
     if args.timing:
         header.append("wall_ms")
     writer.writerow(header)
-    for value, cell, ms in zip(values, cells, timings):
+    for value, cell in zip(values, cells):
         row = [repr(value), cell["certified"], cell["converged"],
                repr(float(cell["max_shadow_distance"])), cell["iterations"]]
         if args.timing:
-            row.append(repr(ms))
+            row.append(repr(cell["wall_ms"]))
         writer.writerow(row)
     _emit(buf.getvalue(), _out_path(cfg, args))
-    return EXIT_OK
+    failed = [(value, cell["error"]) for value, cell in zip(values, cells) if "error" in cell]
+    for value, message in failed:
+        sys.stderr.write(f"sweep cell {axis}={value!r} failed: {message}\n")
+    return EXIT_FAILED if failed else EXIT_OK
 
 
 _COMMANDS = {

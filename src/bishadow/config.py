@@ -109,8 +109,7 @@ def parse_config(payload: dict) -> RunConfig:
     _nonnegative(cert_block, "delta", "certification", 0.0)
 
     refine_block = payload.get("refinement", {})
-    _check_keys(refine_block, {"lambda_tilde", "lambda0", "fp_tol", "max_iter", "offdiag_tol"},
-                set(), "refinement")
+    _check_keys(refine_block, {"lambda_tilde", "lambda0", "offdiag_tol"}, set(), "refinement")
 
     solver_block = payload.get("solver", {})
     _check_keys(

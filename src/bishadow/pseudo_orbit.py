@@ -257,16 +257,22 @@ class SplittingAssignment:
 
 
 def _power_splittings(po, f, dim_u, depth, seed: Splitting):
+    """Subspace iteration over a window of `depth` steps on each side of j.
+
+    A closed pseudo-orbit (closing seed equal to the first) is one period
+    of a cycle, so its windows wrap around and indices 0 and N agree.
+    """
     n = po.n_steps
     jacs = [f.at_step(j).jacobian(po.points[j]) for j in range(n)]
+    closed = np.array_equal(po.seeds[0], po.seeds[-1])
     out = []
     for j in range(n + 1):
         u = seed.unstable.copy()
-        for t in range(max(0, j - depth), j):
-            u = _orthonormalize(jacs[t] @ u)
+        for t in range(j - depth if closed else max(0, j - depth), j):
+            u = _orthonormalize(jacs[t % n] @ u)
         s = seed.stable.copy()
-        for t in range(min(n, j + depth) - 1, j - 1, -1):
-            s = _orthonormalize(np.linalg.solve(jacs[t], s))
+        for t in range(j + depth - 1 if closed else min(n, j + depth) - 1, j - 1, -1):
+            s = _orthonormalize(np.linalg.solve(jacs[t % n], s))
         gap = np.linalg.svd(np.concatenate([u, s], axis=1), compute_uv=False)[-1]
         if gap < 1e-6:
             raise SplittingError(f"power iteration failed to separate subspaces at index {j}")
@@ -290,7 +296,7 @@ def assign_splittings(
       ``user``   pass through the provided splitting(s) unchanged;
       ``power``  per-index forward/backward subspace iteration, warm
                  started from the eigen-splitting of the derivative's
-                 linear part.
+                 linear part; periodic around a closed pseudo-orbit.
     """
     n = po.n_steps
     if strategy == "user":

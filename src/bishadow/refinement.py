@@ -17,8 +17,10 @@ block-diagonalizes the derivative; the refined splitting then certifies
 at a slightly weaker rate with zero off-diagonal tolerance.
 
 Finite windows pin the unstable graph to zero at the left edge and the
-stable graph at the right edge; boundary influence decays geometrically
-into the interior, which callers can quantify by comparing windows.
+stable graph at the right edge.  With the boundary pinned, each fixed
+point is a single pass of its transform: forward for P, backward for Q.
+Boundary influence decays geometrically into the interior, which callers
+can quantify by comparing windows.
 """
 
 from __future__ import annotations
@@ -36,13 +38,10 @@ __all__ = [
     "RefinementConfig",
     "make_refinement_config",
     "PreconditionError",
-    "GraphTransformDivergence",
     "GraphTransformError",
     "chart_blocks",
-    "graph_step",
     "solve_unstable_graphs",
     "solve_stable_graphs",
-    "GraphSolve",
     "RefinementResult",
     "refine",
 ]
@@ -53,24 +52,13 @@ class PreconditionError(RuntimeError):
 
 
 class GraphTransformError(RuntimeError):
-    """A graph-transform step failed (singular denominator or ball escape)."""
-
-
-class GraphTransformDivergence(RuntimeError):
-    """Fixed-point iteration exhausted its budget."""
-
-    def __init__(self, updates):
-        self.updates = list(updates)
-        ratio = updates[-1] / updates[-2] if len(updates) > 1 and updates[-2] > 0 else float("nan")
-        super().__init__(
-            f"graph transform did not converge in {len(updates)} sweeps "
-            f"(last update {updates[-1]:.3e}, last contraction ratio {ratio:.4f})"
-        )
+    """A graph solve failed: singular denominator, ball escape, or an
+    invariance residual above tolerance."""
 
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Rates and budgets for one refinement solve.
+    """Rates and tolerance for one refinement solve.
 
     eps_cap is the largest admissible off-diagonal size,
     min((1 - lam0^2) / ((lam0^2 + 6) R), (lam0 - lam) / (lam0 R)) for an
@@ -82,8 +70,6 @@ class RefinementConfig:
     lam0: float
     R: float
     eps_cap: float
-    fp_tol: float = 1e-12
-    max_iter: int = 10_000
     offdiag_tol: float = 1e-8
 
 
@@ -92,8 +78,6 @@ def make_refinement_config(
     lam_tilde: float,
     R: float,
     lam0: float | None = None,
-    fp_tol: float = 1e-12,
-    max_iter: int = 10_000,
     offdiag_tol: float = 1e-8,
 ) -> RefinementConfig:
     if not (0.0 < lam < lam_tilde < 1.0):
@@ -110,7 +94,7 @@ def make_refinement_config(
     )
     return RefinementConfig(
         lam=lam, lam_tilde=lam_tilde, lam0=lam0, R=R, eps_cap=eps_cap,
-        fp_tol=fp_tol, max_iter=max_iter, offdiag_tol=offdiag_tol,
+        offdiag_tol=offdiag_tol,
     )
 
 
@@ -138,86 +122,55 @@ def _split_by_offsets(flat, offsets):
     return tuple(tuple(flat[int(a):int(b)]) for a, b in zip(offsets[:-1], offsets[1:]))
 
 
-def graph_step(P: np.ndarray, blocks) -> np.ndarray:
-    """One synchronous unstable graph-transform sweep.
+def solve_unstable_graphs(blocks) -> np.ndarray:
+    """Fixed point of the unstable graph transform, pinned to zero at index 0.
 
-    P has shape (N + 1, ds, du); entry 0 is the pinned boundary value and
-    is copied through unchanged.
+    With P_0 fixed, P_{j+1} depends on P_j alone, so the fixed point is the
+    forward recursion itself.  Returns P with shape (N + 1, ds, du).
     """
-    new = P.copy()
+    n = len(blocks)
+    du, ds = blocks[0].A.shape[1], blocks[0].D.shape[1]
+    P = np.zeros((n + 1, ds, du))
     for j, blk in enumerate(blocks):
         den = blk.A + blk.B @ P[j]
         try:
-            new[j + 1] = np.linalg.solve(den.T, (blk.C + blk.D @ P[j]).T).T
+            P[j + 1] = np.linalg.solve(den.T, (blk.C + blk.D @ P[j]).T).T
         except np.linalg.LinAlgError as exc:
             raise GraphTransformError(
                 f"singular unstable denominator at index {j}: "
                 f"m(A + B P) = {min_norm(den):.3e}"
             ) from exc
-        if op_norm(new[j + 1]) > 1.0 + 1e-9:
+        if op_norm(P[j + 1]) > 1.0 + 1e-9:
             raise GraphTransformError(
                 f"graph left the unit ball at index {j + 1} "
-                f"(norm {op_norm(new[j + 1]):.6f}); off-diagonal bounds too weak"
+                f"(norm {op_norm(P[j + 1]):.6f}); off-diagonal bounds too weak"
             )
-    return new
+    return P
 
 
-def _stable_step(Q: np.ndarray, blocks) -> np.ndarray:
-    """One synchronous stable sweep; entry N is the pinned boundary value."""
-    new = Q.copy()
+def solve_stable_graphs(blocks) -> np.ndarray:
+    """Fixed point of the mirrored transform, pinned to zero at index N.
+
+    One backward pass: Q_j solves (I - A_j^(-1) Q_{j+1} C_j) Q_j
+    = A_j^(-1) (Q_{j+1} D_j - B_j).  Returns Q with shape (N + 1, du, ds).
+    """
     n = len(blocks)
-    for j in range(n):
+    du, ds = blocks[0].A.shape[1], blocks[0].D.shape[1]
+    Q = np.zeros((n + 1, du, ds))
+    for j in range(n - 1, -1, -1):
         blk = blocks[j]
-        q_next = Q[j + 1]
-        du = blk.A.shape[0]
-        lhs = np.eye(du) - np.linalg.solve(blk.A, q_next @ blk.C)
-        rhs = np.linalg.solve(blk.A, q_next @ blk.D - blk.B)
+        lhs = np.eye(du) - np.linalg.solve(blk.A, Q[j + 1] @ blk.C)
+        rhs = np.linalg.solve(blk.A, Q[j + 1] @ blk.D - blk.B)
         try:
-            new[j] = np.linalg.solve(lhs, rhs)
+            Q[j] = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
             raise GraphTransformError(f"singular stable solve at index {j}") from exc
-        if op_norm(new[j]) > 1.0 + 1e-9:
+        if op_norm(Q[j]) > 1.0 + 1e-9:
             raise GraphTransformError(
                 f"stable graph left the unit ball at index {j} "
-                f"(norm {op_norm(new[j]):.6f})"
+                f"(norm {op_norm(Q[j]):.6f})"
             )
-    return new
-
-
-@dataclass(eq=False)
-class GraphSolve:
-    graphs: np.ndarray
-    updates: list
-    iterations: int
-
-
-def _iterate_graphs(step, start: np.ndarray, blocks, config: RefinementConfig) -> GraphSolve:
-    cur = start
-    updates = []
-    for it in range(1, config.max_iter + 1):
-        new = step(cur, blocks)
-        upd = float(np.max(np.abs(new - cur))) if new.size else 0.0
-        updates.append(upd)
-        cur = new
-        if upd < config.fp_tol:
-            return GraphSolve(graphs=cur, updates=updates, iterations=it)
-    raise GraphTransformDivergence(updates)
-
-
-def solve_unstable_graphs(blocks, config: RefinementConfig, initial=None) -> GraphSolve:
-    """Fixed point of the unstable graph transform from the zero graph."""
-    n = len(blocks)
-    du, ds = blocks[0].A.shape[1], blocks[0].D.shape[1]
-    start = np.zeros((n + 1, ds, du)) if initial is None else np.array(initial, dtype=float)
-    return _iterate_graphs(graph_step, start, blocks, config)
-
-
-def solve_stable_graphs(blocks, config: RefinementConfig, initial=None) -> GraphSolve:
-    """Fixed point of the mirrored (backward) transform from the zero graph."""
-    n = len(blocks)
-    du, ds = blocks[0].A.shape[1], blocks[0].D.shape[1]
-    start = np.zeros((n + 1, du, ds)) if initial is None else np.array(initial, dtype=float)
-    return _iterate_graphs(_stable_step, start, blocks, config)
+    return Q
 
 
 def unstable_invariance_residuals(P: np.ndarray, blocks) -> np.ndarray:
@@ -243,8 +196,6 @@ class RefinementResult:
     unstable_graphs: np.ndarray
     stable_graphs: np.ndarray
     blocks: tuple
-    unstable_updates: list
-    stable_updates: list
     max_invariance_residual: float
     max_offdiagonal: float
 
@@ -288,19 +239,20 @@ def refine(
             f"(margin {worst.margin:.3e})"
         )
 
-    unstable = solve_unstable_graphs(blocks, config)
-    stable = solve_stable_graphs(blocks, config)
-    p_res = unstable_invariance_residuals(unstable.graphs, blocks)
-    q_res = stable_invariance_residuals(stable.graphs, blocks)
-    max_res = float(max(p_res.max(), q_res.max()))
-    if max_res > 10.0 * config.fp_tol:
-        raise GraphTransformDivergence(unstable.updates + stable.updates)
+    P = solve_unstable_graphs(blocks)
+    Q = solve_stable_graphs(blocks)
+    max_res = float(max(unstable_invariance_residuals(P, blocks).max(),
+                        stable_invariance_residuals(Q, blocks).max()))
+    if max_res > config.offdiag_tol:
+        raise GraphTransformError(
+            f"graph invariance residual {max_res:.3e} exceeds {config.offdiag_tol:.3e}"
+        )
 
     refined = []
     for j in range(po.n_steps + 1):
         base = splittings[j]
-        u_raw = base.unstable + base.stable @ unstable.graphs[j]
-        s_raw = base.stable + base.unstable @ stable.graphs[j]
+        u_raw = base.unstable + base.stable @ P[j]
+        s_raw = base.stable + base.unstable @ Q[j]
         refined.append(Splitting.from_bases(u_raw, s_raw))
     refined = SplittingAssignment(tuple(refined))
 
@@ -312,11 +264,9 @@ def refine(
     return RefinementResult(
         splittings=refined,
         certificate=certificate,
-        unstable_graphs=unstable.graphs,
-        stable_graphs=stable.graphs,
+        unstable_graphs=P,
+        stable_graphs=Q,
         blocks=tuple(flat_new),
-        unstable_updates=unstable.updates,
-        stable_updates=stable.updates,
         max_invariance_residual=max_res,
         max_offdiagonal=float(max_off),
     )

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 library code under test: finite differences for derivatives, closed-form
 eigenvalues for the cat map, the quadratic formula for constant-block
-graph fixed points, and LP feasibility for balance-sequence existence.
+graph fixed points, synchronous graph-transform sweeps iterated to their
+fixed point, and LP feasibility for balance-sequence existence.
 """
 
 from __future__ import annotations
@@ -38,6 +39,41 @@ def graph_fixed_point_quadratic(a, b, c, d):
     """Positive root of b p^2 + (a - d) p - c = 0 (scalar constant blocks)."""
     disc = (a - d) ** 2 + 4.0 * b * c
     return (-(a - d) + math.sqrt(disc)) / (2.0 * b)
+
+
+def unstable_graph_sweep(P, blocks):
+    """One synchronous unstable graph-transform sweep; entry 0 stays pinned."""
+    new = P.copy()
+    for j, b in enumerate(blocks):
+        new[j + 1] = np.linalg.solve((b.A + b.B @ P[j]).T, (b.C + b.D @ P[j]).T).T
+    return new
+
+
+def stable_graph_sweep(Q, blocks):
+    """One synchronous sweep of the mirrored transform; entry N stays pinned."""
+    new = Q.copy()
+    for j, b in enumerate(blocks):
+        lhs = np.eye(b.A.shape[0]) - np.linalg.solve(b.A, Q[j + 1] @ b.C)
+        new[j] = np.linalg.solve(lhs, np.linalg.solve(b.A, Q[j + 1] @ b.D - b.B))
+    return new
+
+
+def iterate_graph_sweeps(sweep, blocks, tol=1e-12, max_iter=10_000):
+    """Sweep from the zero graphs until the max-norm update drops below tol.
+
+    Returns (graphs, updates), one update per sweep.
+    """
+    du, ds = blocks[0].A.shape[0], blocks[0].D.shape[0]
+    shape = (len(blocks) + 1,) + ((ds, du) if sweep is unstable_graph_sweep else (du, ds))
+    cur = np.zeros(shape)
+    updates = []
+    for _ in range(max_iter):
+        new = sweep(cur, blocks)
+        updates.append(float(np.max(np.abs(new - cur))))
+        cur = new
+        if updates[-1] < tol:
+            return cur, updates
+    raise AssertionError(f"graph sweeps did not converge in {max_iter} sweeps")
 
 
 def quotient_log_bounds(a, b, lam):

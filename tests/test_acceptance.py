@@ -8,7 +8,12 @@ from contextlib import contextmanager
 import numpy as np
 
 import bishadow as bs
-from bishadow.refinement import make_refinement_config, refine, solve_unstable_graphs
+from bishadow.refinement import (
+    make_refinement_config,
+    refine,
+    solve_unstable_graphs,
+    unstable_invariance_residuals,
+)
 from bishadow.splitting import BlockJacobian, Splitting, eigen_splitting, min_norm, op_norm
 
 from _oracles import (
@@ -17,9 +22,11 @@ from _oracles import (
     feasible_by_interval,
     feasible_by_lp,
     graph_fixed_point_quadratic,
+    iterate_graph_sweeps,
     quotient_log_bounds,
     random_affine_system,
     random_quasi_hyperbolic_pair,
+    unstable_graph_sweep,
 )
 
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
@@ -79,14 +86,13 @@ def test_criterion_3_graph_transform():
     with criterion(3, "graph transform: scalar oracle and refined splitting", 5.0):
         blk = BlockJacobian(np.array([[2.0]]), np.array([[0.1]]), np.array([[0.1]]),
                             np.array([[0.5]]), AXES, AXES)
-        cfg = make_refinement_config(0.4, 0.62, R=2.7)
-        sol = solve_unstable_graphs([blk] * 60, cfg)
+        p = solve_unstable_graphs([blk] * 60)
         root = graph_fixed_point_quadratic(2.0, 0.1, 0.1, 0.5)
-        assert abs(sol.graphs[-1][0, 0] - root) <= 1e-9
-        from bishadow.refinement import unstable_invariance_residuals
-
-        assert unstable_invariance_residuals(sol.graphs, [blk] * 60).max() <= 1e-10
-        assert all(x > y for x, y in zip(sol.updates, sol.updates[1:]))
+        assert abs(p[-1][0, 0] - root) <= 1e-9
+        assert unstable_invariance_residuals(p, [blk] * 60).max() <= 1e-10
+        oracle, updates = iterate_graph_sweeps(unstable_graph_sweep, [blk] * 60)
+        assert all(x > y for x, y in zip(updates, updates[1:]))
+        assert np.abs(p - oracle).max() <= 1e-12
 
         f = bs.PerturbedCatMap(0.005)
         po = bs.generate(f, [0.3, 0.7], [3, 3, 3], 1e-5, 7)

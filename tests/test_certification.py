@@ -3,6 +3,7 @@ import math
 import numpy as np
 
 from bishadow.certification import (
+    certify_blocks,
     certify_pseudo_orbit,
     certify_segment,
     is_quasi_hyperbolic,
@@ -10,7 +11,7 @@ from bishadow.certification import (
     pseudo_orbit_blocks,
 )
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
-from bishadow.splitting import Splitting, min_norm, op_norm
+from bishadow.splitting import BlockJacobian, Splitting, min_norm, op_norm
 from bishadow.systems import AffineMap, PerturbedCatMap, TorusLinearMap, cat_map
 
 from _oracles import CAT_CONTRACTING, CAT_EXPANDING
@@ -168,6 +169,36 @@ class TestMinFeasibleLambda:
             d, a = 1.0 / rates[1], rates[0]
             oracle = max(d, 1.0 / a, math.sqrt(d / a))
             assert abs(lam - oracle) <= 2e-6
+
+    def test_long_cat_orbit_certifies_at_returned_rate(self):
+        # one 10^4-step segment: product rows sum 10^4 logs, so rounding in
+        # the closed form shows here first
+        f = cat_map()
+        po = generate(f, [0.21, 0.68], [10_000], 0.0, 0)
+        spl = assign_splittings(po, f, "eigen")
+        blocks = pseudo_orbit_blocks(po, spl, f)
+        lam = min_feasible_lambda(po, spl, f, 0.0, blocks=blocks)
+        assert abs(lam - CAT_CONTRACTING) <= 1e-6
+        assert certify_blocks(blocks, po.residuals, po, lam, 0.0, 0.0).passed
+
+    def test_rounding_nudge_keeps_returned_rate_certified(self):
+        # ||D_j|| grows along one 10^4-step segment, so only the full-length
+        # contraction product binds; for this draw exp/log rounding leaves its
+        # margin at exp(closed form) below -PASS_TOL
+        n = 10_000
+        rng = np.random.default_rng(12)
+        d = np.exp(np.linspace(-5.0, -1.0, n) + 1e-3 * rng.standard_normal(n))
+        blocks = (tuple(BlockJacobian(np.array([[math.exp(10.0)]]), np.zeros((1, 1)),
+                                      np.zeros((1, 1)), np.array([[v]]), AXES, AXES)
+                        for v in d),)
+        f = AffineMap(np.diag([4.0, 0.25]))
+        po = flatten(np.zeros((2, 2)), [n], f)
+        logs = np.cumsum(np.log([op_norm(b.D) for b in blocks[0]]))
+        unrounded = math.exp(float(np.max(logs / np.arange(1, n + 1))))
+        assert not certify_blocks(blocks, po.residuals, po, unrounded, 0.0, 0.0).passed
+        lam = min_feasible_lambda(po, None, f, 0.0, blocks=blocks)
+        assert certify_blocks(blocks, po.residuals, po, lam, 0.0, 0.0).passed
+        assert unrounded < lam <= unrounded * (1.0 + 1e-14)
 
     def test_epsilon_infeasible_reported(self):
         f = PerturbedCatMap(0.01)

@@ -1,6 +1,12 @@
 import json
+import math
 
+import numpy as np
+
+import bishadow.certification
+import bishadow.cli
 from bishadow.cli import main
+from bishadow.refinement import GraphTransformError
 
 BASE_CONFIG = {
     "system": {"type": "cat_map"},
@@ -87,6 +93,61 @@ class TestExitCodes:
         assert "closure" in report["result"]
         assert report["result"]["closure"]["pre_polish"] <= 1e-10
 
+    def test_periodic_on_perturbed_map(self, tmp_path):
+        # a period-3 cat-map cycle as a closed pseudo-orbit of the perturbed
+        # map: power splittings must agree at the seam
+        c = 0.001
+        payload = {
+            "system": {"type": "perturbed_cat_map", "amplitude": c},
+            "pseudo_orbit": {"seeds": [[0.75, 0.5], [0.0, 0.25], [0.25, 0.25], [0.75, 0.5]],
+                             "lengths": [1, 1, 1]},
+            "certification": {"lambda": 0.45, "epsilon": 1e-9, "delta": 1e-3},
+            "solver": {"lambda_tilde": 0.5},
+        }
+        code, out = run(tmp_path, "periodic", payload)
+        assert code == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["converged"] is True
+        assert result["max_distance"] <= 1e-3
+        x = np.array(result["shadow_point"])
+        y = x.copy()
+        for _ in range(3):
+            s = c / (2.0 * math.pi) * np.sin(2.0 * math.pi * y[::-1])
+            y = np.array([2.0 * y[0] + y[1], y[0] + y[1]]) + s
+        gap = (y - x + 0.5) % 1.0 - 0.5
+        assert np.abs(gap).max() <= 1e-12
+
+    def test_shadow_builds_blocks_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = bishadow.certification.block_decompose
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bishadow.certification, "block_decompose", counting)
+        code, _ = run(tmp_path, "shadow")
+        assert code == 0
+        assert len(calls) == sum(BASE_CONFIG["pseudo_orbit"]["generator"]["lengths"])
+
+    def test_refine_graph_transform_error(self, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise GraphTransformError("graph left the unit ball at index 4")
+
+        monkeypatch.setattr(bishadow.cli, "refine", failing)
+        code, out = run(tmp_path, "refine")
+        assert code == 1
+        error = json.loads(out.read_text())["error"]
+        assert error == {"kind": "graph_transform",
+                         "message": "graph left the unit ball at index 4"}
+
+    def test_refine_iteration_keys_rejected(self, tmp_path):
+        for key, value in (("fp_tol", 1e-12), ("max_iter", 100)):
+            payload = json.loads(json.dumps(BASE_CONFIG))
+            payload["refinement"] = {key: value}
+            code, _ = run(tmp_path, "refine", payload, name=key)
+            assert code == 3
+
     def test_refine_ok(self, tmp_path):
         payload = {
             "system": {"type": "perturbed_cat_map", "amplitude": 0.005},
@@ -102,6 +163,7 @@ class TestExitCodes:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["refinement"]["is_quasi_hyperbolic"] is True
+        assert "unstable_sweeps" not in report["refinement"]
 
 
 class TestCertifyCsv:
@@ -140,6 +202,25 @@ class TestSweep:
     def test_timing_column_optional(self, tmp_path):
         _, out = run(tmp_path, "sweep", extra=("--timing",))
         assert out.read_text().splitlines()[0].endswith(",wall_ms")
+
+    def test_parallel_timing_measures_each_cell(self, tmp_path):
+        _, out = run(tmp_path, "sweep", extra=("--jobs", "2", "--timing"))
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(float(r.split(",")[-1]) >= 1.0 for r in rows)
+
+    def test_failed_cell_is_reported(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"] = {"axis": "delta", "values": [1e-4, 0.2]}
+        code, out = run(tmp_path, "sweep", payload)
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[0] == "axis_value,certified,converged,max_shadow_distance,iterations"
+        assert rows[1].startswith("0.0001,True,True,")
+        assert rows[2] == "0.2,False,False,nan,0"
+        err = capsys.readouterr().err
+        assert "delta=0.2 failed: BallInvariantError" in err
+        assert "delta=0.0001" not in err
 
     def test_genuine_orbit_cells_all_zero(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))

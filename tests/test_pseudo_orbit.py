@@ -168,3 +168,17 @@ class TestAssignSplittings:
             assert angle <= 0.05
             ref_angle = np.arccos(min(1.0, abs(float(ref.unstable.ravel() @ u_spl))))
             assert ref_angle <= 0.05
+
+    def test_power_iteration_wraps_around_closed_orbit(self):
+        # one period of a cycle against the middle of five repeated periods
+        # with an open end: the windows see the same Jacobians either way
+        f = PerturbedCatMap(0.01)
+        cycle = [[0.75, 0.5], [0.0, 0.25], [0.25, 0.25]]
+        closed = flatten(np.array(cycle + cycle[:1]), [1] * 3, f)
+        open_end = flatten(np.array(cycle * 5 + [[0.8, 0.5]]), [1] * 15, f)
+        spl_closed = assign_splittings(closed, f, "power", depth=4)
+        spl_open = assign_splittings(open_end, f, "power", depth=4)
+        assert np.array_equal(spl_closed[0].basis, spl_closed[3].basis)
+        for j in range(4):
+            assert np.array_equal(spl_closed[j].basis, spl_open[6 + j].basis)
+        assert not np.allclose(spl_open[0].basis, spl_open[3].basis, atol=1e-9)

@@ -7,7 +7,6 @@ from bishadow.refinement import (
     GraphTransformError,
     PreconditionError,
     chart_blocks,
-    graph_step,
     make_refinement_config,
     refine,
     solve_stable_graphs,
@@ -24,7 +23,12 @@ from bishadow.splitting import (
 )
 from bishadow.systems import PerturbedCatMap, cat_map
 
-from _oracles import graph_fixed_point_quadratic
+from _oracles import (
+    graph_fixed_point_quadratic,
+    iterate_graph_sweeps,
+    stable_graph_sweep,
+    unstable_graph_sweep,
+)
 
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
@@ -80,15 +84,13 @@ class TestChartBlocks:
 class TestGraphStep:
     def test_zero_coupling_keeps_zero(self):
         blocks = scalar_blocks(10, b=0.0, c=0.0)
-        p = np.zeros((11, 1, 1))
-        assert np.array_equal(graph_step(p, blocks), p)
+        assert np.array_equal(solve_unstable_graphs(blocks), np.zeros((11, 1, 1)))
+        assert np.array_equal(solve_stable_graphs(blocks), np.zeros((11, 1, 1)))
 
     def test_scalar_oracle_fixed_point(self):
-        blocks = scalar_blocks()
-        cfg = make_refinement_config(0.4, 0.62, R=2.7)
-        sol = solve_unstable_graphs(blocks, cfg)
+        p = solve_unstable_graphs(scalar_blocks())
         root = graph_fixed_point_quadratic(2.0, 0.1, 0.1, 0.5)
-        assert abs(sol.graphs[-1][0, 0] - root) <= 1e-9
+        assert abs(p[-1][0, 0] - root) <= 1e-9
 
     def test_contraction_on_random_unit_ball_pairs(self):
         blocks = scalar_blocks(20)
@@ -96,49 +98,76 @@ class TestGraphStep:
         for _ in range(25):
             p = rng.uniform(-1, 1, (21, 1, 1))
             q = rng.uniform(-1, 1, (21, 1, 1))
-            dp = np.abs(graph_step(p, blocks) - graph_step(q, blocks))[1:].max()
+            dp = np.abs(unstable_graph_sweep(p, blocks) - unstable_graph_sweep(q, blocks))[1:].max()
             assert dp < np.abs(p - q).max()
 
     def test_unit_ball_escape_detected(self):
         bad = [BlockJacobian(np.array([[1.01]]), np.zeros((1, 1)),
                              np.array([[2.0]]), np.array([[0.99]]), AXES, AXES)]
-        with pytest.raises(GraphTransformError):
-            graph_step(np.zeros((2, 1, 1)), bad)
+        with pytest.raises(GraphTransformError, match="index 1"):
+            solve_unstable_graphs(bad)
+
+    def test_stable_unit_ball_escape_detected(self):
+        bad = [BlockJacobian(np.array([[1.01]]), np.array([[2.0]]),
+                             np.zeros((1, 1)), np.array([[0.99]]), AXES, AXES)]
+        with pytest.raises(GraphTransformError, match="index 0"):
+            solve_stable_graphs(bad)
 
 
 class TestGraphSolves:
     def test_updates_strictly_decreasing(self):
-        cfg = make_refinement_config(0.4, 0.62, R=2.7)
-        sol = solve_unstable_graphs(scalar_blocks(), cfg)
-        assert all(a > b for a, b in zip(sol.updates, sol.updates[1:]))
-        assert all(abs(g) <= 1.0 for g in sol.graphs.ravel())
+        blocks = scalar_blocks()
+        oracle, updates = iterate_graph_sweeps(unstable_graph_sweep, blocks)
+        assert all(a > b for a, b in zip(updates, updates[1:]))
+        p = solve_unstable_graphs(blocks)
+        assert all(abs(g) <= 1.0 for g in p.ravel())
+        assert np.abs(p - oracle).max() <= 1e-12
+
+    def test_stable_matches_oracle_sweeps(self):
+        blocks = scalar_blocks()
+        oracle, updates = iterate_graph_sweeps(stable_graph_sweep, blocks)
+        assert all(a > b for a, b in zip(updates, updates[1:]))
+        assert np.abs(solve_stable_graphs(blocks) - oracle).max() <= 1e-12
+
+    def test_long_power_splitting_matches_oracle_sweeps(self):
+        # 500 steps of the perturbed map from a rough (depth-1) power splitting
+        f = PerturbedCatMap(0.02)
+        po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
+        spl = assign_splittings(po, f, "power", depth=1)
+        blocks = chart_blocks(po, spl, f)
+        p_oracle, _ = iterate_graph_sweeps(unstable_graph_sweep, blocks)
+        q_oracle, _ = iterate_graph_sweeps(stable_graph_sweep, blocks)
+        p = solve_unstable_graphs(blocks)
+        q = solve_stable_graphs(blocks)
+        assert np.abs(p - p_oracle).max() <= 1e-12
+        assert np.abs(q - q_oracle).max() <= 1e-12
+        assert unstable_invariance_residuals(p, blocks).max() <= 1e-11
+        assert stable_invariance_residuals(q, blocks).max() <= 1e-11
 
     def test_invariance_residuals_small(self):
-        cfg = make_refinement_config(0.4, 0.62, R=2.7)
         blocks = scalar_blocks()
-        p = solve_unstable_graphs(blocks, cfg).graphs
-        assert unstable_invariance_residuals(p, blocks).max() <= 10 * cfg.fp_tol
+        p = solve_unstable_graphs(blocks)
+        assert unstable_invariance_residuals(p, blocks).max() <= 1e-11
 
     def test_stable_mirrored_oracle(self):
         # symmetric scalar data: the stable slope magnitude solves the same
         # quadratic as the unstable one (the mirror flips its sign)
-        cfg = make_refinement_config(0.4, 0.62, R=2.7)
         blocks = scalar_blocks()
-        q = solve_stable_graphs(blocks, cfg).graphs
+        q = solve_stable_graphs(blocks)
         root = graph_fixed_point_quadratic(2.0, 0.1, 0.1, 0.5)
         assert abs(abs(q[0][0, 0]) - root) <= 1e-9
         # cross-check: slope of the exact stable eigenvector of [[2,.1],[.1,.5]]
         w, v = np.linalg.eigh(np.array([[2.0, 0.1], [0.1, 0.5]]))
         slope = v[0, 0] / v[1, 0]  # eigh sorts ascending: column 0 is stable
         assert abs(q[0][0, 0] - slope) <= 1e-9
-        assert stable_invariance_residuals(q, blocks).max() <= 10 * cfg.fp_tol
+        assert stable_invariance_residuals(q, blocks).max() <= 1e-11
 
     def test_expansion_and_contraction_conclusions(self):
         f, po, spl = perturbed_setup()
         blocks = chart_blocks(po, spl, f)
         cfg = make_refinement_config(0.4, 0.5, R=2.63)
-        p = solve_unstable_graphs(blocks, cfg).graphs
-        q = solve_stable_graphs(blocks, cfg).graphs
+        p = solve_unstable_graphs(blocks)
+        q = solve_stable_graphs(blocks)
         eps1 = cfg.eps_cap
         for j, b in enumerate(blocks):
             assert min_norm(b.A + b.B @ p[j]) >= min_norm(b.A) - 3 * eps1
@@ -147,9 +176,8 @@ class TestGraphSolves:
     def test_transversality_of_graph_pairs(self):
         f, po, spl = perturbed_setup()
         blocks = chart_blocks(po, spl, f)
-        cfg = make_refinement_config(0.4, 0.5, R=2.63)
-        p = solve_unstable_graphs(blocks, cfg).graphs
-        q = solve_stable_graphs(blocks, cfg).graphs
+        p = solve_unstable_graphs(blocks)
+        q = solve_stable_graphs(blocks)
         for j in range(len(blocks) + 1):
             base = spl[j]
             gu = base.unstable + base.stable @ p[j]
@@ -178,7 +206,7 @@ class TestRefine:
         assert result.certificate.passed
         assert result.max_offdiagonal <= 1e-8
         assert is_quasi_hyperbolic(result.certificate, 1e-8)
-        assert result.max_invariance_residual <= 10 * cfg.fp_tol
+        assert result.max_invariance_residual <= 1e-11
 
     def test_norm_sandwich(self):
         f, po, spl = perturbed_setup(amplitude=0.005)
@@ -204,10 +232,9 @@ class TestRefine:
         base = eigen_splitting(np.array([[2.0, 1.0], [1.0, 1.0]]))
         po_long = generate(f, [0.3, 0.7], [1] * 40, 0.0, 7)
         po_short = po_long.window(0, 29)
-        cfg = make_refinement_config(0.4, 0.5, R=2.63)
         spl_long = assign_splittings(po_long, f, "user", splittings=base)
         spl_short = assign_splittings(po_short, f, "user", splittings=base)
-        p_long = solve_unstable_graphs(chart_blocks(po_long, spl_long, f), cfg).graphs
-        p_short = solve_unstable_graphs(chart_blocks(po_short, spl_short, f), cfg).graphs
+        p_long = solve_unstable_graphs(chart_blocks(po_long, spl_long, f))
+        p_short = solve_unstable_graphs(chart_blocks(po_short, spl_short, f))
         mid = 15
         assert np.abs(p_long[mid] - p_short[mid]).max() <= 1e-10
