@@ -12,7 +12,7 @@ import numpy as np
 
 import bishadow as bs
 from bishadow.refinement import make_refinement_config, refine
-from bishadow.splitting import eigen_splitting, op_norm
+from bishadow.splitting import eigen_splitting
 
 amplitude = 0.005
 f = bs.PerturbedCatMap(amplitude)
@@ -22,7 +22,7 @@ base = eigen_splitting(np.array([[2.0, 1.0], [1.0, 1.0]]))
 splittings = bs.assign_splittings(po, f, "user", splittings=base)
 
 blocks = bs.pseudo_orbit_blocks(po, splittings, f)
-before = max(max(op_norm(b.B), op_norm(b.C)) for seg in blocks for b in seg)
+before = max(bs.block_norms(seg)[2].max() for seg in blocks)
 print(f"perturbation amplitude {amplitude}: off-diagonal size before = {before:.2e}")
 
 config = make_refinement_config(lam=0.4, lam_tilde=0.5, R=2.63)

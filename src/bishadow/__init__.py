@@ -20,8 +20,8 @@ from .adapted import (
 )
 from .certification import (
     Certificate,
+    block_norms,
     certify_pseudo_orbit,
-    certify_segment,
     is_quasi_hyperbolic,
     min_feasible_lambda,
     pseudo_orbit_blocks,
@@ -57,7 +57,6 @@ from .shadowing import (
 )
 from .splitting import (
     BlockJacobian,
-    BoxNorm,
     Splitting,
     block_decompose,
     box_norm,

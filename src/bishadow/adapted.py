@@ -31,7 +31,6 @@ __all__ = [
     "verify_well_adapted",
     "scale_factors",
     "rescaled_blocks",
-    "block_rate_pair",
 ]
 
 _TOL = 1e-12
@@ -148,7 +147,8 @@ def scale_factors(h, offsets) -> np.ndarray:
 
     Returns one factor per flattened index (closing point included).  The
     factor is 1 at segment starts and never exceeds 1 inside a segment;
-    the balance property makes it return to 1 at the next segment start.
+    the balance property would make the running product return to 1 at the
+    next segment start, so that factor is pinned to 1 exactly.
     """
     h = np.asarray(h, dtype=float)
     offsets = np.asarray(offsets, dtype=int)
@@ -157,22 +157,8 @@ def scale_factors(h, offsets) -> np.ndarray:
         raise ValueError("need one weight per orbit step")
     l = np.ones(n + 1)
     for a, b in zip(offsets[:-1], offsets[1:]):
-        acc = 1.0
-        for j in range(int(a), int(b)):
-            l[j] = acc
-            acc *= h[j]
-        # balance makes acc == 1 here up to rounding; pin the reset exactly
-    l[offsets] = 1.0
+        l[a + 1 : b] = np.cumprod(h[a : b - 1])
     return l
-
-
-def block_rate_pair(blocks):
-    """(contracting, expanding) rate sequences of a run of derivative blocks."""
-    from .splitting import min_norm, op_norm
-
-    a = np.array([op_norm(b.D) for b in blocks])
-    bb = np.array([min_norm(b.A) for b in blocks])
-    return a, bb
 
 
 def rescaled_blocks(blocks, h):

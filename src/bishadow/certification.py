@@ -22,18 +22,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pseudo_orbit import OrbitSegment, SegmentedPseudoOrbit, SplittingAssignment
-from .splitting import block_decompose, min_norm, op_norm
+from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
+from .splitting import block_decompose
 from .systems import SmoothMap
 
 __all__ = [
     "MarginRow",
     "Certificate",
     "pseudo_orbit_blocks",
-    "segment_blocks",
-    "certify_segment",
+    "block_norms",
     "certify_pseudo_orbit",
-    "certify_blocks",
     "is_quasi_hyperbolic",
     "min_feasible_lambda",
 ]
@@ -68,7 +66,6 @@ class Certificate:
     delta: float | None
     margins: tuple
     blocks: tuple = field(repr=False, default=())
-    tol: float = PASS_TOL
 
     def worst(self, condition: str | None = None) -> MarginRow:
         rows = self.margins if condition is None else [
@@ -100,30 +97,36 @@ class Certificate:
         return d
 
 
-def segment_blocks(
-    segment: OrbitSegment, splittings: SplittingAssignment, f: SmoothMap
-) -> tuple:
-    """Derivative blocks along one segment.
-
-    Block j is the derivative at the j-th point, read from the splitting
-    at index j into the splitting at index j+1; at the segment join that
-    target is the next seed's splitting.
-    """
-    out = []
-    for t in range(segment.length):
-        j = segment.start + t
-        jac = f.at_step(j).jacobian(segment.points[t])
-        out.append(block_decompose(jac, splittings[j], splittings[j + 1]))
-    return tuple(out)
-
-
 def pseudo_orbit_blocks(
     po: SegmentedPseudoOrbit, splittings: SplittingAssignment, f: SmoothMap
 ) -> tuple:
-    """Per-segment tuples of derivative blocks for the whole pseudo-orbit."""
+    """Per-segment tuples of derivative blocks for the whole pseudo-orbit.
+
+    Block j is the derivative at flattened point j, read from the
+    splitting at index j into the splitting at index j+1; at a segment
+    join that target is the next seed's splitting.
+    """
     if len(splittings) != po.n_steps + 1:
         raise ValueError("need one splitting per flattened index, closing point included")
-    return tuple(segment_blocks(seg, splittings, f) for seg in po.segments())
+    flat = [
+        block_decompose(f.at_step(j).jacobian(po.points[j]), splittings[j], splittings[j + 1])
+        for j in range(po.n_steps)
+    ]
+    return tuple(tuple(flat[a:b]) for a, b in zip(po.offsets[:-1], po.offsets[1:]))
+
+
+def block_norms(blocks):
+    """Per-block m(A_j), ||D_j|| and max(||B_j||, ||C_j||) of a run of blocks.
+
+    One batched SVD per block kind; empty blocks follow min_norm and
+    op_norm (m = +inf, norm = 0).
+    """
+    def singular(name, k, empty):
+        s = np.linalg.svd(np.stack([getattr(b, name) for b in blocks]), compute_uv=False)
+        return s[:, k] if s.shape[1] else np.full(len(blocks), empty)
+
+    off = np.maximum(singular("B", 0, 0.0), singular("C", 0, 0.0))
+    return singular("A", -1, np.inf), singular("D", 0, 0.0), off
 
 
 def _segment_terms(blocks):
@@ -133,9 +136,7 @@ def _segment_terms(blocks):
     sum_{j>=k} log m(A_j) (k = 0..n-1), the ratios ||D_j|| / m(A_j), and
     the off-diagonal sizes max(||B_j||, ||C_j||).
     """
-    a = np.array([min_norm(b.A) for b in blocks])
-    d = np.array([op_norm(b.D) for b in blocks])
-    off = np.array([max(op_norm(b.B), op_norm(b.C)) for b in blocks])
+    a, d, off = block_norms(blocks)
     with np.errstate(divide="ignore", invalid="ignore"):
         cum_d = np.cumsum(np.log(d))
         tail_a = np.cumsum(np.log(a)[::-1])[::-1]
@@ -174,60 +175,6 @@ def _segment_margin_rows(blocks, lam, epsilon, seg_index, start):
     return rows
 
 
-def _passed(rows, tol):
-    margins = np.array([r.margin for r in rows])
-    return bool(np.all(margins >= -tol))
-
-
-def certify_segment(
-    segment: OrbitSegment,
-    splittings: SplittingAssignment,
-    f: SmoothMap,
-    lam: float,
-    epsilon: float,
-    blocks=None,
-    tol: float = PASS_TOL,
-) -> Certificate:
-    """Check the four segment inequalities at rates (lam, epsilon)."""
-    if not (0.0 < lam < 1.0):
-        raise ValueError("lambda must lie in (0, 1)")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
-    if blocks is None:
-        blocks = segment_blocks(segment, splittings, f)
-    rows = _segment_margin_rows(blocks, lam, epsilon, segment.index, segment.start)
-    return Certificate(
-        passed=_passed(rows, tol), lam=lam, epsilon=epsilon, delta=None,
-        margins=tuple(rows), blocks=(tuple(blocks),), tol=tol,
-    )
-
-
-def certify_blocks(
-    blocks_by_segment,
-    residuals,
-    po: SegmentedPseudoOrbit,
-    lam: float,
-    epsilon: float,
-    delta: float,
-    tol: float = PASS_TOL,
-) -> Certificate:
-    """Certification core on precomputed blocks (used on refined splittings too)."""
-    if not (0.0 < lam < 1.0):
-        raise ValueError("lambda must lie in (0, 1)")
-    if epsilon < 0.0 or delta < 0.0:
-        raise ValueError("epsilon and delta must be nonnegative")
-    rows = []
-    for seg, blocks in zip(po.segments(), blocks_by_segment):
-        rows.extend(_segment_margin_rows(blocks, lam, epsilon, seg.index, seg.start))
-    for seg, res in zip(po.segments(), residuals):
-        rows.append(MarginRow("residual", seg.index, seg.start + seg.length,
-                              float(res), delta, delta - float(res)))
-    return Certificate(
-        passed=_passed(rows, tol), lam=lam, epsilon=epsilon, delta=delta,
-        margins=tuple(rows), blocks=tuple(tuple(b) for b in blocks_by_segment), tol=tol,
-    )
-
-
 def certify_pseudo_orbit(
     po: SegmentedPseudoOrbit,
     splittings: SplittingAssignment,
@@ -236,23 +183,38 @@ def certify_pseudo_orbit(
     epsilon: float,
     delta: float,
     blocks=None,
-    tol: float = PASS_TOL,
 ) -> Certificate:
-    """Certify every segment at (lam, epsilon) and every residual against delta."""
+    """Certify every segment at (lam, epsilon) and every residual against delta.
+
+    blocks, when given, are the per-segment tuples that
+    pseudo_orbit_blocks(po, splittings, f) returns; splittings and f are
+    then not read.
+    """
+    if not (0.0 < lam < 1.0):
+        raise ValueError("lambda must lie in (0, 1)")
+    if epsilon < 0.0 or delta < 0.0:
+        raise ValueError("epsilon and delta must be nonnegative")
     if blocks is None:
         blocks = pseudo_orbit_blocks(po, splittings, f)
-    return certify_blocks(blocks, po.residuals, po, lam, epsilon, delta, tol=tol)
+    rows = []
+    segments = po.segments()
+    for seg, seg_blocks in zip(segments, blocks):
+        rows.extend(_segment_margin_rows(seg_blocks, lam, epsilon, seg.index, seg.start))
+    for seg in segments:
+        rows.append(MarginRow("residual", seg.index, seg.start + seg.length,
+                              seg.residual, delta, delta - seg.residual))
+    margins = np.array([r.margin for r in rows])
+    return Certificate(
+        passed=bool(np.all(margins >= -PASS_TOL)), lam=lam, epsilon=epsilon, delta=delta,
+        margins=tuple(rows), blocks=tuple(tuple(b) for b in blocks),
+    )
 
 
 def is_quasi_hyperbolic(cert: Certificate, tol: float = 1e-10) -> bool:
     """True when every off-diagonal block in the certificate is below tol."""
     if not cert.blocks:
         raise ValueError("certificate carries no blocks")
-    worst = 0.0
-    for seg_blocks in cert.blocks:
-        for b in seg_blocks:
-            worst = max(worst, op_norm(b.B), op_norm(b.C))
-    return worst <= tol
+    return max(float(block_norms(seg)[2].max()) for seg in cert.blocks) <= tol
 
 
 def min_feasible_lambda(

@@ -1,7 +1,7 @@
 """Command-line harness: certify / refine / shadow / periodic / sweep.
 
 Exit codes: 0 success, 1 certification or precondition failure, 2 solver
-non-convergence, 3 configuration error.  Reports are canonical JSON
+non-convergence, 3 configuration or usage error.  Reports are canonical JSON
 (sorted keys, shortest round-trip floats) or CSV; identical config and
 seed produce byte-identical output.  Wall-clock timing is only included
 when --timing is passed, keeping default reports deterministic.
@@ -90,6 +90,14 @@ def _build_all(cfg: RunConfig, seed_override):
     return f, po, splittings
 
 
+def _certify(cfg: RunConfig, po, splittings, f):
+    block = cfg.certification
+    return certify_pseudo_orbit(
+        po, splittings, f, float(block["lambda"]),
+        float(block.get("epsilon", 0.0)), float(block.get("delta", 0.0)),
+    )
+
+
 def _solver_config(cfg: RunConfig, po, f):
     block = cfg.solver
     lam = float(cfg.certification["lambda"])
@@ -107,10 +115,7 @@ def _solver_config(cfg: RunConfig, po, f):
 def cmd_certify(cfg: RunConfig, args) -> int:
     start = time.perf_counter()
     f, po, splittings = _build_all(cfg, args.seed)
-    lam = float(cfg.certification["lambda"])
-    eps = float(cfg.certification.get("epsilon", 0.0))
-    delta = float(cfg.certification.get("delta", 0.0))
-    cert = certify_pseudo_orbit(po, splittings, f, lam, eps, delta)
+    cert = _certify(cfg, po, splittings, f)
     elapsed = time.perf_counter() - start if args.timing else None
     if args.format == "csv":
         _emit(_margins_csv(cert), _out_path(cfg, args))
@@ -224,28 +229,20 @@ def _sweep_payload(raw: dict, axis: str, value: float) -> dict:
 
 def _run_sweep_cell(payload: dict, seed_override) -> dict:
     start = time.perf_counter()
+    cell = {"certified": False, "converged": False,
+            "max_shadow_distance": float("nan"), "iterations": 0}
     try:
         cfg = parse_config(payload)
-        f = build_system(cfg)
-        po = build_pseudo_orbit(cfg, f, seed_override=seed_override)
-        splittings = build_splittings(cfg, po, f)
+        f, po, splittings = _build_all(cfg, seed_override)
         g = build_perturbed(cfg, f)
-        lam = float(cfg.certification["lambda"])
-        eps = float(cfg.certification.get("epsilon", 0.0))
-        delta = float(cfg.certification.get("delta", 0.0))
-        cert = certify_pseudo_orbit(po, splittings, f, lam, eps, delta)
+        cert = _certify(cfg, po, splittings, f)
+        cell["certified"] = cert.passed
         scfg = _solver_config(cfg, po, f)
         result = solve_finite(po, splittings, f, g, scfg, blocks=cert.blocks)
-        cell = {
-            "certified": cert.passed,
-            "converged": result.converged,
-            "max_shadow_distance": result.max_distance,
-            "iterations": result.iterations,
-        }
+        cell.update(converged=result.converged, max_shadow_distance=result.max_distance,
+                    iterations=result.iterations)
     except Exception as exc:  # recorded per cell; cmd_sweep reports it and fails
-        cell = {"certified": False, "converged": False,
-                "max_shadow_distance": float("nan"), "iterations": 0,
-                "error": f"{type(exc).__name__}: {exc}"}
+        cell["error"] = f"{type(exc).__name__}: {exc}"
     cell["wall_ms"] = (time.perf_counter() - start) * 1e3
     return cell
 
@@ -300,8 +297,10 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=None, help="parallel sweep cells")
+        if name == "certify":
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=None, help="parallel sweep cells")
         p.add_argument("--seed", type=int, default=None, help="override the generator rng seed")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing (breaks byte-identical reports)")
@@ -309,7 +308,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad command line: a config error here
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

@@ -139,7 +139,7 @@ def parse_config(payload: dict) -> RunConfig:
             raise ConfigError("sweep.values must be sorted ascending")
 
     out_block = payload.get("output", {})
-    _check_keys(out_block, {"path", "format"}, set(), "output")
+    _check_keys(out_block, {"path"}, set(), "output")
 
     return RunConfig(
         raw=payload,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certification import Certificate, certify_blocks, pseudo_orbit_blocks
+from .certification import Certificate, block_norms, certify_pseudo_orbit, pseudo_orbit_blocks
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
 from .splitting import Splitting, min_norm, op_norm
 from .systems import SmoothMap
@@ -39,7 +39,6 @@ __all__ = [
     "make_refinement_config",
     "PreconditionError",
     "GraphTransformError",
-    "chart_blocks",
     "solve_unstable_graphs",
     "solve_stable_graphs",
     "RefinementResult",
@@ -96,30 +95,6 @@ def make_refinement_config(
         lam=lam, lam_tilde=lam_tilde, lam0=lam0, R=R, eps_cap=eps_cap,
         offdiag_tol=offdiag_tol,
     )
-
-
-def chart_blocks(
-    po: SegmentedPseudoOrbit,
-    splittings: SplittingAssignment,
-    f: SmoothMap,
-    delta_cap: float | None = None,
-):
-    """Flat list of chart-derivative blocks along the pseudo-orbit.
-
-    On flat phase spaces the chart derivative at the origin is the
-    ambient Jacobian, read from each index's splitting into the next
-    one's (the next seed's splitting at segment joins).
-    """
-    if delta_cap is not None and po.residuals.size and float(po.residuals.max()) > delta_cap:
-        raise PreconditionError(
-            f"residual {float(po.residuals.max()):.3e} exceeds the chart threshold {delta_cap:.3e}"
-        )
-    per_segment = pseudo_orbit_blocks(po, splittings, f)
-    return [b for seg in per_segment for b in seg]
-
-
-def _split_by_offsets(flat, offsets):
-    return tuple(tuple(flat[int(a):int(b)]) for a, b in zip(offsets[:-1], offsets[1:]))
 
 
 def solve_unstable_graphs(blocks) -> np.ndarray:
@@ -216,11 +191,13 @@ def refine(
 
     Requires the input blocks to certify at (lam, eps) with eps at most
     eps_cap; returns the graph-tilted splitting family together with its
-    certificate at (lam_tilde, offdiag_tol, delta).
+    certificate at (lam_tilde, offdiag_tol, delta).  blocks, when given,
+    are the per-segment tuples of pseudo_orbit_blocks; so are the refined
+    blocks on the result.
     """
     if blocks is None:
-        blocks = chart_blocks(po, splittings, f)
-    eps_actual = max(max(op_norm(b.B), op_norm(b.C)) for b in blocks)
+        blocks = pseudo_orbit_blocks(po, splittings, f)
+    eps_actual = max(float(block_norms(seg)[2].max()) for seg in blocks)
     if eps_actual > config.eps_cap:
         raise PreconditionError(
             f"off-diagonal size {eps_actual:.3e} exceeds the admissible cap "
@@ -228,9 +205,8 @@ def refine(
         )
     if delta is None:
         delta = float(po.residuals.max()) if po.residuals.size else 0.0
-    by_seg = _split_by_offsets(blocks, po.offsets)
-    input_cert = certify_blocks(by_seg, po.residuals, po, config.lam,
-                                max(eps_actual, 1e-15), delta)
+    input_cert = certify_pseudo_orbit(po, splittings, f, config.lam,
+                                      max(eps_actual, 1e-15), delta, blocks=blocks)
     if not input_cert.passed:
         worst = input_cert.worst()
         raise PreconditionError(
@@ -239,10 +215,11 @@ def refine(
             f"(margin {worst.margin:.3e})"
         )
 
-    P = solve_unstable_graphs(blocks)
-    Q = solve_stable_graphs(blocks)
-    max_res = float(max(unstable_invariance_residuals(P, blocks).max(),
-                        stable_invariance_residuals(Q, blocks).max()))
+    flat = [b for seg in blocks for b in seg]
+    P = solve_unstable_graphs(flat)
+    Q = solve_stable_graphs(flat)
+    max_res = float(max(unstable_invariance_residuals(P, flat).max(),
+                        stable_invariance_residuals(Q, flat).max()))
     if max_res > config.offdiag_tol:
         raise GraphTransformError(
             f"graph invariance residual {max_res:.3e} exceeds {config.offdiag_tol:.3e}"
@@ -257,16 +234,14 @@ def refine(
     refined = SplittingAssignment(tuple(refined))
 
     new_blocks = pseudo_orbit_blocks(po, refined, f)
-    flat_new = [b for seg in new_blocks for b in seg]
-    max_off = max(max(op_norm(b.B), op_norm(b.C)) for b in flat_new)
-    certificate = certify_blocks(new_blocks, po.residuals, po,
-                                 config.lam_tilde, config.offdiag_tol, delta)
+    certificate = certify_pseudo_orbit(po, refined, f, config.lam_tilde,
+                                       config.offdiag_tol, delta, blocks=new_blocks)
     return RefinementResult(
         splittings=refined,
         certificate=certificate,
         unstable_graphs=P,
         stable_graphs=Q,
-        blocks=tuple(flat_new),
+        blocks=new_blocks,
         max_invariance_residual=max_res,
-        max_offdiagonal=float(max_off),
+        max_offdiagonal=max(float(block_norms(seg)[2].max()) for seg in new_blocks),
     )

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapted import block_rate_pair, scale_factors, well_adapted_sequence
-from .certification import certify_blocks, pseudo_orbit_blocks
+from .adapted import scale_factors, well_adapted_sequence
+from .certification import block_norms, certify_pseudo_orbit, pseudo_orbit_blocks
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
-from .splitting import op_norm
 from .systems import SmoothMap, SystemBounds, estimate_bounds, sup_distance
 
 __all__ = [
@@ -42,8 +41,6 @@ __all__ = [
     "WindowTable",
     "BallInvariantError",
     "UnstableSolveError",
-    "build_problem",
-    "local_charts",
     "apply_operator",
     "solve_finite",
     "solve_periodic",
@@ -154,27 +151,12 @@ def make_solver_config(
     )
 
 
-def local_charts(po: SegmentedPseudoOrbit, f: SmoothMap, g: SmoothMap):
-    """Chart representations of f and g along the pseudo-orbit.
-
-    Returns callables (F, G) with F(j, v) the tangent image of v between
-    indices j and j+1.  F(j, 0) is zero inside segments and has norm
-    equal to the jump residual at segment joins.
-    """
-    phase = po.phase
-
-    def chart(m):
-        def apply(j, v):
-            y, y1 = po.points[j], po.points[j + 1]
-            return phase.wrap(m.at_step(j)(phase.canon(y + v)) - y1)
-
-        return apply
-
-    return chart(f), chart(g)
-
-
 class ShadowProblem:
-    """A pseudo-orbit, its splittings, the two maps, and the rescaled norms."""
+    """A pseudo-orbit, its splittings, the two maps, and the rescaled norms.
+
+    blocks, when given, are the per-segment tuples of pseudo_orbit_blocks
+    for these splittings; they set the adapted weights.
+    """
 
     def __init__(self, po, splittings, f, g, config, blocks=None):
         if len(splittings) != po.n_steps + 1:
@@ -188,17 +170,15 @@ class ShadowProblem:
         self.config = config
         if blocks is None:
             blocks = pseudo_orbit_blocks(po, splittings, f)
-        self.blocks_by_segment = blocks
         weights = []
         for seg_blocks in blocks:
-            a, b = block_rate_pair(seg_blocks)
-            weights.append(well_adapted_sequence(a, b, config.lam))
+            m_a, norm_d, _ = block_norms(seg_blocks)
+            weights.append(well_adapted_sequence(norm_d, m_a, config.lam))
         self.weights = np.concatenate(weights) if weights else np.ones(0)
         self.l = scale_factors(self.weights, po.offsets)
         self.phase = po.phase
-        self.constant_splitting = all(
-            s is splittings[0] for s in splittings.splittings
-        )
+        # (N + 1, n, n): every index's map to oblique components, for the ball check
+        self.basis_inv = np.stack([sp.basis_inv for sp in splittings.splittings])
 
     @property
     def n_steps(self) -> int:
@@ -227,18 +207,6 @@ class ShadowProblem:
         """Rescaled norm |v| / l_j at index j."""
         return float(np.linalg.norm(v) / self.l[j])
 
-    def ball_norm_n(self, j: int, v) -> float:
-        """Rescaled componentwise (box) norm: the eta-ball constraint."""
-        a, b = self.splittings[j].coords(v)
-        return float(max(np.linalg.norm(a), np.linalg.norm(b)) / self.l[j])
-
-    # -- expanding unstable component and its Newton inverse -------------
-
-    def _expand(self, j: int, sv, w):
-        base = self.F(j, sv)
-        out = self.F(j, sv + self.splittings[j].unstable @ np.asarray(w, float)) - base
-        return self.splittings[j + 1].unstable_coords(self.phase.wrap(out))
-
     def _check_eta(self, j: int, size: float, what: str):
         if size > self.config.eta * self.l[j] * (1.0 + 1e-9):
             raise BallInvariantError(
@@ -246,31 +214,13 @@ class ShadowProblem:
                 f"{size / self.l[j]:.3e} > eta = {self.config.eta:.3e}"
             )
 
-    def expand_unstable(self, j: int, v_j, w):
-        """Image of the unstable component vector w under the expanding part of F_j.
+    def invert_unstable(self, j: int, sv, target):
+        """Newton inversion of the expanding unstable part of F_j.
 
-        w is expressed in index-j unstable coordinates; the result in
-        index-(j+1) unstable coordinates.  Fixing the stable part of v_j,
-        this is the increment of F_j's unstable component, so it vanishes
-        at w = 0 and inherits the expansion of the unstable block.  Both
-        the stable part of v_j and w must lie in the eta-ball.
+        sv is the stable part of v_j.  Returns w, in index-j unstable
+        coordinates, such that F_j(sv + U_j w) - F_j(sv) has index-(j+1)
+        unstable coordinates equal to target; w must lie in the eta-ball.
         """
-        sp = self.splittings[j]
-        sv = sp.project_stable(v_j)
-        self._check_eta(j, float(np.linalg.norm(sv)), "stable component")
-        self._check_eta(j, float(np.linalg.norm(w)), "unstable argument")
-        return self._expand(j, sv, w)
-
-    def invert_unstable(self, j: int, v_j, target):
-        """Newton inversion of expand_unstable at index j.
-
-        The result stays in the eta-ball whenever the target lies in the
-        expanding image of that ball.
-        """
-        sv = self.splittings[j].project_stable(v_j)
-        return self._invert_from_stable(j, sv, target)
-
-    def _invert_from_stable(self, j: int, sv, target):
         sp = self.splittings[j]
         dst = self.splittings[j + 1]
         base = self.F(j, sv)
@@ -302,10 +252,6 @@ class ShadowProblem:
         )
 
 
-def build_problem(po, splittings, f, g, config, blocks=None) -> ShadowProblem:
-    return ShadowProblem(po, splittings, f, g, config, blocks=blocks)
-
-
 def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finite") -> np.ndarray:
     """One solver update: forward stable rows, backward unstable rows,
     boundary rows per mode ("finite" pins the free components to zero,
@@ -322,7 +268,7 @@ def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finit
         sv = sp.project_stable(v[j])
         target_ambient = -g_imgs[j] + problem.F(j, v[j]) - problem.F(j, sv) + v[j + 1]
         t = problem.splittings[j + 1].unstable_coords(target_ambient)
-        wu = problem._invert_from_stable(j, sv, t)
+        wu = problem.invert_unstable(j, sv, t)
         w[j] += sp.unstable @ wu
     if boundary == "periodic":
         sp0 = problem.splittings[0]
@@ -333,17 +279,13 @@ def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finit
 
 
 def _check_ball(problem: ShadowProblem, w: np.ndarray) -> float:
+    """Largest rescaled box norm max(|w_u|, |w_s|) / l_j over all indices."""
     eta = problem.config.eta
-    if problem.constant_splitting:
-        sp = problem.splittings[0]
-        c = sp.basis_inv @ w.T
-        comp = np.maximum(
-            np.linalg.norm(c[: sp.dim_u], axis=0),
-            np.linalg.norm(c[sp.dim_u :], axis=0),
-        )
-        worst = float((comp / problem.l).max())
-    else:
-        worst = max(problem.ball_norm_n(j, w[j]) for j in range(problem.n_steps + 1))
+    c = np.matmul(problem.basis_inv, w[:, :, None])
+    du = problem.splittings[0].dim_u
+    # squared component lengths as per-index dot products, rounded as box_norm rounds them
+    sq = [np.matmul(part.transpose(0, 2, 1), part)[:, 0, 0] for part in (c[:, :du], c[:, du:])]
+    worst = float((np.sqrt(np.maximum(*sq)) / problem.l).max())
     if worst > eta * (1.0 + 1e-9):
         raise BallInvariantError(
             f"iterate left the eta-ball ({worst:.3e} > {eta:.3e}); "
@@ -473,7 +415,7 @@ def solve_finite(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
     Non-convergence is reported on the result (converged=False with the
     full update history), not raised.
     """
-    problem = build_problem(po, splittings, f, g, config, blocks=blocks)
+    problem = ShadowProblem(po, splittings, f, g, config, blocks=blocks)
     v, history, converged, iterations, ball_worst = _iterate(problem, "finite")
     return _finish(problem, v, history, converged, iterations, ball_worst, "finite")
 
@@ -517,7 +459,7 @@ def solve_periodic(po, splittings, f, g, config, polish: bool = True, blocks=Non
     seam = list(splittings.splittings)
     seam[n] = seam[0]
     splittings = SplittingAssignment(tuple(seam))
-    problem = build_problem(po, splittings, f, g, config, blocks=blocks)
+    problem = ShadowProblem(po, splittings, f, g, config, blocks=blocks)
     v, history, converged, iterations, ball_worst = _iterate(problem, "periodic")
     result = _finish(problem, v, history, converged, iterations, ball_worst, "periodic")
     result.seam_gap = float(np.linalg.norm(v[0] - v[n]))
@@ -608,11 +550,8 @@ def shadowing_preconditions(po, splittings, f, g, config, grid_res: int = 256):
     (lam, eps0, delta0), the off-diagonal / residual / map-distance
     slacks, all nonnegative when the preconditions hold.
     """
-    blocks = pseudo_orbit_blocks(po, splittings, f)
-    cert = certify_blocks(blocks, po.residuals, po, config.lam, config.eps0, config.delta0)
-    eps_actual = max(
-        max(op_norm(b.B), op_norm(b.C)) for seg in blocks for b in seg
-    )
+    cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps0, config.delta0)
+    eps_actual = max(float(block_norms(seg)[2].max()) for seg in cert.blocks)
     d_actual = sup_distance(f, g, grid_res=grid_res) if f is not g else 0.0
     margins = {
         "epsilon": config.eps0 - eps_actual,

@@ -9,7 +9,6 @@ import numpy as np
 __all__ = [
     "Splitting",
     "BlockJacobian",
-    "BoxNorm",
     "eigen_splitting",
     "block_decompose",
     "min_norm",
@@ -185,16 +184,6 @@ def box_equivalence_constant(sp: Splitting) -> float:
     t_hi = op_norm(sp.basis)
     t_inv_hi = op_norm(sp.basis_inv)
     return float(max(t_inv_hi, np.sqrt(2.0) * t_hi))
-
-
-class BoxNorm:
-    """Callable box norm bound to a reference splitting."""
-
-    def __init__(self, splitting: Splitting):
-        self.splitting = splitting
-
-    def __call__(self, v) -> float:
-        return box_norm(v, self.splitting)
 
 
 def eigen_splitting(matrix, dim_u: int | None = None) -> Splitting:

@@ -135,6 +135,22 @@ class TestScaleFactors:
             for j in range(lo, hi + 1):
                 assert l[j] >= big_r ** -(j - lo) * (1 - 1e-9)
 
+    def test_bitwise_equal_to_sequential_loop(self):
+        # the per-index running product scale_factors replaces, written out
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            lengths = rng.integers(1, 40, int(rng.integers(1, 6)))
+            offsets = np.concatenate([[0], np.cumsum(lengths)])
+            h = np.exp(rng.uniform(-2.0, 2.0, int(offsets[-1])))
+            loop = np.ones(int(offsets[-1]) + 1)
+            for a, b in zip(offsets[:-1], offsets[1:]):
+                acc = 1.0
+                for j in range(a, b):
+                    loop[j] = acc
+                    acc *= h[j]
+            loop[offsets] = 1.0
+            assert np.array_equal(scale_factors(h, offsets), loop)
+
 
 class TestRescaledBlocks:
     def _cat_blocks(self, n=4):

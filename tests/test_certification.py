@@ -3,9 +3,8 @@ import math
 import numpy as np
 
 from bishadow.certification import (
-    certify_blocks,
+    block_norms,
     certify_pseudo_orbit,
-    certify_segment,
     is_quasi_hyperbolic,
     min_feasible_lambda,
     pseudo_orbit_blocks,
@@ -25,10 +24,18 @@ def cat_setup(lengths=(3, 3), jump=0.0, seed=0):
     return f, po, assign_splittings(po, f, "eigen")
 
 
+def certify_segment(po, spl, f, i, lam):
+    """Certificate of segment i alone: the pseudo-orbit window i..i, with a
+    residual bound loose enough that only the segment conditions can bind."""
+    seg = po.segment(i)
+    return certify_pseudo_orbit(po.window(i, i), spl.window(seg.start, seg.start + seg.length),
+                                f, lam, 0.0, 1.0)
+
+
 class TestCertifySegment:
     def test_cat_eigen_passes_at_062(self):
         f, po, spl = cat_setup()
-        cert = certify_segment(po.segment(0), spl, f, 0.62, 0.0)
+        cert = certify_segment(po, spl, f, 0, 0.62)
         assert cert.passed
         # the four binding quantities against the characteristic-root oracle
         blk = cert.blocks[0][0]
@@ -41,7 +48,7 @@ class TestCertifySegment:
     def test_cat_fails_at_03_binding_condition(self):
         f, po, spl = cat_setup()
         seg = po.segment(0)
-        cert = certify_segment(seg, spl, f, 0.3, 0.0)
+        cert = certify_segment(po, spl, f, 0, 0.3)
         assert not cert.passed
         assert cert.worst().condition == "contraction_product"
         # the single-factor product already fails: 0.382 > 0.3 at k = 1
@@ -54,7 +61,7 @@ class TestCertifySegment:
         po = flatten(np.array([[0.2, 0.3], [0.2, 0.3]]), [3], f)
         spl = assign_splittings(po, f, "user", splittings=AXES)
         for lam in (0.3, 0.9, 0.999):
-            cert = certify_segment(po.segment(0), spl, f, lam, 0.0)
+            cert = certify_segment(po, spl, f, 0, lam)
             assert not cert.passed
             assert any(r.condition == "contraction_product" and r.margin < 0
                        for r in cert.margins)
@@ -110,6 +117,22 @@ class TestCertifyPseudoOrbit:
                 rb = block_decompose(q @ b.assembled() @ q.T, rot, rot)
                 assert abs(op_norm(rb.D) - op_norm(b.D)) <= 1e-12
                 assert abs(min_norm(rb.A) - min_norm(b.A)) <= 1e-12
+
+
+class TestBlockNorms:
+    def test_matches_per_block_norms_exactly(self):
+        rng = np.random.default_rng(21)
+        for n, du in ((2, 1), (3, 1), (3, 2), (4, 2), (2, 2), (2, 0)):
+            sp = Splitting.from_bases(rng.standard_normal((n, du)),
+                                      rng.standard_normal((n, n - du)))
+            blocks = [BlockJacobian(*(rng.standard_normal(shape) for shape in
+                                      ((du, du), (du, n - du), (n - du, du), (n - du, n - du))),
+                                    sp, sp)
+                      for _ in range(30)]
+            m_a, norm_d, off = block_norms(blocks)
+            assert np.array_equal(m_a, [min_norm(b.A) for b in blocks])
+            assert np.array_equal(norm_d, [op_norm(b.D) for b in blocks])
+            assert np.array_equal(off, [max(op_norm(b.B), op_norm(b.C)) for b in blocks])
 
 
 class TestQuasiHyperbolic:
@@ -179,7 +202,7 @@ class TestMinFeasibleLambda:
         blocks = pseudo_orbit_blocks(po, spl, f)
         lam = min_feasible_lambda(po, spl, f, 0.0, blocks=blocks)
         assert abs(lam - CAT_CONTRACTING) <= 1e-6
-        assert certify_blocks(blocks, po.residuals, po, lam, 0.0, 0.0).passed
+        assert certify_pseudo_orbit(po, None, None, lam, 0.0, 0.0, blocks=blocks).passed
 
     def test_rounding_nudge_keeps_returned_rate_certified(self):
         # ||D_j|| grows along one 10^4-step segment, so only the full-length
@@ -195,9 +218,9 @@ class TestMinFeasibleLambda:
         po = flatten(np.zeros((2, 2)), [n], f)
         logs = np.cumsum(np.log([op_norm(b.D) for b in blocks[0]]))
         unrounded = math.exp(float(np.max(logs / np.arange(1, n + 1))))
-        assert not certify_blocks(blocks, po.residuals, po, unrounded, 0.0, 0.0).passed
+        assert not certify_pseudo_orbit(po, None, None, unrounded, 0.0, 0.0, blocks=blocks).passed
         lam = min_feasible_lambda(po, None, f, 0.0, blocks=blocks)
-        assert certify_blocks(blocks, po.residuals, po, lam, 0.0, 0.0).passed
+        assert certify_pseudo_orbit(po, None, None, lam, 0.0, 0.0, blocks=blocks).passed
         assert unrounded < lam <= unrounded * (1.0 + 1e-14)
 
     def test_epsilon_infeasible_reported(self):

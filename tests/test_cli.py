@@ -58,6 +58,24 @@ class TestExitCodes:
         assert main(["certify", "--config", str(cfg), "--out", str(out)]) == 3
         assert not out.exists()
 
+    def test_usage_error_exits_3(self, tmp_path, capsys):
+        assert main(["certify"]) == 3
+        assert "--config" in capsys.readouterr().err
+
+    def test_flags_of_other_subcommands_rejected(self, tmp_path):
+        for command, flag in (("shadow", ("--format", "csv")), ("shadow", ("--jobs", "4")),
+                              ("refine", ("--jobs", "2")), ("sweep", ("--format", "csv"))):
+            code, out = run(tmp_path, command, extra=flag, name=f"{command}{flag[0]}")
+            assert code == 3
+            assert not out.exists()
+
+    def test_output_format_key_rejected(self, tmp_path):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["output"] = {"format": "csv"}
+        code, out = run(tmp_path, "certify", payload)
+        assert code == 3
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["systm"] = payload.pop("system")
@@ -217,7 +235,8 @@ class TestSweep:
         rows = out.read_text().splitlines()
         assert rows[0] == "axis_value,certified,converged,max_shadow_distance,iterations"
         assert rows[1].startswith("0.0001,True,True,")
-        assert rows[2] == "0.2,False,False,nan,0"
+        # the cell certifies at (0.4, 0, 0.2); only its solve fails
+        assert rows[2] == "0.2,True,False,nan,0"
         err = capsys.readouterr().err
         assert "delta=0.2 failed: BallInvariantError" in err
         assert "delta=0.0001" not in err

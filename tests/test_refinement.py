@@ -6,7 +6,6 @@ from bishadow.pseudo_orbit import assign_splittings, generate
 from bishadow.refinement import (
     GraphTransformError,
     PreconditionError,
-    chart_blocks,
     make_refinement_config,
     refine,
     solve_stable_graphs,
@@ -17,6 +16,7 @@ from bishadow.refinement import (
 from bishadow.splitting import (
     BlockJacobian,
     Splitting,
+    block_decompose,
     eigen_splitting,
     min_norm,
     op_norm,
@@ -47,26 +47,36 @@ def perturbed_setup(amplitude=0.005, lengths=(3, 3, 3), jump=1e-5, seed=7):
     return f, po, spl
 
 
+def flat_blocks(po, spl, f):
+    return [b for seg in pseudo_orbit_blocks(po, spl, f) for b in seg]
+
+
 class TestChartBlocks:
     def test_flat_chart_equals_jacobian_blocks(self):
-        f = cat_map()
-        po = generate(f, [0.2, 0.5], [2, 2], 1e-4, 1)
-        spl = assign_splittings(po, f, "eigen")
-        flat = chart_blocks(po, spl, f)
-        per_seg = [b for s in pseudo_orbit_blocks(po, spl, f) for b in s]
-        for x, y in zip(flat, per_seg):
-            assert np.array_equal(x.A, y.A) and np.array_equal(x.D, y.D)
+        # block j reads the Jacobian at point j from splitting j into j + 1,
+        # segment by segment (the next seed's splitting at joins)
+        f = PerturbedCatMap(0.01)
+        po = generate(f, [0.2, 0.5], [2, 3], 1e-4, 1)
+        spl = assign_splittings(po, f, "power", depth=3)
+        per_seg = pseudo_orbit_blocks(po, spl, f)
+        assert [len(s) for s in per_seg] == [2, 3]
+        for j, x in enumerate(b for s in per_seg for b in s):
+            y = block_decompose(f.jacobian(po.points[j]), spl[j], spl[j + 1])
+            for name in "ABCD":
+                assert np.array_equal(getattr(x, name), getattr(y, name))
 
     def test_residual_guard(self):
+        # a jump above delta fails the input certificate's residual row
         f = cat_map()
         po = generate(f, [0.2, 0.5], [2, 2], 1e-3, 1)
         spl = assign_splittings(po, f, "eigen")
-        with pytest.raises(PreconditionError):
-            chart_blocks(po, spl, f, delta_cap=1e-4)
+        cfg = make_refinement_config(0.45, 0.62, R=2.7)
+        with pytest.raises(PreconditionError, match="residual"):
+            refine(po, spl, f, cfg, delta=1e-4)
 
     def test_matches_finite_difference_of_chart_map(self):
         f, po, spl = perturbed_setup(amplitude=0.01)
-        flat = chart_blocks(po, spl, f)
+        flat = flat_blocks(po, spl, f)
         phase = f.phase
         for j in (0, po.n_steps // 2, po.n_steps - 1):
             y0, y1 = po.points[j], po.points[j + 1]
@@ -134,7 +144,7 @@ class TestGraphSolves:
         f = PerturbedCatMap(0.02)
         po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
         spl = assign_splittings(po, f, "power", depth=1)
-        blocks = chart_blocks(po, spl, f)
+        blocks = flat_blocks(po, spl, f)
         p_oracle, _ = iterate_graph_sweeps(unstable_graph_sweep, blocks)
         q_oracle, _ = iterate_graph_sweeps(stable_graph_sweep, blocks)
         p = solve_unstable_graphs(blocks)
@@ -164,7 +174,7 @@ class TestGraphSolves:
 
     def test_expansion_and_contraction_conclusions(self):
         f, po, spl = perturbed_setup()
-        blocks = chart_blocks(po, spl, f)
+        blocks = flat_blocks(po, spl, f)
         cfg = make_refinement_config(0.4, 0.5, R=2.63)
         p = solve_unstable_graphs(blocks)
         q = solve_stable_graphs(blocks)
@@ -175,7 +185,7 @@ class TestGraphSolves:
 
     def test_transversality_of_graph_pairs(self):
         f, po, spl = perturbed_setup()
-        blocks = chart_blocks(po, spl, f)
+        blocks = flat_blocks(po, spl, f)
         p = solve_unstable_graphs(blocks)
         q = solve_stable_graphs(blocks)
         for j in range(len(blocks) + 1):
@@ -211,11 +221,12 @@ class TestRefine:
     def test_norm_sandwich(self):
         f, po, spl = perturbed_setup(amplitude=0.005)
         cfg = make_refinement_config(0.4, 0.5, R=2.63)
-        original = chart_blocks(po, spl, f)
+        original = pseudo_orbit_blocks(po, spl, f)
         result = refine(po, spl, f, cfg, blocks=original)
         lo = cfg.lam0 / cfg.lam_tilde
         hi = cfg.lam_tilde / cfg.lam0
-        for b0, b1 in zip(original, result.blocks):
+        pairs = zip((b for s in original for b in s), (b for s in result.blocks for b in s))
+        for b0, b1 in pairs:
             assert lo * min_norm(b0.A) <= min_norm(b1.A) + 1e-12
             assert min_norm(b1.A) <= op_norm(b1.A) + 1e-12
             assert op_norm(b1.A) <= hi * op_norm(b0.A) + 1e-12
@@ -234,7 +245,7 @@ class TestRefine:
         po_short = po_long.window(0, 29)
         spl_long = assign_splittings(po_long, f, "user", splittings=base)
         spl_short = assign_splittings(po_short, f, "user", splittings=base)
-        p_long = solve_unstable_graphs(chart_blocks(po_long, spl_long, f))
-        p_short = solve_unstable_graphs(chart_blocks(po_short, spl_short, f))
+        p_long = solve_unstable_graphs(flat_blocks(po_long, spl_long, f))
+        p_short = solve_unstable_graphs(flat_blocks(po_short, spl_short, f))
         mid = 15
         assert np.abs(p_long[mid] - p_short[mid]).max() <= 1e-10

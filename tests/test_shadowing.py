@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bishadow.oracle import bounded_orbit_closed_form
+from bishadow.oracle import AffineSequenceSystem, bounded_orbit_closed_form
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
 from bishadow.shadowing import (
+    ShadowProblem,
+    _check_ball,
     apply_operator,
-    build_problem,
     make_solver_config,
     shadowing_preconditions,
     solve_finite,
     solve_infinite,
     solve_periodic,
 )
-from bishadow.splitting import Splitting
+from bishadow.splitting import Splitting, box_norm
 from bishadow.systems import AffineMap, ShiftedMap, cat_map
 
 from _oracles import random_affine_system
@@ -43,14 +46,14 @@ def bump_problem(delta=1e-3, n=8):
 class TestLocalMaps:
     def test_genuine_orbit_charts_vanish_at_zero(self):
         f, g, po, spl, cfg = cat_problem(jump=0.0, shift=(0.0, 0.0))
-        problem = build_problem(po, spl, f, f, cfg)
+        problem = ShadowProblem(po, spl, f, f, cfg)
         z = np.zeros(2)
         for j in range(po.n_steps):
             assert np.allclose(problem.F(j, z), 0.0, atol=1e-15)
 
     def test_chart_offset_at_joins_is_residual(self):
         f, g, po, spl, cfg = cat_problem(jump=1e-4, shift=(0.0, 0.0))
-        problem = build_problem(po, spl, f, f, cfg)
+        problem = ShadowProblem(po, spl, f, f, cfg)
         z = np.zeros(2)
         for i, seg in enumerate(po.segments()):
             j_end = seg.start + seg.length - 1
@@ -60,7 +63,7 @@ class TestLocalMaps:
 
     def test_shift_offset_constant_in_charts(self):
         f, g, po, spl, cfg = cat_problem(shift=(1e-4, 0.0))
-        problem = build_problem(po, spl, f, g, cfg)
+        problem = ShadowProblem(po, spl, f, g, cfg)
         rng = np.random.default_rng(0)
         for _ in range(20):
             j = int(rng.integers(0, po.n_steps))
@@ -75,7 +78,7 @@ class TestLocalMaps:
         po = generate(f, [0.3, 0.8], [3, 3], 0.0, 1)
         spl = assign_splittings(po, f, "power")
         cfg = make_solver_config(po, f, lam=0.45, lam_tilde=0.55, grid_res=64)
-        problem = build_problem(po, spl, f, f, cfg)
+        problem = ShadowProblem(po, spl, f, f, cfg)
         lip = 0.05 * 2 * np.pi  # derivative Lipschitz constant of the shear
         rng = np.random.default_rng(2)
         for _ in range(40):
@@ -86,58 +89,68 @@ class TestLocalMaps:
             assert err <= 0.5 * lip * np.linalg.norm(v) ** 2 * 1.05
 
 
+def expand_unstable(problem, j, v, w):
+    """The map invert_unstable inverts, written with F: the index-(j+1)
+    unstable coordinates of F_j(s + U_j w) - F_j(s), s the stable part of v."""
+    sv = problem.splittings[j].project_stable(v)
+    out = problem.F(j, sv + problem.splittings[j].unstable @ w) - problem.F(j, sv)
+    return problem.splittings[j + 1].unstable_coords(problem.phase.wrap(out))
+
+
 class TestUnstableComponent:
     def test_zero_maps_to_zero(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = build_problem(po, spl, f, g, cfg)
-        out = problem.expand_unstable(2, np.zeros(2), np.zeros(1))
+        problem = ShadowProblem(po, spl, f, g, cfg)
+        out = expand_unstable(problem, 2, np.zeros(2), np.zeros(1))
         assert np.allclose(out, 0.0, atol=1e-15)
+        assert np.allclose(problem.invert_unstable(2, np.zeros(2), out), 0.0, atol=1e-15)
 
     def test_linear_diagonal_doubles(self):
         f, po, spl, cfg = bump_problem()
-        problem = build_problem(po, spl, f, f, cfg)
+        problem = ShadowProblem(po, spl, f, f, cfg)
         w = np.array([0.01])
-        out = problem.expand_unstable(0, np.zeros(2), w)
+        out = expand_unstable(problem, 0, np.zeros(2), w)
         assert np.allclose(out, 2.0 * w)
         back = problem.invert_unstable(0, np.zeros(2), out)
         assert np.allclose(back, w, atol=1e-14)
 
     def test_sampled_expansion_factor(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = build_problem(po, spl, f, g, cfg)
+        problem = ShadowProblem(po, spl, f, g, cfg)
         rng = np.random.default_rng(3)
         for _ in range(1000):
             j = int(rng.integers(0, po.n_steps))
             v = np.zeros(2)
             w1 = cfg.eta * problem.l[j] * rng.uniform(-1, 1, 1)
             w2 = cfg.eta * problem.l[j] * rng.uniform(-1, 1, 1)
-            d_out = problem.expand_unstable(j, v, w1) - problem.expand_unstable(j, v, w2)
+            d_out = expand_unstable(problem, j, v, w1) - expand_unstable(problem, j, v, w2)
             lhs = np.linalg.norm(d_out) / problem.l[j + 1]
             rhs = np.linalg.norm(w1 - w2) / problem.l[j]
             assert lhs >= rhs / cfg.lam_tilde * (1 - 1e-9)
 
     def test_newton_round_trip(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = build_problem(po, spl, f, g, cfg)
+        problem = ShadowProblem(po, spl, f, g, cfg)
         rng = np.random.default_rng(4)
         for _ in range(1000):
             j = int(rng.integers(0, po.n_steps))
             v = 1e-3 * rng.standard_normal(2)
             w = 1e-2 * rng.uniform(-1, 1, 1)
-            t = problem.expand_unstable(j, v, w)
-            assert np.abs(problem.invert_unstable(j, v, t) - w).max() <= 1e-12
+            t = expand_unstable(problem, j, v, w)
+            sv = spl[j].project_stable(v)
+            assert np.abs(problem.invert_unstable(j, sv, t) - w).max() <= 1e-12
 
 
 class TestOperator:
     def test_genuine_orbit_zero_fixed(self):
         f, g, po, spl, cfg = cat_problem(jump=0.0, shift=(0.0, 0.0))
-        problem = build_problem(po, spl, f, f, cfg)
+        problem = ShadowProblem(po, spl, f, f, cfg)
         v = np.zeros((po.n_steps + 1, 2))
         assert np.allclose(apply_operator(problem, v), 0.0, atol=1e-15)
 
     def test_ball_invariance_sampled(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = build_problem(po, spl, f, g, cfg)
+        problem = ShadowProblem(po, spl, f, g, cfg)
         rng = np.random.default_rng(5)
         eta = cfg.eta
         for _ in range(100):
@@ -149,7 +162,35 @@ class TestOperator:
                 v[j] = sp.assemble(a, b)
             w = apply_operator(problem, v)
             for j in range(po.n_steps + 1):
-                assert problem.ball_norm_n(j, w[j]) <= eta * (1 + 1e-9)
+                assert box_norm(w[j], spl[j]) / problem.l[j] <= eta * (1 + 1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 5), data=st.data())
+    def test_ball_check_equals_box_norm_reference(self, dim, data):
+        # a fresh transverse splitting at every index, and affine steps
+        # mapping each one hyperbolically onto the next
+        du = data.draw(st.integers(1, dim - 1))
+        lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = sum(lengths)
+        spl = [Splitting.from_bases(rng.standard_normal((dim, du)),
+                                    rng.standard_normal((dim, dim - du)))
+               for _ in range(n + 1)]
+        mats = np.empty((n, dim, dim))
+        for j in range(n):
+            rates = np.concatenate([rng.uniform(1.5, 3.0, du), rng.uniform(0.1, 0.6, dim - du)])
+            mats[j] = spl[j + 1].basis @ np.diag(rates) @ spl[j].basis_inv
+        f = AffineSequenceSystem(mats, np.zeros((n, dim)), spl[0], validate=False)
+        po = flatten(np.zeros((len(lengths) + 1, dim)), lengths, f)
+        cfg = make_solver_config(po, f, lam=0.7, lam_tilde=0.75, epsilon1=1.0)
+        problem = ShadowProblem(po, assign_splittings(po, f, "user", splittings=spl), f, f, cfg)
+
+        def reference(w):
+            return max(box_norm(w[j], spl[j]) / problem.l[j] for j in range(n + 1))
+
+        w = rng.standard_normal((n + 1, dim))
+        w *= 0.5 * cfg.eta * 10.0 ** -rng.uniform(0.0, 6.0) / reference(w)
+        assert _check_ball(problem, w) == reference(w)
 
     def test_affine_single_application_matches_green_sums(self):
         # one application from zero reproduces the depth-one truncated sums
@@ -159,7 +200,7 @@ class TestOperator:
         po = flatten(seeds, [1] * 4, f)
         spl = assign_splittings(po, f, "user", splittings=AXES)
         cfg = make_solver_config(po, f, lam=0.55, lam_tilde=0.7, epsilon1=1.0)
-        problem = build_problem(po, spl, f, f, cfg)
+        problem = ShadowProblem(po, spl, f, f, cfg)
         w = apply_operator(problem, np.zeros((5, 2)))
         for j in range(4):
             r = problem.F(j, np.zeros(2))
@@ -206,7 +247,7 @@ class TestSolveFinite:
 
     def test_fixed_point_is_true_orbit_of_g(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = build_problem(po, spl, f, g, cfg)
+        problem = ShadowProblem(po, spl, f, g, cfg)
         res = solve_finite(po, spl, f, g, cfg)
         for j in range(po.n_steps):
             gap = res.v[j + 1] - problem.G(j, res.v[j])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bishadow.splitting import (
-    BoxNorm,
     Splitting,
     block_decompose,
     box_equivalence_constant,
@@ -123,10 +122,6 @@ class TestBoxNorm:
         sp = random_splitting(rng, 3, 1)
         v = rng.standard_normal(3)
         assert np.isclose(box_norm(2.0 * v, sp), 2.0 * box_norm(v, sp))
-
-    def test_callable_wrapper(self):
-        bn = BoxNorm(AXES)
-        assert bn(np.array([1.0, 2.0])) == 2.0
 
     def test_equivalence_constant_sampled(self):
         rng = np.random.default_rng(7)
