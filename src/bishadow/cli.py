@@ -108,8 +108,12 @@ def _solver_config(cfg: RunConfig, po, f):
         eta=block.get("eta"),
         tol_fix=float(block.get("tol_fix", 1e-12)),
         max_iter=int(block.get("max_iter", 10_000)),
-        grid_res=int(block.get("grid_res", 256)),
+        grid_res=_grid_res(cfg),
     )
+
+
+def _grid_res(cfg: RunConfig) -> int:
+    return int(cfg.solver.get("grid_res", 256))
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
@@ -177,7 +181,7 @@ def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
     scfg = _solver_config(cfg, po, f)
     report = _base_report(cfg, "periodic" if periodic else "shadow", None)
     report["solver_constants"] = scfg.to_dict()
-    cert, margins = shadowing_preconditions(po, splittings, f, g, scfg)
+    cert, margins = shadowing_preconditions(po, splittings, f, g, scfg, grid_res=_grid_res(cfg))
     report["certificate"] = cert.to_dict()
     report["precondition_margins"] = {k: float(v) for k, v in margins.items()}
     if not cert.passed or min(margins.values()) < 0:

@@ -117,6 +117,10 @@ def parse_config(payload: dict) -> RunConfig:
         {"lambda_tilde", "epsilon1", "eta", "tol_fix", "max_iter", "grid_res"},
         set(), "solver",
     )
+    grid_res = solver_block.get("grid_res", 256)
+    if not isinstance(grid_res, int) or isinstance(grid_res, bool) or grid_res < 64:
+        # sup_distance samples the map distance on this grid and needs 64 points per axis
+        raise ConfigError("solver.grid_res must be an integer of at least 64")
 
     pert_block = payload.get("perturbation", {"type": "none"})
     _check_keys(pert_block, {"type", "offset", "amplitude"}, {"type"}, "perturbation")

@@ -65,6 +65,20 @@ class AffineSequenceSystem(SmoothMap):
     def at_step(self, j: int) -> AffineMap:
         return self._steps[j]
 
+    def _steps_batch(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_steps, self.phase.dim):
+            raise ValueError(f"need one row per step, shape ({self.n_steps}, {self.phase.dim})")
+        return x
+
+    def along(self, x):
+        x = self._steps_batch(x)
+        return np.matmul(self.matrices, x[..., None])[..., 0] + self.residuals
+
+    def jacobian_along(self, x):
+        self._steps_batch(x)
+        return self.matrices.copy()
+
     def __call__(self, x):
         raise TypeError("step-indexed system; use at_step(j)")
 
@@ -88,7 +102,8 @@ def bounded_orbit_closed_form(sys: AffineSequenceSystem, splitting: Splitting | 
 
     Evaluated as explicit sums: the stable part accumulates forward
     products of the stable blocks, the unstable part backward products of
-    inverse unstable blocks.
+    inverse unstable blocks.  Each residual's term is carried along once
+    and added to every index it reaches, so the cost is O(n^2).
     """
     sp = sys.splitting if splitting is None else splitting
     n = sys.n_steps
@@ -101,24 +116,21 @@ def bounded_orbit_closed_form(sys: AffineSequenceSystem, splitting: Splitting | 
         rc = sp.basis_inv @ sys.residuals[j]
         r_u.append(rc[:du])
         r_s.append(rc[du:])
-    e = np.zeros((n + 1, sys.phase.dim))
-    for j in range(n + 1):
-        # stable: sum over k < j of D_{j-1} ... D_{k+1} r^s_k
-        es = np.zeros(sp.dim_s)
-        for k in range(j):
-            term = r_s[k]
-            for t in range(k + 1, j):
-                term = d_blocks[t] @ term
-            es = es + term
-        # unstable: -sum over k >= j of (A_k ... A_j)^-1 r^u_k
-        eu = np.zeros(du)
-        for k in range(j, n):
-            term = r_u[k]
-            for t in range(k, j - 1, -1):
-                term = np.linalg.solve(a_blocks[t], term)
-            eu = eu - term
-        e[j] = sp.assemble(eu, es)
-    return e
+    es = np.zeros((n + 1, sp.dim_s))
+    eu = np.zeros((n + 1, du))
+    for k in range(n):
+        # stable: D_{j-1} ... D_{k+1} r^s_k reaches every j > k
+        term = r_s[k]
+        es[k + 1] += term
+        for j in range(k + 2, n + 1):
+            term = d_blocks[j - 1] @ term
+            es[j] += term
+        # unstable: -(A_k ... A_j)^-1 r^u_k reaches every j <= k
+        term = r_u[k]
+        for j in range(k, -1, -1):
+            term = np.linalg.solve(a_blocks[j], term)
+            eu[j] -= term
+    return np.stack([sp.assemble(eu[j], es[j]) for j in range(n + 1)])
 
 
 def brute_force_shadow(f: SmoothMap, g: SmoothMap, po: SegmentedPseudoOrbit,

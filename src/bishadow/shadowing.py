@@ -9,9 +9,15 @@ One solver update rebuilds the sequence componentwise:
 
   * stable components propagate forward through G_j,
   * unstable components are recovered backward by inverting the
-    expanding unstable part of F_j (a Newton solve per index), and
+    expanding unstable part of F_j (a Newton solve for every index at
+    once, each index stopping at its own tolerance), and
   * boundary rows pin the free components (zero at the window ends, or
     wrapped around for periodic windows).
+
+Every row j of the update is computed from v_j and v_{j+1} alone, so the
+update is a fixed number of stacked array operations over all indices:
+the splittings are stacked once per problem, and the maps evaluate
+step j on row j through SmoothMap.along.
 
 A fixed point of this update is an exact orbit of g: v_{j+1} = G_j(v_j)
 with the pinned boundary components, so exp_{y_0}(v_0) shadows the
@@ -155,7 +161,10 @@ class ShadowProblem:
     """A pseudo-orbit, its splittings, the two maps, and the rescaled norms.
 
     blocks, when given, are the per-segment tuples of pseudo_orbit_blocks
-    for these splittings; they set the adapted weights.
+    for these splittings; they set the adapted weights.  Every splitting
+    is stacked once, so the chart maps, their Jacobians and the Newton
+    inversion act on all N indices at a time: row j of an ``(N, n)``
+    argument is the tangent vector at index j.
     """
 
     def __init__(self, po, splittings, f, g, config, blocks=None):
@@ -170,106 +179,158 @@ class ShadowProblem:
         self.config = config
         if blocks is None:
             blocks = pseudo_orbit_blocks(po, splittings, f)
-        weights = []
-        for seg_blocks in blocks:
-            m_a, norm_d, _ = block_norms(seg_blocks)
-            weights.append(well_adapted_sequence(norm_d, m_a, config.lam))
-        self.weights = np.concatenate(weights) if weights else np.ones(0)
+        m_a, norm_d, _ = block_norms([b for seg in blocks for b in seg])
+        cuts = po.offsets[1:-1]
+        self.weights = np.concatenate([
+            well_adapted_sequence(d, a, config.lam)
+            for a, d in zip(np.split(m_a, cuts), np.split(norm_d, cuts))
+        ])
         self.l = scale_factors(self.weights, po.offsets)
         self.phase = po.phase
-        # (N + 1, n, n): every index's map to oblique components, for the ball check
-        self.basis_inv = np.stack([sp.basis_inv for sp in splittings.splittings])
+        self.dim_u = splittings[0].dim_u
+        # (N + 1, n, .) stacks: the oblique-component maps and both bases
+        stack = splittings.splittings
+        self.basis_inv = np.stack([sp.basis_inv for sp in stack])
+        self.unstable = np.stack([sp.unstable for sp in stack])
+        self.stable = np.stack([sp.stable for sp in stack])
 
     @property
     def n_steps(self) -> int:
         return self.po.n_steps
 
-    def point(self, j: int):
-        return self.po.points[j]
+    def coords(self, at: slice, x):
+        """Oblique components (a, b) of each row of x in the splitting at
+        the matching index of ``at``, with x_k = U a_k + S b_k."""
+        c = _matvec(self.basis_inv[at], x)
+        return c[:, : self.dim_u], c[:, self.dim_u :]
 
-    def F(self, j: int, v):
-        """Chart representation of f between indices j and j+1."""
-        y, y1 = self.po.points[j], self.po.points[j + 1]
-        fj = self.f.at_step(j)
-        return self.phase.wrap(fj(self.phase.canon(y + v)) - y1)
+    def _chart(self, m, v):
+        pts = self.po.points
+        return self.phase.wrap(m.along(self.phase.canon(pts[:-1] + v)) - pts[1:])
 
-    def G(self, j: int, v):
-        """Chart representation of g between indices j and j+1."""
-        y, y1 = self.po.points[j], self.po.points[j + 1]
-        gj = self.g.at_step(j)
-        return self.phase.wrap(gj(self.phase.canon(y + v)) - y1)
+    def F(self, v):
+        """Chart representations F_j(v_j) of f between indices j and j+1, j < N."""
+        return self._chart(self.f, v)
 
-    def chart_jacobian(self, j: int, xi):
-        """Derivative of the chart map F_j at tangent offset xi."""
-        return self.f.at_step(j).jacobian(self.phase.canon(self.po.points[j] + xi))
+    def G(self, v):
+        """Chart representations G_j(v_j) of g between indices j and j+1, j < N."""
+        return self._chart(self.g, v)
 
-    def norm_n(self, j: int, v) -> float:
-        """Rescaled norm |v| / l_j at index j."""
-        return float(np.linalg.norm(v) / self.l[j])
+    def chart_jacobian(self, xi):
+        """Derivatives of the chart maps F_j at the tangent offsets xi_j."""
+        return self.f.jacobian_along(self.phase.canon(self.po.points[:-1] + xi))
 
-    def _check_eta(self, j: int, size: float, what: str):
-        if size > self.config.eta * self.l[j] * (1.0 + 1e-9):
-            raise BallInvariantError(
-                f"{what} at index {j} has rescaled size "
-                f"{size / self.l[j]:.3e} > eta = {self.config.eta:.3e}"
-            )
+    def _unstable_blocks(self, xi):
+        # the unstable-to-unstable blocks of DF_j at xi_j, (N, du, du)
+        jac = np.matmul(np.matmul(self.basis_inv[1:], self.chart_jacobian(xi)), self.unstable[:-1])
+        return jac[:, : self.dim_u, :]
 
-    def invert_unstable(self, j: int, sv, target):
-        """Newton inversion of the expanding unstable part of F_j.
+    def invert_unstable(self, sv, target):
+        """Newton inversion of the expanding unstable parts of all F_j at once.
 
-        sv is the stable part of v_j.  Returns w, in index-j unstable
-        coordinates, such that F_j(sv + U_j w) - F_j(sv) has index-(j+1)
-        unstable coordinates equal to target; w must lie in the eta-ball.
+        sv holds the stable parts of the v_j.  Returns the rows w_j, in
+        index-j unstable coordinates, such that F_j(sv_j + U_j w_j) -
+        F_j(sv_j) has index-(j+1) unstable coordinates equal to target_j;
+        each w_j must lie in the eta-ball.  Every index runs its own
+        Newton iteration and stops once its residual is below newton_tol.
+        When indices fail (singular block, stalled Newton, eta-ball
+        escape), the error of the lowest one is raised.
         """
-        sp = self.splittings[j]
-        dst = self.splittings[j + 1]
-        base = self.F(j, sv)
+        cfg = self.config
         target = np.asarray(target, dtype=float)
+        base = self.F(sv)
+        failures = []  # (index, error): the lowest index of each failing batch
         # seed with the linear prediction; exact for affine charts
-        jac = self.chart_jacobian(j, sv)
-        a_loc = (dst.basis_inv @ jac @ sp.unstable)[: dst.dim_u, :]
+        w, singular = _solve_rows(self._unstable_blocks(sv), target)
+        _record_singular(failures, np.flatnonzero(singular))
+        live = ~singular
+        done = np.zeros_like(live)
+        for _ in range(cfg.newton_max_iter):
+            x = sv + _matvec(self.unstable[:-1], w)
+            r = self.coords(slice(1, None), self.phase.wrap(self.F(x) - base))[0] - target
+            res = np.sqrt(_sq_norms(r))
+            done |= live & (res <= cfg.newton_tol)
+            live &= ~done
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
+                break
+            step, singular = _solve_rows(self._unstable_blocks(x)[rows], r[rows])
+            _record_singular(failures, rows[singular])
+            live[rows[singular]] = False
+            w[rows[~singular]] -= step[~singular]
+        else:
+            rows = np.flatnonzero(live)
+            if rows.size:
+                failures.append((rows[0], UnstableSolveError(
+                    f"Newton inversion stalled at index {rows[0]} (residual {res[rows[0]]:.3e})"
+                )))
+        size = np.sqrt(_sq_norms(w))
+        l_src = self.l[:-1]
+        escaped = np.flatnonzero(done & (size > cfg.eta * l_src * (1.0 + 1e-9)))
+        if escaped.size:
+            j = escaped[0]
+            failures.append((j, BallInvariantError(
+                f"inverted unstable component at index {j} has rescaled size "
+                f"{size[j] / l_src[j]:.3e} > eta = {cfg.eta:.3e}"
+            )))
+        if failures:
+            raise min(failures, key=lambda item: item[0])[1]
+        return w
+
+
+def _matvec(m, x):
+    """Row k of x multiplied by the matrix m[k]."""
+    return np.matmul(m, x[..., None])[..., 0]
+
+
+def _sq_norms(x):
+    """Squared Euclidean length of each row, as a per-row dot product
+    (rounded as np.linalg.norm rounds a single vector)."""
+    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(a, b):
+    """Solve a[k] x_k = b_k for every row k.
+
+    Returns (x, singular): a row whose matrix LAPACK finds exactly
+    singular is flagged instead of raising, and its x_k is zero.
+    """
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    # failure path only: locate the singular rows one by one
+    x = np.zeros_like(b)
+    singular = np.zeros(len(a), dtype=bool)
+    for k in range(len(a)):
         try:
-            w = np.linalg.solve(a_loc, target)
-        except np.linalg.LinAlgError as exc:
-            raise UnstableSolveError(f"singular unstable block at index {j}") from exc
-        for _ in range(self.config.newton_max_iter):
-            out = self.F(j, sv + sp.unstable @ w) - base
-            r = dst.unstable_coords(self.phase.wrap(out)) - target
-            if np.linalg.norm(r) <= self.config.newton_tol:
-                self._check_eta(j, float(np.linalg.norm(w)), "inverted unstable component")
-                return w
-            jac = self.chart_jacobian(j, sv + sp.unstable @ w)
-            a_loc = (dst.basis_inv @ jac @ sp.unstable)[: dst.dim_u, :]
-            try:
-                w = w - np.linalg.solve(a_loc, r)
-            except np.linalg.LinAlgError as exc:
-                raise UnstableSolveError(
-                    f"singular unstable block at index {j}"
-                ) from exc
-        raise UnstableSolveError(
-            f"Newton inversion stalled at index {j} "
-            f"(residual {np.linalg.norm(r):.3e})"
-        )
+            x[k] = np.linalg.solve(a[k], b[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return x, singular
+
+
+def _record_singular(failures, rows):
+    if rows.size:
+        failures.append((rows[0], UnstableSolveError(f"singular unstable block at index {rows[0]}")))
 
 
 def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finite") -> np.ndarray:
     """One solver update: forward stable rows, backward unstable rows,
     boundary rows per mode ("finite" pins the free components to zero,
-    "periodic" wraps them around the seam)."""
+    "periodic" wraps them around the seam).  Every row is updated at
+    once from the stacked splittings."""
     if boundary not in ("finite", "periodic"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
     n = problem.n_steps
+    src, dst = slice(None, -1), slice(1, None)
     w = np.zeros_like(v)
-    g_imgs = [problem.G(j, v[j]) for j in range(n)]
-    for j in range(n):
-        w[j + 1] += problem.splittings[j + 1].project_stable(g_imgs[j])
-    for j in range(n):
-        sp = problem.splittings[j]
-        sv = sp.project_stable(v[j])
-        target_ambient = -g_imgs[j] + problem.F(j, v[j]) - problem.F(j, sv) + v[j + 1]
-        t = problem.splittings[j + 1].unstable_coords(target_ambient)
-        wu = problem.invert_unstable(j, sv, t)
-        w[j] += sp.unstable @ wu
+    g_imgs = problem.G(v[:-1])
+    w[1:] += _matvec(problem.stable[dst], problem.coords(dst, g_imgs)[1])
+    sv = _matvec(problem.stable[src], problem.coords(src, v[:-1])[1])
+    target_ambient = -g_imgs + problem.F(v[:-1]) - problem.F(sv) + v[1:]
+    wu = problem.invert_unstable(sv, problem.coords(dst, target_ambient)[0])
+    w[:-1] += _matvec(problem.unstable[src], wu)
     if boundary == "periodic":
         sp0 = problem.splittings[0]
         spn = problem.splittings[n]
@@ -281,10 +342,8 @@ def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finit
 def _check_ball(problem: ShadowProblem, w: np.ndarray) -> float:
     """Largest rescaled box norm max(|w_u|, |w_s|) / l_j over all indices."""
     eta = problem.config.eta
-    c = np.matmul(problem.basis_inv, w[:, :, None])
-    du = problem.splittings[0].dim_u
     # squared component lengths as per-index dot products, rounded as box_norm rounds them
-    sq = [np.matmul(part.transpose(0, 2, 1), part)[:, 0, 0] for part in (c[:, :du], c[:, du:])]
+    sq = [_sq_norms(part) for part in problem.coords(slice(None), w)]
     worst = float((np.sqrt(np.maximum(*sq)) / problem.l).max())
     if worst > eta * (1.0 + 1e-9):
         raise BallInvariantError(
@@ -385,21 +444,17 @@ def _iterate(problem: ShadowProblem, boundary: str):
 
 def _finish(problem: ShadowProblem, v, history, converged, iterations, ball_worst, boundary):
     n = problem.n_steps
-    residuals = np.array([
-        problem.norm_n(j + 1, v[j + 1] - problem.G(j, v[j])) for j in range(n)
-    ])
+    residuals = np.sqrt(_sq_norms(v[1:] - problem.G(v[:-1]))) / problem.l[1:]
     distances = np.linalg.norm(v, axis=-1)
     if converged and (residuals.max() > 10.0 * problem.config.tol_fix
                       or distances.max() > problem.config.epsilon1):
         converged = False
     x = problem.phase.exp(problem.po.points[0], v[0])
-    drift = 0.0
-    p = x
-    for j in range(n + 1):
-        drift = max(drift, float(problem.phase.distance(
-            p, problem.phase.exp(problem.po.points[j], v[j]))))
-        if j < n:
-            p = problem.g.at_step(j)(p)
+    orbit = np.empty_like(v)
+    orbit[0] = x
+    for j in range(n):
+        orbit[j + 1] = problem.g.at_step(j)(orbit[j])
+    drift = float(problem.phase.distance(orbit, problem.phase.exp(problem.po.points, v)).max())
     return ShadowingResult(
         v=v, shadow_point=x, distances=distances, orbit_residuals=residuals,
         iterations=iterations, converged=converged, update_history=history,

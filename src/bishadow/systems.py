@@ -116,8 +116,12 @@ class SmoothMap:
     """Base class for a C^1 map with an explicit derivative.
 
     Subclasses provide ``__call__`` and ``jacobian``; both accept a single
-    point ``(dim,)`` or a batch ``(m, dim)``.  ``at_step`` is the hook for
-    step-indexed (nonautonomous) systems and defaults to the map itself.
+    point ``(dim,)`` or a batch ``(m, dim)``.  Two hooks serve step-indexed
+    (nonautonomous) systems: ``at_step(j)`` is the map of step j, and
+    ``along(x)`` / ``jacobian_along(x)`` apply step j to row j of an
+    ``(N, dim)`` batch, so a whole orbit's steps take one call.  For an
+    autonomous map ``at_step`` is the map itself and ``along`` is
+    ``__call__``.
     """
 
     phase: Phase
@@ -130,6 +134,14 @@ class SmoothMap:
 
     def at_step(self, j: int) -> "SmoothMap":
         return self
+
+    def along(self, x):
+        """Row j of x mapped by step j."""
+        return self(x)
+
+    def jacobian_along(self, x):
+        """Derivative of step j at row j of x, shape ``(N, dim, dim)``."""
+        return self.jacobian(x)
 
     @property
     def has_exact_inverse(self) -> bool:
@@ -286,6 +298,16 @@ class ShiftedMap(SmoothMap):
 
     def jacobian(self, x):
         return self.base.jacobian(x)
+
+    def at_step(self, j: int) -> SmoothMap:
+        step = self.base.at_step(j)
+        return self if step is self.base else ShiftedMap(step, self.shift)
+
+    def along(self, x):
+        return self.phase.canon(self.base.along(x) + self.shift)
+
+    def jacobian_along(self, x):
+        return self.base.jacobian_along(x)
 
     @property
     def has_exact_inverse(self) -> bool:

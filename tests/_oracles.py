@@ -4,7 +4,9 @@ Everything here recomputes expected values by a route different from the
 library code under test: finite differences for derivatives, closed-form
 eigenvalues for the cat map, the quadratic formula for constant-block
 graph fixed points, synchronous graph-transform sweeps iterated to their
-fixed point, and LP feasibility for balance-sequence existence.
+fixed point, the shadowing solver update one index at a time, the linear
+cat-map shadow orbit by scalar recursions in eigencoordinates, and LP
+feasibility for balance-sequence existence.
 """
 
 from __future__ import annotations
@@ -151,3 +153,98 @@ def random_affine_system(rng, lam=0.75):
         blk[du:, du:] = d
         mats[j] = sp.basis @ blk @ sp.basis_inv
     return AffineSequenceSystem(mats, rs, sp), sp
+
+
+def chart_step(problem, m, j, v):
+    """Chart representation of the map m between indices j and j+1."""
+    y, y1 = problem.po.points[j], problem.po.points[j + 1]
+    return problem.phase.wrap(m.at_step(j)(problem.phase.canon(y + v)) - y1)
+
+
+def invert_unstable_at(problem, j, sv, target):
+    """Per-index Newton inversion of the expanding unstable part of F_j.
+
+    Returns w, in index-j unstable coordinates, with the index-(j+1)
+    unstable coordinates of F_j(sv + U_j w) - F_j(sv) equal to target;
+    raises as the solver does when w leaves the eta-ball, a block is
+    singular or Newton stalls.
+    """
+    from bishadow.shadowing import BallInvariantError, UnstableSolveError
+
+    sp, dst, cfg = problem.splittings[j], problem.splittings[j + 1], problem.config
+    fj = problem.f.at_step(j)
+    base = chart_step(problem, problem.f, j, sv)
+    target = np.asarray(target, dtype=float)
+
+    def a_loc(xi):
+        jac = fj.jacobian(problem.phase.canon(problem.po.points[j] + xi))
+        return (dst.basis_inv @ jac @ sp.unstable)[: dst.dim_u, :]
+
+    try:
+        w = np.linalg.solve(a_loc(sv), target)
+    except np.linalg.LinAlgError as exc:
+        raise UnstableSolveError(f"singular unstable block at index {j}") from exc
+    for _ in range(cfg.newton_max_iter):
+        out = chart_step(problem, problem.f, j, sv + sp.unstable @ w) - base
+        r = dst.unstable_coords(problem.phase.wrap(out)) - target
+        if np.linalg.norm(r) <= cfg.newton_tol:
+            size = float(np.linalg.norm(w))
+            if size > cfg.eta * problem.l[j] * (1.0 + 1e-9):
+                raise BallInvariantError(
+                    f"inverted unstable component at index {j} has rescaled size "
+                    f"{size / problem.l[j]:.3e} > eta = {cfg.eta:.3e}"
+                )
+            return w
+        try:
+            w = w - np.linalg.solve(a_loc(sv + sp.unstable @ w), r)
+        except np.linalg.LinAlgError as exc:
+            raise UnstableSolveError(f"singular unstable block at index {j}") from exc
+    raise UnstableSolveError(
+        f"Newton inversion stalled at index {j} (residual {np.linalg.norm(r):.3e})"
+    )
+
+
+def apply_operator_per_index(problem, v, boundary="finite"):
+    """The solver update one index at a time: forward stable rows through
+    G_j, backward unstable rows by a Newton inversion per index, then the
+    boundary rows."""
+    n = problem.n_steps
+    spl = problem.splittings
+    w = np.zeros_like(v)
+    g_imgs = [chart_step(problem, problem.g, j, v[j]) for j in range(n)]
+    for j in range(n):
+        w[j + 1] += spl[j + 1].project_stable(g_imgs[j])
+    for j in range(n):
+        sv = spl[j].project_stable(v[j])
+        target_ambient = (-g_imgs[j] + chart_step(problem, problem.f, j, v[j])
+                          - chart_step(problem, problem.f, j, sv) + v[j + 1])
+        t = spl[j + 1].unstable_coords(target_ambient)
+        w[j] += spl[j].unstable @ invert_unstable_at(problem, j, sv, t)
+    if boundary == "periodic":
+        w[0] += spl[0].stable @ spl[n].stable_coords(w[n])
+        w[n] += spl[n].unstable @ spl[0].unstable_coords(w[0])
+    return w
+
+
+def cat_linear_shadow(points, shift):
+    """The bounded solution of v_{j+1} = A v_j + r_j + shift along a cat-map
+    pseudo-orbit, r_j = wrap(A y_j - y_{j+1}), with the stable component
+    pinned to zero at the start and the unstable one at the end.
+
+    O(N): in eigencoordinates the stable coordinate runs forward from 0 and
+    the unstable one backward from 0, each by its scalar recursion.
+    """
+    a = np.array([[2.0, 1.0], [1.0, 1.0]])
+    e_u = np.array([1.0, CAT_EXPANDING - 2.0])
+    e_s = np.array([1.0, CAT_CONTRACTING - 2.0])
+    e_u, e_s = e_u / np.linalg.norm(e_u), e_s / np.linalg.norm(e_s)
+    d = points[:-1] @ a.T - points[1:]
+    forcing = np.linalg.solve(np.stack([e_u, e_s], axis=1), (d - np.round(d) + shift).T).T
+    n = len(d)
+    cu = np.zeros(n + 1)
+    cs = np.zeros(n + 1)
+    for j in range(n):
+        cs[j + 1] = CAT_CONTRACTING * cs[j] + forcing[j, 1]
+    for j in range(n - 1, -1, -1):
+        cu[j] = (cu[j + 1] - forcing[j, 0]) / CAT_EXPANDING
+    return np.outer(cu, e_u) + np.outer(cs, e_s)

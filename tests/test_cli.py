@@ -5,6 +5,7 @@ import numpy as np
 
 import bishadow.certification
 import bishadow.cli
+import bishadow.shadowing
 from bishadow.cli import main
 from bishadow.refinement import GraphTransformError
 
@@ -147,6 +148,34 @@ class TestExitCodes:
         code, _ = run(tmp_path, "shadow")
         assert code == 0
         assert len(calls) == sum(BASE_CONFIG["pseudo_orbit"]["generator"]["lengths"])
+
+    def test_shadow_samples_map_distance_on_configured_grid(self, tmp_path, monkeypatch):
+        grids = []
+        real = bishadow.shadowing.sup_distance
+
+        def recording(f, g, grid_res=256):
+            grids.append(grid_res)
+            return real(f, g, grid_res=grid_res)
+
+        monkeypatch.setattr(bishadow.shadowing, "sup_distance", recording)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["solver"]["grid_res"] = 64
+        for command in ("shadow", "periodic"):
+            if command == "periodic":
+                payload["pseudo_orbit"] = {"seeds": [[0.0, 0.0], [0.0, 0.0]], "lengths": [1]}
+                payload["certification"]["delta"] = 0.0
+            code, _ = run(tmp_path, command, payload, name=command)
+            assert code == 0
+        assert grids == [64, 64]
+
+    def test_grid_res_below_floor_is_config_error(self, tmp_path, capsys):
+        for value in (16, 63, 64.0, True):
+            payload = json.loads(json.dumps(BASE_CONFIG))
+            payload["solver"]["grid_res"] = value
+            code, out = run(tmp_path, "shadow", payload, name=f"grid{value}")
+            assert code == 3
+            assert not out.exists()
+            assert "solver.grid_res" in capsys.readouterr().err
 
     def test_refine_graph_transform_error(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):

@@ -61,6 +61,34 @@ class TestClosedForm:
                 gap = e[j + 1] - (sysm.matrices[j] @ e[j] + sysm.residuals[j])
                 assert np.abs(gap).max() <= 1e-12
 
+    def test_equals_per_index_triple_loop(self):
+        def triple_loop(sysm, sp):
+            # every term recomputed from scratch for every index: O(n^3)
+            n, du = sysm.n_steps, sp.dim_u
+            blks = [sp.basis_inv @ m @ sp.basis for m in sysm.matrices]
+            rcs = [sp.basis_inv @ r for r in sysm.residuals]
+            e = np.zeros((n + 1, sysm.phase.dim))
+            for j in range(n + 1):
+                es = np.zeros(sp.dim_s)
+                for k in range(j):
+                    term = rcs[k][du:]
+                    for t in range(k + 1, j):
+                        term = blks[t][du:, du:] @ term
+                    es = es + term
+                eu = np.zeros(du)
+                for k in range(j, n):
+                    term = rcs[k][:du]
+                    for t in range(k, j - 1, -1):
+                        term = np.linalg.solve(blks[t][:du, :du], term)
+                    eu = eu - term
+                e[j] = sp.assemble(eu, es)
+            return e
+
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            sysm, sp = random_affine_system(rng)
+            assert np.abs(bounded_orbit_closed_form(sysm) - triple_loop(sysm, sp)).max() <= 1e-13
+
     def test_validation_rejects_bad_blocks(self):
         mats = np.tile(np.diag([2.0, 0.5]), (3, 1, 1))
         mats[1] = [[0.9, 0.0], [0.0, 0.5]]  # no expansion

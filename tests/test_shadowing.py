@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 from bishadow.oracle import AffineSequenceSystem, bounded_orbit_closed_form
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
+from bishadow.certification import pseudo_orbit_blocks
 from bishadow.shadowing import (
+    BallInvariantError,
     ShadowProblem,
+    UnstableSolveError,
     _check_ball,
     apply_operator,
     make_solver_config,
@@ -16,9 +19,22 @@ from bishadow.shadowing import (
     solve_periodic,
 )
 from bishadow.splitting import Splitting, box_norm
-from bishadow.systems import AffineMap, ShiftedMap, cat_map
+from bishadow.systems import (
+    AffineMap,
+    Phase,
+    PerturbedCatMap,
+    ShiftedMap,
+    SmoothMap,
+    SystemBounds,
+    cat_map,
+)
 
-from _oracles import random_affine_system
+from _oracles import (
+    apply_operator_per_index,
+    cat_linear_shadow,
+    chart_step,
+    random_affine_system,
+)
 
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
@@ -47,29 +63,23 @@ class TestLocalMaps:
     def test_genuine_orbit_charts_vanish_at_zero(self):
         f, g, po, spl, cfg = cat_problem(jump=0.0, shift=(0.0, 0.0))
         problem = ShadowProblem(po, spl, f, f, cfg)
-        z = np.zeros(2)
-        for j in range(po.n_steps):
-            assert np.allclose(problem.F(j, z), 0.0, atol=1e-15)
+        assert np.allclose(problem.F(np.zeros((po.n_steps, 2))), 0.0, atol=1e-15)
 
     def test_chart_offset_at_joins_is_residual(self):
         f, g, po, spl, cfg = cat_problem(jump=1e-4, shift=(0.0, 0.0))
         problem = ShadowProblem(po, spl, f, f, cfg)
-        z = np.zeros(2)
+        offsets = problem.F(np.zeros((po.n_steps, 2)))
         for i, seg in enumerate(po.segments()):
             j_end = seg.start + seg.length - 1
-            assert np.isclose(np.linalg.norm(problem.F(j_end, z)), po.residuals[i])
-            for t in range(seg.length - 1):
-                assert np.allclose(problem.F(seg.start + t, z), 0.0, atol=1e-15)
+            assert np.isclose(np.linalg.norm(offsets[j_end]), po.residuals[i])
+            assert np.allclose(offsets[seg.start : j_end], 0.0, atol=1e-15)
 
     def test_shift_offset_constant_in_charts(self):
         f, g, po, spl, cfg = cat_problem(shift=(1e-4, 0.0))
         problem = ShadowProblem(po, spl, f, g, cfg)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            j = int(rng.integers(0, po.n_steps))
-            v = 1e-3 * rng.standard_normal(2)
-            diff = problem.G(j, v) - problem.F(j, v)
-            assert np.allclose(diff, [1e-4, 0.0], atol=1e-15)
+        v = 1e-3 * rng.standard_normal((po.n_steps, 2))
+        assert np.allclose(problem.G(v) - problem.F(v), [1e-4, 0.0], atol=1e-15)
 
     def test_linearization_error_quadratic(self):
         from bishadow.systems import PerturbedCatMap
@@ -81,64 +91,93 @@ class TestLocalMaps:
         problem = ShadowProblem(po, spl, f, f, cfg)
         lip = 0.05 * 2 * np.pi  # derivative Lipschitz constant of the shear
         rng = np.random.default_rng(2)
-        for _ in range(40):
-            j = int(rng.integers(0, po.n_steps))
-            v = 0.05 * rng.standard_normal(2)
-            lin = problem.chart_jacobian(j, np.zeros(2)) @ v + problem.F(j, np.zeros(2))
-            err = np.linalg.norm(problem.F(j, v) - lin)
-            assert err <= 0.5 * lip * np.linalg.norm(v) ** 2 * 1.05
+        z = np.zeros((po.n_steps, 2))
+        for _ in range(7):
+            v = 0.05 * rng.standard_normal((po.n_steps, 2))
+            lin = np.matmul(problem.chart_jacobian(z), v[..., None])[..., 0] + problem.F(z)
+            err = np.linalg.norm(problem.F(v) - lin, axis=-1)
+            assert np.all(err <= 0.5 * lip * np.linalg.norm(v, axis=-1) ** 2 * 1.05)
 
 
-def expand_unstable(problem, j, v, w):
-    """The map invert_unstable inverts, written with F: the index-(j+1)
-    unstable coordinates of F_j(s + U_j w) - F_j(s), s the stable part of v."""
-    sv = problem.splittings[j].project_stable(v)
-    out = problem.F(j, sv + problem.splittings[j].unstable @ w) - problem.F(j, sv)
-    return problem.splittings[j + 1].unstable_coords(problem.phase.wrap(out))
+def expand_unstable(problem, v, w):
+    """The map invert_unstable inverts, written with F: row j holds the
+    index-(j+1) unstable coordinates of F_j(s_j + U_j w_j) - F_j(s_j),
+    s_j the stable part of v_j."""
+    spl = problem.splittings
+    sv = np.stack([spl[j].project_stable(v[j]) for j in range(problem.n_steps)])
+    uw = np.stack([spl[j].unstable @ w[j] for j in range(problem.n_steps)])
+    out = problem.phase.wrap(problem.F(sv + uw) - problem.F(sv))
+    return np.stack([spl[j + 1].unstable_coords(out[j]) for j in range(problem.n_steps)])
 
 
 class TestUnstableComponent:
     def test_zero_maps_to_zero(self):
         f, g, po, spl, cfg = cat_problem()
         problem = ShadowProblem(po, spl, f, g, cfg)
-        out = expand_unstable(problem, 2, np.zeros(2), np.zeros(1))
+        z = np.zeros((po.n_steps, 2))
+        out = expand_unstable(problem, z, np.zeros((po.n_steps, 1)))
         assert np.allclose(out, 0.0, atol=1e-15)
-        assert np.allclose(problem.invert_unstable(2, np.zeros(2), out), 0.0, atol=1e-15)
+        assert np.allclose(problem.invert_unstable(z, out), 0.0, atol=1e-15)
 
     def test_linear_diagonal_doubles(self):
         f, po, spl, cfg = bump_problem()
         problem = ShadowProblem(po, spl, f, f, cfg)
-        w = np.array([0.01])
-        out = expand_unstable(problem, 0, np.zeros(2), w)
+        z = np.zeros((po.n_steps, 2))
+        w = np.full((po.n_steps, 1), 0.01)
+        out = expand_unstable(problem, z, w)
         assert np.allclose(out, 2.0 * w)
-        back = problem.invert_unstable(0, np.zeros(2), out)
+        back = problem.invert_unstable(z, out)
         assert np.allclose(back, w, atol=1e-14)
 
     def test_sampled_expansion_factor(self):
         f, g, po, spl, cfg = cat_problem()
         problem = ShadowProblem(po, spl, f, g, cfg)
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            j = int(rng.integers(0, po.n_steps))
-            v = np.zeros(2)
-            w1 = cfg.eta * problem.l[j] * rng.uniform(-1, 1, 1)
-            w2 = cfg.eta * problem.l[j] * rng.uniform(-1, 1, 1)
-            d_out = expand_unstable(problem, j, v, w1) - expand_unstable(problem, j, v, w2)
-            lhs = np.linalg.norm(d_out) / problem.l[j + 1]
-            rhs = np.linalg.norm(w1 - w2) / problem.l[j]
-            assert lhs >= rhs / cfg.lam_tilde * (1 - 1e-9)
+        n = po.n_steps
+        z = np.zeros((n, 2))
+        radius = cfg.eta * problem.l[:-1, None]
+        for _ in range(50):
+            w1 = radius * rng.uniform(-1, 1, (n, 1))
+            w2 = radius * rng.uniform(-1, 1, (n, 1))
+            d_out = expand_unstable(problem, z, w1) - expand_unstable(problem, z, w2)
+            lhs = np.linalg.norm(d_out, axis=-1) / problem.l[1:]
+            rhs = np.linalg.norm(w1 - w2, axis=-1) / problem.l[:-1]
+            assert np.all(lhs >= rhs / cfg.lam_tilde * (1 - 1e-9))
 
     def test_newton_round_trip(self):
         f, g, po, spl, cfg = cat_problem()
         problem = ShadowProblem(po, spl, f, g, cfg)
         rng = np.random.default_rng(4)
-        for _ in range(1000):
-            j = int(rng.integers(0, po.n_steps))
-            v = 1e-3 * rng.standard_normal(2)
-            w = 1e-2 * rng.uniform(-1, 1, 1)
-            t = expand_unstable(problem, j, v, w)
-            sv = spl[j].project_stable(v)
-            assert np.abs(problem.invert_unstable(j, sv, t) - w).max() <= 1e-12
+        n = po.n_steps
+        for _ in range(50):
+            v = 1e-3 * rng.standard_normal((n, 2))
+            w = 1e-2 * rng.uniform(-1, 1, (n, 1))
+            t = expand_unstable(problem, v, w)
+            sv = np.stack([spl[j].project_stable(v[j]) for j in range(n)])
+            assert np.abs(problem.invert_unstable(sv, t) - w).max() <= 1e-12
+
+
+def fresh_splitting_problem(dim, data, jump=0.0, shift=0.0):
+    """A step-indexed affine problem with a fresh transverse splitting at
+    every index and steps mapping each one hyperbolically onto the next;
+    jump sizes the step offsets, shift the constant offset of g."""
+    du = data.draw(st.integers(1, dim - 1))
+    lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = sum(lengths)
+    spl = [Splitting.from_bases(rng.standard_normal((dim, du)),
+                                rng.standard_normal((dim, dim - du)))
+           for _ in range(n + 1)]
+    mats = np.empty((n, dim, dim))
+    for j in range(n):
+        rates = np.concatenate([rng.uniform(1.5, 3.0, du), rng.uniform(0.1, 0.6, dim - du)])
+        mats[j] = spl[j + 1].basis @ np.diag(rates) @ spl[j].basis_inv
+    f = AffineSequenceSystem(mats, jump * rng.standard_normal((n, dim)), spl[0], validate=False)
+    g = ShiftedMap(f, shift * rng.standard_normal(dim)) if shift else f
+    po = flatten(np.zeros((len(lengths) + 1, dim)), lengths, f)
+    cfg = make_solver_config(po, f, lam=0.7, lam_tilde=0.75, epsilon1=1.0)
+    problem = ShadowProblem(po, assign_splittings(po, f, "user", splittings=spl), f, g, cfg)
+    return rng, spl, problem
 
 
 class TestOperator:
@@ -167,23 +206,9 @@ class TestOperator:
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(2, 5), data=st.data())
     def test_ball_check_equals_box_norm_reference(self, dim, data):
-        # a fresh transverse splitting at every index, and affine steps
-        # mapping each one hyperbolically onto the next
-        du = data.draw(st.integers(1, dim - 1))
-        lengths = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        n = sum(lengths)
-        spl = [Splitting.from_bases(rng.standard_normal((dim, du)),
-                                    rng.standard_normal((dim, dim - du)))
-               for _ in range(n + 1)]
-        mats = np.empty((n, dim, dim))
-        for j in range(n):
-            rates = np.concatenate([rng.uniform(1.5, 3.0, du), rng.uniform(0.1, 0.6, dim - du)])
-            mats[j] = spl[j + 1].basis @ np.diag(rates) @ spl[j].basis_inv
-        f = AffineSequenceSystem(mats, np.zeros((n, dim)), spl[0], validate=False)
-        po = flatten(np.zeros((len(lengths) + 1, dim)), lengths, f)
-        cfg = make_solver_config(po, f, lam=0.7, lam_tilde=0.75, epsilon1=1.0)
-        problem = ShadowProblem(po, assign_splittings(po, f, "user", splittings=spl), f, f, cfg)
+        rng, spl, problem = fresh_splitting_problem(dim, data)
+        n = problem.n_steps
+        cfg = problem.config
 
         def reference(w):
             return max(box_norm(w[j], spl[j]) / problem.l[j] for j in range(n + 1))
@@ -202,10 +227,136 @@ class TestOperator:
         cfg = make_solver_config(po, f, lam=0.55, lam_tilde=0.7, epsilon1=1.0)
         problem = ShadowProblem(po, spl, f, f, cfg)
         w = apply_operator(problem, np.zeros((5, 2)))
+        offsets = problem.F(np.zeros((4, 2)))
         for j in range(4):
-            r = problem.F(j, np.zeros(2))
+            r = offsets[j]
             assert np.isclose(w[j + 1][1], r[1] + 0.0, atol=1e-15)   # stable row
             assert np.isclose(w[j][0], -r[0] / 2.0, atol=1e-15)      # unstable row
+
+
+class MisreportedSteps(SmoothMap):
+    """Linear steps x -> (m_j x_1, x_2 / 2) on R^2 whose reported derivative
+    can mislead the Newton inversion, one kind per step: "ok" reports the
+    true derivative (m_j = 2), "singular" a zero unstable entry, "stall"
+    half the true expansion m_j = 4 (Newton oscillates), "late_singular"
+    half of m_j = 4 on the stable axis and zero off it (the first Newton
+    update meets a singular block)."""
+
+    def __init__(self, kinds):
+        self.kinds = list(kinds)
+        self.rates = np.array([2.0 if k in ("ok", "singular") else 4.0 for k in self.kinds])
+        self.phase = Phase("euclidean", 2)
+
+    def reported(self, j, x1):
+        kind = self.kinds[j]
+        if kind == "late_singular":
+            return 2.0 if x1 == 0.0 else 0.0
+        return 0.0 if kind == "singular" else 2.0
+
+    def along(self, x):
+        return np.stack([self.rates * x[:, 0], 0.5 * x[:, 1]], axis=-1)
+
+    def jacobian_along(self, x):
+        jac = np.zeros((len(self.kinds), 2, 2))
+        jac[:, 0, 0] = [self.reported(j, x1) for j, x1 in enumerate(x[:, 0])]
+        jac[:, 1, 1] = 0.5
+        return jac
+
+    def at_step(self, j):
+        return MisreportedStep(self, j)
+
+    def operator_norm_bounds(self):
+        return 4.0
+
+
+class MisreportedStep(SmoothMap):
+    def __init__(self, steps, j):
+        self.steps, self.j, self.phase = steps, j, steps.phase
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([self.steps.rates[self.j] * x[..., 0], 0.5 * x[..., 1]], axis=-1)
+
+    def jacobian(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.array([[self.steps.reported(self.j, x[0]), 0.0], [0.0, 0.5]])
+
+
+def outcome(update, *args):
+    try:
+        return update(*args)
+    except (BallInvariantError, UnstableSolveError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(problem, v, boundary):
+    """Both updates return within 1e-14, or both raise the same error."""
+    got = outcome(apply_operator, problem, v, boundary)
+    ref = outcome(apply_operator_per_index, problem, v, boundary)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert np.abs(got - ref).max() <= 1e-14
+
+
+class TestBatchedEqualsPerIndex:
+    """apply_operator against the per-index loop of tests/_oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 5), periodic=st.booleans(), data=st.data())
+    def test_step_indexed_affine(self, dim, periodic, data):
+        rng, spl, problem = fresh_splitting_problem(dim, data, jump=1e-4, shift=1e-4)
+        boundary = "periodic" if periodic else "finite"
+        v = 1e-4 * problem.l[:, None] * rng.standard_normal((problem.n_steps + 1, dim))
+        assert_same_outcome(problem, v, boundary)
+
+    @settings(max_examples=25, deadline=None)
+    @given(amp=st.floats(0.0, 0.05), lengths=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1), periodic=st.booleans())
+    def test_perturbed_cat_power_splittings(self, amp, lengths, seed, periodic):
+        rng = np.random.default_rng(seed)
+        f = PerturbedCatMap(amp)
+        po = generate(f, rng.random(2), lengths, 1e-4, seed)
+        spl = assign_splittings(po, f, "power", depth=8)
+        g = PerturbedCatMap(amp + 1e-3)
+        cfg = make_solver_config(po, f, lam=0.45, lam_tilde=0.55, bounds=SystemBounds(
+            R=2.8, lip_modulus=0.0, grid_res=0, scale=0.1))
+        problem = ShadowProblem(po, spl, f, g, cfg)
+        boundary = "periodic" if periodic else "finite"
+        # offsets large enough that Newton needs several steps per index
+        v = 1e-2 * rng.standard_normal((po.n_steps + 1, 2))
+        assert_same_outcome(problem, v, boundary)
+
+    @pytest.mark.parametrize("kinds, expected", [
+        ({2: "singular", 5: "escape"}, (UnstableSolveError, "singular unstable block at index 2")),
+        ({2: "escape", 5: "singular"}, (BallInvariantError, "inverted unstable component at index 2 ")),
+        ({1: "stall", 4: "singular"}, (UnstableSolveError, "Newton inversion stalled at index 1 ")),
+        ({1: "singular", 4: "stall"}, (UnstableSolveError, "singular unstable block at index 1")),
+        ({3: "stall", 6: "escape"}, (UnstableSolveError, "Newton inversion stalled at index 3 ")),
+        ({1: "escape", 5: "stall"}, (BallInvariantError, "inverted unstable component at index 1 ")),
+        ({2: "late_singular", 4: "stall"}, (UnstableSolveError, "singular unstable block at index 2")),
+        ({0: "escape", 2: "late_singular"}, (BallInvariantError, "inverted unstable component at index 0 ")),
+    ])
+    def test_failures_raise_at_the_lowest_index(self, kinds, expected):
+        n = 8
+        steps = ["ok"] * n
+        v = np.zeros((n + 1, 2))
+        for j, kind in kinds.items():
+            # escape: an unstable offset far beyond eta; otherwise a small
+            # one, so the misreported Newton model has something to invert
+            v[j + 1, 0] = 1.0 if kind == "escape" else 1e-4
+            if kind != "escape":
+                steps[j] = kind
+        f = MisreportedSteps(steps)
+        po = flatten(np.zeros((n + 1, 2)), [1] * n, f)
+        spl = assign_splittings(po, f, "user", splittings=AXES)
+        healthy = MisreportedSteps(["ok"] * n)
+        cfg = make_solver_config(po, f, lam=0.55, lam_tilde=0.7, epsilon1=1e-2)
+        problem = ShadowProblem(po, spl, f, f, cfg, blocks=pseudo_orbit_blocks(po, spl, healthy))
+        got = outcome(apply_operator, problem, v, "finite")
+        ref = outcome(apply_operator_per_index, problem, v, "finite")
+        assert got == ref
+        assert got[0] is expected[0] and got[1].startswith(expected[1])
 
 
 class TestSolveFinite:
@@ -249,9 +400,28 @@ class TestSolveFinite:
         f, g, po, spl, cfg = cat_problem()
         problem = ShadowProblem(po, spl, f, g, cfg)
         res = solve_finite(po, spl, f, g, cfg)
-        for j in range(po.n_steps):
-            gap = res.v[j + 1] - problem.G(j, res.v[j])
-            assert np.linalg.norm(gap) <= 10 * cfg.tol_fix
+        gap = res.v[1:] - problem.G(res.v[:-1])
+        assert np.linalg.norm(gap, axis=-1).max() <= 10 * cfg.tol_fix
+
+    def test_ten_thousand_step_cat_orbit_matches_linear_shadow(self):
+        f, g, po, spl, cfg = cat_problem(lengths=(4,) * 2500, shift=(1e-4, 0.0))
+        res = solve_finite(po, spl, f, g, cfg)
+        assert res.converged
+        assert np.abs(res.v - cat_linear_shadow(po.points, [1e-4, 0.0])).max() <= 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           jump=st.floats(0.0, 1e-4), shift=st.floats(-1e-4, 1e-4),
+           seed=st.integers(0, 2**32 - 1), tol_fix=st.sampled_from([1e-10, 1e-12, 1e-13]))
+    def test_converged_solve_has_small_residual(self, lengths, jump, shift, seed, tol_fix):
+        f, g, po, spl, cfg = cat_problem(lengths, jump, seed, shift=(shift, 0.0), tol_fix=tol_fix)
+        res = solve_finite(po, spl, f, g, cfg)
+        problem = ShadowProblem(po, spl, f, g, cfg)
+        if res.converged:
+            assert res.residual_max <= 10 * tol_fix
+            for j in range(po.n_steps):
+                gap = res.v[j + 1] - chart_step(problem, g, j, res.v[j])
+                assert np.linalg.norm(gap) / res.scale[j + 1] <= 10 * tol_fix
 
     def test_oracle_equivalence_random_affine(self):
         rng = np.random.default_rng(10)
