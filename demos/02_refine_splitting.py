@@ -22,7 +22,7 @@ base = eigen_splitting(np.array([[2.0, 1.0], [1.0, 1.0]]))
 splittings = bs.assign_splittings(po, f, "user", splittings=base)
 
 blocks = bs.pseudo_orbit_blocks(po, splittings, f)
-before = max(bs.block_norms(seg)[2].max() for seg in blocks)
+before = bs.block_norms(blocks)[2].max()
 print(f"perturbation amplitude {amplitude}: off-diagonal size before = {before:.2e}")
 
 config = make_refinement_config(lam=0.4, lam_tilde=0.5, R=2.63)

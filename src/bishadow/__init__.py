@@ -20,6 +20,7 @@ from .adapted import (
 )
 from .certification import (
     Certificate,
+    OrbitBlocks,
     block_norms,
     certify_pseudo_orbit,
     is_quasi_hyperbolic,

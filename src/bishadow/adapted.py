@@ -22,6 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certification import OrbitBlocks
+from .pseudo_orbit import _segmentwise
+
 __all__ = [
     "InfeasiblePairError",
     "PairCheck",
@@ -156,12 +159,12 @@ def scale_factors(h, offsets) -> np.ndarray:
     if h.size != n:
         raise ValueError("need one weight per orbit step")
     l = np.ones(n + 1)
-    for a, b in zip(offsets[:-1], offsets[1:]):
-        l[a + 1 : b] = np.cumprod(h[a : b - 1])
+    l[1:] = _segmentwise(np.cumprod, h, offsets)
+    l[offsets] = 1.0
     return l
 
 
-def rescaled_blocks(blocks, h):
+def rescaled_blocks(blocks: OrbitBlocks, h) -> OrbitBlocks:
     """Blocks as seen by the rescaled norms: each block divided by its weight.
 
     When h is well adapted to the blocks' rate pair, the rescaled blocks
@@ -170,4 +173,5 @@ def rescaled_blocks(blocks, h):
     h = np.asarray(h, dtype=float)
     if len(blocks) != h.size:
         raise ValueError("need one weight per block")
-    return [b.scaled(1.0 / w) for b, w in zip(blocks, h)]
+    factor = (1.0 / h)[:, None, None]
+    return OrbitBlocks(blocks.A * factor, blocks.B * factor, blocks.C * factor, blocks.D * factor)

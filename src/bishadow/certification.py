@@ -22,13 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
-from .splitting import block_decompose
+from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
 from .systems import SmoothMap
 
 __all__ = [
     "MarginRow",
     "Certificate",
+    "OrbitBlocks",
     "pseudo_orbit_blocks",
     "block_norms",
     "certify_pseudo_orbit",
@@ -38,6 +38,8 @@ __all__ = [
 
 #: absolute slack below which a violated inequality is attributed to rounding
 PASS_TOL = 1e-12
+
+_COLUMNS = ("condition", "segment", "step", "lhs", "rhs", "margin")
 
 
 @dataclass(frozen=True)
@@ -60,47 +62,67 @@ class MarginRow:
 
 @dataclass(eq=False)
 class Certificate:
+    """The verdict plus every inequality as columns: row r of condition,
+    segment, step, lhs, rhs and margin is one MarginRow.  Per segment come
+    its contraction rows (k = 1..n), its expansion rows (k = 0..n-1), then a
+    ratio and an offdiag row per block; one residual row per segment closes
+    the table."""
+
     passed: bool
     lam: float
     epsilon: float
-    delta: float | None
-    margins: tuple
-    blocks: tuple = field(repr=False, default=())
+    delta: float
+    condition: np.ndarray
+    segment: np.ndarray
+    step: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    margin: np.ndarray
+    blocks: OrbitBlocks = field(repr=False)
 
     def worst(self, condition: str | None = None) -> MarginRow:
-        rows = self.margins if condition is None else [
-            r for r in self.margins if r.condition == condition
-        ]
-        if not rows:
+        rows = np.arange(len(self.margin)) if condition is None else np.flatnonzero(
+            self.condition == condition)
+        if not rows.size:
             raise ValueError("no margin rows recorded")
-        return min(rows, key=lambda r: (r.margin if not math.isnan(r.margin) else -math.inf))
+        k = rows[np.argmin(np.where(np.isnan(self.margin[rows]), -np.inf, self.margin[rows]))]
+        return MarginRow(*(getattr(self, name)[k].item() for name in _COLUMNS))
+
+    @property
+    def max_offdiagonal(self) -> float:
+        """Largest off-diagonal size max(||B_j||, ||C_j||) along the orbit."""
+        return float(self.lhs[self.condition == "offdiag"].max())
 
     def to_dict(self) -> dict:
-        d = {
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return {
             "passed": bool(self.passed),
             "lambda": float(self.lam),
             "epsilon": float(self.epsilon),
-            "margins": [
-                {
-                    "condition": r.condition,
-                    "segment": r.segment,
-                    "step": r.step,
-                    "lhs": float(r.lhs),
-                    "rhs": float(r.rhs),
-                    "margin": float(r.margin),
-                }
-                for r in self.margins
-            ],
+            "delta": float(self.delta),
+            "margins": [dict(zip(_COLUMNS, row)) for row in zip(*columns)],
         }
-        if self.delta is not None:
-            d["delta"] = float(self.delta)
-        return d
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitBlocks:
+    """The N derivative blocks of a flattened pseudo-orbit as stacks A
+    ``(N, du, du)``, B ``(N, du, ds)``, C ``(N, ds, du)`` and D ``(N, ds, ds)``;
+    segment i is the slice ``po.offsets[i]:po.offsets[i + 1]``."""
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+
+    def __len__(self):
+        return len(self.A)
 
 
 def pseudo_orbit_blocks(
     po: SegmentedPseudoOrbit, splittings: SplittingAssignment, f: SmoothMap
-) -> tuple:
-    """Per-segment tuples of derivative blocks for the whole pseudo-orbit.
+) -> OrbitBlocks:
+    """Derivative blocks of the whole pseudo-orbit.
 
     Block j is the derivative at flattened point j, read from the
     splitting at index j into the splitting at index j+1; at a segment
@@ -108,71 +130,66 @@ def pseudo_orbit_blocks(
     """
     if len(splittings) != po.n_steps + 1:
         raise ValueError("need one splitting per flattened index, closing point included")
-    flat = [
-        block_decompose(f.at_step(j).jacobian(po.points[j]), splittings[j], splittings[j + 1])
-        for j in range(po.n_steps)
-    ]
-    return tuple(tuple(flat[a:b]) for a, b in zip(po.offsets[:-1], po.offsets[1:]))
+    jac = f.jacobian_along(po.points[:-1])
+    sv = np.linalg.svd(jac, compute_uv=False)
+    singular = np.flatnonzero(sv[:, -1] <= sv[:, 0] * 1e-14)
+    if singular.size:
+        raise ValueError(f"singular derivative at index {singular[0]} cannot be block-decomposed")
+    m = splittings.basis_inv[1:] @ jac @ splittings.basis[:-1]
+    du = splittings.dim_u
+    return OrbitBlocks(m[:, :du, :du], m[:, :du, du:], m[:, du:, :du], m[:, du:, du:])
 
 
-def block_norms(blocks):
-    """Per-block m(A_j), ||D_j|| and max(||B_j||, ||C_j||) of a run of blocks.
+def _covering(po: SegmentedPseudoOrbit, splittings, f, blocks) -> OrbitBlocks:
+    """blocks after checking that they cover po, or po's blocks when None."""
+    if blocks is None:
+        return pseudo_orbit_blocks(po, splittings, f)
+    if len(blocks) != po.n_steps:
+        raise ValueError(f"blocks cover {len(blocks)} steps, the pseudo-orbit {po.n_steps}")
+    return blocks
+
+
+def _singular_values(x, k, empty):
+    """Singular value k of every matrix in the stack x; `empty` for empty matrices."""
+    s = np.linalg.svd(x, compute_uv=False)
+    return s[:, k] if s.shape[1] else np.full(len(x), empty)
+
+
+def block_norms(blocks: OrbitBlocks):
+    """Per-block m(A_j), ||D_j|| and max(||B_j||, ||C_j||).
 
     One batched SVD per block kind; empty blocks follow min_norm and
     op_norm (m = +inf, norm = 0).
     """
-    def singular(name, k, empty):
-        s = np.linalg.svd(np.stack([getattr(b, name) for b in blocks]), compute_uv=False)
-        return s[:, k] if s.shape[1] else np.full(len(blocks), empty)
-
-    off = np.maximum(singular("B", 0, 0.0), singular("C", 0, 0.0))
-    return singular("A", -1, np.inf), singular("D", 0, 0.0), off
+    off = np.maximum(_singular_values(blocks.B, 0, 0.0), _singular_values(blocks.C, 0, 0.0))
+    return _singular_values(blocks.A, -1, np.inf), _singular_values(blocks.D, 0, 0.0), off
 
 
-def _segment_terms(blocks):
-    """Per-block arrays behind a segment's margin rows.
-
-    Returns the log partial products sum_{j<k} log||D_j|| (k = 1..n) and
-    sum_{j>=k} log m(A_j) (k = 0..n-1), the ratios ||D_j|| / m(A_j), and
-    the off-diagonal sizes max(||B_j||, ||C_j||).
-    """
+def _block_terms(blocks: OrbitBlocks, offsets):
+    """Per-block arrays behind the margin rows: segment position seg, place
+    k in the segment and segment length n; sum_{i<=j} log||D_i|| and
+    sum_{i>=j} log m(A_i) within the segment; ||D_j|| / m(A_j); and
+    max(||B_j||, ||C_j||)."""
     a, d, off = block_norms(blocks)
+    lengths = np.diff(offsets)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    k = np.arange(len(a)) - offsets[seg]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cum_d = np.cumsum(np.log(d))
-        tail_a = np.cumsum(np.log(a)[::-1])[::-1]
+        cum_d = _segmentwise(np.cumsum, np.log(d), offsets)
+        tail_a = _segmentwise(np.cumsum, np.log(a)[::-1], offsets[-1] - offsets[::-1])[::-1]
         ratio = np.where(a > 0, d / a, np.inf)
-    return cum_d, tail_a, ratio, off
+    return seg, k, lengths[seg], cum_d, tail_a, ratio, off
 
 
-def _rate_margins(cum_d, tail_a, ratio, lam):
+def _rate_margins(k, n, cum_d, tail_a, ratio, lam):
     """Right-hand sides and slacks of the three rate conditions at lam."""
-    n = len(ratio)
     log_lam = math.log(lam)
-    contraction_rhs = np.arange(1, n + 1) * log_lam
-    expansion_rhs = np.arange(-n, 0) * log_lam
+    contraction_rhs = (k + 1) * log_lam
+    expansion_rhs = (k - n) * log_lam
     lam2 = lam * lam
     return (contraction_rhs, contraction_rhs - cum_d,
             expansion_rhs, tail_a - expansion_rhs,
             lam2, lam2 - ratio)
-
-
-def _segment_margin_rows(blocks, lam, epsilon, seg_index, start):
-    cum_d, tail_a, ratio, off = _segment_terms(blocks)
-    c_rhs, c_margin, e_rhs, e_margin, lam2, r_margin = _rate_margins(cum_d, tail_a, ratio, lam)
-    n = len(ratio)
-    rows = []
-    for k in range(1, n + 1):
-        rows.append(MarginRow("contraction_product", seg_index, start + k,
-                              float(cum_d[k - 1]), float(c_rhs[k - 1]), float(c_margin[k - 1])))
-    for k in range(n):
-        rows.append(MarginRow("expansion_product", seg_index, start + k,
-                              float(tail_a[k]), float(e_rhs[k]), float(e_margin[k])))
-    for j in range(n):
-        rows.append(MarginRow("ratio", seg_index, start + j,
-                              float(ratio[j]), lam2, float(r_margin[j])))
-        rows.append(MarginRow("offdiag", seg_index, start + j,
-                              float(off[j]), epsilon, epsilon - float(off[j])))
-    return rows
 
 
 def certify_pseudo_orbit(
@@ -186,35 +203,40 @@ def certify_pseudo_orbit(
 ) -> Certificate:
     """Certify every segment at (lam, epsilon) and every residual against delta.
 
-    blocks, when given, are the per-segment tuples that
-    pseudo_orbit_blocks(po, splittings, f) returns; splittings and f are
-    then not read.
+    blocks, when given, are what pseudo_orbit_blocks(po, splittings, f)
+    returns and must cover po; splittings and f are then not read.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lambda must lie in (0, 1)")
     if epsilon < 0.0 or delta < 0.0:
         raise ValueError("epsilon and delta must be nonnegative")
-    if blocks is None:
-        blocks = pseudo_orbit_blocks(po, splittings, f)
-    rows = []
-    segments = po.segments()
-    for seg, seg_blocks in zip(segments, blocks):
-        rows.extend(_segment_margin_rows(seg_blocks, lam, epsilon, seg.index, seg.start))
-    for seg in segments:
-        rows.append(MarginRow("residual", seg.index, seg.start + seg.length,
-                              seg.residual, delta, delta - seg.residual))
-    margins = np.array([r.margin for r in rows])
-    return Certificate(
-        passed=bool(np.all(margins >= -PASS_TOL)), lam=lam, epsilon=epsilon, delta=delta,
-        margins=tuple(rows), blocks=tuple(tuple(b) for b in blocks),
+    blocks = _covering(po, splittings, f, blocks)
+    seg, k, n, cum_d, tail_a, ratio, off = _block_terms(blocks, po.offsets)
+    c_rhs, c_margin, e_rhs, e_margin, lam2, r_margin = _rate_margins(k, n, cum_d, tail_a, ratio, lam)
+    j = np.arange(po.n_steps)
+    first = 4 * po.offsets[seg]  # a segment of n blocks holds 4n rows
+    joins = np.arange(po.n_segments)
+    parts = (
+        ("contraction_product", first + k, seg, j + 1, cum_d, c_rhs, c_margin),
+        ("expansion_product", first + n + k, seg, j, tail_a, e_rhs, e_margin),
+        ("ratio", first + 2 * n + 2 * k, seg, j, ratio, lam2, r_margin),
+        ("offdiag", first + 2 * n + 2 * k + 1, seg, j, off, epsilon, epsilon - off),
+        ("residual", 4 * po.n_steps + joins, joins, po.offsets[1:], po.residuals, delta,
+         delta - po.residuals),
     )
+    size = 4 * po.n_steps + po.n_segments
+    columns = [np.empty(size, dtype=t) for t in ("U19", int, int, float, float, float)]
+    for name, rows, *values in parts:
+        for col, value in zip(columns, (name, *values)):
+            col[rows] = value
+    columns[1] += po.i_min
+    return Certificate(passed=bool(np.all(columns[-1] >= -PASS_TOL)), lam=lam,
+                       epsilon=epsilon, delta=delta, **dict(zip(_COLUMNS, columns)), blocks=blocks)
 
 
 def is_quasi_hyperbolic(cert: Certificate, tol: float = 1e-10) -> bool:
     """True when every off-diagonal block in the certificate is below tol."""
-    if not cert.blocks:
-        raise ValueError("certificate carries no blocks")
-    return max(float(block_norms(seg)[2].max()) for seg in cert.blocks) <= tol
+    return cert.max_offdiagonal <= tol
 
 
 def min_feasible_lambda(
@@ -231,32 +253,23 @@ def min_feasible_lambda(
     over all segments, nudged up by the few ulps that rounding may need
     for the certificate's margins to pass.  Returns None when the
     off-diagonal check fails or the threshold is at least 1 - 1e-9, and
-    never less than 1e-9.
+    never less than 1e-9.  blocks, when given, must cover po.
     """
-    if blocks is None:
-        blocks = pseudo_orbit_blocks(po, splittings, f)
+    blocks = _covering(po, splittings, f, blocks)
     hi = 1.0 - 1e-9
-    terms = [_segment_terms(seg_blocks) for seg_blocks in blocks]
-    if any(off.max() > epsilon + PASS_TOL for *_, off in terms):
+    _, k, n, cum_d, tail_a, ratio, off = _block_terms(blocks, po.offsets)
+    if off.max() > epsilon + PASS_TOL:
         return None
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_lam = float(np.max(np.concatenate([
-            part
-            for cum_d, tail_a, ratio, _ in terms
-            for part in (cum_d / np.arange(1, len(ratio) + 1),
-                         -tail_a / np.arange(len(ratio), 0, -1),
-                         0.5 * np.log(ratio))
-        ])))
+        log_lam = float(np.max(np.concatenate([cum_d / (k + 1), -tail_a / (n - k),
+                                               0.5 * np.log(ratio)])))
     if not log_lam < math.log(hi):
         return None
     lam = max(math.exp(log_lam), 1e-9)
 
     def passes(lam):
-        for cum_d, tail_a, ratio, _ in terms:
-            _, c_margin, _, e_margin, _, r_margin = _rate_margins(cum_d, tail_a, ratio, lam)
-            if min(c_margin.min(), e_margin.min(), r_margin.min()) < -PASS_TOL:
-                return False
-        return True
+        _, c_margin, _, e_margin, _, r_margin = _rate_margins(k, n, cum_d, tail_a, ratio, lam)
+        return not min(c_margin.min(), e_margin.min(), r_margin.min()) < -PASS_TOL
 
     while lam < hi and not passes(lam):
         lam = float(np.nextafter(lam, 1.0))

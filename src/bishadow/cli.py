@@ -70,9 +70,9 @@ def _margins_csv(cert) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["segment", "step", "condition", "lhs", "rhs", "margin"])
-    for r in cert.margins:
-        writer.writerow([r.segment, r.step, r.condition, repr(float(r.lhs)),
-                         repr(float(r.rhs)), repr(float(r.margin))])
+    columns = (cert.segment, cert.step, cert.condition, cert.lhs, cert.rhs, cert.margin)
+    for segment, step, condition, *values in zip(*(c.tolist() for c in columns)):
+        writer.writerow([segment, step, condition, *map(repr, values)])
     return buf.getvalue()
 
 
@@ -139,7 +139,7 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     lam = float(cfg.certification["lambda"])
     block = cfg.refinement
     lam_tilde = float(block.get("lambda_tilde", (1.0 + lam) / 2.0))
-    bounds = estimate_bounds(f)
+    bounds = estimate_bounds(f, grid_res=_grid_res(cfg))
     rcfg = make_refinement_config(
         lam, lam_tilde, bounds.R,
         lam0=block.get("lambda0"),
@@ -162,13 +162,8 @@ def cmd_refine(cfg: RunConfig, args) -> int:
         "is_quasi_hyperbolic": is_quasi_hyperbolic(result.certificate, rcfg.offdiag_tol),
         "max_offdiagonal": result.max_offdiagonal,
         "max_invariance_residual": result.max_invariance_residual,
-        "splittings": [
-            {
-                "unstable": [[float(v) for v in row] for row in sp.unstable],
-                "stable": [[float(v) for v in row] for row in sp.stable],
-            }
-            for sp in result.splittings.splittings
-        ],
+        "splittings": [{"unstable": u, "stable": s} for u, s in
+                       zip(result.splittings.unstable.tolist(), result.splittings.stable.tolist())],
     }
     _emit(_report_json(report), _out_path(cfg, args))
     return EXIT_OK if result.certificate.passed else EXIT_FAILED

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pseudo_orbit import SegmentedPseudoOrbit, assign_splittings, flatten, generate
-from .systems import AffineMap, PerturbedCatMap, ShiftedMap, SmoothMap, TorusLinearMap, cat_map
+from .systems import (MAX_GRID, AffineMap, PerturbedCatMap, ShiftedMap, SmoothMap,
+                      TorusLinearMap, cat_map)
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -121,6 +122,11 @@ def parse_config(payload: dict) -> RunConfig:
     if not isinstance(grid_res, int) or isinstance(grid_res, bool) or grid_res < 64:
         # sup_distance samples the map distance on this grid and needs 64 points per axis
         raise ConfigError("solver.grid_res must be an integer of at least 64")
+    if "grid_res" in solver_block and sys_block["type"] != "affine":
+        matrix = sys_block.get("matrix")  # a torus_linear map acts on T^len(matrix)
+        dim = len(matrix) if sys_block["type"] == "torus_linear" and isinstance(matrix, list) else 2
+        if grid_res ** dim > MAX_GRID:
+            raise ConfigError(f"solver.grid_res {grid_res}^{dim} exceeds {MAX_GRID} grid points")
 
     pert_block = payload.get("perturbation", {"type": "none"})
     _check_keys(pert_block, {"type", "offset", "amplitude"}, {"type"}, "perturbation")

@@ -108,14 +108,10 @@ def bounded_orbit_closed_form(sys: AffineSequenceSystem, splitting: Splitting | 
     sp = sys.splitting if splitting is None else splitting
     n = sys.n_steps
     du = sp.dim_u
-    a_blocks, d_blocks, r_u, r_s = [], [], [], []
-    for j in range(n):
-        blk = sp.basis_inv @ sys.matrices[j] @ sp.basis
-        a_blocks.append(blk[:du, :du])
-        d_blocks.append(blk[du:, du:])
-        rc = sp.basis_inv @ sys.residuals[j]
-        r_u.append(rc[:du])
-        r_s.append(rc[du:])
+    blk = sp.basis_inv @ sys.matrices @ sp.basis
+    a_blocks, d_blocks = blk[:, :du, :du], blk[:, du:, du:]
+    rc = sys.residuals @ sp.basis_inv.T
+    r_u, r_s = rc[:, :du], rc[:, du:]
     es = np.zeros((n + 1, sp.dim_s))
     eu = np.zeros((n + 1, du))
     for k in range(n):
@@ -130,7 +126,7 @@ def bounded_orbit_closed_form(sys: AffineSequenceSystem, splitting: Splitting | 
         for j in range(k, -1, -1):
             term = np.linalg.solve(a_blocks[j], term)
             eu[j] -= term
-    return np.stack([sp.assemble(eu[j], es[j]) for j in range(n + 1)])
+    return eu @ sp.unstable.T + es @ sp.stable.T
 
 
 def brute_force_shadow(f: SmoothMap, g: SmoothMap, po: SegmentedPseudoOrbit,

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splitting import Splitting, _orthonormalize, eigen_splitting
+from .splitting import Splitting, _checked_basis, _orthonormalize, eigen_splitting
 from .systems import Phase, SmoothMap
 
 __all__ = [
-    "OrbitSegment",
     "SegmentedPseudoOrbit",
     "SplittingAssignment",
     "SplittingError",
@@ -33,18 +32,6 @@ __all__ = [
 
 class SplittingError(ValueError):
     """Splitting assignment failed (e.g. power iteration did not separate)."""
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitSegment:
-    """View of one segment: its points plus the follow-up seed."""
-
-    phase: Phase
-    index: int
-    start: int
-    length: int
-    points: np.ndarray  # (length + 1, dim); last row is the next seed
-    residual: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,24 +87,6 @@ class SegmentedPseudoOrbit:
         """0-based flattened position of seed i."""
         return int(self.offsets[i - self.i_min])
 
-    def segment(self, i: int) -> OrbitSegment:
-        t = i - self.i_min
-        if not (0 <= t < self.n_segments):
-            raise ValueError(f"no segment {i}")
-        start = int(self.offsets[t])
-        stop = int(self.offsets[t + 1])
-        return OrbitSegment(
-            phase=self.phase,
-            index=i,
-            start=start,
-            length=int(self.lengths[t]),
-            points=self.points[start : stop + 1],
-            residual=float(self.residuals[t]),
-        )
-
-    def segments(self):
-        return [self.segment(i) for i in range(self.i_min, self.i_max + 1)]
-
     def window(self, i_lo: int, i_hi: int) -> "SegmentedPseudoOrbit":
         """Sub-orbit covering segments i_lo..i_hi inclusive."""
         if not (self.i_min <= i_lo <= i_hi <= self.i_max):
@@ -160,6 +129,17 @@ class SegmentedPseudoOrbit:
             residuals=np.array([float(v) for v in payload["residuals"]]),
             i_min=int(payload["i_min"]),
         )
+
+
+def _segmentwise(accumulate, x, offsets):
+    """np.cumsum or np.cumprod of x restarted at every segment start; each
+    segment accumulates in order, so it rounds as it would alone."""
+    out = np.empty_like(x)
+    lengths = np.diff(offsets)
+    for length in np.unique(lengths):
+        rows = offsets[:-1][lengths == length, None] + np.arange(length)
+        out[rows] = accumulate(x[rows], axis=1)
+    return out
 
 
 def flatten(seeds, lengths, f: SmoothMap, i_min: int = 0) -> SegmentedPseudoOrbit:
@@ -235,37 +215,62 @@ def generate(
 
 @dataclass(frozen=True, eq=False)
 class SplittingAssignment:
-    """One splitting per flattened index, closing point included."""
+    """One splitting per flattened index, closing point included, as stacks:
+    orthonormal bases unstable ``(N + 1, n, du)`` and stable
+    ``(N + 1, n, ds)``, and basis_inv ``(N + 1, n, n)``, the inverse of
+    [unstable | stable].  A constant splitting is a broadcast view of one
+    Splitting's arrays; ``spl[j]`` is the Splitting at index j.
+    """
 
-    splittings: tuple
+    unstable: np.ndarray
+    stable: np.ndarray
+    basis_inv: np.ndarray
 
     def __post_init__(self):
-        if not self.splittings:
-            raise ValueError("empty assignment")
-        du = self.splittings[0].dim_u
-        if any(sp.dim_u != du for sp in self.splittings):
-            raise ValueError("splitting dimensions must be constant along the orbit")
+        if not len(self.unstable) == len(self.stable) == len(self.basis_inv) > 0:
+            raise ValueError("need nonempty stacks of one length")
+
+    @classmethod
+    def from_bases(cls, unstable, stable) -> "SplittingAssignment":
+        """Orthonormalize and check stacked bases, every index at once."""
+        u = _orthonormalize(np.asarray(unstable, dtype=float))
+        s = _orthonormalize(np.asarray(stable, dtype=float))
+        return cls(u, s, _checked_basis(u, s)[1])
+
+    @classmethod
+    def constant(cls, sp: Splitting, size: int) -> "SplittingAssignment":
+        return cls(*(np.broadcast_to(x, (size,) + x.shape)
+                     for x in (sp.unstable, sp.stable, sp.basis_inv)))
 
     def __len__(self):
-        return len(self.splittings)
+        return len(self.unstable)
 
-    def __getitem__(self, j):
-        return self.splittings[j]
+    def __getitem__(self, j) -> Splitting:
+        return Splitting(self.unstable[j], self.stable[j])
+
+    @property
+    def dim_u(self) -> int:
+        return self.unstable.shape[-1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        return np.concatenate([self.unstable, self.stable], axis=-1)
 
     def window(self, j_lo: int, j_hi: int) -> "SplittingAssignment":
-        return SplittingAssignment(self.splittings[j_lo : j_hi + 1])
+        return SplittingAssignment(self.unstable[j_lo : j_hi + 1], self.stable[j_lo : j_hi + 1],
+                                   self.basis_inv[j_lo : j_hi + 1])
 
 
-def _power_splittings(po, f, dim_u, depth, seed: Splitting):
+def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
     """Subspace iteration over a window of `depth` steps on each side of j.
 
     A closed pseudo-orbit (closing seed equal to the first) is one period
     of a cycle, so its windows wrap around and indices 0 and N agree.
     """
     n = po.n_steps
-    jacs = [f.at_step(j).jacobian(po.points[j]) for j in range(n)]
+    jacs = f.jacobian_along(po.points[:-1])
     closed = np.array_equal(po.seeds[0], po.seeds[-1])
-    out = []
+    us, ss = [], []
     for j in range(n + 1):
         u = seed.unstable.copy()
         for t in range(j - depth if closed else max(0, j - depth), j):
@@ -276,8 +281,9 @@ def _power_splittings(po, f, dim_u, depth, seed: Splitting):
         gap = np.linalg.svd(np.concatenate([u, s], axis=1), compute_uv=False)[-1]
         if gap < 1e-6:
             raise SplittingError(f"power iteration failed to separate subspaces at index {j}")
-        out.append(Splitting.from_bases(u, s))
-    return out
+        us.append(u)
+        ss.append(s)
+    return SplittingAssignment.from_bases(np.stack(us), np.stack(ss))
 
 
 def assign_splittings(
@@ -303,11 +309,11 @@ def assign_splittings(
         if splittings is None:
             raise ValueError("user strategy needs splittings")
         if isinstance(splittings, Splitting):
-            return SplittingAssignment((splittings,) * (n + 1))
-        splittings = tuple(splittings)
+            return SplittingAssignment.constant(splittings, n + 1)
         if len(splittings) != n + 1:
             raise ValueError(f"need {n + 1} splittings, got {len(splittings)}")
-        return SplittingAssignment(splittings)
+        return SplittingAssignment(*(np.stack([getattr(sp, name) for sp in splittings])
+                                     for name in ("unstable", "stable", "basis_inv")))
 
     j0 = f.at_step(0).jacobian(po.points[0])
     if strategy == "eigen":
@@ -315,11 +321,9 @@ def assign_splittings(
         jac = f.at_step(0).jacobian(sample)
         if np.abs(jac - j0).max() > 1e-9:
             raise SplittingError("eigen strategy needs a constant derivative; use power")
-        sp = eigen_splitting(j0, dim_u=dim_u)
-        return SplittingAssignment((sp,) * (n + 1))
+        return SplittingAssignment.constant(eigen_splitting(j0, dim_u=dim_u), n + 1)
 
     if strategy == "power":
-        seed = eigen_splitting(j0, dim_u=dim_u)
-        return SplittingAssignment(tuple(_power_splittings(po, f, dim_u, depth, seed)))
+        return _power_splittings(po, f, depth, eigen_splitting(j0, dim_u=dim_u))
 
     raise ValueError(f"unknown strategy {strategy!r}")

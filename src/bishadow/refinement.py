@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certification import Certificate, block_norms, certify_pseudo_orbit, pseudo_orbit_blocks
+from .certification import (Certificate, OrbitBlocks, _covering, _singular_values, block_norms,
+                            certify_pseudo_orbit, pseudo_orbit_blocks)
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
-from .splitting import Splitting, min_norm, op_norm
+from .splitting import min_norm, op_norm
 from .systems import SmoothMap
 
 __all__ = [
@@ -97,19 +98,18 @@ def make_refinement_config(
     )
 
 
-def solve_unstable_graphs(blocks) -> np.ndarray:
+def solve_unstable_graphs(blocks: OrbitBlocks) -> np.ndarray:
     """Fixed point of the unstable graph transform, pinned to zero at index 0.
 
     With P_0 fixed, P_{j+1} depends on P_j alone, so the fixed point is the
     forward recursion itself.  Returns P with shape (N + 1, ds, du).
     """
-    n = len(blocks)
-    du, ds = blocks[0].A.shape[1], blocks[0].D.shape[1]
-    P = np.zeros((n + 1, ds, du))
-    for j, blk in enumerate(blocks):
-        den = blk.A + blk.B @ P[j]
+    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
+    P = np.zeros((len(blocks) + 1,) + C.shape[1:])
+    for j in range(len(blocks)):
+        den = A[j] + B[j] @ P[j]
         try:
-            P[j + 1] = np.linalg.solve(den.T, (blk.C + blk.D @ P[j]).T).T
+            P[j + 1] = np.linalg.solve(den.T, (C[j] + D[j] @ P[j]).T).T
         except np.linalg.LinAlgError as exc:
             raise GraphTransformError(
                 f"singular unstable denominator at index {j}: "
@@ -123,19 +123,17 @@ def solve_unstable_graphs(blocks) -> np.ndarray:
     return P
 
 
-def solve_stable_graphs(blocks) -> np.ndarray:
+def solve_stable_graphs(blocks: OrbitBlocks) -> np.ndarray:
     """Fixed point of the mirrored transform, pinned to zero at index N.
 
     One backward pass: Q_j solves (I - A_j^(-1) Q_{j+1} C_j) Q_j
     = A_j^(-1) (Q_{j+1} D_j - B_j).  Returns Q with shape (N + 1, du, ds).
     """
-    n = len(blocks)
-    du, ds = blocks[0].A.shape[1], blocks[0].D.shape[1]
-    Q = np.zeros((n + 1, du, ds))
-    for j in range(n - 1, -1, -1):
-        blk = blocks[j]
-        lhs = np.eye(du) - np.linalg.solve(blk.A, Q[j + 1] @ blk.C)
-        rhs = np.linalg.solve(blk.A, Q[j + 1] @ blk.D - blk.B)
+    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
+    Q = np.zeros((len(blocks) + 1,) + B.shape[1:])
+    for j in range(len(blocks) - 1, -1, -1):
+        lhs = np.eye(A.shape[1]) - np.linalg.solve(A[j], Q[j + 1] @ C[j])
+        rhs = np.linalg.solve(A[j], Q[j + 1] @ D[j] - B[j])
         try:
             Q[j] = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
@@ -148,20 +146,16 @@ def solve_stable_graphs(blocks) -> np.ndarray:
     return Q
 
 
-def unstable_invariance_residuals(P: np.ndarray, blocks) -> np.ndarray:
+def unstable_invariance_residuals(P: np.ndarray, blocks: OrbitBlocks) -> np.ndarray:
     """||P_{j+1} (A_j + B_j P_j) - (C_j + D_j P_j)|| per index."""
-    return np.array([
-        op_norm(P[j + 1] @ (b.A + b.B @ P[j]) - (b.C + b.D @ P[j]))
-        for j, b in enumerate(blocks)
-    ])
+    b = blocks
+    return _singular_values(P[1:] @ (b.A + b.B @ P[:-1]) - (b.C + b.D @ P[:-1]), 0, 0.0)
 
 
-def stable_invariance_residuals(Q: np.ndarray, blocks) -> np.ndarray:
+def stable_invariance_residuals(Q: np.ndarray, blocks: OrbitBlocks) -> np.ndarray:
     """||A_j Q_j + B_j - Q_{j+1} (C_j Q_j + D_j)|| per index."""
-    return np.array([
-        op_norm(b.A @ Q[j] + b.B - Q[j + 1] @ (b.C @ Q[j] + b.D))
-        for j, b in enumerate(blocks)
-    ])
+    b = blocks
+    return _singular_values(b.A @ Q[:-1] + b.B - Q[1:] @ (b.C @ Q[:-1] + b.D), 0, 0.0)
 
 
 @dataclass(eq=False)
@@ -170,13 +164,9 @@ class RefinementResult:
     certificate: Certificate
     unstable_graphs: np.ndarray
     stable_graphs: np.ndarray
-    blocks: tuple
+    blocks: OrbitBlocks
     max_invariance_residual: float
     max_offdiagonal: float
-
-    @property
-    def is_block_diagonal(self) -> bool:
-        return self.max_offdiagonal <= 1e-8
 
 
 def refine(
@@ -192,12 +182,11 @@ def refine(
     Requires the input blocks to certify at (lam, eps) with eps at most
     eps_cap; returns the graph-tilted splitting family together with its
     certificate at (lam_tilde, offdiag_tol, delta).  blocks, when given,
-    are the per-segment tuples of pseudo_orbit_blocks; so are the refined
-    blocks on the result.
+    are what pseudo_orbit_blocks returns and must cover po; the refined
+    blocks on the result have the same form.
     """
-    if blocks is None:
-        blocks = pseudo_orbit_blocks(po, splittings, f)
-    eps_actual = max(float(block_norms(seg)[2].max()) for seg in blocks)
+    blocks = _covering(po, splittings, f, blocks)
+    eps_actual = float(block_norms(blocks)[2].max())
     if eps_actual > config.eps_cap:
         raise PreconditionError(
             f"off-diagonal size {eps_actual:.3e} exceeds the admissible cap "
@@ -215,24 +204,17 @@ def refine(
             f"(margin {worst.margin:.3e})"
         )
 
-    flat = [b for seg in blocks for b in seg]
-    P = solve_unstable_graphs(flat)
-    Q = solve_stable_graphs(flat)
-    max_res = float(max(unstable_invariance_residuals(P, flat).max(),
-                        stable_invariance_residuals(Q, flat).max()))
+    P = solve_unstable_graphs(blocks)
+    Q = solve_stable_graphs(blocks)
+    max_res = float(max(unstable_invariance_residuals(P, blocks).max(),
+                        stable_invariance_residuals(Q, blocks).max()))
     if max_res > config.offdiag_tol:
         raise GraphTransformError(
             f"graph invariance residual {max_res:.3e} exceeds {config.offdiag_tol:.3e}"
         )
 
-    refined = []
-    for j in range(po.n_steps + 1):
-        base = splittings[j]
-        u_raw = base.unstable + base.stable @ P[j]
-        s_raw = base.stable + base.unstable @ Q[j]
-        refined.append(Splitting.from_bases(u_raw, s_raw))
-    refined = SplittingAssignment(tuple(refined))
-
+    u, s = splittings.unstable, splittings.stable
+    refined = SplittingAssignment.from_bases(u + s @ P, s + u @ Q)
     new_blocks = pseudo_orbit_blocks(po, refined, f)
     certificate = certify_pseudo_orbit(po, refined, f, config.lam_tilde,
                                        config.offdiag_tol, delta, blocks=new_blocks)
@@ -243,5 +225,5 @@ def refine(
         stable_graphs=Q,
         blocks=new_blocks,
         max_invariance_residual=max_res,
-        max_offdiagonal=max(float(block_norms(seg)[2].max()) for seg in new_blocks),
+        max_offdiagonal=certificate.max_offdiagonal,
     )

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adapted import scale_factors, well_adapted_sequence
-from .certification import block_norms, certify_pseudo_orbit, pseudo_orbit_blocks
+from .certification import _covering, block_norms, certify_pseudo_orbit
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
 from .systems import SmoothMap, SystemBounds, estimate_bounds, sup_distance
 
@@ -160,10 +160,10 @@ def make_solver_config(
 class ShadowProblem:
     """A pseudo-orbit, its splittings, the two maps, and the rescaled norms.
 
-    blocks, when given, are the per-segment tuples of pseudo_orbit_blocks
-    for these splittings; they set the adapted weights.  Every splitting
-    is stacked once, so the chart maps, their Jacobians and the Newton
-    inversion act on all N indices at a time: row j of an ``(N, n)``
+    blocks, when given, are what pseudo_orbit_blocks returns for these
+    splittings and must cover po; they set the adapted weights.  The chart
+    maps, their Jacobians and the Newton inversion read the stacked
+    splittings and act on all N indices at a time: row j of an ``(N, n)``
     argument is the tangent vector at index j.
     """
 
@@ -177,9 +177,7 @@ class ShadowProblem:
         self.f = f
         self.g = g
         self.config = config
-        if blocks is None:
-            blocks = pseudo_orbit_blocks(po, splittings, f)
-        m_a, norm_d, _ = block_norms([b for seg in blocks for b in seg])
+        m_a, norm_d, _ = block_norms(_covering(po, splittings, f, blocks))
         cuts = po.offsets[1:-1]
         self.weights = np.concatenate([
             well_adapted_sequence(d, a, config.lam)
@@ -187,12 +185,7 @@ class ShadowProblem:
         ])
         self.l = scale_factors(self.weights, po.offsets)
         self.phase = po.phase
-        self.dim_u = splittings[0].dim_u
-        # (N + 1, n, .) stacks: the oblique-component maps and both bases
-        stack = splittings.splittings
-        self.basis_inv = np.stack([sp.basis_inv for sp in stack])
-        self.unstable = np.stack([sp.unstable for sp in stack])
-        self.stable = np.stack([sp.stable for sp in stack])
+        self.dim_u = splittings.dim_u
 
     @property
     def n_steps(self) -> int:
@@ -201,7 +194,7 @@ class ShadowProblem:
     def coords(self, at: slice, x):
         """Oblique components (a, b) of each row of x in the splitting at
         the matching index of ``at``, with x_k = U a_k + S b_k."""
-        c = _matvec(self.basis_inv[at], x)
+        c = _matvec(self.splittings.basis_inv[at], x)
         return c[:, : self.dim_u], c[:, self.dim_u :]
 
     def _chart(self, m, v):
@@ -222,7 +215,8 @@ class ShadowProblem:
 
     def _unstable_blocks(self, xi):
         # the unstable-to-unstable blocks of DF_j at xi_j, (N, du, du)
-        jac = np.matmul(np.matmul(self.basis_inv[1:], self.chart_jacobian(xi)), self.unstable[:-1])
+        spl = self.splittings
+        jac = np.matmul(np.matmul(spl.basis_inv[1:], self.chart_jacobian(xi)), spl.unstable[:-1])
         return jac[:, : self.dim_u, :]
 
     def invert_unstable(self, sv, target):
@@ -246,7 +240,7 @@ class ShadowProblem:
         live = ~singular
         done = np.zeros_like(live)
         for _ in range(cfg.newton_max_iter):
-            x = sv + _matvec(self.unstable[:-1], w)
+            x = sv + _matvec(self.splittings.unstable[:-1], w)
             r = self.coords(slice(1, None), self.phase.wrap(self.F(x) - base))[0] - target
             res = np.sqrt(_sq_norms(r))
             done |= live & (res <= cfg.newton_tol)
@@ -322,20 +316,18 @@ def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finit
     once from the stacked splittings."""
     if boundary not in ("finite", "periodic"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
-    n = problem.n_steps
+    n, du, spl = problem.n_steps, problem.dim_u, problem.splittings
     src, dst = slice(None, -1), slice(1, None)
     w = np.zeros_like(v)
     g_imgs = problem.G(v[:-1])
-    w[1:] += _matvec(problem.stable[dst], problem.coords(dst, g_imgs)[1])
-    sv = _matvec(problem.stable[src], problem.coords(src, v[:-1])[1])
+    w[1:] += _matvec(spl.stable[dst], problem.coords(dst, g_imgs)[1])
+    sv = _matvec(spl.stable[src], problem.coords(src, v[:-1])[1])
     target_ambient = -g_imgs + problem.F(v[:-1]) - problem.F(sv) + v[1:]
     wu = problem.invert_unstable(sv, problem.coords(dst, target_ambient)[0])
-    w[:-1] += _matvec(problem.unstable[src], wu)
+    w[:-1] += _matvec(spl.unstable[src], wu)
     if boundary == "periodic":
-        sp0 = problem.splittings[0]
-        spn = problem.splittings[n]
-        w[0] += sp0.stable @ spn.stable_coords(w[n])
-        w[n] += spn.unstable @ sp0.unstable_coords(w[0])
+        w[0] += spl.stable[0] @ (spl.basis_inv[n] @ w[n])[du:]
+        w[n] += spl.unstable[n] @ (spl.basis_inv[0] @ w[0])[:du]
     return w
 
 
@@ -509,11 +501,11 @@ def solve_periodic(po, splittings, f, g, config, polish: bool = True, blocks=Non
     if not np.array_equal(po.seeds[0], po.seeds[-1]):
         raise ValueError("periodic solve needs the closing seed equal to the first seed")
     n = po.n_steps
-    if not np.allclose(splittings[0].basis, splittings[n].basis, atol=1e-9):
+    if not np.allclose(*splittings.basis[[0, n]], atol=1e-9):
         raise ValueError("periodic solve needs matching splittings at the seam")
-    seam = list(splittings.splittings)
-    seam[n] = seam[0]
-    splittings = SplittingAssignment(tuple(seam))
+    seam = np.r_[0:n, 0]
+    splittings = SplittingAssignment(splittings.unstable[seam], splittings.stable[seam],
+                                     splittings.basis_inv[seam])
     problem = ShadowProblem(po, splittings, f, g, config, blocks=blocks)
     v, history, converged, iterations, ball_worst = _iterate(problem, "periodic")
     result = _finish(problem, v, history, converged, iterations, ball_worst, "periodic")
@@ -606,7 +598,7 @@ def shadowing_preconditions(po, splittings, f, g, config, grid_res: int = 256):
     slacks, all nonnegative when the preconditions hold.
     """
     cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps0, config.delta0)
-    eps_actual = max(float(block_norms(seg)[2].max()) for seg in cert.blocks)
+    eps_actual = cert.max_offdiagonal
     d_actual = sup_distance(f, g, grid_res=grid_res) if f is not g else 0.0
     margins = {
         "epsilon": config.eps0 - eps_actual,

@@ -21,11 +21,31 @@ _ORTHO_TOL = 1e-12
 
 
 def _orthonormalize(basis: np.ndarray) -> np.ndarray:
-    """QR-orthonormalize columns with a deterministic sign convention."""
+    """QR-orthonormalize the columns of one ``(n, k)`` basis or a stack
+    ``(..., n, k)`` of them, with a deterministic sign convention."""
+    if not basis.shape[-1]:
+        return basis
     q, r = np.linalg.qr(basis)
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return q * signs
+    return q * signs[..., None, :]
+
+
+def _checked_basis(u: np.ndarray, s: np.ndarray):
+    """[u | s] and its inverse for one orthonormal basis pair or for stacks
+    ``(..., n, du)``/``(..., n, ds)`` of them, each check run on the whole stack."""
+    if u.shape[-2] != s.shape[-2]:
+        raise ValueError("bases live in different ambient dimensions")
+    if u.shape[-1] + s.shape[-1] != u.shape[-2]:
+        raise ValueError("subspace dimensions must add up to the ambient dimension")
+    for name, b in (("unstable", u), ("stable", s)):
+        gram = np.swapaxes(b, -1, -2) @ b
+        if b.shape[-1] and np.abs(gram - np.eye(b.shape[-1])).max() > 1e-9:
+            raise ValueError(f"{name} basis is not orthonormal; use from_bases")
+    basis = np.concatenate([u, s], axis=-1)
+    if np.linalg.svd(basis, compute_uv=False)[..., -1].min() < _ORTHO_TOL:
+        raise ValueError("rank-deficient splitting: subspaces are not transverse")
+    return basis, np.linalg.inv(basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,29 +64,18 @@ class Splitting:
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.unstable, dtype=float))
         s = np.atleast_2d(np.asarray(self.stable, dtype=float))
-        if u.shape[0] != s.shape[0]:
-            raise ValueError("bases live in different ambient dimensions")
-        dim = u.shape[0]
-        if u.shape[1] + s.shape[1] != dim:
-            raise ValueError("subspace dimensions must add up to the ambient dimension")
-        for name, b in (("unstable", u), ("stable", s)):
-            if b.shape[1] and np.abs(b.T @ b - np.eye(b.shape[1])).max() > 1e-9:
-                raise ValueError(f"{name} basis is not orthonormal; use from_bases")
-        basis = np.concatenate([u, s], axis=1)
-        if np.linalg.svd(basis, compute_uv=False)[-1] < _ORTHO_TOL:
-            raise ValueError("rank-deficient splitting: subspaces are not transverse")
+        basis, basis_inv = _checked_basis(u, s)
         for arr in (u, s, basis):
             arr.setflags(write=False)
         object.__setattr__(self, "unstable", u)
         object.__setattr__(self, "stable", s)
         object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_basis_inv", np.linalg.inv(basis))
+        object.__setattr__(self, "_basis_inv", basis_inv)
 
     @classmethod
     def from_bases(cls, unstable, stable) -> "Splitting":
-        u = np.atleast_2d(np.asarray(unstable, dtype=float))
-        s = np.atleast_2d(np.asarray(stable, dtype=float))
-        return cls(_orthonormalize(u) if u.shape[1] else u, _orthonormalize(s) if s.shape[1] else s)
+        return cls(*(_orthonormalize(np.atleast_2d(np.asarray(b, dtype=float)))
+                     for b in (unstable, stable)))
 
     @property
     def dim(self) -> int:
@@ -129,12 +138,6 @@ class BlockJacobian:
         top = np.concatenate([self.A, self.B], axis=1)
         bot = np.concatenate([self.C, self.D], axis=1)
         return self.dst.basis @ np.concatenate([top, bot], axis=0) @ self.src.basis_inv
-
-    def scaled(self, factor: float) -> "BlockJacobian":
-        return BlockJacobian(
-            self.A * factor, self.B * factor, self.C * factor, self.D * factor,
-            self.src, self.dst,
-        )
 
 
 def block_decompose(J, src: Splitting, dst: Splitting) -> BlockJacobian:

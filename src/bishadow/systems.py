@@ -31,6 +31,9 @@ __all__ = [
     "sup_distance",
 ]
 
+#: most points a sampling grid may hold
+MAX_GRID = 2 ** 22
+
 
 class ChartDomainError(ValueError):
     """A point lies outside the injective range of an exponential chart."""
@@ -100,7 +103,7 @@ class Phase:
         """
         if self.kind != "torus":
             raise ValueError("sampling grids are only defined on the torus")
-        if res ** self.dim > 2 ** 22:
+        if res ** self.dim > MAX_GRID:
             raise ValueError("grid too large; lower the per-axis resolution")
         axes = [np.arange(res) / res] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")

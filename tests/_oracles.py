@@ -4,7 +4,8 @@ Everything here recomputes expected values by a route different from the
 library code under test: finite differences for derivatives, closed-form
 eigenvalues for the cat map, the quadratic formula for constant-block
 graph fixed points, synchronous graph-transform sweeps iterated to their
-fixed point, the shadowing solver update one index at a time, the linear
+fixed point, splittings, blocks and margin rows built one index at a
+time, the shadowing solver update one index at a time, the linear
 cat-map shadow orbit by scalar recursions in eigencoordinates, and LP
 feasibility for balance-sequence existence.
 """
@@ -15,7 +16,8 @@ import math
 
 import numpy as np
 
-from bishadow.splitting import Splitting
+from bishadow.certification import OrbitBlocks
+from bishadow.splitting import Splitting, _orthonormalize, block_decompose, min_norm, op_norm
 
 # roots of t^2 - 3t + 1: the cat-map eigenvalues
 CAT_EXPANDING = (3.0 + math.sqrt(5.0)) / 2.0
@@ -46,17 +48,19 @@ def graph_fixed_point_quadratic(a, b, c, d):
 def unstable_graph_sweep(P, blocks):
     """One synchronous unstable graph-transform sweep; entry 0 stays pinned."""
     new = P.copy()
-    for j, b in enumerate(blocks):
-        new[j + 1] = np.linalg.solve((b.A + b.B @ P[j]).T, (b.C + b.D @ P[j]).T).T
+    for j in range(len(blocks)):
+        a, b, c, d = blocks.A[j], blocks.B[j], blocks.C[j], blocks.D[j]
+        new[j + 1] = np.linalg.solve((a + b @ P[j]).T, (c + d @ P[j]).T).T
     return new
 
 
 def stable_graph_sweep(Q, blocks):
     """One synchronous sweep of the mirrored transform; entry N stays pinned."""
     new = Q.copy()
-    for j, b in enumerate(blocks):
-        lhs = np.eye(b.A.shape[0]) - np.linalg.solve(b.A, Q[j + 1] @ b.C)
-        new[j] = np.linalg.solve(lhs, np.linalg.solve(b.A, Q[j + 1] @ b.D - b.B))
+    for j in range(len(blocks)):
+        a, b, c, d = blocks.A[j], blocks.B[j], blocks.C[j], blocks.D[j]
+        lhs = np.eye(a.shape[0]) - np.linalg.solve(a, Q[j + 1] @ c)
+        new[j] = np.linalg.solve(lhs, np.linalg.solve(a, Q[j + 1] @ d - b))
     return new
 
 
@@ -65,7 +69,7 @@ def iterate_graph_sweeps(sweep, blocks, tol=1e-12, max_iter=10_000):
 
     Returns (graphs, updates), one update per sweep.
     """
-    du, ds = blocks[0].A.shape[0], blocks[0].D.shape[0]
+    du, ds = blocks.A.shape[1], blocks.D.shape[1]
     shape = (len(blocks) + 1,) + ((ds, du) if sweep is unstable_graph_sweep else (du, ds))
     cur = np.zeros(shape)
     updates = []
@@ -76,6 +80,75 @@ def iterate_graph_sweeps(sweep, blocks, tol=1e-12, max_iter=10_000):
         if updates[-1] < tol:
             return cur, updates
     raise AssertionError(f"graph sweeps did not converge in {max_iter} sweeps")
+
+
+def stack_blocks(blocks):
+    """OrbitBlocks holding a sequence of single BlockJacobians in order."""
+    return OrbitBlocks(*(np.stack([getattr(b, name) for b in blocks]) for name in "ABCD"))
+
+
+def constant_blocks(n, a, b, c, d):
+    """n copies of the scalar blocks [[a, b], [c, d]]."""
+    return OrbitBlocks(*(np.full((n, 1, 1), v, dtype=float) for v in (a, b, c, d)))
+
+
+def assembled(blocks, splittings, j):
+    """Ambient matrix of block j, read back from splittings j and j + 1."""
+    m = np.block([[blocks.A[j], blocks.B[j]], [blocks.C[j], blocks.D[j]]])
+    return splittings[j + 1].basis @ m @ splittings[j].basis_inv
+
+
+def power_splittings_per_index(po, f, depth, seed):
+    """The power strategy one index at a time, each index through
+    Splitting.from_bases (windows wrap around a closed pseudo-orbit)."""
+    n = po.n_steps
+    jacs = [f.at_step(j).jacobian(po.points[j]) for j in range(n)]
+    closed = np.array_equal(po.seeds[0], po.seeds[-1])
+    out = []
+    for j in range(n + 1):
+        u = seed.unstable.copy()
+        for t in range(j - depth if closed else max(0, j - depth), j):
+            u = _orthonormalize(jacs[t % n] @ u)
+        s = seed.stable.copy()
+        for t in range(j + depth - 1 if closed else min(n, j + depth) - 1, j - 1, -1):
+            s = _orthonormalize(np.linalg.solve(jacs[t % n], s))
+        out.append(Splitting.from_bases(u, s))
+    return out
+
+
+def blocks_per_index(po, splittings, f):
+    """block_decompose of every step, splittings given one per index."""
+    return [block_decompose(f.at_step(j).jacobian(po.points[j]), splittings[j], splittings[j + 1])
+            for j in range(po.n_steps)]
+
+
+def margin_rows_per_index(po, blocks, lam, epsilon, delta):
+    """Certificate rows (condition, segment, step, lhs, rhs, margin) from
+    single BlockJacobians, norms by min_norm/op_norm, segment by segment."""
+    rows = []
+    log_lam = math.log(lam)
+    segments = [(po.i_min + t, int(a), int(b) - int(a))
+                for t, (a, b) in enumerate(zip(po.offsets[:-1], po.offsets[1:]))]
+    for index, start, length in segments:
+        run = blocks[start : start + length]
+        with np.errstate(divide="ignore"):
+            cum_d = np.cumsum(np.log([op_norm(b.D) for b in run]))
+            tail_a = np.cumsum(np.log([min_norm(b.A) for b in run])[::-1])[::-1]
+        for k in range(1, length + 1):
+            rhs = k * log_lam
+            rows.append(("contraction_product", index, start + k,
+                         cum_d[k - 1], rhs, rhs - cum_d[k - 1]))
+        for k in range(length):
+            rhs = (k - length) * log_lam
+            rows.append(("expansion_product", index, start + k, tail_a[k], rhs, tail_a[k] - rhs))
+        for t, b in enumerate(run):
+            ratio = op_norm(b.D) / min_norm(b.A)
+            off = max(op_norm(b.B), op_norm(b.C))
+            rows.append(("ratio", index, start + t, ratio, lam * lam, lam * lam - ratio))
+            rows.append(("offdiag", index, start + t, off, epsilon, epsilon - off))
+    for (index, start, length), residual in zip(segments, po.residuals.tolist()):
+        rows.append(("residual", index, start + length, residual, delta, delta - residual))
+    return rows
 
 
 def quotient_log_bounds(a, b, lam):

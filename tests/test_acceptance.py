@@ -14,11 +14,12 @@ from bishadow.refinement import (
     solve_unstable_graphs,
     unstable_invariance_residuals,
 )
-from bishadow.splitting import BlockJacobian, Splitting, eigen_splitting, min_norm, op_norm
+from bishadow.splitting import Splitting, eigen_splitting, min_norm, op_norm
 
 from _oracles import (
     CAT_CONTRACTING,
     CAT_EXPANDING,
+    constant_blocks,
     feasible_by_interval,
     feasible_by_lp,
     graph_fixed_point_quadratic,
@@ -54,9 +55,8 @@ def test_criterion_1_cat_map_certification():
         assert cert.passed
         lam = bs.min_feasible_lambda(po, spl, f, 0.0)
         assert abs(lam - CAT_CONTRACTING) <= 1e-6
-        blk = cert.blocks[0][0]
-        assert abs(op_norm(blk.D) - CAT_CONTRACTING) <= 1e-10
-        assert abs(min_norm(blk.A) - CAT_EXPANDING) <= 1e-10
+        assert abs(op_norm(cert.blocks.D[0]) - CAT_CONTRACTING) <= 1e-10
+        assert abs(min_norm(cert.blocks.A[0]) - CAT_EXPANDING) <= 1e-10
 
 
 def test_criterion_2_well_adapted_construction():
@@ -84,13 +84,12 @@ def test_criterion_2_well_adapted_construction():
 
 def test_criterion_3_graph_transform():
     with criterion(3, "graph transform: scalar oracle and refined splitting", 5.0):
-        blk = BlockJacobian(np.array([[2.0]]), np.array([[0.1]]), np.array([[0.1]]),
-                            np.array([[0.5]]), AXES, AXES)
-        p = solve_unstable_graphs([blk] * 60)
+        blocks = constant_blocks(60, 2.0, 0.1, 0.1, 0.5)
+        p = solve_unstable_graphs(blocks)
         root = graph_fixed_point_quadratic(2.0, 0.1, 0.1, 0.5)
         assert abs(p[-1][0, 0] - root) <= 1e-9
-        assert unstable_invariance_residuals(p, [blk] * 60).max() <= 1e-10
-        oracle, updates = iterate_graph_sweeps(unstable_graph_sweep, [blk] * 60)
+        assert unstable_invariance_residuals(p, blocks).max() <= 1e-10
+        oracle, updates = iterate_graph_sweeps(unstable_graph_sweep, blocks)
         assert all(x > y for x, y in zip(updates, updates[1:]))
         assert np.abs(p - oracle).max() <= 1e-12
 

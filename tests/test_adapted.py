@@ -10,16 +10,16 @@ from bishadow.adapted import (
     verify_well_adapted,
     well_adapted_sequence,
 )
-from bishadow.splitting import BlockJacobian, Splitting, min_norm, op_norm
+from bishadow.certification import OrbitBlocks
+from bishadow.splitting import min_norm, op_norm
 
 from _oracles import (
     feasible_by_interval,
     feasible_by_lp,
     quotient_log_bounds,
     random_quasi_hyperbolic_pair,
+    stack_blocks,
 )
-
-AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
 class TestCheckPair:
@@ -154,36 +154,31 @@ class TestScaleFactors:
 
 class TestRescaledBlocks:
     def _cat_blocks(self, n=4):
-        from bishadow.splitting import eigen_splitting
+        from bishadow.splitting import block_decompose, eigen_splitting
 
         m = np.array([[2.0, 1.0], [1.0, 1.0]])
         sp = eigen_splitting(m)
-        from bishadow.splitting import block_decompose
-
-        return [block_decompose(m, sp, sp) for _ in range(n)]
+        return stack_blocks([block_decompose(m, sp, sp)] * n)
 
     def test_cat_unit_weights_are_identity(self):
         blocks = self._cat_blocks()
         out = rescaled_blocks(blocks, np.ones(len(blocks)))
         lam = 0.62
-        for b0, b1 in zip(blocks, out):
-            assert np.array_equal(b0.A, b1.A)
-            assert op_norm(b1.D) < lam and min_norm(b1.A) > 1.0 / lam
+        assert np.array_equal(blocks.A, out.A)
+        for a1, d1 in zip(out.A, out.D):
+            assert op_norm(d1) < lam and min_norm(a1) > 1.0 / lam
 
     def test_nonuniform_rescale_restores_stepwise(self):
         rng = np.random.default_rng(3)
         lam = 0.5
         n = 8
         a, b = random_quasi_hyperbolic_pair(rng, n, lam)
-        blocks = [
-            BlockJacobian(np.array([[bv]]), np.zeros((1, 1)), np.zeros((1, 1)),
-                          np.array([[av]]), AXES, AXES)
-            for av, bv in zip(a, b)
-        ]
+        zero = np.zeros((n, 1, 1))
+        blocks = OrbitBlocks(b[:, None, None], zero, zero, a[:, None, None])
         h = well_adapted_sequence(a, b, lam)
         out = rescaled_blocks(blocks, h)
-        new_a = [op_norm(x.D) for x in out]
-        new_b = [min_norm(x.A) for x in out]
+        new_a = [op_norm(x) for x in out.D]
+        new_b = [min_norm(x) for x in out.A]
         assert check_pair(new_a, new_b, lam, mode="hyperbolic").ok
 
     def test_balance_verifier_rejects_non_balance(self):

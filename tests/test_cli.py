@@ -7,7 +7,9 @@ import bishadow.certification
 import bishadow.cli
 import bishadow.shadowing
 from bishadow.cli import main
+from bishadow.config import parse_config
 from bishadow.refinement import GraphTransformError
+from bishadow.systems import Phase
 
 BASE_CONFIG = {
     "system": {"type": "cat_map"},
@@ -138,16 +140,16 @@ class TestExitCodes:
 
     def test_shadow_builds_blocks_once(self, tmp_path, monkeypatch):
         calls = []
-        real = bishadow.certification.block_decompose
+        real = bishadow.certification.pseudo_orbit_blocks
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(bishadow.certification, "block_decompose", counting)
+        monkeypatch.setattr(bishadow.certification, "pseudo_orbit_blocks", counting)
         code, _ = run(tmp_path, "shadow")
         assert code == 0
-        assert len(calls) == sum(BASE_CONFIG["pseudo_orbit"]["generator"]["lengths"])
+        assert len(calls) == 1
 
     def test_shadow_samples_map_distance_on_configured_grid(self, tmp_path, monkeypatch):
         grids = []
@@ -167,6 +169,49 @@ class TestExitCodes:
             code, _ = run(tmp_path, command, payload, name=command)
             assert code == 0
         assert grids == [64, 64]
+
+    def test_refine_samples_bounds_on_configured_grid(self, tmp_path, monkeypatch):
+        grids = []
+        real = bishadow.cli.estimate_bounds
+
+        def recording(f, grid_res=256, **kwargs):
+            grids.append(grid_res)
+            return real(f, grid_res=grid_res, **kwargs)
+
+        monkeypatch.setattr(bishadow.cli, "estimate_bounds", recording)
+        payload = {
+            "system": {"type": "perturbed_cat_map", "amplitude": 0.005},
+            "pseudo_orbit": {"generator": {"start": [0.3, 0.7], "lengths": [3, 3, 3],
+                                           "jump_amp": 1e-5, "rng_seed": 7}},
+            "certification": {"lambda": 0.4},
+            "refinement": {"lambda_tilde": 0.5},
+            "splitting": {"strategy": "power", "depth": 1},
+            "solver": {"grid_res": 64},
+        }
+        code, _ = run(tmp_path, "refine", payload)
+        assert code == 0
+        assert grids == [64]
+
+    def test_grid_res_above_grid_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def no_grid(self, res):
+            raise AssertionError("a config check must not sample a grid")
+
+        monkeypatch.setattr(Phase, "grid", no_grid)
+        torus3 = {"type": "torus_linear", "matrix": [[2, 1, 0], [1, 1, 0], [0, 0, 1]]}
+        affine = {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]]}
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        # 2048^2 and 161^3 points stay within Phase.grid's 2^22; 2049^2 and 162^3 do not
+        for system, res in (({"type": "cat_map"}, 2049), ({"type": "cat_map"}, 4096),
+                            ({"type": "perturbed_cat_map", "amplitude": 0.01}, 4096),
+                            (torus3, 162), (torus3, 256)):
+            payload["system"], payload["solver"]["grid_res"] = system, res
+            code, out = run(tmp_path, "shadow", payload, name=f"{system['type']}{res}")
+            assert code == 3
+            assert not out.exists()
+            assert "solver.grid_res" in capsys.readouterr().err
+        for system, res in (({"type": "cat_map"}, 2048), (torus3, 161), (affine, 4096)):
+            payload["system"], payload["solver"]["grid_res"] = system, res
+            parse_config(payload)
 
     def test_grid_res_below_floor_is_config_error(self, tmp_path, capsys):
         for value in (16, 63, 64.0, True):

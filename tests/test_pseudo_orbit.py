@@ -48,9 +48,9 @@ class TestFlatten:
     def test_segment_orbit_property_exact(self):
         f = cat_map()
         po = generate(f, [0.31, 0.77], [3, 2, 4], 1e-3, 5)
-        for seg in po.segments():
-            for t in range(seg.length - 1):
-                assert np.array_equal(f(seg.points[t]), seg.points[t + 1])
+        for start, stop in zip(po.offsets[:-1], po.offsets[1:]):
+            for t in range(start, stop - 1):
+                assert np.array_equal(f(po.points[t]), po.points[t + 1])
 
     def test_seed_count_guard(self):
         f = cat_map()
@@ -75,8 +75,8 @@ class TestFlatten:
         assert np.array_equal(po.points[po.offsets[:-1]], po.seeds[:-1])
         assert np.array_equal(po.points[po.offsets[-1]], po.seeds[-1])
         assert np.array_equal(np.diff(po.offsets), po.lengths)
-        for seg in po.segments():
-            assert np.array_equal(seg.points[0], po.seeds[seg.index - po.i_min])
+        for i in range(po.i_min, po.i_max + 1):
+            assert np.array_equal(po.points[po.position(i)], po.seeds[i - po.i_min])
 
     def test_window_round_trip(self):
         f = cat_map()
@@ -141,7 +141,11 @@ class TestAssignSplittings:
         po = generate(f, [0.11, 0.23], [2], 0.0, 0)
         sp = eigen_splitting(f.matrix)
         spl = assign_splittings(po, f, "user", splittings=sp)
-        assert all(spl[j] is sp for j in range(len(spl)))
+        assert len(spl) == po.n_steps + 1
+        for stack, arr in ((spl.unstable, sp.unstable), (spl.stable, sp.stable),
+                           (spl.basis_inv, sp.basis_inv)):
+            assert np.shares_memory(stack, arr)  # a broadcast view, not copies
+            assert all(np.array_equal(row, arr) for row in stack)
 
     def test_eigen_rejects_varying_derivative(self):
         f = PerturbedCatMap(0.05)

@@ -14,8 +14,6 @@ from bishadow.refinement import (
     unstable_invariance_residuals,
 )
 from bishadow.splitting import (
-    BlockJacobian,
-    Splitting,
     block_decompose,
     eigen_splitting,
     min_norm,
@@ -24,19 +22,16 @@ from bishadow.splitting import (
 from bishadow.systems import PerturbedCatMap, cat_map
 
 from _oracles import (
+    assembled,
+    constant_blocks,
     graph_fixed_point_quadratic,
     iterate_graph_sweeps,
     stable_graph_sweep,
     unstable_graph_sweep,
 )
 
-AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
-
-
 def scalar_blocks(n=60, a=2.0, b=0.1, c=0.1, d=0.5):
-    blk = BlockJacobian(np.array([[a]]), np.array([[b]]), np.array([[c]]),
-                        np.array([[d]]), AXES, AXES)
-    return [blk] * n
+    return constant_blocks(n, a, b, c, d)
 
 
 def perturbed_setup(amplitude=0.005, lengths=(3, 3, 3), jump=1e-5, seed=7):
@@ -47,10 +42,6 @@ def perturbed_setup(amplitude=0.005, lengths=(3, 3, 3), jump=1e-5, seed=7):
     return f, po, spl
 
 
-def flat_blocks(po, spl, f):
-    return [b for seg in pseudo_orbit_blocks(po, spl, f) for b in seg]
-
-
 class TestChartBlocks:
     def test_flat_chart_equals_jacobian_blocks(self):
         # block j reads the Jacobian at point j from splitting j into j + 1,
@@ -58,12 +49,12 @@ class TestChartBlocks:
         f = PerturbedCatMap(0.01)
         po = generate(f, [0.2, 0.5], [2, 3], 1e-4, 1)
         spl = assign_splittings(po, f, "power", depth=3)
-        per_seg = pseudo_orbit_blocks(po, spl, f)
-        assert [len(s) for s in per_seg] == [2, 3]
-        for j, x in enumerate(b for s in per_seg for b in s):
+        blocks = pseudo_orbit_blocks(po, spl, f)
+        assert len(blocks) == 5
+        for j in range(len(blocks)):
             y = block_decompose(f.jacobian(po.points[j]), spl[j], spl[j + 1])
             for name in "ABCD":
-                assert np.array_equal(getattr(x, name), getattr(y, name))
+                assert np.array_equal(getattr(blocks, name)[j], getattr(y, name))
 
     def test_residual_guard(self):
         # a jump above delta fails the input certificate's residual row
@@ -76,7 +67,7 @@ class TestChartBlocks:
 
     def test_matches_finite_difference_of_chart_map(self):
         f, po, spl = perturbed_setup(amplitude=0.01)
-        flat = flat_blocks(po, spl, f)
+        blocks = pseudo_orbit_blocks(po, spl, f)
         phase = f.phase
         for j in (0, po.n_steps // 2, po.n_steps - 1):
             y0, y1 = po.points[j], po.points[j + 1]
@@ -88,7 +79,7 @@ class TestChartBlocks:
                 plus = phase.wrap(f(phase.canon(y0 + e)) - y1)
                 minus = phase.wrap(f(phase.canon(y0 - e)) - y1)
                 fd[:, i] = (plus - minus) / (2.0 * h)
-            assert np.abs(flat[j].assembled() - fd).max() <= 1e-6
+            assert np.abs(assembled(blocks, spl, j) - fd).max() <= 1e-6
 
 
 class TestGraphStep:
@@ -112,14 +103,12 @@ class TestGraphStep:
             assert dp < np.abs(p - q).max()
 
     def test_unit_ball_escape_detected(self):
-        bad = [BlockJacobian(np.array([[1.01]]), np.zeros((1, 1)),
-                             np.array([[2.0]]), np.array([[0.99]]), AXES, AXES)]
+        bad = constant_blocks(1, 1.01, 0.0, 2.0, 0.99)
         with pytest.raises(GraphTransformError, match="index 1"):
             solve_unstable_graphs(bad)
 
     def test_stable_unit_ball_escape_detected(self):
-        bad = [BlockJacobian(np.array([[1.01]]), np.array([[2.0]]),
-                             np.zeros((1, 1)), np.array([[0.99]]), AXES, AXES)]
+        bad = constant_blocks(1, 1.01, 2.0, 0.0, 0.99)
         with pytest.raises(GraphTransformError, match="index 0"):
             solve_stable_graphs(bad)
 
@@ -144,7 +133,7 @@ class TestGraphSolves:
         f = PerturbedCatMap(0.02)
         po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
         spl = assign_splittings(po, f, "power", depth=1)
-        blocks = flat_blocks(po, spl, f)
+        blocks = pseudo_orbit_blocks(po, spl, f)
         p_oracle, _ = iterate_graph_sweeps(unstable_graph_sweep, blocks)
         q_oracle, _ = iterate_graph_sweeps(stable_graph_sweep, blocks)
         p = solve_unstable_graphs(blocks)
@@ -174,18 +163,18 @@ class TestGraphSolves:
 
     def test_expansion_and_contraction_conclusions(self):
         f, po, spl = perturbed_setup()
-        blocks = flat_blocks(po, spl, f)
+        b = pseudo_orbit_blocks(po, spl, f)
         cfg = make_refinement_config(0.4, 0.5, R=2.63)
-        p = solve_unstable_graphs(blocks)
-        q = solve_stable_graphs(blocks)
+        p = solve_unstable_graphs(b)
+        q = solve_stable_graphs(b)
         eps1 = cfg.eps_cap
-        for j, b in enumerate(blocks):
-            assert min_norm(b.A + b.B @ p[j]) >= min_norm(b.A) - 3 * eps1
-            assert op_norm(b.C @ q[j] + b.D) <= op_norm(b.D) + 3 * eps1
+        for j in range(len(b)):
+            assert min_norm(b.A[j] + b.B[j] @ p[j]) >= min_norm(b.A[j]) - 3 * eps1
+            assert op_norm(b.C[j] @ q[j] + b.D[j]) <= op_norm(b.D[j]) + 3 * eps1
 
     def test_transversality_of_graph_pairs(self):
         f, po, spl = perturbed_setup()
-        blocks = flat_blocks(po, spl, f)
+        blocks = pseudo_orbit_blocks(po, spl, f)
         p = solve_unstable_graphs(blocks)
         q = solve_stable_graphs(blocks)
         for j in range(len(blocks) + 1):
@@ -225,11 +214,10 @@ class TestRefine:
         result = refine(po, spl, f, cfg, blocks=original)
         lo = cfg.lam0 / cfg.lam_tilde
         hi = cfg.lam_tilde / cfg.lam0
-        pairs = zip((b for s in original for b in s), (b for s in result.blocks for b in s))
-        for b0, b1 in pairs:
-            assert lo * min_norm(b0.A) <= min_norm(b1.A) + 1e-12
-            assert min_norm(b1.A) <= op_norm(b1.A) + 1e-12
-            assert op_norm(b1.A) <= hi * op_norm(b0.A) + 1e-12
+        for a0, a1 in zip(original.A, result.blocks.A):
+            assert lo * min_norm(a0) <= min_norm(a1) + 1e-12
+            assert min_norm(a1) <= op_norm(a1) + 1e-12
+            assert op_norm(a1) <= hi * op_norm(a0) + 1e-12
 
     def test_eps_cap_guard(self):
         f, po, spl = perturbed_setup(amplitude=0.2)
@@ -245,7 +233,7 @@ class TestRefine:
         po_short = po_long.window(0, 29)
         spl_long = assign_splittings(po_long, f, "user", splittings=base)
         spl_short = assign_splittings(po_short, f, "user", splittings=base)
-        p_long = solve_unstable_graphs(flat_blocks(po_long, spl_long, f))
-        p_short = solve_unstable_graphs(flat_blocks(po_short, spl_short, f))
+        p_long = solve_unstable_graphs(pseudo_orbit_blocks(po_long, spl_long, f))
+        p_short = solve_unstable_graphs(pseudo_orbit_blocks(po_short, spl_short, f))
         mid = 15
         assert np.abs(p_long[mid] - p_short[mid]).max() <= 1e-10

@@ -69,10 +69,10 @@ class TestLocalMaps:
         f, g, po, spl, cfg = cat_problem(jump=1e-4, shift=(0.0, 0.0))
         problem = ShadowProblem(po, spl, f, f, cfg)
         offsets = problem.F(np.zeros((po.n_steps, 2)))
-        for i, seg in enumerate(po.segments()):
-            j_end = seg.start + seg.length - 1
+        for i, (start, stop) in enumerate(zip(po.offsets[:-1], po.offsets[1:])):
+            j_end = stop - 1
             assert np.isclose(np.linalg.norm(offsets[j_end]), po.residuals[i])
-            assert np.allclose(offsets[seg.start : j_end], 0.0, atol=1e-15)
+            assert np.allclose(offsets[start:j_end], 0.0, atol=1e-15)
 
     def test_shift_offset_constant_in_charts(self):
         f, g, po, spl, cfg = cat_problem(shift=(1e-4, 0.0))
