@@ -42,7 +42,7 @@ from .shadowing import (
     solve_finite,
     solve_periodic,
 )
-from .systems import estimate_bounds
+from .systems import MAX_GRID, estimate_bounds
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -108,12 +108,25 @@ def _solver_config(cfg: RunConfig, po, f):
         eta=block.get("eta"),
         tol_fix=float(block.get("tol_fix", 1e-12)),
         max_iter=int(block.get("max_iter", 10_000)),
-        grid_res=_grid_res(cfg),
+        grid_res=_grid_res(cfg, f, f),
     )
 
 
-def _grid_res(cfg: RunConfig) -> int:
-    return int(cfg.solver.get("grid_res", 256))
+def _grid_res(cfg: RunConfig, f, g) -> int:
+    """solver.grid_res; by default the finest resolution of at most 256 per
+    axis whose grid fits MAX_GRID points on f's phase space.  A run that
+    samples a torus grid (a map without exact norm bounds, or a perturbed
+    g) needs at least 64 per axis."""
+    if "grid_res" in cfg.solver:
+        return int(cfg.solver["grid_res"])
+    res = 256
+    while res ** f.phase.dim > MAX_GRID:
+        res -= 1
+    samples = f.phase.kind == "torus" and (f.operator_norm_bounds() is None or g is not f)
+    if res < 64 and samples:
+        raise ConfigError(f"no default solver.grid_res of at least 64 fits {MAX_GRID} "
+                          f"grid points on T^{f.phase.dim}")
+    return res
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
@@ -139,7 +152,7 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     lam = float(cfg.certification["lambda"])
     block = cfg.refinement
     lam_tilde = float(block.get("lambda_tilde", (1.0 + lam) / 2.0))
-    bounds = estimate_bounds(f, grid_res=_grid_res(cfg))
+    bounds = estimate_bounds(f, grid_res=_grid_res(cfg, f, f))
     rcfg = make_refinement_config(
         lam, lam_tilde, bounds.R,
         lam0=block.get("lambda0"),
@@ -172,11 +185,13 @@ def cmd_refine(cfg: RunConfig, args) -> int:
 def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
     start = time.perf_counter()
     f, po, splittings = _build_all(cfg, args.seed)
+    if periodic and not po.closed:
+        raise ConfigError("periodic needs a pseudo-orbit whose closing seed equals its first seed")
     g = build_perturbed(cfg, f)
     scfg = _solver_config(cfg, po, f)
     report = _base_report(cfg, "periodic" if periodic else "shadow", None)
     report["solver_constants"] = scfg.to_dict()
-    cert, margins = shadowing_preconditions(po, splittings, f, g, scfg, grid_res=_grid_res(cfg))
+    cert, margins = shadowing_preconditions(po, splittings, f, g, scfg, grid_res=_grid_res(cfg, f, g))
     report["certificate"] = cert.to_dict()
     report["precondition_margins"] = {k: float(v) for k, v in margins.items()}
     if not cert.passed or min(margins.values()) < 0:

@@ -177,20 +177,20 @@ def load_config(path: str) -> RunConfig:
 def build_system(cfg: RunConfig) -> SmoothMap:
     block = cfg.system
     kind = block["type"]
-    if kind == "cat_map":
-        return cat_map()
-    if kind == "perturbed_cat_map":
-        amp = block.get("amplitude")
-        if amp is None:
-            raise ConfigError("perturbed_cat_map needs an amplitude")
-        return PerturbedCatMap(float(amp))
-    if kind == "torus_linear":
-        if "matrix" not in block:
-            raise ConfigError("torus_linear needs a matrix")
-        return TorusLinearMap(np.asarray(block["matrix"]))
-    if "matrix" not in block:
-        raise ConfigError("affine needs a matrix")
-    return AffineMap(np.asarray(block["matrix"], dtype=float), block.get("offset"))
+    if kind == "perturbed_cat_map" and block.get("amplitude") is None:
+        raise ConfigError("perturbed_cat_map needs an amplitude")
+    if kind in ("torus_linear", "affine") and "matrix" not in block:
+        raise ConfigError(f"{kind} needs a matrix")
+    try:
+        if kind == "cat_map":
+            return cat_map()
+        if kind == "perturbed_cat_map":
+            return PerturbedCatMap(float(block["amplitude"]))
+        if kind == "torus_linear":
+            return TorusLinearMap(np.asarray(block["matrix"]))
+        return AffineMap(np.asarray(block["matrix"], dtype=float), block.get("offset"))
+    except ValueError as exc:
+        raise ConfigError(f"cannot build system: {exc}") from exc
 
 
 def build_perturbed(cfg: RunConfig, f: SmoothMap) -> SmoothMap:

@@ -66,6 +66,11 @@ class SegmentedPseudoOrbit:
         return int(self.offsets[-1])
 
     @property
+    def closed(self) -> bool:
+        """Closing seed equal to the first, bitwise: one period of a cycle."""
+        return bool(np.array_equal(self.seeds[0], self.seeds[-1]))
+
+    @property
     def i_max(self) -> int:
         return self.i_min + self.n_segments - 1
 
@@ -262,28 +267,31 @@ class SplittingAssignment:
 
 
 def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
-    """Subspace iteration over a window of `depth` steps on each side of j.
+    """Chained subspace iteration: one forward QR pass pushes the seed's
+    unstable basis along the orbit, u_{t+1} = orth(J_t u_t), and one
+    backward pass pulls its stable basis back, s_t = orth(J_t^{-1} s_{t+1}).
 
-    A closed pseudo-orbit (closing seed equal to the first) is one period
-    of a cycle, so its windows wrap around and indices 0 and N agree.
+    An open pseudo-orbit starts the passes at its ends.  A closed one
+    (closing seed equal to the first) is one period of a cycle: both
+    passes start `depth` steps early, wrapping around, and index N is
+    set to index 0.
     """
     n = po.n_steps
     jacs = f.jacobian_along(po.points[:-1])
-    closed = np.array_equal(po.seeds[0], po.seeds[-1])
-    us, ss = [], []
-    for j in range(n + 1):
-        u = seed.unstable.copy()
-        for t in range(j - depth if closed else max(0, j - depth), j):
-            u = _orthonormalize(jacs[t % n] @ u)
-        s = seed.stable.copy()
-        for t in range(j + depth - 1 if closed else min(n, j + depth) - 1, j - 1, -1):
-            s = _orthonormalize(np.linalg.solve(jacs[t % n], s))
-        gap = np.linalg.svd(np.concatenate([u, s], axis=1), compute_uv=False)[-1]
-        if gap < 1e-6:
-            raise SplittingError(f"power iteration failed to separate subspaces at index {j}")
-        us.append(u)
-        ss.append(s)
-    return SplittingAssignment.from_bases(np.stack(us), np.stack(ss))
+    warm = depth if po.closed else 0
+    u, s = [seed.unstable], [seed.stable]
+    for t in range(-warm, n):
+        u.append(_orthonormalize(jacs[t % n] @ u[-1]))
+    for t in range(n - 1 + warm, -1, -1):
+        s.append(_orthonormalize(np.linalg.solve(jacs[t % n], s[-1])))
+    u, s = np.stack(u[warm:]), np.stack(s[warm:][::-1])  # indices 0..N
+    if po.closed:
+        u[n], s[n] = u[0], s[0]
+    gaps = np.linalg.svd(np.concatenate([u, s], axis=-1), compute_uv=False)[:, -1]
+    bad = np.flatnonzero(gaps < 1e-6)
+    if bad.size:
+        raise SplittingError(f"power iteration failed to separate subspaces at index {bad[0]}")
+    return SplittingAssignment.from_bases(u, s)
 
 
 def assign_splittings(
@@ -300,9 +308,14 @@ def assign_splittings(
     Strategies:
       ``eigen``  constant eigen-splitting of the (constant) derivative;
       ``user``   pass through the provided splitting(s) unchanged;
-      ``power``  per-index forward/backward subspace iteration, warm
-                 started from the eigen-splitting of the derivative's
-                 linear part; periodic around a closed pseudo-orbit.
+      ``power``  chained forward/backward subspace iteration, started
+                 from the eigen-splitting of the derivative's linear part.
+
+    On an open pseudo-orbit the ``power`` passes start at the orbit's ends,
+    which is the limit of per-index windows as their depth grows, so
+    ``depth`` does not matter there.  On a closed pseudo-orbit (closing
+    seed equal to the first) the passes wrap around the cycle, starting
+    ``depth`` steps early as warm-up, and index N equals index 0.
     """
     n = po.n_steps
     if strategy == "user":
@@ -324,6 +337,8 @@ def assign_splittings(
         return SplittingAssignment.constant(eigen_splitting(j0, dim_u=dim_u), n + 1)
 
     if strategy == "power":
+        if depth < 0:
+            raise ValueError("power splittings need a nonnegative depth")
         return _power_splittings(po, f, depth, eigen_splitting(j0, dim_u=dim_u))
 
     raise ValueError(f"unknown strategy {strategy!r}")

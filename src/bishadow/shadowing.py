@@ -498,7 +498,7 @@ def solve_periodic(po, splittings, f, g, config, polish: bool = True, blocks=Non
     is periodic with period N.  An optional Newton polish afterwards
     drives the orbit closure to roundoff.
     """
-    if not np.array_equal(po.seeds[0], po.seeds[-1]):
+    if not po.closed:
         raise ValueError("periodic solve needs the closing seed equal to the first seed")
     n = po.n_steps
     if not np.allclose(*splittings.basis[[0, n]], atol=1e-9):

@@ -99,18 +99,26 @@ def assembled(blocks, splittings, j):
 
 
 def power_splittings_per_index(po, f, depth, seed):
-    """The power strategy one index at a time, each index through
-    Splitting.from_bases (windows wrap around a closed pseudo-orbit)."""
+    """The chained power passes one index at a time, each index through
+    Splitting.from_bases: for every j, iterate the seed's unstable basis
+    forward from a fixed start up to j and its stable basis backward from
+    a fixed end down to j.  An open orbit starts at 0 and ends at n - 1;
+    a closed one starts at -depth and ends at n - 1 + depth, wrapping
+    around, and its index n equals index 0."""
     n = po.n_steps
     jacs = [f.at_step(j).jacobian(po.points[j]) for j in range(n)]
     closed = np.array_equal(po.seeds[0], po.seeds[-1])
+    warm = depth if closed else 0
     out = []
     for j in range(n + 1):
+        if closed and j == n:
+            out.append(out[0])
+            break
         u = seed.unstable.copy()
-        for t in range(j - depth if closed else max(0, j - depth), j):
+        for t in range(-warm, j):
             u = _orthonormalize(jacs[t % n] @ u)
         s = seed.stable.copy()
-        for t in range(j + depth - 1 if closed else min(n, j + depth) - 1, j - 1, -1):
+        for t in range(n - 1 + warm, j - 1, -1):
             s = _orthonormalize(np.linalg.solve(jacs[t % n], s))
         out.append(Splitting.from_bases(u, s))
     return out

@@ -213,6 +213,63 @@ class TestExitCodes:
             payload["system"], payload["solver"]["grid_res"] = system, res
             parse_config(payload)
 
+    def test_default_grid_res_fits_phase_dimension(self, tmp_path, monkeypatch):
+        # 161^3 is the finest default grid within 2^22 points on T^3; a
+        # coarse stand-in grid keeps the test small
+        requested = []
+        grid = Phase.grid
+
+        def small_grid(self, res):
+            requested.append(res)
+            return grid(self, 8)
+
+        monkeypatch.setattr(Phase, "grid", small_grid)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["system"] = {"type": "torus_linear", "matrix": [[1, 1, 0], [1, 2, 1], [0, 1, 2]]}
+        payload["pseudo_orbit"]["generator"].update(start=[0.13, 0.41, 0.7], jump_amp=1e-6)
+        payload["certification"].update({"lambda": 0.7, "delta": 1e-6})
+        payload["perturbation"]["offset"] = [1e-6, 0.0, 0.0]
+        payload["solver"] = {"lambda_tilde": 0.8}
+        code, out = run(tmp_path, "shadow", payload)
+        assert code == 0
+        assert requested == [161]
+        assert json.loads(out.read_text())["result"]["converged"] is True
+
+    def test_no_default_grid_res_fits_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # on T^4 not even 64^4 points fit: a shifted map needs a grid for its
+        # distance, an unperturbed linear one never samples
+        def no_grid(self, res):
+            raise AssertionError("a config check must not sample a grid")
+
+        monkeypatch.setattr(Phase, "grid", no_grid)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["system"] = {"type": "torus_linear", "matrix": [
+            [2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]}
+        payload["pseudo_orbit"]["generator"]["start"] = [0.13, 0.41, 0.7, 0.2]
+        payload["perturbation"]["offset"] = [1e-4, 0.0, 0.0, 0.0]
+        code, out = run(tmp_path, "shadow", payload, name="shifted")
+        assert code == 3
+        assert not out.exists()
+        assert "solver.grid_res" in capsys.readouterr().err
+        payload["perturbation"] = {"type": "none"}
+        code, out = run(tmp_path, "shadow", payload, name="linear")
+        assert code == 0
+
+    def test_non_unimodular_matrix_is_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["system"] = {"type": "torus_linear", "matrix": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
+        payload["pseudo_orbit"]["generator"]["start"] = [0.13, 0.41, 0.7]
+        code, out = run(tmp_path, "shadow", payload)
+        assert code == 3
+        assert not out.exists()
+        assert "unimodular" in capsys.readouterr().err
+
+    def test_periodic_needs_closed_pseudo_orbit(self, tmp_path, capsys):
+        code, out = run(tmp_path, "periodic")
+        assert code == 3
+        assert not out.exists()
+        assert "closing seed" in capsys.readouterr().err
+
     def test_grid_res_below_floor_is_config_error(self, tmp_path, capsys):
         for value in (16, 63, 64.0, True):
             payload = json.loads(json.dumps(BASE_CONFIG))

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from bishadow.oracle import AffineSequenceSystem
 from bishadow.pseudo_orbit import (
     SegmentedPseudoOrbit,
+    SplittingAssignment,
     SplittingError,
     assign_splittings,
     flatten,
     generate,
 )
-from bishadow.splitting import eigen_splitting
+from bishadow.splitting import _orthonormalize, eigen_splitting
 from bishadow.systems import PerturbedCatMap, cat_map
 
 
@@ -175,14 +177,82 @@ class TestAssignSplittings:
 
     def test_power_iteration_wraps_around_closed_orbit(self):
         # one period of a cycle against the middle of five repeated periods
-        # with an open end: the windows see the same Jacobians either way
+        # with an open end: a warm-up of two periods makes the closed passes
+        # see the same Jacobians as the open ones, and the seam index 3 is
+        # index 0
         f = PerturbedCatMap(0.01)
         cycle = [[0.75, 0.5], [0.0, 0.25], [0.25, 0.25]]
         closed = flatten(np.array(cycle + cycle[:1]), [1] * 3, f)
         open_end = flatten(np.array(cycle * 5 + [[0.8, 0.5]]), [1] * 15, f)
-        spl_closed = assign_splittings(closed, f, "power", depth=4)
-        spl_open = assign_splittings(open_end, f, "power", depth=4)
+        spl_closed = assign_splittings(closed, f, "power", depth=6)
+        spl_open = assign_splittings(open_end, f, "power", depth=6)
         assert np.array_equal(spl_closed[0].basis, spl_closed[3].basis)
         for j in range(4):
-            assert np.array_equal(spl_closed[j].basis, spl_open[6 + j].basis)
+            assert np.array_equal(spl_closed[j].basis, spl_open[6 + j % 3].basis)
         assert not np.allclose(spl_open[0].basis, spl_open[3].basis, atol=1e-9)
+
+    def test_power_rejects_collapsed_subspaces(self):
+        # a quarter turn after a hyperbolic step carries the stable axis
+        # onto the unstable one, so the passes meet at every index
+        hyperbolic = np.diag([2.0, 0.5])
+        quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+        f = AffineSequenceSystem([hyperbolic, quarter], np.zeros((2, 2)),
+                                 eigen_splitting(hyperbolic), validate=False)
+        po = flatten(np.zeros((2, 2)), [2], f)
+        with pytest.raises(SplittingError, match="at index 0$"):
+            assign_splittings(po, f, "power")
+        with pytest.raises(ValueError, match="nonnegative depth"):
+            assign_splittings(po, f, "power", depth=-1)
+
+    def test_power_open_orbit_ignores_depth(self):
+        f = PerturbedCatMap(0.03)
+        po = generate(f, [0.41, 0.17], [3] * 20, 1e-4, 5)
+        shallow = assign_splittings(po, f, "power", depth=1)
+        deep = assign_splittings(po, f, "power", depth=50)
+        for name in ("unstable", "stable", "basis_inv"):
+            assert np.array_equal(getattr(shallow, name), getattr(deep, name))
+
+    @pytest.mark.parametrize("closed, depth", [(False, 2), (True, 50)])
+    def test_power_bases_are_invariant(self, closed, depth):
+        # J_j carries u_j onto u_{j+1} and s_j onto s_{j+1} at every step,
+        # whatever the depth on an open orbit, and across the seam of a
+        # closed orbit once the warm-up has converged
+        f = PerturbedCatMap(0.02)
+        po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
+        if closed:
+            po = flatten(np.vstack([po.seeds[:-1], po.seeds[:1]]), po.lengths, f)
+        spl = assign_splittings(po, f, "power", depth=depth)
+        jacs = f.jacobian_along(po.points[:-1])
+
+        def projector(b):
+            q = np.linalg.qr(b)[0]
+            return q @ np.swapaxes(q, -1, -2)
+
+        for image, target in ((jacs @ spl.unstable[:-1], spl.unstable[1:]),
+                              (jacs @ spl.stable[:-1], spl.stable[1:])):
+            gap = np.linalg.norm(projector(image) - projector(target), ord=2, axis=(1, 2))
+            assert gap.max() <= 1e-12
+
+    def test_power_matches_windowed_iteration_at_default_depth(self):
+        # the chained passes reproduce, bit for bit, per-index windows of
+        # 50 QR steps on each side of j (cut off at the orbit's ends), so
+        # reports at the default depth stay byte-identical
+        f = PerturbedCatMap(0.02)
+        po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
+        n, depth = po.n_steps, 50
+        jacs = f.jacobian_along(po.points[:-1])
+        seed = eigen_splitting(f.jacobian(po.points[0]))
+        us, ss = [], []
+        for j in range(n + 1):
+            u = seed.unstable.copy()
+            for t in range(max(0, j - depth), j):
+                u = _orthonormalize(jacs[t] @ u)
+            s = seed.stable.copy()
+            for t in range(min(n, j + depth) - 1, j - 1, -1):
+                s = _orthonormalize(np.linalg.solve(jacs[t], s))
+            us.append(u)
+            ss.append(s)
+        windowed = SplittingAssignment.from_bases(np.stack(us), np.stack(ss))
+        chained = assign_splittings(po, f, "power", depth=depth)
+        for name in ("unstable", "stable", "basis_inv"):
+            assert np.array_equal(getattr(chained, name), getattr(windowed, name))

@@ -129,10 +129,12 @@ class TestGraphSolves:
         assert np.abs(solve_stable_graphs(blocks) - oracle).max() <= 1e-12
 
     def test_long_power_splitting_matches_oracle_sweeps(self):
-        # 500 steps of the perturbed map from a rough (depth-1) power splitting
+        # 500 steps of the perturbed map from a rough splitting: the
+        # constant eigen splitting of its linear part
         f = PerturbedCatMap(0.02)
         po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
-        spl = assign_splittings(po, f, "power", depth=1)
+        base = eigen_splitting(np.array([[2.0, 1.0], [1.0, 1.0]]))
+        spl = assign_splittings(po, f, "user", splittings=base)
         blocks = pseudo_orbit_blocks(po, spl, f)
         p_oracle, _ = iterate_graph_sweeps(unstable_graph_sweep, blocks)
         q_oracle, _ = iterate_graph_sweeps(stable_graph_sweep, blocks)
