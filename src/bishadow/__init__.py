@@ -75,5 +75,7 @@ from .systems import (
     TorusLinearMap,
     cat_map,
     estimate_bounds,
+    map_distance,
     sup_distance,
+    system_bounds,
 )

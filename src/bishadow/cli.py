@@ -17,6 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import __version__
 from .certification import certify_pseudo_orbit, is_quasi_hyperbolic
@@ -42,7 +43,7 @@ from .shadowing import (
     solve_finite,
     solve_periodic,
 )
-from .systems import MAX_GRID, estimate_bounds
+from .systems import map_distance, system_bounds
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -108,25 +109,7 @@ def _solver_config(cfg: RunConfig, po, f):
         eta=block.get("eta"),
         tol_fix=float(block.get("tol_fix", 1e-12)),
         max_iter=int(block.get("max_iter", 10_000)),
-        grid_res=_grid_res(cfg, f, f),
     )
-
-
-def _grid_res(cfg: RunConfig, f, g) -> int:
-    """solver.grid_res; by default the finest resolution of at most 256 per
-    axis whose grid fits MAX_GRID points on f's phase space.  A run that
-    samples a torus grid (a map without exact norm bounds, or a perturbed
-    g) needs at least 64 per axis."""
-    if "grid_res" in cfg.solver:
-        return int(cfg.solver["grid_res"])
-    res = 256
-    while res ** f.phase.dim > MAX_GRID:
-        res -= 1
-    samples = f.phase.kind == "torus" and (f.operator_norm_bounds() is None or g is not f)
-    if res < 64 and samples:
-        raise ConfigError(f"no default solver.grid_res of at least 64 fits {MAX_GRID} "
-                          f"grid points on T^{f.phase.dim}")
-    return res
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
@@ -152,7 +135,7 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     lam = float(cfg.certification["lambda"])
     block = cfg.refinement
     lam_tilde = float(block.get("lambda_tilde", (1.0 + lam) / 2.0))
-    bounds = estimate_bounds(f, grid_res=_grid_res(cfg, f, f))
+    bounds = system_bounds(f)
     rcfg = make_refinement_config(
         lam, lam_tilde, bounds.R,
         lam0=block.get("lambda0"),
@@ -171,6 +154,7 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     report["refinement"] = {
         "lambda_tilde": rcfg.lam_tilde,
         "eps_cap": rcfg.eps_cap,
+        "eps_cap_kind": bounds.kind,
         "certificate": result.certificate.to_dict(),
         "is_quasi_hyperbolic": is_quasi_hyperbolic(result.certificate, rcfg.offdiag_tol),
         "max_offdiagonal": result.max_offdiagonal,
@@ -191,7 +175,12 @@ def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
     scfg = _solver_config(cfg, po, f)
     report = _base_report(cfg, "periodic" if periodic else "shadow", None)
     report["solver_constants"] = scfg.to_dict()
-    cert, margins = shadowing_preconditions(po, splittings, f, g, scfg, grid_res=_grid_res(cfg, f, g))
+    distance, distance_kind = map_distance(f, g)
+    report["constants"] = {
+        "R": {"kind": scfg.kind, "value": scfg.R}, "L": {"kind": scfg.kind, "value": scfg.L},
+        "map_distance": {"kind": distance_kind, "value": distance},
+    }
+    cert, margins = shadowing_preconditions(po, splittings, f, g, scfg)
     report["certificate"] = cert.to_dict()
     report["precondition_margins"] = {k: float(v) for k, v in margins.items()}
     if not cert.passed or min(margins.values()) < 0:
@@ -208,14 +197,6 @@ def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
     report["result"] = result.to_dict()
     _emit(_report_json(report), _out_path(cfg, args))
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
-
-
-def cmd_shadow(cfg: RunConfig, args) -> int:
-    return _shadow_common(cfg, args, periodic=False)
-
-
-def cmd_periodic(cfg: RunConfig, args) -> int:
-    return _shadow_common(cfg, args, periodic=True)
 
 
 def _sweep_payload(raw: dict, axis: str, value: float) -> dict:
@@ -295,8 +276,8 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
 _COMMANDS = {
     "certify": cmd_certify,
     "refine": cmd_refine,
-    "shadow": cmd_shadow,
-    "periodic": cmd_periodic,
+    "shadow": partial(_shadow_common, periodic=False),
+    "periodic": partial(_shadow_common, periodic=True),
     "sweep": cmd_sweep,
 }
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pseudo_orbit import SegmentedPseudoOrbit, assign_splittings, flatten, generate
-from .systems import (MAX_GRID, AffineMap, PerturbedCatMap, ShiftedMap, SmoothMap,
-                      TorusLinearMap, cat_map)
+from .systems import (AffineMap, PerturbedCatMap, ShiftedMap, SmoothMap, TorusLinearMap,
+                      cat_amplitude, cat_map)
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
 
@@ -35,28 +35,17 @@ def _check_keys(block: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where} must be an object")
     unknown = set(block) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown key(s) {sorted(f'{where}.{k}' for k in unknown)}")
     missing = required - set(block)
     if missing:
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
-def _positive(block, key, where, default=None):
-    v = block.get(key, default)
-    if v is None:
-        return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-        raise ConfigError(f"{where}.{key} must be a positive number")
-    return float(v)
-
-
-def _nonnegative(block, key, where, default=None):
-    v = block.get(key, default)
-    if v is None:
-        return None
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-        raise ConfigError(f"{where}.{key} must be a nonnegative number")
-    return float(v)
+def _check_number(block, key, where, ok, wanted):
+    """A present block[key] must be a number (not a bool) with ok(value)."""
+    v = block.get(key, 0.0)
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not ok(v):
+        raise ConfigError(f"{where}.{key} must be {wanted}")
 
 
 @dataclass
@@ -103,11 +92,9 @@ def parse_config(payload: dict) -> RunConfig:
 
     cert_block = payload["certification"]
     _check_keys(cert_block, {"lambda", "epsilon", "delta"}, {"lambda"}, "certification")
-    lam = _positive(cert_block, "lambda", "certification")
-    if lam >= 1.0:
-        raise ConfigError("certification.lambda must lie in (0, 1)")
-    _nonnegative(cert_block, "epsilon", "certification", 0.0)
-    _nonnegative(cert_block, "delta", "certification", 0.0)
+    _check_number(cert_block, "lambda", "certification", lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    for key in ("epsilon", "delta"):
+        _check_number(cert_block, key, "certification", lambda v: v >= 0.0, "a nonnegative number")
 
     refine_block = payload.get("refinement", {})
     _check_keys(refine_block, {"lambda_tilde", "lambda0", "offdiag_tol"}, set(), "refinement")
@@ -115,18 +102,8 @@ def parse_config(payload: dict) -> RunConfig:
     solver_block = payload.get("solver", {})
     _check_keys(
         solver_block,
-        {"lambda_tilde", "epsilon1", "eta", "tol_fix", "max_iter", "grid_res"},
-        set(), "solver",
+        {"lambda_tilde", "epsilon1", "eta", "tol_fix", "max_iter"}, set(), "solver",
     )
-    grid_res = solver_block.get("grid_res", 256)
-    if not isinstance(grid_res, int) or isinstance(grid_res, bool) or grid_res < 64:
-        # sup_distance samples the map distance on this grid and needs 64 points per axis
-        raise ConfigError("solver.grid_res must be an integer of at least 64")
-    if "grid_res" in solver_block and sys_block["type"] != "affine":
-        matrix = sys_block.get("matrix")  # a torus_linear map acts on T^len(matrix)
-        dim = len(matrix) if sys_block["type"] == "torus_linear" and isinstance(matrix, list) else 2
-        if grid_res ** dim > MAX_GRID:
-            raise ConfigError(f"solver.grid_res {grid_res}^{dim} exceeds {MAX_GRID} grid points")
 
     pert_block = payload.get("perturbation", {"type": "none"})
     _check_keys(pert_block, {"type", "offset", "amplitude"}, {"type"}, "perturbation")
@@ -185,7 +162,10 @@ def build_system(cfg: RunConfig) -> SmoothMap:
         if kind == "cat_map":
             return cat_map()
         if kind == "perturbed_cat_map":
-            return PerturbedCatMap(float(block["amplitude"]))
+            f = PerturbedCatMap(float(block["amplitude"]))
+            if f.derivative_bounds() is None:
+                raise ValueError("Weyl's bound on Df needs |amplitude| < (3 - sqrt 5) / 2")
+            return f
         if kind == "torus_linear":
             return TorusLinearMap(np.asarray(block["matrix"]))
         return AffineMap(np.asarray(block["matrix"], dtype=float), block.get("offset"))
@@ -201,12 +181,15 @@ def build_perturbed(cfg: RunConfig, f: SmoothMap) -> SmoothMap:
     if kind == "shift":
         if "offset" not in block:
             raise ConfigError("shift perturbation needs an offset")
-        return ShiftedMap(f, np.asarray(block["offset"], dtype=float))
+        try:
+            return ShiftedMap(f, np.asarray(block["offset"], dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"cannot build the shift perturbation: {exc}") from exc
     amp = block.get("amplitude")
     if amp is None:
         raise ConfigError("perturbed_amplitude needs an amplitude")
-    if not isinstance(f, (PerturbedCatMap, TorusLinearMap)):
-        raise ConfigError("perturbed_amplitude only applies to (perturbed) cat maps")
+    if cat_amplitude(f) is None:
+        raise ConfigError("perturbed_amplitude only applies to the cat map or a perturbed_cat_map")
     return PerturbedCatMap(float(amp))
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .adapted import scale_factors, well_adapted_sequence
 from .certification import _covering, block_norms, certify_pseudo_orbit
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
-from .systems import SmoothMap, SystemBounds, estimate_bounds, sup_distance
+from .systems import SmoothMap, SystemBounds, map_distance, system_bounds
 
 __all__ = [
     "SolverConfig",
@@ -72,6 +72,9 @@ class SolverConfig:
     the admissible jump size delta0 = delta1 / C and map distance
     d0 = (1 - lam_tilde) eta / (4 C) to the window geometry, and
     eps0 = (1 + lam - 2 lam_tilde) / (4 R) caps the off-diagonal size.
+    L is the Lipschitz constant of Df that set eta, and kind says whether
+    R and L are "exact", analytic bounds ("bound") or "estimated"; every
+    derived constant inherits that kind.
     """
 
     lam: float
@@ -90,6 +93,8 @@ class SolverConfig:
     damping: float = 0.5
     newton_tol: float = 1e-13
     newton_max_iter: int = 50
+    L: float = 0.0
+    kind: str = "estimated"
 
     def to_dict(self) -> dict:
         return {
@@ -111,13 +116,16 @@ def make_solver_config(
     bounds: SystemBounds | None = None,
     tol_fix: float = 1e-12,
     max_iter: int = 10_000,
-    grid_res: int = 256,
 ) -> SolverConfig:
     """Assemble a solver configuration, deriving the size constants from f.
 
-    eta defaults to min(epsilon1, injectivity_radius / 4) and is halved
-    until the sampled continuity modulus of Df at scale eta stays below
-    (lam_tilde - lam) / (5 R).
+    R and the Lipschitz constant L of Df come from ``bounds``, by default
+    system_bounds(f): analytic when f has derivative_bounds, else grid
+    estimates.  Starting from the given eta, by default its cap
+    min(epsilon1, injectivity_radius / 4), eta drops to
+    (lam_tilde - lam) / (5 R L) where that is smaller, so that the modulus
+    of continuity L eta of Df at scale eta stays below
+    (lam_tilde - lam) / (5 R).  L = 0 leaves eta unchanged.
     """
     if not (0.0 < lam < 1.0):
         raise ValueError("lambda must lie in (0, 1)")
@@ -132,18 +140,10 @@ def make_solver_config(
     if not (0.0 < eta_val <= eta_cap):
         raise ValueError(f"eta must lie in (0, {eta_cap:g}]")
     if bounds is None:
-        bounds = estimate_bounds(f, grid_res=grid_res, scale=eta_val)
-    R = max(bounds.R, 1.0)
-    modulus_bound = (lam_tilde - lam) / (5.0 * R)
-    modulus = bounds.lip_modulus
-    for _ in range(8):
-        if modulus <= modulus_bound or modulus == 0.0:
-            break
-        eta_val *= 0.5
-        # modulus of continuity shrinks at least linearly with the scale
-        modulus *= 0.5
-    else:
-        raise ValueError("derivative varies too fast for any admissible eta")
+        bounds = system_bounds(f, scale=eta_val)
+    R, L = max(bounds.R, 1.0), bounds.lipschitz
+    if L > 0.0:
+        eta_val = min(eta_val, (lam_tilde - lam) / (5.0 * R * L))
     a_max = int(np.max(po.lengths))
     C = R ** a_max
     delta1 = (1.0 - lam_tilde) * eta_val / 4.0
@@ -153,7 +153,7 @@ def make_solver_config(
         eps0=(1.0 + lam - 2.0 * lam_tilde) / (4.0 * R),
         delta1=delta1, delta0=delta1 / C,
         d0=(1.0 - lam_tilde) * eta_val / (4.0 * C),
-        tol_fix=tol_fix, max_iter=max_iter,
+        tol_fix=tol_fix, max_iter=max_iter, L=L, kind=bounds.kind,
     )
 
 
@@ -590,7 +590,7 @@ def solve_infinite(window_problem, window_ks, config) -> tuple:
     return result, WindowTable(rows=rows, converged=converged)
 
 
-def shadowing_preconditions(po, splittings, f, g, config, grid_res: int = 256):
+def shadowing_preconditions(po, splittings, f, g, config):
     """Certificate plus size margins required by the shadowing solve.
 
     Returns (certificate, margins): the orbit certified at
@@ -599,7 +599,7 @@ def shadowing_preconditions(po, splittings, f, g, config, grid_res: int = 256):
     """
     cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps0, config.delta0)
     eps_actual = cert.max_offdiagonal
-    d_actual = sup_distance(f, g, grid_res=grid_res) if f is not g else 0.0
+    d_actual = map_distance(f, g)[0]
     margins = {
         "epsilon": config.eps0 - eps_actual,
         "delta": config.delta0 - (float(po.residuals.max()) if po.residuals.size else 0.0),

@@ -27,7 +27,10 @@ __all__ = [
     "AffineMap",
     "ShiftedMap",
     "SystemBounds",
+    "system_bounds",
     "estimate_bounds",
+    "cat_amplitude",
+    "map_distance",
     "sup_distance",
 ]
 
@@ -146,10 +149,6 @@ class SmoothMap:
         """Derivative of step j at row j of x, shape ``(N, dim, dim)``."""
         return self.jacobian(x)
 
-    @property
-    def has_exact_inverse(self) -> bool:
-        return False
-
     def inverse(self, y):
         raise NotImplementedError(f"{type(self).__name__} has no inverse")
 
@@ -170,6 +169,13 @@ class SmoothMap:
     def operator_norm_bounds(self):
         """Exact ``max(sup ||Df||, sup ||Df^-1||)`` when available, else None."""
         return None
+
+    def derivative_bounds(self):
+        """Analytic ``(R, L)`` or None: R bounds ||Df|| and ||Df^-1||, L is a
+        Lipschitz constant of Df.  L = 0 means Df is constant and R exact,
+        as the default reads them from operator_norm_bounds."""
+        R = self.operator_norm_bounds()
+        return None if R is None else (R, 0.0)
 
 
 class TorusLinearMap(SmoothMap):
@@ -196,10 +202,6 @@ class TorusLinearMap(SmoothMap):
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(self.matrix, x.shape[:-1] + self.matrix.shape).copy()
-
-    @property
-    def has_exact_inverse(self) -> bool:
-        return True
 
     def inverse(self, y):
         y = np.asarray(y, dtype=float)
@@ -247,6 +249,15 @@ class PerturbedCatMap(SmoothMap):
         j[..., 1, 1] = 1.0
         return j
 
+    def derivative_bounds(self):
+        # Df = A + E with ||E|| <= |c|, so by Weyl's inequality every singular
+        # value of Df lies within |c| of A's; each entry of E is 2 pi |c|-Lipschitz
+        c = abs(self.amplitude)
+        s = np.linalg.svd(self.matrix, compute_uv=False)
+        if c >= s[-1]:
+            return None
+        return float(max(s[0] + c, 1.0 / (s[-1] - c))), 2.0 * np.pi * c
+
     def inverse(self, y, tol: float = 1e-14, max_iter: int = 60):
         # damped-free Newton; the linear part dominates for small amplitudes
         y = np.asarray(y, dtype=float)
@@ -276,10 +287,6 @@ class AffineMap(SmoothMap):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(self.matrix, x.shape[:-1] + self.matrix.shape).copy()
 
-    @property
-    def has_exact_inverse(self) -> bool:
-        return True
-
     def inverse(self, y):
         return np.linalg.solve(self.matrix, np.asarray(y, dtype=float) - self.offset)
 
@@ -295,6 +302,9 @@ class ShiftedMap(SmoothMap):
         self.base = base
         self.shift = np.asarray(shift, dtype=float)
         self.phase = base.phase
+        if self.shift.shape != (self.phase.dim,):
+            raise ValueError(f"a shift on a {self.phase.dim}-dimensional space needs "
+                             f"{self.phase.dim} coordinates")
 
     def __call__(self, x):
         return self.phase.canon(self.base(x) + self.shift)
@@ -312,66 +322,63 @@ class ShiftedMap(SmoothMap):
     def jacobian_along(self, x):
         return self.base.jacobian_along(x)
 
-    @property
-    def has_exact_inverse(self) -> bool:
-        return self.base.has_exact_inverse
-
     def inverse(self, y):
         y = np.asarray(y, dtype=float) - self.shift
         return self.base.inverse(self.phase.canon(y) if self.phase.kind == "torus" else y)
 
-    def operator_norm_bounds(self):
-        return self.base.operator_norm_bounds()
+    def derivative_bounds(self):
+        return self.base.derivative_bounds()
 
 
 @dataclass(frozen=True)
 class SystemBounds:
-    """Sampled derivative bounds for a map.
+    """Derivative constants of a map, and where they come from.
 
-    R bounds both ||Df|| and ||Df^-1|| over the sampling grid;
-    lip_modulus is the sampled modulus of continuity of Df at the given
-    displacement scale.  Both are reproducible given grid_res and scale.
+    R bounds both ||Df|| and ||Df^-1||; lip_modulus is the modulus of
+    continuity of Df at displacement ``scale``, so lip_modulus / scale is
+    its Lipschitz constant.  kind is "exact" (a constant Df), "bound"
+    (analytic upper bounds) or "estimated" (grid suprema: lower estimates).
     """
 
     R: float
     lip_modulus: float
     grid_res: int
     scale: float
+    kind: str = "estimated"
+
+    @property
+    def lipschitz(self) -> float:
+        return self.lip_modulus / self.scale if self.lip_modulus else 0.0
 
 
-def _batch_spectral_extremes(jac):
-    s = np.linalg.svd(jac, compute_uv=False)
-    return float(s[..., 0].max()), float(s[..., -1].min())
+def system_bounds(f: SmoothMap, scale: float = 0.1) -> SystemBounds:
+    """f's derivative constants: analytic from ``f.derivative_bounds()``,
+    or estimated by estimate_bounds at ``scale`` when f has none."""
+    analytic = f.derivative_bounds()
+    if analytic is None:
+        return estimate_bounds(f, scale=scale)
+    R, L = analytic
+    return SystemBounds(R=max(R, 1.0), lip_modulus=L, grid_res=0, scale=1.0,
+                        kind="bound" if L else "exact")
 
 
-def estimate_bounds(
-    f: SmoothMap,
-    grid_res: int = 256,
-    scale: float = 0.1,
-    modulus_res: int = 64,
-    n_offsets: int = 8,
-    rng_seed: int = 0,
-) -> SystemBounds:
-    """Estimate R = max(sup ||Df||, sup ||Df^-1||) and the Df modulus of continuity.
-
-    Constant-derivative maps report their exact operator norms and a zero
-    modulus.  Otherwise a uniform torus grid is sampled (grid suprema are
-    lower estimates of the true suprema).
+def estimate_bounds(f: SmoothMap, grid_res: int = 256, scale: float = 0.1) -> SystemBounds:
+    """Estimate R = max(sup ||Df||, sup ||Df^-1||) over a uniform torus grid,
+    and the Df modulus of continuity at ``scale`` over 8 random offsets of
+    a 64-per-axis grid: lower estimates of the true suprema.
     """
-    exact = f.operator_norm_bounds()
-    if exact is not None:
-        return SystemBounds(R=max(exact, 1.0), lip_modulus=0.0, grid_res=0, scale=scale)
     pts = f.phase.grid(grid_res)
-    hi, lo = _batch_spectral_extremes(f.jacobian(pts))
+    s = np.linalg.svd(f.jacobian(pts), compute_uv=False)
+    hi, lo = float(s[:, 0].max()), float(s[:, -1].min())
     if lo <= 1e-14:
         raise ValueError("derivative is numerically singular on the sampling grid")
     R = max(hi, 1.0 / lo, 1.0)
 
-    coarse = f.phase.grid(modulus_res)
+    coarse = f.phase.grid(64)
     base = f.jacobian(coarse)
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(n_offsets):
+    for _ in range(8):
         u = rng.standard_normal(f.phase.dim)
         u *= scale / np.linalg.norm(u)
         moved = f.jacobian(f.phase.canon(coarse + u))
@@ -380,30 +387,46 @@ def estimate_bounds(
     return SystemBounds(R=R, lip_modulus=worst, grid_res=grid_res, scale=scale)
 
 
-def _affine_parts(f: SmoothMap):
-    if isinstance(f, AffineMap):
-        return f.matrix, f.offset
-    if isinstance(f, ShiftedMap):
-        parts = _affine_parts(f.base)
-        if parts is not None:
-            return parts[0], parts[1] + f.shift
+def cat_amplitude(f: SmoothMap):
+    """c for PerturbedCatMap(c), 0 for the cat map, None for any other map."""
+    if isinstance(f, PerturbedCatMap):
+        return f.amplitude
+    if isinstance(f, TorusLinearMap) and np.array_equal(f.matrix, cat_map().matrix):
+        return 0.0
     return None
 
 
-def sup_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256) -> float:
-    """Grid supremum of the pointwise distance between f and g.
+def map_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256):
+    """``(d, kind)``: d is the sup over x of the distance from f(x) to g(x).
 
-    A lower estimate of the true sup on the torus; exact for affine pairs
-    with equal linear parts on Euclidean space.
+    kind "exact" comes from a closed form: g is f (0), g is ShiftedMap(f, s)
+    (|wrap(s)|), the cat map or PerturbedCatMap(c) against
+    PerturbedCatMap(c') (sqrt(2) min(|c - c'| / 2 pi, 1/2), at (1/4, 1/4)
+    while |c - c'| <= pi), or affine
+    maps with equal matrices.  Other torus pairs are "estimated": the
+    supremum over a grid of grid_res points per axis.
     """
     if f.phase != g.phase:
         raise ValueError("maps live on different phase spaces")
-    if f.phase.kind == "torus":
-        if grid_res < 64:
-            raise ValueError("use at least 64 grid points per axis")
-        pts = f.phase.grid(grid_res)
-        return float(f.phase.distance(f(pts), g(pts)).max())
-    fa, ga = _affine_parts(f), _affine_parts(g)
-    if fa is None or ga is None or not np.array_equal(fa[0], ga[0]):
+    if g is f:
+        return 0.0, "exact"
+    if isinstance(g, ShiftedMap) and g.base is f:
+        return float(np.linalg.norm(f.phase.wrap(g.shift))), "exact"
+    cf, cg = cat_amplitude(f), cat_amplitude(g)
+    if cf is not None and cg is not None:
+        # each component of f - g is (c - c') / 2 pi times an independent sine,
+        # and its wrapped size peaks at min(|c - c'| / 2 pi, 1/2)
+        return float(np.sqrt(2.0) * min(abs(cf - cg) / (2.0 * np.pi), 0.5)), "exact"
+    if isinstance(f, AffineMap) and isinstance(g, AffineMap) and np.array_equal(f.matrix, g.matrix):
+        return float(np.linalg.norm(f.offset - g.offset)), "exact"
+    if f.phase.kind != "torus":
         raise ValueError("sup distance on R^n needs affine maps with equal linear parts")
-    return float(np.linalg.norm(fa[1] - ga[1]))
+    if grid_res < 64:
+        raise ValueError("use at least 64 grid points per axis")
+    pts = f.phase.grid(grid_res)
+    return float(f.phase.distance(f(pts), g(pts)).max()), "estimated"
+
+
+def sup_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256) -> float:
+    """The supremum of map_distance, without its kind."""
+    return map_distance(f, g, grid_res)[0]

@@ -2,12 +2,11 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import bishadow.certification
 import bishadow.cli
-import bishadow.shadowing
 from bishadow.cli import main
-from bishadow.config import parse_config
 from bishadow.refinement import GraphTransformError
 from bishadow.systems import Phase
 
@@ -151,110 +150,6 @@ class TestExitCodes:
         assert code == 0
         assert len(calls) == 1
 
-    def test_shadow_samples_map_distance_on_configured_grid(self, tmp_path, monkeypatch):
-        grids = []
-        real = bishadow.shadowing.sup_distance
-
-        def recording(f, g, grid_res=256):
-            grids.append(grid_res)
-            return real(f, g, grid_res=grid_res)
-
-        monkeypatch.setattr(bishadow.shadowing, "sup_distance", recording)
-        payload = json.loads(json.dumps(BASE_CONFIG))
-        payload["solver"]["grid_res"] = 64
-        for command in ("shadow", "periodic"):
-            if command == "periodic":
-                payload["pseudo_orbit"] = {"seeds": [[0.0, 0.0], [0.0, 0.0]], "lengths": [1]}
-                payload["certification"]["delta"] = 0.0
-            code, _ = run(tmp_path, command, payload, name=command)
-            assert code == 0
-        assert grids == [64, 64]
-
-    def test_refine_samples_bounds_on_configured_grid(self, tmp_path, monkeypatch):
-        grids = []
-        real = bishadow.cli.estimate_bounds
-
-        def recording(f, grid_res=256, **kwargs):
-            grids.append(grid_res)
-            return real(f, grid_res=grid_res, **kwargs)
-
-        monkeypatch.setattr(bishadow.cli, "estimate_bounds", recording)
-        payload = {
-            "system": {"type": "perturbed_cat_map", "amplitude": 0.005},
-            "pseudo_orbit": {"generator": {"start": [0.3, 0.7], "lengths": [3, 3, 3],
-                                           "jump_amp": 1e-5, "rng_seed": 7}},
-            "certification": {"lambda": 0.4},
-            "refinement": {"lambda_tilde": 0.5},
-            "splitting": {"strategy": "power", "depth": 1},
-            "solver": {"grid_res": 64},
-        }
-        code, _ = run(tmp_path, "refine", payload)
-        assert code == 0
-        assert grids == [64]
-
-    def test_grid_res_above_grid_cap_is_config_error(self, tmp_path, monkeypatch, capsys):
-        def no_grid(self, res):
-            raise AssertionError("a config check must not sample a grid")
-
-        monkeypatch.setattr(Phase, "grid", no_grid)
-        torus3 = {"type": "torus_linear", "matrix": [[2, 1, 0], [1, 1, 0], [0, 0, 1]]}
-        affine = {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]]}
-        payload = json.loads(json.dumps(BASE_CONFIG))
-        # 2048^2 and 161^3 points stay within Phase.grid's 2^22; 2049^2 and 162^3 do not
-        for system, res in (({"type": "cat_map"}, 2049), ({"type": "cat_map"}, 4096),
-                            ({"type": "perturbed_cat_map", "amplitude": 0.01}, 4096),
-                            (torus3, 162), (torus3, 256)):
-            payload["system"], payload["solver"]["grid_res"] = system, res
-            code, out = run(tmp_path, "shadow", payload, name=f"{system['type']}{res}")
-            assert code == 3
-            assert not out.exists()
-            assert "solver.grid_res" in capsys.readouterr().err
-        for system, res in (({"type": "cat_map"}, 2048), (torus3, 161), (affine, 4096)):
-            payload["system"], payload["solver"]["grid_res"] = system, res
-            parse_config(payload)
-
-    def test_default_grid_res_fits_phase_dimension(self, tmp_path, monkeypatch):
-        # 161^3 is the finest default grid within 2^22 points on T^3; a
-        # coarse stand-in grid keeps the test small
-        requested = []
-        grid = Phase.grid
-
-        def small_grid(self, res):
-            requested.append(res)
-            return grid(self, 8)
-
-        monkeypatch.setattr(Phase, "grid", small_grid)
-        payload = json.loads(json.dumps(BASE_CONFIG))
-        payload["system"] = {"type": "torus_linear", "matrix": [[1, 1, 0], [1, 2, 1], [0, 1, 2]]}
-        payload["pseudo_orbit"]["generator"].update(start=[0.13, 0.41, 0.7], jump_amp=1e-6)
-        payload["certification"].update({"lambda": 0.7, "delta": 1e-6})
-        payload["perturbation"]["offset"] = [1e-6, 0.0, 0.0]
-        payload["solver"] = {"lambda_tilde": 0.8}
-        code, out = run(tmp_path, "shadow", payload)
-        assert code == 0
-        assert requested == [161]
-        assert json.loads(out.read_text())["result"]["converged"] is True
-
-    def test_no_default_grid_res_fits_is_config_error(self, tmp_path, monkeypatch, capsys):
-        # on T^4 not even 64^4 points fit: a shifted map needs a grid for its
-        # distance, an unperturbed linear one never samples
-        def no_grid(self, res):
-            raise AssertionError("a config check must not sample a grid")
-
-        monkeypatch.setattr(Phase, "grid", no_grid)
-        payload = json.loads(json.dumps(BASE_CONFIG))
-        payload["system"] = {"type": "torus_linear", "matrix": [
-            [2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]}
-        payload["pseudo_orbit"]["generator"]["start"] = [0.13, 0.41, 0.7, 0.2]
-        payload["perturbation"]["offset"] = [1e-4, 0.0, 0.0, 0.0]
-        code, out = run(tmp_path, "shadow", payload, name="shifted")
-        assert code == 3
-        assert not out.exists()
-        assert "solver.grid_res" in capsys.readouterr().err
-        payload["perturbation"] = {"type": "none"}
-        code, out = run(tmp_path, "shadow", payload, name="linear")
-        assert code == 0
-
     def test_non_unimodular_matrix_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["system"] = {"type": "torus_linear", "matrix": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
@@ -278,6 +173,47 @@ class TestExitCodes:
             assert code == 3
             assert not out.exists()
             assert "solver.grid_res" in capsys.readouterr().err
+
+    def test_leftover_grid_res_key_is_config_error(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["solver"]["grid_res"] = 256
+        code, out = run(tmp_path, "shadow", payload)
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "unknown key" in err and "solver.grid_res" in err
+
+    def test_shift_offset_must_match_dimension(self, tmp_path, capsys):
+        # a 1-coordinate offset would broadcast over both coordinates of T^2
+        # and a 3-coordinate one failed inside the solve
+        for offset in ([1e-4], [1e-4, 0.0, 0.0], 1e-4):
+            payload = json.loads(json.dumps(BASE_CONFIG))
+            payload["perturbation"]["offset"] = offset
+            code, out = run(tmp_path, "shadow", payload, name=f"offset{len(str(offset))}")
+            assert code == 3
+            assert not out.exists()
+            assert "2 coordinates" in capsys.readouterr().err
+
+    def test_perturbed_amplitude_needs_cat_map(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["perturbation"] = {"type": "perturbed_amplitude", "amplitude": 1e-4}
+        for matrix in ([[1, 1, 0], [1, 2, 1], [0, 1, 2]], [[1, 1], [1, 2]]):
+            payload["system"] = {"type": "torus_linear", "matrix": matrix}
+            payload["pseudo_orbit"]["generator"]["start"] = [0.13, 0.41, 0.7][: len(matrix)]
+            code, out = run(tmp_path, "shadow", payload, name=f"dim{len(matrix)}")
+            assert code == 3
+            assert not out.exists()
+            assert "perturbed_amplitude" in capsys.readouterr().err
+
+    def test_perturbed_cat_map_amplitude_beyond_weyl_bound(self, tmp_path, capsys):
+        # sigma_2 of the cat matrix is (3 - sqrt 5) / 2 = 0.38196...
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        for amplitude in (0.382, -0.5):
+            payload["system"] = {"type": "perturbed_cat_map", "amplitude": amplitude}
+            code, out = run(tmp_path, "shadow", payload, name=f"amp{amplitude}")
+            assert code == 3
+            assert not out.exists()
+            assert "amplitude" in capsys.readouterr().err
 
     def test_refine_graph_transform_error(self, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
@@ -382,3 +318,63 @@ class TestSweep:
         assert code == 0
         for row in out.read_text().splitlines()[1:]:
             assert float(row.split(",")[3]) == 0.0
+
+
+GUARDED_SYSTEMS = ("cat_map", "perturbed_cat_map", "shifted_torus3", "shifted_torus4", "affine")
+
+
+def guarded_payload(system: str, command: str) -> dict:
+    """BASE_CONFIG moved onto one of the guarded systems; a closed
+    pseudo-orbit at the fixed point 0 for periodic."""
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    gen = payload["pseudo_orbit"]["generator"]
+    dim = 2
+    if system == "perturbed_cat_map":
+        payload["system"] = {"type": "perturbed_cat_map", "amplitude": 0.02}
+        payload["certification"].update({"lambda": 0.45, "epsilon": 1e-9})
+        payload["perturbation"] = {"type": "perturbed_amplitude", "amplitude": 0.0201}
+    elif system == "shifted_torus3":
+        dim = 3
+        payload["system"] = {"type": "torus_linear", "matrix": [[1, 1, 0], [1, 2, 1], [0, 1, 2]]}
+        gen["jump_amp"] = 1e-6
+        payload["certification"].update({"lambda": 0.7, "delta": 1e-6})
+        payload["solver"] = {"lambda_tilde": 0.8}
+        payload["perturbation"]["offset"] = [1e-6, 0.0, 0.0]
+        payload["sweep"]["values"] = [1e-7, 1e-6]
+    elif system == "shifted_torus4":
+        dim = 4
+        payload["system"] = {"type": "torus_linear", "matrix": [
+            [2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]}
+        payload["perturbation"]["offset"] = [1e-4, 0.0, 0.0, 0.0]
+    elif system == "affine":
+        payload["system"] = {"type": "affine", "matrix": [[2.0, 0.0], [0.0, 0.5]]}
+        payload["certification"]["lambda"] = 0.55
+        payload["solver"] = {"lambda_tilde": 0.7}
+    gen["start"] = [0.13, 0.41, 0.7, 0.2][:dim]
+    if command == "periodic":
+        payload["pseudo_orbit"] = {"seeds": [[0.0] * dim] * 2, "lengths": [1]}
+        payload["certification"]["delta"] = 0.0
+    return payload
+
+
+@pytest.mark.parametrize("command", ["certify", "refine", "shadow", "periodic", "sweep"])
+@pytest.mark.parametrize("system", GUARDED_SYSTEMS)
+def test_no_subcommand_samples_a_grid(tmp_path, monkeypatch, system, command):
+    """Every constant a subcommand needs is analytic on the shipped systems:
+    no run samples a grid, and every reported constant is exact or a bound."""
+    def no_grid(self, res):
+        raise AssertionError("a subcommand sampled a grid")
+
+    monkeypatch.setattr(Phase, "grid", no_grid)
+    extra = ("--jobs", "1") if command == "sweep" else ()
+    code, out = run(tmp_path, command, guarded_payload(system, command), extra=extra)
+    assert code == 0
+    if command in ("shadow", "periodic"):
+        constants = json.loads(out.read_text())["constants"]
+        assert sorted(constants) == ["L", "R", "map_distance"]
+        linear = system != "perturbed_cat_map"
+        assert constants["R"]["kind"] == constants["L"]["kind"] == ("exact" if linear else "bound")
+        assert constants["map_distance"]["kind"] == "exact"
+    elif command == "refine":
+        kind = json.loads(out.read_text())["refinement"]["eps_cap_kind"]
+        assert kind == ("bound" if system == "perturbed_cat_map" else "exact")

@@ -87,7 +87,7 @@ class TestLocalMaps:
         f = PerturbedCatMap(0.05)
         po = generate(f, [0.3, 0.8], [3, 3], 0.0, 1)
         spl = assign_splittings(po, f, "power")
-        cfg = make_solver_config(po, f, lam=0.45, lam_tilde=0.55, grid_res=64)
+        cfg = make_solver_config(po, f, lam=0.45, lam_tilde=0.55)
         problem = ShadowProblem(po, spl, f, f, cfg)
         lip = 0.05 * 2 * np.pi  # derivative Lipschitz constant of the shear
         rng = np.random.default_rng(2)
@@ -557,11 +557,11 @@ class TestSolvePeriodic:
 class TestPreconditions:
     def test_margins_nonnegative_for_admissible_run(self):
         f, g, po, spl, cfg = cat_problem()
-        cert, margins = shadowing_preconditions(po, spl, f, g, cfg, grid_res=64)
+        cert, margins = shadowing_preconditions(po, spl, f, g, cfg)
         assert cert.passed
         assert min(margins.values()) >= 0
 
     def test_margins_flag_oversized_jump(self):
         f, g, po, spl, cfg = cat_problem(jump=5e-3)
-        cert, margins = shadowing_preconditions(po, spl, f, g, cfg, grid_res=64)
+        cert, margins = shadowing_preconditions(po, spl, f, g, cfg)
         assert margins["delta"] < 0

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bishadow.certification import certify_pseudo_orbit
+from bishadow.pseudo_orbit import assign_splittings, generate
 from bishadow.systems import (
     AffineMap,
     ChartDomainError,
@@ -9,7 +13,9 @@ from bishadow.systems import (
     ShiftedMap,
     cat_map,
     estimate_bounds,
+    map_distance,
     sup_distance,
+    system_bounds,
 )
 
 from _oracles import CAT_EXPANDING, finite_difference_jacobian
@@ -177,3 +183,77 @@ class TestBoundsAndSupDistance:
         f = AffineMap(np.diag([2.0, 0.5]))
         g = AffineMap(np.diag([2.0, 0.5]), [1e-3, 0.0])
         assert np.isclose(sup_distance(f, g), 1e-3)
+
+
+AMPLITUDES = st.floats(0.0, 0.35)
+# a dense grid of T^2 that holds the extremes of cos at 0 and 1/2
+DENSE = np.stack(np.meshgrid(*[np.arange(200) / 200] * 2, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+class TestAnalyticBounds:
+    """The analytic constants against dense samples of what they bound."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(amp=AMPLITUDES)
+    def test_weyl_bound_dominates_sampled_singular_values(self, amp):
+        f = PerturbedCatMap(amp)
+        R, L = f.derivative_bounds()
+        s = np.linalg.svd(f.jacobian(DENSE), compute_uv=False)
+        assert R >= s[:, 0].max() and R >= 1.0 / s[:, -1].min()
+        assert L == 2.0 * np.pi * amp
+        assert system_bounds(f).kind == ("bound" if amp else "exact")
+
+    @settings(max_examples=20, deadline=None)
+    @given(amp=AMPLITUDES, seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-8, 1.0))
+    def test_lipschitz_constant_holds_on_random_pairs(self, amp, seed, scale):
+        f = PerturbedCatMap(amp)
+        L = f.derivative_bounds()[1]
+        rng = np.random.default_rng(seed)
+        x = rng.random((500, 2))
+        y = f.phase.canon(x + scale * rng.standard_normal((500, 2)))
+        gap = np.linalg.svd(f.jacobian(x) - f.jacobian(y), compute_uv=False)[:, 0]
+        # 1e-15 absorbs the roundoff of the cosines
+        assert np.all(gap <= L * f.phase.distance(x, y) + 1e-15)
+
+    @settings(max_examples=20, deadline=None)
+    @given(c=AMPLITUDES, dc=st.floats(-0.05, 0.05), cat=st.booleans(), wide=st.booleans())
+    def test_exact_map_distance_dominates_samples(self, c, dc, cat, wide):
+        # wide amplitude gaps reach past |c - c'| = pi, where wrapping caps each component at 1/2
+        dc *= 200.0 if wide else 1.0
+        f = cat_map() if cat else PerturbedCatMap(c)
+        g = PerturbedCatMap((0.0 if cat else c) + dc)
+        exact, kind = map_distance(f, g)
+        assert kind == "exact" and sup_distance(f, g) == exact
+        sampled = f.phase.distance(f(DENSE), g(DENSE))
+        # 1e-15 absorbs the roundoff of canonicalizing f(x) and g(x)
+        assert sampled.max() <= exact + 1e-15
+        if not wide:
+            quarter = np.array([0.25, 0.25])
+            assert abs(f.phase.distance(f(quarter), g(quarter)) - exact) <= 1e-15
+
+    @settings(max_examples=20, deadline=None)
+    @given(shift=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+    def test_exact_shift_distance_dominates_samples(self, shift):
+        f = PerturbedCatMap(0.1)
+        exact, kind = map_distance(f, ShiftedMap(f, shift))
+        assert kind == "exact"
+        sampled = f.phase.distance(f(DENSE), ShiftedMap(f, shift)(DENSE))
+        assert sampled.max() <= exact + 1e-15
+
+    @given(x=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2))
+    def test_wrap_and_canon_ranges(self, x):
+        w, c = TORUS.wrap(x), TORUS.canon(x)
+        assert np.all((-0.5 < w) & (w <= 0.5))
+        assert np.all((0.0 <= c) & (c < 1.0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(amp=st.floats(0.0, 0.05), lengths=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           jump=st.floats(0.0, 1e-2), seed=st.integers(0, 2**32 - 1),
+           lams=st.lists(st.floats(0.05, 0.95), min_size=2, max_size=2))
+    def test_certificate_monotone_in_lambda(self, amp, lengths, jump, seed, lams):
+        f = PerturbedCatMap(amp)
+        po = generate(f, np.random.default_rng(seed).random(2), lengths, jump, seed)
+        spl = assign_splittings(po, f, "power")
+        lo, hi = sorted(lams)
+        passed = [certify_pseudo_orbit(po, spl, f, lam, 1e-6, 1e-2).passed for lam in (lo, hi)]
+        assert passed[0] <= passed[1]
