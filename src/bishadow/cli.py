@@ -1,9 +1,10 @@
 """Command-line harness: certify / refine / shadow / periodic / sweep.
 
 Exit codes: 0 success, 1 certification or precondition failure, 2 solver
-non-convergence, 3 configuration or usage error.  Reports are canonical JSON
-(sorted keys, shortest round-trip floats) or CSV; identical config and
-seed produce byte-identical output.  Wall-clock timing is only included
+non-convergence, 3 configuration or usage error.  A JSON report is the text
+of json.dumps(report, sort_keys=True, indent=2) and a newline, written by
+bishadow.jsonwriter; the other reports are CSV.  Identical config and seed
+produce byte-identical output.  Wall-clock timing is only included
 when --timing is passed, keeping default reports deterministic.
 """
 
@@ -31,6 +32,7 @@ from .config import (
     load_config,
     parse_config,
 )
+from .jsonwriter import dumps
 from .refinement import (
     GraphTransformError,
     PreconditionError,
@@ -64,7 +66,7 @@ def _emit(text: str, out_path: str | None):
 
 
 def _report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return dumps(report) + "\n"
 
 
 def _margins_csv(cert) -> str:
@@ -72,8 +74,7 @@ def _margins_csv(cert) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["segment", "step", "condition", "lhs", "rhs", "margin"])
     columns = (cert.segment, cert.step, cert.condition, cert.lhs, cert.rhs, cert.margin)
-    for segment, step, condition, *values in zip(*(c.tolist() for c in columns)):
-        writer.writerow([segment, step, condition, *map(repr, values)])
+    writer.writerows(zip(*(c.tolist() for c in columns)))
     return buf.getvalue()
 
 
@@ -102,14 +103,17 @@ def _certify(cfg: RunConfig, po, splittings, f):
 def _solver_config(cfg: RunConfig, po, f):
     block = cfg.solver
     lam = float(cfg.certification["lambda"])
-    return make_solver_config(
-        po, f, lam,
-        lam_tilde=block.get("lambda_tilde"),
-        epsilon1=float(block.get("epsilon1", 0.1)),
-        eta=block.get("eta"),
-        tol_fix=float(block.get("tol_fix", 1e-12)),
-        max_iter=int(block.get("max_iter", 10_000)),
-    )
+    try:
+        return make_solver_config(
+            po, f, lam,
+            lam_tilde=block.get("lambda_tilde"),
+            epsilon1=float(block.get("epsilon1", 0.1)),
+            eta=block.get("eta"),
+            tol_fix=float(block.get("tol_fix", 1e-12)),
+            max_iter=int(block.get("max_iter", 10_000)),
+        )
+    except ValueError as exc:  # the solver block's values out of range for this lambda
+        raise ConfigError(f"solver: {exc}") from exc
 
 
 def cmd_certify(cfg: RunConfig, args) -> int:
@@ -136,11 +140,14 @@ def cmd_refine(cfg: RunConfig, args) -> int:
     block = cfg.refinement
     lam_tilde = float(block.get("lambda_tilde", (1.0 + lam) / 2.0))
     bounds = system_bounds(f)
-    rcfg = make_refinement_config(
-        lam, lam_tilde, bounds.R,
-        lam0=block.get("lambda0"),
-        offdiag_tol=float(block.get("offdiag_tol", 1e-8)),
-    )
+    try:
+        rcfg = make_refinement_config(
+            lam, lam_tilde, bounds.R,
+            lam0=block.get("lambda0"),
+            offdiag_tol=float(block.get("offdiag_tol", 1e-8)),
+        )
+    except ValueError as exc:  # the refinement block's values out of range for this lambda
+        raise ConfigError(f"refinement: {exc}") from exc
     report = _base_report(cfg, "refine", None)
     try:
         result = refine(po, splittings, f, rcfg)
@@ -183,7 +190,7 @@ def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
     cert, margins = shadowing_preconditions(po, splittings, f, g, scfg)
     report["certificate"] = cert.to_dict()
     report["precondition_margins"] = {k: float(v) for k, v in margins.items()}
-    if not cert.passed or min(margins.values()) < 0:
+    if not (cert.passed and all(m >= 0 for m in margins.values())):  # a NaN margin fails
         report["error"] = {"kind": "precondition",
                            "message": "certification or size preconditions failed"}
         _emit(_report_json(report), _out_path(cfg, args))

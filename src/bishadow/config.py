@@ -8,6 +8,7 @@ unknown keys are rejected so typos fail fast, before any computation.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +42,29 @@ def _check_keys(block: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number that fits a float: not a bool, NaN or Infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _check_number(block, key, where, ok, wanted):
     """A present block[key] must be a number (not a bool) with ok(value)."""
-    v = block.get(key, 0.0)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not ok(v):
+    if key in block and not (_is_number(block[key]) and ok(block[key])):
         raise ConfigError(f"{where}.{key} must be {wanted}")
+
+
+def _check_numbers(block, key, where, ok, wanted):
+    """A present block[key] must be a nonempty list of numbers with ok(value)."""
+    if key not in block:
+        return
+    values = block[key]
+    if (not isinstance(values, list) or not values
+            or not all(_is_number(v) and ok(v) for v in values)):
+        raise ConfigError(f"{where}.{key} must be a nonempty list of {wanted}")
+
+
+def _integer_from(low):
+    return lambda v: isinstance(v, int) and v >= low
 
 
 @dataclass
@@ -72,6 +91,7 @@ def parse_config(payload: dict) -> RunConfig:
     _check_keys(sys_block, {"type", "amplitude", "matrix", "offset"}, {"type"}, "system")
     if sys_block["type"] not in ("cat_map", "perturbed_cat_map", "torus_linear", "affine"):
         raise ConfigError(f"unknown system type {sys_block['type']!r}")
+    _check_number(sys_block, "amplitude", "system", lambda v: True, "a number")
 
     po_block = payload["pseudo_orbit"]
     _check_keys(
@@ -86,9 +106,16 @@ def parse_config(payload: dict) -> RunConfig:
             {"start", "lengths", "jump_amp", "rng_seed"},
             "pseudo_orbit.generator",
         )
+        gen_block = po_block["generator"]
+        where = "pseudo_orbit.generator"
+        _check_numbers(gen_block, "lengths", where, _integer_from(1), "positive integers")
+        _check_number(gen_block, "jump_amp", where, lambda v: True, "a number")
+        _check_number(gen_block, "rng_seed", where, _integer_from(0), "a nonnegative integer")
+        _check_number(gen_block, "i_min", where, lambda v: isinstance(v, int), "an integer")
     else:
         if "lengths" not in po_block:
             raise ConfigError("pseudo_orbit with seeds needs lengths")
+        _check_numbers(po_block, "lengths", "pseudo_orbit", _integer_from(1), "positive integers")
 
     cert_block = payload["certification"]
     _check_keys(cert_block, {"lambda", "epsilon", "delta"}, {"lambda"}, "certification")
@@ -98,30 +125,39 @@ def parse_config(payload: dict) -> RunConfig:
 
     refine_block = payload.get("refinement", {})
     _check_keys(refine_block, {"lambda_tilde", "lambda0", "offdiag_tol"}, set(), "refinement")
+    for key in ("lambda_tilde", "lambda0"):
+        _check_number(refine_block, key, "refinement", lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    _check_number(refine_block, "offdiag_tol", "refinement", lambda v: v >= 0.0,
+                  "a nonnegative number")
 
     solver_block = payload.get("solver", {})
     _check_keys(
         solver_block,
         {"lambda_tilde", "epsilon1", "eta", "tol_fix", "max_iter"}, set(), "solver",
     )
+    _check_number(solver_block, "lambda_tilde", "solver", lambda v: 0.0 < v < 1.0, "in (0, 1)")
+    for key in ("epsilon1", "eta", "tol_fix"):
+        _check_number(solver_block, key, "solver", lambda v: v > 0.0, "a positive number")
+    _check_number(solver_block, "max_iter", "solver", _integer_from(1), "a positive integer")
 
     pert_block = payload.get("perturbation", {"type": "none"})
     _check_keys(pert_block, {"type", "offset", "amplitude"}, {"type"}, "perturbation")
     if pert_block["type"] not in ("none", "shift", "perturbed_amplitude"):
         raise ConfigError(f"unknown perturbation type {pert_block['type']!r}")
+    _check_number(pert_block, "amplitude", "perturbation", lambda v: True, "a number")
 
     split_block = payload.get("splitting", {})
     _check_keys(split_block, {"strategy", "dim_u", "depth"}, set(), "splitting")
+    _check_number(split_block, "dim_u", "splitting", _integer_from(1), "a positive integer")
+    _check_number(split_block, "depth", "splitting", _integer_from(0), "a nonnegative integer")
 
     sweep_block = payload.get("sweep", {})
     if sweep_block:
         _check_keys(sweep_block, {"axis", "values"}, {"axis", "values"}, "sweep")
         if sweep_block["axis"] not in ("delta", "d", "epsilon", "lambda"):
             raise ConfigError(f"unknown sweep axis {sweep_block['axis']!r}")
+        _check_numbers(sweep_block, "values", "sweep", lambda v: True, "numbers")
         values = sweep_block["values"]
-        if (not isinstance(values, list) or not values
-                or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in values)):
-            raise ConfigError("sweep.values must be a nonempty list of numbers")
         if sorted(values) != values:
             raise ConfigError("sweep.values must be sorted ascending")
 
@@ -169,7 +205,7 @@ def build_system(cfg: RunConfig) -> SmoothMap:
         if kind == "torus_linear":
             return TorusLinearMap(np.asarray(block["matrix"]))
         return AffineMap(np.asarray(block["matrix"], dtype=float), block.get("offset"))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise ConfigError(f"cannot build system: {exc}") from exc
 
 
@@ -183,7 +219,7 @@ def build_perturbed(cfg: RunConfig, f: SmoothMap) -> SmoothMap:
             raise ConfigError("shift perturbation needs an offset")
         try:
             return ShiftedMap(f, np.asarray(block["offset"], dtype=float))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"cannot build the shift perturbation: {exc}") from exc
     amp = block.get("amplitude")
     if amp is None:
@@ -212,7 +248,7 @@ def build_pseudo_orbit(cfg: RunConfig, f: SmoothMap, seed_override=None) -> Segm
             np.asarray(block["lengths"], dtype=int),
             f,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot build pseudo-orbit: {exc}") from exc
 
 

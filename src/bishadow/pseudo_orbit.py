@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonwriter import dumps
 from .splitting import Splitting, _checked_basis, _orthonormalize, eigen_splitting
 from .systems import Phase, SmoothMap
 
@@ -120,7 +121,7 @@ class SegmentedPseudoOrbit:
             "points": enc(self.points),
             "residuals": [format(v, ".17g") for v in self.residuals],
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "SegmentedPseudoOrbit":

@@ -296,15 +296,21 @@ class AffineMap(SmoothMap):
 
 
 class ShiftedMap(SmoothMap):
-    """g = shift after f; the derivative is unchanged."""
+    """g = shift after f; the derivative is unchanged.
+
+    On a torus the shift is stored as its shortest representative, so that a
+    shift by a whole period adds nothing, where in floating point it would
+    round away f's value.
+    """
 
     def __init__(self, base: SmoothMap, shift):
         self.base = base
-        self.shift = np.asarray(shift, dtype=float)
         self.phase = base.phase
-        if self.shift.shape != (self.phase.dim,):
+        shift = np.asarray(shift, dtype=float)
+        if shift.shape != (self.phase.dim,):
             raise ValueError(f"a shift on a {self.phase.dim}-dimensional space needs "
                              f"{self.phase.dim} coordinates")
+        self.shift = self.phase.wrap(shift)
 
     def __call__(self, x):
         return self.phase.canon(self.base(x) + self.shift)
@@ -400,7 +406,7 @@ def map_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256):
     """``(d, kind)``: d is the sup over x of the distance from f(x) to g(x).
 
     kind "exact" comes from a closed form: g is f (0), g is ShiftedMap(f, s)
-    (|wrap(s)|), the cat map or PerturbedCatMap(c) against
+    (|s|, s stored wrapped), the cat map or PerturbedCatMap(c) against
     PerturbedCatMap(c') (sqrt(2) min(|c - c'| / 2 pi, 1/2), at (1/4, 1/4)
     while |c - c'| <= pi), or affine
     maps with equal matrices.  Other torus pairs are "estimated": the
@@ -411,7 +417,7 @@ def map_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256):
     if g is f:
         return 0.0, "exact"
     if isinstance(g, ShiftedMap) and g.base is f:
-        return float(np.linalg.norm(f.phase.wrap(g.shift))), "exact"
+        return float(np.linalg.norm(g.shift)), "exact"
     cf, cg = cat_amplitude(f), cat_amplitude(g)
     if cf is not None and cg is not None:
         # each component of f - g is (c - c') / 2 pi times an independent sine,

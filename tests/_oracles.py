@@ -6,12 +6,15 @@ eigenvalues for the cat map, the quadratic formula for constant-block
 graph fixed points, synchronous graph-transform sweeps iterated to their
 fixed point, splittings, blocks and margin rows built one index at a
 time, the shadowing solver update one index at a time, the linear
-cat-map shadow orbit by scalar recursions in eigencoordinates, and LP
-feasibility for balance-sequence existence.
+cat-map shadow orbit by scalar recursions in eigencoordinates, LP
+feasibility for balance-sequence existence, and the certificate margin
+table written one CSV row at a time.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -329,3 +332,14 @@ def cat_linear_shadow(points, shift):
     for j in range(n - 1, -1, -1):
         cu[j] = (cu[j + 1] - forcing[j, 0]) / CAT_EXPANDING
     return np.outer(cu, e_u) + np.outer(cs, e_s)
+
+
+def margins_csv_rows(cert) -> str:
+    """The certify CSV margin table, one writerow per margin row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["segment", "step", "condition", "lhs", "rhs", "margin"])
+    columns = (cert.segment, cert.step, cert.condition, cert.lhs, cert.rhs, cert.margin)
+    for segment, step, condition, *values in zip(*(c.tolist() for c in columns)):
+        writer.writerow([segment, step, condition, *map(repr, values)])
+    return buf.getvalue()

@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import bishadow.certification
 import bishadow.cli
 from bishadow.cli import main
 from bishadow.refinement import GraphTransformError
 from bishadow.systems import Phase
+
+from _oracles import margins_csv_rows
 
 BASE_CONFIG = {
     "system": {"type": "cat_map"},
@@ -21,6 +25,25 @@ BASE_CONFIG = {
     "perturbation": {"type": "shift", "offset": [1e-4, 0.0]},
     "sweep": {"axis": "delta", "values": [1e-5, 1e-4, 2e-4]},
 }
+
+
+REFINE_PAYLOAD = {
+    "system": {"type": "perturbed_cat_map", "amplitude": 0.005},
+    "pseudo_orbit": {
+        "generator": {"start": [0.3, 0.7], "lengths": [3, 3, 3],
+                      "jump_amp": 1e-5, "rng_seed": 7}
+    },
+    "certification": {"lambda": 0.4},
+    "refinement": {"lambda_tilde": 0.5},
+    "splitting": {"strategy": "power"},
+}
+
+
+def _precondition_failure():
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["pseudo_orbit"]["generator"]["jump_amp"] = 5e-3
+    payload["certification"]["delta"] = 5e-3
+    return payload
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -93,10 +116,7 @@ class TestExitCodes:
         assert "closure" not in report["result"]
 
     def test_shadow_precondition_failure(self, tmp_path):
-        payload = json.loads(json.dumps(BASE_CONFIG))
-        payload["pseudo_orbit"]["generator"]["jump_amp"] = 5e-3
-        payload["certification"]["delta"] = 5e-3
-        code, out = run(tmp_path, "shadow", payload)
+        code, out = run(tmp_path, "shadow", _precondition_failure())
         assert code == 1
         assert json.loads(out.read_text())["error"]["kind"] == "precondition"
 
@@ -234,17 +254,7 @@ class TestExitCodes:
             assert code == 3
 
     def test_refine_ok(self, tmp_path):
-        payload = {
-            "system": {"type": "perturbed_cat_map", "amplitude": 0.005},
-            "pseudo_orbit": {
-                "generator": {"start": [0.3, 0.7], "lengths": [3, 3, 3],
-                              "jump_amp": 1e-5, "rng_seed": 7}
-            },
-            "certification": {"lambda": 0.4},
-            "refinement": {"lambda_tilde": 0.5},
-            "splitting": {"strategy": "power"},
-        }
-        code, out = run(tmp_path, "refine", payload)
+        code, out = run(tmp_path, "refine", REFINE_PAYLOAD)
         assert code == 0
         report = json.loads(out.read_text())
         assert report["refinement"]["is_quasi_hyperbolic"] is True
@@ -258,6 +268,22 @@ class TestCertifyCsv:
         lines = out.read_text().splitlines()
         assert lines[0] == "segment,step,condition,lhs,rhs,margin"
         assert len(lines) > 10
+
+    @pytest.mark.parametrize("lam", [0.4, 0.3])
+    def test_matches_row_by_row_table(self, tmp_path, monkeypatch, lam):
+        certs = []
+        real = bishadow.cli._certify
+
+        def recording(*args):
+            certs.append(real(*args))
+            return certs[-1]
+
+        monkeypatch.setattr(bishadow.cli, "_certify", recording)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["certification"]["lambda"] = lam
+        code, out = run(tmp_path, "certify", payload, extra=("--format", "csv"))
+        assert code == (0 if lam == 0.4 else 1)
+        assert out.read_bytes() == margins_csv_rows(certs[0]).encode()
 
 
 class TestSweep:
@@ -378,3 +404,151 @@ def test_no_subcommand_samples_a_grid(tmp_path, monkeypatch, system, command):
     elif command == "refine":
         kind = json.loads(out.read_text())["refinement"]["eps_cap_kind"]
         assert kind == ("bound" if system == "perturbed_cat_map" else "exact")
+
+
+def mutation_base(command: str) -> dict:
+    """BASE_CONFIG on a short orbit, with the blocks ``command`` reads."""
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["pseudo_orbit"]["generator"]["lengths"] = [2, 2]
+    payload["sweep"]["values"] = [1e-5, 1e-4]
+    if command == "refine":
+        payload["refinement"] = {"lambda_tilde": 0.5, "lambda0": 0.45, "offdiag_tol": 1e-8}
+        payload["splitting"] = {"strategy": "eigen", "dim_u": 1}
+    if command == "periodic":
+        payload["pseudo_orbit"] = {"seeds": [[0.0, 0.0], [0.0, 0.0]], "lengths": [1]}
+        payload["certification"]["delta"] = 0.0
+    if command == "shadow":
+        payload["solver"].update(epsilon1=0.1, eta=0.05, tol_fix=1e-12, max_iter=200)
+    return payload
+
+
+def mutation_paths(node, path=()):
+    """Every key or list index below node, as a path of keys."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from mutation_paths(child, path + (key,))
+
+
+# "drop" removes a dict key; every other value replaces a leaf.  NaN and
+# Infinity are JSON literals Python reads; 10**400 is beyond float range.
+MUTATIONS = ("drop", "x", True, 0, -1, -0.5, 1e300, [], [0.5, 1],
+             math.nan, math.inf, 10**400)
+
+
+def mutate(payload: dict, path: tuple, mutation):
+    """payload with one mutation at path; None where it does not apply."""
+    payload = json.loads(json.dumps(payload))
+    *parents, last = path
+    node = payload
+    for key in parents:
+        node = node[key]
+    if mutation == "drop":
+        if not isinstance(node, dict):
+            return None
+        del node[last]
+    elif isinstance(node[last], (dict, list)):
+        return None
+    else:
+        node[last] = mutation
+    return payload
+
+
+MUTATION_CASES = [(command, path)
+                  for command in ("certify", "refine", "shadow", "periodic", "sweep")
+                  for path in mutation_paths(mutation_base(command))]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # NaN inputs
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(MUTATION_CASES), mutation=st.sampled_from(MUTATIONS))
+def test_mutated_config_fails_cleanly(tmp_path, capsys, case, mutation):
+    """A mutated valid config ends with an exit code and a report or a
+    stderr line, never with an uncaught exception."""
+    command, path = case
+    payload = mutate(mutation_base(command), path, mutation)
+    assume(payload is not None)
+    out = tmp_path / "mutated.txt"
+    out.unlink(missing_ok=True)
+    extra = ("--jobs", "1") if command == "sweep" else ()
+    code = main([command, "--config", write_config(tmp_path, payload, "mutated.json"),
+                 "--out", str(out), *extra])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3)
+    assert out.exists() or err.strip()
+    if code == 3:
+        assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command, block, key, value", [
+    ("shadow", "solver", "lambda_tilde", 0.9),
+    ("shadow", "solver", "eta", "abc"),
+    ("shadow", "solver", "epsilon1", "x"),
+    ("shadow", "solver", "tol_fix", "x"),
+    ("shadow", "solver", "max_iter", "x"),
+    ("refine", "refinement", "lambda_tilde", 0.2),
+    ("refine", "refinement", "lambda0", 0.99),
+    ("refine", "refinement", "offdiag_tol", "x"),
+    ("shadow", "perturbation", "amplitude", "x"),
+])
+def test_bad_solver_value_is_config_error(tmp_path, capsys, command, block, key, value):
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    if block == "perturbation":
+        payload["perturbation"] = {"type": "perturbed_amplitude"}
+    payload.setdefault(block, {})[key] = value
+    code, out = run(tmp_path, command, payload)
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {block}")
+
+
+def test_whole_period_shift_adds_nothing(tmp_path):
+    # a shift by 1e300 is a whole number of periods on T^2; added in floating
+    # point it rounded f's value away and the solve raised
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["perturbation"]["offset"] = [1e300, 0.0]
+    code, out = run(tmp_path, "shadow", payload)
+    assert code == 0
+    assert json.loads(out.read_text())["constants"]["map_distance"]["value"] == 0.0
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_nan_shift_fails_preconditions(tmp_path):
+    # a NaN margin compared false with 0, so the solve ran and raised
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["perturbation"]["offset"] = [math.nan, 0.0]
+    code, out = run(tmp_path, "shadow", payload)
+    assert code == 1
+    assert json.loads(out.read_text())["error"]["kind"] == "precondition"
+
+
+@pytest.mark.parametrize("command, payload, graph_error, expected", [
+    ("certify", BASE_CONFIG, False, 0),
+    ("refine", REFINE_PAYLOAD, False, 0),
+    ("refine", BASE_CONFIG, True, 1),
+    ("shadow", BASE_CONFIG, False, 0),
+    ("shadow", _precondition_failure(), False, 1),
+    ("periodic", guarded_payload("cat_map", "periodic"), False, 0),
+], ids=["certify", "refine", "refine-error", "shadow", "precondition-failure", "periodic"])
+def test_report_is_reference_json(tmp_path, monkeypatch, command, payload, graph_error, expected):
+    """Each report is json.dumps(report, sort_keys=True, indent=2) and a newline."""
+    reports = []
+    real = bishadow.cli._report_json
+
+    def recording(report):
+        reports.append(report)
+        return real(report)
+
+    monkeypatch.setattr(bishadow.cli, "_report_json", recording)
+    if graph_error:
+        def failing(*args, **kwargs):
+            raise GraphTransformError("graph left the unit ball at index 4")
+
+        monkeypatch.setattr(bishadow.cli, "refine", failing)
+    code, out = run(tmp_path, command, payload)
+    assert code == expected
+    [report] = reports
+    assert out.read_bytes() == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,12 @@ class TestSerialization:
         assert np.array_equal(back.seeds, po.seeds)
         assert np.array_equal(back.residuals, po.residuals)
         assert back.i_min == po.i_min
+
+    def test_json_is_reference_text(self):
+        # the payload is strings and ints, so loading it back is exact
+        po = generate(PerturbedCatMap(0.01), [0.123456789, 0.987654321], [3, 2], 1e-4, 9)
+        text = po.to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2)
 
 
 class TestAssignSplittings:
