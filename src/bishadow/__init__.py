@@ -44,8 +44,6 @@ from .refinement import (
     RefinementResult,
     make_refinement_config,
     refine,
-    solve_stable_graphs,
-    solve_unstable_graphs,
 )
 from .shadowing import (
     ShadowingResult,
@@ -76,6 +74,5 @@ from .systems import (
     cat_map,
     estimate_bounds,
     map_distance,
-    sup_distance,
     system_bounds,
 )

@@ -1,11 +1,12 @@
 """Command-line harness: certify / refine / shadow / periodic / sweep.
 
 Exit codes: 0 success, 1 certification or precondition failure, 2 solver
-non-convergence, 3 configuration or usage error.  A JSON report is the text
-of json.dumps(report, sort_keys=True, indent=2) and a newline, written by
+non-convergence or a solver error (reported with kind "solver"), 3
+configuration or usage error.  A JSON report is the text of
+json.dumps(report, sort_keys=True, indent=2) and a newline, written by
 bishadow.jsonwriter; the other reports are CSV.  Identical config and seed
-produce byte-identical output.  Wall-clock timing is only included
-when --timing is passed, keeping default reports deterministic.
+produce byte-identical output.  Wall-clock timing is only included when
+--timing is passed, keeping default reports deterministic.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .refinement import (
     refine,
 )
 from .shadowing import (
+    BallInvariantError,
+    UnstableSolveError,
     make_solver_config,
     shadowing_preconditions,
     solve_finite,
@@ -195,10 +198,13 @@ def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
                            "message": "certification or size preconditions failed"}
         _emit(_report_json(report), _out_path(cfg, args))
         return EXIT_FAILED
-    if periodic:
-        result = solve_periodic(po, splittings, f, g, scfg, blocks=cert.blocks)
-    else:
-        result = solve_finite(po, splittings, f, g, scfg, blocks=cert.blocks)
+    solve = solve_periodic if periodic else solve_finite
+    try:
+        result = solve(po, splittings, f, g, scfg, blocks=cert.blocks)
+    except (BallInvariantError, UnstableSolveError) as exc:
+        report["error"] = {"kind": "solver", "message": str(exc)}
+        _emit(_report_json(report), _out_path(cfg, args))
+        return EXIT_NO_CONVERGENCE
     if args.timing:
         report["timing"] = {"wall_s": time.perf_counter() - start}
     report["result"] = result.to_dict()

@@ -85,9 +85,9 @@ class AffineSequenceSystem(SmoothMap):
     def jacobian(self, x):
         raise TypeError("step-indexed system; use at_step(j).jacobian")
 
-    def operator_norm_bounds(self):
+    def derivative_bounds(self):
         s = np.linalg.svd(self.matrices, compute_uv=False)
-        return float(max(s[:, 0].max(), (1.0 / s[:, -1]).max()))
+        return float(max(s[:, 0].max(), (1.0 / s[:, -1]).max())), 0.0
 
     def zero_pseudo_orbit(self) -> SegmentedPseudoOrbit:
         """The all-zero seeds pseudo-orbit whose jumps are the residuals."""

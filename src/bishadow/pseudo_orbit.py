@@ -28,6 +28,8 @@ __all__ = [
     "flatten",
     "generate",
     "assign_splittings",
+    "push_forward",
+    "pull_back",
 ]
 
 
@@ -267,10 +269,27 @@ class SplittingAssignment:
                                    self.basis_inv[j_lo : j_hi + 1])
 
 
+def push_forward(jacs, u0) -> np.ndarray:
+    """Orthonormal bases u_0 = u0, u_{t+1} = orth(J_t u_t) of the images of
+    span(u0) under the T matrices of jacs: one forward QR pass, T + 1 bases."""
+    u = [u0]
+    for jac in jacs:
+        u.append(_orthonormalize(jac @ u[-1]))
+    return np.stack(u)
+
+
+def pull_back(jacs, s_end) -> np.ndarray:
+    """Orthonormal bases s_T = s_end, s_t = orth(J_t^{-1} s_{t+1}) of the
+    preimages of span(s_end): one backward QR pass, T + 1 bases."""
+    s = [s_end]
+    for jac in jacs[::-1]:
+        s.append(_orthonormalize(np.linalg.solve(jac, s[-1])))
+    return np.stack(s[::-1])
+
+
 def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
-    """Chained subspace iteration: one forward QR pass pushes the seed's
-    unstable basis along the orbit, u_{t+1} = orth(J_t u_t), and one
-    backward pass pulls its stable basis back, s_t = orth(J_t^{-1} s_{t+1}).
+    """Chained subspace iteration: push_forward carries the seed's unstable
+    basis along the orbit and pull_back carries its stable basis back.
 
     An open pseudo-orbit starts the passes at its ends.  A closed one
     (closing seed equal to the first) is one period of a cycle: both
@@ -280,12 +299,8 @@ def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
     n = po.n_steps
     jacs = f.jacobian_along(po.points[:-1])
     warm = depth if po.closed else 0
-    u, s = [seed.unstable], [seed.stable]
-    for t in range(-warm, n):
-        u.append(_orthonormalize(jacs[t % n] @ u[-1]))
-    for t in range(n - 1 + warm, -1, -1):
-        s.append(_orthonormalize(np.linalg.solve(jacs[t % n], s[-1])))
-    u, s = np.stack(u[warm:]), np.stack(s[warm:][::-1])  # indices 0..N
+    u = push_forward(jacs[np.arange(-warm, n) % n], seed.unstable)[warm:]  # indices 0..N
+    s = pull_back(jacs[np.arange(n + warm) % n], seed.stable)[: n + 1]
     if po.closed:
         u[n], s[n] = u[0], s[0]
     gaps = np.linalg.svd(np.concatenate([u, s], axis=-1), compute_uv=False)[:, -1]

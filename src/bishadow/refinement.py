@@ -11,16 +11,18 @@ backward transform
 
     Q_j = A_j^(-1) (Q_{j+1} C_j Q_j + Q_{j+1} D_j - B_j)
 
-does the same for the stable side (solved per index as a small linear
-equation).  Replacing the original subspaces by the two graph families
-block-diagonalizes the derivative; the refined splitting then certifies
-at a slightly weaker rate with zero off-diagonal tolerance.
+does the same for the stable side.  Replacing the original subspaces by
+the two graph families block-diagonalizes the derivative; the refined
+splitting then certifies at a slightly weaker rate with zero
+off-diagonal tolerance.
 
 Finite windows pin the unstable graph to zero at the left edge and the
-stable graph at the right edge.  With the boundary pinned, each fixed
-point is a single pass of its transform: forward for P, backward for Q.
-Boundary influence decays geometrically into the interior, which callers
-can quantify by comparing windows.
+stable graph at the right edge.  With the boundary pinned, graph(P_j) is
+the image of the left edge's unstable subspace along the orbit and
+graph(Q_j) the preimage of the right edge's stable subspace: the two
+cocycle passes that also build ``power`` splittings.  Boundary influence
+decays geometrically into the interior, which callers can quantify by
+comparing windows.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from .certification import (Certificate, OrbitBlocks, _covering, _singular_values, block_norms,
                             certify_pseudo_orbit, pseudo_orbit_blocks)
-from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
-from .splitting import min_norm, op_norm
+from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, pull_back, push_forward
+from .splitting import min_norm
 from .systems import SmoothMap
 
 __all__ = [
@@ -40,8 +42,7 @@ __all__ = [
     "make_refinement_config",
     "PreconditionError",
     "GraphTransformError",
-    "solve_unstable_graphs",
-    "solve_stable_graphs",
+    "invariant_graphs",
     "RefinementResult",
     "refine",
 ]
@@ -98,52 +99,50 @@ def make_refinement_config(
     )
 
 
-def solve_unstable_graphs(blocks: OrbitBlocks) -> np.ndarray:
-    """Fixed point of the unstable graph transform, pinned to zero at index 0.
+def _graphs(num, den):
+    """G_j = num_j den_j^(-1) and ||G_j|| for every j; ||G_j|| = inf where
+    den_j is singular.  [den_j; num_j] holds the coordinates of orthonormal
+    columns in a splitting, so its smallest singular value is at least
+    1/sqrt(2), and m(den_j) <= 1e-14 would mean ||G_j|| >= 7e13."""
+    singular = _singular_values(den, -1, np.inf) <= 1e-14
+    den = np.where(singular[:, None, None], np.eye(den.shape[-1]), den)
+    G = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
+    return G, np.where(singular, np.inf, _singular_values(G, 0, 0.0))
 
-    With P_0 fixed, P_{j+1} depends on P_j alone, so the fixed point is the
-    forward recursion itself.  Returns P with shape (N + 1, ds, du).
+
+def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray, np.ndarray]:
+    """Pinned fixed points P ``(N + 1, ds, du)`` and Q ``(N + 1, du, ds)`` of
+    both graph transforms, for the splittings and the N Jacobians jacs.
+
+    graph(P_j) = span(u_j + s_j P_j) is the image of span(u_0) under
+    J_{j-1}...J_0 (push_forward), graph(Q_j) the preimage of span(s_N)
+    (pull_back).  With [X_j; Y_j] = basis_inv_j times a pass basis, one
+    batched solve per side reads P_j = Y_j X_j^(-1) and Q_j = X_j Y_j^(-1).
+    A singular graph, or one outside the unit ball, raises
+    GraphTransformError at its first index in pass order (the lowest for
+    P, the highest for Q), where a per-index recursion would stop.
     """
-    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
-    P = np.zeros((len(blocks) + 1,) + C.shape[1:])
-    for j in range(len(blocks)):
-        den = A[j] + B[j] @ P[j]
-        try:
-            P[j + 1] = np.linalg.solve(den.T, (C[j] + D[j] @ P[j]).T).T
-        except np.linalg.LinAlgError as exc:
-            raise GraphTransformError(
-                f"singular unstable denominator at index {j}: "
-                f"m(A + B P) = {min_norm(den):.3e}"
-            ) from exc
-        if op_norm(P[j + 1]) > 1.0 + 1e-9:
-            raise GraphTransformError(
-                f"graph left the unit ball at index {j + 1} "
-                f"(norm {op_norm(P[j + 1]):.6f}); off-diagonal bounds too weak"
-            )
-    return P
-
-
-def solve_stable_graphs(blocks: OrbitBlocks) -> np.ndarray:
-    """Fixed point of the mirrored transform, pinned to zero at index N.
-
-    One backward pass: Q_j solves (I - A_j^(-1) Q_{j+1} C_j) Q_j
-    = A_j^(-1) (Q_{j+1} D_j - B_j).  Returns Q with shape (N + 1, du, ds).
-    """
-    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
-    Q = np.zeros((len(blocks) + 1,) + B.shape[1:])
-    for j in range(len(blocks) - 1, -1, -1):
-        lhs = np.eye(A.shape[1]) - np.linalg.solve(A[j], Q[j + 1] @ C[j])
-        rhs = np.linalg.solve(A[j], Q[j + 1] @ D[j] - B[j])
-        try:
-            Q[j] = np.linalg.solve(lhs, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise GraphTransformError(f"singular stable solve at index {j}") from exc
-        if op_norm(Q[j]) > 1.0 + 1e-9:
-            raise GraphTransformError(
-                f"stable graph left the unit ball at index {j} "
-                f"(norm {op_norm(Q[j]):.6f})"
-            )
-    return Q
+    du = splittings.dim_u
+    cu = splittings.basis_inv @ push_forward(jacs, splittings.unstable[0])
+    P, norms = _graphs(cu[:, du:], cu[:, :du])
+    bad = np.flatnonzero(norms > 1.0 + 1e-9)
+    if bad.size and np.isinf(norms[j := bad[0]]):
+        den = splittings.basis_inv[j] @ jacs[j - 1] @ splittings.basis[j - 1]
+        raise GraphTransformError(f"singular unstable denominator at index {j - 1}: m(A + B P) = "
+                                  f"{min_norm(den[:du, :du] + den[:du, du:] @ P[j - 1]):.3e}")
+    if bad.size:
+        raise GraphTransformError(f"graph left the unit ball at index {j} (norm {norms[j]:.6f}); "
+                                  "off-diagonal bounds too weak")
+    cs = splittings.basis_inv @ pull_back(jacs, splittings.stable[-1])
+    Q, norms = _graphs(cs[:, :du], cs[:, du:])
+    bad = np.flatnonzero(norms > 1.0 + 1e-9)
+    if bad.size and np.isinf(norms[j := bad[-1]]):
+        raise GraphTransformError(f"singular stable solve at index {j}")
+    if bad.size:
+        raise GraphTransformError(f"stable graph left the unit ball at index {j} "
+                                  f"(norm {norms[j]:.6f})")
+    P[0], Q[-1] = 0.0, 0.0  # the pinned boundary
+    return P, Q
 
 
 def unstable_invariance_residuals(P: np.ndarray, blocks: OrbitBlocks) -> np.ndarray:
@@ -204,8 +203,7 @@ def refine(
             f"(margin {worst.margin:.3e})"
         )
 
-    P = solve_unstable_graphs(blocks)
-    Q = solve_stable_graphs(blocks)
+    P, Q = invariant_graphs(splittings, f.jacobian_along(po.points[:-1]))
     max_res = float(max(unstable_invariance_residuals(P, blocks).max(),
                         stable_invariance_residuals(Q, blocks).max()))
     if max_res > config.offdiag_tol:

@@ -141,7 +141,7 @@ def make_solver_config(
         raise ValueError(f"eta must lie in (0, {eta_cap:g}]")
     if bounds is None:
         bounds = system_bounds(f, scale=eta_val)
-    R, L = max(bounds.R, 1.0), bounds.lipschitz
+    R, L = max(bounds.R, 1.0), bounds.L
     if L > 0.0:
         eta_val = min(eta_val, (lam_tilde - lam) / (5.0 * R * L))
     a_max = int(np.max(po.lengths))

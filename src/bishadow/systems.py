@@ -31,7 +31,6 @@ __all__ = [
     "estimate_bounds",
     "cat_amplitude",
     "map_distance",
-    "sup_distance",
 ]
 
 #: most points a sampling grid may hold
@@ -166,16 +165,11 @@ class SmoothMap:
             out[t + 1] = self(out[t])
         return out
 
-    def operator_norm_bounds(self):
-        """Exact ``max(sup ||Df||, sup ||Df^-1||)`` when available, else None."""
-        return None
-
     def derivative_bounds(self):
-        """Analytic ``(R, L)`` or None: R bounds ||Df|| and ||Df^-1||, L is a
-        Lipschitz constant of Df.  L = 0 means Df is constant and R exact,
-        as the default reads them from operator_norm_bounds."""
-        R = self.operator_norm_bounds()
-        return None if R is None else (R, 0.0)
+        """Analytic ``(R, L)``, or None when the map has none: R bounds
+        ||Df|| and ||Df^-1||, L is a Lipschitz constant of Df.  L = 0 means
+        Df is constant and R exact."""
+        return None
 
 
 class TorusLinearMap(SmoothMap):
@@ -207,9 +201,9 @@ class TorusLinearMap(SmoothMap):
         y = np.asarray(y, dtype=float)
         return self.phase.canon(y @ self._inv_matrix.T)
 
-    def operator_norm_bounds(self):
+    def derivative_bounds(self):
         s = np.linalg.svd(self.matrix, compute_uv=False)
-        return float(max(s[0], 1.0 / s[-1]))
+        return float(max(s[0], 1.0 / s[-1])), 0.0
 
 
 def cat_map() -> TorusLinearMap:
@@ -290,9 +284,9 @@ class AffineMap(SmoothMap):
     def inverse(self, y):
         return np.linalg.solve(self.matrix, np.asarray(y, dtype=float) - self.offset)
 
-    def operator_norm_bounds(self):
+    def derivative_bounds(self):
         s = np.linalg.svd(self.matrix, compute_uv=False)
-        return float(max(s[0], 1.0 / s[-1]))
+        return float(max(s[0], 1.0 / s[-1])), 0.0
 
 
 class ShiftedMap(SmoothMap):
@@ -340,21 +334,14 @@ class ShiftedMap(SmoothMap):
 class SystemBounds:
     """Derivative constants of a map, and where they come from.
 
-    R bounds both ||Df|| and ||Df^-1||; lip_modulus is the modulus of
-    continuity of Df at displacement ``scale``, so lip_modulus / scale is
-    its Lipschitz constant.  kind is "exact" (a constant Df), "bound"
-    (analytic upper bounds) or "estimated" (grid suprema: lower estimates).
+    R bounds both ||Df|| and ||Df^-1||, and L is a Lipschitz constant of
+    Df.  kind is "exact" (a constant Df), "bound" (analytic upper bounds)
+    or "estimated" (grid suprema: lower estimates).
     """
 
     R: float
-    lip_modulus: float
-    grid_res: int
-    scale: float
-    kind: str = "estimated"
-
-    @property
-    def lipschitz(self) -> float:
-        return self.lip_modulus / self.scale if self.lip_modulus else 0.0
+    L: float
+    kind: str
 
 
 def system_bounds(f: SmoothMap, scale: float = 0.1) -> SystemBounds:
@@ -364,14 +351,14 @@ def system_bounds(f: SmoothMap, scale: float = 0.1) -> SystemBounds:
     if analytic is None:
         return estimate_bounds(f, scale=scale)
     R, L = analytic
-    return SystemBounds(R=max(R, 1.0), lip_modulus=L, grid_res=0, scale=1.0,
-                        kind="bound" if L else "exact")
+    return SystemBounds(R=max(R, 1.0), L=L, kind="bound" if L else "exact")
 
 
 def estimate_bounds(f: SmoothMap, grid_res: int = 256, scale: float = 0.1) -> SystemBounds:
     """Estimate R = max(sup ||Df||, sup ||Df^-1||) over a uniform torus grid,
-    and the Df modulus of continuity at ``scale`` over 8 random offsets of
-    a 64-per-axis grid: lower estimates of the true suprema.
+    and L as the Df modulus of continuity at ``scale`` over 8 random
+    offsets of a 64-per-axis grid, divided by ``scale``: lower estimates of
+    the true suprema.
     """
     pts = f.phase.grid(grid_res)
     s = np.linalg.svd(f.jacobian(pts), compute_uv=False)
@@ -390,7 +377,7 @@ def estimate_bounds(f: SmoothMap, grid_res: int = 256, scale: float = 0.1) -> Sy
         moved = f.jacobian(f.phase.canon(coarse + u))
         diff = np.linalg.svd(moved - base, compute_uv=False)[..., 0]
         worst = max(worst, float(diff.max()))
-    return SystemBounds(R=R, lip_modulus=worst, grid_res=grid_res, scale=scale)
+    return SystemBounds(R=R, L=worst / scale, kind="estimated")
 
 
 def cat_amplitude(f: SmoothMap):
@@ -432,7 +419,3 @@ def map_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256):
     pts = f.phase.grid(grid_res)
     return float(f.phase.distance(f(pts), g(pts)).max()), "estimated"
 
-
-def sup_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256) -> float:
-    """The supremum of map_distance, without its kind."""
-    return map_distance(f, g, grid_res)[0]

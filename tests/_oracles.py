@@ -3,9 +3,10 @@
 Everything here recomputes expected values by a route different from the
 library code under test: finite differences for derivatives, closed-form
 eigenvalues for the cat map, the quadratic formula for constant-block
-graph fixed points, synchronous graph-transform sweeps iterated to their
-fixed point, splittings, blocks and margin rows built one index at a
-time, the shadowing solver update one index at a time, the linear
+graph fixed points, the pinned graph transforms as forward and backward
+recursions on the blocks, synchronous graph-transform sweeps iterated to
+their fixed point, splittings, blocks and margin rows built one index at
+a time, the shadowing solver update one index at a time, the linear
 cat-map shadow orbit by scalar recursions in eigencoordinates, LP
 feasibility for balance-sequence existence, and the certificate margin
 table written one CSV row at a time.
@@ -20,6 +21,7 @@ import math
 import numpy as np
 
 from bishadow.certification import OrbitBlocks
+from bishadow.refinement import GraphTransformError
 from bishadow.splitting import Splitting, _orthonormalize, block_decompose, min_norm, op_norm
 
 # roots of t^2 - 3t + 1: the cat-map eigenvalues
@@ -46,6 +48,54 @@ def graph_fixed_point_quadratic(a, b, c, d):
     """Positive root of b p^2 + (a - d) p - c = 0 (scalar constant blocks)."""
     disc = (a - d) ** 2 + 4.0 * b * c
     return (-(a - d) + math.sqrt(disc)) / (2.0 * b)
+
+
+def solve_unstable_graphs(blocks: OrbitBlocks) -> np.ndarray:
+    """Fixed point of the unstable graph transform, pinned to zero at index 0.
+
+    With P_0 fixed, P_{j+1} depends on P_j alone, so the fixed point is the
+    forward recursion itself.  Returns P with shape (N + 1, ds, du).
+    """
+    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
+    P = np.zeros((len(blocks) + 1,) + C.shape[1:])
+    for j in range(len(blocks)):
+        den = A[j] + B[j] @ P[j]
+        try:
+            P[j + 1] = np.linalg.solve(den.T, (C[j] + D[j] @ P[j]).T).T
+        except np.linalg.LinAlgError as exc:
+            raise GraphTransformError(
+                f"singular unstable denominator at index {j}: "
+                f"m(A + B P) = {min_norm(den):.3e}"
+            ) from exc
+        if op_norm(P[j + 1]) > 1.0 + 1e-9:
+            raise GraphTransformError(
+                f"graph left the unit ball at index {j + 1} "
+                f"(norm {op_norm(P[j + 1]):.6f}); off-diagonal bounds too weak"
+            )
+    return P
+
+
+def solve_stable_graphs(blocks: OrbitBlocks) -> np.ndarray:
+    """Fixed point of the mirrored transform, pinned to zero at index N.
+
+    One backward pass: Q_j solves (I - A_j^(-1) Q_{j+1} C_j) Q_j
+    = A_j^(-1) (Q_{j+1} D_j - B_j).  Returns Q with shape (N + 1, du, ds).
+    """
+    A, B, C, D = blocks.A, blocks.B, blocks.C, blocks.D
+    Q = np.zeros((len(blocks) + 1,) + B.shape[1:])
+    for j in range(len(blocks) - 1, -1, -1):
+        lhs = np.eye(A.shape[1]) - np.linalg.solve(A[j], Q[j + 1] @ C[j])
+        rhs = np.linalg.solve(A[j], Q[j + 1] @ D[j] - B[j])
+        try:
+            Q[j] = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise GraphTransformError(f"singular stable solve at index {j}") from exc
+        if op_norm(Q[j]) > 1.0 + 1e-9:
+            raise GraphTransformError(
+                f"stable graph left the unit ball at index {j} "
+                f"(norm {op_norm(Q[j]):.6f})"
+            )
+    return Q
 
 
 def unstable_graph_sweep(P, blocks):

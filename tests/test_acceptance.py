@@ -11,7 +11,6 @@ import bishadow as bs
 from bishadow.refinement import (
     make_refinement_config,
     refine,
-    solve_unstable_graphs,
     unstable_invariance_residuals,
 )
 from bishadow.splitting import Splitting, eigen_splitting, min_norm, op_norm
@@ -27,6 +26,7 @@ from _oracles import (
     quotient_log_bounds,
     random_affine_system,
     random_quasi_hyperbolic_pair,
+    solve_unstable_graphs,
     unstable_graph_sweep,
 )
 

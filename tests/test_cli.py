@@ -10,6 +10,7 @@ import bishadow.certification
 import bishadow.cli
 from bishadow.cli import main
 from bishadow.refinement import GraphTransformError
+from bishadow.shadowing import BallInvariantError, UnstableSolveError
 from bishadow.systems import Phase
 
 from _oracles import margins_csv_rows
@@ -169,6 +170,22 @@ class TestExitCodes:
         code, _ = run(tmp_path, "shadow")
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["shadow", "periodic"])
+    @pytest.mark.parametrize("error", [BallInvariantError, UnstableSolveError])
+    def test_solver_error_is_reported(self, tmp_path, monkeypatch, command, error):
+        # the preconditions pass, then the solve raises: exit 2 with the report
+        def failing(*args, **kwargs):
+            raise error("solver failed at index 3")
+
+        solver = "solve_periodic" if command == "periodic" else "solve_finite"
+        monkeypatch.setattr(bishadow.cli, solver, failing)
+        code, out = run(tmp_path, command, guarded_payload("cat_map", command))
+        assert code == 2
+        report = json.loads(out.read_text())
+        assert report["error"] == {"kind": "solver", "message": "solver failed at index 3"}
+        assert report["certificate"]["passed"] is True
+        assert "result" not in report
 
     def test_non_unimodular_matrix_is_config_error(self, tmp_path, capsys):
         payload = json.loads(json.dumps(BASE_CONFIG))

@@ -1,37 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bishadow.certification import is_quasi_hyperbolic, pseudo_orbit_blocks
-from bishadow.pseudo_orbit import assign_splittings, generate
+from bishadow.oracle import AffineSequenceSystem
+from bishadow.pseudo_orbit import SplittingAssignment, assign_splittings, generate
 from bishadow.refinement import (
     GraphTransformError,
     PreconditionError,
+    invariant_graphs,
     make_refinement_config,
     refine,
-    solve_stable_graphs,
-    solve_unstable_graphs,
     stable_invariance_residuals,
     unstable_invariance_residuals,
 )
 from bishadow.splitting import (
+    Splitting,
     block_decompose,
     eigen_splitting,
     min_norm,
     op_norm,
 )
-from bishadow.systems import PerturbedCatMap, cat_map
+from bishadow.systems import PerturbedCatMap, cat_map, system_bounds
 
 from _oracles import (
     assembled,
     constant_blocks,
     graph_fixed_point_quadratic,
     iterate_graph_sweeps,
+    solve_stable_graphs,
+    solve_unstable_graphs,
     stable_graph_sweep,
     unstable_graph_sweep,
 )
 
 def scalar_blocks(n=60, a=2.0, b=0.1, c=0.1, d=0.5):
     return constant_blocks(n, a, b, c, d)
+
+
+def engine_graphs(po, spl, f):
+    """P and Q from the cocycle passes over po's Jacobians."""
+    return invariant_graphs(spl, f.jacobian_along(po.points[:-1]))
 
 
 def perturbed_setup(amplitude=0.005, lengths=(3, 3, 3), jump=1e-5, seed=7):
@@ -138,8 +148,7 @@ class TestGraphSolves:
         blocks = pseudo_orbit_blocks(po, spl, f)
         p_oracle, _ = iterate_graph_sweeps(unstable_graph_sweep, blocks)
         q_oracle, _ = iterate_graph_sweeps(stable_graph_sweep, blocks)
-        p = solve_unstable_graphs(blocks)
-        q = solve_stable_graphs(blocks)
+        p, q = engine_graphs(po, spl, f)
         assert np.abs(p - p_oracle).max() <= 1e-12
         assert np.abs(q - q_oracle).max() <= 1e-12
         assert unstable_invariance_residuals(p, blocks).max() <= 1e-11
@@ -167,8 +176,7 @@ class TestGraphSolves:
         f, po, spl = perturbed_setup()
         b = pseudo_orbit_blocks(po, spl, f)
         cfg = make_refinement_config(0.4, 0.5, R=2.63)
-        p = solve_unstable_graphs(b)
-        q = solve_stable_graphs(b)
+        p, q = engine_graphs(po, spl, f)
         eps1 = cfg.eps_cap
         for j in range(len(b)):
             assert min_norm(b.A[j] + b.B[j] @ p[j]) >= min_norm(b.A[j]) - 3 * eps1
@@ -176,10 +184,8 @@ class TestGraphSolves:
 
     def test_transversality_of_graph_pairs(self):
         f, po, spl = perturbed_setup()
-        blocks = pseudo_orbit_blocks(po, spl, f)
-        p = solve_unstable_graphs(blocks)
-        q = solve_stable_graphs(blocks)
-        for j in range(len(blocks) + 1):
+        p, q = engine_graphs(po, spl, f)
+        for j in range(po.n_steps + 1):
             base = spl[j]
             gu = base.unstable + base.stable @ p[j]
             gs = base.stable + base.unstable @ q[j]
@@ -235,7 +241,104 @@ class TestRefine:
         po_short = po_long.window(0, 29)
         spl_long = assign_splittings(po_long, f, "user", splittings=base)
         spl_short = assign_splittings(po_short, f, "user", splittings=base)
-        p_long = solve_unstable_graphs(pseudo_orbit_blocks(po_long, spl_long, f))
-        p_short = solve_unstable_graphs(pseudo_orbit_blocks(po_short, spl_short, f))
+        p_long = engine_graphs(po_long, spl_long, f)[0]
+        p_short = engine_graphs(po_short, spl_short, f)[0]
         mid = 15
         assert np.abs(p_long[mid] - p_short[mid]).max() <= 1e-10
+
+
+AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+
+
+def oracle_refined(spl, blocks):
+    """P, Q and the refined bases from the per-index recursions."""
+    p, q = solve_unstable_graphs(blocks), solve_stable_graphs(blocks)
+    u, s = spl.unstable, spl.stable
+    return p, q, SplittingAssignment.from_bases(u + s @ p, s + u @ q)
+
+
+def projector_distance(a, b):
+    """Largest spectral distance between the orthogonal projectors onto
+    the column spaces of two stacks of orthonormal bases."""
+    gap = a @ np.swapaxes(a, -1, -2) - b @ np.swapaxes(b, -1, -2)
+    return float(np.linalg.norm(gap, ord=2, axis=(-2, -1)).max())
+
+
+def assert_refine_matches_recursions(po, spl, f, cfg):
+    blocks = pseudo_orbit_blocks(po, spl, f)
+    p, q, refined = oracle_refined(spl, blocks)
+    result = refine(po, spl, f, cfg, blocks=blocks)
+    assert np.abs(result.unstable_graphs - p).max() <= 1e-12
+    assert np.abs(result.stable_graphs - q).max() <= 1e-12
+    assert projector_distance(result.splittings.unstable, refined.unstable) <= 1e-12
+    assert projector_distance(result.splittings.stable, refined.stable) <= 1e-12
+
+
+class TestPassesEqualRecursions:
+    """refine on the cocycle passes against the per-index graph recursions."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(amp=st.floats(0.0, 0.05), n_steps=st.integers(3, 200),
+           seed=st.integers(0, 2**32 - 1), power=st.booleans())
+    def test_perturbed_open_orbits(self, amp, n_steps, seed, power):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, 6, n_steps)
+        lengths = lengths[: np.searchsorted(np.cumsum(lengths), n_steps) + 1]
+        lengths[-1] -= lengths.sum() - n_steps
+        f = PerturbedCatMap(amp)
+        po = generate(f, rng.random(2), lengths, 1e-5, seed)
+        if power:
+            spl = assign_splittings(po, f, "power")
+        else:
+            base = eigen_splitting(np.array([[2.0, 1.0], [1.0, 1.0]]))
+            spl = assign_splittings(po, f, "user", splittings=base)
+        # R = 1 widens the eps cap so that every draw reaches the graph solves:
+        # the property is about the graphs, not about the refined certificate
+        assert_refine_matches_recursions(po, spl, f, make_refinement_config(0.45, 0.62, R=1.0))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(2, 5), data=st.data())
+    def test_affine_sequences(self, dim, data):
+        du = data.draw(st.integers(1, dim - 1))
+        n = data.draw(st.integers(3, 200))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        sp = Splitting(q[:, :du], q[:, du:])
+
+        def block(rows, cols, lo, hi):
+            u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+            v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+            k = min(rows, cols)
+            return u[:, :k] @ np.diag(rng.uniform(lo, hi, k)) @ v[:, :k].T
+
+        mats = np.empty((n, dim, dim))
+        for j in range(n):
+            blk = np.block([[block(du, du, 2.2, 3.0), block(du, dim - du, 0.0, 0.005)],
+                            [block(dim - du, du, 0.0, 0.005), block(dim - du, dim - du, 0.2, 0.45)]])
+            mats[j] = q @ blk @ q.T
+        f = AffineSequenceSystem(mats, np.zeros((n, dim)), sp, validate=False)
+        po = f.zero_pseudo_orbit()
+        spl = assign_splittings(po, f, "user", splittings=sp)
+        cfg = make_refinement_config(0.5, 0.8, R=system_bounds(f).R)
+        assert_refine_matches_recursions(po, spl, f, cfg)
+
+
+class TestPassReadBack:
+    """The graph checks of the read-back give the recursions' messages."""
+
+    @pytest.mark.parametrize("matrix, n", [
+        ([[1.01, 0.0], [2.0, 0.99]], 1),   # unstable graph leaves the ball at index 1
+        ([[1.01, 0.0], [2.0, 0.99]], 4),   # ... and at every later index: 1 is reported
+        ([[1.01, 2.0], [0.0, 0.99]], 1),   # stable graph leaves the ball at index 0
+        ([[1.01, 2.0], [0.0, 0.99]], 4),   # the backward pass meets index 3 first
+        ([[0.0, 1.0], [1.0, 0.0]], 2),     # A = 0: singular denominator at index 0
+    ])
+    def test_same_message_as_recursions(self, matrix, n):
+        blocks = constant_blocks(n, *np.ravel(matrix))
+        with pytest.raises(GraphTransformError) as expected:
+            solve_unstable_graphs(blocks)
+            solve_stable_graphs(blocks)
+        spl = SplittingAssignment.constant(AXES, n + 1)
+        with pytest.raises(GraphTransformError) as got:
+            invariant_graphs(spl, np.broadcast_to(np.array(matrix, dtype=float), (n, 2, 2)))
+        assert str(got.value) == str(expected.value)

@@ -265,8 +265,8 @@ class MisreportedSteps(SmoothMap):
     def at_step(self, j):
         return MisreportedStep(self, j)
 
-    def operator_norm_bounds(self):
-        return 4.0
+    def derivative_bounds(self):
+        return 4.0, 0.0
 
 
 class MisreportedStep(SmoothMap):
@@ -320,7 +320,7 @@ class TestBatchedEqualsPerIndex:
         spl = assign_splittings(po, f, "power", depth=8)
         g = PerturbedCatMap(amp + 1e-3)
         cfg = make_solver_config(po, f, lam=0.45, lam_tilde=0.55, bounds=SystemBounds(
-            R=2.8, lip_modulus=0.0, grid_res=0, scale=0.1))
+            R=2.8, L=0.0, kind="estimated"))
         problem = ShadowProblem(po, spl, f, g, cfg)
         boundary = "periodic" if periodic else "finite"
         # offsets large enough that Newton needs several steps per index

@@ -14,7 +14,6 @@ from bishadow.systems import (
     cat_map,
     estimate_bounds,
     map_distance,
-    sup_distance,
     system_bounds,
 )
 
@@ -159,30 +158,30 @@ class TestBoundsAndSupDistance:
     def test_cat_bounds_exact(self):
         b = estimate_bounds(cat_map())
         assert np.isclose(b.R, CAT_EXPANDING, atol=1e-12)
-        assert b.lip_modulus == 0.0
+        assert b.L == 0.0
 
     def test_perturbed_bounds_sampled(self):
         f = PerturbedCatMap(0.02)
         b = estimate_bounds(f, grid_res=64, scale=0.1)
         assert b.R >= CAT_EXPANDING - 0.05
         # |Df(x + u) - Df(x)| <= amplitude * 2 pi |u|
-        assert 0 < b.lip_modulus <= 0.02 * 2 * np.pi * 0.1 * 1.01
+        assert 0 < b.L <= 0.02 * 2 * np.pi * 1.01
 
     def test_sup_distance_zero_and_shift(self):
         f = cat_map()
-        assert sup_distance(f, f, 64) == 0.0
+        assert map_distance(f, f, 64)[0] == 0.0
         g = ShiftedMap(f, [0.001, 0.0])
-        assert np.isclose(sup_distance(f, g, 64), 0.001)
+        assert np.isclose(map_distance(f, g, 64)[0], 0.001)
 
     def test_sup_distance_monotone_in_resolution(self):
         f = PerturbedCatMap(0.03)
         g = PerturbedCatMap(0.031)
-        assert sup_distance(f, g, 128) >= sup_distance(f, g, 64)
+        assert map_distance(f, g, 128)[0] >= map_distance(f, g, 64)[0]
 
     def test_sup_distance_euclidean_affine(self):
         f = AffineMap(np.diag([2.0, 0.5]))
         g = AffineMap(np.diag([2.0, 0.5]), [1e-3, 0.0])
-        assert np.isclose(sup_distance(f, g), 1e-3)
+        assert np.isclose(map_distance(f, g)[0], 1e-3)
 
 
 AMPLITUDES = st.floats(0.0, 0.35)
@@ -223,7 +222,7 @@ class TestAnalyticBounds:
         f = cat_map() if cat else PerturbedCatMap(c)
         g = PerturbedCatMap((0.0 if cat else c) + dc)
         exact, kind = map_distance(f, g)
-        assert kind == "exact" and sup_distance(f, g) == exact
+        assert kind == "exact" and map_distance(f, g, 64)[0] == exact
         sampled = f.phase.distance(f(DENSE), g(DENSE))
         # 1e-15 absorbs the roundoff of canonicalizing f(x) and g(x)
         assert sampled.max() <= exact + 1e-15
