@@ -204,7 +204,14 @@ def build_system(cfg: RunConfig) -> SmoothMap:
             return f
         if kind == "torus_linear":
             return TorusLinearMap(np.asarray(block["matrix"]))
-        return AffineMap(np.asarray(block["matrix"], dtype=float), block.get("offset"))
+        matrix = np.asarray(block["matrix"], dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError("an affine map needs a square matrix")
+        sv = np.linalg.svd(matrix, compute_uv=False)
+        if sv[-1] <= sv[0] * 1e-14:  # the derivative blocks' singularity test
+            raise ValueError(f"affine matrix must be invertible (singular values "
+                             f"{sv[0]:.3e} to {sv[-1]:.3e})")
+        return AffineMap(matrix, block.get("offset"))
     except (ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise ConfigError(f"cannot build system: {exc}") from exc
 

@@ -13,6 +13,7 @@ its meaning under slicing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,27 +151,24 @@ def _segmentwise(accumulate, x, offsets):
     return out
 
 
-def flatten(seeds, lengths, f: SmoothMap, i_min: int = 0) -> SegmentedPseudoOrbit:
-    """Build the flattened pseudo-orbit from seeds and segment lengths.
-
-    Expects one more seed than lengths: the final seed closes the window.
-    Within each segment the stored points are exact forward iterates of
-    the seed; residuals measure the jump from each segment's ideal
-    endpoint to the next seed.
-    """
+def _checked_lengths(lengths) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=int)
     if lengths.size == 0:
         raise ValueError("a pseudo-orbit needs at least one segment")
     if np.any(lengths < 1):
         raise ValueError("segment lengths must be positive")
-    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-    if seeds.shape[0] != lengths.size + 1:
-        raise ValueError("need len(lengths) + 1 seeds (the last seed closes the window)")
+    return lengths
+
+
+def _walk(f: SmoothMap, x0, lengths, next_seed, i_min) -> SegmentedPseudoOrbit:
+    """Follow f from x0 segment by segment; segment t ends at x and jumps to
+    next_seed(t, x), which starts segment t + 1.  One sequential walk fills
+    the seeds, the flattened points and the residuals."""
     phase = f.phase
-    seeds = phase.canon(seeds)
-    total = int(lengths.sum())
-    points = np.empty((total + 1, phase.dim))
+    seeds = np.empty((lengths.size + 1, phase.dim))
+    points = np.empty((int(lengths.sum()) + 1, phase.dim))
     residuals = np.empty(lengths.size)
+    seeds[0] = x0
     j = 0
     for t, n in enumerate(lengths):
         x = seeds[t]
@@ -179,12 +177,29 @@ def flatten(seeds, lengths, f: SmoothMap, i_min: int = 0) -> SegmentedPseudoOrbi
             x = f.at_step(j)(x)
             j += 1
             points[j] = x
+        seeds[t + 1] = next_seed(t, x)
         residuals[t] = phase.distance(x, seeds[t + 1])
         points[j] = seeds[t + 1]
     return SegmentedPseudoOrbit(
         phase=phase, seeds=seeds, lengths=lengths, points=points,
         residuals=residuals, i_min=i_min,
     )
+
+
+def flatten(seeds, lengths, f: SmoothMap, i_min: int = 0) -> SegmentedPseudoOrbit:
+    """Build the flattened pseudo-orbit from seeds and segment lengths.
+
+    Expects one more seed than lengths: the final seed closes the window.
+    Within each segment the stored points are exact forward iterates of
+    the seed; residuals measure the jump from each segment's ideal
+    endpoint to the next seed.
+    """
+    lengths = _checked_lengths(lengths)
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    if seeds.shape[0] != lengths.size + 1:
+        raise ValueError("need len(lengths) + 1 seeds (the last seed closes the window)")
+    seeds = f.phase.canon(seeds)
+    return _walk(f, seeds[0], lengths, lambda t, x: seeds[t + 1], i_min)
 
 
 def generate(
@@ -199,26 +214,23 @@ def generate(
 
     Each segment end jumps by jump_amp along a fresh random unit vector,
     so every residual equals jump_amp and the whole construction is
-    reproducible from the seed.
+    reproducible from the seed.  The result equals flatten of its own
+    seeds, from the same single walk.
     """
     if jump_amp < 0:
         raise ValueError("jump amplitude must be nonnegative")
     if jump_amp >= f.phase.injectivity_radius:
         raise ValueError("jump amplitude must stay below the injectivity radius")
-    lengths = np.asarray(lengths, dtype=int)
+    lengths = _checked_lengths(lengths)
     rng = np.random.default_rng(rng_seed)
     phase = f.phase
-    seeds = [phase.canon(np.asarray(x_start, dtype=float))]
-    j = 0
-    for n in lengths:
-        x = seeds[-1]
-        for _ in range(int(n)):
-            x = f.at_step(j)(x)
-            j += 1
+
+    def jump(t, x):
         u = rng.standard_normal(phase.dim)
         u /= np.linalg.norm(u)
-        seeds.append(phase.exp(x, jump_amp * u))
-    return flatten(np.stack(seeds), lengths, f, i_min=i_min)
+        return phase.exp(x, jump_amp * u)
+
+    return _walk(f, phase.canon(np.asarray(x_start, dtype=float)), lengths, jump, i_min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,22 +281,41 @@ class SplittingAssignment:
                                    self.basis_inv[j_lo : j_hi + 1])
 
 
+def _orth_image(m, b, out) -> np.ndarray:
+    """out = m @ b with its columns orthonormalised in place by Gram-Schmidt:
+    the Q factor of m @ b whose R has a positive diagonal, as in
+    _orthonormalize.  Each column is projected off the earlier ones twice,
+    which keeps the columns orthonormal at roundoff even when m is badly
+    conditioned; a single column is only normalised."""
+    np.dot(m, b, out=out)
+    for j in range(out.shape[1]):
+        col, done = out[:, j], out[:, :j]
+        for _ in range(2 if j else 0):
+            col -= done @ (col @ done)
+        col /= math.sqrt(np.dot(col, col))
+    return out
+
+
 def push_forward(jacs, u0) -> np.ndarray:
     """Orthonormal bases u_0 = u0, u_{t+1} = orth(J_t u_t) of the images of
-    span(u0) under the T matrices of jacs: one forward QR pass, T + 1 bases."""
-    u = [u0]
-    for jac in jacs:
-        u.append(_orthonormalize(jac @ u[-1]))
-    return np.stack(u)
+    span(u0) under the T matrices of jacs: one forward pass, T + 1 bases."""
+    u = np.empty((len(jacs) + 1,) + np.shape(u0))
+    u[0] = u0
+    for jac, prev, out in zip(jacs, u, u[1:]):
+        _orth_image(jac, prev, out)
+    return u
 
 
 def pull_back(jacs, s_end) -> np.ndarray:
     """Orthonormal bases s_T = s_end, s_t = orth(J_t^{-1} s_{t+1}) of the
-    preimages of span(s_end): one backward QR pass, T + 1 bases."""
-    s = [s_end]
-    for jac in jacs[::-1]:
-        s.append(_orthonormalize(np.linalg.solve(jac, s[-1])))
-    return np.stack(s[::-1])
+    preimages of span(s_end): one batched inverse, then one backward pass,
+    T + 1 bases."""
+    inv = np.linalg.inv(jacs)
+    s = np.empty((len(jacs) + 1,) + np.shape(s_end))
+    s[-1] = s_end
+    for jac_inv, prev, out in zip(inv[::-1], s[::-1], s[-2::-1]):
+        _orth_image(jac_inv, prev, out)
+    return s
 
 
 def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
@@ -299,8 +330,10 @@ def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
     n = po.n_steps
     jacs = f.jacobian_along(po.points[:-1])
     warm = depth if po.closed else 0
-    u = push_forward(jacs[np.arange(-warm, n) % n], seed.unstable)[warm:]  # indices 0..N
+    # pull_back first: its inverse raises on a singular Jacobian, which could
+    # otherwise send a column of push_forward to zero
     s = pull_back(jacs[np.arange(n + warm) % n], seed.stable)[: n + 1]
+    u = push_forward(jacs[np.arange(-warm, n) % n], seed.unstable)[warm:]  # indices 0..N
     if po.closed:
         u[n], s[n] = u[0], s[0]
     gaps = np.linalg.svd(np.concatenate([u, s], axis=-1), compute_uv=False)[:, -1]

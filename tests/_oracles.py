@@ -5,9 +5,10 @@ library code under test: finite differences for derivatives, closed-form
 eigenvalues for the cat map, the quadratic formula for constant-block
 graph fixed points, the pinned graph transforms as forward and backward
 recursions on the blocks, synchronous graph-transform sweeps iterated to
-their fixed point, splittings, blocks and margin rows built one index at
-a time, the shadowing solver update one index at a time, the linear
-cat-map shadow orbit by scalar recursions in eigencoordinates, LP
+their fixed point, the cocycle passes by one QR factorisation per step,
+splittings, blocks and margin rows built one index at a time, the
+shadowing solver update one index at a time, the linear cat-map shadow
+orbit by scalar recursions in eigencoordinates, LP
 feasibility for balance-sequence existence, and the certificate margin
 table written one CSV row at a time.
 """
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from bishadow.certification import OrbitBlocks
+from bishadow.pseudo_orbit import _orth_image
 from bishadow.refinement import GraphTransformError
 from bishadow.splitting import Splitting, _orthonormalize, block_decompose, min_norm, op_norm
 
@@ -151,13 +153,33 @@ def assembled(blocks, splittings, j):
     return splittings[j + 1].basis @ m @ splittings[j].basis_inv
 
 
+def push_forward_qr(jacs, u0):
+    """The forward cocycle pass by one QR factorisation per step,
+    u_{t+1} = orth(J_t u_t) with orth as in Splitting.from_bases."""
+    u = [u0]
+    for jac in jacs:
+        u.append(_orthonormalize(jac @ u[-1]))
+    return np.stack(u)
+
+
+def pull_back_qr(jacs, s_end):
+    """The backward cocycle pass by one solve and one QR factorisation per
+    step, s_t = orth(J_t^(-1) s_{t+1})."""
+    s = [s_end]
+    for jac in jacs[::-1]:
+        s.append(_orthonormalize(np.linalg.solve(jac, s[-1])))
+    return np.stack(s[::-1])
+
+
 def power_splittings_per_index(po, f, depth, seed):
     """The chained power passes one index at a time, each index through
     Splitting.from_bases: for every j, iterate the seed's unstable basis
     forward from a fixed start up to j and its stable basis backward from
-    a fixed end down to j.  An open orbit starts at 0 and ends at n - 1;
-    a closed one starts at -depth and ends at n - 1 + depth, wrapping
-    around, and its index n equals index 0."""
+    a fixed end down to j, each step by the passes' own step _orth_image
+    (with the inverse of one Jacobian at a time on the backward side).  An
+    open orbit starts at 0 and ends at n - 1; a closed one starts at -depth
+    and ends at n - 1 + depth, wrapping around, and its index n equals
+    index 0."""
     n = po.n_steps
     jacs = [f.at_step(j).jacobian(po.points[j]) for j in range(n)]
     closed = np.array_equal(po.seeds[0], po.seeds[-1])
@@ -169,10 +191,10 @@ def power_splittings_per_index(po, f, depth, seed):
             break
         u = seed.unstable.copy()
         for t in range(-warm, j):
-            u = _orthonormalize(jacs[t % n] @ u)
+            u = _orth_image(jacs[t % n], u, np.empty_like(u))
         s = seed.stable.copy()
         for t in range(n - 1 + warm, j - 1, -1):
-            s = _orthonormalize(np.linalg.solve(jacs[t % n], s))
+            s = _orth_image(np.linalg.inv(jacs[t % n]), s, np.empty_like(s))
         out.append(Splitting.from_bases(u, s))
     return out
 

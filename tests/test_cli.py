@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ class TestExitCodes:
         assert code == 3
         assert not out.exists()
         assert "unimodular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["certify", "shadow", "refine"])
+    def test_singular_affine_matrix_is_config_error(self, tmp_path, capsys, command):
+        # a singular matrix used to reach the block builder and end in a
+        # traceback with exit 1, after a divide-by-zero warning
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["system"] = {"type": "affine", "matrix": [[2, 0], [0, 0]]}
+        payload["refinement"] = {"lambda_tilde": 0.5}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, command, payload)
+        assert code == 3
+        assert not out.exists()
+        assert "affine matrix must be invertible" in capsys.readouterr().err
 
     def test_periodic_needs_closed_pseudo_orbit(self, tmp_path, capsys):
         code, out = run(tmp_path, "periodic")

@@ -2,18 +2,25 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bishadow.oracle import AffineSequenceSystem
 from bishadow.pseudo_orbit import (
     SegmentedPseudoOrbit,
     SplittingAssignment,
     SplittingError,
+    _orth_image,
     assign_splittings,
     flatten,
     generate,
+    pull_back,
+    push_forward,
 )
-from bishadow.splitting import _orthonormalize, eigen_splitting
-from bishadow.systems import PerturbedCatMap, cat_map
+from bishadow.splitting import Splitting, eigen_splitting
+from bishadow.systems import AffineMap, PerturbedCatMap, cat_map
+
+from _oracles import pull_back_qr, push_forward_qr
 
 
 def orbit_seeds(f, x0, lengths):
@@ -117,6 +124,40 @@ class TestGenerate:
         f = cat_map()
         with pytest.raises(ValueError):
             generate(f, [0.3, 0.6], [2], 0.5, 0)
+
+    def test_length_guards_match_flatten(self):
+        f = cat_map()
+        for lengths, message in (([], "at least one segment"), ([2, 0], "must be positive")):
+            with pytest.raises(ValueError, match=message):
+                flatten(np.zeros((len(lengths) + 1, 2)), lengths, f)
+            with pytest.raises(ValueError, match=message):
+                generate(f, [0.3, 0.6], lengths, 1e-4, 0)
+
+    @pytest.mark.parametrize("system, start, lengths, i_min", [
+        ("cat", [0.3, 0.6], [3, 1, 4, 1, 5], 0),
+        ("perturbed", [0.91, 0.02], [2] * 30, -7),
+        ("affine", [1.5, -0.25, 2.0], [1, 2, 3], 0),
+        ("sequence", [0.0, 0.0], [4, 2, 6], 2),
+    ])
+    def test_equals_flatten_of_its_seeds(self, system, start, lengths, i_min):
+        # generate fills points and residuals in its one walk; flatten walks
+        # the same seeds again and must give the same bits
+        if system == "cat":
+            f = cat_map()
+        elif system == "perturbed":
+            f = PerturbedCatMap(0.03)
+        elif system == "affine":
+            f = AffineMap(np.array([[2.0, 0.3, 0.0], [0.1, 0.5, 0.2], [0.0, 0.4, 1.5]]), [0.1, 0, 0])
+        else:
+            mats = np.random.default_rng(4).standard_normal((12, 2, 2)) + 2.0 * np.eye(2)
+            axes = Splitting(np.eye(2)[:, :1], np.eye(2)[:, 1:])
+            f = AffineSequenceSystem(mats, np.zeros((12, 2)), axes, validate=False)
+        po = generate(f, start, lengths, 1e-3, 17, i_min=i_min)
+        again = flatten(po.seeds, po.lengths, f, i_min=i_min)
+        assert po.to_json() == again.to_json()
+        for name in ("seeds", "lengths", "points", "residuals", "offsets"):
+            assert np.array_equal(getattr(po, name), getattr(again, name))
+        assert po.i_min == again.i_min
 
 
 class TestSerialization:
@@ -243,8 +284,9 @@ class TestAssignSplittings:
 
     def test_power_matches_windowed_iteration_at_default_depth(self):
         # the chained passes reproduce, bit for bit, per-index windows of
-        # 50 QR steps on each side of j (cut off at the orbit's ends), so
-        # reports at the default depth stay byte-identical
+        # 50 pass steps on each side of j (cut off at the orbit's ends): a
+        # window that starts at the seed has converged, to the last bit,
+        # onto the chained basis by the time it reaches j
         f = PerturbedCatMap(0.02)
         po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
         n, depth = po.n_steps, 50
@@ -254,13 +296,77 @@ class TestAssignSplittings:
         for j in range(n + 1):
             u = seed.unstable.copy()
             for t in range(max(0, j - depth), j):
-                u = _orthonormalize(jacs[t] @ u)
+                u = _orth_image(jacs[t], u, np.empty_like(u))
             s = seed.stable.copy()
             for t in range(min(n, j + depth) - 1, j - 1, -1):
-                s = _orthonormalize(np.linalg.solve(jacs[t], s))
+                s = _orth_image(np.linalg.inv(jacs[t]), s, np.empty_like(s))
             us.append(u)
             ss.append(s)
         windowed = SplittingAssignment.from_bases(np.stack(us), np.stack(ss))
         chained = assign_splittings(po, f, "power", depth=depth)
         for name in ("unstable", "stable", "basis_inv"):
             assert np.array_equal(getattr(chained, name), getattr(windowed, name))
+
+
+def _projectors(b):
+    return b @ np.swapaxes(b, -1, -2)
+
+
+def check_passes_against_qr(jacs, u0, s_end, compare):
+    """Both passes keep orthonormal bases to 1e-13; with compare set, they
+    span the QR reference's subspaces to 1e-12 in projector distance."""
+    for ours, ref in ((push_forward(jacs, u0), push_forward_qr(jacs, u0)),
+                      (pull_back(jacs, s_end), pull_back_qr(jacs, s_end))):
+        assert ours.shape == ref.shape
+        gram = np.swapaxes(ours, -1, -2) @ ours
+        assert np.abs(gram - np.eye(ours.shape[-1])).max(initial=0.0) <= 1e-13
+        if compare:
+            gap = np.linalg.norm(_projectors(ours) - _projectors(ref), ord=2, axis=(1, 2))
+            assert gap.max() <= 1e-12
+
+
+class TestCocyclePasses:
+    """push_forward/pull_back (Gram-Schmidt on J u, one batched inverse)
+    against one QR factorisation, and one solve, per step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.integers(2, 5), data=st.data())
+    def test_affine_sequences(self, dim, data):
+        # steps q diag(A_t, D_t) q^T with the singular values of A_t in
+        # [c, c^2] and those of D_t in [1/c, 1], c = k^(1/3): the unstable
+        # block dominates, and every Jacobian has condition number at most k
+        du = data.draw(st.integers(0, dim), label="du")
+        n = data.draw(st.integers(1, 60), label="steps")
+        kappa = 10.0 ** data.draw(st.floats(0.0, 6.0), label="log10 condition")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        spread = kappa ** (1.0 / 3.0)
+
+        def block(size, lo, hi):
+            u = np.linalg.qr(rng.standard_normal((size, size)))[0]
+            v = np.linalg.qr(rng.standard_normal((size, size)))[0]
+            sv = np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+            if size > 1:
+                sv[:2] = lo, hi
+            return u @ np.diag(sv) @ v.T
+
+        mats = np.zeros((n, dim, dim))
+        for t in range(n):
+            mats[t, :du, :du] = block(du, spread, spread * spread) if du else 0.0
+            mats[t, du:, du:] = block(dim - du, 1.0 / spread, 1.0) if du < dim else 0.0
+        mats = q @ mats @ q.T
+        f = AffineSequenceSystem(mats, np.zeros((n, dim)), Splitting(q[:, :du], q[:, du:]),
+                                 validate=False)
+        jacs = f.jacobian_along(f.zero_pseudo_orbit().points[:-1])
+        start = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        check_passes_against_qr(jacs, start[:, :du], start[:, du:], kappa <= 100.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(amplitude=st.floats(0.0, 0.05), lengths=st.lists(st.integers(1, 8), min_size=1,
+                                                               max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_perturbed_orbits(self, amplitude, lengths, seed):
+        f = PerturbedCatMap(amplitude)
+        po = generate(f, np.random.default_rng(seed).random(2), lengths, 1e-4, seed)
+        sp = eigen_splitting(f.jacobian(po.points[0]))
+        check_passes_against_qr(f.jacobian_along(po.points[:-1]), sp.unstable, sp.stable, True)

@@ -342,3 +342,29 @@ class TestPassReadBack:
         with pytest.raises(GraphTransformError) as got:
             invariant_graphs(spl, np.broadcast_to(np.array(matrix, dtype=float), (n, 2, 2)))
         assert str(got.value) == str(expected.value)
+
+
+class TestPassCallCounts:
+    def test_no_linalg_call_per_step(self, monkeypatch):
+        # power splittings and refine make a fixed number of qr, solve and
+        # inv calls, however long the orbit: the passes do no per-step
+        # factorisation
+        counts = {}
+        for name in ("qr", "solve", "inv"):
+            def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def calls(steps):
+            f = PerturbedCatMap(0.005)
+            po = generate(f, [0.3, 0.7], [4] * (steps // 4), 1e-5, 7)
+            counts.clear()
+            spl = assign_splittings(po, f, "power")
+            result = refine(po, spl, f, make_refinement_config(0.4, 0.5, R=2.63))
+            assert result.certificate.passed
+            return dict(counts)
+
+        short = calls(100)
+        assert min(short.get(name, 0) for name in ("qr", "solve", "inv")) >= 1  # counters see calls
+        assert calls(400) == short
