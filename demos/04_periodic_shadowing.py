@@ -11,6 +11,7 @@ driving the closure to roundoff.
 import numpy as np
 
 import bishadow as bs
+from bishadow.oracle import exact_cat_orbit
 
 f = bs.cat_map()
 
@@ -21,8 +22,8 @@ for p in (1, 2, 3):
 
 cycle = [pt for pt in bs.cat_map_periodic_points(2) if pt != (0, 0)][0]
 x0 = np.array([float(v) for v in cycle])
-orbit = f.orbit(x0, 1)
-po = bs.flatten(np.array([orbit[0], orbit[1], orbit[0]]), [1, 1], f)
+# the exact rational orbit closes up, so its float seeds repeat bitwise
+po = bs.flatten(np.array(exact_cat_orbit(cycle, 2), dtype=float), [1, 1], f)
 splittings = bs.assign_splittings(po, f, "eigen")
 config = bs.make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
 res = bs.solve_periodic(po, splittings, f, f, config)
@@ -31,7 +32,7 @@ print(f"closure pre-polish {res.periodic_closure:.1e}, "
       f"post-polish {res.periodic_closure_polished:.1e}")
 
 cyc3 = [pt for pt in bs.cat_map_periodic_points(3) if pt != (0, 0)][0]
-orb = f.orbit(np.array([float(v) for v in cyc3]), 3)
+orb = np.array(exact_cat_orbit(cyc3, 2), dtype=float)
 rng = np.random.default_rng(5)
 jittered = [f.phase.canon(orb[i] + 1e-4 * rng.standard_normal(2)) for i in range(3)]
 po3 = bs.flatten(np.array(jittered + [jittered[0]]), [1, 1, 1], f)

@@ -11,11 +11,7 @@ __version__ = "0.1.0"
 
 from .adapted import (
     InfeasiblePairError,
-    check_pair,
-    is_balance_sequence,
-    rescaled_blocks,
     scale_factors,
-    verify_well_adapted,
     well_adapted_sequence,
 )
 from .certification import (
@@ -55,10 +51,7 @@ from .shadowing import (
     solve_periodic,
 )
 from .splitting import (
-    BlockJacobian,
     Splitting,
-    block_decompose,
-    box_norm,
     eigen_splitting,
     min_norm,
     op_norm,
@@ -72,7 +65,6 @@ from .systems import (
     SystemBounds,
     TorusLinearMap,
     cat_map,
-    estimate_bounds,
     map_distance,
     system_bounds,
 )

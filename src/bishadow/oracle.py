@@ -45,7 +45,6 @@ class AffineSequenceSystem(SmoothMap):
         self.residuals = res
         self.splitting = splitting
         self.phase = Phase("euclidean", mats.shape[1])
-        self._steps = [AffineMap(m, r) for m, r in zip(mats, res)]
         if validate:
             du = splitting.dim_u
             for j, m in enumerate(mats):
@@ -57,6 +56,7 @@ class AffineSequenceSystem(SmoothMap):
                     raise ValueError(f"step {j} is not block-diagonal in the splitting")
                 if op_norm(blk[du:, du:]) >= 1.0 or min_norm(blk[:du, :du]) <= 1.0:
                     raise ValueError(f"step {j} blocks are not hyperbolic")
+        self._steps = [AffineMap(m, r) for m, r in zip(mats, res)]
 
     @property
     def n_steps(self) -> int:

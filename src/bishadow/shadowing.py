@@ -120,11 +120,11 @@ def make_solver_config(
     """Assemble a solver configuration, deriving the size constants from f.
 
     R and the Lipschitz constant L of Df come from ``bounds``, by default
-    system_bounds(f): analytic when f has derivative_bounds, else grid
-    estimates.  Starting from the given eta, by default its cap
-    min(epsilon1, injectivity_radius / 4), eta drops to
-    (lam_tilde - lam) / (5 R L) where that is smaller, so that the modulus
-    of continuity L eta of Df at scale eta stays below
+    system_bounds(f), which raises ValueError for a map without
+    derivative_bounds: such a map needs ``bounds``.  Starting from the
+    given eta, by default its cap min(epsilon1, injectivity_radius / 4),
+    eta drops to (lam_tilde - lam) / (5 R L) where that is smaller, so
+    that the modulus of continuity L eta of Df at scale eta stays below
     (lam_tilde - lam) / (5 R).  L = 0 leaves eta unchanged.
     """
     if not (0.0 < lam < 1.0):
@@ -140,7 +140,7 @@ def make_solver_config(
     if not (0.0 < eta_val <= eta_cap):
         raise ValueError(f"eta must lie in (0, {eta_cap:g}]")
     if bounds is None:
-        bounds = system_bounds(f, scale=eta_val)
+        bounds = system_bounds(f)
     R, L = max(bounds.R, 1.0), bounds.L
     if L > 0.0:
         eta_val = min(eta_val, (lam_tilde - lam) / (5.0 * R * L))
@@ -468,9 +468,15 @@ def solve_finite(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
 
 
 def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
+    """Newton solve of g^nsteps(p) = p from x0.
+
+    Returns (p, res, msg, closure): the last iterate, its residual, why the
+    Newton stopped short of tol (None when it did not), and the distance
+    from x0 to g^nsteps(x0), taken from the first pass.
+    """
     dim = x0.size
     p = x0.copy()
-    res = np.inf
+    closure = None
     for _ in range(max_iter):
         q = p
         jac = np.eye(dim)
@@ -478,25 +484,27 @@ def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
             gt = g.at_step(t)
             jac = gt.jacobian(q) @ jac
             q = gt(q)
+        if closure is None:
+            closure = float(phase.distance(q, p))
         r = phase.wrap(q - p)
         res = float(np.linalg.norm(r))
         if res <= tol:
-            return p, res, None
+            return p, res, None, closure
         try:
             p = phase.canon(p - np.linalg.solve(jac - np.eye(dim), r))
         except np.linalg.LinAlgError:
-            return p, res, "polish Jacobian singular (eigenvalue 1 on the cycle)"
-    return p, res, "polish Newton did not reach tolerance"
+            return p, res, "polish Jacobian singular (eigenvalue 1 on the cycle)", closure
+    return p, res, "polish Newton did not reach tolerance", closure
 
 
-def solve_periodic(po, splittings, f, g, config, polish: bool = True, blocks=None) -> ShadowingResult:
+def solve_periodic(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
     """Shadow one period of a periodic pseudo-orbit with a periodic orbit of g.
 
     The pseudo-orbit must cover exactly one period: its closing seed must
     equal its first seed bitwise.  The seam identifies the first and last
     indices, so the fixed point satisfies v_0 = v_N and the shadow point
-    is periodic with period N.  An optional Newton polish afterwards
-    drives the orbit closure to roundoff.
+    is periodic with period N.  A Newton polish afterwards drives the
+    orbit closure to roundoff.
     """
     if not po.closed:
         raise ValueError("periodic solve needs the closing seed equal to the first seed")
@@ -510,23 +518,13 @@ def solve_periodic(po, splittings, f, g, config, polish: bool = True, blocks=Non
     v, history, converged, iterations, ball_worst = _iterate(problem, "periodic")
     result = _finish(problem, v, history, converged, iterations, ball_worst, "periodic")
     result.seam_gap = float(np.linalg.norm(v[0] - v[n]))
-    x = result.shadow_point
-    closure = float(problem.phase.distance(g_iterate(g, x, n), x))
+    p, res, msg, closure = _periodic_polish(g, problem.phase, result.shadow_point, n)
     result.periodic_closure = closure
-    if polish:
-        p, res, msg = _periodic_polish(g, problem.phase, x, n)
-        if msg is None or res < closure:
-            result.polished_point = p
-            result.periodic_closure_polished = res
-        result.polish_message = msg
+    if msg is None or res < closure:
+        result.polished_point = p
+        result.periodic_closure_polished = res
+    result.polish_message = msg
     return result
-
-
-def g_iterate(g, x, n):
-    p = np.asarray(x, dtype=float)
-    for t in range(n):
-        p = g.at_step(t)(p)
-    return p
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Tangent-space splittings, block decompositions, and the associated norms."""
+"""Tangent-space splittings, eigen splittings, and block norms."""
 
 from __future__ import annotations
 
@@ -8,13 +8,9 @@ import numpy as np
 
 __all__ = [
     "Splitting",
-    "BlockJacobian",
     "eigen_splitting",
-    "block_decompose",
     "min_norm",
     "op_norm",
-    "box_norm",
-    "box_equivalence_constant",
 ]
 
 _ORTHO_TOL = 1e-12
@@ -97,68 +93,6 @@ class Splitting:
     def basis_inv(self) -> np.ndarray:
         return self._basis_inv
 
-    def coords(self, v):
-        """Oblique components (a, b) with v = U a + S b."""
-        c = self._basis_inv @ np.asarray(v, dtype=float)
-        return c[: self.dim_u], c[self.dim_u :]
-
-    def unstable_coords(self, v):
-        return self.coords(v)[0]
-
-    def stable_coords(self, v):
-        return self.coords(v)[1]
-
-    def assemble(self, a, b):
-        return self.unstable @ np.asarray(a, float) + self.stable @ np.asarray(b, float)
-
-    def project_unstable(self, v):
-        return self.unstable @ self.unstable_coords(v)
-
-    def project_stable(self, v):
-        return self.stable @ self.stable_coords(v)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockJacobian:
-    """Blocks of a linear map read in a source and a target splitting.
-
-    A maps unstable to unstable, D stable to stable; B and C are the
-    off-diagonal couplings (stable-to-unstable and unstable-to-stable).
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    src: Splitting
-    dst: Splitting
-
-    def assembled(self) -> np.ndarray:
-        """Reconstruct the ambient matrix from the blocks."""
-        top = np.concatenate([self.A, self.B], axis=1)
-        bot = np.concatenate([self.C, self.D], axis=1)
-        return self.dst.basis @ np.concatenate([top, bot], axis=0) @ self.src.basis_inv
-
-
-def block_decompose(J, src: Splitting, dst: Splitting) -> BlockJacobian:
-    """Represent the matrix J in the two splittings' orthonormal bases."""
-    J = np.asarray(J, dtype=float)
-    if J.shape != (dst.dim, src.dim):
-        raise ValueError("matrix shape does not match the splittings")
-    sv = np.linalg.svd(J, compute_uv=False)
-    if sv[-1] <= sv[0] * 1e-14:
-        raise ValueError("singular matrix cannot be block-decomposed here")
-    m = dst.basis_inv @ J @ src.basis
-    du_s, du_d = src.dim_u, dst.dim_u
-    return BlockJacobian(
-        A=m[:du_d, :du_s],
-        B=m[:du_d, du_s:],
-        C=m[du_d:, :du_s],
-        D=m[du_d:, du_s:],
-        src=src,
-        dst=dst,
-    )
-
 
 def min_norm(block) -> float:
     """Smallest singular value; +inf for an empty block."""
@@ -174,19 +108,6 @@ def op_norm(block) -> float:
     if block.size == 0:
         return 0.0
     return float(np.linalg.svd(block, compute_uv=False)[0])
-
-
-def box_norm(v, sp: Splitting) -> float:
-    """max(|v_u|, |v_s|) over the splitting's component decomposition."""
-    a, b = sp.coords(v)
-    return float(max(np.linalg.norm(a), np.linalg.norm(b)))
-
-
-def box_equivalence_constant(sp: Splitting) -> float:
-    """kappa with |v|/kappa <= box(v) <= kappa |v| for all v."""
-    t_hi = op_norm(sp.basis)
-    t_inv_hi = op_norm(sp.basis_inv)
-    return float(max(t_inv_hi, np.sqrt(2.0) * t_hi))
 
 
 def eigen_splitting(matrix, dim_u: int | None = None) -> Splitting:

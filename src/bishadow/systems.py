@@ -28,7 +28,6 @@ __all__ = [
     "ShiftedMap",
     "SystemBounds",
     "system_bounds",
-    "estimate_bounds",
     "cat_amplitude",
     "map_distance",
 ]
@@ -97,6 +96,7 @@ class Phase:
         d = np.asarray(q, dtype=float) - np.asarray(x, dtype=float)
         return np.linalg.norm(self.wrap(d), axis=-1)
 
+    # no package path samples grids; perfbench/spans.py still wraps this to count points
     def grid(self, res: int):
         """Uniform sampling grid with ``res`` points per axis (torus only).
 
@@ -110,11 +110,6 @@ class Phase:
         axes = [np.arange(res) / res] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
-
-    def random_point(self, rng):
-        if self.kind == "torus":
-            return rng.random(self.dim)
-        return rng.uniform(-1.0, 1.0, self.dim)
 
 
 class SmoothMap:
@@ -148,23 +143,6 @@ class SmoothMap:
         """Derivative of step j at row j of x, shape ``(N, dim, dim)``."""
         return self.jacobian(x)
 
-    def inverse(self, y):
-        raise NotImplementedError(f"{type(self).__name__} has no inverse")
-
-    def iterate(self, x, n: int):
-        x = np.asarray(x, dtype=float)
-        for _ in range(n):
-            x = self(x)
-        return x
-
-    def orbit(self, x, n: int):
-        """Points x, f(x), ..., f^n(x) as an ``(n + 1, dim)`` array."""
-        out = np.empty((n + 1, self.phase.dim))
-        out[0] = self.phase.canon(x)
-        for t in range(n):
-            out[t + 1] = self(out[t])
-        return out
-
     def derivative_bounds(self):
         """Analytic ``(R, L)``, or None when the map has none: R bounds
         ||Df|| and ||Df^-1||, L is a Lipschitz constant of Df.  L = 0 means
@@ -184,10 +162,7 @@ class TorusLinearMap(SmoothMap):
         if abs(det) != 1:
             raise ValueError("matrix must be unimodular (determinant +-1)")
         self.matrix = np.asarray(m, dtype=float)
-        n = self.matrix.shape[0]
-        # adjugate over the determinant: exact integer inverse
-        self._inv_matrix = np.round(np.linalg.inv(self.matrix) * det).astype(float) / det
-        self.phase = Phase("torus", n)
+        self.phase = Phase("torus", self.matrix.shape[0])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -196,10 +171,6 @@ class TorusLinearMap(SmoothMap):
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(self.matrix, x.shape[:-1] + self.matrix.shape).copy()
-
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.phase.canon(y @ self._inv_matrix.T)
 
     def derivative_bounds(self):
         s = np.linalg.svd(self.matrix, compute_uv=False)
@@ -252,23 +223,18 @@ class PerturbedCatMap(SmoothMap):
             return None
         return float(max(s[0] + c, 1.0 / (s[-1] - c))), 2.0 * np.pi * c
 
-    def inverse(self, y, tol: float = 1e-14, max_iter: int = 60):
-        # damped-free Newton; the linear part dominates for small amplitudes
-        y = np.asarray(y, dtype=float)
-        z = TorusLinearMap(self.matrix).inverse(y)
-        for _ in range(max_iter):
-            r = self.phase.wrap(self(z) - y)
-            if np.linalg.norm(r) <= tol:
-                return self.phase.canon(z)
-            z = self.phase.canon(z - np.linalg.solve(self.jacobian(z), r))
-        raise ChartDomainError("inverse iteration did not converge")
-
 
 class AffineMap(SmoothMap):
-    """x -> M x + b on Euclidean space."""
+    """x -> M x + b on Euclidean space, M square and invertible."""
 
     def __init__(self, matrix, offset=None):
         self.matrix = np.asarray(matrix, dtype=float)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("an affine map needs a square matrix")
+        sv = np.linalg.svd(self.matrix, compute_uv=False)
+        if sv[-1] <= sv[0] * 1e-14:  # the derivative blocks' singularity test
+            raise ValueError(f"affine matrix must be invertible (singular values "
+                             f"{sv[0]:.3e} to {sv[-1]:.3e})")
         n = self.matrix.shape[0]
         self.offset = np.zeros(n) if offset is None else np.asarray(offset, dtype=float)
         self.phase = Phase("euclidean", n)
@@ -280,9 +246,6 @@ class AffineMap(SmoothMap):
     def jacobian(self, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(self.matrix, x.shape[:-1] + self.matrix.shape).copy()
-
-    def inverse(self, y):
-        return np.linalg.solve(self.matrix, np.asarray(y, dtype=float) - self.offset)
 
     def derivative_bounds(self):
         s = np.linalg.svd(self.matrix, compute_uv=False)
@@ -322,10 +285,6 @@ class ShiftedMap(SmoothMap):
     def jacobian_along(self, x):
         return self.base.jacobian_along(x)
 
-    def inverse(self, y):
-        y = np.asarray(y, dtype=float) - self.shift
-        return self.base.inverse(self.phase.canon(y) if self.phase.kind == "torus" else y)
-
     def derivative_bounds(self):
         return self.base.derivative_bounds()
 
@@ -336,7 +295,8 @@ class SystemBounds:
 
     R bounds both ||Df|| and ||Df^-1||, and L is a Lipschitz constant of
     Df.  kind is "exact" (a constant Df), "bound" (analytic upper bounds)
-    or "estimated" (grid suprema: lower estimates).
+    or "estimated" (values that are not known to be upper bounds; the
+    package never produces them, it only carries through a caller's).
     """
 
     R: float
@@ -344,40 +304,18 @@ class SystemBounds:
     kind: str
 
 
-def system_bounds(f: SmoothMap, scale: float = 0.1) -> SystemBounds:
-    """f's derivative constants: analytic from ``f.derivative_bounds()``,
-    or estimated by estimate_bounds at ``scale`` when f has none."""
+def system_bounds(f: SmoothMap) -> SystemBounds:
+    """f's derivative constants from ``f.derivative_bounds()``.
+
+    A map without analytic bounds raises ValueError: sampled suprema are
+    lower estimates, on which no size precondition can rest.
+    """
     analytic = f.derivative_bounds()
     if analytic is None:
-        return estimate_bounds(f, scale=scale)
+        raise ValueError(f"{type(f).__name__} has no analytic derivative bounds; "
+                         "pass bounds=SystemBounds(R, L, kind) for it")
     R, L = analytic
     return SystemBounds(R=max(R, 1.0), L=L, kind="bound" if L else "exact")
-
-
-def estimate_bounds(f: SmoothMap, grid_res: int = 256, scale: float = 0.1) -> SystemBounds:
-    """Estimate R = max(sup ||Df||, sup ||Df^-1||) over a uniform torus grid,
-    and L as the Df modulus of continuity at ``scale`` over 8 random
-    offsets of a 64-per-axis grid, divided by ``scale``: lower estimates of
-    the true suprema.
-    """
-    pts = f.phase.grid(grid_res)
-    s = np.linalg.svd(f.jacobian(pts), compute_uv=False)
-    hi, lo = float(s[:, 0].max()), float(s[:, -1].min())
-    if lo <= 1e-14:
-        raise ValueError("derivative is numerically singular on the sampling grid")
-    R = max(hi, 1.0 / lo, 1.0)
-
-    coarse = f.phase.grid(64)
-    base = f.jacobian(coarse)
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(8):
-        u = rng.standard_normal(f.phase.dim)
-        u *= scale / np.linalg.norm(u)
-        moved = f.jacobian(f.phase.canon(coarse + u))
-        diff = np.linalg.svd(moved - base, compute_uv=False)[..., 0]
-        worst = max(worst, float(diff.max()))
-    return SystemBounds(R=R, L=worst / scale, kind="estimated")
 
 
 def cat_amplitude(f: SmoothMap):
@@ -389,15 +327,15 @@ def cat_amplitude(f: SmoothMap):
     return None
 
 
-def map_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256):
-    """``(d, kind)``: d is the sup over x of the distance from f(x) to g(x).
+def map_distance(f: SmoothMap, g: SmoothMap):
+    """``(d, "exact")``: d is the sup over x of the distance from f(x) to g(x).
 
-    kind "exact" comes from a closed form: g is f (0), g is ShiftedMap(f, s)
-    (|s|, s stored wrapped), the cat map or PerturbedCatMap(c) against
+    d comes from a closed form: g is f (0), g is ShiftedMap(f, s) (|s|, s
+    stored wrapped), the cat map or PerturbedCatMap(c) against
     PerturbedCatMap(c') (sqrt(2) min(|c - c'| / 2 pi, 1/2), at (1/4, 1/4)
-    while |c - c'| <= pi), or affine
-    maps with equal matrices.  Other torus pairs are "estimated": the
-    supremum over a grid of grid_res points per axis.
+    while |c - c'| <= pi), or affine maps with equal matrices.  Any other
+    pair raises ValueError: a sampled supremum would only be a lower
+    estimate.
     """
     if f.phase != g.phase:
         raise ValueError("maps live on different phase spaces")
@@ -412,10 +350,5 @@ def map_distance(f: SmoothMap, g: SmoothMap, grid_res: int = 256):
         return float(np.sqrt(2.0) * min(abs(cf - cg) / (2.0 * np.pi), 0.5)), "exact"
     if isinstance(f, AffineMap) and isinstance(g, AffineMap) and np.array_equal(f.matrix, g.matrix):
         return float(np.linalg.norm(f.offset - g.offset)), "exact"
-    if f.phase.kind != "torus":
-        raise ValueError("sup distance on R^n needs affine maps with equal linear parts")
-    if grid_res < 64:
-        raise ValueError("use at least 64 grid points per axis")
-    pts = f.phase.grid(grid_res)
-    return float(f.phase.distance(f(pts), g(pts)).max()), "estimated"
-
+    raise ValueError(f"no closed-form sup distance between {type(f).__name__} and "
+                     f"{type(g).__name__}; pass a known upper bound on it instead")

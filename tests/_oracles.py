@@ -11,6 +11,11 @@ shadowing solver update one index at a time, the linear cat-map shadow
 orbit by scalar recursions in eigencoordinates, LP
 feasibility for balance-sequence existence, and the certificate margin
 table written one CSV row at a time.
+
+The last section holds the single-object references the package itself
+does not run: one block decomposition, splitting coordinates and box
+norms for one splitting, rate-pair checks and balance verifiers, the
+rescaling of blocks by weights, and orbits of a map by direct calls.
 """
 
 from __future__ import annotations
@@ -18,13 +23,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bishadow.certification import OrbitBlocks
 from bishadow.pseudo_orbit import _orth_image
 from bishadow.refinement import GraphTransformError
-from bishadow.splitting import Splitting, _orthonormalize, block_decompose, min_norm, op_norm
+from bishadow.splitting import Splitting, _orthonormalize, min_norm, op_norm
 
 # roots of t^2 - 3t + 1: the cat-map eigenvalues
 CAT_EXPANDING = (3.0 + math.sqrt(5.0)) / 2.0
@@ -342,7 +348,7 @@ def invert_unstable_at(problem, j, sv, target):
         raise UnstableSolveError(f"singular unstable block at index {j}") from exc
     for _ in range(cfg.newton_max_iter):
         out = chart_step(problem, problem.f, j, sv + sp.unstable @ w) - base
-        r = dst.unstable_coords(problem.phase.wrap(out)) - target
+        r = unstable_coords(dst, problem.phase.wrap(out)) - target
         if np.linalg.norm(r) <= cfg.newton_tol:
             size = float(np.linalg.norm(w))
             if size > cfg.eta * problem.l[j] * (1.0 + 1e-9):
@@ -369,16 +375,16 @@ def apply_operator_per_index(problem, v, boundary="finite"):
     w = np.zeros_like(v)
     g_imgs = [chart_step(problem, problem.g, j, v[j]) for j in range(n)]
     for j in range(n):
-        w[j + 1] += spl[j + 1].project_stable(g_imgs[j])
+        w[j + 1] += project_stable(spl[j + 1], g_imgs[j])
     for j in range(n):
-        sv = spl[j].project_stable(v[j])
+        sv = project_stable(spl[j], v[j])
         target_ambient = (-g_imgs[j] + chart_step(problem, problem.f, j, v[j])
                           - chart_step(problem, problem.f, j, sv) + v[j + 1])
-        t = spl[j + 1].unstable_coords(target_ambient)
+        t = unstable_coords(spl[j + 1], target_ambient)
         w[j] += spl[j].unstable @ invert_unstable_at(problem, j, sv, t)
     if boundary == "periodic":
-        w[0] += spl[0].stable @ spl[n].stable_coords(w[n])
-        w[n] += spl[n].unstable @ spl[0].unstable_coords(w[0])
+        w[0] += spl[0].stable @ stable_coords(spl[n], w[n])
+        w[n] += spl[n].unstable @ unstable_coords(spl[0], w[0])
     return w
 
 
@@ -415,3 +421,159 @@ def margins_csv_rows(cert) -> str:
     for segment, step, condition, *values in zip(*(c.tolist() for c in columns)):
         writer.writerow([segment, step, condition, *map(repr, values)])
     return buf.getvalue()
+
+
+# --- single-object references -------------------------------------------
+
+
+def coords(sp: Splitting, v):
+    """Oblique components (a, b) with v = U a + S b."""
+    c = sp.basis_inv @ np.asarray(v, dtype=float)
+    return c[: sp.dim_u], c[sp.dim_u :]
+
+
+def unstable_coords(sp: Splitting, v):
+    return coords(sp, v)[0]
+
+
+def stable_coords(sp: Splitting, v):
+    return coords(sp, v)[1]
+
+
+def assemble(sp: Splitting, a, b):
+    return sp.unstable @ np.asarray(a, float) + sp.stable @ np.asarray(b, float)
+
+
+def project_unstable(sp: Splitting, v):
+    return sp.unstable @ unstable_coords(sp, v)
+
+
+def project_stable(sp: Splitting, v):
+    return sp.stable @ stable_coords(sp, v)
+
+
+def box_norm(v, sp: Splitting) -> float:
+    """max(|v_u|, |v_s|) over the splitting's component decomposition."""
+    a, b = coords(sp, v)
+    return float(max(np.linalg.norm(a), np.linalg.norm(b)))
+
+
+def box_equivalence_constant(sp: Splitting) -> float:
+    """kappa with |v|/kappa <= box(v) <= kappa |v| for all v."""
+    return float(max(op_norm(sp.basis_inv), np.sqrt(2.0) * op_norm(sp.basis)))
+
+
+@dataclass(frozen=True, eq=False)
+class BlockJacobian:
+    """Blocks of one linear map read in a source and a target splitting.
+
+    A maps unstable to unstable, D stable to stable; B and C are the
+    off-diagonal couplings (stable-to-unstable and unstable-to-stable).
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray
+    src: Splitting
+    dst: Splitting
+
+    def assembled(self) -> np.ndarray:
+        """Reconstruct the ambient matrix from the blocks."""
+        m = np.block([[self.A, self.B], [self.C, self.D]])
+        return self.dst.basis @ m @ self.src.basis_inv
+
+
+def block_decompose(J, src: Splitting, dst: Splitting) -> BlockJacobian:
+    """Represent the matrix J in the two splittings' orthonormal bases."""
+    J = np.asarray(J, dtype=float)
+    if J.shape != (dst.dim, src.dim):
+        raise ValueError("matrix shape does not match the splittings")
+    sv = np.linalg.svd(J, compute_uv=False)
+    if sv[-1] <= sv[0] * 1e-14:
+        raise ValueError("singular matrix cannot be block-decomposed here")
+    m = dst.basis_inv @ J @ src.basis
+    du_s, du_d = src.dim_u, dst.dim_u
+    return BlockJacobian(A=m[:du_d, :du_s], B=m[:du_d, du_s:], C=m[du_d:, :du_s],
+                         D=m[du_d:, du_s:], src=src, dst=dst)
+
+
+def rescaled_blocks(blocks: OrbitBlocks, h) -> OrbitBlocks:
+    """Blocks as seen by the rescaled norms: each block divided by its weight."""
+    h = np.asarray(h, dtype=float)
+    if len(blocks) != h.size:
+        raise ValueError("need one weight per block")
+    factor = (1.0 / h)[:, None, None]
+    return OrbitBlocks(blocks.A * factor, blocks.B * factor, blocks.C * factor, blocks.D * factor)
+
+
+@dataclass(frozen=True)
+class PairCheck:
+    ok: bool
+    margins: dict
+
+
+def check_pair(a, b, lam: float, mode: str = "quasi_hyperbolic") -> PairCheck:
+    """Check a rate pair stepwise ("hyperbolic") or in product form ("quasi_hyperbolic")."""
+    if not (0.0 < lam < 1.0):
+        raise ValueError("lambda must lie in (0, 1)")
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError("a and b must be nonempty sequences of equal length")
+    if np.any(a <= 0) or np.any(b <= 0):
+        raise ValueError("rates must be positive")
+    n = a.size
+    if mode == "hyperbolic":
+        margins = {
+            "contraction": float(np.min(lam - a)),
+            "expansion": float(np.min(b - 1.0 / lam)),
+        }
+    elif mode == "quasi_hyperbolic":
+        log_lam = math.log(lam)
+        ca = np.cumsum(np.log(a))
+        tb = np.cumsum(np.log(b)[::-1])[::-1]
+        ks = np.arange(1, n + 1)
+        margins = {
+            "contraction_product": float(np.min(ks * log_lam - ca)),
+            "expansion_product": float(np.min(tb - (ks - n - 1) * log_lam)),
+            "ratio": float(np.min(lam * lam - a / b)),
+        }
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return PairCheck(ok=all(m >= -1e-12 for m in margins.values()), margins=margins)
+
+
+def is_balance_sequence(c, tol: float = 1e-12) -> bool:
+    """Partial products <= 1 and total product = 1, checked in the log domain."""
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 1 or c.size == 0 or np.any(c <= 0):
+        return False
+    sums = np.cumsum(np.log(c))
+    return bool(np.all(sums[:-1] <= tol) and abs(sums[-1]) <= tol)
+
+
+def verify_well_adapted(a, b, c, lam: float, tol: float = 1e-9) -> bool:
+    """Accept any c that balances and restores stepwise hyperbolicity."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if not is_balance_sequence(c, tol=tol):
+        return False
+    return bool(np.all(a / c <= lam * (1.0 + tol)) and np.all(b / c >= (1.0 - tol) / lam))
+
+
+def random_point(phase, rng):
+    """A uniform point of the torus, or of [-1, 1]^n in Euclidean space."""
+    if phase.kind == "torus":
+        return rng.random(phase.dim)
+    return rng.uniform(-1.0, 1.0, phase.dim)
+
+
+def iterate_orbit(f, x, n: int):
+    """Points x, f(x), ..., f^n(x) as an ``(n + 1, dim)`` array, by direct calls."""
+    out = np.empty((n + 1, f.phase.dim))
+    out[0] = f.phase.canon(x)
+    for t in range(n):
+        out[t + 1] = f(out[t])
+    return out

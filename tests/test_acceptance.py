@@ -23,11 +23,13 @@ from _oracles import (
     feasible_by_lp,
     graph_fixed_point_quadratic,
     iterate_graph_sweeps,
+    iterate_orbit,
     quotient_log_bounds,
     random_affine_system,
     random_quasi_hyperbolic_pair,
     solve_unstable_graphs,
     unstable_graph_sweep,
+    verify_well_adapted,
 )
 
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
@@ -69,7 +71,7 @@ def test_criterion_2_well_adapted_construction():
             lam = rng.uniform(0.1, 0.9)
             a, b = random_quasi_hyperbolic_pair(rng, n, lam)
             c = bs.well_adapted_sequence(a, b, lam)
-            if not bs.verify_well_adapted(a, b, c, lam):
+            if not verify_well_adapted(a, b, c, lam):
                 failures += 1
             if n <= 6:
                 alpha, beta = quotient_log_bounds(a, b, lam)
@@ -181,7 +183,7 @@ def test_criterion_7_periodic_bishadowing():
         f = bs.cat_map()
         cyc = [p for p in bs.cat_map_periodic_points(2) if p != (0, 0)][0]
         x0 = np.array([float(v) for v in cyc])
-        orbit = f.orbit(x0, 1)
+        orbit = iterate_orbit(f, x0, 1)
         po = bs.flatten(np.array([orbit[0], orbit[1], orbit[0]]), [1, 1], f)
         spl = bs.assign_splittings(po, f, "eigen")
         cfg = bs.make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
@@ -192,7 +194,7 @@ def test_criterion_7_periodic_bishadowing():
         assert res.periodic_closure_polished <= 1e-12
 
         cyc3 = [p for p in bs.cat_map_periodic_points(3) if p != (0, 0)][0]
-        orb = f.orbit(np.array([float(v) for v in cyc3]), 3)
+        orb = iterate_orbit(f, np.array([float(v) for v in cyc3]), 3)
         rng = np.random.default_rng(5)
         jit = [f.phase.canon(orb[i] + 1e-4 * rng.standard_normal(2)) for i in range(3)]
         po3 = bs.flatten(np.array(jit + [jit[0]]), [1, 1, 1], f)
@@ -208,7 +210,7 @@ def test_criterion_8_brute_force_sanity():
     with criterion(8, "solver within one grid cell of exhaustive search", 60.0):
         f = bs.cat_map()
         rng = np.random.default_rng(88)
-        bounds = bs.estimate_bounds(f)
+        bounds = bs.system_bounds(f)
         cell = np.sqrt(2.0) * (0.04 / 40)
         for run in range(20):
             n_segs = int(rng.integers(3, 6))

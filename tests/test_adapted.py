@@ -1,24 +1,21 @@
 import numpy as np
 import pytest
 
-from bishadow.adapted import (
-    InfeasiblePairError,
-    check_pair,
-    is_balance_sequence,
-    rescaled_blocks,
-    scale_factors,
-    verify_well_adapted,
-    well_adapted_sequence,
-)
+from bishadow.adapted import InfeasiblePairError, scale_factors, well_adapted_sequence
 from bishadow.certification import OrbitBlocks
 from bishadow.splitting import min_norm, op_norm
 
 from _oracles import (
+    block_decompose,
+    check_pair,
     feasible_by_interval,
     feasible_by_lp,
+    is_balance_sequence,
     quotient_log_bounds,
     random_quasi_hyperbolic_pair,
+    rescaled_blocks,
     stack_blocks,
+    verify_well_adapted,
 )
 
 
@@ -154,7 +151,7 @@ class TestScaleFactors:
 
 class TestRescaledBlocks:
     def _cat_blocks(self, n=4):
-        from bishadow.splitting import block_decompose, eigen_splitting
+        from bishadow.splitting import eigen_splitting
 
         m = np.array([[2.0, 1.0], [1.0, 1.0]])
         sp = eigen_splitting(m)

@@ -18,13 +18,14 @@ from bishadow.certification import (
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
 from bishadow.refinement import make_refinement_config, refine
 from bishadow.shadowing import make_solver_config, solve_finite
-from bishadow.splitting import Splitting, block_decompose, eigen_splitting, min_norm, op_norm
+from bishadow.splitting import Splitting, eigen_splitting, min_norm, op_norm
 from bishadow.systems import AffineMap, PerturbedCatMap, TorusLinearMap, cat_map
 
 from _oracles import (
     CAT_CONTRACTING,
     CAT_EXPANDING,
     assembled,
+    block_decompose,
     blocks_per_index,
     margin_rows_per_index,
     power_splittings_per_index,

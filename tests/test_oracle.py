@@ -15,7 +15,7 @@ from bishadow.shadowing import make_solver_config, solve_finite
 from bishadow.splitting import Splitting
 from bishadow.systems import AffineMap, ShiftedMap, cat_map
 
-from _oracles import random_affine_system
+from _oracles import assemble, random_affine_system
 
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
@@ -81,7 +81,7 @@ class TestClosedForm:
                     for t in range(k, j - 1, -1):
                         term = np.linalg.solve(blks[t][:du, :du], term)
                     eu = eu - term
-                e[j] = sp.assemble(eu, es)
+                e[j] = assemble(sp, eu, es)
             return e
 
         rng = np.random.default_rng(1)

@@ -20,14 +20,14 @@ from bishadow.pseudo_orbit import (
 from bishadow.splitting import Splitting, eigen_splitting
 from bishadow.systems import AffineMap, PerturbedCatMap, cat_map
 
-from _oracles import pull_back_qr, push_forward_qr
+from _oracles import iterate_orbit, pull_back_qr, push_forward_qr
 
 
 def orbit_seeds(f, x0, lengths):
     """Seeds lying on a genuine orbit (zero residuals)."""
     seeds = [f.phase.canon(np.asarray(x0, float))]
     for n in lengths:
-        seeds.append(f.iterate(seeds[-1], int(n)))
+        seeds.append(iterate_orbit(f, seeds[-1], int(n))[-1])
     return np.stack(seeds)
 
 

@@ -1,5 +1,6 @@
-"""The public names: every name a module exports exists, and the package
-namespace re-exports only names its modules export."""
+"""The public names: every name a module exports exists, the package
+namespace re-exports only names its modules export, and the kernel
+modules define nothing that only the tests reach."""
 
 import ast
 import importlib
@@ -11,6 +12,9 @@ import pytest
 import bishadow
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bishadow.__path__))
+PACKAGE = Path(bishadow.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
+KERNEL = ("adapted", "splitting", "systems", "shadowing")
 
 
 def package_imports():
@@ -35,3 +39,27 @@ def test_package_imports_only_exports():
     stray = [(mod, name) for mod, name in imports
              if name not in getattr(importlib.import_module(f"bishadow.{mod}"), "__all__", ())]
     assert stray == []
+
+
+def names_used(path):
+    """Every ast.Name id and ast.Attribute attr in the file, leaving out a
+    top-level function's or class's references to its own name."""
+    used = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt) if isinstance(node, (ast.Name, ast.Attribute))}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def test_kernel_defines_nothing_only_tests_reach():
+    # __init__.py only re-exports; a test-only reference belongs in tests/_oracles.py
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    callers += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(names_used(p) for p in callers))
+    unused = [(mod, stmt.name) for mod in KERNEL
+              for stmt in ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8")).body
+              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in used]
+    assert unused == []

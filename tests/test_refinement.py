@@ -17,7 +17,6 @@ from bishadow.refinement import (
 )
 from bishadow.splitting import (
     Splitting,
-    block_decompose,
     eigen_splitting,
     min_norm,
     op_norm,
@@ -26,6 +25,7 @@ from bishadow.systems import PerturbedCatMap, cat_map, system_bounds
 
 from _oracles import (
     assembled,
+    block_decompose,
     constant_blocks,
     graph_fixed_point_quadratic,
     iterate_graph_sweeps,

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from bishadow.splitting import (
-    Splitting,
+from bishadow.splitting import Splitting, eigen_splitting, min_norm, op_norm
+
+from _oracles import (
+    CAT_CONTRACTING,
+    CAT_EXPANDING,
+    assemble,
     block_decompose,
     box_equivalence_constant,
     box_norm,
-    eigen_splitting,
-    min_norm,
-    op_norm,
+    coords,
+    project_stable,
+    project_unstable,
 )
-
-from _oracles import CAT_CONTRACTING, CAT_EXPANDING
 
 CAT = np.array([[2.0, 1.0], [1.0, 1.0]])
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
@@ -40,9 +42,9 @@ class TestSplitting:
         rng = np.random.default_rng(1)
         sp = random_splitting(rng, 3, 1)
         v = rng.standard_normal(3)
-        a, b = sp.coords(v)
-        assert np.allclose(sp.assemble(a, b), v, atol=1e-12)
-        assert np.allclose(sp.project_unstable(v) + sp.project_stable(v), v, atol=1e-12)
+        a, b = coords(sp, v)
+        assert np.allclose(assemble(sp, a, b), v, atol=1e-12)
+        assert np.allclose(project_unstable(sp, v) + project_stable(sp, v), v, atol=1e-12)
 
 
 class TestBlockDecompose:

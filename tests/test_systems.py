@@ -5,19 +5,21 @@ from hypothesis import strategies as st
 
 from bishadow.certification import certify_pseudo_orbit
 from bishadow.pseudo_orbit import assign_splittings, generate
+from bishadow.shadowing import make_solver_config
 from bishadow.systems import (
     AffineMap,
     ChartDomainError,
     PerturbedCatMap,
     Phase,
     ShiftedMap,
+    SystemBounds,
+    TorusLinearMap,
     cat_map,
-    estimate_bounds,
     map_distance,
     system_bounds,
 )
 
-from _oracles import CAT_EXPANDING, finite_difference_jacobian
+from _oracles import finite_difference_jacobian, random_point
 
 TORUS = Phase("torus", 2)
 
@@ -125,7 +127,7 @@ class TestShippedSystems:
         f = make()
         rng = np.random.default_rng(5)
         for _ in range(100):
-            p = f.phase.random_point(rng)
+            p = random_point(f.phase, rng)
             jac = f.jacobian(p)
             fd = finite_difference_jacobian(f, p)
             assert np.abs(jac - fd).max() <= 1e-6 * max(1.0, np.abs(jac).max())
@@ -136,56 +138,50 @@ class TestShippedSystems:
         pts = rng.uniform(-2, 2, size=(50, 2))
         assert np.allclose(f(pts), f(f.phase.canon(pts)), atol=1e-12)
 
-    def test_perturbed_inverse_round_trip(self):
-        f = PerturbedCatMap(0.05)
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            p = rng.random(2)
-            assert f.phase.distance(f.inverse(f(p)), p) <= 1e-12
-
-    def test_cat_inverse_exact(self):
-        f = cat_map()
-        rng = np.random.default_rng(6)
-        p = rng.random((10, 2))
-        assert np.allclose(f.inverse(f(p)), p, atol=1e-12)
-
     def test_affine_sequence_hooks(self):
         f = cat_map()
         assert f.at_step(3) is f
 
+    @pytest.mark.parametrize("matrix", [np.diag([2.0, 0.0]), [1.0, 2.0, 3.0], np.ones((2, 3))])
+    def test_affine_matrix_square_and_invertible(self, matrix):
+        with pytest.raises(ValueError, match="square|invertible"):
+            AffineMap(matrix)
+
 
 class TestBoundsAndSupDistance:
-    def test_cat_bounds_exact(self):
-        b = estimate_bounds(cat_map())
-        assert np.isclose(b.R, CAT_EXPANDING, atol=1e-12)
-        assert b.L == 0.0
-
-    def test_perturbed_bounds_sampled(self):
-        f = PerturbedCatMap(0.02)
-        b = estimate_bounds(f, grid_res=64, scale=0.1)
-        assert b.R >= CAT_EXPANDING - 0.05
-        # |Df(x + u) - Df(x)| <= amplitude * 2 pi |u|
-        assert 0 < b.L <= 0.02 * 2 * np.pi * 1.01
-
     def test_sup_distance_zero_and_shift(self):
         f = cat_map()
-        assert map_distance(f, f, 64)[0] == 0.0
+        assert map_distance(f, f)[0] == 0.0
         g = ShiftedMap(f, [0.001, 0.0])
-        assert np.isclose(map_distance(f, g, 64)[0], 0.001)
-
-    def test_sup_distance_monotone_in_resolution(self):
-        # a pair with no closed form, so both resolutions sample a grid; the
-        # 64-point grid is nested in the 128-point one
-        f = PerturbedCatMap(0.03)
-        g = ShiftedMap(PerturbedCatMap(0.031), (1e-4, 0.0))
-        coarse, fine = map_distance(f, g, 64), map_distance(f, g, 128)
-        assert coarse[1] == fine[1] == "estimated"
-        assert fine[0] >= coarse[0]
+        assert np.isclose(map_distance(f, g)[0], 0.001)
 
     def test_sup_distance_euclidean_affine(self):
         f = AffineMap(np.diag([2.0, 0.5]))
         g = AffineMap(np.diag([2.0, 0.5]), [1e-3, 0.0])
         assert np.isclose(map_distance(f, g)[0], 1e-3)
+
+    def test_map_distance_without_closed_form_raises(self):
+        with pytest.raises(ValueError, match="closed-form"):
+            map_distance(cat_map(), TorusLinearMap([[1, 1], [1, 2]]))
+
+
+class TestMapsWithoutAnalyticBounds:
+    # past |c| = (3 - sqrt 5) / 2 Weyl's inequality gives no bound on ||Df^-1||
+    f = PerturbedCatMap(0.5)
+
+    def test_system_bounds_raises(self):
+        assert self.f.derivative_bounds() is None
+        with pytest.raises(ValueError, match="bounds="):
+            system_bounds(self.f)
+        po = generate(self.f, [0.2, 0.6], [2, 2], 1e-4, 0)
+        with pytest.raises(ValueError, match="bounds="):
+            make_solver_config(po, self.f, lam=0.4)
+
+    def test_solver_config_takes_given_bounds(self):
+        po = generate(self.f, [0.2, 0.6], [2, 2], 1e-4, 0)
+        cfg = make_solver_config(po, self.f, lam=0.4, bounds=SystemBounds(4.0, 3.2, "estimated"))
+        assert (cfg.R, cfg.L, cfg.kind) == (4.0, 3.2, "estimated")
+        assert cfg.C == 4.0 ** 2
 
 
 AMPLITUDES = st.floats(0.0, 0.35)
@@ -226,7 +222,7 @@ class TestAnalyticBounds:
         f = cat_map() if cat else PerturbedCatMap(c)
         g = PerturbedCatMap((0.0 if cat else c) + dc)
         exact, kind = map_distance(f, g)
-        assert kind == "exact" and map_distance(f, g, 64)[0] == exact
+        assert kind == "exact"
         sampled = f.phase.distance(f(DENSE), g(DENSE))
         # 1e-15 absorbs the roundoff of canonicalizing f(x) and g(x)
         assert sampled.max() <= exact + 1e-15
