@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 certification or precondition failure, 2 solver
 non-convergence or a solver error (reported with kind "solver"), 3
-configuration or usage error.  A JSON report is the text of
+configuration or usage error.  Each command returns its report fields (or
+its CSV text) and its exit code; main alone adds the command, version and
+config, and writes the report.  A JSON report is the text of
 json.dumps(report, sort_keys=True, indent=2) and a newline, written by
-bishadow.jsonwriter; the other reports are CSV.  Identical config and seed
-produce byte-identical output.  Wall-clock timing is only included when
---timing is passed, keeping default reports deterministic.
+bishadow.jsonwriter.  Identical config and seed produce byte-identical
+output; wall-clock timing is only included when --timing is passed.
 """
 
 from __future__ import annotations
@@ -23,49 +24,18 @@ from functools import partial
 
 from . import __version__
 from .certification import certify_pseudo_orbit, is_quasi_hyperbolic
-from .config import (
-    ConfigError,
-    RunConfig,
-    build_perturbed,
-    build_pseudo_orbit,
-    build_splittings,
-    build_system,
-    load_config,
-    parse_config,
-)
+from .config import (ConfigError, RunConfig, build_perturbed, build_pseudo_orbit,
+                     build_splittings, build_system, load_config, parse_config)
 from .jsonwriter import dumps
-from .refinement import (
-    GraphTransformError,
-    PreconditionError,
-    make_refinement_config,
-    refine,
-)
-from .shadowing import (
-    BallInvariantError,
-    UnstableSolveError,
-    make_solver_config,
-    shadowing_preconditions,
-    solve_finite,
-    solve_periodic,
-)
+from .refinement import GraphTransformError, PreconditionError, make_refinement_config, refine
+from .shadowing import (BallInvariantError, UnstableSolveError, make_solver_config,
+                        shadowing_preconditions, solve_finite, solve_periodic)
 from .systems import map_distance, system_bounds
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_CONFIG = 3
-
-
-def _out_path(cfg: RunConfig, args) -> str | None:
-    return args.out or cfg.output.get("path")
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _report_json(report: dict) -> str:
@@ -81,11 +51,16 @@ def _margins_csv(cert) -> str:
     return buf.getvalue()
 
 
-def _base_report(cfg: RunConfig, command: str, timing: float | None) -> dict:
-    report = {"command": command, "version": __version__, "config": cfg.echo()}
-    if timing is not None:
-        report["timing"] = {"wall_s": timing}
-    return report
+# config key -> (library keyword, cast); a key the config leaves out keeps
+# the library's default
+_SOLVER_ARGS = {"lambda_tilde": ("lam_tilde", float), "epsilon1": ("epsilon1", float),
+                "eta": ("eta", float), "tol_fix": ("tol_fix", float),
+                "max_iter": ("max_iter", int)}
+_REFINEMENT_ARGS = {"lambda0": ("lam0", float), "offdiag_tol": ("offdiag_tol", float)}
+
+
+def _given(block: dict, names: dict) -> dict:
+    return {arg: cast(block[key]) for key, (arg, cast) in names.items() if key in block}
 
 
 def _build_all(cfg: RunConfig, seed_override):
@@ -104,64 +79,41 @@ def _certify(cfg: RunConfig, po, splittings, f):
 
 
 def _solver_config(cfg: RunConfig, po, f):
-    block = cfg.solver
     lam = float(cfg.certification["lambda"])
     try:
-        return make_solver_config(
-            po, f, lam,
-            lam_tilde=block.get("lambda_tilde"),
-            epsilon1=float(block.get("epsilon1", 0.1)),
-            eta=block.get("eta"),
-            tol_fix=float(block.get("tol_fix", 1e-12)),
-            max_iter=int(block.get("max_iter", 10_000)),
-        )
+        return make_solver_config(po, f, lam, **_given(cfg.solver, _SOLVER_ARGS))
     except ValueError as exc:  # the solver block's values out of range for this lambda
         raise ConfigError(f"solver: {exc}") from exc
 
 
-def cmd_certify(cfg: RunConfig, args) -> int:
-    start = time.perf_counter()
+def cmd_certify(cfg: RunConfig, args):
     f, po, splittings = _build_all(cfg, args.seed)
     cert = _certify(cfg, po, splittings, f)
-    elapsed = time.perf_counter() - start if args.timing else None
+    code = EXIT_OK if cert.passed else EXIT_FAILED
     if args.format == "csv":
-        _emit(_margins_csv(cert), _out_path(cfg, args))
-    else:
-        report = _base_report(cfg, "certify", elapsed)
-        report["certificate"] = cert.to_dict()
-        worst = cert.worst()
-        report["binding"] = {"condition": worst.condition, "segment": worst.segment,
-                             "step": worst.step, "margin": float(worst.margin)}
-        _emit(_report_json(report), _out_path(cfg, args))
-    return EXIT_OK if cert.passed else EXIT_FAILED
+        return _margins_csv(cert), code
+    worst = cert.worst()
+    return {"certificate": cert.to_dict(),
+            "binding": {"condition": worst.condition, "segment": worst.segment,
+                        "step": worst.step, "margin": float(worst.margin)}}, code
 
 
-def cmd_refine(cfg: RunConfig, args) -> int:
-    start = time.perf_counter()
+def cmd_refine(cfg: RunConfig, args):
     f, po, splittings = _build_all(cfg, args.seed)
     lam = float(cfg.certification["lambda"])
-    block = cfg.refinement
-    lam_tilde = float(block.get("lambda_tilde", (1.0 + lam) / 2.0))
+    lam_tilde = float(cfg.refinement.get("lambda_tilde", (1.0 + lam) / 2.0))
     bounds = system_bounds(f)
     try:
-        rcfg = make_refinement_config(
-            lam, lam_tilde, bounds.R,
-            lam0=block.get("lambda0"),
-            offdiag_tol=float(block.get("offdiag_tol", 1e-8)),
-        )
+        rcfg = make_refinement_config(lam, lam_tilde, bounds.R,
+                                      **_given(cfg.refinement, _REFINEMENT_ARGS))
     except ValueError as exc:  # the refinement block's values out of range for this lambda
         raise ConfigError(f"refinement: {exc}") from exc
-    report = _base_report(cfg, "refine", None)
     try:
         result = refine(po, splittings, f, rcfg)
     except (PreconditionError, GraphTransformError) as exc:
         kind = "precondition" if isinstance(exc, PreconditionError) else "graph_transform"
-        report["error"] = {"kind": kind, "message": str(exc)}
-        _emit(_report_json(report), _out_path(cfg, args))
-        return EXIT_FAILED
-    if args.timing:
-        report["timing"] = {"wall_s": time.perf_counter() - start}
-    report["refinement"] = {
+        return {"error": {"kind": kind, "message": str(exc)}}, EXIT_FAILED
+    return {"refinement": {
         "lambda_tilde": rcfg.lam_tilde,
         "eps_cap": rcfg.eps_cap,
         "eps_cap_kind": bounds.kind,
@@ -171,45 +123,49 @@ def cmd_refine(cfg: RunConfig, args) -> int:
         "max_invariance_residual": result.max_invariance_residual,
         "splittings": [{"unstable": u, "stable": s} for u, s in
                        zip(result.splittings.unstable.tolist(), result.splittings.stable.tolist())],
-    }
-    _emit(_report_json(report), _out_path(cfg, args))
-    return EXIT_OK if result.certificate.passed else EXIT_FAILED
+    }}, EXIT_OK if result.certificate.passed else EXIT_FAILED
 
 
-def _shadow_common(cfg: RunConfig, args, periodic: bool) -> int:
-    start = time.perf_counter()
-    f, po, splittings = _build_all(cfg, args.seed)
+def _shadow(cfg: RunConfig, seed_override, periodic: bool):
+    """The one shadow pipeline, run by shadow, periodic and every sweep cell.
+
+    Certifies at (lambda, eps0, delta0), checks the size margins, and
+    solves only when all of them hold.  Returns the report fields, the
+    result (None when no solve finished) and the exit code.
+    """
+    f, po, splittings = _build_all(cfg, seed_override)
     if periodic and not po.closed:
         raise ConfigError("periodic needs a pseudo-orbit whose closing seed equals its first seed")
     g = build_perturbed(cfg, f)
     scfg = _solver_config(cfg, po, f)
-    report = _base_report(cfg, "periodic" if periodic else "shadow", None)
-    report["solver_constants"] = scfg.to_dict()
     distance, distance_kind = map_distance(f, g)
-    report["constants"] = {
-        "R": {"kind": scfg.kind, "value": scfg.R}, "L": {"kind": scfg.kind, "value": scfg.L},
-        "map_distance": {"kind": distance_kind, "value": distance},
-    }
     cert, margins = shadowing_preconditions(po, splittings, f, g, scfg)
-    report["certificate"] = cert.to_dict()
-    report["precondition_margins"] = {k: float(v) for k, v in margins.items()}
+    report = {
+        "solver_constants": scfg.to_dict(),
+        "constants": {"R": {"kind": scfg.kind, "value": scfg.R},
+                      "L": {"kind": scfg.kind, "value": scfg.L},
+                      "map_distance": {"kind": distance_kind, "value": distance}},
+        "certificate": cert.to_dict(),
+        "precondition_margins": {k: float(v) for k, v in margins.items()},
+    }
     if not (cert.passed and all(m >= 0 for m in margins.values())):  # a NaN margin fails
         report["error"] = {"kind": "precondition",
                            "message": "certification or size preconditions failed"}
-        _emit(_report_json(report), _out_path(cfg, args))
-        return EXIT_FAILED
+        return report, None, EXIT_FAILED
     solve = solve_periodic if periodic else solve_finite
     try:
         result = solve(po, splittings, f, g, scfg, blocks=cert.blocks)
     except (BallInvariantError, UnstableSolveError) as exc:
         report["error"] = {"kind": "solver", "message": str(exc)}
-        _emit(_report_json(report), _out_path(cfg, args))
-        return EXIT_NO_CONVERGENCE
-    if args.timing:
-        report["timing"] = {"wall_s": time.perf_counter() - start}
-    report["result"] = result.to_dict()
-    _emit(_report_json(report), _out_path(cfg, args))
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+        return report, None, EXIT_NO_CONVERGENCE
+    return report, result, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+
+
+def cmd_shadow(cfg: RunConfig, args, periodic: bool):
+    report, result, code = _shadow(cfg, args.seed, periodic)
+    if result is not None:
+        report["result"] = result.to_dict()
+    return report, code
 
 
 def _sweep_payload(raw: dict, axis: str, value: float) -> dict:
@@ -220,7 +176,6 @@ def _sweep_payload(raw: dict, axis: str, value: float) -> dict:
         if gen is None:
             raise ConfigError("delta sweep needs a generator pseudo-orbit")
         gen["jump_amp"] = value
-        payload.setdefault("certification", {})["delta"] = value
     elif axis == "d":
         pert = payload.setdefault("perturbation", {"type": "shift"})
         if pert.get("type") != "shift":
@@ -228,34 +183,34 @@ def _sweep_payload(raw: dict, axis: str, value: float) -> dict:
         matrix = payload.get("system", {}).get("matrix")
         dim = len(matrix) if matrix else 2
         pert["offset"] = [value] + [0.0] * (dim - 1)
-    elif axis == "epsilon":
-        payload["certification"]["epsilon"] = value
     else:
         payload["certification"]["lambda"] = value
     return payload
 
 
-def _run_sweep_cell(payload: dict, seed_override) -> dict:
+def _run_sweep_cell(payload: dict, seed_override):
+    """A shadow run on one cell's config: its CSV fields, why it failed (None
+    when shadow would exit 0) and its wall time in ms."""
     start = time.perf_counter()
-    cell = {"certified": False, "converged": False,
-            "max_shadow_distance": float("nan"), "iterations": 0}
     try:
-        cfg = parse_config(payload)
-        f, po, splittings = _build_all(cfg, seed_override)
-        g = build_perturbed(cfg, f)
-        cert = _certify(cfg, po, splittings, f)
-        cell["certified"] = cert.passed
-        scfg = _solver_config(cfg, po, f)
-        result = solve_finite(po, splittings, f, g, scfg, blocks=cert.blocks)
-        cell.update(converged=result.converged, max_shadow_distance=result.max_distance,
-                    iterations=result.iterations)
-    except Exception as exc:  # recorded per cell; cmd_sweep reports it and fails
-        cell["error"] = f"{type(exc).__name__}: {exc}"
-    cell["wall_ms"] = (time.perf_counter() - start) * 1e3
-    return cell
+        report, result, code = _shadow(parse_config(payload), seed_override, periodic=False)
+    except ConfigError as exc:
+        report, result, code = {"error": {"kind": "config", "message": str(exc)}}, None, EXIT_CONFIG
+    certified = code in (EXIT_OK, EXIT_NO_CONVERGENCE)  # the preconditions held
+    if result is None:
+        fields = [certified, False, "nan", 0]
+    else:
+        fields = [certified, result.converged, repr(float(result.max_distance)), result.iterations]
+    if code == EXIT_OK:
+        failure = None
+    elif "error" in report:
+        failure = "{kind}: {message}".format(**report["error"])
+    else:
+        failure = f"did not converge in {result.iterations} iterations"
+    return fields, failure, (time.perf_counter() - start) * 1e3
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
+def cmd_sweep(cfg: RunConfig, args):
     if not cfg.sweep:
         raise ConfigError("sweep command needs a sweep block")
     axis = cfg.sweep["axis"]
@@ -267,30 +222,23 @@ def cmd_sweep(cfg: RunConfig, args) -> int:
             cells = list(pool.map(_run_sweep_cell, payloads, [args.seed] * len(payloads)))
     else:
         cells = [_run_sweep_cell(p, args.seed) for p in payloads]
+    timing = ["wall_ms"] if args.timing else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    header = ["axis_value", "certified", "converged", "max_shadow_distance", "iterations"]
-    if args.timing:
-        header.append("wall_ms")
-    writer.writerow(header)
-    for value, cell in zip(values, cells):
-        row = [repr(value), cell["certified"], cell["converged"],
-               repr(float(cell["max_shadow_distance"])), cell["iterations"]]
-        if args.timing:
-            row.append(repr(cell["wall_ms"]))
-        writer.writerow(row)
-    _emit(buf.getvalue(), _out_path(cfg, args))
-    failed = [(value, cell["error"]) for value, cell in zip(values, cells) if "error" in cell]
-    for value, message in failed:
-        sys.stderr.write(f"sweep cell {axis}={value!r} failed: {message}\n")
-    return EXIT_FAILED if failed else EXIT_OK
+    writer.writerow(["axis_value", "certified", "converged", "max_shadow_distance", "iterations",
+                     *timing])
+    for value, (fields, failure, wall_ms) in zip(values, cells):
+        writer.writerow([repr(value), *fields, *([repr(wall_ms)] if timing else [])])
+        if failure:
+            sys.stderr.write(f"sweep cell {axis}={value!r} failed: {failure}\n")
+    return buf.getvalue(), EXIT_FAILED if any(c[1] for c in cells) else EXIT_OK
 
 
 _COMMANDS = {
     "certify": cmd_certify,
     "refine": cmd_refine,
-    "shadow": partial(_shadow_common, periodic=False),
-    "periodic": partial(_shadow_common, periodic=True),
+    "shadow": partial(cmd_shadow, periodic=False),
+    "periodic": partial(cmd_shadow, periodic=True),
     "sweep": cmd_sweep,
 }
 
@@ -322,10 +270,23 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         cfg = load_config(args.config)
-        return _COMMANDS[args.command](cfg, args)
+        start = time.perf_counter()
+        report, code = _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
+    if isinstance(report, dict):  # a JSON report; the CSV reports come as text
+        report.update(command=args.command, version=__version__, config=cfg.raw)
+        if args.timing:
+            report["timing"] = {"wall_s": time.perf_counter() - start}
+        report = _report_json(report)
+    path = args.out or cfg.output.get("path")
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(report)
+    else:
+        sys.stdout.write(report)
+    return code
 
 
 if __name__ == "__main__":

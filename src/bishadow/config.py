@@ -80,9 +80,6 @@ class RunConfig:
     sweep: dict
     output: dict
 
-    def echo(self) -> dict:
-        return self.raw
-
 
 def parse_config(payload: dict) -> RunConfig:
     _check_keys(payload, _TOP_KEYS, _REQUIRED, "config")
@@ -154,7 +151,7 @@ def parse_config(payload: dict) -> RunConfig:
     sweep_block = payload.get("sweep", {})
     if sweep_block:
         _check_keys(sweep_block, {"axis", "values"}, {"axis", "values"}, "sweep")
-        if sweep_block["axis"] not in ("delta", "d", "epsilon", "lambda"):
+        if sweep_block["axis"] not in ("delta", "d", "lambda"):
             raise ConfigError(f"unknown sweep axis {sweep_block['axis']!r}")
         _check_numbers(sweep_block, "values", "sweep", lambda v: True, "numbers")
         values = sweep_block["values"]
@@ -257,11 +254,9 @@ def build_splittings(cfg: RunConfig, po: SegmentedPseudoOrbit, f: SmoothMap):
     strategy = block.get("strategy")
     if strategy is None:
         strategy = "power" if isinstance(f, PerturbedCatMap) else "eigen"
+    # a block without a depth keeps assign_splittings' default
+    depth = {"depth": int(block["depth"])} if "depth" in block else {}
     try:
-        return assign_splittings(
-            po, f, strategy,
-            dim_u=block.get("dim_u"),
-            depth=int(block.get("depth", 50)),
-        )
+        return assign_splittings(po, f, strategy, dim_u=block.get("dim_u"), **depth)
     except ValueError as exc:
         raise ConfigError(f"cannot assign splittings: {exc}") from exc

@@ -377,17 +377,16 @@ def assign_splittings(
         return SplittingAssignment(*(np.stack([getattr(sp, name) for sp in splittings])
                                      for name in ("unstable", "stable", "basis_inv")))
 
-    j0 = f.at_step(0).jacobian(po.points[0])
     if strategy == "eigen":
-        sample = po.points[:: max(1, n // 8)]
-        jac = f.at_step(0).jacobian(sample)
-        if np.abs(jac - j0).max() > 1e-9:
+        jac = f.jacobian_along(po.points[:-1])  # step j at point j, for every step
+        if np.abs(jac - jac[0]).max() > 1e-9:
             raise SplittingError("eigen strategy needs a constant derivative; use power")
-        return SplittingAssignment.constant(eigen_splitting(j0, dim_u=dim_u), n + 1)
+        return SplittingAssignment.constant(eigen_splitting(jac[0], dim_u=dim_u), n + 1)
 
     if strategy == "power":
         if depth < 0:
             raise ValueError("power splittings need a nonnegative depth")
+        j0 = f.at_step(0).jacobian(po.points[0])
         return _power_splittings(po, f, depth, eigen_splitting(j0, dim_u=dim_u))
 
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -55,6 +55,11 @@ __all__ = [
 ]
 
 
+DAMPING = 0.5  # step factor once an update grows
+NEWTON_TOL = 1e-13  # residual at which one index's Newton inversion stops
+NEWTON_MAX_ITER = 50
+
+
 class BallInvariantError(RuntimeError):
     """An iterate escaped the eta-ball; the size preconditions are too weak."""
 
@@ -90,9 +95,6 @@ class SolverConfig:
     d0: float
     tol_fix: float = 1e-12
     max_iter: int = 10_000
-    damping: float = 0.5
-    newton_tol: float = 1e-13
-    newton_max_iter: int = 50
     L: float = 0.0
     kind: str = "estimated"
 
@@ -226,7 +228,7 @@ class ShadowProblem:
         index-j unstable coordinates, such that F_j(sv_j + U_j w_j) -
         F_j(sv_j) has index-(j+1) unstable coordinates equal to target_j;
         each w_j must lie in the eta-ball.  Every index runs its own
-        Newton iteration and stops once its residual is below newton_tol.
+        Newton iteration and stops once its residual is below NEWTON_TOL.
         When indices fail (singular block, stalled Newton, eta-ball
         escape), the error of the lowest one is raised.
         """
@@ -239,11 +241,11 @@ class ShadowProblem:
         _record_singular(failures, np.flatnonzero(singular))
         live = ~singular
         done = np.zeros_like(live)
-        for _ in range(cfg.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             x = sv + _matvec(self.splittings.unstable[:-1], w)
             r = self.coords(slice(1, None), self.phase.wrap(self.F(x) - base))[0] - target
             res = np.sqrt(_sq_norms(r))
-            done |= live & (res <= cfg.newton_tol)
+            done |= live & (res <= NEWTON_TOL)
             live &= ~done
             rows = np.flatnonzero(live)
             if rows.size == 0:
@@ -427,7 +429,7 @@ def _iterate(problem: ShadowProblem, boundary: str):
         if upd > prev_upd:
             damping_on = True
         prev_upd = upd
-        v = v + problem.config.damping * step if damping_on else w
+        v = v + DAMPING * step if damping_on else w
         if upd < problem.config.tol_fix:
             converged = True
             break

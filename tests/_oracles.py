@@ -331,7 +331,8 @@ def invert_unstable_at(problem, j, sv, target):
     raises as the solver does when w leaves the eta-ball, a block is
     singular or Newton stalls.
     """
-    from bishadow.shadowing import BallInvariantError, UnstableSolveError
+    from bishadow.shadowing import (NEWTON_MAX_ITER, NEWTON_TOL, BallInvariantError,
+                                    UnstableSolveError)
 
     sp, dst, cfg = problem.splittings[j], problem.splittings[j + 1], problem.config
     fj = problem.f.at_step(j)
@@ -346,10 +347,10 @@ def invert_unstable_at(problem, j, sv, target):
         w = np.linalg.solve(a_loc(sv), target)
     except np.linalg.LinAlgError as exc:
         raise UnstableSolveError(f"singular unstable block at index {j}") from exc
-    for _ in range(cfg.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         out = chart_step(problem, problem.f, j, sv + sp.unstable @ w) - base
         r = unstable_coords(dst, problem.phase.wrap(out)) - target
-        if np.linalg.norm(r) <= cfg.newton_tol:
+        if np.linalg.norm(r) <= NEWTON_TOL:
             size = float(np.linalg.norm(w))
             if size > cfg.eta * problem.l[j] * (1.0 + 1e-9):
                 raise BallInvariantError(

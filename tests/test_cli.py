@@ -268,10 +268,7 @@ class TestExitCodes:
             assert "amplitude" in capsys.readouterr().err
 
     def test_refine_graph_transform_error(self, tmp_path, monkeypatch):
-        def failing(*args, **kwargs):
-            raise GraphTransformError("graph left the unit ball at index 4")
-
-        monkeypatch.setattr(bishadow.cli, "refine", failing)
+        fail_refine(monkeypatch)
         code, out = run(tmp_path, "refine")
         assert code == 1
         error = json.loads(out.read_text())["error"]
@@ -360,11 +357,106 @@ class TestSweep:
         rows = out.read_text().splitlines()
         assert rows[0] == "axis_value,certified,converged,max_shadow_distance,iterations"
         assert rows[1].startswith("0.0001,True,True,")
-        # the cell certifies at (0.4, 0, 0.2); only its solve fails
-        assert rows[2] == "0.2,True,False,nan,0"
+        # jumps of 0.2 exceed delta0: the cell fails its preconditions and is not solved
+        assert rows[2] == "0.2,False,False,nan,0"
         err = capsys.readouterr().err
-        assert "delta=0.2 failed: BallInvariantError" in err
+        assert "delta=0.2 failed: precondition: " in err
         assert "delta=0.0001" not in err
+
+    @pytest.mark.parametrize("axis, values, failing", [
+        ("d", [1e-6, 1e-4, 5e-3], [False, False, True]),  # d0 is about 7e-4
+        ("lambda", [0.3, 0.4, 0.45], [True, False, False]),  # 0.3 does not certify
+    ])
+    def test_rows_are_shadow_runs(self, tmp_path, capsys, axis, values, failing):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"] = {"axis": axis, "values": values}
+        code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
+        assert code == 1
+        rows = out.read_text().splitlines()[1:]
+        err = capsys.readouterr().err
+        unsolved = {"converged": False, "max_distance": math.nan, "iterations": 0}
+        for value, row, fails in zip(values, rows, failing):
+            cell = json.loads(json.dumps(BASE_CONFIG))
+            if axis == "d":
+                cell["perturbation"]["offset"] = [value, 0.0]
+            else:
+                cell["certification"]["lambda"] = value
+            shadow_code, shadow_out = run(tmp_path, "shadow", cell, name=f"cell{value}")
+            assert (shadow_code != 0) == fails == (f"{axis}={value!r} failed" in err)
+            report = json.loads(shadow_out.read_text())
+            certified = (report["certificate"]["passed"]
+                         and min(report["precondition_margins"].values()) >= 0)
+            r = report.get("result", unsolved)
+            assert row == (f"{value!r},{certified},{r['converged']},{r['max_distance']!r},"
+                           f"{r['iterations']}")
+
+    def test_cell_outside_preconditions_is_not_solved(self, tmp_path, capsys, monkeypatch):
+        # jumps of 2e-4 exceed delta0 on this map, so the cell is not solved
+        solved = []
+        real = bishadow.cli.solve_finite
+
+        def recording(po, *args, **kwargs):
+            solved.append(float(po.residuals.max()))
+            return real(po, *args, **kwargs)
+
+        monkeypatch.setattr(bishadow.cli, "solve_finite", recording)
+        payload = guarded_payload("perturbed_cat_map", "sweep")
+        payload["sweep"]["values"] = [1e-5, 2e-4]
+        code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[1].startswith("1e-05,True,True,")
+        assert rows[2] == "0.0002,False,False,nan,0"
+        assert solved == [pytest.approx(1e-5)]
+        err = capsys.readouterr().err
+        assert "delta=0.0002 failed: precondition: " in err
+        assert "delta=1e-05" not in err
+
+    def test_solver_error_fails_the_cell(self, tmp_path, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise BallInvariantError("iterate left the eta-ball at index 2")
+
+        monkeypatch.setattr(bishadow.cli, "solve_finite", failing)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"]["values"] = [1e-4]
+        code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
+        assert code == 1
+        assert out.read_text().splitlines()[1] == "0.0001,True,False,nan,0"
+        assert capsys.readouterr().err == (
+            "sweep cell delta=0.0001 failed: solver: iterate left the eta-ball at index 2\n")
+
+    def test_unconverged_cell_fails(self, tmp_path, capsys):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["solver"]["max_iter"] = 2
+        payload["sweep"]["values"] = [1e-4]
+        code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
+        assert code == 1
+        row = out.read_text().splitlines()[1]
+        assert row.startswith("0.0001,True,False,") and row.endswith(",2")
+        assert capsys.readouterr().err == (
+            "sweep cell delta=0.0001 failed: did not converge in 2 iterations\n")
+
+    def test_config_error_fails_the_cell(self, tmp_path, capsys):
+        # jumps of 0.6 exceed the injectivity radius of the torus
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"]["values"] = [1e-4, 0.6]
+        code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[1].startswith("0.0001,True,True,")
+        assert rows[2] == "0.6,False,False,nan,0"
+        err = capsys.readouterr().err
+        assert "delta=0.6 failed: config: cannot build pseudo-orbit" in err
+        assert "delta=0.0001" not in err
+
+    def test_epsilon_axis_rejected(self, tmp_path, capsys):
+        # shadow never reads certification.epsilon, so the axis changed nothing
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"] = {"axis": "epsilon", "values": [0.0, 1e-3]}
+        code, out = run(tmp_path, "sweep", payload)
+        assert code == 3
+        assert not out.exists()
+        assert "unknown sweep axis 'epsilon'" in capsys.readouterr().err
 
     def test_genuine_orbit_cells_all_zero(self, tmp_path):
         payload = json.loads(json.dumps(BASE_CONFIG))
@@ -391,6 +483,7 @@ def guarded_payload(system: str, command: str) -> dict:
         payload["system"] = {"type": "perturbed_cat_map", "amplitude": 0.02}
         payload["certification"].update({"lambda": 0.45, "epsilon": 1e-9})
         payload["perturbation"] = {"type": "perturbed_amplitude", "amplitude": 0.0201}
+        payload["sweep"]["values"] = [1e-5, 1e-4]  # within delta0; 2e-4 is not
     elif system == "shifted_torus3":
         dim = 3
         payload["system"] = {"type": "torus_linear", "matrix": [[1, 1, 0], [1, 2, 1], [0, 1, 2]]}
@@ -557,7 +650,7 @@ def test_nan_shift_fails_preconditions(tmp_path):
     assert json.loads(out.read_text())["error"]["kind"] == "precondition"
 
 
-@pytest.mark.parametrize("command, payload, graph_error, expected", [
+JSON_REPORTS = pytest.mark.parametrize("command, payload, graph_error, expected", [
     ("certify", BASE_CONFIG, False, 0),
     ("refine", REFINE_PAYLOAD, False, 0),
     ("refine", BASE_CONFIG, True, 1),
@@ -565,6 +658,16 @@ def test_nan_shift_fails_preconditions(tmp_path):
     ("shadow", _precondition_failure(), False, 1),
     ("periodic", guarded_payload("cat_map", "periodic"), False, 0),
 ], ids=["certify", "refine", "refine-error", "shadow", "precondition-failure", "periodic"])
+
+
+def fail_refine(monkeypatch):
+    def failing(*args, **kwargs):
+        raise GraphTransformError("graph left the unit ball at index 4")
+
+    monkeypatch.setattr(bishadow.cli, "refine", failing)
+
+
+@JSON_REPORTS
 def test_report_is_reference_json(tmp_path, monkeypatch, command, payload, graph_error, expected):
     """Each report is json.dumps(report, sort_keys=True, indent=2) and a newline."""
     reports = []
@@ -576,11 +679,28 @@ def test_report_is_reference_json(tmp_path, monkeypatch, command, payload, graph
 
     monkeypatch.setattr(bishadow.cli, "_report_json", recording)
     if graph_error:
-        def failing(*args, **kwargs):
-            raise GraphTransformError("graph left the unit ball at index 4")
-
-        monkeypatch.setattr(bishadow.cli, "refine", failing)
+        fail_refine(monkeypatch)
     code, out = run(tmp_path, command, payload)
     assert code == expected
     [report] = reports
     assert out.read_bytes() == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+
+
+@JSON_REPORTS
+def test_timing_adds_only_wall_time(tmp_path, monkeypatch, command, payload, graph_error, expected):
+    """--timing adds timing.wall_s to every JSON report, failed ones too, and nothing else."""
+    if graph_error:
+        fail_refine(monkeypatch)
+    code, plain = run(tmp_path, command, payload, name="plain")
+    timed_code, timed = run(tmp_path, command, payload, extra=("--timing",), name="timed")
+    assert code == timed_code == expected
+    report = json.loads(timed.read_text())
+    timing = report.pop("timing")
+    assert list(timing) == ["wall_s"] and timing["wall_s"] > 0
+    assert (json.dumps(report, sort_keys=True, indent=2) + "\n").encode() == plain.read_bytes()
+
+
+def test_timing_leaves_the_margin_csv_alone(tmp_path):
+    _, plain = run(tmp_path, "certify", extra=("--format", "csv"), name="plain")
+    _, timed = run(tmp_path, "certify", extra=("--format", "csv", "--timing"), name="timed")
+    assert timed.read_bytes() == plain.read_bytes()

@@ -204,6 +204,18 @@ class TestAssignSplittings:
         with pytest.raises(SplittingError):
             assign_splittings(po, f, "eigen")
 
+    def test_eigen_checks_every_step(self):
+        # step 1 swaps the expanding and contracting axes of step 0, which
+        # no check of step 0's Jacobian alone can see
+        axes = eigen_splitting(np.diag([2.0, 0.5]))
+        swapped = AffineSequenceSystem([np.diag([2.0, 0.5]), np.diag([0.5, 2.0])],
+                                       np.zeros((2, 2)), axes, validate=False)
+        with pytest.raises(SplittingError, match="constant derivative"):
+            assign_splittings(flatten(np.zeros((2, 2)), [2], swapped), swapped, "eigen")
+        same = AffineSequenceSystem([np.diag([2.0, 0.5])] * 2, np.zeros((2, 2)), axes)
+        spl = assign_splittings(flatten(np.zeros((2, 2)), [2], same), same, "eigen")
+        assert all(np.allclose(spl[j].basis, axes.basis) for j in range(3))
+
     def test_power_iteration_near_unperturbed(self):
         f = PerturbedCatMap(0.01)
         po = generate(f, [0.37, 0.58], [4] * 6, 0.0, 2)

@@ -14,7 +14,7 @@ import bishadow
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bishadow.__path__))
 PACKAGE = Path(bishadow.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
-KERNEL = ("adapted", "splitting", "systems", "shadowing")
+KERNEL = [m for m in MODULES if m != "oracle"]  # oracle holds the references
 
 
 def package_imports():
