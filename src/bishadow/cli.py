@@ -231,7 +231,7 @@ def cmd_sweep(cfg: RunConfig, args):
         writer.writerow([repr(value), *fields, *([repr(wall_ms)] if timing else [])])
         if failure:
             sys.stderr.write(f"sweep cell {axis}={value!r} failed: {failure}\n")
-    return buf.getvalue(), EXIT_FAILED if any(c[1] for c in cells) else EXIT_OK
+    return buf.getvalue(), EXIT_FAILED if any(failure for _, failure, _ in cells) else EXIT_OK
 
 
 _COMMANDS = {
