@@ -21,8 +21,8 @@ config = bs.make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
 print(f"derived constants: eta={config.eta:.3g}  eps0={config.eps0:.3g}  "
       f"delta0={config.delta0:.3g}  d0={config.d0:.3g}  (C = R^a = {config.C:.1f})")
 
-cert, margins = bs.shadowing_preconditions(po, splittings, f, g, config)
-print(f"certified: {cert.passed}; size margins: "
+cert, margins, distance = bs.shadowing_preconditions(po, splittings, f, g, config)
+print(f"certified: {cert.passed}; map distance {distance:.1e}; size margins: "
       + ", ".join(f"{k}={v:.2e}" for k, v in margins.items()))
 
 result = bs.solve_finite(po, splittings, f, g, config)

@@ -19,6 +19,7 @@ independently.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -42,43 +43,46 @@ def well_adapted_sequence(a, b, lam: float) -> np.ndarray:
 
     Exists for every pair that is quasi-hyperbolic at lam (the product-form
     inequalities a certificate checks); raises
-    InfeasiblePairError naming the violated constraint otherwise.
+    InfeasiblePairError naming the violated constraint otherwise.  a and b
+    may be stacks of shape (..., n): each row is solved as it would be
+    alone, and an infeasible row fails the whole stack.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+    if a.shape != b.shape or a.ndim == 0 or a.size == 0:
         raise ValueError("a and b must be nonempty sequences of equal length")
-    n = a.size
+    n = a.shape[-1]
     alpha = np.log(a) - math.log(lam)
     beta = np.log(b) + math.log(lam)
-    bad = np.flatnonzero(alpha > beta + _TOL)
+    bad = np.argwhere(alpha > beta + _TOL)
     if bad.size:
+        i = tuple(bad[0])
         raise InfeasiblePairError(
-            f"empty quotient window at position {bad[0] + 1}: "
-            f"a/lambda = {a[bad[0]] / lam:.6g} exceeds b*lambda = {b[bad[0]] * lam:.6g}"
+            f"empty quotient window at position {i[-1] + 1}: "
+            f"a/lambda = {a[i] / lam:.6g} exceeds b*lambda = {b[i] * lam:.6g}"
         )
     # forward pass: reachable interval [lo_k, hi_k] of the k-term partial sum
-    lo = np.zeros(n + 1)
-    hi = np.zeros(n + 1)
+    lo = np.zeros(a.shape[:-1] + (n + 1,))
+    hi = np.zeros_like(lo)
     for k in range(1, n + 1):
-        lo[k] = lo[k - 1] + alpha[k - 1]
-        hi[k] = hi[k - 1] + beta[k - 1]
+        lo[..., k] = lo[..., k - 1] + alpha[..., k - 1]
+        hi[..., k] = hi[..., k - 1] + beta[..., k - 1]
         if k < n:
-            hi[k] = min(hi[k], 0.0)
-        if lo[k] > hi[k] + _TOL:
+            hi[..., k] = np.minimum(hi[..., k], 0.0)
+        if np.any(lo[..., k] > hi[..., k] + _TOL):
             raise InfeasiblePairError(f"partial-sum window empty after {k} terms")
-    if lo[n] > _TOL or hi[n] < -_TOL:
+    if np.any(lo[..., n] > _TOL) or np.any(hi[..., n] < -_TOL):
         raise InfeasiblePairError("total product cannot reach 1")
-    # backward pass: midpoint selection keeping the zero total reachable
-    s = np.zeros(n + 1)
+    # backward pass: midpoint selection keeping the zero total reachable; the
+    # forward pass guarantees l <= h up to rounding, and where rounding leaves
+    # l just above h their midpoint is still the point to take
+    s = np.zeros_like(lo)
     for k in range(n - 1, 0, -1):
-        l = max(lo[k], s[k + 1] - beta[k])
-        h = min(hi[k], s[k + 1] - alpha[k])
-        if l > h:  # rounding only; the forward pass guarantees feasibility
-            if l > h + 1e-9:
-                raise InfeasiblePairError("backward pass lost feasibility")
-            l = h = 0.5 * (l + h)
-        s[k] = 0.5 * (l + h)
+        l = np.maximum(lo[..., k], s[..., k + 1] - beta[..., k])
+        h = np.minimum(hi[..., k], s[..., k + 1] - alpha[..., k])
+        if np.any(l > h + 1e-9):
+            raise InfeasiblePairError("backward pass lost feasibility")
+        s[..., k] = 0.5 * (l + h)
     gamma = np.diff(s)
     np.clip(gamma, alpha, beta, out=gamma)
     return np.exp(gamma)
@@ -98,6 +102,6 @@ def scale_factors(h, offsets) -> np.ndarray:
     if h.size != n:
         raise ValueError("need one weight per orbit step")
     l = np.ones(n + 1)
-    l[1:] = _segmentwise(np.cumprod, h, offsets)
+    l[1:] = _segmentwise(partial(np.cumprod, axis=1), offsets, h)
     l[offsets] = 1.0
     return l

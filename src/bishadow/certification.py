@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -80,12 +81,8 @@ class Certificate:
     margin: np.ndarray
     blocks: OrbitBlocks = field(repr=False)
 
-    def worst(self, condition: str | None = None) -> MarginRow:
-        rows = np.arange(len(self.margin)) if condition is None else np.flatnonzero(
-            self.condition == condition)
-        if not rows.size:
-            raise ValueError("no margin rows recorded")
-        k = rows[np.argmin(np.where(np.isnan(self.margin[rows]), -np.inf, self.margin[rows]))]
+    def worst(self) -> MarginRow:
+        k = np.argmin(np.where(np.isnan(self.margin), -np.inf, self.margin))
         return MarginRow(*(getattr(self, name)[k].item() for name in _COLUMNS))
 
     @property
@@ -171,12 +168,13 @@ def _block_terms(blocks: OrbitBlocks, offsets):
     sum_{i>=j} log m(A_i) within the segment; ||D_j|| / m(A_j); and
     max(||B_j||, ||C_j||)."""
     a, d, off = block_norms(blocks)
+    cumsum = partial(np.cumsum, axis=1)
     lengths = np.diff(offsets)
     seg = np.repeat(np.arange(len(lengths)), lengths)
     k = np.arange(len(a)) - offsets[seg]
     with np.errstate(divide="ignore", invalid="ignore"):
-        cum_d = _segmentwise(np.cumsum, np.log(d), offsets)
-        tail_a = _segmentwise(np.cumsum, np.log(a)[::-1], offsets[-1] - offsets[::-1])[::-1]
+        cum_d = _segmentwise(cumsum, offsets, np.log(d))
+        tail_a = _segmentwise(cumsum, offsets[-1] - offsets[::-1], np.log(a)[::-1])[::-1]
         ratio = np.where(a > 0, d / a, np.inf)
     return seg, k, lengths[seg], cum_d, tail_a, ratio, off
 

@@ -30,7 +30,7 @@ from .jsonwriter import dumps
 from .refinement import GraphTransformError, PreconditionError, make_refinement_config, refine
 from .shadowing import (BallInvariantError, UnstableSolveError, make_solver_config,
                         shadowing_preconditions, solve_finite, solve_periodic)
-from .systems import map_distance, system_bounds
+from .systems import system_bounds
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -138,13 +138,12 @@ def _shadow(cfg: RunConfig, seed_override, periodic: bool):
         raise ConfigError("periodic needs a pseudo-orbit whose closing seed equals its first seed")
     g = build_perturbed(cfg, f)
     scfg = _solver_config(cfg, po, f)
-    distance, distance_kind = map_distance(f, g)
-    cert, margins = shadowing_preconditions(po, splittings, f, g, scfg)
+    cert, margins, distance = shadowing_preconditions(po, splittings, f, g, scfg)
     report = {
         "solver_constants": scfg.to_dict(),
         "constants": {"R": {"kind": scfg.kind, "value": scfg.R},
                       "L": {"kind": scfg.kind, "value": scfg.L},
-                      "map_distance": {"kind": distance_kind, "value": distance}},
+                      "map_distance": {"kind": "exact", "value": distance}},
         "certificate": cert.to_dict(),
         "precondition_margins": {k: float(v) for k, v in margins.items()},
     }
@@ -216,7 +215,7 @@ def cmd_sweep(cfg: RunConfig, args):
     axis = cfg.sweep["axis"]
     values = [float(v) for v in cfg.sweep["values"]]
     payloads = [_sweep_payload(cfg.raw, axis, v) for v in values]
-    jobs = args.jobs if args.jobs else min(os.cpu_count() or 1, len(values))
+    jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_run_sweep_cell, payloads, [args.seed] * len(payloads)))
@@ -243,6 +242,13 @@ _COMMANDS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bishadow",
@@ -256,7 +262,8 @@ def _parser() -> argparse.ArgumentParser:
         if name == "certify":
             p.add_argument("--format", choices=("json", "csv"), default="json")
         if name == "sweep":
-            p.add_argument("--jobs", type=int, default=None, help="parallel sweep cells")
+            p.add_argument("--jobs", type=_positive_int, default=None,
+                           help="parallel sweep cells, at most one worker per cell")
         p.add_argument("--seed", type=int, default=None, help="override the generator rng seed")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing (breaks byte-identical reports)")

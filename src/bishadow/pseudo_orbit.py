@@ -12,13 +12,11 @@ its meaning under slicing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jsonwriter import dumps
 from .splitting import Splitting, _checked_basis, _orthonormalize, eigen_splitting
 from .systems import Phase, SmoothMap
 
@@ -85,17 +83,6 @@ class SegmentedPseudoOrbit:
             raise ValueError("segment index 0 is outside this window")
         return int(self.offsets[-self.i_min])
 
-    def N(self, i: int) -> int:
-        """Signed flattened offset of seed i: 0 at i = 0, cumulative lengths
-        forward, negated cumulative lengths backward."""
-        if not (self.i_min <= i <= self.i_max + 1):
-            raise ValueError(f"segment index {i} outside [{self.i_min}, {self.i_max + 1}]")
-        return int(self.offsets[i - self.i_min]) - int(self.offsets[-self.i_min])
-
-    def position(self, i: int) -> int:
-        """0-based flattened position of seed i."""
-        return int(self.offsets[i - self.i_min])
-
     def window(self, i_lo: int, i_hi: int) -> "SegmentedPseudoOrbit":
         """Sub-orbit covering segments i_lo..i_hi inclusive."""
         if not (self.i_min <= i_lo <= i_hi <= self.i_max):
@@ -112,42 +99,18 @@ class SegmentedPseudoOrbit:
             i_min=i_lo,
         )
 
-    def to_json(self) -> str:
-        def enc(arr):
-            return [[format(v, ".17g") for v in row] for row in np.atleast_2d(arr)]
 
-        payload = {
-            "phase": {"kind": self.phase.kind, "dim": self.phase.dim},
-            "i_min": self.i_min,
-            "seeds": enc(self.seeds),
-            "lengths": [int(v) for v in self.lengths],
-            "points": enc(self.points),
-            "residuals": [format(v, ".17g") for v in self.residuals],
-        }
-        return dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SegmentedPseudoOrbit":
-        payload = json.loads(text)
-        dec = lambda rows: np.array([[float(v) for v in row] for row in rows])
-        return cls(
-            phase=Phase(payload["phase"]["kind"], payload["phase"]["dim"]),
-            seeds=dec(payload["seeds"]),
-            lengths=np.array(payload["lengths"], dtype=int),
-            points=dec(payload["points"]),
-            residuals=np.array([float(v) for v in payload["residuals"]]),
-            i_min=int(payload["i_min"]),
-        )
-
-
-def _segmentwise(accumulate, x, offsets):
-    """np.cumsum or np.cumprod of x restarted at every segment start; each
-    segment accumulates in order, so it rounds as it would alone."""
-    out = np.empty_like(x)
+def _segmentwise(fn, offsets, *xs):
+    """fn on the segments of the per-block arrays xs, one call per segment
+    length: each call gets, for every array, the stack ``(m, length)`` of
+    the m segments of that length and returns an array of the same shape.
+    fn must treat each row as it would alone (np.cumsum along axis 1, for
+    one), so every segment comes out as it would alone."""
+    out = np.empty_like(xs[0])
     lengths = np.diff(offsets)
     for length in np.unique(lengths):
         rows = offsets[:-1][lengths == length, None] + np.arange(length)
-        out[rows] = accumulate(x[rows], axis=1)
+        out[rows] = fn(*(x[rows] for x in xs))
     return out
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certification import (Certificate, OrbitBlocks, _covering, _singular_values, block_norms,
+from .certification import (Certificate, OrbitBlocks, _covering, _singular_values,
                             certify_pseudo_orbit, pseudo_orbit_blocks)
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, pull_back, push_forward
 from .splitting import min_norm
@@ -185,16 +185,16 @@ def refine(
     blocks on the result have the same form.
     """
     blocks = _covering(po, splittings, f, blocks)
-    eps_actual = float(block_norms(blocks)[2].max())
+    if delta is None:
+        delta = float(po.residuals.max()) if po.residuals.size else 0.0
+    input_cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps_cap, delta,
+                                      blocks=blocks)
+    eps_actual = input_cert.max_offdiagonal
     if eps_actual > config.eps_cap:
         raise PreconditionError(
             f"off-diagonal size {eps_actual:.3e} exceeds the admissible cap "
             f"{config.eps_cap:.3e} at rate {config.lam}"
         )
-    if delta is None:
-        delta = float(po.residuals.max()) if po.residuals.size else 0.0
-    input_cert = certify_pseudo_orbit(po, splittings, f, config.lam,
-                                      max(eps_actual, 1e-15), delta, blocks=blocks)
     if not input_cert.passed:
         worst = input_cert.worst()
         raise PreconditionError(

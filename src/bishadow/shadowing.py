@@ -30,12 +30,13 @@ uniformly contracting, which is what drives the iteration to converge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .adapted import scale_factors, well_adapted_sequence
 from .certification import _covering, block_norms, certify_pseudo_orbit
-from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
+from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
 from .systems import SmoothMap, SystemBounds, map_distance, system_bounds
 
 __all__ = [
@@ -180,11 +181,8 @@ class ShadowProblem:
         self.g = g
         self.config = config
         m_a, norm_d, _ = block_norms(_covering(po, splittings, f, blocks))
-        cuts = po.offsets[1:-1]
-        self.weights = np.concatenate([
-            well_adapted_sequence(d, a, config.lam)
-            for a, d in zip(np.split(m_a, cuts), np.split(norm_d, cuts))
-        ])
+        self.weights = _segmentwise(partial(well_adapted_sequence, lam=config.lam),
+                                    po.offsets, norm_d, m_a)
         self.l = scale_factors(self.weights, po.offsets)
         self.phase = po.phase
         self.dim_u = splittings.dim_u
@@ -221,20 +219,20 @@ class ShadowProblem:
         jac = np.matmul(np.matmul(spl.basis_inv[1:], self.chart_jacobian(xi)), spl.unstable[:-1])
         return jac[:, : self.dim_u, :]
 
-    def invert_unstable(self, sv, target):
+    def invert_unstable(self, sv, target, base):
         """Newton inversion of the expanding unstable parts of all F_j at once.
 
-        sv holds the stable parts of the v_j.  Returns the rows w_j, in
-        index-j unstable coordinates, such that F_j(sv_j + U_j w_j) -
-        F_j(sv_j) has index-(j+1) unstable coordinates equal to target_j;
-        each w_j must lie in the eta-ball.  Every index runs its own
+        sv holds the stable parts of the v_j and base their images F(sv),
+        which the caller has already computed.  Returns the rows w_j, in
+        index-j unstable coordinates, such that F_j(sv_j + U_j w_j) - base_j
+        has index-(j+1) unstable coordinates equal to target_j; each w_j
+        must lie in the eta-ball.  Every index runs its own
         Newton iteration and stops once its residual is below NEWTON_TOL.
         When indices fail (singular block, stalled Newton, eta-ball
         escape), the error of the lowest one is raised.
         """
         cfg = self.config
         target = np.asarray(target, dtype=float)
-        base = self.F(sv)
         failures = []  # (index, error): the lowest index of each failing batch
         # seed with the linear prediction; exact for affine charts
         w, singular = _solve_rows(self._unstable_blocks(sv), target)
@@ -324,8 +322,9 @@ def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finit
     g_imgs = problem.G(v[:-1])
     w[1:] += _matvec(spl.stable[dst], problem.coords(dst, g_imgs)[1])
     sv = _matvec(spl.stable[src], problem.coords(src, v[:-1])[1])
-    target_ambient = -g_imgs + problem.F(v[:-1]) - problem.F(sv) + v[1:]
-    wu = problem.invert_unstable(sv, problem.coords(dst, target_ambient)[0])
+    f_sv = problem.F(sv)
+    target_ambient = -g_imgs + problem.F(v[:-1]) - f_sv + v[1:]
+    wu = problem.invert_unstable(sv, problem.coords(dst, target_ambient)[0], f_sv)
     w[:-1] += _matvec(spl.unstable[src], wu)
     if boundary == "periodic":
         w[0] += spl.stable[0] @ (spl.basis_inv[n] @ w[n])[du:]
@@ -352,10 +351,7 @@ class ShadowingResult:
     """A converged (or diagnosed) shadowing solve.
 
     distances[j] is the chart distance of the shadow orbit from the
-    pseudo-orbit at index j, equal to l_j |v_j|_N by construction;
-    orbit_drift additionally reports how far direct iteration of g from
-    the shadow point strays from the chart orbit (it accumulates the
-    per-step residual amplified by the dynamics).
+    pseudo-orbit at index j, equal to l_j |v_j|_N by construction.
     """
 
     v: np.ndarray
@@ -366,13 +362,11 @@ class ShadowingResult:
     converged: bool
     update_history: list = field(repr=False)
     ball_margin: float
-    orbit_drift: float
     scale: np.ndarray = field(repr=False)
     boundary: str
     config: SolverConfig = field(repr=False)
     periodic_closure: float | None = None
     periodic_closure_polished: float | None = None
-    polished_point: np.ndarray | None = None
     seam_gap: float | None = None
     polish_message: str | None = None
 
@@ -392,7 +386,6 @@ class ShadowingResult:
             "distances": [float(x) for x in self.distances],
             "residual_max": self.residual_max,
             "ball_margin": float(self.ball_margin),
-            "orbit_drift": float(self.orbit_drift),
             "shadow_point": [float(x) for x in self.shadow_point],
             "boundary": self.boundary,
             "update_history": [float(u) for u in self.update_history],
@@ -411,49 +404,38 @@ class ShadowingResult:
         return d
 
 
-def _iterate(problem: ShadowProblem, boundary: str):
-    n = problem.n_steps
-    v = np.zeros((n + 1, problem.phase.dim))
+def _solve(problem: ShadowProblem, boundary: str) -> ShadowingResult:
+    """Iterate the solver update from zero until the rescaled update norm
+    drops below tol_fix; once an update grows, every later step is damped.
+    A converged solve whose residuals or distances come out too large is
+    reported as not converged."""
+    cfg = problem.config
+    v = np.zeros((problem.n_steps + 1, problem.phase.dim))
     history = []
     ball_worst = 0.0
     damping_on = False
-    prev_upd = np.inf
     converged = False
-    iterations = 0
-    for iterations in range(1, problem.config.max_iter + 1):
+    for _ in range(cfg.max_iter):
         w = apply_operator(problem, v, boundary=boundary)
         ball_worst = max(ball_worst, _check_ball(problem, w))
         step = w - v
         upd = float((np.linalg.norm(step, axis=-1) / problem.l).max())
-        history.append(upd)
-        if upd > prev_upd:
+        if history and upd > history[-1]:
             damping_on = True
-        prev_upd = upd
+        history.append(upd)
         v = v + DAMPING * step if damping_on else w
-        if upd < problem.config.tol_fix:
+        if upd < cfg.tol_fix:
             converged = True
             break
-    return v, history, converged, iterations, ball_worst
-
-
-def _finish(problem: ShadowProblem, v, history, converged, iterations, ball_worst, boundary):
-    n = problem.n_steps
     residuals = np.sqrt(_sq_norms(v[1:] - problem.G(v[:-1]))) / problem.l[1:]
     distances = np.linalg.norm(v, axis=-1)
-    if converged and (residuals.max() > 10.0 * problem.config.tol_fix
-                      or distances.max() > problem.config.epsilon1):
+    if converged and (residuals.max() > 10.0 * cfg.tol_fix or distances.max() > cfg.epsilon1):
         converged = False
-    x = problem.phase.exp(problem.po.points[0], v[0])
-    orbit = np.empty_like(v)
-    orbit[0] = x
-    for j in range(n):
-        orbit[j + 1] = problem.g.at_step(j)(orbit[j])
-    drift = float(problem.phase.distance(orbit, problem.phase.exp(problem.po.points, v)).max())
     return ShadowingResult(
-        v=v, shadow_point=x, distances=distances, orbit_residuals=residuals,
-        iterations=iterations, converged=converged, update_history=history,
-        ball_margin=ball_worst / problem.config.eta, orbit_drift=drift,
-        scale=problem.l, boundary=boundary, config=problem.config,
+        v=v, shadow_point=problem.phase.exp(problem.po.points[0], v[0]), distances=distances,
+        orbit_residuals=residuals, iterations=len(history), converged=converged,
+        update_history=history, ball_margin=ball_worst / cfg.eta, scale=problem.l,
+        boundary=boundary, config=cfg,
     )
 
 
@@ -464,15 +446,13 @@ def solve_finite(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
     Non-convergence is reported on the result (converged=False with the
     full update history), not raised.
     """
-    problem = ShadowProblem(po, splittings, f, g, config, blocks=blocks)
-    v, history, converged, iterations, ball_worst = _iterate(problem, "finite")
-    return _finish(problem, v, history, converged, iterations, ball_worst, "finite")
+    return _solve(ShadowProblem(po, splittings, f, g, config, blocks=blocks), "finite")
 
 
 def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
     """Newton solve of g^nsteps(p) = p from x0.
 
-    Returns (p, res, msg, closure): the last iterate, its residual, why the
+    Returns (res, msg, closure): the residual of the last iterate, why the
     Newton stopped short of tol (None when it did not), and the distance
     from x0 to g^nsteps(x0), taken from the first pass.
     """
@@ -491,12 +471,12 @@ def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
         r = phase.wrap(q - p)
         res = float(np.linalg.norm(r))
         if res <= tol:
-            return p, res, None, closure
+            return res, None, closure
         try:
             p = phase.canon(p - np.linalg.solve(jac - np.eye(dim), r))
         except np.linalg.LinAlgError:
-            return p, res, "polish Jacobian singular (eigenvalue 1 on the cycle)", closure
-    return p, res, "polish Newton did not reach tolerance", closure
+            return res, "polish Jacobian singular (eigenvalue 1 on the cycle)", closure
+    return res, "polish Newton did not reach tolerance", closure
 
 
 def solve_periodic(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
@@ -516,14 +496,11 @@ def solve_periodic(po, splittings, f, g, config, blocks=None) -> ShadowingResult
     seam = np.r_[0:n, 0]
     splittings = SplittingAssignment(splittings.unstable[seam], splittings.stable[seam],
                                      splittings.basis_inv[seam])
-    problem = ShadowProblem(po, splittings, f, g, config, blocks=blocks)
-    v, history, converged, iterations, ball_worst = _iterate(problem, "periodic")
-    result = _finish(problem, v, history, converged, iterations, ball_worst, "periodic")
-    result.seam_gap = float(np.linalg.norm(v[0] - v[n]))
-    p, res, msg, closure = _periodic_polish(g, problem.phase, result.shadow_point, n)
+    result = _solve(ShadowProblem(po, splittings, f, g, config, blocks=blocks), "periodic")
+    result.seam_gap = float(np.linalg.norm(result.v[0] - result.v[n]))
+    res, msg, closure = _periodic_polish(g, po.phase, result.shadow_point, n)
     result.periodic_closure = closure
     if msg is None or res < closure:
-        result.polished_point = p
         result.periodic_closure_polished = res
     result.polish_message = msg
     return result
@@ -593,16 +570,16 @@ def solve_infinite(window_problem, window_ks, config) -> tuple:
 def shadowing_preconditions(po, splittings, f, g, config):
     """Certificate plus size margins required by the shadowing solve.
 
-    Returns (certificate, margins): the orbit certified at
+    Returns (certificate, margins, distance): the orbit certified at
     (lam, eps0, delta0), the off-diagonal / residual / map-distance
-    slacks, all nonnegative when the preconditions hold.
+    slacks, all nonnegative when the preconditions hold, and the map
+    distance map_distance(f, g) the last slack is taken from.
     """
     cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps0, config.delta0)
-    eps_actual = cert.max_offdiagonal
-    d_actual = map_distance(f, g)[0]
+    distance = map_distance(f, g)
     margins = {
-        "epsilon": config.eps0 - eps_actual,
+        "epsilon": config.eps0 - cert.max_offdiagonal,
         "delta": config.delta0 - (float(po.residuals.max()) if po.residuals.size else 0.0),
-        "map_distance": config.d0 - d_actual,
+        "map_distance": config.d0 - distance,
     }
-    return cert, margins
+    return cert, margins, distance

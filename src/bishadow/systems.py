@@ -327,10 +327,10 @@ def cat_amplitude(f: SmoothMap):
     return None
 
 
-def map_distance(f: SmoothMap, g: SmoothMap):
-    """``(d, "exact")``: d is the sup over x of the distance from f(x) to g(x).
+def map_distance(f: SmoothMap, g: SmoothMap) -> float:
+    """The sup over x of the distance from f(x) to g(x), which is exact.
 
-    d comes from a closed form: g is f (0), g is ShiftedMap(f, s) (|s|, s
+    It comes from a closed form: g is f (0), g is ShiftedMap(f, s) (|s|, s
     stored wrapped), the cat map or PerturbedCatMap(c) against
     PerturbedCatMap(c') (sqrt(2) min(|c - c'| / 2 pi, 1/2), at (1/4, 1/4)
     while |c - c'| <= pi), or affine maps with equal matrices.  Any other
@@ -340,15 +340,15 @@ def map_distance(f: SmoothMap, g: SmoothMap):
     if f.phase != g.phase:
         raise ValueError("maps live on different phase spaces")
     if g is f:
-        return 0.0, "exact"
+        return 0.0
     if isinstance(g, ShiftedMap) and g.base is f:
-        return float(np.linalg.norm(g.shift)), "exact"
+        return float(np.linalg.norm(g.shift))
     cf, cg = cat_amplitude(f), cat_amplitude(g)
     if cf is not None and cg is not None:
         # each component of f - g is (c - c') / 2 pi times an independent sine,
         # and its wrapped size peaks at min(|c - c'| / 2 pi, 1/2)
-        return float(np.sqrt(2.0) * min(abs(cf - cg) / (2.0 * np.pi), 0.5)), "exact"
+        return float(np.sqrt(2.0) * min(abs(cf - cg) / (2.0 * np.pi), 0.5))
     if isinstance(f, AffineMap) and isinstance(g, AffineMap) and np.array_equal(f.matrix, g.matrix):
-        return float(np.linalg.norm(f.offset - g.offset)), "exact"
+        return float(np.linalg.norm(f.offset - g.offset))
     raise ValueError(f"no closed-form sup distance between {type(f).__name__} and "
                      f"{type(g).__name__}; pass a known upper bound on it instead")

@@ -9,8 +9,9 @@ their fixed point, the cocycle passes by one QR factorisation per step,
 splittings, blocks and margin rows built one index at a time, the
 shadowing solver update one index at a time, the linear cat-map shadow
 orbit by scalar recursions in eigencoordinates, LP
-feasibility for balance-sequence existence, and the certificate margin
-table written one CSV row at a time.
+feasibility for balance-sequence existence, one well-adapted balance
+sequence with scalar forward and backward passes, and the certificate
+margin table written one CSV row at a time.
 
 The last section holds the single-object references the package itself
 does not run: one block decomposition, splitting coordinates and box
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bishadow.adapted import InfeasiblePairError
 from bishadow.certification import OrbitBlocks
 from bishadow.pseudo_orbit import _orth_image
 from bishadow.refinement import GraphTransformError
@@ -238,6 +240,40 @@ def margin_rows_per_index(po, blocks, lam, epsilon, delta):
     for (index, start, length), residual in zip(segments, po.residuals.tolist()):
         rows.append(("residual", index, start + length, residual, delta, delta - residual))
     return rows
+
+
+def well_adapted_reference(a, b, lam):
+    """One well-adapted balance sequence by scalar passes over one 1-D pair:
+    the per-segment construction the batched well_adapted_sequence replaces."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = a.size
+    alpha, beta = quotient_log_bounds(a, b, lam)
+    if np.any(alpha > beta + 1e-12):
+        raise InfeasiblePairError("empty quotient window")
+    lo = np.zeros(n + 1)
+    hi = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        lo[k] = lo[k - 1] + alpha[k - 1]
+        hi[k] = hi[k - 1] + beta[k - 1]
+        if k < n:
+            hi[k] = min(hi[k], 0.0)
+        if lo[k] > hi[k] + 1e-12:
+            raise InfeasiblePairError(f"partial-sum window empty after {k} terms")
+    if lo[n] > 1e-12 or hi[n] < -1e-12:
+        raise InfeasiblePairError("total product cannot reach 1")
+    s = np.zeros(n + 1)
+    for k in range(n - 1, 0, -1):
+        l = max(lo[k], s[k + 1] - beta[k])
+        h = min(hi[k], s[k + 1] - alpha[k])
+        if l > h:  # rounding only; the forward pass guarantees feasibility
+            if l > h + 1e-9:
+                raise InfeasiblePairError("backward pass lost feasibility")
+            l = h = 0.5 * (l + h)
+        s[k] = 0.5 * (l + h)
+    gamma = np.diff(s)
+    np.clip(gamma, alpha, beta, out=gamma)
+    return np.exp(gamma)
 
 
 def quotient_log_bounds(a, b, lam):

@@ -138,7 +138,7 @@ def test_criterion_5_end_to_end_bishadowing():
         spl = bs.assign_splittings(po, f, "eigen")
         g = bs.ShiftedMap(f, [1e-4, 0.0])
         cfg = bs.make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
-        cert, margins = bs.shadowing_preconditions(po, spl, f, g, cfg)
+        cert, margins, _ = bs.shadowing_preconditions(po, spl, f, g, cfg)
         assert cert.passed and min(margins.values()) >= 0
         res = bs.solve_finite(po, spl, f, g, cfg)
         assert res.converged

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bishadow.adapted import InfeasiblePairError, scale_factors, well_adapted_sequence
 from bishadow.certification import OrbitBlocks
@@ -16,6 +18,7 @@ from _oracles import (
     rescaled_blocks,
     stack_blocks,
     verify_well_adapted,
+    well_adapted_reference,
 )
 
 
@@ -102,6 +105,35 @@ class TestWellAdapted:
             except InfeasiblePairError:
                 got = False
             assert got == expected
+
+
+def random_pair_stack(rng, rows, n, lam):
+    """rows quasi-hyperbolic pairs of length n, as two (rows, n) stacks."""
+    a, b = zip(*(random_quasi_hyperbolic_pair(rng, n, lam) for _ in range(rows)))
+    return np.array(a), np.array(b)
+
+
+class TestBatchedWeights:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 20), n=st.integers(1, 8),
+           lam=st.floats(0.1, 0.9, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_reference_bitwise(self, rows, n, lam, seed):
+        a, b = random_pair_stack(np.random.default_rng(seed), rows, n, lam)
+        expected = np.stack([well_adapted_reference(x, y, lam) for x, y in zip(a, b)])
+        assert np.array_equal(well_adapted_sequence(a, b, lam), expected)
+
+    @pytest.mark.parametrize("a_bad, b_bad, message", [
+        (0.99, 1.01, "empty quotient window"),  # a/lam > b lam at one position
+        (0.6, 10.0, "partial-sum window empty"),  # a/lam > 1: the partial sums leave [., 0]
+    ])
+    def test_one_infeasible_row_fails_the_stack(self, a_bad, b_bad, message):
+        a, b = random_pair_stack(np.random.default_rng(5), 6, 4, 0.5)
+        a[3], b[3] = a_bad, b_bad
+        with pytest.raises(InfeasiblePairError, match=message):
+            well_adapted_sequence(a, b, 0.5)
+        with pytest.raises(InfeasiblePairError, match=message):
+            well_adapted_reference(a[3], b[3], 0.5)
 
 
 class TestScaleFactors:

@@ -44,8 +44,8 @@ def cat_setup(lengths=(3, 3), jump=0.0, seed=0):
 def certify_segment(po, spl, f, i, lam):
     """Certificate of segment i alone: the pseudo-orbit window i..i, with a
     residual bound loose enough that only the segment conditions can bind."""
-    return certify_pseudo_orbit(po.window(i, i), spl.window(po.position(i), po.position(i + 1)),
-                                f, lam, 0.0, 1.0)
+    lo, hi = po.offsets[[i - po.i_min, i + 1 - po.i_min]]
+    return certify_pseudo_orbit(po.window(i, i), spl.window(lo, hi), f, lam, 0.0, 1.0)
 
 
 class TestCertifySegment:
@@ -63,7 +63,7 @@ class TestCertifySegment:
 
     def test_cat_fails_at_03_binding_condition(self):
         f, po, spl = cat_setup()
-        start = po.position(0)
+        start = po.offsets[-po.i_min]
         cert = certify_segment(po, spl, f, 0, 0.3)
         assert not cert.passed
         assert cert.worst().condition == "contraction_product"

@@ -334,6 +334,36 @@ class TestSweep:
         _, par = run(tmp_path, "sweep", extra=("--jobs", "3"), name="p")
         assert serial.read_bytes() == par.read_bytes()
 
+    def test_jobs_below_one_rejected(self, tmp_path):
+        for jobs in ("0", "-1"):
+            code, out = run(tmp_path, "sweep", extra=("--jobs", jobs), name=f"jobs{jobs}")
+            assert code == 3
+            assert not out.exists()
+
+    def test_jobs_capped_at_cells(self, tmp_path, monkeypatch):
+        # a fake pool records its size and maps serially, so no process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bishadow.cli, "ProcessPoolExecutor", FakePool)
+        code, out = run(tmp_path, "sweep", extra=("--jobs", str(10**6)), name="many")
+        _, serial = run(tmp_path, "sweep", extra=("--jobs", "1"), name="serial")
+        assert code == 0
+        assert sizes == [len(BASE_CONFIG["sweep"]["values"])]
+        assert out.read_bytes() == serial.read_bytes()
+
     def test_seed_override_changes_output(self, tmp_path):
         _, a = run(tmp_path, "sweep", extra=("--seed", "1"), name="s1")
         _, b = run(tmp_path, "sweep", extra=("--seed", "2"), name="s2")

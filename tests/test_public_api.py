@@ -1,6 +1,7 @@
 """The public names: every name a module exports exists, the package
 namespace re-exports only names its modules export, and the kernel
-modules define nothing that only the tests reach."""
+modules define nothing, top level or class member, that only the tests
+reach."""
 
 import ast
 import importlib
@@ -54,12 +55,25 @@ def names_used(path):
     return used
 
 
+def members(cls: ast.ClassDef):
+    """Non-dunder methods, properties and annotated fields of a class body."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+            yield node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
 def test_kernel_defines_nothing_only_tests_reach():
     # __init__.py only re-exports; a test-only reference belongs in tests/_oracles.py
     callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     callers += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     used = set().union(*(names_used(p) for p in callers))
-    unused = [(mod, stmt.name) for mod in KERNEL
-              for stmt in ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8")).body
-              if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in used]
+    unused = []
+    for mod in KERNEL:
+        for stmt in ast.parse((PACKAGE / f"{mod}.py").read_text(encoding="utf-8")).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name not in used:
+                unused.append((mod, stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                unused += [(mod, f"{stmt.name}.{name}") for name in members(stmt) if name not in used]
     assert unused == []

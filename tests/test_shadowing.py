@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bishadow.oracle import AffineSequenceSystem, bounded_orbit_closed_form
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
-from bishadow.certification import pseudo_orbit_blocks
+from bishadow.certification import block_norms, pseudo_orbit_blocks
 from bishadow.shadowing import (
     BallInvariantError,
     ShadowProblem,
@@ -39,6 +39,7 @@ from _oracles import (
     project_stable,
     random_affine_system,
     unstable_coords,
+    well_adapted_reference,
 )
 
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
@@ -115,6 +116,21 @@ def expand_unstable(problem, v, w):
     return np.stack([unstable_coords(spl[j + 1], out[j]) for j in range(problem.n_steps)])
 
 
+class TestAdaptedWeights:
+    def test_weights_equal_the_per_segment_reference(self):
+        # segments of several lengths, some lengths shared, on a non-constant splitting
+        f = PerturbedCatMap(0.03)
+        po = generate(f, [0.13, 0.41], [3, 1, 4, 1, 5, 2, 6, 4, 3], 1e-5, 8)
+        spl = assign_splittings(po, f, "power")
+        cfg = make_solver_config(po, f, lam=0.45)
+        m_a, norm_d, _ = block_norms(pseudo_orbit_blocks(po, spl, f))
+        cuts = po.offsets[1:-1]
+        expected = np.concatenate([well_adapted_reference(d, a, cfg.lam)
+                                   for a, d in zip(np.split(m_a, cuts), np.split(norm_d, cuts))])
+        assert np.unique(expected).size > 2 * po.n_segments
+        assert np.array_equal(ShadowProblem(po, spl, f, f, cfg).weights, expected)
+
+
 class TestUnstableComponent:
     def test_zero_maps_to_zero(self):
         f, g, po, spl, cfg = cat_problem()
@@ -122,7 +138,7 @@ class TestUnstableComponent:
         z = np.zeros((po.n_steps, 2))
         out = expand_unstable(problem, z, np.zeros((po.n_steps, 1)))
         assert np.allclose(out, 0.0, atol=1e-15)
-        assert np.allclose(problem.invert_unstable(z, out), 0.0, atol=1e-15)
+        assert np.allclose(problem.invert_unstable(z, out, problem.F(z)), 0.0, atol=1e-15)
 
     def test_linear_diagonal_doubles(self):
         f, po, spl, cfg = bump_problem()
@@ -131,7 +147,7 @@ class TestUnstableComponent:
         w = np.full((po.n_steps, 1), 0.01)
         out = expand_unstable(problem, z, w)
         assert np.allclose(out, 2.0 * w)
-        back = problem.invert_unstable(z, out)
+        back = problem.invert_unstable(z, out, problem.F(z))
         assert np.allclose(back, w, atol=1e-14)
 
     def test_sampled_expansion_factor(self):
@@ -159,7 +175,7 @@ class TestUnstableComponent:
             w = 1e-2 * rng.uniform(-1, 1, (n, 1))
             t = expand_unstable(problem, v, w)
             sv = np.stack([project_stable(spl[j], v[j]) for j in range(n)])
-            assert np.abs(problem.invert_unstable(sv, t) - w).max() <= 1e-12
+            assert np.abs(problem.invert_unstable(sv, t, problem.F(sv)) - w).max() <= 1e-12
 
 
 def fresh_splitting_problem(dim, data, jump=0.0, shift=0.0):
@@ -397,9 +413,12 @@ class TestSolveFinite:
             assert abs(res.distances[j] - res.scale[j] * n_norm) <= 1e-12
 
     def test_orbit_drift_stays_small(self):
+        # direct iteration of g from the shadow point stays near the chart orbit
         f, g, po, spl, cfg = cat_problem()
         res = solve_finite(po, spl, f, g, cfg)
-        assert res.orbit_drift <= 1e-6
+        orbit = iterate_orbit(g, res.shadow_point, po.n_steps)
+        drift = po.phase.distance(orbit, po.phase.exp(po.points, res.v))
+        assert drift.max() <= 1e-6
 
     def test_fixed_point_is_true_orbit_of_g(self):
         f, g, po, spl, cfg = cat_problem()
@@ -562,11 +581,11 @@ class TestSolvePeriodic:
 class TestPreconditions:
     def test_margins_nonnegative_for_admissible_run(self):
         f, g, po, spl, cfg = cat_problem()
-        cert, margins = shadowing_preconditions(po, spl, f, g, cfg)
+        cert, margins, _ = shadowing_preconditions(po, spl, f, g, cfg)
         assert cert.passed
         assert min(margins.values()) >= 0
 
     def test_margins_flag_oversized_jump(self):
         f, g, po, spl, cfg = cat_problem(jump=5e-3)
-        cert, margins = shadowing_preconditions(po, spl, f, g, cfg)
+        cert, margins, _ = shadowing_preconditions(po, spl, f, g, cfg)
         assert margins["delta"] < 0

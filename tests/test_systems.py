@@ -151,14 +151,14 @@ class TestShippedSystems:
 class TestBoundsAndSupDistance:
     def test_sup_distance_zero_and_shift(self):
         f = cat_map()
-        assert map_distance(f, f)[0] == 0.0
+        assert map_distance(f, f) == 0.0
         g = ShiftedMap(f, [0.001, 0.0])
-        assert np.isclose(map_distance(f, g)[0], 0.001)
+        assert np.isclose(map_distance(f, g), 0.001)
 
     def test_sup_distance_euclidean_affine(self):
         f = AffineMap(np.diag([2.0, 0.5]))
         g = AffineMap(np.diag([2.0, 0.5]), [1e-3, 0.0])
-        assert np.isclose(map_distance(f, g)[0], 1e-3)
+        assert np.isclose(map_distance(f, g), 1e-3)
 
     def test_map_distance_without_closed_form_raises(self):
         with pytest.raises(ValueError, match="closed-form"):
@@ -221,8 +221,7 @@ class TestAnalyticBounds:
         dc *= 200.0 if wide else 1.0
         f = cat_map() if cat else PerturbedCatMap(c)
         g = PerturbedCatMap((0.0 if cat else c) + dc)
-        exact, kind = map_distance(f, g)
-        assert kind == "exact"
+        exact = map_distance(f, g)
         sampled = f.phase.distance(f(DENSE), g(DENSE))
         # 1e-15 absorbs the roundoff of canonicalizing f(x) and g(x)
         assert sampled.max() <= exact + 1e-15
@@ -234,8 +233,7 @@ class TestAnalyticBounds:
     @given(shift=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
     def test_exact_shift_distance_dominates_samples(self, shift):
         f = PerturbedCatMap(0.1)
-        exact, kind = map_distance(f, ShiftedMap(f, shift))
-        assert kind == "exact"
+        exact = map_distance(f, ShiftedMap(f, shift))
         sampled = f.phase.distance(f(DENSE), ShiftedMap(f, shift)(DENSE))
         assert sampled.max() <= exact + 1e-15
 
