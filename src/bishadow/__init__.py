@@ -17,7 +17,6 @@ from .adapted import (
 from .certification import (
     Certificate,
     OrbitBlocks,
-    block_norms,
     certify_pseudo_orbit,
     is_quasi_hyperbolic,
     min_feasible_lambda,

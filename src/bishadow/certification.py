@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "Certificate",
     "OrbitBlocks",
     "pseudo_orbit_blocks",
-    "block_norms",
     "certify_pseudo_orbit",
     "is_quasi_hyperbolic",
     "min_feasible_lambda",
@@ -115,6 +114,16 @@ class OrbitBlocks:
     def __len__(self):
         return len(self.A)
 
+    @cached_property
+    def norms(self):
+        """Per-block m(A_j), ||D_j|| and max(||B_j||, ||C_j||), computed once.
+
+        One batched SVD per block kind; empty blocks follow min_norm and
+        op_norm (m = +inf, norm = 0).
+        """
+        off = np.maximum(_singular_values(self.B, 0, 0.0), _singular_values(self.C, 0, 0.0))
+        return _singular_values(self.A, -1, np.inf), _singular_values(self.D, 0, 0.0), off
+
 
 def pseudo_orbit_blocks(
     po: SegmentedPseudoOrbit, splittings: SplittingAssignment, f: SmoothMap
@@ -127,7 +136,7 @@ def pseudo_orbit_blocks(
     """
     if len(splittings) != po.n_steps + 1:
         raise ValueError("need one splitting per flattened index, closing point included")
-    jac = f.jacobian_along(po.points[:-1])
+    jac = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
     sv = np.linalg.svd(jac, compute_uv=False)
     singular = np.flatnonzero(sv[:, -1] <= sv[:, 0] * 1e-14)
     if singular.size:
@@ -152,22 +161,12 @@ def _singular_values(x, k, empty):
     return s[:, k] if s.shape[1] else np.full(len(x), empty)
 
 
-def block_norms(blocks: OrbitBlocks):
-    """Per-block m(A_j), ||D_j|| and max(||B_j||, ||C_j||).
-
-    One batched SVD per block kind; empty blocks follow min_norm and
-    op_norm (m = +inf, norm = 0).
-    """
-    off = np.maximum(_singular_values(blocks.B, 0, 0.0), _singular_values(blocks.C, 0, 0.0))
-    return _singular_values(blocks.A, -1, np.inf), _singular_values(blocks.D, 0, 0.0), off
-
-
 def _block_terms(blocks: OrbitBlocks, offsets):
     """Per-block arrays behind the margin rows: segment position seg, place
     k in the segment and segment length n; sum_{i<=j} log||D_i|| and
     sum_{i>=j} log m(A_i) within the segment; ||D_j|| / m(A_j); and
     max(||B_j||, ||C_j||)."""
-    a, d, off = block_norms(blocks)
+    a, d, off = blocks.norms
     cumsum = partial(np.cumsum, axis=1)
     lengths = np.diff(offsets)
     seg = np.repeat(np.arange(len(lengths)), lengths)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .pseudo_orbit import SegmentedPseudoOrbit, flatten
 from .splitting import Splitting, min_norm, op_norm
-from .systems import AffineMap, Phase, SmoothMap
+from .systems import Phase, SmoothMap
 
 __all__ = [
     "AffineSequenceSystem",
@@ -56,34 +56,24 @@ class AffineSequenceSystem(SmoothMap):
                     raise ValueError(f"step {j} is not block-diagonal in the splitting")
                 if op_norm(blk[du:, du:]) >= 1.0 or min_norm(blk[:du, :du]) <= 1.0:
                     raise ValueError(f"step {j} blocks are not hyperbolic")
-        self._steps = [AffineMap(m, r) for m, r in zip(mats, res)]
 
     @property
     def n_steps(self) -> int:
-        return len(self._steps)
+        return len(self.matrices)
 
-    def at_step(self, j: int) -> AffineMap:
-        return self._steps[j]
-
-    def _steps_batch(self, x):
+    def along(self, x, steps):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_steps, self.phase.dim):
-            raise ValueError(f"need one row per step, shape ({self.n_steps}, {self.phase.dim})")
-        return x
+        return np.matmul(self.matrices[steps], x[..., None])[..., 0] + self.residuals[steps]
 
-    def along(self, x):
-        x = self._steps_batch(x)
-        return np.matmul(self.matrices, x[..., None])[..., 0] + self.residuals
-
-    def jacobian_along(self, x):
-        self._steps_batch(x)
-        return self.matrices.copy()
+    def jacobian_along(self, x, steps):
+        shape = np.shape(x)[:-1] + self.matrices.shape[1:]
+        return np.broadcast_to(self.matrices[steps], shape).copy()
 
     def __call__(self, x):
-        raise TypeError("step-indexed system; use at_step(j)")
+        raise TypeError("step-indexed system; use along(x, steps)")
 
     def jacobian(self, x):
-        raise TypeError("step-indexed system; use at_step(j).jacobian")
+        raise TypeError("step-indexed system; use jacobian_along(x, steps)")
 
     def derivative_bounds(self):
         s = np.linalg.svd(self.matrices, compute_uv=False)
@@ -151,7 +141,7 @@ def brute_force_shadow(f: SmoothMap, g: SmoothMap, po: SegmentedPseudoOrbit,
     score = phase.distance(pts, po.points[0])
     cur = pts
     for j in range(po.n_steps):
-        cur = g.at_step(j)(cur)
+        cur = g.along(cur, j)
         score = np.maximum(score, phase.distance(cur, po.points[j + 1]))
     best = int(np.argmin(score))
     return pts[best], float(score[best])

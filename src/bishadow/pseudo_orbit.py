@@ -39,25 +39,26 @@ class SplittingError(ValueError):
 @dataclass(frozen=True, eq=False)
 class SegmentedPseudoOrbit:
     phase: Phase
-    seeds: np.ndarray       # (m + 1, dim); last seed closes the window
     lengths: np.ndarray     # (m,)
     points: np.ndarray      # (N + 1, dim) flattened, closing seed included
     residuals: np.ndarray   # (m,) jump sizes at segment ends
     i_min: int = 0
 
     def __post_init__(self):
-        casts = {"seeds": float, "lengths": int, "points": float, "residuals": float}
-        for name, dtype in casts.items():
+        for name, dtype in {"lengths": int, "points": float, "residuals": float}.items():
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.points.shape[0] != int(self.lengths.sum()) + 1:
             raise ValueError("flattened points do not match the segment lengths")
-        if self.seeds.shape[0] != self.lengths.size + 1:
-            raise ValueError("need one more seed than segments")
         offsets = np.concatenate([[0], np.cumsum(self.lengths)])
         offsets.setflags(write=False)
         object.__setattr__(self, "offsets", offsets)
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """(m + 1, dim) segment starts; the last seed closes the window."""
+        return self.points[self.offsets]
 
     @property
     def n_segments(self) -> int:
@@ -70,7 +71,7 @@ class SegmentedPseudoOrbit:
     @property
     def closed(self) -> bool:
         """Closing seed equal to the first, bitwise: one period of a cycle."""
-        return bool(np.array_equal(self.seeds[0], self.seeds[-1]))
+        return bool(np.array_equal(self.points[0], self.points[-1]))
 
     @property
     def i_max(self) -> int:
@@ -87,14 +88,11 @@ class SegmentedPseudoOrbit:
         """Sub-orbit covering segments i_lo..i_hi inclusive."""
         if not (self.i_min <= i_lo <= i_hi <= self.i_max):
             raise ValueError("window is not contained in this pseudo-orbit")
-        a = i_lo - self.i_min
-        b = i_hi - self.i_min + 1
-        lo, hi = int(self.offsets[a]), int(self.offsets[b])
+        a, b = i_lo - self.i_min, i_hi - self.i_min + 1
         return SegmentedPseudoOrbit(
             phase=self.phase,
-            seeds=self.seeds[a : b + 1],
             lengths=self.lengths[a:b],
-            points=self.points[lo : hi + 1],
+            points=self.points[self.offsets[a] : self.offsets[b] + 1],
             residuals=self.residuals[a:b],
             i_min=i_lo,
         )
@@ -102,51 +100,28 @@ class SegmentedPseudoOrbit:
 
 def _segmentwise(fn, offsets, *xs):
     """fn on the segments of the per-block arrays xs, one call per segment
-    length: each call gets, for every array, the stack ``(m, length)`` of
-    the m segments of that length and returns an array of the same shape.
-    fn must treat each row as it would alone (np.cumsum along axis 1, for
-    one), so every segment comes out as it would alone."""
+    length: each call gets, for every array, the stack ``(m, length, ...)`` of
+    the m segments of that length and returns one shaped as the first.  fn
+    must treat each row as it would alone (np.cumsum along axis 1, for one)."""
     out = np.empty_like(xs[0])
     lengths = np.diff(offsets)
-    for length in np.unique(lengths):
+    for length in sorted(set(lengths.tolist())):  # np.unique would import numpy.ma
         rows = offsets[:-1][lengths == length, None] + np.arange(length)
         out[rows] = fn(*(x[rows] for x in xs))
     return out
 
 
 def _checked_lengths(lengths) -> np.ndarray:
-    lengths = np.asarray(lengths, dtype=int)
+    given = np.asarray(lengths)
+    with np.errstate(invalid="ignore"):
+        lengths = given.astype(int)
     if lengths.size == 0:
         raise ValueError("a pseudo-orbit needs at least one segment")
+    if np.any(lengths != given):
+        raise ValueError("segment lengths must be integers")
     if np.any(lengths < 1):
         raise ValueError("segment lengths must be positive")
     return lengths
-
-
-def _walk(f: SmoothMap, x0, lengths, next_seed, i_min) -> SegmentedPseudoOrbit:
-    """Follow f from x0 segment by segment; segment t ends at x and jumps to
-    next_seed(t, x), which starts segment t + 1.  One sequential walk fills
-    the seeds, the flattened points and the residuals."""
-    phase = f.phase
-    seeds = np.empty((lengths.size + 1, phase.dim))
-    points = np.empty((int(lengths.sum()) + 1, phase.dim))
-    residuals = np.empty(lengths.size)
-    seeds[0] = x0
-    j = 0
-    for t, n in enumerate(lengths):
-        x = seeds[t]
-        points[j] = x
-        for _ in range(int(n)):
-            x = f.at_step(j)(x)
-            j += 1
-            points[j] = x
-        seeds[t + 1] = next_seed(t, x)
-        residuals[t] = phase.distance(x, seeds[t + 1])
-        points[j] = seeds[t + 1]
-    return SegmentedPseudoOrbit(
-        phase=phase, seeds=seeds, lengths=lengths, points=points,
-        residuals=residuals, i_min=i_min,
-    )
 
 
 def flatten(seeds, lengths, f: SmoothMap, i_min: int = 0) -> SegmentedPseudoOrbit:
@@ -155,14 +130,31 @@ def flatten(seeds, lengths, f: SmoothMap, i_min: int = 0) -> SegmentedPseudoOrbi
     Expects one more seed than lengths: the final seed closes the window.
     Within each segment the stored points are exact forward iterates of
     the seed; residuals measure the jump from each segment's ideal
-    endpoint to the next seed.
+    endpoint to the next seed.  Segments of one length advance together,
+    one map call per step within that length.
     """
     lengths = _checked_lengths(lengths)
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     if seeds.shape[0] != lengths.size + 1:
         raise ValueError("need len(lengths) + 1 seeds (the last seed closes the window)")
     seeds = f.phase.canon(seeds)
-    return _walk(f, seeds[0], lengths, lambda t, x: seeds[t + 1], i_min)
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+
+    def advance(x, steps):
+        # x[:, 0] holds the seeds; out[k] is the image of step steps[:, k]
+        out = np.empty((x.shape[1], x.shape[0], x.shape[2]))
+        y = x[:, 0]
+        for k, step in enumerate(steps.T):
+            y = out[k] = f.along(y, step)
+        return out.swapaxes(0, 1)
+
+    points = np.empty((offsets[-1] + 1, f.phase.dim))
+    points[offsets] = seeds
+    points[1:] = _segmentwise(advance, offsets, points[:-1], np.arange(offsets[-1]))
+    residuals = f.phase.distance(points[offsets[1:]], seeds[1:])
+    points[offsets] = seeds
+    return SegmentedPseudoOrbit(phase=f.phase, lengths=lengths, points=points,
+                                residuals=residuals, i_min=i_min)
 
 
 def generate(
@@ -177,8 +169,9 @@ def generate(
 
     Each segment end jumps by jump_amp along a fresh random unit vector,
     so every residual equals jump_amp and the whole construction is
-    reproducible from the seed.  The result equals flatten of its own
-    seeds, from the same single walk.
+    reproducible from the seed.  Each seed depends on the end of the
+    segment before it, so the seeds come from one walk along f; the
+    result is flatten of those seeds.
     """
     if jump_amp < 0:
         raise ValueError("jump amplitude must be nonnegative")
@@ -187,13 +180,17 @@ def generate(
     lengths = _checked_lengths(lengths)
     rng = np.random.default_rng(rng_seed)
     phase = f.phase
-
-    def jump(t, x):
+    seeds = [phase.canon(np.asarray(x_start, dtype=float))]
+    j = 0
+    for n in lengths:
+        x = seeds[-1]
+        for _ in range(n):
+            x = f.along(x, j)
+            j += 1
         u = rng.standard_normal(phase.dim)
         u /= np.linalg.norm(u)
-        return phase.exp(x, jump_amp * u)
-
-    return _walk(f, phase.canon(np.asarray(x_start, dtype=float)), lengths, jump, i_min)
+        seeds.append(phase.exp(x, jump_amp * u))
+    return flatten(seeds, lengths, f, i_min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +278,7 @@ def pull_back(jacs, s_end) -> np.ndarray:
     return s
 
 
-def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
+def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
     """Chained subspace iteration: push_forward carries the seed's unstable
     basis along the orbit and pull_back carries its stable basis back.
 
@@ -291,7 +288,6 @@ def _power_splittings(po, f, depth, seed: Splitting) -> SplittingAssignment:
     set to index 0.
     """
     n = po.n_steps
-    jacs = f.jacobian_along(po.points[:-1])
     warm = depth if po.closed else 0
     # pull_back first: its inverse raises on a singular Jacobian, which could
     # otherwise send a column of push_forward to zero
@@ -340,16 +336,13 @@ def assign_splittings(
         return SplittingAssignment(*(np.stack([getattr(sp, name) for sp in splittings])
                                      for name in ("unstable", "stable", "basis_inv")))
 
+    if strategy not in ("eigen", "power"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    jac = f.jacobian_along(po.points[:-1], np.arange(n))  # step j at point j, for every step
     if strategy == "eigen":
-        jac = f.jacobian_along(po.points[:-1])  # step j at point j, for every step
         if np.abs(jac - jac[0]).max() > 1e-9:
             raise SplittingError("eigen strategy needs a constant derivative; use power")
         return SplittingAssignment.constant(eigen_splitting(jac[0], dim_u=dim_u), n + 1)
-
-    if strategy == "power":
-        if depth < 0:
-            raise ValueError("power splittings need a nonnegative depth")
-        j0 = f.at_step(0).jacobian(po.points[0])
-        return _power_splittings(po, f, depth, eigen_splitting(j0, dim_u=dim_u))
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if depth < 0:
+        raise ValueError("power splittings need a nonnegative depth")
+    return _power_splittings(po, jac, depth, eigen_splitting(jac[0], dim_u=dim_u))

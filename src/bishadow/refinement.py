@@ -186,7 +186,7 @@ def refine(
     """
     blocks = _covering(po, splittings, f, blocks)
     if delta is None:
-        delta = float(po.residuals.max()) if po.residuals.size else 0.0
+        delta = float(po.residuals.max())
     input_cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps_cap, delta,
                                       blocks=blocks)
     eps_actual = input_cert.max_offdiagonal
@@ -203,7 +203,7 @@ def refine(
             f"(margin {worst.margin:.3e})"
         )
 
-    P, Q = invariant_graphs(splittings, f.jacobian_along(po.points[:-1]))
+    P, Q = invariant_graphs(splittings, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
     max_res = float(max(unstable_invariance_residuals(P, blocks).max(),
                         stable_invariance_residuals(Q, blocks).max()))
     if max_res > config.offdiag_tol:

@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .adapted import scale_factors, well_adapted_sequence
-from .certification import _covering, block_norms, certify_pseudo_orbit
+from .certification import _covering, certify_pseudo_orbit
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
 from .systems import SmoothMap, SystemBounds, map_distance, system_bounds
 
@@ -180,12 +180,13 @@ class ShadowProblem:
         self.f = f
         self.g = g
         self.config = config
-        m_a, norm_d, _ = block_norms(_covering(po, splittings, f, blocks))
+        m_a, norm_d, _ = _covering(po, splittings, f, blocks).norms
         self.weights = _segmentwise(partial(well_adapted_sequence, lam=config.lam),
                                     po.offsets, norm_d, m_a)
         self.l = scale_factors(self.weights, po.offsets)
         self.phase = po.phase
         self.dim_u = splittings.dim_u
+        self.steps = np.arange(po.n_steps)
 
     @property
     def n_steps(self) -> int:
@@ -199,7 +200,7 @@ class ShadowProblem:
 
     def _chart(self, m, v):
         pts = self.po.points
-        return self.phase.wrap(m.along(self.phase.canon(pts[:-1] + v)) - pts[1:])
+        return self.phase.wrap(m.along(self.phase.canon(pts[:-1] + v), self.steps) - pts[1:])
 
     def F(self, v):
         """Chart representations F_j(v_j) of f between indices j and j+1, j < N."""
@@ -211,7 +212,7 @@ class ShadowProblem:
 
     def chart_jacobian(self, xi):
         """Derivatives of the chart maps F_j at the tangent offsets xi_j."""
-        return self.f.jacobian_along(self.phase.canon(self.po.points[:-1] + xi))
+        return self.f.jacobian_along(self.phase.canon(self.po.points[:-1] + xi), self.steps)
 
     def _unstable_blocks(self, xi):
         # the unstable-to-unstable blocks of DF_j at xi_j, (N, du, du)
@@ -463,9 +464,8 @@ def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
         q = p
         jac = np.eye(dim)
         for t in range(nsteps):
-            gt = g.at_step(t)
-            jac = gt.jacobian(q) @ jac
-            q = gt(q)
+            jac = g.jacobian_along(q, t) @ jac
+            q = g.along(q, t)
         if closure is None:
             closure = float(phase.distance(q, p))
         r = phase.wrap(q - p)
@@ -543,11 +543,12 @@ def solve_infinite(window_problem, window_ks, config) -> tuple:
     window_problem(k) must return (po, splittings, f, g) for the window
     covering segments -k..k; the anchor tangent vector v_0 (at the
     segment-0 seed) is compared across windows and declared converged
-    when consecutive windows agree to 10 * tol_fix.  Returns the result
-    of the largest window together with the convergence table.
+    when consecutive windows agree to 10 * tol_fix.  window_ks must be
+    strictly increasing.  Returns the result of the largest window
+    together with the convergence table.
     """
     window_ks = list(window_ks)
-    if not window_ks or sorted(window_ks) != window_ks:
+    if not window_ks or any(a >= b for a, b in zip(window_ks, window_ks[1:])):
         raise ValueError("window sizes must be increasing")
     rows = []
     prev = None
@@ -579,7 +580,7 @@ def shadowing_preconditions(po, splittings, f, g, config):
     distance = map_distance(f, g)
     margins = {
         "epsilon": config.eps0 - cert.max_offdiagonal,
-        "delta": config.delta0 - (float(po.residuals.max()) if po.residuals.size else 0.0),
+        "delta": config.delta0 - float(po.residuals.max()),
         "map_distance": config.d0 - distance,
     }
     return cert, margins, distance

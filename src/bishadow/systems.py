@@ -116,12 +116,11 @@ class SmoothMap:
     """Base class for a C^1 map with an explicit derivative.
 
     Subclasses provide ``__call__`` and ``jacobian``; both accept a single
-    point ``(dim,)`` or a batch ``(m, dim)``.  Two hooks serve step-indexed
-    (nonautonomous) systems: ``at_step(j)`` is the map of step j, and
-    ``along(x)`` / ``jacobian_along(x)`` apply step j to row j of an
-    ``(N, dim)`` batch, so a whole orbit's steps take one call.  For an
-    autonomous map ``at_step`` is the map itself and ``along`` is
-    ``__call__``.
+    point ``(dim,)`` or a batch ``(m, dim)``.  One hook serves step-indexed
+    (nonautonomous) systems: ``along(x, steps)`` and
+    ``jacobian_along(x, steps)`` apply step ``steps[r]`` to row r of x, or
+    step ``steps`` to every row when it is an int, so any set of steps
+    takes one call.  An autonomous map ignores ``steps``.
     """
 
     phase: Phase
@@ -132,15 +131,12 @@ class SmoothMap:
     def jacobian(self, x):
         raise NotImplementedError
 
-    def at_step(self, j: int) -> "SmoothMap":
-        return self
-
-    def along(self, x):
-        """Row j of x mapped by step j."""
+    def along(self, x, steps):
+        """Row r of x mapped by step steps[r]."""
         return self(x)
 
-    def jacobian_along(self, x):
-        """Derivative of step j at row j of x, shape ``(N, dim, dim)``."""
+    def jacobian_along(self, x, steps):
+        """Derivative of step steps[r] at row r of x, shape ``(m, dim, dim)``."""
         return self.jacobian(x)
 
     def derivative_bounds(self):
@@ -275,15 +271,11 @@ class ShiftedMap(SmoothMap):
     def jacobian(self, x):
         return self.base.jacobian(x)
 
-    def at_step(self, j: int) -> SmoothMap:
-        step = self.base.at_step(j)
-        return self if step is self.base else ShiftedMap(step, self.shift)
+    def along(self, x, steps):
+        return self.phase.canon(self.base.along(x, steps) + self.shift)
 
-    def along(self, x):
-        return self.phase.canon(self.base.along(x) + self.shift)
-
-    def jacobian_along(self, x):
-        return self.base.jacobian_along(x)
+    def jacobian_along(self, x, steps):
+        return self.base.jacobian_along(x, steps)
 
     def derivative_bounds(self):
         return self.base.derivative_bounds()

@@ -16,7 +16,8 @@ margin table written one CSV row at a time.
 The last section holds the single-object references the package itself
 does not run: one block decomposition, splitting coordinates and box
 norms for one splitting, rate-pair checks and balance verifiers, the
-rescaling of blocks by weights, and orbits of a map by direct calls.
+rescaling of blocks by weights, orbits of a map by direct calls, and a
+flattened pseudo-orbit walked one step at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from bishadow.adapted import InfeasiblePairError
 from bishadow.certification import OrbitBlocks
-from bishadow.pseudo_orbit import _orth_image
+from bishadow.pseudo_orbit import SegmentedPseudoOrbit, _orth_image
 from bishadow.refinement import GraphTransformError
 from bishadow.splitting import Splitting, _orthonormalize, min_norm, op_norm
 
@@ -189,7 +190,7 @@ def power_splittings_per_index(po, f, depth, seed):
     and ends at n - 1 + depth, wrapping around, and its index n equals
     index 0."""
     n = po.n_steps
-    jacs = [f.at_step(j).jacobian(po.points[j]) for j in range(n)]
+    jacs = [f.jacobian_along(po.points[j], j) for j in range(n)]
     closed = np.array_equal(po.seeds[0], po.seeds[-1])
     warm = depth if closed else 0
     out = []
@@ -209,7 +210,7 @@ def power_splittings_per_index(po, f, depth, seed):
 
 def blocks_per_index(po, splittings, f):
     """block_decompose of every step, splittings given one per index."""
-    return [block_decompose(f.at_step(j).jacobian(po.points[j]), splittings[j], splittings[j + 1])
+    return [block_decompose(f.jacobian_along(po.points[j], j), splittings[j], splittings[j + 1])
             for j in range(po.n_steps)]
 
 
@@ -356,7 +357,7 @@ def random_affine_system(rng, lam=0.75):
 def chart_step(problem, m, j, v):
     """Chart representation of the map m between indices j and j+1."""
     y, y1 = problem.po.points[j], problem.po.points[j + 1]
-    return problem.phase.wrap(m.at_step(j)(problem.phase.canon(y + v)) - y1)
+    return problem.phase.wrap(m.along(problem.phase.canon(y + v), j) - y1)
 
 
 def invert_unstable_at(problem, j, sv, target):
@@ -371,12 +372,11 @@ def invert_unstable_at(problem, j, sv, target):
                                     UnstableSolveError)
 
     sp, dst, cfg = problem.splittings[j], problem.splittings[j + 1], problem.config
-    fj = problem.f.at_step(j)
     base = chart_step(problem, problem.f, j, sv)
     target = np.asarray(target, dtype=float)
 
     def a_loc(xi):
-        jac = fj.jacobian(problem.phase.canon(problem.po.points[j] + xi))
+        jac = problem.f.jacobian_along(problem.phase.canon(problem.po.points[j] + xi), j)
         return (dst.basis_inv @ jac @ sp.unstable)[: dst.dim_u, :]
 
     try:
@@ -614,3 +614,25 @@ def iterate_orbit(f, x, n: int):
     for t in range(n):
         out[t + 1] = f(out[t])
     return out
+
+
+def flatten_per_step(seeds, lengths, f, i_min: int = 0) -> SegmentedPseudoOrbit:
+    """flatten by one sequential walk: every step is one ``f.along`` call on
+    a single point, segment after segment."""
+    lengths = np.asarray(lengths, dtype=int)
+    phase = f.phase
+    seeds = phase.canon(np.atleast_2d(np.asarray(seeds, dtype=float)))
+    points = np.empty((int(lengths.sum()) + 1, phase.dim))
+    residuals = np.empty(lengths.size)
+    j = 0
+    for t, n in enumerate(lengths):
+        x = seeds[t]
+        points[j] = x
+        for _ in range(int(n)):
+            x = f.along(x, j)
+            j += 1
+            points[j] = x
+        residuals[t] = phase.distance(x, seeds[t + 1])
+        points[j] = seeds[t + 1]
+    return SegmentedPseudoOrbit(phase=phase, lengths=lengths, points=points,
+                                residuals=residuals, i_min=i_min)

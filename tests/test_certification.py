@@ -9,7 +9,6 @@ from bishadow.certification import (
     PASS_TOL,
     MarginRow,
     OrbitBlocks,
-    block_norms,
     certify_pseudo_orbit,
     is_quasi_hyperbolic,
     min_feasible_lambda,
@@ -213,11 +212,21 @@ class TestBlockNorms:
         for n, du in ((2, 1), (3, 1), (3, 2), (4, 2), (2, 2), (2, 0)):
             blocks = OrbitBlocks(*(rng.standard_normal((30,) + shape) for shape in
                                    ((du, du), (du, n - du), (n - du, du), (n - du, n - du))))
-            m_a, norm_d, off = block_norms(blocks)
+            m_a, norm_d, off = blocks.norms
             assert np.array_equal(m_a, [min_norm(a) for a in blocks.A])
             assert np.array_equal(norm_d, [op_norm(d) for d in blocks.D])
             assert np.array_equal(off, [max(op_norm(b), op_norm(c))
                                         for b, c in zip(blocks.B, blocks.C)])
+
+    def test_computed_once_per_blocks(self):
+        # certifying caches the norms on the blocks; later readers reuse them
+        f, po, spl = cat_setup()
+        blocks = pseudo_orbit_blocks(po, spl, f)
+        assert "norms" not in vars(blocks)
+        certify_pseudo_orbit(po, spl, f, 0.5, 0.0, 1e-3, blocks=blocks)
+        norms = vars(blocks)["norms"]
+        min_feasible_lambda(po, spl, f, 0.0, blocks=blocks)
+        assert blocks.norms is norms
 
 
 class TestQuasiHyperbolic:

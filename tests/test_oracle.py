@@ -100,10 +100,29 @@ class TestClosedForm:
 
     def test_step_indexing(self):
         sysm = diag_system(3, np.ones((3, 2)))
-        step = sysm.at_step(1)
-        assert np.array_equal(step([1.0, 1.0]), [3.0, 1.5])
+        assert np.array_equal(sysm.along([1.0, 1.0], 1), [3.0, 1.5])
+        assert np.array_equal(sysm.jacobian_along([1.0, 1.0], 1), np.diag([2.0, 0.5]))
         with pytest.raises(TypeError):
             sysm([0.0, 0.0])
+        with pytest.raises(TypeError):
+            sysm.jacobian([0.0, 0.0])
+
+    def test_along_non_contiguous_steps(self):
+        # row r goes through step steps[r], repeats and any order included,
+        # as one matvec per row; a shift of the system passes the steps on
+        rng = np.random.default_rng(12)
+        sysm, _ = random_affine_system(rng)
+        steps = np.array([4, 0, 3, 3, 1, sysm.n_steps - 1])
+        x = rng.standard_normal((len(steps), sysm.phase.dim))
+        expected = np.stack([sysm.matrices[j] @ row + sysm.residuals[j]
+                             for j, row in zip(steps, x)])
+        assert np.array_equal(sysm.along(x, steps), expected)
+        for r, j in enumerate(steps):
+            assert np.array_equal(sysm.along(x, steps)[r], sysm.along(x[r], j))
+        assert np.array_equal(sysm.jacobian_along(x, steps), sysm.matrices[steps])
+        g = ShiftedMap(sysm, np.full(sysm.phase.dim, 1e-3))
+        assert np.array_equal(g.along(x, steps), sysm.along(x, steps) + g.shift)
+        assert np.array_equal(g.jacobian_along(x, steps), sysm.matrices[steps])
 
 
 class TestBruteForce:

@@ -15,9 +15,9 @@ from bishadow.pseudo_orbit import (
     push_forward,
 )
 from bishadow.splitting import Splitting, eigen_splitting
-from bishadow.systems import AffineMap, PerturbedCatMap, cat_map
+from bishadow.systems import AffineMap, PerturbedCatMap, ShiftedMap, SmoothMap, cat_map
 
-from _oracles import iterate_orbit, pull_back_qr, push_forward_qr
+from _oracles import flatten_per_step, iterate_orbit, pull_back_qr, push_forward_qr
 
 
 def orbit_seeds(f, x0, lengths):
@@ -96,6 +96,64 @@ class TestFlatten:
         assert np.array_equal(w.residuals, po.residuals[2:5])
 
 
+def walked_system(kind, n_steps, rng):
+    """A map of each kind flatten must match the per-step walk on."""
+    if kind == "cat":
+        return cat_map()
+    if kind == "perturbed":
+        return PerturbedCatMap(0.03)
+    if kind == "shifted":
+        return ShiftedMap(PerturbedCatMap(0.02), [1e-3, -2e-3])
+    if kind == "sequence":
+        mats = rng.standard_normal((n_steps, 3, 3)) + 2.0 * np.eye(3)
+        axes = Splitting(np.eye(3)[:, :1], np.eye(3)[:, 1:])
+        return AffineSequenceSystem(mats, rng.standard_normal((n_steps, 3)), axes, validate=False)
+    return AffineMap([[1.2, 0.3, -0.4], [0.1, 0.9, 0.2], [-0.5, 0.4, 1.1]], [0.1, 0.0, -0.2])
+
+
+class CountingMap(SmoothMap):
+    """A map that counts its ``along`` calls."""
+
+    def __init__(self, base):
+        self.base, self.phase, self.calls = base, base.phase, 0
+
+    def along(self, x, steps):
+        self.calls += 1
+        return self.base.along(x, steps)
+
+
+class TestBatchedFlatten:
+    @settings(max_examples=80, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 9), min_size=1, max_size=60),
+           i_min=st.integers(-100, 100), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["cat", "perturbed", "shifted", "sequence", "affine3"]))
+    def test_equals_per_step_walk(self, lengths, i_min, seed, kind):
+        rng = np.random.default_rng(seed)
+        f = walked_system(kind, sum(lengths), rng)
+        seeds = rng.uniform(-1.0, 2.0, (len(lengths) + 1, f.phase.dim))
+        po = flatten(seeds, lengths, f, i_min=i_min)
+        ref = flatten_per_step(seeds, lengths, f, i_min=i_min)
+        assert po.phase == ref.phase and po.i_min == ref.i_min
+        assert np.array_equal(po.lengths, ref.lengths) and np.array_equal(po.offsets, ref.offsets)
+        if kind == "affine3":
+            # a batch x @ M.T may round a general 3-d matrix product differently
+            scale = np.abs(ref.points).max()
+            assert np.abs(po.points - ref.points).max() <= 1e-12 * scale
+            assert np.abs(po.residuals - ref.residuals).max() <= 1e-12 * scale
+            assert np.array_equal(po.seeds, ref.seeds)
+        else:
+            assert np.array_equal(po.points, ref.points)
+            assert np.array_equal(po.residuals, ref.residuals)
+
+    @pytest.mark.parametrize("lengths, calls", [([4] * 2500, 4), ([1, 3, 3, 1, 3] * 50, 4)])
+    def test_one_map_call_per_step_of_a_length(self, lengths, calls):
+        f = CountingMap(cat_map())
+        seeds = np.random.default_rng(0).random((len(lengths) + 1, 2))
+        po = flatten(seeds, lengths, f)
+        assert f.calls == calls
+        assert np.array_equal(po.points, flatten_per_step(seeds, lengths, cat_map()).points)
+
+
 class TestGenerate:
     def test_zero_jump_is_genuine_orbit(self):
         f = cat_map()
@@ -125,7 +183,8 @@ class TestGenerate:
 
     def test_length_guards_match_flatten(self):
         f = cat_map()
-        for lengths, message in (([], "at least one segment"), ([2, 0], "must be positive")):
+        for lengths, message in (([], "at least one segment"), ([2, 0], "must be positive"),
+                                 ([2.7], "must be integers"), ([3, np.nan], "must be integers")):
             with pytest.raises(ValueError, match=message):
                 flatten(np.zeros((len(lengths) + 1, 2)), lengths, f)
             with pytest.raises(ValueError, match=message):
@@ -138,8 +197,8 @@ class TestGenerate:
         ("sequence", [0.0, 0.0], [4, 2, 6], 2),
     ])
     def test_equals_flatten_of_its_seeds(self, system, start, lengths, i_min):
-        # generate fills points and residuals in its one walk; flatten walks
-        # the same seeds again and must give the same bits
+        # generate walks only to draw its seeds and returns flatten of them,
+        # so flatten of its seeds must give the same bits
         if system == "cat":
             f = cat_map()
         elif system == "perturbed":
@@ -264,7 +323,7 @@ class TestAssignSplittings:
         if closed:
             po = flatten(np.vstack([po.seeds[:-1], po.seeds[:1]]), po.lengths, f)
         spl = assign_splittings(po, f, "power", depth=depth)
-        jacs = f.jacobian_along(po.points[:-1])
+        jacs = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
 
         def projector(b):
             q = np.linalg.qr(b)[0]
@@ -283,7 +342,7 @@ class TestAssignSplittings:
         f = PerturbedCatMap(0.02)
         po = generate(f, [0.3, 0.7], [4] * 125, 1e-5, 11)
         n, depth = po.n_steps, 50
-        jacs = f.jacobian_along(po.points[:-1])
+        jacs = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
         seed = eigen_splitting(f.jacobian(po.points[0]))
         us, ss = [], []
         for j in range(n + 1):
@@ -350,7 +409,7 @@ class TestCocyclePasses:
         mats = q @ mats @ q.T
         f = AffineSequenceSystem(mats, np.zeros((n, dim)), Splitting(q[:, :du], q[:, du:]),
                                  validate=False)
-        jacs = f.jacobian_along(f.zero_pseudo_orbit().points[:-1])
+        jacs = f.jacobian_along(f.zero_pseudo_orbit().points[:-1], np.arange(f.n_steps))
         start = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         check_passes_against_qr(jacs, start[:, :du], start[:, du:], kappa <= 100.0)
 
@@ -362,4 +421,5 @@ class TestCocyclePasses:
         f = PerturbedCatMap(amplitude)
         po = generate(f, np.random.default_rng(seed).random(2), lengths, 1e-4, seed)
         sp = eigen_splitting(f.jacobian(po.points[0]))
-        check_passes_against_qr(f.jacobian_along(po.points[:-1]), sp.unstable, sp.stable, True)
+        jacs = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
+        check_passes_against_qr(jacs, sp.unstable, sp.stable, True)

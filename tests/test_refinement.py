@@ -41,7 +41,7 @@ def scalar_blocks(n=60, a=2.0, b=0.1, c=0.1, d=0.5):
 
 def engine_graphs(po, spl, f):
     """P and Q from the cocycle passes over po's Jacobians."""
-    return invariant_graphs(spl, f.jacobian_along(po.points[:-1]))
+    return invariant_graphs(spl, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
 
 
 def perturbed_setup(amplitude=0.005, lengths=(3, 3, 3), jump=1e-5, seed=7):

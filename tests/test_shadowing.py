@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bishadow.oracle import AffineSequenceSystem, bounded_orbit_closed_form
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
-from bishadow.certification import block_norms, pseudo_orbit_blocks
+from bishadow.certification import pseudo_orbit_blocks
 from bishadow.shadowing import (
     BallInvariantError,
     ShadowProblem,
@@ -123,7 +123,7 @@ class TestAdaptedWeights:
         po = generate(f, [0.13, 0.41], [3, 1, 4, 1, 5, 2, 6, 4, 3], 1e-5, 8)
         spl = assign_splittings(po, f, "power")
         cfg = make_solver_config(po, f, lam=0.45)
-        m_a, norm_d, _ = block_norms(pseudo_orbit_blocks(po, spl, f))
+        m_a, norm_d, _ = pseudo_orbit_blocks(po, spl, f).norms
         cuts = po.offsets[1:-1]
         expected = np.concatenate([well_adapted_reference(d, a, cfg.lam)
                                    for a, d in zip(np.split(m_a, cuts), np.split(norm_d, cuts))])
@@ -264,43 +264,25 @@ class MisreportedSteps(SmoothMap):
     update meets a singular block)."""
 
     def __init__(self, kinds):
-        self.kinds = list(kinds)
-        self.rates = np.array([2.0 if k in ("ok", "singular") else 4.0 for k in self.kinds])
+        self.kinds = np.array(kinds)
+        self.rates = np.where(np.isin(self.kinds, ["ok", "singular"]), 2.0, 4.0)
         self.phase = Phase("euclidean", 2)
 
-    def reported(self, j, x1):
-        kind = self.kinds[j]
-        if kind == "late_singular":
-            return 2.0 if x1 == 0.0 else 0.0
-        return 0.0 if kind == "singular" else 2.0
+    def along(self, x, steps):
+        x = np.asarray(x, dtype=float)
+        return np.stack([self.rates[steps] * x[..., 0], 0.5 * x[..., 1]], axis=-1)
 
-    def along(self, x):
-        return np.stack([self.rates * x[:, 0], 0.5 * x[:, 1]], axis=-1)
-
-    def jacobian_along(self, x):
-        jac = np.zeros((len(self.kinds), 2, 2))
-        jac[:, 0, 0] = [self.reported(j, x1) for j, x1 in enumerate(x[:, 0])]
-        jac[:, 1, 1] = 0.5
+    def jacobian_along(self, x, steps):
+        x = np.asarray(x, dtype=float)
+        kinds = self.kinds[steps]
+        zero = (kinds == "singular") | ((kinds == "late_singular") & (x[..., 0] != 0.0))
+        jac = np.zeros(x.shape[:-1] + (2, 2))
+        jac[..., 0, 0] = np.where(zero, 0.0, 2.0)
+        jac[..., 1, 1] = 0.5
         return jac
-
-    def at_step(self, j):
-        return MisreportedStep(self, j)
 
     def derivative_bounds(self):
         return 4.0, 0.0
-
-
-class MisreportedStep(SmoothMap):
-    def __init__(self, steps, j):
-        self.steps, self.j, self.phase = steps, j, steps.phase
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([self.steps.rates[self.j] * x[..., 0], 0.5 * x[..., 1]], axis=-1)
-
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.array([[self.steps.reported(self.j, x[0]), 0.0], [0.0, 0.5]])
 
 
 def outcome(update, *args):
@@ -501,6 +483,13 @@ class TestSolveInfinite:
         window_problem, cfg = self._master()
         _, table = solve_infinite(window_problem, [2, 4, 6, 8, 9, 10], cfg)
         assert table.rows[-1].diff < 1e-10
+
+    @pytest.mark.parametrize("window_ks", [[2, 2], [4, 2], []])
+    def test_window_sizes_strictly_increasing(self, window_ks):
+        # solving one window twice gives diff 0 and would read as converged
+        window_problem, cfg = self._master()
+        with pytest.raises(ValueError, match="window sizes must be increasing"):
+            solve_infinite(window_problem, window_ks, cfg)
 
 
 class TestSolvePeriodic:

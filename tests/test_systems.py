@@ -139,8 +139,15 @@ class TestShippedSystems:
         assert np.allclose(f(pts), f(f.phase.canon(pts)), atol=1e-12)
 
     def test_affine_sequence_hooks(self):
-        f = cat_map()
-        assert f.at_step(3) is f
+        # an autonomous map ignores the steps it is handed, for one step or a
+        # step per row, and so does a shift of it
+        rng = np.random.default_rng(3)
+        x = rng.random((5, 2))
+        for f in (cat_map(), PerturbedCatMap(0.05), ShiftedMap(cat_map(), [1e-3, 0.0])):
+            for steps in (3, np.array([0, 4, 1, 1, 7])):
+                assert np.array_equal(f.along(x, steps), f(x))
+                assert np.array_equal(f.jacobian_along(x, steps), f.jacobian(x))
+                assert np.array_equal(f.along(x[2], steps), f(x[2]))
 
     @pytest.mark.parametrize("matrix", [np.diag([2.0, 0.0]), [1.0, 2.0, 3.0], np.ones((2, 3))])
     def test_affine_matrix_square_and_invertible(self, matrix):
