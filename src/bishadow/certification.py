@@ -23,6 +23,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
+from .jsonwriter import Table, plain
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
 from .systems import SmoothMap
 
@@ -89,15 +90,18 @@ class Certificate:
         """Largest off-diagonal size max(||B_j||, ||C_j||) along the orbit."""
         return float(self.lhs[self.condition == "offdiag"].max())
 
-    def to_dict(self) -> dict:
-        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+    def report(self) -> dict:
+        """The JSON report, its margin rows left as columns for the writer."""
         return {
             "passed": bool(self.passed),
             "lambda": float(self.lam),
             "epsilon": float(self.epsilon),
             "delta": float(self.delta),
-            "margins": [dict(zip(_COLUMNS, row)) for row in zip(*columns)],
+            "margins": Table({name: getattr(self, name) for name in _COLUMNS}),
         }
+
+    def to_dict(self) -> dict:
+        return plain(self.report())
 
 
 @dataclass(frozen=True, eq=False)

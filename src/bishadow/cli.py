@@ -2,12 +2,15 @@
 
 Exit codes: 0 success, 1 certification or precondition failure, 2 solver
 non-convergence or a solver error (reported with kind "solver"), 3
-configuration or usage error.  Each command returns its report fields (or
-its CSV text) and its exit code; main alone adds the command, version and
-config, and writes the report.  A JSON report is the text of
-json.dumps(report, sort_keys=True, indent=2) and a newline, written by
-bishadow.jsonwriter.  Identical config and seed produce byte-identical
-output; wall-clock timing is only included when --timing is passed.
+configuration or usage error, or a report that cannot be written.  Each
+command returns its report fields (or its CSV text pieces) and its exit
+code, with every value computed; main alone adds the command, version and
+config, then opens the output and writes the report.  A JSON report is the
+text of json.dumps(jsonwriter.plain(report), sort_keys=True, indent=2) and a
+newline, streamed from the report's arrays by bishadow.jsonwriter a slice of
+rows at a time; the certify CSV is streamed the same way.  Identical config
+and seed produce byte-identical output; wall-clock timing is only included
+when --timing is passed.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 
 from . import __version__
 from .certification import certify_pseudo_orbit, is_quasi_hyperbolic
 from .config import (ConfigError, RunConfig, build_perturbed, build_pseudo_orbit,
                      build_splittings, build_system, load_config, parse_config)
-from .jsonwriter import dumps
+from .jsonwriter import SLICE, Table, write
 from .refinement import GraphTransformError, PreconditionError, make_refinement_config, refine
 from .shadowing import (BallInvariantError, UnstableSolveError, make_solver_config,
                         shadowing_preconditions, solve_finite, solve_periodic)
@@ -38,17 +42,20 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_CONFIG = 3
 
 
-def _report_json(report: dict) -> str:
-    return dumps(report) + "\n"
+def _report_json(report: dict, out) -> None:
+    write(report, out)
+    out("\n")
 
 
-def _margins_csv(cert) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["segment", "step", "condition", "lhs", "rhs", "margin"])
+def _margins_csv(cert):
+    """The margin table as CSV text, one piece per slice of rows."""
+    yield "segment,step,condition,lhs,rhs,margin\n"
     columns = (cert.segment, cert.step, cert.condition, cert.lhs, cert.rhs, cert.margin)
-    writer.writerows(zip(*(c.tolist() for c in columns)))
-    return buf.getvalue()
+    for start in range(0, len(cert.margin), SLICE):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            zip(*(c[start:start + SLICE].tolist() for c in columns)))
+        yield buf.getvalue()
 
 
 # config key -> (library keyword, cast); a key the config leaves out keeps
@@ -93,7 +100,7 @@ def cmd_certify(cfg: RunConfig, args):
     if args.format == "csv":
         return _margins_csv(cert), code
     worst = cert.worst()
-    return {"certificate": cert.to_dict(),
+    return {"certificate": cert.report(),
             "binding": {"condition": worst.condition, "segment": worst.segment,
                         "step": worst.step, "margin": float(worst.margin)}}, code
 
@@ -117,12 +124,12 @@ def cmd_refine(cfg: RunConfig, args):
         "lambda_tilde": rcfg.lam_tilde,
         "eps_cap": rcfg.eps_cap,
         "eps_cap_kind": bounds.kind,
-        "certificate": result.certificate.to_dict(),
+        "certificate": result.certificate.report(),
         "is_quasi_hyperbolic": is_quasi_hyperbolic(result.certificate, rcfg.offdiag_tol),
         "max_offdiagonal": result.max_offdiagonal,
         "max_invariance_residual": result.max_invariance_residual,
-        "splittings": [{"unstable": u, "stable": s} for u, s in
-                       zip(result.splittings.unstable.tolist(), result.splittings.stable.tolist())],
+        "splittings": Table({"unstable": result.splittings.unstable,
+                             "stable": result.splittings.stable}),
     }}, EXIT_OK if result.certificate.passed else EXIT_FAILED
 
 
@@ -144,7 +151,7 @@ def _shadow(cfg: RunConfig, seed_override, periodic: bool):
         "constants": {"R": {"kind": scfg.kind, "value": scfg.R},
                       "L": {"kind": scfg.kind, "value": scfg.L},
                       "map_distance": {"kind": "exact", "value": distance}},
-        "certificate": cert.to_dict(),
+        "certificate": cert.report(),
         "precondition_margins": {k: float(v) for k, v in margins.items()},
     }
     if not (cert.passed and all(m >= 0 for m in margins.values())):  # a NaN margin fails
@@ -163,7 +170,7 @@ def _shadow(cfg: RunConfig, seed_override, periodic: bool):
 def cmd_shadow(cfg: RunConfig, args, periodic: bool):
     report, result, code = _shadow(cfg, args.seed, periodic)
     if result is not None:
-        report["result"] = result.to_dict()
+        report["result"] = result.report()
     return report, code
 
 
@@ -230,7 +237,7 @@ def cmd_sweep(cfg: RunConfig, args):
         writer.writerow([repr(value), *fields, *([repr(wall_ms)] if timing else [])])
         if failure:
             sys.stderr.write(f"sweep cell {axis}={value!r} failed: {failure}\n")
-    return buf.getvalue(), EXIT_FAILED if any(failure for _, failure, _ in cells) else EXIT_OK
+    return [buf.getvalue()], EXIT_FAILED if any(failure for _, failure, _ in cells) else EXIT_OK
 
 
 _COMMANDS = {
@@ -282,17 +289,21 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    if isinstance(report, dict):  # a JSON report; the CSV reports come as text
+    if isinstance(report, dict):  # a JSON report; the CSV reports come as text pieces
         report.update(command=args.command, version=__version__, config=cfg.raw)
         if args.timing:
             report["timing"] = {"wall_s": time.perf_counter() - start}
-        report = _report_json(report)
     path = args.out or cfg.output.get("path")
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report)
-    else:
-        sys.stdout.write(report)
+    try:
+        with (open(path, "w", encoding="utf-8", newline="") if path
+              else nullcontext(sys.stdout)) as fh:
+            if isinstance(report, dict):
+                _report_json(report, fh.write)
+            else:
+                fh.writelines(report)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write report {path or '<stdout>'}: {exc.strerror or exc}\n")
+        return EXIT_CONFIG
     return code
 
 

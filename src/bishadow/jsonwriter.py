@@ -1,111 +1,168 @@
-"""The package's one JSON writer: ``json.dumps(obj, sort_keys=True, indent=2)``.
+"""The package's one JSON writer: ``json.dumps(plain(obj), sort_keys=True, indent=2)``.
 
-With ``indent`` set, the standard library skips its C encoder and walks the
-tree with a pure-Python generator, one step per value.  ``dumps`` gives the
-same text while it handles many values of one kind together:
-
-- it walks the tree one depth at a time.  Containers of one shape (a list
-  length, or a dict's key tuple) at one depth form a group, and a group's
-  items are taken out row by row, in sorted key order for dicts;
-- a group whose items are all scalars has them encoded with the scalars
-  of its own depth, and the other groups' items make up the next depth;
-- walking back up, the scalars of each depth go through one call of the
-  C encoder, and each container's text is its shape's ``%`` template,
-  filled from one row of encoded items.  A depth's encoded scalars are
-  dropped once its texts are built, to keep the peak memory low.
-
-Only str keys are supported; any other key raises TypeError.  A value
-``json.dumps`` rejects raises the same TypeError here.
+``write`` hands ``out`` that text in pieces, without the standard library's
+pure-Python indent encoder.  The skeleton (dicts, lists, scalars) becomes a
+``%`` template filled from one call of the C encoder.  An array leaf, an
+``ndarray`` or a ``Table`` of equal-length columns (a list of row dicts), is
+written ``SLICE`` rows at a time: one encoder call per column slice and a
+``%`` template per row, strings encoded once per distinct value.  So neither
+a whole array's Python floats nor the whole text is held.  A non-str key, or
+any value ``json.dumps`` rejects, raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
-import sys
-from functools import lru_cache
-from itertools import chain, compress, repeat
+import math
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, not_
 
-__all__ = ["dumps"]
+import numpy as np
 
-_NESTED = (dict, list, tuple)
+__all__ = ["SLICE", "Table", "plain", "write"]
+
+#: rows of an array leaf per piece handed to ``out``
+SLICE = 4096
+
 # The C encoder is used when no indent is set.  A raw newline never occurs
 # inside an encoded scalar (it is escaped in strings), so it can separate
 # the items of one encoded list.
 _SCALARS = json.JSONEncoder(separators=("\n", ":"))
+_SCALAR = (str, int, float, type(None))  # bool is an int
 
 
-def dumps(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte."""
-    depths = []
-    values, indent = [obj], ""
-    while values:
-        if len(depths) > sys.getrecursionlimit():  # as deep as json.dumps goes
-            raise RecursionError("report nested too deeply, or circular")
-        is_nested = list(map(isinstance, values, repeat(_NESTED)))
-        scalars = list(compress(values, map(not_, is_nested)))
-        own = len(scalars)
-        containers = list(compress(values, is_nested))
-        shapes = [tuple(v) if isinstance(v, dict) else len(v) for v in containers]
-        groups: dict = {}
-        for shape, v in zip(shapes, containers):
-            groups.setdefault(shape, []).append(v)
-        plans, deeper = [], []
-        for shape, members in groups.items():
-            if isinstance(shape, tuple):
-                template, row = _dict_layout(shape, indent)
-                items = list(chain.from_iterable(map(row, members)))
-                width = len(shape)
-            else:
-                template = _template("[]", ["%s"] * shape, indent)
-                items = list(chain.from_iterable(members))
-                width = shape
-            nested = _nests(items)
-            store = deeper if nested else scalars
-            plans.append((template, width, len(members), nested, len(store)))
-            store.extend(items)
-        depths.append((is_nested, scalars, own, shapes, plans))
-        values, indent = deeper, indent + "  "
+class Table:
+    """A list of dicts held as equal-length columns (each of one or more
+    dimensions): row r is ``{name: columns[name][r]}``."""
 
-    below: list[str] = []  # texts of the values one depth down
-    for is_nested, scalars, own, shapes, plans in reversed(depths):
-        encoded = _SCALARS.encode(scalars)[1:-1].split("\n") if scalars else []
-        group_texts = []
-        for template, width, m, nested, at in plans:
-            if not width:
-                group_texts.append([template] * m)
-                continue
-            items = iter((below if nested else encoded)[at : at + width * m])
-            group_texts.append(list(map(template.__mod__, zip(*[items] * width))))
-        if len(group_texts) == 1:
-            container_texts = group_texts[0]
+    def __init__(self, columns: dict):
+        self.columns = {name: np.asarray(c) for name, c in columns.items()}
+        if len({len(c) for c in self.columns.values()}) != 1:
+            raise ValueError("a table needs one or more columns of one length")
+
+    def __len__(self):
+        return len(next(iter(self.columns.values())))
+
+
+def plain(obj):
+    """The JSON-native tree ``write`` writes: arrays and tables as lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, Table):
+        names = list(obj.columns)
+        return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in obj.columns.values()))]
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return list(map(plain, obj))
+    return obj
+
+
+def write(obj, out) -> None:
+    """Call ``out`` on the pieces of ``json.dumps(plain(obj), sort_keys=True,
+    indent=2)`` in order; a piece holds at most ``SLICE`` rows of a leaf."""
+    pending = _Pending(out)
+    pending.value(obj, "")
+    pending.flush()
+
+
+class _Pending:
+    """The text since the last array leaf: a ``%`` template and its scalars."""
+
+    def __init__(self, out):
+        self.out = out
+        self.parts: list[str] = []
+        self.scalars: list = []
+
+    def flush(self):
+        text = "".join(self.parts)
+        self.out(text % tuple(_encode(self.scalars)) if self.scalars else text)
+        self.parts, self.scalars = [], []
+
+    def value(self, obj, indent: str):
+        if isinstance(obj, dict):
+            keys = sorted(obj)
+            if not all(isinstance(k, str) for k in keys):
+                raise TypeError(f"keys must be str, got {keys!r}")
+            values, brackets = [obj[k] for k in keys], "{}"
+        elif isinstance(obj, (list, tuple)):
+            keys, values, brackets = None, obj, "[]"
+        elif isinstance(obj, Table) or isinstance(obj, np.ndarray) and obj.ndim:
+            return self.leaf(obj, indent)
+        elif isinstance(obj, np.ndarray):  # 0-d
+            return self.value(obj.tolist(), indent)
+        else:  # a scalar; the encoder raises json's TypeError on any other object
+            self.parts.append("%s")
+            self.scalars.append(obj)
+            return
+        if all(map(isinstance, values, repeat(_SCALAR))):  # one template for them all
+            fields = ["%s" if keys is None else "%s: %s"] * len(values)
+            self.parts.append(_template(brackets, fields, indent))
+            self.scalars += values if keys is None else chain.from_iterable(zip(keys, values))
+            return
+        inner = indent + "  "
+        for i, v in enumerate(values):
+            self.parts.append(",\n" + inner if i else brackets[0] + "\n" + inner)
+            if keys is not None:
+                self.parts.append("%s: ")
+                self.scalars.append(keys[i])
+            self.value(v, inner)
+        self.parts.append("\n" + indent + brackets[1])
+
+    def leaf(self, obj, indent: str):
+        """The pending text, then the leaf's rows a slice at a time."""
+        if not len(obj):
+            self.parts.append("[]")
+            return
+        inner = indent + "  "
+        if isinstance(obj, Table):
+            names = sorted(obj.columns)
+            keys = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names]
+            row = _template("{}", keys, inner)
+
+            def rows(s):
+                return map(row.__mod__, zip(*(_row_texts(obj.columns[k][s], inner + "  ")
+                                              for k in names)))
         else:
-            index = {shape: g for g, shape in enumerate(dict.fromkeys(shapes))}
-            container_texts = _interleave(list(map(index.__getitem__, shapes)), *group_texts)
-        below = _interleave(is_nested, encoded[:own], container_texts)
-    return below[0]
+            def rows(s):
+                return _row_texts(obj[s], inner)
+        self.parts.append("[\n" + inner)
+        self.flush()
+        sep = ",\n" + inner
+        for start in range(0, len(obj), SLICE):
+            if start:
+                self.out(sep)
+            self.out(sep.join(rows(slice(start, start + SLICE))))
+        self.parts.append("\n" + indent + "]")
 
 
-def _nests(values: list) -> bool:
-    return any(map(issubclass, set(map(type, values)), repeat(_NESTED)))
+def _encode(values: list) -> list[str]:
+    """The JSON text of each scalar, from one call of the C encoder."""
+    return _SCALARS.encode(values)[1:-1].split("\n") if values else []
 
 
-def _interleave(picks: list, *texts: list[str]) -> list[str]:
-    """Item i is the next unused text of ``texts[picks[i]]``."""
-    sources = tuple(map(iter, texts))
-    return list(map(next, map(sources.__getitem__, picks)))
+def _row_texts(a: np.ndarray, indent: str) -> list[str]:
+    """The text of each row ``a[r].tolist()``, nested at ``indent``."""
+    values = a.ravel().tolist()
+    if a.dtype.kind == "U":  # few distinct strings, many rows
+        distinct = list(dict.fromkeys(values))
+        encoded = list(map(dict(zip(distinct, _encode(distinct))).__getitem__, values))
+    else:
+        encoded = _encode(values)
+    if a.ndim == 1:
+        return encoded
+    template = _nested(a.shape[1:], indent)
+    width = math.prod(a.shape[1:])
+    if not width:
+        return [template] * len(a)
+    return list(map(template.__mod__, zip(*[iter(encoded)] * width)))
 
 
-@lru_cache(maxsize=1024)  # a report has few key sets, met again in every report
-def _dict_layout(keys: tuple, indent: str):
-    """(template, row) of dicts with these keys nested at ``indent``:
-    row(d) is the tuple of d's values in sorted key order."""
-    keys = sorted(keys)
-    fields = [k.replace("%", "%%") + ": %s" for k in map(encode_basestring_ascii, keys)]
-    # itemgetter of a single key returns the value, not a 1-tuple
-    row = itemgetter(*keys) if len(keys) > 1 else lambda d: tuple(d[k] for k in keys)
-    return _template("{}", fields, indent), row
+def _nested(shape: tuple, indent: str) -> str:
+    """The template of one nested list of this shape at ``indent``."""
+    if not shape:
+        return "%s"
+    return _template("[]", [_nested(shape[1:], indent + "  ")] * shape[0], indent)
 
 
 def _template(brackets: str, fields: list[str], indent: str) -> str:

@@ -36,6 +36,7 @@ import numpy as np
 
 from .adapted import scale_factors, well_adapted_sequence
 from .certification import _covering, certify_pseudo_orbit
+from .jsonwriter import plain
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
 from .systems import SmoothMap, SystemBounds, map_distance, system_bounds
 
@@ -379,17 +380,18 @@ class ShadowingResult:
     def residual_max(self) -> float:
         return float(self.orbit_residuals.max())
 
-    def to_dict(self) -> dict:
+    def report(self) -> dict:
+        """The JSON report, its arrays left as arrays for the writer."""
         d = {
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "max_distance": self.max_distance,
-            "distances": [float(x) for x in self.distances],
+            "distances": self.distances,
             "residual_max": self.residual_max,
             "ball_margin": float(self.ball_margin),
-            "shadow_point": [float(x) for x in self.shadow_point],
+            "shadow_point": self.shadow_point,
             "boundary": self.boundary,
-            "update_history": [float(u) for u in self.update_history],
+            "update_history": self.update_history,
         }
         if self.periodic_closure is not None:
             d["closure"] = {
@@ -403,6 +405,9 @@ class ShadowingResult:
             if self.polish_message:
                 d["closure"]["polish_message"] = self.polish_message
         return d
+
+    def to_dict(self) -> dict:
+        return plain(self.report())
 
 
 def _solve(problem: ShadowProblem, boundary: str) -> ShadowingResult:
@@ -528,7 +533,7 @@ class WindowTable:
             "rows": [
                 {
                     "k": r.k,
-                    "v0": [float(x) for x in r.v0],
+                    "v0": r.v0.tolist(),
                     "diff": None if np.isnan(r.diff) else float(r.diff),
                     "window_converged": bool(r.window_converged),
                 }

@@ -88,6 +88,16 @@ class TestCertifyPseudoOrbit:
         assert not cert.passed
         assert cert.worst().condition == "residual"
 
+    def test_to_dict_is_the_tree_of_python_values(self):
+        f, po, spl = cat_setup(jump=1e-4, seed=3)
+        cert = certify_pseudo_orbit(po, spl, f, 0.3, 0.0, 1e-4)
+        names = ("condition", "segment", "step", "lhs", "rhs", "margin")
+        rows = [dict(zip(names, row)) for row in zip(*(getattr(cert, n).tolist() for n in names))]
+        tree = cert.to_dict()
+        assert tree == {"passed": False, "lambda": 0.3, "epsilon": 0.0, "delta": 1e-4,
+                        "margins": rows}
+        assert {type(v) for r in tree["margins"] for v in r.values()} == {str, int, float}
+
     def test_zero_jump_zero_delta(self):
         f, po, spl = cat_setup(jump=0.0)
         assert certify_pseudo_orbit(po, spl, f, 0.62, 0.0, 0.0).passed

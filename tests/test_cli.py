@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import bishadow.certification
 import bishadow.cli
 from bishadow.cli import main
+from bishadow.jsonwriter import SLICE, plain
 from bishadow.refinement import GraphTransformError
 from bishadow.shadowing import BallInvariantError, UnstableSolveError
 from bishadow.systems import Phase
@@ -312,6 +313,23 @@ class TestCertifyCsv:
         payload["certification"]["lambda"] = lam
         code, out = run(tmp_path, "certify", payload, extra=("--format", "csv"))
         assert code == (0 if lam == 0.4 else 1)
+        assert out.read_bytes() == margins_csv_rows(certs[0]).encode()
+
+
+    def test_long_table_matches_row_by_row_table(self, tmp_path, monkeypatch):
+        """Over 10^4 rows, written a slice at a time: the same bytes."""
+        certs = []
+        real = bishadow.cli._certify
+
+        def recording(*args):
+            certs.append(real(*args))
+            return certs[-1]
+
+        monkeypatch.setattr(bishadow.cli, "_certify", recording)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["pseudo_orbit"]["generator"]["lengths"] = [4] * 625
+        code, out = run(tmp_path, "certify", payload, extra=("--format", "csv"))
+        assert code == 0 and len(certs[0].margin) > 2 * SLICE
         assert out.read_bytes() == margins_csv_rows(certs[0]).encode()
 
 
@@ -699,13 +717,13 @@ def fail_refine(monkeypatch):
 
 @JSON_REPORTS
 def test_report_is_reference_json(tmp_path, monkeypatch, command, payload, graph_error, expected):
-    """Each report is json.dumps(report, sort_keys=True, indent=2) and a newline."""
+    """Each report is json.dumps(plain(report), sort_keys=True, indent=2) and a newline."""
     reports = []
     real = bishadow.cli._report_json
 
-    def recording(report):
+    def recording(report, out):
         reports.append(report)
-        return real(report)
+        real(report, out)
 
     monkeypatch.setattr(bishadow.cli, "_report_json", recording)
     if graph_error:
@@ -713,7 +731,52 @@ def test_report_is_reference_json(tmp_path, monkeypatch, command, payload, graph
     code, out = run(tmp_path, command, payload)
     assert code == expected
     [report] = reports
-    assert out.read_bytes() == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    assert out.read_bytes() == (json.dumps(plain(report), sort_keys=True, indent=2) + "\n").encode()
+
+
+def test_long_certificate_reaches_out_a_slice_at_a_time(tmp_path, monkeypatch):
+    """A certificate of over 10^4 rows is written in pieces of at most SLICE
+    rows, so the whole text is never held."""
+    pieces = []
+    real = bishadow.cli._report_json
+
+    def recording(report, out):
+        def keep(piece):
+            pieces.append(piece)
+            out(piece)
+
+        real(report, keep)
+
+    monkeypatch.setattr(bishadow.cli, "_report_json", recording)
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["pseudo_orbit"]["generator"]["lengths"] = [4] * 625
+    code, out = run(tmp_path, "certify", payload)
+    assert code == 0
+    rows = len(json.loads(out.read_text())["certificate"]["margins"])
+    assert rows == 4 * 2500 + 625
+    per_piece = [p.count('"condition": ') for p in pieces]  # the binding row adds one
+    assert max(per_piece) <= min(SLICE, rows // 2) and sum(per_piece) == rows + 1
+    assert "".join(pieces).encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["missing/dir/x.json", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / where
+    code = main(["certify", "--config", write_config(tmp_path, BASE_CONFIG), "--out", str(target)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot write report {target}: ") and err.count("\n") == 1
+
+
+def test_failing_stdout_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    class Full:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    monkeypatch.setattr("sys.stdout", Full())
+    assert main(["certify", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "cannot write report <stdout>: No space left on device\n"
 
 
 @JSON_REPORTS

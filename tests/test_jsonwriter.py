@@ -6,13 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bishadow.jsonwriter import dumps
+from bishadow.jsonwriter import SLICE, Table, plain, write
+
+
+def dumps(obj) -> str:
+    pieces = []
+    write(obj, pieces.append)
+    return "".join(pieces)
 
 
 def check(obj):
-    """dumps(obj) equals the reference; on failure, name the first line that
-    differs instead of diffing two long texts."""
-    got, want = dumps(obj).split("\n"), json.dumps(obj, sort_keys=True, indent=2).split("\n")
+    """The written text equals the reference; on failure, name the first line
+    that differs instead of diffing two long texts."""
+    got = dumps(obj).split("\n")
+    want = json.dumps(plain(obj), sort_keys=True, indent=2).split("\n")
     first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
     assert got == want, f"line {first}: {got[first:first + 1]} != {want[first:first + 1]}"
 
@@ -20,13 +27,39 @@ def check(obj):
 # '%' would break a template that did not escape it; quotes, backslashes,
 # control characters and non-ASCII characters are escaped by the encoder
 TEXT = st.text(alphabet=st.sampled_from('ab%"\\\n\t\x00\x1fé€😀 '), max_size=6)
+SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(SPECIAL))
 SCALARS = st.one_of(
     st.none(), st.booleans(), TEXT,
     st.integers(min_value=-10**30, max_value=10**30),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+    FLOATS,
     st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
 )
+# (elements, dtype) of the arrays a report holds
+KINDS = [(FLOATS, float), (st.integers(-2**63, 2**63 - 1), np.int64), (st.booleans(), bool),
+         (TEXT, str)]
+
+
+def arrays(shape, kinds=st.sampled_from(KINDS)):
+    """Arrays of one kind and this shape."""
+    size = math.prod(shape)
+    return kinds.flatmap(lambda kind: st.lists(kind[0], min_size=size, max_size=size).map(
+        lambda xs: np.array(xs, dtype=kind[1]).reshape(shape)))
+
+
+SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)  # 0-d, empty and 3-d included
+
+
+def tables(rows):
+    """Tables of `rows` rows: one to four columns, each of any kind, with
+    up to two more dimensions."""
+    def columns(names):
+        shapes = st.lists(st.integers(0, 2), max_size=2).map(lambda rest: (rows, *rest))
+        return st.fixed_dictionaries({k: shapes.flatmap(arrays) for k in names}).map(Table)
+    return st.lists(TEXT, min_size=1, max_size=4, unique=True).flatmap(columns)
+
+
+LEAVES = st.one_of(SCALARS, SHAPES.flatmap(arrays), st.integers(0, 4).flatmap(tables))
 
 
 def containers(children):
@@ -47,6 +80,7 @@ def containers(children):
 
 
 TREES = st.recursive(SCALARS, containers, max_leaves=40)
+ARRAY_TREES = st.recursive(LEAVES, containers, max_leaves=12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -61,12 +95,54 @@ def test_matches_json_dumps(tree):
     check(tree)
 
 
+@settings(max_examples=200, deadline=None)
+@given(ARRAY_TREES)
+@example(np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+@example({"a": np.array(2.5), "b": np.empty((0, 3)), "c": np.zeros((2, 0, 1))})
+@example(np.arange(24.0).reshape(2, 3, 4))
+@example(Table({"x": np.empty(0), "y": np.empty((0, 2, 2))}))
+@example(Table({"%s": np.array(['%d"', "\x1f\n", "é😀"]), "u": np.ones((3, 2, 1))}))
+def test_array_leaves_match_json_dumps(tree):
+    check(tree)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 3]).flatmap(
+    lambda rows: st.tuples(st.just(rows), st.integers(1, 3).flatmap(tables))))
+def test_leaves_across_the_slice_boundary(rows_and_pattern):
+    """Leaves of a few slices, tiled from a small random pattern, written
+    at most one slice of rows per piece."""
+    rows, pattern = rows_and_pattern
+    tile = np.arange(rows) % len(pattern)
+    table = Table({k: c[tile] for k, c in pattern.columns.items()})
+    tree = {"table": table, "array": next(iter(table.columns.values()))}
+    check(tree)
+    pieces = []
+    write(table, pieces.append)
+    per_piece = [p.count("\n  {") + p.startswith("{") for p in pieces]
+    assert max(per_piece) <= SLICE and sum(per_piece) == rows
+
+
 def test_report_sized_rows():
     rows = [{"condition": "ratio", "lhs": i / 7.0, "margin": -i * 1e-17, "segment": i // 4,
              "step": i % 4} for i in range(3000)]
     tree = {"margins": rows, "points": [[i * 0.1, -i * 0.3] for i in range(3000)],
             "lengths": list(range(3000)), "passed": False}
     check(tree)
+
+
+def test_plain_is_the_tree_of_lists():
+    table = Table({"s": np.array(["a", "b"]), "v": np.array([[1.0, 2.0], [3.0, 4.0]])})
+    assert plain({"t": table, "a": (np.arange(2), np.array(1.5))}) == {
+        "t": [{"s": "a", "v": [1.0, 2.0]}, {"s": "b", "v": [3.0, 4.0]}],
+        "a": [[0, 1], 1.5]}
+
+
+def test_table_columns_share_one_length():
+    with pytest.raises(ValueError):
+        Table({"a": np.zeros(2), "b": np.zeros(3)})
+    with pytest.raises(ValueError):
+        Table({})
 
 
 @pytest.mark.parametrize("bad", [{"a": object()}, [np.int64(1)], {"a": {1: "b"}}])

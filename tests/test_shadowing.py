@@ -504,6 +504,23 @@ class TestSolvePeriodic:
         assert np.array_equal(res.shadow_point, [0.0, 0.0])
         assert res.periodic_closure == 0.0
 
+    def test_to_dict_is_the_tree_of_python_values(self):
+        f = cat_map()
+        po = flatten(np.zeros((4, 2)), [1] * 3, f)
+        cfg = make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
+        res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, ShiftedMap(f, [1e-4, 0.0]),
+                             cfg)
+        assert res.to_dict() == {
+            "converged": res.converged, "iterations": res.iterations,
+            "max_distance": float(res.distances.max()),
+            "distances": [float(x) for x in res.distances],
+            "residual_max": float(res.orbit_residuals.max()), "ball_margin": res.ball_margin,
+            "shadow_point": [float(x) for x in res.shadow_point], "boundary": "periodic",
+            "update_history": res.update_history,
+            "closure": {"pre_polish": res.periodic_closure,
+                        "post_polish": res.periodic_closure_polished,
+                        "seam_gap": res.seam_gap}}
+
     def test_period_two_cycle_recovered(self):
         from bishadow.oracle import cat_map_periodic_points
 
