@@ -122,8 +122,8 @@ class OrbitBlocks:
     def norms(self):
         """Per-block m(A_j), ||D_j|| and max(||B_j||, ||C_j||), computed once.
 
-        One batched SVD per block kind; empty blocks follow min_norm and
-        op_norm (m = +inf, norm = 0).
+        |a| for 1x1 blocks, else one batched SVD per block kind; empty blocks
+        follow min_norm and op_norm (m = +inf, norm = 0).
         """
         off = np.maximum(_singular_values(self.B, 0, 0.0), _singular_values(self.C, 0, 0.0))
         return _singular_values(self.A, -1, np.inf), _singular_values(self.D, 0, 0.0), off
@@ -160,9 +160,33 @@ def _covering(po: SegmentedPseudoOrbit, splittings, f, blocks) -> OrbitBlocks:
 
 
 def _singular_values(x, k, empty):
-    """Singular value k of every matrix in the stack x; `empty` for empty matrices."""
+    """Singular value k of every matrix in the stack x; `empty` for empty
+    matrices.  A finite 1x1 block [a] has |a|: LAPACK's bits, except where
+    LAPACK rescales, at |a| outside about 1e-138..1e137, and rounds."""
+    if x.shape[1:] == (1, 1) and np.isfinite(x).all():
+        return np.abs(x[:, 0, 0])
     s = np.linalg.svd(x, compute_uv=False)
     return s[:, k] if s.shape[1] else np.full(len(x), empty)
+
+
+def _solve_stack(a, b):
+    """Solve a[k] x_k = b[k] for every k; returns (x, singular), x_k zero
+    where LAPACK finds a[k] exactly singular.  1x1 systems divide, for
+    LAPACK's bits: b / a, singular where the pivot a is 0.0 or -0.0."""
+    if a.shape[1:] == b.shape[1:] == (1, 1):
+        singular = a[:, 0, 0] == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.divide(b, a, out=np.zeros_like(b), where=~singular[:, None, None]), singular
+    try:
+        return np.linalg.solve(a, b), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:  # failure path only: find the singular systems one by one
+        x, singular = np.zeros_like(b), np.zeros(len(a), dtype=bool)
+    for k in range(len(a)):
+        try:
+            x[k] = np.linalg.solve(a[k], b[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return x, singular
 
 
 def _block_terms(blocks: OrbitBlocks, offsets):

@@ -22,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from functools import partial
 
@@ -224,6 +223,8 @@ def cmd_sweep(cfg: RunConfig, args):
     payloads = [_sweep_payload(cfg.raw, axis, v) for v in values]
     jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
     if jobs > 1:
+        # imported here: the pool's modules cost a serial run 20-30 ms at start-up
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             cells = list(pool.map(_run_sweep_cell, payloads, [args.seed] * len(payloads)))
     else:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certification import (Certificate, OrbitBlocks, _covering, _singular_values,
-                            certify_pseudo_orbit, pseudo_orbit_blocks)
+                            _solve_stack, certify_pseudo_orbit, pseudo_orbit_blocks)
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, pull_back, push_forward
 from .splitting import min_norm
 from .systems import SmoothMap
@@ -106,7 +106,7 @@ def _graphs(num, den):
     1/sqrt(2), and m(den_j) <= 1e-14 would mean ||G_j|| >= 7e13."""
     singular = _singular_values(den, -1, np.inf) <= 1e-14
     den = np.where(singular[:, None, None], np.eye(den.shape[-1]), den)
-    G = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
+    G = np.swapaxes(_solve_stack(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2))[0], -1, -2)
     return G, np.where(singular, np.inf, _singular_values(G, 0, 0.0))
 
 

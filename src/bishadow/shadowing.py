@@ -35,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .adapted import scale_factors, well_adapted_sequence
-from .certification import _covering, certify_pseudo_orbit
+from .certification import _covering, _solve_stack, certify_pseudo_orbit
 from .jsonwriter import plain
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
 from .systems import SmoothMap, SystemBounds, map_distance, system_bounds
@@ -286,24 +286,10 @@ def _sq_norms(x):
 
 
 def _solve_rows(a, b):
-    """Solve a[k] x_k = b_k for every row k.
-
-    Returns (x, singular): a row whose matrix LAPACK finds exactly
-    singular is flagged instead of raising, and its x_k is zero.
-    """
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.zeros(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    # failure path only: locate the singular rows one by one
-    x = np.zeros_like(b)
-    singular = np.zeros(len(a), dtype=bool)
-    for k in range(len(a)):
-        try:
-            x[k] = np.linalg.solve(a[k], b[k])
-        except np.linalg.LinAlgError:
-            singular[k] = True
-    return x, singular
+    """_solve_stack with one right-hand side per row: (x, singular), where
+    1x1 blocks divide and larger ones go to LAPACK."""
+    x, singular = _solve_stack(a, b[..., None])
+    return x[..., 0], singular
 
 
 def _record_singular(failures, rows):

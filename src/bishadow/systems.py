@@ -58,13 +58,14 @@ class Phase:
         return 0.5 if self.kind == "torus" else np.inf
 
     def canon(self, x):
-        """Canonical representative; torus coordinates in [0, 1)."""
+        """Canonical representative; torus coordinates in [0, 1).  x - floor(x)
+        is one rounding of the real number np.mod(x, 1.0) rounds: its bits."""
         x = np.asarray(x, dtype=float)
         if self.kind == "euclidean":
             return x
-        c = np.mod(x, 1.0)
-        # rounding can land exactly on 1.0 for tiny negative inputs
-        return np.where(c >= 1.0, 0.0, c)
+        c = np.asarray(x - np.floor(x))
+        c[c >= 1.0] = 0.0  # rounding can land exactly on 1.0 for tiny negative inputs
+        return c
 
     def wrap(self, d):
         """Shortest displacement representative, coordinates in (-1/2, 1/2]."""

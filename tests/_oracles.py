@@ -11,7 +11,9 @@ shadowing solver update one index at a time, the linear cat-map shadow
 orbit by scalar recursions in eigencoordinates, LP
 feasibility for balance-sequence existence, one well-adapted balance
 sequence with scalar forward and backward passes, and the certificate
-margin table written one CSV row at a time.
+margin table written one CSV row at a time.  The tiny-stack forms of the
+kernel (canon by floor, |a| and division for 1x1 blocks) are checked
+against the forms they replaced: np.mod, batched SVD and LAPACK solves.
 
 The last section holds the single-object references the package itself
 does not run: one block decomposition, splitting coordinates and box
@@ -458,6 +460,45 @@ def margins_csv_rows(cert) -> str:
     for segment, step, condition, *values in zip(*(c.tolist() for c in columns)):
         writer.writerow([segment, step, condition, *map(repr, values)])
     return buf.getvalue()
+
+
+def canon_mod(x):
+    """Phase.canon on the torus in its np.mod form."""
+    c = np.mod(np.asarray(x, dtype=float), 1.0)
+    return np.where(c >= 1.0, 0.0, c)
+
+
+def singular_values_svd(x, k, empty):
+    """Singular value k of every matrix in the stack x by batched SVD alone;
+    `empty` for empty matrices."""
+    s = np.linalg.svd(x, compute_uv=False)
+    return s[:, k] if s.shape[1] else np.full(len(x), empty)
+
+
+def solve_stack_lapack(a, b):
+    """Solve a[k] x_k = b[k] by LAPACK alone, a singular system flagged
+    with x_k = 0: one batched solve, then one solve per system if any
+    system is singular."""
+    try:
+        return np.linalg.solve(a, b), np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros_like(b)
+    singular = np.zeros(len(a), dtype=bool)
+    for k in range(len(a)):
+        try:
+            x[k] = np.linalg.solve(a[k], b[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return x, singular
+
+
+def graphs_lapack(num, den):
+    """refinement._graphs by batched SVD and LAPACK solves alone."""
+    singular = singular_values_svd(den, -1, np.inf) <= 1e-14
+    den = np.where(singular[:, None, None], np.eye(den.shape[-1]), den)
+    G = np.swapaxes(np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2)), -1, -2)
+    return G, np.where(singular, np.inf, singular_values_svd(G, 0, 0.0))
 
 
 # --- single-object references -------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import warnings
@@ -375,7 +376,8 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bishadow.cli, "ProcessPoolExecutor", FakePool)
+        # cmd_sweep imports the pool from concurrent.futures only when it runs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         code, out = run(tmp_path, "sweep", extra=("--jobs", str(10**6)), name="many")
         _, serial = run(tmp_path, "sweep", extra=("--jobs", "1"), name="serial")
         assert code == 0

@@ -1,0 +1,196 @@
+"""Tiny stacks without LAPACK.
+
+On T^2 every tangent block is 1x1.  Phase.canon takes x - floor(x), the
+singular values of 1x1 blocks are |a| and 1x1 solves divide; each gives
+the bits of the np.mod or LAPACK form it replaced (tests/_oracles.py),
+and no kernel path hands LAPACK a stack of 1x1 matrices.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bishadow.certification import (_singular_values, _solve_stack, certify_pseudo_orbit,
+                                    min_feasible_lambda)
+from bishadow.oracle import cat_map_periodic_points
+from bishadow.pseudo_orbit import assign_splittings, flatten, generate
+from bishadow.refinement import _graphs, make_refinement_config, refine
+from bishadow.shadowing import _solve_rows, make_solver_config, solve_finite, solve_periodic
+from bishadow.systems import Phase, PerturbedCatMap, ShiftedMap, cat_map, system_bounds
+
+from _oracles import (canon_mod, graphs_lapack, iterate_orbit, singular_values_svd,
+                      solve_stack_lapack)
+
+TORUS = Phase("torus", 2)
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def column(values):
+    """A stack of 1x1 matrices holding values."""
+    return np.asarray(values, dtype=float).reshape(-1, 1, 1)
+
+
+# --- no LAPACK call on a 1x1 stack ---------------------------------------
+
+
+def cat_problems():
+    f = cat_map()
+    po = generate(f, [0.13, 0.41], [4] * 5, 1e-4, 42)
+    cyc = [p for p in cat_map_periodic_points(3) if p != (0, 0)][0]
+    orb = iterate_orbit(f, np.array([float(v) for v in cyc]), 3)
+    jit = [f.phase.canon(orb[i] + 1e-4 * np.random.default_rng(5).standard_normal(2))
+           for i in range(3)]
+    closed = flatten(np.array(jit + [jit[0]]), [1, 1, 1], f)
+    return f, ShiftedMap(f, [1e-4, 0.0]), po, "eigen", closed
+
+
+def perturbed_problems():
+    f = PerturbedCatMap(0.005)
+    po = generate(f, [0.3, 0.7], [4] * 5, 1e-5, 7)
+    jit = 1e-5 * np.random.default_rng(3).standard_normal((3, 2))
+    closed = flatten(f.phase.canon(np.concatenate([jit, jit[:1]])), [1, 1, 1], f)
+    return f, PerturbedCatMap(0.00501), po, "power", closed
+
+
+@pytest.mark.parametrize("problems", [cat_problems, perturbed_problems])
+def test_no_lapack_call_on_a_1x1_stack(monkeypatch, problems):
+    f, g, po, strategy, closed = problems()
+    spl = assign_splittings(po, f, strategy)
+    closed_spl = assign_splittings(closed, f, "eigen")
+    shapes = []  # the matrix argument of every svd and solve call
+    for name in ("svd", "solve"):
+        def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _call(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    mods = []  # canon takes x - floor(x), not np.mod
+
+    def no_mod(*args, _call=np.mod, **kwargs):
+        mods.append(args)
+        return _call(*args, **kwargs)
+
+    monkeypatch.setattr(np, "mod", no_mod)
+
+    assert certify_pseudo_orbit(po, spl, f, 0.45, 1e-6, 1e-4).passed
+    assert min_feasible_lambda(po, spl, f, 1e-6) is not None
+    cfg = make_solver_config(po, f, lam=0.45)
+    assert solve_finite(po, spl, f, g, cfg).converged
+    assert solve_periodic(closed, closed_spl, f, g, make_solver_config(closed, f, lam=0.45)
+                          ).converged
+    R = system_bounds(f).R
+    assert refine(po, spl, f, make_refinement_config(0.45, 0.55, R=R)).certificate.passed
+    assert shapes  # the recorders see the 2x2 Jacobian stacks
+    assert [s for s in shapes if len(s) >= 3 and s[-2:] == (1, 1)] == []
+    assert mods == []
+
+
+# --- the replacements against the forms they replaced --------------------
+
+
+POWERS = [s * 10.0 ** -k for k in range(1, 300) for s in (1.0, -1.0)]
+NEAR_2_52 = [s * (2.0 ** 52 + d) for s in (1.0, -1.0)
+             for d in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("values", [
+    POWERS,
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308],
+    NEAR_2_52,
+    -np.arange(0.0, 1e4, 0.01),  # a long negative ramp
+    np.random.default_rng(0).uniform(-1e6, 1e6, 10_000),
+])
+def test_canon_is_the_mod_form(values):
+    assert same_bits(TORUS.canon(values), canon_mod(values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8)
+       | st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=8))
+def test_canon_is_the_mod_form_for_any_finite_value(values):
+    assert same_bits(TORUS.canon(values), canon_mod(values))
+    assert same_bits(TORUS.canon(values[0]), canon_mod(values[0]))  # a 0-d input
+
+
+# LAPACK rescales a block of norm outside about (6.7e-139, 1.5e138) and
+# rounds in doing so; inside that range |a| is LAPACK's value bit for bit
+UNSCALED = st.floats(1e-130, 1e130) | st.floats(-1e130, -1e-130) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(UNSCALED, min_size=1, max_size=16), st.sampled_from([0, -1]))
+def test_1x1_singular_values_are_the_svd(values, k):
+    x = column(values)
+    assert same_bits(_singular_values(x, k, 0.0), singular_values_svd(x, k, 0.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+def test_1x1_singular_values_are_exact(values):
+    assert same_bits(_singular_values(column(values), 0, 0.0), np.abs(values))
+
+
+def test_nonfinite_1x1_blocks_keep_the_svd():
+    with pytest.raises(np.linalg.LinAlgError):
+        _singular_values(column([1.0, np.nan]), 0, 0.0)
+    x = column([1.0, np.inf, -np.inf])
+    assert same_bits(_singular_values(x, 0, 0.0), singular_values_svd(x, 0, 0.0))
+    assert same_bits(_singular_values(np.zeros((3, 1, 0)), 0, 7.0), [7.0] * 3)
+
+
+ANY = st.floats() | st.sampled_from(SPECIAL)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the oracle's LAPACK on NaN and inf
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(ANY, ANY), min_size=1, max_size=12))
+def test_1x1_solve_is_lapack(rows):
+    a, b = (column(v) for v in zip(*rows))
+    x, singular = _solve_stack(a, b)
+    x_ref, singular_ref = solve_stack_lapack(a, b)
+    assert same_bits(x, x_ref)
+    assert np.array_equal(singular, singular_ref)
+    x, singular = _solve_rows(a, b[:, 0])
+    assert same_bits(x, x_ref[:, 0]) and np.array_equal(singular, singular_ref)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((6, 1, 1), (6, 1, 2)), ((6, 2, 2), (6, 2, 1))])
+def test_larger_solves_are_lapack(shape_a, shape_b):
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+    a[2] = 0.0  # one singular system
+    x, singular = _solve_stack(a, b)
+    x_ref, singular_ref = solve_stack_lapack(a, b)
+    assert same_bits(x, x_ref) and np.array_equal(singular, singular_ref)
+    assert singular.tolist() == [False, False, True, False, False, False]
+
+
+# |num / den| stays inside the range where LAPACK's norm of G is unscaled
+NUM = st.floats(1e-100, 1e3) | st.floats(-1e3, -1e-100) | st.sampled_from([0.0, -0.0])
+DEN = (st.floats(1e-14, 4.0) | st.floats(-4.0, -1e-14)
+       | st.sampled_from([0.0, -0.0, 1e-14, -1e-14, 1e-15, 2e-14, 1e-300]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(NUM, DEN), min_size=1, max_size=12))
+def test_graphs_are_the_lapack_form(rows):
+    num, den = (column(v) for v in zip(*rows))
+    G, norms = _graphs(num, den)
+    G_ref, norms_ref = graphs_lapack(num, den)
+    assert same_bits(G, G_ref) and same_bits(norms, norms_ref)
+    assert np.isinf(norms[np.abs(den[:, 0, 0]) <= 1e-14]).all()  # singular denominators
+
+
+def test_graphs_of_1xk_blocks_are_the_lapack_form():
+    rng = np.random.default_rng(2)
+    num, den = rng.standard_normal((8, 2, 1)), rng.standard_normal((8, 1, 1))
+    den[3] = 0.0
+    for pair in ((num, den), (rng.standard_normal((8, 1, 2)), rng.standard_normal((8, 2, 2)))):
+        G, norms = _graphs(*pair)
+        G_ref, norms_ref = graphs_lapack(*pair)
+        assert same_bits(G, G_ref) and same_bits(norms, norms_ref)
