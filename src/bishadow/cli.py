@@ -23,12 +23,12 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .certification import certify_pseudo_orbit, is_quasi_hyperbolic
 from .config import (ConfigError, RunConfig, build_perturbed, build_pseudo_orbit,
-                     build_splittings, build_system, load_config, parse_config)
+                     build_splittings, build_system, keyword_args, load_config, parse_config)
 from .jsonwriter import SLICE, Table, write
 from .refinement import GraphTransformError, PreconditionError, make_refinement_config, refine
 from .shadowing import (BallInvariantError, UnstableSolveError, make_solver_config,
@@ -57,18 +57,6 @@ def _margins_csv(cert):
         yield buf.getvalue()
 
 
-# config key -> (library keyword, cast); a key the config leaves out keeps
-# the library's default
-_SOLVER_ARGS = {"lambda_tilde": ("lam_tilde", float), "epsilon1": ("epsilon1", float),
-                "eta": ("eta", float), "tol_fix": ("tol_fix", float),
-                "max_iter": ("max_iter", int)}
-_REFINEMENT_ARGS = {"lambda0": ("lam0", float), "offdiag_tol": ("offdiag_tol", float)}
-
-
-def _given(block: dict, names: dict) -> dict:
-    return {arg: cast(block[key]) for key, (arg, cast) in names.items() if key in block}
-
-
 def _build_all(cfg: RunConfig, seed_override):
     f = build_system(cfg)
     po = build_pseudo_orbit(cfg, f, seed_override=seed_override)
@@ -87,7 +75,7 @@ def _certify(cfg: RunConfig, po, splittings, f):
 def _solver_config(cfg: RunConfig, po, f):
     lam = float(cfg.certification["lambda"])
     try:
-        return make_solver_config(po, f, lam, **_given(cfg.solver, _SOLVER_ARGS))
+        return make_solver_config(po, f, lam, **keyword_args(cfg.solver))
     except ValueError as exc:  # the solver block's values out of range for this lambda
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -107,11 +95,11 @@ def cmd_certify(cfg: RunConfig, args):
 def cmd_refine(cfg: RunConfig, args):
     f, po, splittings = _build_all(cfg, args.seed)
     lam = float(cfg.certification["lambda"])
-    lam_tilde = float(cfg.refinement.get("lambda_tilde", (1.0 + lam) / 2.0))
+    given = keyword_args(cfg.refinement)
     bounds = system_bounds(f)
     try:
-        rcfg = make_refinement_config(lam, lam_tilde, bounds.R,
-                                      **_given(cfg.refinement, _REFINEMENT_ARGS))
+        rcfg = make_refinement_config(lam, given.pop("lam_tilde", (1.0 + lam) / 2.0), bounds.R,
+                                      **given)
     except ValueError as exc:  # the refinement block's values out of range for this lambda
         raise ConfigError(f"refinement: {exc}") from exc
     try:
@@ -257,6 +245,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache  # built on the first main call, then shared by every later one
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bishadow",

@@ -1,8 +1,10 @@
 """Run-configuration schema: parsing, validation, and object construction.
 
 Configs are JSON with nested blocks (system, pseudo_orbit, certification,
-refinement, solver, perturbation, sweep, output).  Validation is strict:
-unknown keys are rejected so typos fail fast, before any computation.
+refinement, solver, perturbation, splitting, sweep, output).  Validation is
+strict: unknown keys are rejected so typos fail fast, before any
+computation.  _SCHEMA lists each block's keys and the check on each value;
+parse_config walks it and adds the rules that tie keys together.
 """
 
 from __future__ import annotations
@@ -24,47 +26,86 @@ class ConfigError(ValueError):
     """The configuration file is malformed or inconsistent."""
 
 
-_TOP_KEYS = {
-    "system", "pseudo_orbit", "certification", "refinement",
-    "solver", "perturbation", "splitting", "sweep", "output",
-}
-_REQUIRED = {"system", "pseudo_orbit", "certification"}
-
-
-def _check_keys(block: dict, allowed: set, required: set, where: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(f'{where}.{k}' for k in unknown)}")
-    missing = required - set(block)
-    if missing:
-        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
-
-
 def _is_number(v) -> bool:
     """A finite JSON number that fits a float: not a bool, NaN or Infinity."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _check_number(block, key, where, ok, wanted):
-    """A present block[key] must be a number (not a bool) with ok(value)."""
-    if key in block and not (_is_number(block[key]) and ok(block[key])):
-        raise ConfigError(f"{where}.{key} must be {wanted}")
+# A check is a number rule (ok, wanted), a one-rule list [(ok, wanted)] for a
+# nonempty list of such numbers, a tuple of the names a value may take, or
+# None where the build_* functions check the value.
+_NUMBER = (lambda v: True, "a number")
+_RATE = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_NONNEGATIVE = (lambda v: v >= 0.0, "a nonnegative number")
+_POSITIVE = (lambda v: v > 0.0, "a positive number")
+_COUNT = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+_INDEX = (lambda v: isinstance(v, int) and v >= 0, "a nonnegative integer")
+_LENGTHS = [(_COUNT[0], "positive integers")]
+
+#: block -> (required keys, {allowed key: check}); keys are checked in this order
+_SCHEMA = {
+    "config": ({"system", "pseudo_orbit", "certification"}, dict.fromkeys((
+        "system", "pseudo_orbit", "certification", "refinement", "solver",
+        "perturbation", "splitting", "sweep", "output"))),
+    "system": ({"type"}, {"type": ("cat_map", "perturbed_cat_map", "torus_linear", "affine"),
+                          "amplitude": _NUMBER, "matrix": None, "offset": None}),
+    # a top-level lengths is checked by parse_config, and only for seeds
+    "pseudo_orbit": (set(), dict.fromkeys(("seeds", "lengths", "generator"))),
+    "pseudo_orbit.generator": ({"start", "lengths", "jump_amp", "rng_seed"}, {
+        "start": None, "lengths": _LENGTHS, "jump_amp": _NUMBER, "rng_seed": _INDEX,
+        "i_min": (lambda v: isinstance(v, int), "an integer")}),
+    "certification": ({"lambda"}, {"lambda": _RATE, "epsilon": _NONNEGATIVE,
+                                   "delta": _NONNEGATIVE}),
+    "refinement": (set(), {"lambda_tilde": _RATE, "lambda0": _RATE,
+                           "offdiag_tol": _NONNEGATIVE}),
+    "solver": (set(), {"lambda_tilde": _RATE, "epsilon1": _POSITIVE, "eta": _POSITIVE,
+                       "tol_fix": _POSITIVE, "max_iter": _COUNT}),
+    "perturbation": ({"type"}, {"type": ("none", "shift", "perturbed_amplitude"),
+                                "offset": None, "amplitude": _NUMBER}),
+    "splitting": (set(), {"strategy": ("eigen", "power"), "dim_u": _COUNT, "depth": _INDEX}),
+    "sweep": ({"axis", "values"}, {"axis": ("delta", "d", "lambda"),
+                                   "values": [(lambda v: True, "numbers")]}),
+    "output": (set(), {"path": None}),
+}
 
 
-def _check_numbers(block, key, where, ok, wanted):
-    """A present block[key] must be a nonempty list of numbers with ok(value)."""
-    if key not in block:
-        return
-    values = block[key]
-    if (not isinstance(values, list) or not values
-            or not all(_is_number(v) and ok(v) for v in values)):
-        raise ConfigError(f"{where}.{key} must be a nonempty list of {wanted}")
+def _check(value, check, where: str, key: str):
+    if isinstance(check, list):
+        [(ok, wanted)] = check
+        if not (isinstance(value, list) and value and all(_is_number(v) and ok(v) for v in value)):
+            raise ConfigError(f"{where}.{key} must be a nonempty list of {wanted}")
+    elif callable(check[0]):
+        ok, wanted = check
+        if not (_is_number(value) and ok(value)):
+            raise ConfigError(f"{where}.{key} must be {wanted}")
+    elif value not in check:
+        raise ConfigError(f"unknown {where} {key} {value!r}")
 
 
-def _integer_from(low):
-    return lambda v: isinstance(v, int) and v >= low
+def _checked(block, where: str) -> dict:
+    """block, once it passes the checks _SCHEMA[where] lists."""
+    required, checks = _SCHEMA[where]
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(block) - set(checks)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(f'{where}.{k}' for k in unknown)}")
+    missing = required - set(block)
+    if missing:
+        raise ConfigError(f"missing key(s) {sorted(missing)} in {where}")
+    for key, check in checks.items():
+        if key in block and check is not None:
+            _check(block[key], check, where, key)
+    return block
+
+
+def keyword_args(block: dict) -> dict:
+    """A checked solver or refinement block as keyword arguments of
+    make_solver_config or make_refinement_config; a key the block leaves out
+    keeps the library's default."""
+    names = {"lambda_tilde": "lam_tilde", "lambda0": "lam0"}
+    return {names.get(key, key): (int if key == "max_iter" else float)(value)
+            for key, value in block.items()}
 
 
 @dataclass
@@ -82,97 +123,27 @@ class RunConfig:
 
 
 def parse_config(payload: dict) -> RunConfig:
-    _check_keys(payload, _TOP_KEYS, _REQUIRED, "config")
-
-    sys_block = payload["system"]
-    _check_keys(sys_block, {"type", "amplitude", "matrix", "offset"}, {"type"}, "system")
-    if sys_block["type"] not in ("cat_map", "perturbed_cat_map", "torus_linear", "affine"):
-        raise ConfigError(f"unknown system type {sys_block['type']!r}")
-    _check_number(sys_block, "amplitude", "system", lambda v: True, "a number")
-
-    po_block = payload["pseudo_orbit"]
-    _check_keys(
-        po_block, {"seeds", "lengths", "generator"}, set(), "pseudo_orbit"
-    )
+    _checked(payload, "config")
+    system = _checked(payload["system"], "system")
+    po_block = _checked(payload["pseudo_orbit"], "pseudo_orbit")
     if ("generator" in po_block) == ("seeds" in po_block):
         raise ConfigError("pseudo_orbit needs exactly one of 'seeds' or 'generator'")
     if "generator" in po_block:
-        _check_keys(
-            po_block["generator"],
-            {"start", "lengths", "jump_amp", "rng_seed", "i_min"},
-            {"start", "lengths", "jump_amp", "rng_seed"},
-            "pseudo_orbit.generator",
-        )
-        gen_block = po_block["generator"]
-        where = "pseudo_orbit.generator"
-        _check_numbers(gen_block, "lengths", where, _integer_from(1), "positive integers")
-        _check_number(gen_block, "jump_amp", where, lambda v: True, "a number")
-        _check_number(gen_block, "rng_seed", where, _integer_from(0), "a nonnegative integer")
-        _check_number(gen_block, "i_min", where, lambda v: isinstance(v, int), "an integer")
+        _checked(po_block["generator"], "pseudo_orbit.generator")
+    elif "lengths" not in po_block:
+        raise ConfigError("pseudo_orbit with seeds needs lengths")
     else:
-        if "lengths" not in po_block:
-            raise ConfigError("pseudo_orbit with seeds needs lengths")
-        _check_numbers(po_block, "lengths", "pseudo_orbit", _integer_from(1), "positive integers")
-
-    cert_block = payload["certification"]
-    _check_keys(cert_block, {"lambda", "epsilon", "delta"}, {"lambda"}, "certification")
-    _check_number(cert_block, "lambda", "certification", lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    for key in ("epsilon", "delta"):
-        _check_number(cert_block, key, "certification", lambda v: v >= 0.0, "a nonnegative number")
-
-    refine_block = payload.get("refinement", {})
-    _check_keys(refine_block, {"lambda_tilde", "lambda0", "offdiag_tol"}, set(), "refinement")
-    for key in ("lambda_tilde", "lambda0"):
-        _check_number(refine_block, key, "refinement", lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    _check_number(refine_block, "offdiag_tol", "refinement", lambda v: v >= 0.0,
-                  "a nonnegative number")
-
-    solver_block = payload.get("solver", {})
-    _check_keys(
-        solver_block,
-        {"lambda_tilde", "epsilon1", "eta", "tol_fix", "max_iter"}, set(), "solver",
-    )
-    _check_number(solver_block, "lambda_tilde", "solver", lambda v: 0.0 < v < 1.0, "in (0, 1)")
-    for key in ("epsilon1", "eta", "tol_fix"):
-        _check_number(solver_block, key, "solver", lambda v: v > 0.0, "a positive number")
-    _check_number(solver_block, "max_iter", "solver", _integer_from(1), "a positive integer")
-
-    pert_block = payload.get("perturbation", {"type": "none"})
-    _check_keys(pert_block, {"type", "offset", "amplitude"}, {"type"}, "perturbation")
-    if pert_block["type"] not in ("none", "shift", "perturbed_amplitude"):
-        raise ConfigError(f"unknown perturbation type {pert_block['type']!r}")
-    _check_number(pert_block, "amplitude", "perturbation", lambda v: True, "a number")
-
-    split_block = payload.get("splitting", {})
-    _check_keys(split_block, {"strategy", "dim_u", "depth"}, set(), "splitting")
-    _check_number(split_block, "dim_u", "splitting", _integer_from(1), "a positive integer")
-    _check_number(split_block, "depth", "splitting", _integer_from(0), "a nonnegative integer")
-
-    sweep_block = payload.get("sweep", {})
-    if sweep_block:
-        _check_keys(sweep_block, {"axis", "values"}, {"axis", "values"}, "sweep")
-        if sweep_block["axis"] not in ("delta", "d", "lambda"):
-            raise ConfigError(f"unknown sweep axis {sweep_block['axis']!r}")
-        _check_numbers(sweep_block, "values", "sweep", lambda v: True, "numbers")
-        values = sweep_block["values"]
-        if sorted(values) != values:
+        _check(po_block["lengths"], _LENGTHS, "pseudo_orbit", "lengths")
+    blocks = {name: _checked(payload.get(name, default), name) for name, default in (
+        ("certification", {}), ("refinement", {}), ("solver", {}),
+        ("perturbation", {"type": "none"}), ("splitting", {}))}
+    sweep = payload.get("sweep", {})
+    if sweep:  # an empty block, or any other falsy value, asks for no sweep
+        _checked(sweep, "sweep")
+        if sorted(sweep["values"]) != sweep["values"]:
             raise ConfigError("sweep.values must be sorted ascending")
-
-    out_block = payload.get("output", {})
-    _check_keys(out_block, {"path"}, set(), "output")
-
-    return RunConfig(
-        raw=payload,
-        system=sys_block,
-        pseudo_orbit=po_block,
-        certification=cert_block,
-        refinement=refine_block,
-        solver=solver_block,
-        perturbation=pert_block,
-        splitting=split_block,
-        sweep=sweep_block,
-        output=out_block,
-    )
+    return RunConfig(raw=payload, system=system, pseudo_orbit=po_block, sweep=sweep,
+                     output=_checked(payload.get("output", {}), "output"), **blocks)
 
 
 def load_config(path: str) -> RunConfig:
@@ -251,9 +222,7 @@ def build_pseudo_orbit(cfg: RunConfig, f: SmoothMap, seed_override=None) -> Segm
 
 def build_splittings(cfg: RunConfig, po: SegmentedPseudoOrbit, f: SmoothMap):
     block = cfg.splitting
-    strategy = block.get("strategy")
-    if strategy is None:
-        strategy = "power" if isinstance(f, PerturbedCatMap) else "eigen"
+    strategy = block.get("strategy", "power" if isinstance(f, PerturbedCatMap) else "eigen")
     # a block without a depth keeps assign_splittings' default
     depth = {"depth": int(block["depth"])} if "depth" in block else {}
     try:

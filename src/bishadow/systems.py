@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ChartDomainError",
     "Phase",
     "SmoothMap",
     "TorusLinearMap",
@@ -34,10 +33,6 @@ __all__ = [
 
 #: most points a sampling grid may hold
 MAX_GRID = 2 ** 22
-
-
-class ChartDomainError(ValueError):
-    """A point lies outside the injective range of an exponential chart."""
 
 
 @dataclass(frozen=True)
@@ -78,20 +73,6 @@ class Phase:
     def exp(self, x, v):
         """Chart map: the point reached from x by the tangent vector v."""
         return self.canon(np.asarray(x, dtype=float) + np.asarray(v, dtype=float))
-
-    def log(self, x, q):
-        """Inverse chart: tangent vector at x pointing to q.
-
-        On the torus the displacement must stay below the injectivity
-        radius (1/2) for the shortest representative to be unique.
-        """
-        v = self.wrap(np.asarray(q, dtype=float) - np.asarray(x, dtype=float))
-        if self.kind == "torus":
-            if np.any(np.linalg.norm(np.atleast_2d(v), axis=-1) >= self.injectivity_radius):
-                raise ChartDomainError(
-                    "points are separated by at least the injectivity radius (1/2)"
-                )
-        return v
 
     def distance(self, x, q):
         d = np.asarray(q, dtype=float) - np.asarray(x, dtype=float)

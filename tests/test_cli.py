@@ -1,12 +1,12 @@
+import argparse
 import concurrent.futures
+import itertools
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
-from hypothesis import strategies as st
 
 import bishadow.certification
 import bishadow.cli
@@ -90,6 +90,21 @@ class TestExitCodes:
     def test_usage_error_exits_3(self, tmp_path, capsys):
         assert main(["certify"]) == 3
         assert "--config" in capsys.readouterr().err
+
+    def test_parser_built_once(self, tmp_path, monkeypatch, capsys):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        bishadow.cli._parser.cache_clear()  # so that the count does not depend on earlier tests
+        assert run(tmp_path, "certify", name="a")[0] == 0
+        assert run(tmp_path, "certify", name="b")[0] == 0
+        assert main(["certify"]) == 3
+        assert built.count("bishadow") == 1
 
     def test_flags_of_other_subcommands_rejected(self, tmp_path):
         for command, flag in (("shadow", ("--format", "csv")), ("shadow", ("--jobs", "4")),
@@ -636,25 +651,68 @@ MUTATION_CASES = [(command, path)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # NaN inputs
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.sampled_from(MUTATION_CASES), mutation=st.sampled_from(MUTATIONS))
-def test_mutated_config_fails_cleanly(tmp_path, capsys, case, mutation):
-    """A mutated valid config ends with an exit code and a report or a
+def test_mutated_config_fails_cleanly(tmp_path, capsys):
+    """Every mutated valid config ends with an exit code and a report or a
     stderr line, never with an uncaught exception."""
-    command, path = case
-    payload = mutate(mutation_base(command), path, mutation)
-    assume(payload is not None)
     out = tmp_path / "mutated.txt"
-    out.unlink(missing_ok=True)
-    extra = ("--jobs", "1") if command == "sweep" else ()
-    code = main([command, "--config", write_config(tmp_path, payload, "mutated.json"),
-                 "--out", str(out), *extra])
-    err = capsys.readouterr().err
-    assert code in (0, 1, 2, 3)
-    assert out.exists() or err.strip()
-    if code == 3:
-        assert err.startswith("config error: ")
+    for (command, path), mutation in itertools.product(MUTATION_CASES, MUTATIONS):
+        payload = mutate(mutation_base(command), path, mutation)
+        if payload is None:
+            continue
+        out.unlink(missing_ok=True)
+        extra = ("--jobs", "1") if command == "sweep" else ()
+        code = main([command, "--config", write_config(tmp_path, payload, "mutated.json"),
+                     "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        case = (command, path, mutation)
+        assert code in (0, 1, 2, 3), case
+        assert out.exists() or err.strip(), case
+        if code == 3:
+            assert err.startswith("config error: "), case
+
+
+def edited(changes: dict) -> dict:
+    """BASE_CONFIG with each dotted path set to its value, or dropped for None."""
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        node = payload
+        for name in parents:
+            node = node.setdefault(name, {})
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("command, changes, message", [
+    ("certify", {"system": "cat_map"}, "system must be an object"),
+    ("certify", {"solver.grid_res": 256}, "unknown key(s) ['solver.grid_res']"),
+    ("certify", {"certification.lambda": None}, "missing key(s) ['lambda'] in certification"),
+    ("certify", {"system.type": "cat"}, "unknown system type 'cat'"),
+    ("shadow", {"perturbation.type": "scale"}, "unknown perturbation type 'scale'"),
+    ("sweep", {"sweep.axis": "epsilon"}, "unknown sweep axis 'epsilon'"),
+    ("refine", {"splitting.strategy": "user"}, "unknown splitting strategy 'user'"),
+    ("certify", {"certification.lambda": 1.5}, "certification.lambda must be in (0, 1)"),
+    ("certify", {"pseudo_orbit.generator.lengths": [3, 0]},
+     "pseudo_orbit.generator.lengths must be a nonempty list of positive integers"),
+    ("certify", {"pseudo_orbit.seeds": [[0.0, 0.0], [0.0, 0.0]]},
+     "pseudo_orbit needs exactly one of 'seeds' or 'generator'"),
+    ("certify", {"pseudo_orbit": {"seeds": [[0.0, 0.0], [0.0, 0.0]]}},
+     "pseudo_orbit with seeds needs lengths"),
+    ("sweep", {"sweep.values": [1e-4, 1e-5]}, "sweep.values must be sorted ascending"),
+    ("shadow", {"solver.lambda_tilde": 0.9},
+     "solver: lambda_tilde must lie in (lambda, (1 + lambda) / 2)"),
+    ("refine", {"refinement.lambda_tilde": 0.2}, "refinement: need 0 < lam < lam_tilde < 1"),
+    ("certify", {"system": {"type": "torus_linear", "matrix": [[1, 1], [1, 1]]}},
+     "cannot build system: matrix must be unimodular (determinant +-1)"),
+])
+def test_config_error_text(tmp_path, capsys, command, changes, message):
+    code, out = run(tmp_path, command, edited(changes))
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("command, block, key, value", [
