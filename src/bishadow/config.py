@@ -138,7 +138,7 @@ def parse_config(payload: dict) -> RunConfig:
         ("certification", {}), ("refinement", {}), ("solver", {}),
         ("perturbation", {"type": "none"}), ("splitting", {}))}
     sweep = payload.get("sweep", {})
-    if sweep:  # an empty block, or any other falsy value, asks for no sweep
+    if sweep != {}:  # only an absent or empty block asks for no sweep
         _checked(sweep, "sweep")
         if sorted(sweep["values"]) != sweep["values"]:
             raise ConfigError("sweep.values must be sorted ascending")

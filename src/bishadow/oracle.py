@@ -211,7 +211,7 @@ def _int_matrix_power(m, p):
 
 
 def cat_map_periodic_points(period: int, matrix=None):
-    """All fixed points of the p-th iterate of a torus automorphism,
+    """All fixed points of the p-th iterate of a torus endomorphism,
     enumerated in exact rational arithmetic.
 
     Solves (M^p - I) x = 0 (mod 1) by integer diagonalization; the count
@@ -249,7 +249,7 @@ def cat_map_periodic_points(period: int, matrix=None):
 
 
 def exact_cat_orbit(x, steps: int, matrix=None):
-    """Exact rational orbit of a torus automorphism; points stay Fractions."""
+    """Exact rational orbit of a torus endomorphism; points stay Fractions."""
     m = [[2, 1], [1, 1]] if matrix is None else [[int(v) for v in row] for row in matrix]
     n = len(m)
     p = tuple(Fraction(c) for c in x)

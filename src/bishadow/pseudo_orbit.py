@@ -246,7 +246,7 @@ def _orth_image(m, b, out) -> np.ndarray:
     the Q factor of m @ b whose R has a positive diagonal, as in
     _orthonormalize.  Each column is projected off the earlier ones twice,
     which keeps the columns orthonormal at roundoff even when m is badly
-    conditioned; a single column is only normalised."""
+    conditioned; a single column is only normalised.  A zero image turns to nan."""
     np.dot(m, b, out=out)
     for j in range(out.shape[1]):
         col, done = out[:, j], out[:, :j]
@@ -254,6 +254,11 @@ def _orth_image(m, b, out) -> np.ndarray:
             col -= done @ (col @ done)
         col /= math.sqrt(np.dot(col, col))
     return out
+
+
+def _complement(b) -> np.ndarray:
+    """Orthonormal complements of span(b), b ``(..., n, k)``: n - k columns of one QR."""
+    return np.linalg.qr(b, mode="complete")[0][..., b.shape[-1]:]
 
 
 def push_forward(jacs, u0) -> np.ndarray:
@@ -267,15 +272,11 @@ def push_forward(jacs, u0) -> np.ndarray:
 
 
 def pull_back(jacs, s_end) -> np.ndarray:
-    """Orthonormal bases s_T = s_end, s_t = orth(J_t^{-1} s_{t+1}) of the
-    preimages of span(s_end): one batched inverse, then one backward pass,
-    T + 1 bases."""
-    inv = np.linalg.inv(jacs)
-    s = np.empty((len(jacs) + 1,) + np.shape(s_end))
-    s[-1] = s_end
-    for jac_inv, prev, out in zip(inv[::-1], s[::-1], s[-2::-1]):
-        _orth_image(jac_inv, prev, out)
-    return s
+    """Orthonormal bases s_T of span(s_end) and s_t of J_t^{-1} span(s_{t+1}), T + 1 of
+    them, with no inverse: as <J^T f, J^{-1} s> = <f, s>, s_t is the complement of a
+    push_forward of J_{T-1}^T, ..., J_t^T from the complement of s_end."""
+    f = push_forward(np.swapaxes(jacs, -1, -2)[::-1], _complement(s_end))
+    return _complement(f[::-1])
 
 
 def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
@@ -285,14 +286,20 @@ def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
     An open pseudo-orbit starts the passes at its ends.  A closed one
     (closing seed equal to the first) is one period of a cycle: both
     passes start `depth` steps early, wrapping around, and index N is
-    set to index 0.
+    set to index 0.  A step whose Jacobian sends a pass column to zero
+    raises SplittingError naming that step.
     """
     n = po.n_steps
     warm = depth if po.closed else 0
-    # pull_back first: its inverse raises on a singular Jacobian, which could
-    # otherwise send a column of push_forward to zero
-    s = pull_back(jacs[np.arange(n + warm) % n], seed.stable)[: n + 1]
-    u = push_forward(jacs[np.arange(-warm, n) % n], seed.unstable)[warm:]  # indices 0..N
+    with np.errstate(invalid="ignore"):  # a column sent to zero normalises to nan
+        u = push_forward(jacs[np.arange(-warm, n) % n], seed.unstable)
+        s = pull_back(jacs[np.arange(n + warm) % n], seed.stable)
+    # a collapse at pass step t (from the warm-up's start) fills u[t + 1:] and s[:t + 1]
+    lost = np.concatenate([np.flatnonzero(~np.isfinite(u[1:]).all(axis=(1, 2)))[:1] - warm,
+                           np.flatnonzero(~np.isfinite(s).all(axis=(1, 2)))[-1:]]) % n
+    if lost.size:
+        raise SplittingError(f"a power pass column collapsed to zero at index {lost.min()}")
+    u, s = u[warm:], s[: n + 1]  # indices 0..N
     if po.closed:
         u[n], s[n] = u[0], s[0]
     gaps = np.linalg.svd(np.concatenate([u, s], axis=-1), compute_uv=False)[:, -1]

@@ -20,9 +20,9 @@ Finite windows pin the unstable graph to zero at the left edge and the
 stable graph at the right edge.  With the boundary pinned, graph(P_j) is
 the image of the left edge's unstable subspace along the orbit and
 graph(Q_j) the preimage of the right edge's stable subspace: the two
-cocycle passes that also build ``power`` splittings.  Boundary influence
-decays geometrically into the interior, which callers can quantify by
-comparing windows.
+cocycle passes of ``power`` splittings, the second run on the transposed
+Jacobians, so no Jacobian is inverted.  Boundary influence decays
+geometrically into the interior, which callers can quantify by comparing windows.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray,
 
     graph(P_j) = span(u_j + s_j P_j) is the image of span(u_0) under
     J_{j-1}...J_0 (push_forward), graph(Q_j) the preimage of span(s_N)
-    (pull_back).  With [X_j; Y_j] = basis_inv_j times a pass basis, one
-    batched solve per side reads P_j = Y_j X_j^(-1) and Q_j = X_j Y_j^(-1).
+    (pull_back, a pass of the J^T).  With [X_j; Y_j] = basis_inv_j times a
+    pass basis, one batched solve per side reads P_j = Y_j X_j^(-1) and Q_j = X_j Y_j^(-1).
     A singular graph, or one outside the unit ball, raises
     GraphTransformError at its first index in pass order (the lowest for
     P, the highest for Q), where a per-index recursion would stop.

@@ -129,26 +129,24 @@ class SmoothMap:
 
 
 class TorusLinearMap(SmoothMap):
-    """Automorphism of the torus induced by a unimodular integer matrix."""
+    """Endomorphism of the torus induced by an integer matrix with nonzero
+    determinant: a |det|-to-1 covering, an automorphism when |det| = 1.
+    Nothing inverts the map; only derivative_bounds' 1 / s_min needs det != 0."""
 
     def __init__(self, matrix):
         m = np.asarray(matrix)
         if not np.all(m == np.round(m)):
-            raise ValueError("torus automorphisms need an integer matrix")
-        self.int_matrix = [[int(v) for v in row] for row in np.round(m).astype(int)]
-        det = int(round(np.linalg.det(m)))
-        if abs(det) != 1:
-            raise ValueError("matrix must be unimodular (determinant +-1)")
+            raise ValueError("torus endomorphisms need an integer matrix")
+        if round(np.linalg.det(m)) == 0:
+            raise ValueError("matrix must have a nonzero determinant")
         self.matrix = np.asarray(m, dtype=float)
         self.phase = Phase("torus", self.matrix.shape[0])
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.phase.canon(x @ self.matrix.T)
+        return self.phase.canon(np.asarray(x, dtype=float) @ self.matrix.T)
 
     def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.matrix, x.shape[:-1] + self.matrix.shape).copy()
+        return np.broadcast_to(self.matrix, np.shape(x)[:-1] + self.matrix.shape).copy()
 
     def derivative_bounds(self):
         s = np.linalg.svd(self.matrix, compute_uv=False)
@@ -218,16 +216,10 @@ class AffineMap(SmoothMap):
         self.phase = Phase("euclidean", n)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return x @ self.matrix.T + self.offset
+        return np.asarray(x, dtype=float) @ self.matrix.T + self.offset
 
-    def jacobian(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(self.matrix, x.shape[:-1] + self.matrix.shape).copy()
-
-    def derivative_bounds(self):
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return float(max(s[0], 1.0 / s[-1])), 0.0
+    jacobian = TorusLinearMap.jacobian  # the constant Df = M
+    derivative_bounds = TorusLinearMap.derivative_bounds
 
 
 class ShiftedMap(SmoothMap):

@@ -33,7 +33,7 @@ import numpy as np
 
 from bishadow.adapted import InfeasiblePairError
 from bishadow.certification import OrbitBlocks
-from bishadow.pseudo_orbit import SegmentedPseudoOrbit, _orth_image
+from bishadow.pseudo_orbit import SegmentedPseudoOrbit, _complement, _orth_image
 from bishadow.refinement import GraphTransformError
 from bishadow.splitting import Splitting, _orthonormalize, min_norm, op_norm
 
@@ -187,7 +187,8 @@ def power_splittings_per_index(po, f, depth, seed):
     Splitting.from_bases: for every j, iterate the seed's unstable basis
     forward from a fixed start up to j and its stable basis backward from
     a fixed end down to j, each step by the passes' own step _orth_image
-    (with the inverse of one Jacobian at a time on the backward side).  An
+    (on the backward side, of the transposed Jacobian on the complement of
+    the stable basis, whose complement is then the stable basis).  An
     open orbit starts at 0 and ends at n - 1; a closed one starts at -depth
     and ends at n - 1 + depth, wrapping around, and its index n equals
     index 0."""
@@ -203,10 +204,10 @@ def power_splittings_per_index(po, f, depth, seed):
         u = seed.unstable.copy()
         for t in range(-warm, j):
             u = _orth_image(jacs[t % n], u, np.empty_like(u))
-        s = seed.stable.copy()
+        c = _complement(seed.stable)
         for t in range(n - 1 + warm, j - 1, -1):
-            s = _orth_image(np.linalg.inv(jacs[t % n]), s, np.empty_like(s))
-        out.append(Splitting.from_bases(u, s))
+            c = _orth_image(jacs[t % n].T, c, np.empty_like(c))
+        out.append(Splitting.from_bases(u, _complement(c)))
     return out
 
 

@@ -206,13 +206,14 @@ class TestExitCodes:
         assert "result" not in report
 
     def test_non_unimodular_matrix_is_config_error(self, tmp_path, capsys):
+        # a singular integer matrix; any other one is a torus endomorphism
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["system"] = {"type": "torus_linear", "matrix": [[1, 1, 0], [1, 1, 0], [0, 0, 1]]}
         payload["pseudo_orbit"]["generator"]["start"] = [0.13, 0.41, 0.7]
         code, out = run(tmp_path, "shadow", payload)
         assert code == 3
         assert not out.exists()
-        assert "unimodular" in capsys.readouterr().err
+        assert "nonzero determinant" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["certify", "shadow", "refine"])
     def test_singular_affine_matrix_is_config_error(self, tmp_path, capsys, command):
@@ -706,7 +707,8 @@ def edited(changes: dict) -> dict:
      "solver: lambda_tilde must lie in (lambda, (1 + lambda) / 2)"),
     ("refine", {"refinement.lambda_tilde": 0.2}, "refinement: need 0 < lam < lam_tilde < 1"),
     ("certify", {"system": {"type": "torus_linear", "matrix": [[1, 1], [1, 1]]}},
-     "cannot build system: matrix must be unimodular (determinant +-1)"),
+     "cannot build system: matrix must have a nonzero determinant"),
+    ("certify", {"sweep": 0}, "sweep must be an object"),
 ])
 def test_config_error_text(tmp_path, capsys, command, changes, message):
     code, out = run(tmp_path, command, edited(changes))

@@ -182,6 +182,17 @@ class TestPeriodicPoints:
             det = round(float(np.linalg.det(np.linalg.matrix_power(a, p) - np.eye(2))))
             assert len(cat_map_periodic_points(p)) == abs(det)
 
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_endomorphism_points_match_brute_force(self, period):
+        # every solution of (M^p - I) x = 0 (mod 1) has denominator |det(M^p - I)|
+        m = [[3, 1], [1, 1]]
+        k = np.linalg.matrix_power(np.array(m), period) - np.eye(2, dtype=int)
+        d = abs(round(np.linalg.det(k)))
+        grid = [(Fraction(a, d), Fraction(b, d)) for a in range(d) for b in range(d)]
+        brute = [pt for pt in grid if exact_cat_orbit(pt, period, m)[-1] == pt]
+        assert cat_map_periodic_points(period, m) == brute
+        assert len(brute) == d == (1, 7, 31)[period - 1]
+
     def test_period_guard(self):
         with pytest.raises(ValueError):
             cat_map_periodic_points(0)

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bishadow.certification import pseudo_orbit_blocks
 from bishadow.oracle import AffineSequenceSystem
 from bishadow.pseudo_orbit import (
     SplittingAssignment,
     SplittingError,
+    _complement,
     _orth_image,
     assign_splittings,
     flatten,
@@ -305,6 +309,36 @@ class TestAssignSplittings:
         with pytest.raises(ValueError, match="nonnegative depth"):
             assign_splittings(po, f, "power", depth=-1)
 
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("step", [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]],
+                                      [[0.0, 0.0], [1.0, 1.0]]], ids=["both", "forward", "back"])
+    def test_power_names_the_step_that_annihilates_a_pass(self, closed, step):
+        # the step sends the unstable pass's column to zero, the transposes'
+        # pass's column, or both; the index is the step's, also when a closed
+        # orbit's passes wrap around the cycle
+        hyperbolic = np.diag([2.0, 0.5])
+        f = AffineSequenceSystem([hyperbolic, hyperbolic, step, hyperbolic],
+                                 np.zeros((4, 2)), eigen_splitting(hyperbolic), validate=False)
+        po = flatten(np.array([[0.0, 0.0], [0.0, 0.0] if closed else [1.0, 1.0]]), [4], f)
+        assert po.closed == closed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SplittingError, match="collapsed to zero at index 2$"):
+                assign_splittings(po, f, "power")
+
+    def test_power_passes_a_singular_step_that_keeps_the_passes(self):
+        # [[1, 1], [1, 1]] is singular but sends neither pass's column to
+        # zero: no Jacobian is inverted, so the bases are finite, and the
+        # blocks still refuse the singular derivative
+        hyperbolic = np.diag([2.0, 0.5])
+        f = AffineSequenceSystem([hyperbolic, np.ones((2, 2)), hyperbolic], np.zeros((3, 2)),
+                                 eigen_splitting(hyperbolic), validate=False)
+        po = flatten(np.array([[0.0, 0.0], [1.0, 1.0]]), [3], f)
+        spl = assign_splittings(po, f, "power")
+        assert np.isfinite(spl.basis_inv).all()
+        with pytest.raises(ValueError, match="singular derivative at index 1 "):
+            pseudo_orbit_blocks(po, spl, f)
+
     def test_power_open_orbit_ignores_depth(self):
         f = PerturbedCatMap(0.03)
         po = generate(f, [0.41, 0.17], [3] * 20, 1e-4, 5)
@@ -349,11 +383,11 @@ class TestAssignSplittings:
             u = seed.unstable.copy()
             for t in range(max(0, j - depth), j):
                 u = _orth_image(jacs[t], u, np.empty_like(u))
-            s = seed.stable.copy()
+            c = _complement(seed.stable)
             for t in range(min(n, j + depth) - 1, j - 1, -1):
-                s = _orth_image(np.linalg.inv(jacs[t]), s, np.empty_like(s))
+                c = _orth_image(jacs[t].T, c, np.empty_like(c))
             us.append(u)
-            ss.append(s)
+            ss.append(_complement(c))
         windowed = SplittingAssignment.from_bases(np.stack(us), np.stack(ss))
         chained = assign_splittings(po, f, "power", depth=depth)
         for name in ("unstable", "stable", "basis_inv"):
@@ -378,8 +412,8 @@ def check_passes_against_qr(jacs, u0, s_end, compare):
 
 
 class TestCocyclePasses:
-    """push_forward/pull_back (Gram-Schmidt on J u, one batched inverse)
-    against one QR factorisation, and one solve, per step."""
+    """push_forward/pull_back (Gram-Schmidt on J u, and on J^T for the
+    complements) against one QR factorisation, and one solve, per step."""
 
     @settings(max_examples=80, deadline=None)
     @given(dim=st.integers(2, 5), data=st.data())
@@ -416,10 +450,16 @@ class TestCocyclePasses:
     @settings(max_examples=40, deadline=None)
     @given(amplitude=st.floats(0.0, 0.05), lengths=st.lists(st.integers(1, 8), min_size=1,
                                                                max_size=40),
-           seed=st.integers(0, 2**32 - 1))
-    def test_perturbed_orbits(self, amplitude, lengths, seed):
+           seed=st.integers(0, 2**32 - 1), wrap=st.none() | st.integers(0, 60))
+    def test_perturbed_orbits(self, amplitude, lengths, seed, wrap):
+        # wrap is None for an open orbit; otherwise the orbit is closed and
+        # the passes run over its Jacobians wrapped around the cycle, wrap
+        # steps early on each side, as power splittings run them
         f = PerturbedCatMap(amplitude)
         po = generate(f, np.random.default_rng(seed).random(2), lengths, 1e-4, seed)
+        if wrap is not None:
+            po = flatten(np.vstack([po.seeds[:-1], po.seeds[:1]]), lengths, f)
+        n, warm = po.n_steps, wrap or 0
         sp = eigen_splitting(f.jacobian(po.points[0]))
-        jacs = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
+        jacs = f.jacobian_along(po.points[:-1], np.arange(n))[np.arange(-warm, n + warm) % n]
         check_passes_against_qr(jacs, sp.unstable, sp.stable, True)

@@ -83,3 +83,18 @@ def test_kernel_defines_nothing_only_tests_reach():
             if isinstance(stmt, ast.ClassDef):
                 unused += [(mod, f"{stmt.name}.{name}") for name in members(stmt) if name not in used]
     assert unused == []
+
+
+def inverse_readers(path):
+    """Top-level definitions in the file that read linalg.inv, one entry per read."""
+    return [getattr(stmt, "name", "<module>")
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and node.attr == "inv"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+
+
+def test_only_splitting_bases_are_inverted():
+    # no kernel path inverts Df; the one inverse is a splitting's basis_inv
+    readers = [(mod, name) for mod in KERNEL for name in inverse_readers(PACKAGE / f"{mod}.py")]
+    assert readers == [("splitting", "_checked_basis")]

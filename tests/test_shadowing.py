@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bishadow.oracle import AffineSequenceSystem, bounded_orbit_closed_form
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
-from bishadow.certification import pseudo_orbit_blocks
+from bishadow.certification import certify_pseudo_orbit, min_feasible_lambda, pseudo_orbit_blocks
 from bishadow.shadowing import (
     BallInvariantError,
     ShadowProblem,
@@ -26,6 +26,7 @@ from bishadow.systems import (
     ShiftedMap,
     SmoothMap,
     SystemBounds,
+    TorusLinearMap,
     cat_map,
 )
 
@@ -408,6 +409,22 @@ class TestSolveFinite:
         res = solve_finite(po, spl, f, g, cfg)
         gap = res.v[1:] - problem.G(res.v[:-1])
         assert np.linalg.norm(gap, axis=-1).max() <= 10 * cfg.tol_fix
+
+    def test_torus_endomorphism_shadow_is_an_orbit(self):
+        # [[3, 1], [1, 1]] is 2-to-1 on the torus; neither the certificate
+        # nor the solve inverts the map, only its derivative
+        f = TorusLinearMap([[3, 1], [1, 1]])
+        po = generate(f, [0.21, 0.68], [4] * 250, 1e-7, 3)
+        spl = assign_splittings(po, f, "eigen")
+        assert min_feasible_lambda(po, spl, f, 0.0) == pytest.approx(2.0 - np.sqrt(2.0))
+        assert certify_pseudo_orbit(po, spl, f, 0.65, 0.0, 1e-7).passed
+        assert len(assign_splittings(po, f, "power")) == po.n_steps + 1
+        g = ShiftedMap(f, [1e-9, 0.0])
+        res = solve_finite(po, spl, f, g, make_solver_config(po, f, lam=0.65))
+        assert res.converged
+        assert res.max_distance <= 2e-7
+        x = po.phase.exp(po.points, res.v)
+        assert po.phase.distance(g(x[:-1]), x[1:]).max() <= 1e-11
 
     def test_ten_thousand_step_cat_orbit_matches_linear_shadow(self):
         f, g, po, spl, cfg = cat_problem(lengths=(4,) * 2500, shift=(1e-4, 0.0))

@@ -144,6 +144,18 @@ class TestShippedSystems:
                 assert np.array_equal(f.jacobian_along(x, steps), f.jacobian(x))
                 assert np.array_equal(f.along(x[2], steps), f(x[2]))
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 1], [1, 1]], "nonzero determinant"),
+        ([[2, 0], [0, 0.5]], "integer matrix"),
+    ])
+    def test_torus_matrix_integer_with_nonzero_determinant(self, matrix, message):
+        # a non-unimodular integer matrix is an endomorphism of the torus
+        f = TorusLinearMap([[3, 1], [1, 1]])
+        assert np.array_equal(f([0.5, 0.25]), [0.75, 0.75])
+        assert f.derivative_bounds() == pytest.approx((2.0 + np.sqrt(2.0), 0.0))
+        with pytest.raises(ValueError, match=message):
+            TorusLinearMap(matrix)
+
     @pytest.mark.parametrize("matrix", [np.diag([2.0, 0.0]), [1.0, 2.0, 3.0], np.ones((2, 3))])
     def test_affine_matrix_square_and_invertible(self, matrix):
         with pytest.raises(ValueError, match="square|invertible"):
