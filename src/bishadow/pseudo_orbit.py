@@ -256,27 +256,91 @@ def _orth_image(m, b, out) -> np.ndarray:
     return out
 
 
+def _orth_images(m, b, out) -> np.ndarray:
+    """_orth_image on stacks, out[c] = orth(m[c] @ b[c]) for every c, with its
+    bits: the projections are matmuls and each norm is sqrt(col^T col)."""
+    np.matmul(m, b, out=out)
+    for j in range(out.shape[-1]):
+        col, done = out[..., j : j + 1], out[..., :j]
+        for _ in range(2 if j else 0):
+            col -= done @ (np.swapaxes(done, -1, -2) @ col)
+        col /= np.sqrt(np.swapaxes(col, -1, -2) @ col)
+    return out
+
+
 def _complement(b) -> np.ndarray:
     """Orthonormal complements of span(b), b ``(..., n, k)``: n - k columns of one QR."""
     return np.linalg.qr(b, mode="complete")[0][..., b.shape[-1]:]
 
 
-def push_forward(jacs, u0) -> np.ndarray:
-    """Orthonormal bases u_0 = u0, u_{t+1} = orth(J_t u_t) of the images of
-    span(u0) under the T matrices of jacs: one forward pass, T + 1 bases."""
-    u = np.empty((len(jacs) + 1,) + np.shape(u0))
-    u[0] = u0
+_W = 32  # a chain's warm-up, and the number of steps each chain after the first keeps
+
+
+def _chain_starts(steps: int) -> np.ndarray:
+    """Pass indices 0, W, 2W, ... where the chains of a pass of `steps` steps
+    start, as many as reach its end; a pass of at most 4W steps is one chain,
+    where the stacked step would cost more than the loop of single steps."""
+    return np.arange(0, steps - _W if steps > 4 * _W else 1, _W)
+
+
+def _pass(jacs, seeds) -> np.ndarray:
+    """The T + 1 bases of a pass over the T matrices of jacs whose chains start
+    from seeds ``(chains, n, k)`` at indices 0, W, 2W, ... (_chain_starts).
+
+    Chain 0 runs 2W steps from index 0 and keeps them all; chain c >= 1 runs
+    2W steps from index cW and keeps the last W, once a warm-up of W steps has
+    forgotten its seed.  All chains advance together, one stacked step per
+    loop step.  After its warm-up, at index cW + W, chain c must match the
+    chain before it entry by entry to 1e-13, unless that chain's column has
+    already collapsed to nan; if any seam fails, or there is one chain, the
+    pass is one chain of single steps from seeds[0].
+    """
+    steps, (chains, n, k) = len(jacs), seeds.shape
+    if chains > 1:
+        # step s of chain c is jacs[cW + s]; the fancy index keeps the strides
+        # of a transposed view, which BLAS then reads with its transpose flag
+        ms = jacs[np.minimum(np.arange(2 * _W)[:, None] + _W * np.arange(chains), steps - 1)]
+        runs = np.empty((2 * _W, chains, n, k))
+        b = seeds
+        with np.errstate(invalid="ignore"):  # a chain's collapsed column is nan; the seams see it
+            for m, out in zip(ms, runs):
+                b = _orth_images(m, b, out)
+        before, after = runs[-1, :-1], runs[_W - 1, 1:]  # chains c - 1 and c at cW + W
+        matched = (np.abs(before - after) <= 1e-13).all(axis=(1, 2))
+        if (matched | ~np.isfinite(before).all(axis=(1, 2))).all():
+            kept = runs[_W:, 1:].swapaxes(0, 1).reshape(-1, n, k)
+            return np.concatenate([seeds[:1], runs[:, 0], kept])[: steps + 1]
+    u = np.empty((steps + 1, n, k))
+    u[0] = seeds[0]
     for jac, prev, out in zip(jacs, u, u[1:]):
         _orth_image(jac, prev, out)
     return u
 
 
-def pull_back(jacs, s_end) -> np.ndarray:
-    """Orthonormal bases s_T of span(s_end) and s_t of J_t^{-1} span(s_{t+1}), T + 1 of
+def _seeds(seeds, at) -> np.ndarray:
+    """The chain seeds ``(chains, n, k)`` at orbit indices `at`, from one basis
+    ``(n, k)`` for every chain or a stack ``(T + 1, n, k)`` over the orbit."""
+    seeds = np.asarray(seeds, dtype=float)
+    return seeds[at] if seeds.ndim == 3 else np.repeat(seeds[None], len(at), axis=0)
+
+
+def push_forward(jacs, seeds) -> np.ndarray:
+    """Orthonormal bases u_0, the first seed, and u_{t+1} = orth(J_t u_t) of the
+    images of span(u_0) under the T matrices of jacs: one forward pass, T + 1
+    bases.  seeds is one basis ``(n, k)`` or a stack ``(T + 1, n, k)``; a long
+    pass starts its chains from seeds at their starts (see _pass)."""
+    return _pass(jacs, _seeds(seeds, _chain_starts(len(jacs))))
+
+
+def pull_back(jacs, stable) -> np.ndarray:
+    """Orthonormal bases s_T of span(stable[T]) and s_t of J_t^{-1} span(s_{t+1}), T + 1 of
     them, with no inverse: as <J^T f, J^{-1} s> = <f, s>, s_t is the complement of a
-    push_forward of J_{T-1}^T, ..., J_t^T from the complement of s_end."""
-    f = push_forward(np.swapaxes(jacs, -1, -2)[::-1], _complement(s_end))
-    return _complement(f[::-1])
+    pass of J_{T-1}^T, ..., J_t^T from index T down.  stable is one basis
+    ``(n, ds)`` or a stack ``(T + 1, n, ds)``; the pass's chains start from
+    the complements of stable at their starts, T - cW, the only ones taken."""
+    steps = len(jacs)
+    seeds = _complement(_seeds(stable, steps - _chain_starts(steps)))
+    return _complement(_pass(np.swapaxes(jacs, -1, -2)[::-1], seeds)[::-1])
 
 
 def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:

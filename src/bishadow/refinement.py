@@ -116,14 +116,16 @@ def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray,
 
     graph(P_j) = span(u_j + s_j P_j) is the image of span(u_0) under
     J_{j-1}...J_0 (push_forward), graph(Q_j) the preimage of span(s_N)
-    (pull_back, a pass of the J^T).  With [X_j; Y_j] = basis_inv_j times a
-    pass basis, one batched solve per side reads P_j = Y_j X_j^(-1) and Q_j = X_j Y_j^(-1).
+    (pull_back, a pass of the J^T).  A long pass seeds the chains after its
+    first from the splittings at their starts, which their warm-up forgets.
+    With [X_j; Y_j] = basis_inv_j times a pass basis, one batched solve per
+    side reads P_j = Y_j X_j^(-1) and Q_j = X_j Y_j^(-1).
     A singular graph, or one outside the unit ball, raises
     GraphTransformError at its first index in pass order (the lowest for
     P, the highest for Q), where a per-index recursion would stop.
     """
     du = splittings.dim_u
-    cu = splittings.basis_inv @ push_forward(jacs, splittings.unstable[0])
+    cu = splittings.basis_inv @ push_forward(jacs, splittings.unstable)
     P, norms = _graphs(cu[:, du:], cu[:, :du])
     bad = np.flatnonzero(norms > 1.0 + 1e-9)
     if bad.size and np.isinf(norms[j := bad[0]]):
@@ -133,7 +135,7 @@ def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray,
     if bad.size:
         raise GraphTransformError(f"graph left the unit ball at index {j} (norm {norms[j]:.6f}); "
                                   "off-diagonal bounds too weak")
-    cs = splittings.basis_inv @ pull_back(jacs, splittings.stable[-1])
+    cs = splittings.basis_inv @ pull_back(jacs, splittings.stable)
     Q, norms = _graphs(cs[:, :du], cs[:, du:])
     bad = np.flatnonzero(norms > 1.0 + 1e-9)
     if bad.size and np.isinf(norms[j := bad[-1]]):

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bishadow import pseudo_orbit
 from bishadow.certification import pseudo_orbit_blocks
 from bishadow.oracle import AffineSequenceSystem
 from bishadow.pseudo_orbit import (
     SplittingAssignment,
     SplittingError,
+    _W,
+    _chain_starts,
     _complement,
     _orth_image,
+    _orth_images,
     assign_splittings,
     flatten,
     generate,
@@ -394,6 +398,32 @@ class TestAssignSplittings:
             assert np.array_equal(getattr(chained, name), getattr(windowed, name))
 
 
+def dominated_jacobians(rng, dim, du, n, kappa):
+    """The n Jacobians of an AffineSequenceSystem with steps q diag(A_t, D_t) q^T,
+    the singular values of A_t in [c, c^2] and those of D_t in [1/c, 1],
+    c = kappa^(1/3): the unstable block dominates, and every Jacobian has
+    condition number at most kappa."""
+    q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    spread = kappa ** (1.0 / 3.0)
+
+    def block(size, lo, hi):
+        u = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        v = np.linalg.qr(rng.standard_normal((size, size)))[0]
+        sv = np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+        if size > 1:
+            sv[:2] = lo, hi
+        return u @ np.diag(sv) @ v.T
+
+    mats = np.zeros((n, dim, dim))
+    for t in range(n):
+        mats[t, :du, :du] = block(du, spread, spread * spread) if du else 0.0
+        mats[t, du:, du:] = block(dim - du, 1.0 / spread, 1.0) if du < dim else 0.0
+    mats = q @ mats @ q.T
+    f = AffineSequenceSystem(mats, np.zeros((n, dim)), Splitting(q[:, :du], q[:, du:]),
+                             validate=False)
+    return f.jacobian_along(f.zero_pseudo_orbit().points[:-1], np.arange(f.n_steps))
+
+
 def _projectors(b):
     return b @ np.swapaxes(b, -1, -2)
 
@@ -418,32 +448,11 @@ class TestCocyclePasses:
     @settings(max_examples=80, deadline=None)
     @given(dim=st.integers(2, 5), data=st.data())
     def test_affine_sequences(self, dim, data):
-        # steps q diag(A_t, D_t) q^T with the singular values of A_t in
-        # [c, c^2] and those of D_t in [1/c, 1], c = k^(1/3): the unstable
-        # block dominates, and every Jacobian has condition number at most k
         du = data.draw(st.integers(0, dim), label="du")
         n = data.draw(st.integers(1, 60), label="steps")
         kappa = 10.0 ** data.draw(st.floats(0.0, 6.0), label="log10 condition")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
-        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
-        spread = kappa ** (1.0 / 3.0)
-
-        def block(size, lo, hi):
-            u = np.linalg.qr(rng.standard_normal((size, size)))[0]
-            v = np.linalg.qr(rng.standard_normal((size, size)))[0]
-            sv = np.exp(rng.uniform(np.log(lo), np.log(hi), size))
-            if size > 1:
-                sv[:2] = lo, hi
-            return u @ np.diag(sv) @ v.T
-
-        mats = np.zeros((n, dim, dim))
-        for t in range(n):
-            mats[t, :du, :du] = block(du, spread, spread * spread) if du else 0.0
-            mats[t, du:, du:] = block(dim - du, 1.0 / spread, 1.0) if du < dim else 0.0
-        mats = q @ mats @ q.T
-        f = AffineSequenceSystem(mats, np.zeros((n, dim)), Splitting(q[:, :du], q[:, du:]),
-                                 validate=False)
-        jacs = f.jacobian_along(f.zero_pseudo_orbit().points[:-1], np.arange(f.n_steps))
+        jacs = dominated_jacobians(rng, dim, du, n, kappa)
         start = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
         check_passes_against_qr(jacs, start[:, :du], start[:, du:], kappa <= 100.0)
 
@@ -463,3 +472,150 @@ class TestCocyclePasses:
         sp = eigen_splitting(f.jacobian(po.points[0]))
         jacs = f.jacobian_along(po.points[:-1], np.arange(n))[np.arange(-warm, n + warm) % n]
         check_passes_against_qr(jacs, sp.unstable, sp.stable, True)
+
+
+def one_chain_forward(jacs, u0):
+    """A forward pass as one chain of _orth_image steps from u0."""
+    u = [np.asarray(u0, dtype=float)]
+    for jac in jacs:
+        u.append(_orth_image(jac, u[-1], np.empty_like(u[-1])))
+    return np.stack(u)
+
+
+def one_chain_back(jacs, s_end):
+    """pull_back as one chain: the complements of a one-chain pass of the
+    transposes from index T down, started from the complement of s_end."""
+    return _complement(one_chain_forward(np.swapaxes(jacs, -1, -2)[::-1], _complement(s_end))[::-1])
+
+
+def segment_lengths(steps, segment):
+    return [segment] * (steps // segment) + ([steps % segment] if steps % segment else [])
+
+
+class TestChunkedPass:
+    """A pass of more than 4W steps runs as chains that advance together;
+    it must give the one-chain pass's bases, or fall back to that pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 5), data=st.data(), transposed=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_step_has_the_single_steps_bits(self, n, data, transposed, seed):
+        # the chains' step against _orth_image on each matrix, also on the
+        # transposed views the stable pass reads
+        k = data.draw(st.integers(0, n), label="k")
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((50, n, n))
+        if transposed:
+            m = np.swapaxes(m, -1, -2)
+        b = np.linalg.qr(rng.standard_normal((50, n, n)))[0][..., :k]
+        ours = _orth_images(m, b, np.empty((50, n, k)))
+        assert np.array_equal(ours, [_orth_image(mc, bc, np.empty((n, k))) for mc, bc in zip(m, b)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(amplitude=st.floats(0.0, 0.05), steps=st.integers(130, 700),
+           segment=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           wrap=st.none() | st.integers(0, 60))
+    def test_perturbed_orbits_match_one_chain_bitwise(self, amplitude, steps, segment, seed,
+                                                      wrap):
+        # wrap is None for an open orbit; otherwise the orbit is closed and
+        # the passes run over its Jacobians wrapped around the cycle, wrap
+        # steps early, as power splittings run them
+        f = PerturbedCatMap(amplitude)
+        lengths = segment_lengths(steps, segment)
+        po = generate(f, np.random.default_rng(seed).random(2), lengths, 1e-4, seed)
+        if wrap is not None:
+            po = flatten(np.vstack([po.seeds[:-1], po.seeds[:1]]), lengths, f)
+        warm = wrap or 0
+        sp = eigen_splitting(f.jacobian(po.points[0]))
+        jacs = f.jacobian_along(po.points[:-1], np.arange(steps))
+        forward, back = jacs[np.arange(-warm, steps) % steps], jacs[np.arange(steps + warm) % steps]
+        assert np.array_equal(push_forward(forward, sp.unstable),
+                              one_chain_forward(forward, sp.unstable))
+        assert np.array_equal(pull_back(back, sp.stable), one_chain_back(back, sp.stable))
+
+    @settings(max_examples=40, deadline=None)
+    @given(du=st.integers(1, 2), steps=st.integers(130, 400), stacked=st.booleans(),
+           log_kappa=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_affine_sequences_match_one_chain(self, du, steps, stacked, log_kappa, seed):
+        # weakly dominated steps fail a seam and fall back to one chain, whose
+        # bases are the reference's to the bit; the others agree to 1e-13.
+        # stacked seeds start each chain from its own random basis, as
+        # refinement starts them from its input splitting
+        rng = np.random.default_rng(seed)
+        jacs = dominated_jacobians(rng, 3, du, steps, 10.0 ** log_kappa)
+        bases = np.linalg.qr(rng.standard_normal((steps + 1, 3, 3)))[0]
+        seeds, first, last = (bases, bases[0], bases[-1]) if stacked else (bases[0],) * 3
+        pairs = ((push_forward(jacs, seeds[..., :du]), one_chain_forward(jacs, first[:, :du])),
+                 (pull_back(jacs, seeds[..., du:]), one_chain_back(jacs, last[:, du:])))
+        for ours, ref in pairs:
+            assert ours.shape == ref.shape
+            assert np.abs(ours - ref).max() <= 1e-13
+
+    def test_no_dominated_splitting_falls_back_to_one_chain(self):
+        # a constant rotation by an irrational angle never forgets its start,
+        # so every seam fails and both passes run as one chain
+        angle = np.sqrt(2.0)
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        jacs = np.broadcast_to(rotation, (300, 2, 2))
+        u0, s_end = np.array([[1.0], [0.0]]), np.array([[0.6], [0.8]])
+        assert np.array_equal(push_forward(jacs, u0), one_chain_forward(jacs, u0))
+        assert np.array_equal(pull_back(jacs, s_end), one_chain_back(jacs, s_end))
+
+    @pytest.mark.parametrize("chain", [1, 4])
+    def test_a_seed_killed_in_its_warm_up_falls_back(self, chain):
+        # chains start from (1, 1), which one hyperbolic step carries to
+        # (2, 0.5); the next step sends that to zero but keeps e_1, where the
+        # chain before has converged, so only the fresh chain collapses and
+        # the one-chain pass stays finite
+        hyperbolic = np.diag([2.0, 0.5])
+        kill = np.array([[0.5, -2.0], [0.5, -2.0]])
+        jacs = np.broadcast_to(hyperbolic, (300, 2, 2)).copy()
+        jacs[chain * _W + 1] = kill
+        seeds = np.broadcast_to(np.array([[1.0], [1.0]]) / np.sqrt(2.0), (301, 2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = push_forward(jacs, seeds)
+        assert np.isfinite(ours).all()
+        assert np.array_equal(ours, one_chain_forward(jacs, seeds[0]))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("step", [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]],
+                                      [[0.0, 0.0], [1.0, 1.0]]], ids=["both", "forward", "back"])
+    @pytest.mark.parametrize("index", [10, 3 * _W + 5, 4 * _W - 1, 300, 499])
+    def test_collapse_names_the_one_chain_index(self, closed, step, index):
+        # the step lies in chain 0's first half, in a later chain's warm-up
+        # (and the kept run of the chain before it), at a seam, and at the
+        # end; each pass runs forward or backward through it
+        hyperbolic = np.diag([2.0, 0.5])
+        mats = np.broadcast_to(hyperbolic, (500, 2, 2)).copy()
+        mats[index] = step
+        f = AffineSequenceSystem(mats, np.zeros((500, 2)), eigen_splitting(hyperbolic),
+                                 validate=False)
+        po = flatten(np.array([[0.0, 0.0], [0.0, 0.0] if closed else [1.0, 1.0]]), [500], f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SplittingError, match=f"collapsed to zero at index {index}$"):
+                assign_splittings(po, f, "power")
+
+    def test_step_counts(self, monkeypatch):
+        # a long power assignment makes 2W stacked steps per pass and no
+        # single step; a short one only single steps
+        counts = {}
+        for name in ("_orth_image", "_orth_images"):
+            def counted(*args, _name=name, _call=getattr(pseudo_orbit, name)):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _call(*args)
+            monkeypatch.setattr(pseudo_orbit, name, counted)
+
+        def calls(steps):
+            f = PerturbedCatMap(0.02)
+            po = generate(f, [0.3, 0.7], segment_lengths(steps, 4), 1e-5, 7)
+            counts.clear()
+            assign_splittings(po, f, "power")
+            return counts.get("_orth_image", 0), counts.get("_orth_images", 0)
+
+        single, stacked = calls(10**4)
+        assert single == 0 and 0 < stacked <= 2 * 2 * _W
+        single, stacked = calls(18)
+        assert single == 2 * 18 and stacked == 0
+        assert len(_chain_starts(4 * _W)) == 1 < len(_chain_starts(4 * _W + 1))
