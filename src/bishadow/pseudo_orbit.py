@@ -291,9 +291,11 @@ def _pass(jacs, seeds) -> np.ndarray:
     2W steps from index cW and keeps the last W, once a warm-up of W steps has
     forgotten its seed.  All chains advance together, one stacked step per
     loop step.  After its warm-up, at index cW + W, chain c must match the
-    chain before it entry by entry to 1e-13, unless that chain's column has
-    already collapsed to nan; if any seam fails, or there is one chain, the
-    pass is one chain of single steps from seeds[0].
+    chain before it bit for bit, unless that chain's column has already
+    collapsed to nan: its later steps then have the one-chain pass's bits,
+    where a seam off by roundoff could grow in the next step.  If any seam
+    fails, or there is one chain, the pass is one chain of single steps
+    from seeds[0].
     """
     steps, (chains, n, k) = len(jacs), seeds.shape
     if chains > 1:
@@ -306,7 +308,7 @@ def _pass(jacs, seeds) -> np.ndarray:
             for m, out in zip(ms, runs):
                 b = _orth_images(m, b, out)
         before, after = runs[-1, :-1], runs[_W - 1, 1:]  # chains c - 1 and c at cW + W
-        matched = (np.abs(before - after) <= 1e-13).all(axis=(1, 2))
+        matched = (before == after).all(axis=(1, 2))
         if (matched | ~np.isfinite(before).all(axis=(1, 2))).all():
             kept = runs[_W:, 1:].swapaxes(0, 1).reshape(-1, n, k)
             return np.concatenate([seeds[:1], runs[:, 0], kept])[: steps + 1]
