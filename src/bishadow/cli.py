@@ -31,8 +31,8 @@ from .config import (ConfigError, RunConfig, build_perturbed, build_pseudo_orbit
                      build_splittings, build_system, keyword_args, load_config, parse_config)
 from .jsonwriter import SLICE, Table, write
 from .refinement import GraphTransformError, PreconditionError, make_refinement_config, refine
-from .shadowing import (BallInvariantError, UnstableSolveError, make_solver_config,
-                        shadowing_preconditions, solve_finite, solve_periodic)
+from .shadowing import (BallInvariantError, ShadowProblem, UnstableSolveError, _solve,
+                        make_solver_config, shadowing_preconditions, solve_finite, solve_periodic)
 from .systems import system_bounds
 
 EXIT_OK = 0
@@ -120,19 +120,55 @@ def cmd_refine(cfg: RunConfig, args):
     }}, EXIT_OK if result.certificate.passed else EXIT_FAILED
 
 
-def _shadow(cfg: RunConfig, seed_override, periodic: bool):
-    """The one shadow pipeline, run by shadow, periodic and every sweep cell.
+class _Shared:
+    """The builds a sweep's cells share: a stage named in stages is built for
+    the first cell that reaches it, and every later cell gets that value, or
+    a ConfigError with the same message.  Any other stage is built for each
+    cell."""
 
-    Certifies at (lambda, eps0, delta0), checks the size margins, and
-    solves only when all of them hold.  Returns the report fields, the
-    result (None when no solve finished) and the exit code.
+    def __init__(self, stages=()):
+        self.stages = stages
+        self.built = {}
+
+    def __call__(self, stage: str, build):
+        if stage not in self.stages:
+            return build()
+        if stage not in self.built:
+            try:
+                self.built[stage] = build(), None
+            except ConfigError as exc:
+                self.built[stage] = None, str(exc)
+        value, error = self.built[stage]
+        if error is not None:
+            raise ConfigError(error)
+        return value
+
+
+#: per sweep axis, the stages of _prepare that read no swept value
+_SHARED = {"d": ("f", "po", "splittings", "solver_config", "certificate"),
+           "lambda": ("f", "po", "splittings"),
+           "delta": ("f",)}
+
+
+def _prepare(cfg: RunConfig, seed_override, periodic: bool, share: _Shared):
+    """The shadow pipeline up to the solve, run by shadow, periodic and every
+    sweep cell.
+
+    Certifies at (lambda, eps0, delta0) and checks the size margins.
+    Returns the report fields and the arguments of the solve, (po,
+    splittings, f, g, solver config, blocks), or None when a precondition
+    fails.  share hands a sweep's cells the builds they share.
     """
-    f, po, splittings = _build_all(cfg, seed_override)
+    f = share("f", lambda: build_system(cfg))
+    po = share("po", lambda: build_pseudo_orbit(cfg, f, seed_override=seed_override))
+    splittings = share("splittings", lambda: build_splittings(cfg, po, f))
     if periodic and not po.closed:
         raise ConfigError("periodic needs a pseudo-orbit whose closing seed equals its first seed")
     g = build_perturbed(cfg, f)
-    scfg = _solver_config(cfg, po, f)
-    cert, margins, distance = shadowing_preconditions(po, splittings, f, g, scfg)
+    scfg = share("solver_config", lambda: _solver_config(cfg, po, f))
+    cert = share("certificate", lambda: certify_pseudo_orbit(po, splittings, f, scfg.lam,
+                                                             scfg.eps0, scfg.delta0))
+    cert, margins, distance = shadowing_preconditions(po, splittings, f, g, scfg, certificate=cert)
     report = {
         "solver_constants": scfg.to_dict(),
         "constants": {"R": {"kind": scfg.kind, "value": scfg.R},
@@ -144,18 +180,29 @@ def _shadow(cfg: RunConfig, seed_override, periodic: bool):
     if not (cert.passed and all(m >= 0 for m in margins.values())):  # a NaN margin fails
         report["error"] = {"kind": "precondition",
                            "message": "certification or size preconditions failed"}
-        return report, None, EXIT_FAILED
-    solve = solve_periodic if periodic else solve_finite
-    try:
-        result = solve(po, splittings, f, g, scfg, blocks=cert.blocks)
-    except (BallInvariantError, UnstableSolveError) as exc:
-        report["error"] = {"kind": "solver", "message": str(exc)}
-        return report, None, EXIT_NO_CONVERGENCE
-    return report, result, EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+        return report, None
+    return report, (po, splittings, f, g, scfg, cert.blocks)
+
+
+def _solved(report: dict, outcome):
+    """The result and exit code of a solve that gave outcome, its result or
+    its solver error; a solver error goes into the report."""
+    if isinstance(outcome, (BallInvariantError, UnstableSolveError)):
+        report["error"] = {"kind": "solver", "message": str(outcome)}
+        return None, EXIT_NO_CONVERGENCE
+    return outcome, EXIT_OK if outcome.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_shadow(cfg: RunConfig, args, periodic: bool):
-    report, result, code = _shadow(cfg, args.seed, periodic)
+    report, solve_args = _prepare(cfg, args.seed, periodic, _Shared())
+    if solve_args is None:
+        return report, EXIT_FAILED
+    solve = solve_periodic if periodic else solve_finite
+    try:
+        outcome = solve(*solve_args)
+    except (BallInvariantError, UnstableSolveError) as exc:
+        outcome = exc
+    result, code = _solved(report, outcome)
     if result is not None:
         report["result"] = result.report()
     return report, code
@@ -181,26 +228,44 @@ def _sweep_payload(raw: dict, axis: str, value: float) -> dict:
     return payload
 
 
-def _run_sweep_cell(payload: dict, seed_override):
-    """A shadow run on one cell's config: its CSV fields, why it failed (None
-    when shadow would exit 0) and its wall time in ms."""
+def _sweep_cells(payloads: list, seed_override, axis: str):
+    """A shadow run on each cell's config, the cells sharing what their axis
+    leaves alone and solved as one stack: per cell, its CSV fields, why it
+    failed (None when shadow would exit 0) and the wall time of the whole
+    stack in ms."""
     start = time.perf_counter()
-    try:
-        report, result, code = _shadow(parse_config(payload), seed_override, periodic=False)
-    except ConfigError as exc:
-        report, result, code = {"error": {"kind": "config", "message": str(exc)}}, None, EXIT_CONFIG
-    certified = code in (EXIT_OK, EXIT_NO_CONVERGENCE)  # the preconditions held
-    if result is None:
-        fields = [certified, False, "nan", 0]
-    else:
-        fields = [certified, result.converged, repr(float(result.max_distance)), result.iterations]
-    if code == EXIT_OK:
-        failure = None
-    elif "error" in report:
-        failure = "{kind}: {message}".format(**report["error"])
-    else:
-        failure = f"did not converge in {result.iterations} iterations"
-    return fields, failure, (time.perf_counter() - start) * 1e3
+    share = _Shared(_SHARED[axis])
+    cells = []  # (report, solve arguments or None, exit code when not solved)
+    for payload in payloads:
+        try:
+            report, solve_args = _prepare(parse_config(payload), seed_override, False, share)
+            code = EXIT_FAILED  # unless it is solved: a precondition failed
+        except ConfigError as exc:
+            report = {"error": {"kind": "config", "message": str(exc)}}
+            solve_args, code = None, EXIT_CONFIG
+        cells.append((report, solve_args, code))
+    outcomes = iter(_solve([ShadowProblem(*solve_args) for _, solve_args, _ in cells if solve_args],
+                               "finite"))
+    rows = []
+    for report, solve_args, code in cells:
+        result = None
+        if solve_args is not None:
+            result, code = _solved(report, next(outcomes))
+        certified = code in (EXIT_OK, EXIT_NO_CONVERGENCE)  # the preconditions held
+        if result is None:
+            fields = [certified, False, "nan", 0]
+        else:
+            fields = [certified, result.converged, repr(float(result.max_distance)),
+                      result.iterations]
+        if code == EXIT_OK:
+            failure = None
+        elif "error" in report:
+            failure = "{kind}: {message}".format(**report["error"])
+        else:
+            failure = f"did not converge in {result.iterations} iterations"
+        rows.append((fields, failure))
+    wall_ms = (time.perf_counter() - start) * 1e3
+    return [(fields, failure, wall_ms) for fields, failure in rows]
 
 
 def cmd_sweep(cfg: RunConfig, args):
@@ -210,13 +275,17 @@ def cmd_sweep(cfg: RunConfig, args):
     values = [float(v) for v in cfg.sweep["values"]]
     payloads = [_sweep_payload(cfg.raw, axis, v) for v in values]
     jobs = min(args.jobs or os.cpu_count() or 1, len(payloads))
+    # jobs contiguous runs of cells, each solved as one stack
+    ends = [len(payloads) * i // jobs for i in range(jobs + 1)]
+    runs = [payloads[a:b] for a, b in zip(ends, ends[1:])]
     if jobs > 1:
         # imported here: the pool's modules cost a serial run 20-30 ms at start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_run_sweep_cell, payloads, [args.seed] * len(payloads)))
+            done = list(pool.map(_sweep_cells, runs, [args.seed] * jobs, [axis] * jobs))
     else:
-        cells = [_run_sweep_cell(p, args.seed) for p in payloads]
+        done = [_sweep_cells(runs[0], args.seed, axis)]
+    cells = [cell for run in done for cell in run]
     timing = ["wall_ms"] if args.timing else []
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -9,6 +9,8 @@ works in exact integer/rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -227,25 +229,16 @@ def cat_map_periodic_points(period: int, matrix=None):
     _, diag, v = _smith_diagonalize(k)
     if any(d == 0 for d in diag):
         raise ValueError("the iterate has a full circle of fixed points")
-    points = set()
+    # x = V y with y_t = idx_t / |d_t|: numerators over D = lcm(|d_t|), reduced mod D
     counters = [abs(d) for d in diag]
-    idx = [0] * n
-    while True:
-        y = [Fraction(idx[t], counters[t]) for t in range(n)]
-        x = tuple(
-            sum(Fraction(v[i][t]) * y[t] for t in range(n)) % 1 for i in range(n)
-        )
-        points.add(x)
-        t = 0
-        while t < n:
-            idx[t] += 1
-            if idx[t] < counters[t]:
-                break
-            idx[t] = 0
-            t += 1
-        if t == n:
-            break
-    return sorted(points)
+    denom = math.lcm(*counters)
+    scale = [denom // c for c in counters]
+    numerators = {
+        tuple(sum(v[i][t] * idx[t] * scale[t] for t in range(n)) % denom for i in range(n))
+        for idx in itertools.product(*map(range, counters))
+    }
+    # a common denominator orders the points as their numerators
+    return [tuple(Fraction(a, denom) for a in x) for x in sorted(numerators)]
 
 
 def exact_cat_orbit(x, steps: int, matrix=None):

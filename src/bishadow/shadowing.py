@@ -17,7 +17,12 @@ One solver update rebuilds the sequence componentwise:
 Every row j of the update is computed from v_j and v_{j+1} alone, so the
 update is a fixed number of stacked array operations over all indices:
 the splittings are stacked once per problem, and the maps evaluate
-step j on row j through SmoothMap.along.
+step j on row j through SmoothMap.along.  For the same reason several
+problems can share one update: a stack (_Stack) concatenates their rows
+and masks the step from one problem's last row to the next one's first.
+_solve, the one solver loop, iterates a stack; a single solve is a
+stack of one, and sweeps and window ladders solve all their problems as
+one stack, each with the bits it has alone.
 
 A fixed point of this update is an exact orbit of g: v_{j+1} = G_j(v_j)
 with the pinned boundary components, so exp_{y_0}(v_0) shadows the
@@ -38,7 +43,7 @@ from .adapted import scale_factors, well_adapted_sequence
 from .certification import _covering, _solve_stack, certify_pseudo_orbit
 from .jsonwriter import plain
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
-from .systems import SmoothMap, SystemBounds, map_distance, system_bounds
+from .systems import ShiftedMap, SmoothMap, SystemBounds, map_distance, system_bounds
 
 __all__ = [
     "SolverConfig",
@@ -60,6 +65,9 @@ __all__ = [
 DAMPING = 0.5  # step factor once an update grows
 NEWTON_TOL = 1e-13  # residual at which one index's Newton inversion stops
 NEWTON_MAX_ITER = 50
+
+# why an index failed in invert_unstable
+_SINGULAR, _STALLED, _ESCAPED = 1, 2, 3
 
 
 class BallInvariantError(RuntimeError):
@@ -168,7 +176,10 @@ class ShadowProblem:
     splittings and must cover po; they set the adapted weights.  The chart
     maps, their Jacobians and the Newton inversion read the stacked
     splittings and act on all N indices at a time: row j of an ``(N, n)``
-    argument is the tangent vector at index j.
+    argument is the tangent vector at index j.  A problem is a stack of one
+    (see _Stack) whose rows start at 0.  When f.derivative_bounds() gives
+    L = 0, Df does not depend on the point, and the unstable blocks of the
+    DF_j are computed once, here.
     """
 
     def __init__(self, po, splittings, f, g, config, blocks=None):
@@ -187,11 +198,20 @@ class ShadowProblem:
         self.l = scale_factors(self.weights, po.offsets)
         self.phase = po.phase
         self.dim_u = splittings.dim_u
+        self.points = po.points
         self.steps = np.arange(po.n_steps)
+        self.starts = np.array([0, po.n_steps + 1])
+        self._cuts = None  # a stack's steps from one problem's last row to the next one's first
+        self._eta = np.broadcast_to(config.eta, po.n_steps)  # the eta of each step's problem
+        self._f_images, self._f_jacobians, self._g_images = _map_calls([self], self.starts)
+        self._fixed = None
+        bounds = f.derivative_bounds()
+        if bounds is not None and bounds[1] == 0.0:
+            self._fixed = self._unstable_blocks(np.zeros((po.n_steps, self.phase.dim)))
 
     @property
     def n_steps(self) -> int:
-        return self.po.n_steps
+        return len(self.points) - 1
 
     def coords(self, at: slice, x):
         """Oblique components (a, b) of each row of x in the splitting at
@@ -199,24 +219,33 @@ class ShadowProblem:
         c = _matvec(self.splittings.basis_inv[at], x)
         return c[:, : self.dim_u], c[:, self.dim_u :]
 
-    def _chart(self, m, v):
-        pts = self.po.points
-        return self.phase.wrap(m.along(self.phase.canon(pts[:-1] + v), self.steps) - pts[1:])
+    def _chart(self, images):
+        return self.phase.wrap(images - self.points[1:])
 
     def F(self, v):
         """Chart representations F_j(v_j) of f between indices j and j+1, j < N."""
-        return self._chart(self.f, v)
+        return self._chart(self._f_images(self.phase.canon(self.points[:-1] + v), self.steps))
 
     def G(self, v):
         """Chart representations G_j(v_j) of g between indices j and j+1, j < N."""
-        return self._chart(self.g, v)
+        return self.charts(v)[1]
+
+    def charts(self, v):
+        """F(v) and G(v), from one evaluation of f: one along call per distinct
+        map, none for a g that is f or a ShiftedMap of f."""
+        x = self.phase.canon(self.points[:-1] + v)
+        fx = self._f_images(x, self.steps)
+        g_chart = self._chart(self._g_images(x, self.steps, fx))
+        return self._chart(fx), g_chart
 
     def chart_jacobian(self, xi):
         """Derivatives of the chart maps F_j at the tangent offsets xi_j."""
-        return self.f.jacobian_along(self.phase.canon(self.po.points[:-1] + xi), self.steps)
+        return self._f_jacobians(self.phase.canon(self.points[:-1] + xi), self.steps)
 
     def _unstable_blocks(self, xi):
         # the unstable-to-unstable blocks of DF_j at xi_j, (N, du, du)
+        if self._fixed is not None:
+            return self._fixed
         spl = self.splittings
         jac = np.matmul(np.matmul(spl.basis_inv[1:], self.chart_jacobian(xi)), spl.unstable[:-1])
         return jac[:, : self.dim_u, :]
@@ -231,15 +260,17 @@ class ShadowProblem:
         must lie in the eta-ball.  Every index runs its own
         Newton iteration and stops once its residual is below NEWTON_TOL.
         When indices fail (singular block, stalled Newton, eta-ball
-        escape), the error of the lowest one is raised.
+        escape), the error of the lowest one is raised; a stack keeps the
+        error of each failing problem's lowest index instead (_Stack._fail),
+        and its cuts are no Newton index.
         """
-        cfg = self.config
         target = np.asarray(target, dtype=float)
-        failures = []  # (index, error): the lowest index of each failing batch
         # seed with the linear prediction; exact for affine charts
         w, singular = _solve_rows(self._unstable_blocks(sv), target)
-        _record_singular(failures, np.flatnonzero(singular))
         live = ~singular
+        if self._cuts is not None:
+            singular[self._cuts] = live[self._cuts] = False
+        failed = [(np.flatnonzero(singular), _SINGULAR)]  # failing indices, and why
         done = np.zeros_like(live)
         for _ in range(NEWTON_MAX_ITER):
             x = sv + _matvec(self.splittings.unstable[:-1], w)
@@ -251,27 +282,145 @@ class ShadowProblem:
             if rows.size == 0:
                 break
             step, singular = _solve_rows(self._unstable_blocks(x)[rows], r[rows])
-            _record_singular(failures, rows[singular])
-            live[rows[singular]] = False
+            if singular.any():
+                failed.append((rows[singular], _SINGULAR))
+                live[rows[singular]] = False
             w[rows[~singular]] -= step[~singular]
         else:
-            rows = np.flatnonzero(live)
-            if rows.size:
-                failures.append((rows[0], UnstableSolveError(
-                    f"Newton inversion stalled at index {rows[0]} (residual {res[rows[0]]:.3e})"
-                )))
+            failed.append((np.flatnonzero(live), _STALLED))
         size = np.sqrt(_sq_norms(w))
         l_src = self.l[:-1]
-        escaped = np.flatnonzero(done & (size > cfg.eta * l_src * (1.0 + 1e-9)))
-        if escaped.size:
-            j = escaped[0]
-            failures.append((j, BallInvariantError(
-                f"inverted unstable component at index {j} has rescaled size "
-                f"{size[j] / l_src[j]:.3e} > eta = {cfg.eta:.3e}"
-            )))
-        if failures:
-            raise min(failures, key=lambda item: item[0])[1]
+        failed.append((np.flatnonzero(done & (size > self._eta * l_src * (1.0 + 1e-9))), _ESCAPED))
+        errors = {}
+        for row, why in sorted((row, why) for rows, why in failed for row in rows.tolist()):
+            k = int(np.searchsorted(self.starts, row, side="right")) - 1
+            if k in errors:  # only the lowest failing index of each problem
+                continue
+            j = row - self.starts[k]
+            if why == _SINGULAR:
+                errors[k] = UnstableSolveError(f"singular unstable block at index {j}")
+            elif why == _STALLED:
+                errors[k] = UnstableSolveError(
+                    f"Newton inversion stalled at index {j} (residual {res[row]:.3e})")
+            else:
+                errors[k] = BallInvariantError(
+                    f"inverted unstable component at index {j} has rescaled size "
+                    f"{size[row] / l_src[row]:.3e} > eta = {self._eta[row]:.3e}")
+        self._fail(errors)
         return w
+
+    def _fail(self, errors):
+        if errors:
+            raise errors[0]
+
+
+class _Stack(ShadowProblem):
+    """ShadowProblems that share a phase space and dim_u, solved as one: their
+    rows concatenated, so that one apply_operator call updates every one.
+
+    The step from one problem's last row to the next one's first, a cut, is
+    computed like any other and then masked: it adds nothing to the update,
+    is no Newton index and fails nothing.  Every other row is computed by
+    the row operations a problem alone runs, on C-ordered copies of its
+    arrays, so it has the bits it has alone; a stack of one holds the
+    problem's own arrays.  A failing problem does not raise: after each
+    apply_operator call, errors maps the position of every problem that
+    failed in it to its error, and that problem's rows mean nothing.
+    """
+
+    def __init__(self, problems):
+        first = problems[0]
+        if len(problems) == 1:
+            vars(self).update(vars(first))
+        else:
+            if any(p.phase != first.phase or p.dim_u != first.dim_u for p in problems):
+                raise ValueError("stacked problems need one phase space and one dim_u")
+            self.phase, self.dim_u = first.phase, first.dim_u
+            self.starts = np.cumsum([0] + [len(p.points) for p in problems])
+            self.points = _rows([p.points for p in problems])
+            self.splittings = SplittingAssignment(*(
+                _rows([getattr(p.splittings, name) for p in problems])
+                for name in ("unstable", "stable", "basis_inv")))
+            self.l = _rows([p.l for p in problems])
+            # a cut takes step 0, which every step-indexed map has
+            self.steps = np.concatenate([np.append(p.steps, 0) for p in problems])[:-1]
+            self._cuts = self.starts[1:-1] - 1
+            self._eta = _rows([np.append(p._eta, 0.0) for p in problems])[:-1]
+            self._f_images, self._f_jacobians, self._g_images = _map_calls(problems, self.starts)
+            self._fixed = None
+            if all(p._fixed is not None for p in problems):
+                self._fixed = self._unstable_blocks(np.zeros((self.n_steps, self.phase.dim)))
+        self.errors = {}
+
+    def _fail(self, errors):
+        self.errors = errors
+
+
+def _rows(arrays):
+    """The rows of the arrays, concatenated into one new C-ordered array.
+    (np.concatenate of the broadcast stacks of a constant splitting returns
+    an array whose first axis varies fastest, and np.matmul rounds such a
+    stack differently.)"""
+    out = np.empty((sum(len(a) for a in arrays),) + arrays[0].shape[1:])
+    return np.concatenate(arrays, out=out)
+
+
+def _map_calls(problems, starts):
+    """The calls that map the stacked rows, each row by its problem's maps:
+    f_images(x, steps), f_jacobians(x, steps) and g_images(x, steps, fx),
+    with one call per distinct map.  g's images come from f's images fx at
+    the same points where they can: a g that is f takes them as they are,
+    and a ShiftedMap of f adds its shift to them (ShiftedMap.along's bits);
+    any other g maps its rows itself.  Each problem's rows include its cut."""
+    n = int(starts[-1]) - 1
+    fs, gs, shifts = {}, {}, []
+    for p, a, b in zip(problems, starts[:-1], starts[1:]):
+        rows = np.arange(a, min(b, n))
+        fs.setdefault(id(p.f), (p.f, []))[1].append(rows)
+        if p.g is p.f:
+            key, call = "f", _f_images
+        elif isinstance(p.g, ShiftedMap) and p.g.base is p.f:
+            key, call = "shift", None
+            shifts.append(np.broadcast_to(p.g.shift, (len(rows), len(p.g.shift))))
+        else:
+            key, call = id(p.g), partial(_own_images, p.g)
+        gs.setdefault(key, (call, []))[1].append(rows)
+    if shifts:
+        shifts = shifts[0] if len(shifts) == 1 else _rows(shifts)  # a view, or one array
+        gs["shift"] = (partial(_shifted_images, problems[0].phase, shifts), gs["shift"][1])
+    return (_each_map([(f.along, rows) for f, rows in fs.values()]),
+            _each_map([(f.jacobian_along, rows) for f, rows in fs.values()]),
+            _each_map(list(gs.values())))
+
+
+def _each_map(plan):
+    """One call over all stacked rows from the calls of plan and their rows:
+    the call itself when there is one, else each call on its rows, the
+    results put together in row order."""
+    if len(plan) == 1:
+        return plan[0][0]
+    plan = [(call, np.concatenate(rows)) for call, rows in plan]
+
+    def each(*arrays):
+        parts = [(rows, call(*(a[rows] for a in arrays))) for call, rows in plan]
+        out = np.empty((len(arrays[0]),) + parts[0][1].shape[1:])
+        for rows, part in parts:
+            out[rows] = part
+        return out
+
+    return each
+
+
+def _f_images(x, steps, fx):
+    return fx
+
+
+def _own_images(g, x, steps, fx):
+    return g.along(x, steps)
+
+
+def _shifted_images(phase, shifts, x, steps, fx):
+    return phase.canon(fx + shifts)
 
 
 def _matvec(m, x):
@@ -292,46 +441,42 @@ def _solve_rows(a, b):
     return x[..., 0], singular
 
 
-def _record_singular(failures, rows):
-    if rows.size:
-        failures.append((rows[0], UnstableSolveError(f"singular unstable block at index {rows[0]}")))
-
-
 def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finite") -> np.ndarray:
     """One solver update: forward stable rows, backward unstable rows,
     boundary rows per mode ("finite" pins the free components to zero,
     "periodic" wraps them around the seam).  Every row is updated at
-    once from the stacked splittings."""
+    once from the stacked splittings.  problem may be a _Stack: its cuts add
+    nothing, the boundary rows are those of each problem, and the problems
+    that fail leave their errors in problem.errors instead of raising."""
     if boundary not in ("finite", "periodic"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
-    n, du, spl = problem.n_steps, problem.dim_u, problem.splittings
+    du, spl = problem.dim_u, problem.splittings
     src, dst = slice(None, -1), slice(1, None)
     w = np.zeros_like(v)
-    g_imgs = problem.G(v[:-1])
+    f_imgs, g_imgs = problem.charts(v[:-1])
     w[1:] += _matvec(spl.stable[dst], problem.coords(dst, g_imgs)[1])
     sv = _matvec(spl.stable[src], problem.coords(src, v[:-1])[1])
     f_sv = problem.F(sv)
-    target_ambient = -g_imgs + problem.F(v[:-1]) - f_sv + v[1:]
+    target_ambient = -g_imgs + f_imgs - f_sv + v[1:]
+    del f_imgs  # not kept through the Newton solve: a higher heap peak costs page faults
     wu = problem.invert_unstable(sv, problem.coords(dst, target_ambient)[0], f_sv)
-    w[:-1] += _matvec(spl.unstable[src], wu)
+    unstable = _matvec(spl.unstable[src], wu)
+    if problem._cuts is not None:  # a cut adds nothing to either row it joins
+        w[problem._cuts + 1] = unstable[problem._cuts] = 0.0
+    w[:-1] += unstable
     if boundary == "periodic":
-        w[0] += spl.stable[0] @ (spl.basis_inv[n] @ w[n])[du:]
-        w[n] += spl.unstable[n] @ (spl.basis_inv[0] @ w[0])[:du]
+        for a, b in zip(problem.starts[:-1], problem.starts[1:] - 1):
+            w[a] += spl.stable[a] @ (spl.basis_inv[b] @ w[b])[du:]
+            w[b] += spl.unstable[b] @ (spl.basis_inv[a] @ w[a])[:du]
     return w
 
 
-def _check_ball(problem: ShadowProblem, w: np.ndarray) -> float:
-    """Largest rescaled box norm max(|w_u|, |w_s|) / l_j over all indices."""
-    eta = problem.config.eta
+def _ball_norms(problem: ShadowProblem, w: np.ndarray) -> np.ndarray:
+    """Largest rescaled box norm max(|w_u|, |w_s|) / l_j over the indices of
+    each problem of the stack."""
     # squared component lengths as per-index dot products, rounded as box_norm rounds them
     sq = [_sq_norms(part) for part in problem.coords(slice(None), w)]
-    worst = float((np.sqrt(np.maximum(*sq)) / problem.l).max())
-    if worst > eta * (1.0 + 1e-9):
-        raise BallInvariantError(
-            f"iterate left the eta-ball ({worst:.3e} > {eta:.3e}); "
-            "jump sizes or the map distance exceed the admissible bounds"
-        )
-    return worst
+    return np.maximum.reduceat(np.sqrt(np.maximum(*sq)) / problem.l, problem.starts[:-1])
 
 
 @dataclass(eq=False)
@@ -396,29 +541,73 @@ class ShadowingResult:
         return plain(self.report())
 
 
-def _solve(problem: ShadowProblem, boundary: str) -> ShadowingResult:
-    """Iterate the solver update from zero until the rescaled update norm
-    drops below tol_fix; once an update grows, every later step is damped.
-    A converged solve whose residuals or distances come out too large is
-    reported as not converged."""
-    cfg = problem.config
-    v = np.zeros((problem.n_steps + 1, problem.phase.dim))
-    history = []
-    ball_worst = 0.0
-    damping_on = False
-    converged = False
-    for _ in range(cfg.max_iter):
-        w = apply_operator(problem, v, boundary=boundary)
-        ball_worst = max(ball_worst, _check_ball(problem, w))
+def _solve(problems, boundary: str) -> list:
+    """The solver loop, over a stack of problems that share a phase space
+    and dim_u: iterate the solver update from zero until each problem's
+    rescaled update norm drops below its tol_fix; once a problem's update
+    grows, every later step of it is damped.
+
+    Each iteration is one apply_operator call for every problem still in
+    the stack.  A problem leaves the stack once it converges, reaches its
+    max_iter or fails, and the others go on with the bits each would have
+    alone.  Returns, in order, each problem's ShadowingResult or the error
+    it failed with.  A converged solve whose residuals or distances come
+    out too large is reported as not converged.
+    """
+    if not problems:
+        return []
+    out = [None] * len(problems)
+    history = [[] for _ in problems]
+    ball_worst = [0.0] * len(problems)
+    damped = [False] * len(problems)
+    live = list(range(len(problems)))
+    stack = _Stack(problems)
+    v = np.zeros((stack.n_steps + 1, stack.phase.dim))
+    while live:
+        w = apply_operator(stack, v, boundary=boundary)
         step = w - v
-        upd = float((np.linalg.norm(step, axis=-1) / problem.l).max())
-        if history and upd > history[-1]:
-            damping_on = True
-        history.append(upd)
-        v = v + DAMPING * step if damping_on else w
-        if upd < cfg.tol_fix:
-            converged = True
-            break
+        worst = _ball_norms(stack, w).tolist()
+        upd = np.maximum.reduceat(np.linalg.norm(step, axis=-1) / stack.l, stack.starts[:-1])
+        done = []  # positions in the stack of the problems that leave it
+        for i, (k, u) in enumerate(zip(live, upd.tolist())):
+            cfg = problems[k].config
+            if i not in stack.errors and worst[i] > cfg.eta * (1.0 + 1e-9):
+                stack.errors[i] = BallInvariantError(
+                    f"iterate left the eta-ball ({worst[i]:.3e} > {cfg.eta:.3e}); "
+                    "jump sizes or the map distance exceed the admissible bounds")
+            if i in stack.errors:
+                out[k] = stack.errors[i]
+                done.append(i)
+                continue
+            ball_worst[k] = max(ball_worst[k], worst[i])
+            if history[k] and u > history[k][-1]:
+                damped[k] = True
+            history[k].append(u)
+            if u < cfg.tol_fix or len(history[k]) == cfg.max_iter:
+                done.append(i)
+        flags = [damped[k] for k in live]
+        if all(flags):
+            v = v + DAMPING * step
+        elif any(flags):
+            v = np.where(np.repeat(flags, np.diff(stack.starts))[:, None], v + DAMPING * step, w)
+        else:
+            v = w
+        if done:
+            starts = stack.starts.tolist()
+            for i in done:
+                k, rows = live[i], slice(starts[i], starts[i + 1])
+                if out[k] is None:
+                    out[k] = _result(problems[k], v[rows], history[k], ball_worst[k],
+                                     history[k][-1] < problems[k].config.tol_fix, boundary)
+            stay = [i for i in range(len(live)) if i not in done]
+            live = [live[i] for i in stay]
+            v = _rows([v[starts[i]:starts[i + 1]] for i in stay]) if stay else None
+            stack = _Stack([problems[k] for k in live]) if live else None
+    return out
+
+
+def _result(problem, v, history, ball_worst, converged, boundary) -> "ShadowingResult":
+    cfg = problem.config
     residuals = np.sqrt(_sq_norms(v[1:] - problem.G(v[:-1]))) / problem.l[1:]
     distances = np.linalg.norm(v, axis=-1)
     if converged and (residuals.max() > 10.0 * cfg.tol_fix or distances.max() > cfg.epsilon1):
@@ -431,6 +620,14 @@ def _solve(problem: ShadowProblem, boundary: str) -> ShadowingResult:
     )
 
 
+def _solved(problem, boundary) -> "ShadowingResult":
+    """The result of a stack of one, or the error it failed with, raised."""
+    [result] = _solve([problem], boundary)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def solve_finite(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
     """Shadow a finite pseudo-orbit window: iterate the solver update from
     zero until the rescaled update norm drops below tol_fix.
@@ -438,7 +635,7 @@ def solve_finite(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
     Non-convergence is reported on the result (converged=False with the
     full update history), not raised.
     """
-    return _solve(ShadowProblem(po, splittings, f, g, config, blocks=blocks), "finite")
+    return _solved(ShadowProblem(po, splittings, f, g, config, blocks=blocks), "finite")
 
 
 def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
@@ -470,6 +667,19 @@ def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
     return res, "polish Newton did not reach tolerance", closure
 
 
+def _periodic_problem(po, splittings, f, g, config, blocks=None) -> ShadowProblem:
+    """The problem solve_periodic solves: index N takes the splitting of index 0."""
+    if not po.closed:
+        raise ValueError("periodic solve needs the closing seed equal to the first seed")
+    n = po.n_steps
+    if not np.allclose(*splittings.basis[[0, n]], atol=1e-9):
+        raise ValueError("periodic solve needs matching splittings at the seam")
+    seam = np.r_[0:n, 0]
+    splittings = SplittingAssignment(splittings.unstable[seam], splittings.stable[seam],
+                                     splittings.basis_inv[seam])
+    return ShadowProblem(po, splittings, f, g, config, blocks=blocks)
+
+
 def solve_periodic(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
     """Shadow one period of a periodic pseudo-orbit with a periodic orbit of g.
 
@@ -479,15 +689,8 @@ def solve_periodic(po, splittings, f, g, config, blocks=None) -> ShadowingResult
     is periodic with period N.  A Newton polish afterwards drives the
     orbit closure to roundoff.
     """
-    if not po.closed:
-        raise ValueError("periodic solve needs the closing seed equal to the first seed")
     n = po.n_steps
-    if not np.allclose(*splittings.basis[[0, n]], atol=1e-9):
-        raise ValueError("periodic solve needs matching splittings at the seam")
-    seam = np.r_[0:n, 0]
-    splittings = SplittingAssignment(splittings.unstable[seam], splittings.stable[seam],
-                                     splittings.basis_inv[seam])
-    result = _solve(ShadowProblem(po, splittings, f, g, config, blocks=blocks), "periodic")
+    result = _solved(_periodic_problem(po, splittings, f, g, config, blocks), "periodic")
     result.seam_gap = float(np.linalg.norm(result.v[0] - result.v[n]))
     res, msg, closure = _periodic_polish(g, po.phase, result.shadow_point, n)
     result.periodic_closure = closure
@@ -535,18 +738,21 @@ def solve_infinite(window_problem, window_ks, config) -> tuple:
     covering segments -k..k; the anchor tangent vector v_0 (at the
     segment-0 seed) is compared across windows and declared converged
     when consecutive windows agree to 10 * tol_fix.  window_ks must be
-    strictly increasing.  Returns the result of the largest window
-    together with the convergence table.
+    strictly increasing.  The windows are built in order and solved as
+    one stack, so their maps must share a phase space and dim_u; the
+    error of the smallest window that fails is raised.  Returns the
+    result of the largest window together with the convergence table.
     """
     window_ks = list(window_ks)
     if not window_ks or any(a >= b for a, b in zip(window_ks, window_ks[1:])):
         raise ValueError("window sizes must be increasing")
+    windows = [window_problem(k) for k in window_ks]
+    results = _solve([ShadowProblem(po, spl, f, g, config) for po, spl, f, g in windows], "finite")
     rows = []
     prev = None
-    result = None
-    for k in window_ks:
-        po, spl, f, g = window_problem(k)
-        result = solve_finite(po, spl, f, g, config)
+    for k, (po, *_), result in zip(window_ks, windows, results):
+        if isinstance(result, Exception):
+            raise result
         v0 = result.v[po.center]
         diff = float("nan") if prev is None else float(np.linalg.norm(v0 - prev))
         rows.append(WindowRow(k=k, v0=v0, diff=diff, window_converged=result.converged))
@@ -559,15 +765,18 @@ def solve_infinite(window_problem, window_ks, config) -> tuple:
     return result, WindowTable(rows=rows, converged=converged)
 
 
-def shadowing_preconditions(po, splittings, f, g, config):
+def shadowing_preconditions(po, splittings, f, g, config, certificate=None):
     """Certificate plus size margins required by the shadowing solve.
 
     Returns (certificate, margins, distance): the orbit certified at
     (lam, eps0, delta0), the off-diagonal / residual / map-distance
     slacks, all nonnegative when the preconditions hold, and the map
-    distance map_distance(f, g) the last slack is taken from.
+    distance map_distance(f, g) the last slack is taken from.  A caller
+    that already holds that certificate passes it as certificate.
     """
-    cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps0, config.delta0)
+    cert = certificate
+    if cert is None:
+        cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps0, config.delta0)
     distance = map_distance(f, g)
     margins = {
         "epsilon": config.eps0 - cert.max_offdiagonal,

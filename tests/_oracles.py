@@ -36,6 +36,7 @@ from bishadow.certification import OrbitBlocks
 from bishadow.pseudo_orbit import SegmentedPseudoOrbit, _complement, _orth_image
 from bishadow.refinement import GraphTransformError
 from bishadow.splitting import Splitting, _orthonormalize, min_norm, op_norm
+from bishadow.systems import Phase, SmoothMap
 
 # roots of t^2 - 3t + 1: the cat-map eigenvalues
 CAT_EXPANDING = (3.0 + math.sqrt(5.0)) / 2.0
@@ -678,3 +679,31 @@ def flatten_per_step(seeds, lengths, f, i_min: int = 0) -> SegmentedPseudoOrbit:
         points[j] = seeds[t + 1]
     return SegmentedPseudoOrbit(phase=phase, lengths=lengths, points=points,
                                 residuals=residuals, i_min=i_min)
+
+
+class MisreportedSteps(SmoothMap):
+    """Linear steps x -> (m_j x_1, x_2 / 2) on R^2 whose reported derivative
+    can mislead the Newton inversion, one kind per step: "ok" reports the
+    true derivative (m_j = 2), "singular" a zero unstable entry, "stall"
+    half the true expansion m_j = 4 (Newton oscillates), "late_singular"
+    half of m_j = 4 on the stable axis and zero off it (the first Newton
+    update meets a singular block).  Its Df depends on the point, so it
+    has no derivative_bounds, whose L = 0 would say it does not."""
+
+    def __init__(self, kinds):
+        self.kinds = np.array(kinds)
+        self.rates = np.where(np.isin(self.kinds, ["ok", "singular"]), 2.0, 4.0)
+        self.phase = Phase("euclidean", 2)
+
+    def along(self, x, steps):
+        x = np.asarray(x, dtype=float)
+        return np.stack([self.rates[steps] * x[..., 0], 0.5 * x[..., 1]], axis=-1)
+
+    def jacobian_along(self, x, steps):
+        x = np.asarray(x, dtype=float)
+        kinds = self.kinds[steps]
+        zero = (kinds == "singular") | ((kinds == "late_singular") & (x[..., 0] != 0.0))
+        jac = np.zeros(x.shape[:-1] + (2, 2))
+        jac[..., 0, 0] = np.where(zero, 0.0, 2.0)
+        jac[..., 1, 1] = 0.5
+        return jac

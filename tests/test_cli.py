@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import dataclasses
 import itertools
 import json
 import math
@@ -10,10 +11,11 @@ import pytest
 
 import bishadow.certification
 import bishadow.cli
+import bishadow.config
 from bishadow.cli import main
 from bishadow.jsonwriter import SLICE, plain
 from bishadow.refinement import GraphTransformError
-from bishadow.shadowing import BallInvariantError, UnstableSolveError
+from bishadow.shadowing import BallInvariantError, ShadowProblem, UnstableSolveError
 from bishadow.systems import Phase
 
 from _oracles import margins_csv_rows
@@ -459,13 +461,13 @@ class TestSweep:
     def test_cell_outside_preconditions_is_not_solved(self, tmp_path, capsys, monkeypatch):
         # jumps of 2e-4 exceed delta0 on this map, so the cell is not solved
         solved = []
-        real = bishadow.cli.solve_finite
+        real = bishadow.cli._solve
 
-        def recording(po, *args, **kwargs):
-            solved.append(float(po.residuals.max()))
-            return real(po, *args, **kwargs)
+        def recording(problems, boundary):
+            solved.extend(float(p.po.residuals.max()) for p in problems)
+            return real(problems, boundary)
 
-        monkeypatch.setattr(bishadow.cli, "solve_finite", recording)
+        monkeypatch.setattr(bishadow.cli, "_solve", recording)
         payload = guarded_payload("perturbed_cat_map", "sweep")
         payload["sweep"]["values"] = [1e-5, 2e-4]
         code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
@@ -479,10 +481,10 @@ class TestSweep:
         assert "delta=1e-05" not in err
 
     def test_solver_error_fails_the_cell(self, tmp_path, capsys, monkeypatch):
-        def failing(*args, **kwargs):
-            raise BallInvariantError("iterate left the eta-ball at index 2")
+        def failing(problems, boundary):
+            return [BallInvariantError("iterate left the eta-ball at index 2") for _ in problems]
 
-        monkeypatch.setattr(bishadow.cli, "solve_finite", failing)
+        monkeypatch.setattr(bishadow.cli, "_solve", failing)
         payload = json.loads(json.dumps(BASE_CONFIG))
         payload["sweep"]["values"] = [1e-4]
         code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
@@ -514,6 +516,89 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "delta=0.6 failed: config: cannot build pseudo-orbit" in err
         assert "delta=0.0001" not in err
+
+    def test_d_sweep_builds_the_shared_inputs_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module, name in ((bishadow.config, "assign_splittings"),
+                             (bishadow.certification, "pseudo_orbit_blocks")):
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"] = {"axis": "d", "values": [1e-6, 3e-6, 1e-5, 3e-5, 1e-4]}
+        code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 6
+        assert sorted(calls) == ["assign_splittings", "pseudo_orbit_blocks"]
+
+    @pytest.mark.parametrize("axis, values, config_error, solver_error", [
+        # d0 is about 7e-4; the shift perturbation cannot be built at 2e-5
+        ("d", [1e-6, 2e-5, 1e-4, 3e-4, 5e-3], 2e-5, 3e-4),
+        # 0.3 does not certify; lambda_tilde = 0.5 lies outside (0.7, 0.85)
+        ("lambda", [0.3, 0.4, 0.42, 0.45, 0.7], None, 0.42),
+        # jumps of 0.2 exceed delta0, and jumps of 0.6 the injectivity radius
+        ("delta", [1e-5, 5e-5, 1e-4, 0.2, 0.6], None, 5e-5),
+    ])
+    def test_every_axis_gives_the_shadow_runs(self, tmp_path, capsys, monkeypatch, axis, values,
+                                              config_error, solver_error):
+        """Each cell's row and stderr line are those of shadow on its config,
+        with a precondition failure, a config error and a solver error mixed
+        in; the cells share their builds and are solved as one stack."""
+        real_shift = bishadow.config.ShiftedMap
+
+        def shift(f, offset):
+            if offset[0] == config_error:
+                raise ValueError("no shift here")
+            return real_shift(f, offset)
+
+        real_init = ShadowProblem.__init__
+
+        def init(self, po, splittings, f, g, config, blocks=None):
+            # the solver-error cell gets an eta-ball too small for its first update
+            value = {"d": getattr(g, "shift", [None])[0], "lambda": config.lam,
+                     "delta": float(po.residuals.max())}[axis]
+            if value == pytest.approx(solver_error, rel=1e-9):
+                config = dataclasses.replace(config, eta=1e-12)
+            real_init(self, po, splittings, f, g, config, blocks)
+
+        monkeypatch.setattr(bishadow.config, "ShiftedMap", shift)
+        monkeypatch.setattr(ShadowProblem, "__init__", init)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["sweep"] = {"axis": axis, "values": values}
+        code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
+        rows, err = out.read_text().splitlines()[1:], capsys.readouterr().err
+        assert code == 1
+        expected_err = []
+        unsolved = {"converged": False, "max_distance": math.nan, "iterations": 0}
+        for value, row in zip(values, rows):
+            cell = json.loads(json.dumps(BASE_CONFIG))
+            if axis == "d":
+                cell["perturbation"]["offset"] = [value, 0.0]
+            elif axis == "lambda":
+                cell["certification"]["lambda"] = value
+            else:
+                cell["pseudo_orbit"]["generator"]["jump_amp"] = value
+            shadow_code, shadow_out = run(tmp_path, "shadow", cell, name=f"cell{value}")
+            shadow_err = capsys.readouterr().err
+            report = json.loads(shadow_out.read_text()) if shadow_out.exists() else {}
+            r = report.get("result", unsolved)
+            certified = shadow_code in (0, 2)
+            assert row == (f"{value!r},{certified},{r['converged']},{r['max_distance']!r},"
+                           f"{r['iterations']}")
+            if shadow_code == 3:
+                failure = "config: " + shadow_err.removeprefix("config error: ").rstrip("\n")
+            elif "error" in report:
+                failure = "{kind}: {message}".format(**report["error"])
+            elif shadow_code:
+                failure = f"did not converge in {r['iterations']} iterations"
+            else:
+                continue
+            expected_err.append(f"sweep cell {axis}={value!r} failed: {failure}\n")
+        assert err == "".join(expected_err)
+        kinds = [line.split("failed: ")[1].split(":")[0] for line in expected_err]
+        assert sorted(kinds) == ["config", "precondition", "solver"]
 
     def test_epsilon_axis_rejected(self, tmp_path, capsys):
         # shadow never reads certification.epsilon, so the axis changed nothing

@@ -10,7 +10,7 @@ from bishadow.shadowing import (
     BallInvariantError,
     ShadowProblem,
     UnstableSolveError,
-    _check_ball,
+    _ball_norms,
     apply_operator,
     make_solver_config,
     shadowing_preconditions,
@@ -21,16 +21,15 @@ from bishadow.shadowing import (
 from bishadow.splitting import Splitting
 from bishadow.systems import (
     AffineMap,
-    Phase,
     PerturbedCatMap,
     ShiftedMap,
-    SmoothMap,
     SystemBounds,
     TorusLinearMap,
     cat_map,
 )
 
 from _oracles import (
+    MisreportedSteps,
     apply_operator_per_index,
     assemble,
     box_norm,
@@ -237,7 +236,7 @@ class TestOperator:
 
         w = rng.standard_normal((n + 1, dim))
         w *= 0.5 * cfg.eta * 10.0 ** -rng.uniform(0.0, 6.0) / reference(w)
-        assert _check_ball(problem, w) == reference(w)
+        assert _ball_norms(problem, w).tolist() == [reference(w)]
 
     def test_affine_single_application_matches_green_sums(self):
         # one application from zero reproduces the depth-one truncated sums
@@ -254,36 +253,6 @@ class TestOperator:
             r = offsets[j]
             assert np.isclose(w[j + 1][1], r[1] + 0.0, atol=1e-15)   # stable row
             assert np.isclose(w[j][0], -r[0] / 2.0, atol=1e-15)      # unstable row
-
-
-class MisreportedSteps(SmoothMap):
-    """Linear steps x -> (m_j x_1, x_2 / 2) on R^2 whose reported derivative
-    can mislead the Newton inversion, one kind per step: "ok" reports the
-    true derivative (m_j = 2), "singular" a zero unstable entry, "stall"
-    half the true expansion m_j = 4 (Newton oscillates), "late_singular"
-    half of m_j = 4 on the stable axis and zero off it (the first Newton
-    update meets a singular block)."""
-
-    def __init__(self, kinds):
-        self.kinds = np.array(kinds)
-        self.rates = np.where(np.isin(self.kinds, ["ok", "singular"]), 2.0, 4.0)
-        self.phase = Phase("euclidean", 2)
-
-    def along(self, x, steps):
-        x = np.asarray(x, dtype=float)
-        return np.stack([self.rates[steps] * x[..., 0], 0.5 * x[..., 1]], axis=-1)
-
-    def jacobian_along(self, x, steps):
-        x = np.asarray(x, dtype=float)
-        kinds = self.kinds[steps]
-        zero = (kinds == "singular") | ((kinds == "late_singular") & (x[..., 0] != 0.0))
-        jac = np.zeros(x.shape[:-1] + (2, 2))
-        jac[..., 0, 0] = np.where(zero, 0.0, 2.0)
-        jac[..., 1, 1] = 0.5
-        return jac
-
-    def derivative_bounds(self):
-        return 4.0, 0.0
 
 
 def outcome(update, *args):
@@ -355,7 +324,8 @@ class TestBatchedEqualsPerIndex:
         po = flatten(np.zeros((n + 1, 2)), [1] * n, f)
         spl = assign_splittings(po, f, "user", splittings=AXES)
         healthy = MisreportedSteps(["ok"] * n)
-        cfg = make_solver_config(po, f, lam=0.55, lam_tilde=0.7, epsilon1=1e-2)
+        cfg = make_solver_config(po, f, lam=0.55, lam_tilde=0.7, epsilon1=1e-2,
+                                 bounds=SystemBounds(R=4.0, L=0.0, kind="estimated"))
         problem = ShadowProblem(po, spl, f, f, cfg, blocks=pseudo_orbit_blocks(po, spl, healthy))
         got = outcome(apply_operator, problem, v, "finite")
         ref = outcome(apply_operator_per_index, problem, v, "finite")
