@@ -5,9 +5,11 @@ pure-Python indent encoder.  The skeleton (dicts, lists, scalars) becomes a
 ``%`` template filled from one call of the C encoder.  An array leaf, an
 ``ndarray`` or a ``Table`` of equal-length columns (a list of row dicts), is
 written ``SLICE`` rows at a time: one encoder call per column slice and a
-``%`` template per row, strings encoded once per distinct value.  So neither
-a whole array's Python floats nor the whole text is held.  A non-str key, or
-any value ``json.dumps`` rejects, raises TypeError.
+``%`` template per row.  A slice encodes each distinct string once, and each
+distinct number once when it is long and at most half of it is distinct
+(numbers compared by their bits, so ``0.0`` and ``-0.0`` stay apart).  So
+neither a whole array's Python floats nor the whole text is held.  A non-str
+key, or any value ``json.dumps`` rejects, raises TypeError.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ SLICE = 4096
 # the items of one encoded list.
 _SCALARS = json.JSONEncoder(separators=("\n", ":"))
 _SCALAR = (str, int, float, type(None))  # bool is an int
+# a shorter numeric column slice is encoded value by value: sorting it for
+# its distinct values would cost more than it saves
+_DISTINCT_MIN = 512
 
 
 class Table:
@@ -100,6 +105,11 @@ class _Pending:
             self.parts.append(_template(brackets, fields, indent))
             self.scalars += values if keys is None else chain.from_iterable(zip(keys, values))
             return
+        if keys is None and _scalar_rows(values):  # a list of rows, such as the seeds
+            row = _template("[]", ["%s"] * len(values[0]), indent + "  ")
+            self.parts.append(_template("[]", [row] * len(values), indent))
+            self.scalars += chain.from_iterable(values)
+            return
         inner = indent + "  "
         for i, v in enumerate(values):
             self.parts.append(",\n" + inner if i else brackets[0] + "\n" + inner)
@@ -136,6 +146,13 @@ class _Pending:
         self.parts.append("\n" + indent + "]")
 
 
+def _scalar_rows(values) -> bool:
+    """Whether values are lists (or tuples) of scalars, all of one length."""
+    return (all(map(isinstance, values, repeat((list, tuple))))
+            and len(set(map(len, values))) == 1
+            and all(map(isinstance, chain.from_iterable(values), repeat(_SCALAR))))
+
+
 def _encode(values: list) -> list[str]:
     """The JSON text of each scalar, from one call of the C encoder."""
     return _SCALARS.encode(values)[1:-1].split("\n") if values else []
@@ -143,12 +160,15 @@ def _encode(values: list) -> list[str]:
 
 def _row_texts(a: np.ndarray, indent: str) -> list[str]:
     """The text of each row ``a[r].tolist()``, nested at ``indent``."""
-    values = a.ravel().tolist()
+    flat = a.ravel()
     if a.dtype.kind == "U":  # few distinct strings, many rows
+        values = flat.tolist()
         distinct = list(dict.fromkeys(values))
         encoded = list(map(dict(zip(distinct, _encode(distinct))).__getitem__, values))
+    elif a.dtype.kind in "biuf" and a.itemsize <= 8 and len(flat) >= _DISTINCT_MIN:
+        encoded = _distinct_texts(flat)
     else:
-        encoded = _encode(values)
+        encoded = _encode(flat.tolist())
     if a.ndim == 1:
         return encoded
     template = _nested(a.shape[1:], indent)
@@ -156,6 +176,18 @@ def _row_texts(a: np.ndarray, indent: str) -> list[str]:
     if not width:
         return [template] * len(a)
     return list(map(template.__mod__, zip(*[iter(encoded)] * width)))
+
+
+def _distinct_texts(flat: np.ndarray) -> list[str]:
+    """The text of each number of ``flat``, each distinct bit pattern encoded
+    once, unless more than half of them are distinct.  Bits, not values:
+    ``0.0`` and ``-0.0`` are equal but encode apart, while every NaN encodes
+    as ``NaN``."""
+    bits = flat.view(f"u{flat.itemsize}")
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    if 2 * len(first) > len(flat):
+        return _encode(flat.tolist())
+    return np.array(_encode(flat[first].tolist()), dtype=object)[inverse].tolist()
 
 
 def _nested(shape: tuple, indent: str) -> str:

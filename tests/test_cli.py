@@ -352,6 +352,27 @@ class TestCertifyCsv:
         assert out.read_bytes() == margins_csv_rows(certs[0]).encode()
 
 
+class TestJsonReports:
+    @pytest.mark.parametrize("command", ["certify", "shadow", "refine"])
+    def test_long_report_matches_json_dumps(self, tmp_path, monkeypatch, command):
+        """A 1000-step cat-map report, whose margin columns repeat few values:
+        the same bytes as the standard library's encoder."""
+        reports = []
+        real = bishadow.cli._report_json
+
+        def recording(report, out):
+            reports.append(report)
+            real(report, out)
+
+        monkeypatch.setattr(bishadow.cli, "_report_json", recording)
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["pseudo_orbit"]["generator"]["lengths"] = [4] * 250
+        code, out = run(tmp_path, command, payload)
+        data = out.read_bytes()
+        assert code == 0 and data.count(b'"margin": ') >= 4250
+        assert data == (json.dumps(plain(reports[0]), sort_keys=True, indent=2) + "\n").encode()
+
+
 class TestSweep:
     def test_deterministic_bytes(self, tmp_path):
         _, out1 = run(tmp_path, "sweep", name="a")

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bishadow.jsonwriter
+from bishadow import assign_splittings, certify_pseudo_orbit, generate
 from bishadow.jsonwriter import SLICE, Table, plain, write
+from bishadow.systems import cat_map
 
 
 def dumps(obj) -> str:
@@ -121,6 +124,74 @@ def test_leaves_across_the_slice_boundary(rows_and_pattern):
     write(table, pieces.append)
     per_piece = [p.count("\n  {") + p.startswith("{") for p in pieces]
     assert max(per_piece) <= SLICE and sum(per_piece) == rows
+
+
+def _nan(payload: int) -> np.float64:
+    """A NaN whose bits differ from ``np.nan``'s."""
+    return (np.array([np.nan]).view(np.uint64) | np.uint64(payload)).view(np.float64)[0]
+
+
+# equal values that encode apart (signed zeros) and unequal bits that encode
+# alike (NaNs of other payloads and signs), among other odd floats
+ODD_FLOATS = [0.0, -0.0, math.nan, _nan(1), _nan(2**63 | 5), math.inf, -math.inf, 5e-324, 0.1]
+ODD_COLUMNS = {  # name: (elements, dtype, shape of one row)
+    "float": (st.sampled_from(ODD_FLOATS), np.float64, ()),
+    "int": (st.sampled_from([-2**63, 2**63 - 1, 0, -1]), np.int64, ()),
+    "bool": (st.booleans(), bool, ()),
+    "pairs": (st.sampled_from(ODD_FLOATS), np.float64, (2, 1)),
+}
+
+
+def odd_patterns(size):
+    """One column of each kind in ODD_COLUMNS, of `size` rows."""
+    def column(element, dtype, shape):
+        n = size * math.prod(shape)
+        return st.lists(element, min_size=n, max_size=n).map(
+            lambda xs: np.array(xs, dtype=dtype).reshape(size, *shape))
+    return st.fixed_dictionaries({name: column(*kind) for name, kind in ODD_COLUMNS.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([511, 512, 513, SLICE + 513]), st.integers(1, 6).flatmap(odd_patterns),
+       st.sets(st.sampled_from(["float", "int", "pairs"])))
+def test_columns_across_the_distinct_boundary(rows, pattern, mostly_distinct):
+    """Columns tiled from a few odd values, around the length from which
+    each distinct value is encoded once.  In a column named in
+    mostly_distinct, three rows in four get a value of their own, so it is
+    encoded value by value."""
+    tile = np.arange(rows) % len(pattern["float"])
+    columns = {name: c[tile] for name, c in pattern.items()}
+    for name in mostly_distinct:
+        c = columns[name]
+        own = (np.arange(c.size) / 7).astype(c.dtype) if c.dtype.kind == "f" else np.arange(c.size)
+        kept = (np.arange(rows) % 4 == 0).reshape(-1, *[1] * (c.ndim - 1))
+        columns[name] = np.where(kept, c, own.reshape(c.shape))
+    check({"table": Table(columns), **columns})
+
+
+def test_signed_zeros_stay_apart():
+    column = np.tile([0.0, -0.0], 300)
+    check(column)
+    check(Table({"z": column}))
+
+
+def test_long_certificate_encodes_each_distinct_value_once(monkeypatch):
+    """Writing a 1000-step cat-map certificate hands the encoder fewer than
+    a quarter of its table's cells: its columns repeat few values."""
+    f = cat_map()
+    po = generate(f, [0.13, 0.41], [4] * 250, 1e-4, 1)
+    cert = certify_pseudo_orbit(po, assign_splittings(po, f), f, 0.4, 0.0, 1e-4)
+    table = cert.report()["margins"]
+    encoded = []
+    real = bishadow.jsonwriter._encode
+
+    def counting(values):
+        encoded.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(bishadow.jsonwriter, "_encode", counting)
+    check(cert.report())
+    assert sum(encoded) < len(table) * len(table.columns) / 4
 
 
 def test_report_sized_rows():
