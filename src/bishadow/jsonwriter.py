@@ -5,11 +5,11 @@ pure-Python indent encoder.  The skeleton (dicts, lists, scalars) becomes a
 ``%`` template filled from one call of the C encoder.  An array leaf, an
 ``ndarray`` or a ``Table`` of equal-length columns (a list of row dicts), is
 written ``SLICE`` rows at a time: one encoder call per column slice and a
-``%`` template per row.  A slice encodes each distinct string once, and each
-distinct number once when it is long and at most half of it is distinct
-(numbers compared by their bits, so ``0.0`` and ``-0.0`` stay apart).  So
-neither a whole array's Python floats nor the whole text is held.  A non-str
-key, or any value ``json.dumps`` rejects, raises TypeError.
+``%`` template per row.  A slice of ``_DISTINCT_MIN`` values or more encodes
+each distinct value once (numbers compared by their bits, so ``0.0`` and
+``-0.0`` stay apart).  So neither a whole array's Python floats nor the whole
+text is held.  A non-str key, or any value ``json.dumps`` rejects, raises
+TypeError.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ SLICE = 4096
 # the items of one encoded list.
 _SCALARS = json.JSONEncoder(separators=("\n", ":"))
 _SCALAR = (str, int, float, type(None))  # bool is an int
-# a shorter numeric column slice is encoded value by value: sorting it for
-# its distinct values would cost more than it saves
+# A shorter column slice is encoded value by value.  Finding the distinct
+# values costs about 15 us a slice plus a sort, against about 1 us per float
+# encoded, so a shorter slice with few repeats (the many small reports) loses
+# by it, while from here on an all-distinct slice costs about as much either way.
 _DISTINCT_MIN = 512
 
 
@@ -161,11 +163,8 @@ def _encode(values: list) -> list[str]:
 def _row_texts(a: np.ndarray, indent: str) -> list[str]:
     """The text of each row ``a[r].tolist()``, nested at ``indent``."""
     flat = a.ravel()
-    if a.dtype.kind == "U":  # few distinct strings, many rows
-        values = flat.tolist()
-        distinct = list(dict.fromkeys(values))
-        encoded = list(map(dict(zip(distinct, _encode(distinct))).__getitem__, values))
-    elif a.dtype.kind in "biuf" and a.itemsize <= 8 and len(flat) >= _DISTINCT_MIN:
+    kind = a.dtype.kind
+    if len(flat) >= _DISTINCT_MIN and (kind == "U" or kind in "biuf" and a.itemsize <= 8):
         encoded = _distinct_texts(flat)
     else:
         encoded = _encode(flat.tolist())
@@ -179,14 +178,11 @@ def _row_texts(a: np.ndarray, indent: str) -> list[str]:
 
 
 def _distinct_texts(flat: np.ndarray) -> list[str]:
-    """The text of each number of ``flat``, each distinct bit pattern encoded
-    once, unless more than half of them are distinct.  Bits, not values:
-    ``0.0`` and ``-0.0`` are equal but encode apart, while every NaN encodes
-    as ``NaN``."""
-    bits = flat.view(f"u{flat.itemsize}")
+    """The text of each value of ``flat``, each distinct string or bit pattern
+    encoded once.  Bits, not values: ``0.0`` and ``-0.0`` are equal but encode
+    apart, while every NaN encodes as ``NaN``."""
+    bits = flat if flat.dtype.kind == "U" else flat.view(f"u{flat.itemsize}")
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    if 2 * len(first) > len(flat):
-        return _encode(flat.tolist())
     return np.array(_encode(flat[first].tolist()), dtype=object)[inverse].tolist()
 
 

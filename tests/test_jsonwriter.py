@@ -139,6 +139,7 @@ ODD_COLUMNS = {  # name: (elements, dtype, shape of one row)
     "int": (st.sampled_from([-2**63, 2**63 - 1, 0, -1]), np.int64, ()),
     "bool": (st.booleans(), bool, ()),
     "pairs": (st.sampled_from(ODD_FLOATS), np.float64, (2, 1)),
+    "str": (TEXT, str, ()),
 }
 
 
@@ -153,17 +154,17 @@ def odd_patterns(size):
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from([511, 512, 513, SLICE + 513]), st.integers(1, 6).flatmap(odd_patterns),
-       st.sets(st.sampled_from(["float", "int", "pairs"])))
+       st.sets(st.sampled_from(["float", "int", "pairs", "str"])))
 def test_columns_across_the_distinct_boundary(rows, pattern, mostly_distinct):
     """Columns tiled from a few odd values, around the length from which
     each distinct value is encoded once.  In a column named in
-    mostly_distinct, three rows in four get a value of their own, so it is
-    encoded value by value."""
+    mostly_distinct, three rows in four get a value of their own."""
     tile = np.arange(rows) % len(pattern["float"])
     columns = {name: c[tile] for name, c in pattern.items()}
     for name in mostly_distinct:
         c = columns[name]
-        own = (np.arange(c.size) / 7).astype(c.dtype) if c.dtype.kind == "f" else np.arange(c.size)
+        own = {"f": np.arange(c.size) / 7, "i": np.arange(c.size),
+               "U": np.arange(c.size).astype(str)}[c.dtype.kind]
         kept = (np.arange(rows) % 4 == 0).reshape(-1, *[1] * (c.ndim - 1))
         columns[name] = np.where(kept, c, own.reshape(c.shape))
     check({"table": Table(columns), **columns})
@@ -175,21 +176,37 @@ def test_signed_zeros_stay_apart():
     check(Table({"z": column}))
 
 
-def test_long_certificate_encodes_each_distinct_value_once(monkeypatch):
+@pytest.fixture
+def encoded(monkeypatch):
+    """The number of values handed to each call of ``jsonwriter._encode``."""
+    counts = []
+    real = bishadow.jsonwriter._encode
+
+    def counting(values):
+        counts.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(bishadow.jsonwriter, "_encode", counting)
+    return counts
+
+
+@pytest.mark.parametrize("column", [np.zeros, lambda n: np.full(n, "ok")], ids=["float", "str"])
+def test_only_long_slices_encode_each_distinct_value_once(encoded, column):
+    """A slice shorter than ``_DISTINCT_MIN`` is encoded value by value, a
+    longer one a distinct value at a time."""
+    short = bishadow.jsonwriter._DISTINCT_MIN - 1
+    check(column(short))
+    check(column(short + 1))
+    assert encoded == [short, 1]
+
+
+def test_long_certificate_encodes_each_distinct_value_once(encoded):
     """Writing a 1000-step cat-map certificate hands the encoder fewer than
     a quarter of its table's cells: its columns repeat few values."""
     f = cat_map()
     po = generate(f, [0.13, 0.41], [4] * 250, 1e-4, 1)
     cert = certify_pseudo_orbit(po, assign_splittings(po, f), f, 0.4, 0.0, 1e-4)
     table = cert.report()["margins"]
-    encoded = []
-    real = bishadow.jsonwriter._encode
-
-    def counting(values):
-        encoded.append(len(values))
-        return real(values)
-
-    monkeypatch.setattr(bishadow.jsonwriter, "_encode", counting)
     check(cert.report())
     assert sum(encoded) < len(table) * len(table.columns) / 4
 
