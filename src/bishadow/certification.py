@@ -41,6 +41,8 @@ __all__ = [
 PASS_TOL = 1e-12
 
 _COLUMNS = ("condition", "segment", "step", "lhs", "rhs", "margin")
+#: the conditions with one row per block, in table order; one residual row per segment follows
+_CONDITIONS = ("contraction_product", "expansion_product", "ratio", "offdiag")
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,7 @@ class Certificate:
     segment, step, lhs, rhs and margin is one MarginRow.  Per segment come
     its contraction rows (k = 1..n), its expansion rows (k = 0..n-1), then a
     ratio and an offdiag row per block; one residual row per segment closes
-    the table."""
+    the table.  offsets are the pseudo-orbit's segment offsets."""
 
     passed: bool
     lam: float
@@ -80,10 +82,17 @@ class Certificate:
     rhs: np.ndarray
     margin: np.ndarray
     blocks: OrbitBlocks = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
 
     def worst(self) -> MarginRow:
         k = np.argmin(np.where(np.isnan(self.margin), -np.inf, self.margin))
         return MarginRow(*(getattr(self, name)[k].item() for name in _COLUMNS))
+
+    def binding(self) -> dict:
+        """The worst row's condition, segment, step and margin."""
+        worst = self.worst()
+        return {"condition": worst.condition, "segment": worst.segment,
+                "step": worst.step, "margin": float(worst.margin)}
 
     @property
     def max_offdiagonal(self) -> float:
@@ -98,6 +107,25 @@ class Certificate:
             "epsilon": float(self.epsilon),
             "delta": float(self.delta),
             "margins": Table({name: getattr(self, name) for name in _COLUMNS}),
+        }
+
+    @cached_property
+    def summary(self) -> dict:
+        """The report with its margin table summarised, computed once: the
+        row count per condition (N blocks give N rows of each rate and
+        offdiag condition, M segments M residual rows), the binding row and
+        the count of rows that pass only through PASS_TOL."""
+        n, m = int(self.offsets[-1]), len(self.offsets) - 1
+        rows = dict.fromkeys(_CONDITIONS, n) | {"residual": m}
+        return {
+            "passed": bool(self.passed),
+            "lambda": float(self.lam),
+            "epsilon": float(self.epsilon),
+            "delta": float(self.delta),
+            "rows": rows,
+            "binding": self.binding(),
+            "within_tolerance": int(np.count_nonzero((self.margin < 0.0)
+                                                     & (self.margin >= -PASS_TOL))),
         }
 
     def to_dict(self) -> dict:
@@ -256,7 +284,8 @@ def certify_pseudo_orbit(
             col[rows] = value
     columns[1] += po.i_min
     return Certificate(passed=bool(np.all(columns[-1] >= -PASS_TOL)), lam=lam,
-                       epsilon=epsilon, delta=delta, **dict(zip(_COLUMNS, columns)), blocks=blocks)
+                       epsilon=epsilon, delta=delta, **dict(zip(_COLUMNS, columns)), blocks=blocks,
+                       offsets=po.offsets)
 
 
 def is_quasi_hyperbolic(cert: Certificate, tol: float = 1e-10) -> bool:

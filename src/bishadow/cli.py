@@ -86,10 +86,7 @@ def cmd_certify(cfg: RunConfig, args):
     code = EXIT_OK if cert.passed else EXIT_FAILED
     if args.format == "csv":
         return _margins_csv(cert), code
-    worst = cert.worst()
-    return {"certificate": cert.report(),
-            "binding": {"condition": worst.condition, "segment": worst.segment,
-                        "step": worst.step, "margin": float(worst.margin)}}, code
+    return {"certificate": cert.report(), "binding": cert.binding()}, code
 
 
 def cmd_refine(cfg: RunConfig, args):
@@ -174,7 +171,7 @@ def _prepare(cfg: RunConfig, seed_override, periodic: bool, share: _Shared):
         "constants": {"R": {"kind": scfg.kind, "value": scfg.R},
                       "L": {"kind": scfg.kind, "value": scfg.L},
                       "map_distance": {"kind": "exact", "value": distance}},
-        "certificate": cert.report(),
+        "certificate": cert.summary,
         "precondition_margins": {k: float(v) for k, v in margins.items()},
     }
     if not (cert.passed and all(m >= 0 for m in margins.values())):  # a NaN margin fails

@@ -211,11 +211,12 @@ class SplittingAssignment:
             raise ValueError("need nonempty stacks of one length")
 
     @classmethod
-    def from_bases(cls, unstable, stable) -> "SplittingAssignment":
-        """Orthonormalize and check stacked bases, every index at once."""
+    def from_bases(cls, unstable, stable, **check) -> "SplittingAssignment":
+        """Orthonormalize and check stacked bases, every index at once;
+        check holds _checked_basis's min_gap and gap_error."""
         u = _orthonormalize(np.asarray(unstable, dtype=float))
         s = _orthonormalize(np.asarray(stable, dtype=float))
-        return cls(u, s, _checked_basis(u, s)[1])
+        return cls(u, s, _checked_basis(u, s, **check)[1])
 
     @classmethod
     def constant(cls, sp: Splitting, size: int) -> "SplittingAssignment":
@@ -368,11 +369,8 @@ def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
     u, s = u[warm:], s[: n + 1]  # indices 0..N
     if po.closed:
         u[n], s[n] = u[0], s[0]
-    gaps = np.linalg.svd(np.concatenate([u, s], axis=-1), compute_uv=False)[:, -1]
-    bad = np.flatnonzero(gaps < 1e-6)
-    if bad.size:
-        raise SplittingError(f"power iteration failed to separate subspaces at index {bad[0]}")
-    return SplittingAssignment.from_bases(u, s)
+    return SplittingAssignment.from_bases(u, s, min_gap=1e-6, gap_error=lambda j: SplittingError(
+        f"power iteration failed to separate subspaces at index {j}"))
 
 
 def assign_splittings(

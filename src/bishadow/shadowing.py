@@ -63,7 +63,8 @@ __all__ = [
 
 
 DAMPING = 0.5  # step factor once an update grows
-NEWTON_TOL = 1e-13  # residual at which one index's Newton inversion stops
+NEWTON_TOL = 1e-13  # residual at which one index's Newton inversion stops, unless rounding
+NEWTON_ULPS = 8  # allows less: ulps of the larger of the two points a step joins
 NEWTON_MAX_ITER = 50
 
 # why an index failed in invert_unstable
@@ -203,6 +204,9 @@ class ShadowProblem:
         self.starts = np.array([0, po.n_steps + 1])
         self._cuts = None  # a stack's steps from one problem's last row to the next one's first
         self._eta = np.broadcast_to(config.eta, po.n_steps)  # the eta of each step's problem
+        size = np.abs(self.points).max(axis=-1)  # the Newton stop of each step: invert_unstable
+        rounding = NEWTON_ULPS * np.finfo(float).eps * np.maximum(size[:-1], size[1:])
+        self._newton_tol = np.maximum(NEWTON_TOL, rounding)
         self._f_images, self._f_jacobians, self._g_images = _map_calls([self], self.starts)
         self._fixed = None
         bounds = f.derivative_bounds()
@@ -258,7 +262,15 @@ class ShadowProblem:
         index-j unstable coordinates, such that F_j(sv_j + U_j w_j) - base_j
         has index-(j+1) unstable coordinates equal to target_j; each w_j
         must lie in the eta-ball.  Every index runs its own
-        Newton iteration and stops once its residual is below NEWTON_TOL.
+        Newton iteration and stops once its residual is below NEWTON_TOL,
+        or below NEWTON_ULPS ulps of the larger point its step joins where
+        that is more (_newton_tol, set once per problem).  That is what
+        rounding allows: F_j evaluates f at canon(y_j + x), which rounds at
+        the ulps of y_j, and subtracts y_{j+1} from an image of about its
+        size, rounded at its ulps, so the computed residual of even the
+        exact w is of that size.  On a torus, whose points lie in [0, 1),
+        it is below 2e-15 and the stop is NEWTON_TOL; an affine orbit
+        whose coordinates grow to 4e4 needs about 1e-11.
         When indices fail (singular block, stalled Newton, eta-ball
         escape), the error of the lowest one is raised; a stack keeps the
         error of each failing problem's lowest index instead (_Stack._fail),
@@ -276,7 +288,7 @@ class ShadowProblem:
             x = sv + _matvec(self.splittings.unstable[:-1], w)
             r = self.coords(slice(1, None), self.phase.wrap(self.F(x) - base))[0] - target
             res = np.sqrt(_sq_norms(r))
-            done |= live & (res <= NEWTON_TOL)
+            done |= live & (res <= self._newton_tol)
             live &= ~done
             rows = np.flatnonzero(live)
             if rows.size == 0:
@@ -346,6 +358,7 @@ class _Stack(ShadowProblem):
             self.steps = np.concatenate([np.append(p.steps, 0) for p in problems])[:-1]
             self._cuts = self.starts[1:-1] - 1
             self._eta = _rows([np.append(p._eta, 0.0) for p in problems])[:-1]
+            self._newton_tol = _rows([np.append(p._newton_tol, 0.0) for p in problems])[:-1]
             self._f_images, self._f_jacobians, self._g_images = _map_calls(problems, self.starts)
             self._fixed = None
             if all(p._fixed is not None for p in problems):

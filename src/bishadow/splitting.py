@@ -27,9 +27,16 @@ def _orthonormalize(basis: np.ndarray) -> np.ndarray:
     return q * signs[..., None, :]
 
 
-def _checked_basis(u: np.ndarray, s: np.ndarray):
+def _not_transverse(j):
+    return ValueError("rank-deficient splitting: subspaces are not transverse")
+
+
+def _checked_basis(u: np.ndarray, s: np.ndarray, min_gap: float = _ORTHO_TOL,
+                   gap_error=_not_transverse):
     """[u | s] and its inverse for one orthonormal basis pair or for stacks
-    ``(..., n, du)``/``(..., n, ds)`` of them, each check run on the whole stack."""
+    ``(..., n, du)``/``(..., n, ds)`` of them, each check run on the whole stack.
+    A basis whose smallest singular value is below min_gap raises
+    gap_error(j), j the first such index of a stack."""
     if u.shape[-2] != s.shape[-2]:
         raise ValueError("bases live in different ambient dimensions")
     if u.shape[-1] + s.shape[-1] != u.shape[-2]:
@@ -39,8 +46,9 @@ def _checked_basis(u: np.ndarray, s: np.ndarray):
         if b.shape[-1] and np.abs(gram - np.eye(b.shape[-1])).max() > 1e-9:
             raise ValueError(f"{name} basis is not orthonormal; use from_bases")
     basis = np.concatenate([u, s], axis=-1)
-    if np.linalg.svd(basis, compute_uv=False)[..., -1].min() < _ORTHO_TOL:
-        raise ValueError("rank-deficient splitting: subspaces are not transverse")
+    narrow = np.flatnonzero(np.linalg.svd(basis, compute_uv=False)[..., -1] < min_gap)
+    if narrow.size:
+        raise gap_error(int(narrow[0]))
     return basis, np.linalg.inv(basis)
 
 

@@ -216,7 +216,13 @@ class AffineMap(SmoothMap):
         self.phase = Phase("euclidean", n)
 
     def __call__(self, x):
-        return np.asarray(x, dtype=float) @ self.matrix.T + self.offset
+        # a fixed-order sum of columns, so each row has the bits it has alone
+        # (a BLAS x @ M.T may round a row by its place in the batch)
+        x = np.asarray(x, dtype=float)
+        y = x[..., 0, None] * self.matrix[:, 0]
+        for k in range(1, self.matrix.shape[1]):
+            y += x[..., k, None] * self.matrix[:, k]
+        return y + self.offset
 
     jacobian = TorusLinearMap.jacobian  # the constant Df = M
     derivative_bounds = TorusLinearMap.derivative_bounds

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -134,6 +135,42 @@ class TestCertifyPseudoOrbit:
             rb = block_decompose(q @ assembled(blocks, spl, j) @ q.T, rot, rot)
             assert abs(op_norm(rb.D) - op_norm(blocks.D[j])) <= 1e-12
             assert abs(min_norm(rb.A) - min_norm(blocks.A[j])) <= 1e-12
+
+
+class TestSummary:
+    def test_counts_come_from_the_segments(self):
+        f, po, spl = cat_setup(lengths=(3, 1, 4), jump=1e-6, seed=2)
+        cert = certify_pseudo_orbit(po, spl, f, 0.62, 1e-9, 1e-6)
+        summary = cert.summary
+        assert summary["rows"] == {"contraction_product": 8, "expansion_product": 8,
+                                   "ratio": 8, "offdiag": 8, "residual": 3}
+        assert sum(summary["rows"].values()) == len(cert.margin)
+        worst = cert.worst()
+        assert summary["binding"] == {"condition": worst.condition, "segment": worst.segment,
+                                      "step": worst.step, "margin": worst.margin}
+        assert {k: summary[k] for k in ("passed", "lambda", "epsilon", "delta")} == \
+            {k: v for k, v in cert.report().items() if k != "margins"}
+        assert cert.summary is summary  # computed once per certificate
+
+    @pytest.mark.parametrize("crafted, count, passed", [
+        ((-PASS_TOL,), 1, True),           # the closed end of [-PASS_TOL, 0)
+        ((-0.5 * PASS_TOL, -0.0), 1, True),  # -0.0 is no negative margin
+        ((-2.0 * PASS_TOL, -1e-15), 1, False),
+        ((float("nan"), -1e-13), 1, False),
+    ])
+    def test_within_tolerance_counts_rows_passing_through_pass_tol(self, crafted, count, passed):
+        f, po, spl = cat_setup(lengths=(3, 3), jump=1e-6, seed=1)
+        cert = certify_pseudo_orbit(po, spl, f, 0.62, 1e-9, 1e-6)
+        margin = np.abs(cert.margin) + 1.0  # every row clear of the tolerance
+        rows = [3, 17][:len(crafted)]
+        margin[rows] = crafted
+        crafted_cert = dataclasses.replace(
+            cert, margin=margin, passed=bool(np.all(margin >= -PASS_TOL)))
+        summary = crafted_cert.summary
+        assert summary["within_tolerance"] == count and summary["passed"] is passed
+        worst = rows[int(np.argmin(np.where(np.isnan(crafted), -np.inf, crafted)))]
+        assert (summary["binding"]["condition"], summary["binding"]["step"]) == \
+            (cert.condition[worst], cert.step[worst])
 
 
 class TestBlocksCoverOrbit:

@@ -12,6 +12,7 @@ import pytest
 import bishadow.certification
 import bishadow.cli
 import bishadow.config
+from bishadow.certification import PASS_TOL
 from bishadow.cli import main
 from bishadow.jsonwriter import SLICE, plain
 from bishadow.refinement import GraphTransformError
@@ -355,7 +356,8 @@ class TestCertifyCsv:
 class TestJsonReports:
     @pytest.mark.parametrize("command", ["certify", "shadow", "refine"])
     def test_long_report_matches_json_dumps(self, tmp_path, monkeypatch, command):
-        """A 1000-step cat-map report, whose margin columns repeat few values:
+        """A 1000-step cat-map report, whose margin columns (certify, refine)
+        repeat few values and whose result arrays (shadow) have 1001 rows:
         the same bytes as the standard library's encoder."""
         reports = []
         real = bishadow.cli._report_json
@@ -369,8 +371,72 @@ class TestJsonReports:
         payload["pseudo_orbit"]["generator"]["lengths"] = [4] * 250
         code, out = run(tmp_path, command, payload)
         data = out.read_bytes()
-        assert code == 0 and data.count(b'"margin": ') >= 4250
+        if command == "shadow":
+            assert code == 0 and len(json.loads(data)["result"]["distances"]) == 1001
+        else:
+            assert code == 0 and data.count(b'"margin": ') >= 4250
         assert data == (json.dumps(plain(reports[0]), sort_keys=True, indent=2) + "\n").encode()
+
+
+PERTURBED_SHADOW = {
+    "system": {"type": "perturbed_cat_map", "amplitude": 0.02},
+    "pseudo_orbit": {
+        "generator": {"start": [0.3, 0.7], "lengths": [4] * 125,
+                      "jump_amp": 1e-5, "rng_seed": 5}
+    },
+    "certification": {"lambda": 0.45, "epsilon": 1e-9, "delta": 1e-5},
+    "splitting": {"strategy": "power"},
+    "solver": {"lambda_tilde": 0.5},
+    "perturbation": {"type": "perturbed_amplitude", "amplitude": 0.0201},
+}
+
+
+def _long_cat_shadow():
+    payload = json.loads(json.dumps(BASE_CONFIG))
+    payload["pseudo_orbit"]["generator"]["lengths"] = [4] * 250
+    return payload
+
+
+class TestCertificateSummary:
+    @pytest.mark.parametrize("payload", [_long_cat_shadow(), PERTURBED_SHADOW],
+                             ids=["cat", "perturbed"])
+    def test_summary_describes_certify_at_its_epsilon_and_delta(self, tmp_path, payload):
+        """certify, with certification.epsilon and delta set to the shadow
+        report's, writes the table that the report summarises."""
+        code, out = run(tmp_path, "shadow", payload, name="shadow")
+        assert code == 0
+        summary = json.loads(out.read_text())["certificate"]
+        assert "margins" not in summary
+        again = json.loads(json.dumps(payload))
+        again["certification"].update(epsilon=summary["epsilon"], delta=summary["delta"])
+        code, out = run(tmp_path, "certify", again, name="certify")
+        assert code == 0
+        report = json.loads(out.read_text())
+        table = report["certificate"].pop("margins")
+        counts = {}
+        for row in table:
+            counts[row["condition"]] = counts.get(row["condition"], 0) + 1
+        assert summary == dict(report["certificate"], rows=counts, binding=report["binding"],
+                               within_tolerance=sum(-PASS_TOL <= r["margin"] < 0 for r in table))
+        # the certificate at the config's own epsilon and delta is another table
+        assert summary["epsilon"] != payload["certification"]["epsilon"]
+
+    def test_periodic_report_summarises_too(self, tmp_path):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["pseudo_orbit"] = {"seeds": [[0.0, 0.0], [0.0, 0.0]], "lengths": [1]}
+        code, out = run(tmp_path, "periodic", payload)
+        cert = json.loads(out.read_text())["certificate"]
+        assert code == 0 and "margins" not in cert
+        assert cert["rows"] == {"contraction_product": 1, "expansion_product": 1, "ratio": 1,
+                                "offdiag": 1, "residual": 1}
+
+    def test_ten_thousand_step_shadow_report_stays_small(self, tmp_path):
+        payload = json.loads(json.dumps(BASE_CONFIG))
+        payload["pseudo_orbit"]["generator"]["lengths"] = [4] * 2500
+        code, out = run(tmp_path, "shadow", payload)
+        assert code == 0
+        assert out.stat().st_size <= 400_000
+        assert len(json.loads(out.read_text())["result"]["distances"]) == 10_001
 
 
 class TestSweep:
@@ -541,7 +607,8 @@ class TestSweep:
     def test_d_sweep_builds_the_shared_inputs_once(self, tmp_path, monkeypatch):
         calls = []
         for module, name in ((bishadow.config, "assign_splittings"),
-                             (bishadow.certification, "pseudo_orbit_blocks")):
+                             (bishadow.certification, "pseudo_orbit_blocks"),
+                             (bishadow.certification.Certificate, "binding")):  # the summary
             def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -552,7 +619,7 @@ class TestSweep:
         code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
         assert code == 0
         assert len(out.read_text().splitlines()) == 6
-        assert sorted(calls) == ["assign_splittings", "pseudo_orbit_blocks"]
+        assert sorted(calls) == ["assign_splittings", "binding", "pseudo_orbit_blocks"]
 
     @pytest.mark.parametrize("axis, values, config_error, solver_error", [
         # d0 is about 7e-4; the shift perturbation cannot be built at 2e-5

@@ -313,6 +313,34 @@ class TestAssignSplittings:
         with pytest.raises(ValueError, match="nonnegative depth"):
             assign_splittings(po, f, "power", depth=-1)
 
+    def test_power_names_the_first_narrow_index(self):
+        # a turn by pi/2 - t after a hyperbolic step, on an open orbit: the
+        # passes meet at angle about 4t at index 0 and t at indices 1 and 2,
+        # so with t = 5e-7 only indices 1 and 2 fall below power's 1e-6, and
+        # none below the transversality check's 1e-12
+        hyperbolic = np.diag([2.0, 0.5])
+        a = np.pi / 2 - 5e-7
+        turn = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+        f = AffineSequenceSystem([hyperbolic, turn], np.zeros((2, 2)),
+                                 eigen_splitting(hyperbolic), validate=False)
+        with pytest.raises(SplittingError,
+                           match="^power iteration failed to separate subspaces at index 1$"):
+            assign_splittings(flatten(np.array([[0.0, 0.0], [1.0, 0.0]]), [2], f), f, "power")
+
+    def test_power_takes_one_svd_of_its_bases(self, monkeypatch):
+        f = PerturbedCatMap(0.02)
+        po = generate(f, [0.37, 0.58], [4] * 6, 1e-6, 2)
+        sizes = []
+        real = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        assign_splittings(po, f, "power")
+        assert sizes.count((po.n_steps + 1, 2, 2)) == 1
+
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("step", [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]],
                                       [[0.0, 0.0], [1.0, 1.0]]], ids=["both", "forward", "back"])

@@ -396,6 +396,22 @@ class TestSolveFinite:
         x = po.phase.exp(po.points, res.v)
         assert po.phase.distance(g(x[:-1]), x[1:]).max() <= 1e-11
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_growing_affine_orbit_solves_at_the_rounding_of_its_points(self, seed):
+        # the points grow to 4e4, where one ulp is 7e-12: an absolute Newton
+        # stop at 1e-13 stalled at index 8 or 9 of these orbits
+        f = AffineMap([[2.3, 0.7], [0.45, 0.6]])
+        rng = np.random.default_rng(seed)
+        po = generate(f, rng.random(2), [3] * 4, 1e-6, seed)
+        assert np.abs(po.points).max() > 1e4
+        spl = assign_splittings(po, f, "eigen")
+        g = ShiftedMap(f, [1e-6, 0.0])
+        res = solve_finite(po, spl, f, g, make_solver_config(po, f, lam=0.7, lam_tilde=0.8))
+        assert res.converged and res.max_distance <= 2e-6
+        x = po.points + res.v
+        step = np.abs(g(x[:-1]) - x[1:]).max(axis=-1)
+        assert (step <= 4 * np.spacing(np.abs(x[1:]).max(axis=-1))).all()
+
     def test_ten_thousand_step_cat_orbit_matches_linear_shadow(self):
         f, g, po, spl, cfg = cat_problem(lengths=(4,) * 2500, shift=(1e-4, 0.0))
         res = solve_finite(po, spl, f, g, cfg)

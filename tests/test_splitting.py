@@ -35,7 +35,8 @@ class TestSplitting:
 
     def test_rank_deficient_rejected(self):
         v = np.array([[1.0], [0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^rank-deficient splitting: subspaces are not "
+                                             "transverse$"):
             Splitting(v, v)
 
     def test_coords_assemble_round_trip(self):

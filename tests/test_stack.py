@@ -96,13 +96,42 @@ def affine_problem(data, dim, du, closed):
     return po, assign_splittings(po, f, "user", splittings=spl), f, g, cfg
 
 
+def affine_map_problem(data, maps, dim, du, closed):
+    """A problem of an AffineMap whose matrix has non-integer entries, for
+    which one BLAS product of a batch may round a row by its place in the
+    batch: an orbit generated near the fixed point, or a jittered period of
+    the fixed point; f is shared as in torus_problem."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if data.draw(st.booleans()) and "affine" in maps:
+        f = maps["affine"]
+    else:
+        q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        rates = np.concatenate([rng.uniform(1.5, 2.5, du), rng.uniform(0.1, 0.6, dim - du)])
+        f = maps["affine"] = AffineMap(q @ np.diag(rates) @ q.T, rng.standard_normal(dim))
+    fixed = np.linalg.solve(np.eye(dim) - f.matrix, f.offset)
+    if closed:
+        p = data.draw(st.integers(1, 4))
+        seeds = fixed + 1e-6 * rng.standard_normal((p, dim))
+        po = flatten(np.vstack([seeds, seeds[:1]]), [1] * p, f)
+    else:
+        lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+        po = generate(f, fixed + 1e-3 * rng.random(dim), lengths, 1e-6, int(rng.integers(2**31)))
+    shift = 1e-6 * rng.standard_normal(dim)
+    g = data.draw(st.sampled_from([f, ShiftedMap(f, shift), AffineMap(f.matrix, f.offset + shift)]))
+    cfg = make_solver_config(po, f, lam=0.7, lam_tilde=0.8, epsilon1=1.0, max_iter=200)
+    return po, assign_splittings(po, f, "eigen", dim_u=du), f, g, cfg
+
+
 @settings(max_examples=60, deadline=None)
-@given(torus=st.booleans(), periodic=st.booleans(), size=st.integers(1, 6), data=st.data())
-def test_stack_equals_solving_alone(torus, periodic, size, data):
+@given(kind=st.sampled_from(["torus", "sequence", "affine"]), periodic=st.booleans(),
+       size=st.integers(1, 6), data=st.data())
+def test_stack_equals_solving_alone(kind, periodic, size, data):
     maps, dim = {}, data.draw(st.integers(2, 4))
     du = data.draw(st.integers(1, dim - 1))
-    cases = [torus_problem(data, maps, periodic) if torus
-             else affine_problem(data, dim, du, periodic) for _ in range(size)]
+    draw = {"torus": lambda: torus_problem(data, maps, periodic),
+            "sequence": lambda: affine_problem(data, dim, du, periodic),
+            "affine": lambda: affine_map_problem(data, maps, dim, du, periodic)}[kind]
+    cases = [draw() for _ in range(size)]
     build, solve = ((_periodic_problem, solve_periodic) if periodic
                     else (ShadowProblem, solve_finite))
     stacked = _solve([build(*case) for case in cases], "periodic" if periodic else "finite")

@@ -156,6 +156,17 @@ class TestShippedSystems:
         with pytest.raises(ValueError, match=message):
             TorusLinearMap(matrix)
 
+    def test_affine_rows_do_not_depend_on_the_batch(self):
+        # one BLAS product x @ M.T rounds some rows of this matrix by their
+        # place in the batch; the sum of columns rounds each row alone
+        f = AffineMap([[2.3, 0.7], [0.45, 0.6]], [0.1, -0.3])
+        rng = np.random.default_rng(4)
+        x = rng.uniform(-1e3, 1e3, (2000, 2))
+        batch = f(x)
+        assert all(batch[r].tobytes() == f(x[r]).tobytes() for r in range(len(x)))
+        for start in (0, 17, 1024):
+            assert f(x[start:start + 300]).tobytes() == batch[start:start + 300].tobytes()
+
     @pytest.mark.parametrize("matrix", [np.diag([2.0, 0.0]), [1.0, 2.0, 3.0], np.ones((2, 3))])
     def test_affine_matrix_square_and_invertible(self, matrix):
         with pytest.raises(ValueError, match="square|invertible"):
