@@ -25,6 +25,7 @@ import numpy as np
 
 from .jsonwriter import Table, plain
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
+from .splitting import _extreme_singular_values
 from .systems import SmoothMap
 
 __all__ = [
@@ -169,8 +170,8 @@ def pseudo_orbit_blocks(
     if len(splittings) != po.n_steps + 1:
         raise ValueError("need one splitting per flattened index, closing point included")
     jac = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
-    sv = np.linalg.svd(jac, compute_uv=False)
-    singular = np.flatnonzero(sv[:, -1] <= sv[:, 0] * 1e-14)
+    s_max, s_min = _extreme_singular_values(jac)
+    singular = np.flatnonzero(s_min <= s_max * 1e-14)
     if singular.size:
         raise ValueError(f"singular derivative at index {singular[0]} cannot be block-decomposed")
     m = splittings.basis_inv[1:] @ jac @ splittings.basis[:-1]

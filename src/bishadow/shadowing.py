@@ -205,8 +205,8 @@ class ShadowProblem:
         self._cuts = None  # a stack's steps from one problem's last row to the next one's first
         self._eta = np.broadcast_to(config.eta, po.n_steps)  # the eta of each step's problem
         size = np.abs(self.points).max(axis=-1)  # the Newton stop of each step: invert_unstable
-        rounding = NEWTON_ULPS * np.finfo(float).eps * np.maximum(size[:-1], size[1:])
-        self._newton_tol = np.maximum(NEWTON_TOL, rounding)
+        self._rounding = NEWTON_ULPS * np.finfo(float).eps * np.maximum(size[:-1], size[1:])
+        self._newton_tol = np.maximum(NEWTON_TOL, self._rounding)
         self._f_images, self._f_jacobians, self._g_images = _map_calls([self], self.starts)
         self._fixed = None
         bounds = f.derivative_bounds()
@@ -620,10 +620,15 @@ def _solve(problems, boundary: str) -> list:
 
 
 def _result(problem, v, history, ball_worst, converged, boundary) -> "ShadowingResult":
+    """The result of a solve.  A converged solve is reported as not converged
+    when a rescaled one-step residual exceeds the larger of 10 tol_fix and
+    its step's rounding floor (the one the Newton stop allows, over l), or
+    when a distance exceeds epsilon1."""
     cfg = problem.config
     residuals = np.sqrt(_sq_norms(v[1:] - problem.G(v[:-1]))) / problem.l[1:]
     distances = np.linalg.norm(v, axis=-1)
-    if converged and (residuals.max() > 10.0 * cfg.tol_fix or distances.max() > cfg.epsilon1):
+    floor = np.maximum(10.0 * cfg.tol_fix, problem._rounding / problem.l[1:])
+    if converged and ((residuals > floor).any() or distances.max() > cfg.epsilon1):
         converged = False
     return ShadowingResult(
         v=v, shadow_point=problem.phase.exp(problem.po.points[0], v[0]), distances=distances,

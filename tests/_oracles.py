@@ -12,8 +12,10 @@ orbit by scalar recursions in eigencoordinates, LP
 feasibility for balance-sequence existence, one well-adapted balance
 sequence with scalar forward and backward passes, and the certificate
 margin table written one CSV row at a time.  The tiny-stack forms of the
-kernel (canon by floor, |a| and division for 1x1 blocks) are checked
-against the forms they replaced: np.mod, batched SVD and LAPACK solves.
+kernel (canon by floor, |a| and division for 1x1 blocks, closed-form
+extreme singular values of 2x2 stacks and dlarfg's arithmetic for 2x1
+columns) are checked against the forms they replaced: np.mod, batched
+SVD, LAPACK solves and LAPACK's QR.
 
 The last section holds the single-object references the package itself
 does not run: one block decomposition, splitting coordinates and box
@@ -475,6 +477,15 @@ def singular_values_svd(x, k, empty):
     `empty` for empty matrices."""
     s = np.linalg.svd(x, compute_uv=False)
     return s[:, k] if s.shape[1] else np.full(len(x), empty)
+
+
+def orthonormalize_qr(basis):
+    """splitting._orthonormalize by LAPACK's QR alone: Q with its columns
+    signed so that R's diagonal is nonnegative."""
+    q, r = np.linalg.qr(basis)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return q * signs[..., None, :]
 
 
 def solve_stack_lapack(a, b):

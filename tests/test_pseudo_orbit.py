@@ -327,19 +327,19 @@ class TestAssignSplittings:
                            match="^power iteration failed to separate subspaces at index 1$"):
             assign_splittings(flatten(np.array([[0.0, 0.0], [1.0, 0.0]]), [2], f), f, "power")
 
-    def test_power_takes_one_svd_of_its_bases(self, monkeypatch):
+    def test_power_takes_no_svd_or_column_qr_on_t2(self, monkeypatch):
+        # on T^2 the gap check of the bases and the orthonormalisation of
+        # their columns have closed forms; only the complements take a QR
         f = PerturbedCatMap(0.02)
         po = generate(f, [0.37, 0.58], [4] * 6, 1e-6, 2)
-        sizes = []
-        real = np.linalg.svd
-
-        def counting(a, *args, **kwargs):
-            sizes.append(np.shape(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
+        calls = []
+        for name in ("svd", "qr"):
+            def recorded(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, kwargs.get("mode", "reduced")))
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
         assign_splittings(po, f, "power")
-        assert sizes.count((po.n_steps + 1, 2, 2)) == 1
+        assert calls and set(calls) == {("qr", "complete")}
 
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("step", [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]],

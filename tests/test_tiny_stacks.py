@@ -4,26 +4,42 @@ On T^2 every tangent block is 1x1.  Phase.canon takes x - floor(x), the
 singular values of 1x1 blocks are |a| and 1x1 solves divide; each gives
 the bits of the np.mod or LAPACK form it replaced (tests/_oracles.py),
 and no kernel path hands LAPACK a stack of 1x1 matrices.
+
+The 2x2 Jacobians and bases of T^2 are checked for singularity and
+transversality by closed-form extreme singular values, within 8 eps s_max
+of LAPACK's, so both checks give LAPACK's verdict outside a band of
+16 eps s_max around their thresholds.  2x1 basis columns are
+orthonormalised by LAPACK's own Householder arithmetic, with its bits.
+No certify, power or solve path on T^2 calls svd on a 2x2 stack or the
+reduced QR on 2x1 columns.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bishadow.certification import (_singular_values, _solve_stack, certify_pseudo_orbit,
-                                    min_feasible_lambda)
-from bishadow.oracle import cat_map_periodic_points
-from bishadow.pseudo_orbit import assign_splittings, flatten, generate
+                                    min_feasible_lambda, pseudo_orbit_blocks)
+from bishadow.oracle import AffineSequenceSystem, cat_map_periodic_points
+from bishadow.pseudo_orbit import SplittingAssignment, assign_splittings, flatten, generate
 from bishadow.refinement import _graphs, make_refinement_config, refine
 from bishadow.shadowing import _solve_rows, make_solver_config, solve_finite, solve_periodic
+from bishadow.splitting import (_SAFMIN, _checked_basis, _extreme_singular_values,
+                                _householder_columns, _orthonormalize, eigen_splitting)
 from bishadow.systems import Phase, PerturbedCatMap, ShiftedMap, cat_map, system_bounds
 
-from _oracles import (canon_mod, graphs_lapack, iterate_orbit, singular_values_svd,
-                      solve_stack_lapack)
+from _oracles import (canon_mod, graphs_lapack, iterate_orbit, orthonormalize_qr,
+                      singular_values_svd, solve_stack_lapack)
 
 TORUS = Phase("torus", 2)
 SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+EPS = np.finfo(float).eps
+
+
+def extremes_svd(x):
+    """The largest and smallest singular values of the stack x, by SVD."""
+    return singular_values_svd(x, 0, 0.0), singular_values_svd(x, -1, 0.0)
 
 
 def same_bits(x, y):
@@ -63,10 +79,10 @@ def test_no_lapack_call_on_a_1x1_stack(monkeypatch, problems):
     f, g, po, strategy, closed = problems()
     spl = assign_splittings(po, f, strategy)
     closed_spl = assign_splittings(closed, f, "eigen")
-    shapes = []  # the matrix argument of every svd and solve call
-    for name in ("svd", "solve"):
-        def recorded(a, *args, _call=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
+    calls = []  # the name, matrix shape and mode of every svd, solve and qr call
+    for name in ("svd", "solve", "qr"):
+        def recorded(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(a), kwargs.get("mode", "reduced")))
             return _call(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, recorded)
     mods = []  # canon takes x - floor(x), not np.mod
@@ -85,8 +101,13 @@ def test_no_lapack_call_on_a_1x1_stack(monkeypatch, problems):
                           ).converged
     R = system_bounds(f).R
     assert refine(po, spl, f, make_refinement_config(0.45, 0.55, R=R)).certificate.passed
-    assert shapes  # the recorders see the 2x2 Jacobian stacks
-    assert [s for s in shapes if len(s) >= 3 and s[-2:] == (1, 1)] == []
+    assign_splittings(po, f, "power")
+    assign_splittings(closed, f, "power", depth=4)
+    assert calls  # the recorders see the 2x2 Jacobian stacks
+    tiny = [c for c in calls if len(c[1]) >= 3 and c[1][-2:] == (1, 1)]
+    svd_2x2 = [c for c in calls if c[0] == "svd" and len(c[1]) >= 3 and c[1][-2:] == (2, 2)]
+    qr_2x1 = [c for c in calls if c[0] == "qr" and c[1][-2:] == (2, 1) and c[2] == "reduced"]
+    assert (tiny, svd_2x2, qr_2x1) == ([], [], [])
     assert mods == []
 
 
@@ -194,3 +215,108 @@ def test_graphs_of_1xk_blocks_are_the_lapack_form():
         G, norms = _graphs(*pair)
         G_ref, norms_ref = graphs_lapack(*pair)
         assert same_bits(G, G_ref) and same_bits(norms, norms_ref)
+
+
+# --- 2x1 columns and 2x2 checks of T^2 ------------------------------------
+
+
+def signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+WIDE = signed(st.floats(1e-300, 1e300))
+COLUMN_ENTRY = WIDE | st.sampled_from(SPECIAL + [1e-300, -1e300, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(COLUMN_ENTRY, COLUMN_ENTRY), min_size=1, max_size=12))
+@example([(0.0, 2.5), (-0.0, -2.5), (0.0, -2.5), (-0.0, 2.5), (2.5, 0.0), (-2.5, -0.0)])
+def test_2x1_columns_are_lapack_qr(rows):
+    x = np.array(rows).reshape(-1, 2, 1)
+    assert same_bits(_orthonormalize(x), orthonormalize_qr(x))
+    for col in x:  # each column alone, so that one b = 0 or nan keeps no other off its path
+        ref = orthonormalize_qr(col)
+        assert same_bits(_orthonormalize(col), ref)
+        a, b = col[:, 0]
+        w = np.abs(col).max()
+        if b != 0.0 and _SAFMIN <= w <= 1e308:  # finite, and so is lapy2(a, b) <= sqrt(2) w
+            assert same_bits(_householder_columns(col), ref)  # the closed form, not LAPACK
+
+
+MID = signed(st.floats(1e-100, 1e100))
+REL = st.floats(-1e-9, 1e-9) | signed(st.floats(1e-16, 1e-12)) | st.sampled_from([0.0, 2e-14])
+
+
+def near_singular(rows):
+    """2x2 matrices [[a, b], [c, b c / a (1 + t)]], singular up to t."""
+    a, b, c, t = (np.array(v) for v in zip(*rows))
+    with np.errstate(over="ignore"):
+        return np.stack([a, b, c, b * c / a * (1.0 + t)], axis=-1).reshape(-1, 2, 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(MID, MID, MID, REL), min_size=1, max_size=8).map(near_singular)
+       | st.lists(st.tuples(WIDE, WIDE, WIDE, WIDE), min_size=1, max_size=8).map(
+           lambda rows: np.reshape(rows, (-1, 2, 2))))
+def test_2x2_singular_checks_give_the_svd_verdict(x):
+    assume(np.isfinite(x).all())
+    s_max, s_min = _extreme_singular_values(x)
+    ref_max, ref_min = extremes_svd(x)
+    assert (np.abs(s_max - ref_max) <= 8 * EPS * ref_max).all()
+    assert (np.abs(s_min - ref_min) <= 8 * EPS * ref_max).all()
+    far = np.abs(ref_min - 1e-14 * ref_max) > 16 * EPS * ref_max
+    assert np.array_equal((s_min <= s_max * 1e-14)[far], (ref_min <= ref_max * 1e-14)[far])
+
+
+def unit_columns(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)[..., None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 2 * np.pi), st.sampled_from([1e-12, 1e-6]),
+       st.lists(st.floats(-0.5, 0.5) | st.floats(-1.0, 1e6), min_size=1, max_size=8))
+def test_gap_check_gives_the_svd_verdict(phi, min_gap, offsets):
+    # the columns of [u | s] at angle t have s_min = sqrt(2) sin(t / 2), so
+    # t = sqrt(2) min_gap (1 + offset) puts s_min near the threshold
+    t = np.sqrt(2.0) * min_gap * (1.0 + np.array(offsets))
+    u, s = unit_columns(np.full_like(t, phi)), unit_columns(phi + t)
+    ref_min = extremes_svd(np.concatenate([u, s], axis=-1))[1]
+    assume((np.abs(ref_min - min_gap) > 16 * EPS * np.sqrt(2.0)).all())
+    narrow = np.flatnonzero(ref_min < min_gap)
+
+    def gap_error(j):
+        return ValueError(f"narrow at {j}")
+
+    if narrow.size:
+        with pytest.raises(ValueError, match=f"^narrow at {narrow[0]}$"):
+            _checked_basis(u, s, min_gap, gap_error)
+    else:
+        _checked_basis(u, s, min_gap, gap_error)
+
+
+@pytest.mark.parametrize("step", [np.ones((2, 2)), np.zeros((2, 2))], ids=["rank-one", "zero"])
+def test_singular_steps_are_still_rejected(step):
+    hyperbolic = np.diag([2.0, 0.5])
+    f = AffineSequenceSystem([hyperbolic, hyperbolic, step, hyperbolic], np.zeros((4, 2)),
+                             eigen_splitting(hyperbolic), validate=False)
+    po = flatten(np.array([[0.0, 0.0], [1.0, 1.0]]), [4], f)
+    spl = SplittingAssignment.constant(eigen_splitting(hyperbolic), po.n_steps + 1)
+    jac = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
+    ref_max, ref_min = extremes_svd(jac)
+    assert np.flatnonzero(ref_min <= 1e-14 * ref_max).tolist() == [2]
+    with pytest.raises(ValueError,
+                       match="^singular derivative at index 2 cannot be block-decomposed$"):
+        pseudo_orbit_blocks(po, spl, f)
+
+
+@pytest.mark.parametrize("entries", [[1.0, np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0, 1.0],
+                                     [1e-300, 0.0, 0.0, 1e-300], [1e308, 1e308, 1e308, 1e308]])
+def test_2x2_stacks_outside_the_closed_form_keep_the_svd(entries):
+    x = np.array([np.eye(2), np.reshape(entries, (2, 2))])
+    try:
+        ref = extremes_svd(x)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _extreme_singular_values(x)
+        return
+    assert all(same_bits(v, r) for v, r in zip(_extreme_singular_values(x), ref))
