@@ -4,18 +4,18 @@
 pure-Python indent encoder.  The skeleton (dicts, lists, scalars) becomes a
 ``%`` template filled from one call of the C encoder.  An array leaf, an
 ``ndarray`` or a ``Table`` of equal-length columns (a list of row dicts), is
-written ``SLICE`` rows at a time: one encoder call per column slice and a
-``%`` template per row.  A slice of ``_DISTINCT_MIN`` values or more encodes
-each distinct value once (numbers compared by their bits, so ``0.0`` and
-``-0.0`` stay apart).  So neither a whole array's Python floats nor the whole
-text is held.  A non-str key, or any value ``json.dumps`` rejects, raises
-TypeError.
+written ``SLICE`` rows at a time, one ``"".join`` per slice: its row text is
+built once and split where the values go, and the constant text before each
+value is joined to that value's texts (one encoder call per value column).
+From ``_DISTINCT_MIN`` values on, a column slice encodes and joins each
+distinct value once (numbers compared by their bits, so ``0.0`` and ``-0.0``
+stay apart).  So neither a whole array's Python floats nor the whole text is
+held.  A non-str key, or any value ``json.dumps`` rejects, raises TypeError.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
@@ -32,9 +32,10 @@ SLICE = 4096
 _SCALARS = json.JSONEncoder(separators=("\n", ":"))
 _SCALAR = (str, int, float, type(None))  # bool is an int
 # A shorter column slice is encoded value by value.  Finding the distinct
-# values costs about 15 us a slice plus a sort, against about 1 us per float
-# encoded, so a shorter slice with few repeats (the many small reports) loses
-# by it, while from here on an all-distinct slice costs about as much either way.
+# values costs about 15 us a slice and 0.03 us a value; each repeat saves its
+# encoding (0.6 us a float, 0.1 us an int or short string) and its join to the
+# text before it (0.04 us).  So few distinct values win from about 128 on, and
+# all-distinct floats lose 7 to 18 % from 256 on, more below.
 _DISTINCT_MIN = 512
 
 
@@ -122,29 +123,38 @@ class _Pending:
         self.parts.append("\n" + indent + brackets[1])
 
     def leaf(self, obj, indent: str):
-        """The pending text, then the leaf's rows a slice at a time."""
+        """The pending text, then the leaf's rows, one join per slice: a row is,
+        for each value, the row text before it joined to its text, then a tail."""
         if not len(obj):
             self.parts.append("[]")
             return
         inner = indent + "  "
         if isinstance(obj, Table):
             names = sorted(obj.columns)
-            keys = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names]
-            row = _template("{}", keys, inner)
-
-            def rows(s):
-                return map(row.__mod__, zip(*(_row_texts(obj.columns[k][s], inner + "  ")
-                                              for k in names)))
+            arrays = [obj.columns[k] for k in names]
+            row = _template("{}", [encode_basestring_ascii(k) + ": "
+                                   + _nested(a.shape[1:], inner + "  ")
+                                   for k, a in zip(names, arrays)], inner)
         else:
-            def rows(s):
-                return _row_texts(obj[s], inner)
+            arrays, row = [obj], _nested(obj.shape[1:], inner)
+        *before, tail = row.split("\0")  # the text before each value, then the row's tail
+        stride = len(before) + 1
         self.parts.append("[\n" + inner)
         self.flush()
         sep = ",\n" + inner
         for start in range(0, len(obj), SLICE):
+            s, rows = slice(start, start + SLICE), min(SLICE, len(obj) - start)
             if start:
                 self.out(sep)
-            self.out(sep.join(rows(slice(start, start + SLICE))))
+            if row == "\0":  # bare values
+                self.out(sep.join(_texts(obj[s], "")))
+                continue
+            buf = [tail + sep] * (stride * rows)
+            columns = (c for a in arrays for c in a[s].reshape(rows, -1).T)  # one per value
+            for p, (c, b) in enumerate(zip(columns, before)):
+                buf[p::stride] = _texts(c, b)
+            buf[-1] = tail
+            self.out("".join(buf))
         self.parts.append("\n" + indent + "]")
 
 
@@ -160,41 +170,31 @@ def _encode(values: list) -> list[str]:
     return _SCALARS.encode(values)[1:-1].split("\n") if values else []
 
 
-def _row_texts(a: np.ndarray, indent: str) -> list[str]:
-    """The text of each row ``a[r].tolist()``, nested at ``indent``."""
-    flat = a.ravel()
+def _texts(a: np.ndarray, before: str) -> list[str]:
+    """``before`` joined to the text of each value of the 1-D ``a``.  From
+    ``_DISTINCT_MIN`` values on, each distinct string or bit pattern is
+    encoded and joined to ``before`` once.  Bits, not values: ``0.0`` and
+    ``-0.0`` are equal but encode apart, while every NaN encodes as ``NaN``."""
     kind = a.dtype.kind
-    if len(flat) >= _DISTINCT_MIN and (kind == "U" or kind in "biuf" and a.itemsize <= 8):
-        encoded = _distinct_texts(flat)
-    else:
-        encoded = _encode(flat.tolist())
-    if a.ndim == 1:
-        return encoded
-    template = _nested(a.shape[1:], indent)
-    width = math.prod(a.shape[1:])
-    if not width:
-        return [template] * len(a)
-    return list(map(template.__mod__, zip(*[iter(encoded)] * width)))
-
-
-def _distinct_texts(flat: np.ndarray) -> list[str]:
-    """The text of each value of ``flat``, each distinct string or bit pattern
-    encoded once.  Bits, not values: ``0.0`` and ``-0.0`` are equal but encode
-    apart, while every NaN encodes as ``NaN``."""
-    bits = flat if flat.dtype.kind == "U" else flat.view(f"u{flat.itemsize}")
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    return np.array(_encode(flat[first].tolist()), dtype=object)[inverse].tolist()
+    if len(a) >= _DISTINCT_MIN and (kind == "U" or kind in "biuf" and a.itemsize <= 8):
+        _, first, inverse = np.unique(a if kind == "U" else a.view(f"u{a.itemsize}"),
+                                      return_index=True, return_inverse=True)
+        texts = np.array(_encode(a[first].tolist()), dtype=object)
+        return (before + texts if before else texts)[inverse].tolist()
+    texts = _encode(a.tolist())
+    return [before + t for t in texts] if before else texts
 
 
 def _nested(shape: tuple, indent: str) -> str:
-    """The template of one nested list of this shape at ``indent``."""
+    """One nested list of this shape at ``indent``, a NUL for each value: the
+    encoder escapes NUL, so no key or value text holds one."""
     if not shape:
-        return "%s"
+        return "\0"
     return _template("[]", [_nested(shape[1:], indent + "  ")] * shape[0], indent)
 
 
 def _template(brackets: str, fields: list[str], indent: str) -> str:
-    """A container's text at ``indent``, one ``%s`` per item still to fill."""
+    """A container's text at ``indent``, from the texts of its items."""
     if not fields:
         return brackets
     inner = indent + "  "

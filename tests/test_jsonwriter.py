@@ -98,6 +98,17 @@ def test_matches_json_dumps(tree):
     check(tree)
 
 
+def skeleton_table(rows):
+    """A table of `rows` rows whose row text has every kind of piece: a
+    nested column, zero-width columns whose ``[]`` joins the text before the
+    next value, repeated and distinct values, and keys that hold ``%``, ``"``
+    and NUL."""
+    i = np.arange(rows)
+    return Table({"a": (i / 7).reshape(-1, 1, 1) * [[1.0], [-0.0]],
+                  "b": np.empty((rows, 0)), "c": np.empty((rows, 2, 0)),
+                  "d": np.array(["%s", 'x"', "\x00"])[i % 3], '%"\x00': i % 5 - 2.5})
+
+
 @settings(max_examples=200, deadline=None)
 @given(ARRAY_TREES)
 @example(np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
@@ -105,6 +116,11 @@ def test_matches_json_dumps(tree):
 @example(np.arange(24.0).reshape(2, 3, 4))
 @example(Table({"x": np.empty(0), "y": np.empty((0, 2, 2))}))
 @example(Table({"%s": np.array(['%d"', "\x1f\n", "é😀"]), "u": np.ones((3, 2, 1))}))
+@example(Table({"b": np.empty((2, 0)), "c": np.empty((2, 2, 0))}))  # no value in a row
+@example({"%": skeleton_table(3), '"': np.ones((3, 0)), "\x00": np.empty((3, 2, 0))})
+@example(skeleton_table(bishadow.jsonwriter._DISTINCT_MIN - 1))
+@example(skeleton_table(bishadow.jsonwriter._DISTINCT_MIN))
+@example(skeleton_table(SLICE + 1))
 def test_array_leaves_match_json_dumps(tree):
     check(tree)
 
@@ -201,14 +217,24 @@ def test_only_long_slices_encode_each_distinct_value_once(encoded, column):
 
 
 def test_long_certificate_encodes_each_distinct_value_once(encoded):
-    """Writing a 1000-step cat-map certificate hands the encoder fewer than
-    a quarter of its table's cells: its columns repeat few values."""
+    """Writing a 1000-step cat-map certificate (two slices of its margin
+    table, 4096 and 154 rows) hands the encoder each column slice of
+    ``_DISTINCT_MIN`` rows or more once per distinct bit pattern, and a
+    shorter one value by value, between the scalars before and after it."""
     f = cat_map()
     po = generate(f, [0.13, 0.41], [4] * 250, 1e-4, 1)
     cert = certify_pseudo_orbit(po, assign_splittings(po, f), f, 0.4, 0.0, 1e-4)
     table = cert.report()["margins"]
     check(cert.report())
-    assert sum(encoded) < len(table) * len(table.columns) / 4
+    want = []
+    for start in range(0, len(table), SLICE):
+        for name in sorted(table.columns):
+            c = table.columns[name][start:start + SLICE]
+            bits = c if c.dtype.kind == "U" else c.view(f"u{c.itemsize}")
+            want.append(len(np.unique(bits)) if len(c) >= bishadow.jsonwriter._DISTINCT_MIN
+                        else len(c))
+    assert len(table) == 4250 and encoded[1:-1] == want
+    assert sum(want) < len(table) * len(table.columns) / 4
 
 
 def test_report_sized_rows():
