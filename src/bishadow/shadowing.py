@@ -18,11 +18,12 @@ Every row j of the update is computed from v_j and v_{j+1} alone, so the
 update is a fixed number of stacked array operations over all indices:
 the splittings are stacked once per problem, and the maps evaluate
 step j on row j through SmoothMap.along.  For the same reason several
-problems can share one update: a stack (_Stack) concatenates their rows
-and masks the step from one problem's last row to the next one's first.
-_solve, the one solver loop, iterates a stack; a single solve is a
-stack of one, and sweeps and window ladders solve all their problems as
-one stack, each with the bits it has alone.
+problems can share one update.  A ShadowProblem holds one problem's
+data; the update acts only on a stack (_Stack), which concatenates the
+rows of its problems and masks the step from one problem's last row to
+the next one's first.  _solve, the one solver loop, iterates a stack; a
+single solve is a stack of one, and sweeps and window ladders solve all
+their problems as one stack, each with the bits it has alone.
 
 A fixed point of this update is an exact orbit of g: v_{j+1} = G_j(v_j)
 with the pinned boundary components, so exp_{y_0}(v_0) shadows the
@@ -171,16 +172,14 @@ def make_solver_config(
 
 
 class ShadowProblem:
-    """A pseudo-orbit, its splittings, the two maps, and the rescaled norms.
+    """One problem: a pseudo-orbit, its splittings, the two maps, the config
+    and the rescaled norms.
 
     blocks, when given, are what pseudo_orbit_blocks returns for these
-    splittings and must cover po; they set the adapted weights.  The chart
-    maps, their Jacobians and the Newton inversion read the stacked
-    splittings and act on all N indices at a time: row j of an ``(N, n)``
-    argument is the tangent vector at index j.  A problem is a stack of one
-    (see _Stack) whose rows start at 0.  When f.derivative_bounds() gives
-    L = 0, Df does not depend on the point, and the unstable blocks of the
-    DF_j are computed once, here.
+    splittings and must cover po; they set the adapted weights.  _rounding
+    is the Newton rounding floor of each step (see _Stack.invert_unstable),
+    and constant_df says whether f.derivative_bounds() gives L = 0, so that
+    Df does not depend on the point.  The update itself acts on a _Stack.
     """
 
     def __init__(self, po, splittings, f, g, config, blocks=None):
@@ -197,21 +196,51 @@ class ShadowProblem:
         self.weights = _segmentwise(partial(well_adapted_sequence, lam=config.lam),
                                     po.offsets, norm_d, m_a)
         self.l = scale_factors(self.weights, po.offsets)
-        self.phase = po.phase
-        self.dim_u = splittings.dim_u
-        self.points = po.points
-        self.steps = np.arange(po.n_steps)
-        self.starts = np.array([0, po.n_steps + 1])
-        self._cuts = None  # a stack's steps from one problem's last row to the next one's first
-        self._eta = np.broadcast_to(config.eta, po.n_steps)  # the eta of each step's problem
-        size = np.abs(self.points).max(axis=-1)  # the Newton stop of each step: invert_unstable
+        size = np.abs(po.points).max(axis=-1)
         self._rounding = NEWTON_ULPS * np.finfo(float).eps * np.maximum(size[:-1], size[1:])
-        self._newton_tol = np.maximum(NEWTON_TOL, self._rounding)
-        self._f_images, self._f_jacobians, self._g_images = _map_calls([self], self.starts)
-        self._fixed = None
         bounds = f.derivative_bounds()
-        if bounds is not None and bounds[1] == 0.0:
-            self._fixed = self._unstable_blocks(np.zeros((po.n_steps, self.phase.dim)))
+        self.constant_df = bounds is not None and bounds[1] == 0.0
+
+
+class _Stack:
+    """ShadowProblems that share a phase space and dim_u, solved as one: their
+    rows concatenated, so that one apply_operator call updates every one.
+
+    The chart maps, their Jacobians and the Newton inversion read the
+    stacked splittings and act on all rows at a time: row j of an
+    ``(N, n)`` argument is the tangent vector at row j.  The step from one
+    problem's last row to the next one's first, a cut, is computed like any
+    other and then masked: it adds nothing to the update, is no Newton
+    index and fails nothing.  Every other row is computed by the same row
+    operations on C-ordered copies of its problem's arrays, so it has the
+    bits it has alone; a stack of one holds the problem's own arrays.  A
+    failing problem does not raise: after each apply_operator call, errors
+    maps the position of every problem that failed in it to its error, and
+    that problem's rows mean nothing.  When every problem's Df is constant,
+    the unstable blocks of the DF_j are computed once, on first use.
+    """
+
+    def __init__(self, problems):
+        self.phase, self.dim_u = problems[0].po.phase, problems[0].splittings.dim_u
+        if any(p.po.phase != self.phase or p.splittings.dim_u != self.dim_u for p in problems):
+            raise ValueError("stacked problems need one phase space and one dim_u")
+        lengths = [len(p.po.points) for p in problems]
+        self.starts = np.cumsum([0] + lengths)
+        self.points = _rows([p.po.points for p in problems])
+        self.splittings = SplittingAssignment(*(
+            _rows([getattr(p.splittings, name) for p in problems])
+            for name in ("unstable", "stable", "basis_inv")))
+        self.l = _rows([p.l for p in problems])
+        # a cut takes step 0, which every step-indexed map has
+        self.steps = np.concatenate([np.append(np.arange(p.po.n_steps), 0) for p in problems])[:-1]
+        self._cuts = self.starts[1:-1] - 1
+        self._eta = np.repeat([p.config.eta for p in problems], lengths)[:-1]
+        self._newton_tol = np.maximum(NEWTON_TOL, np.concatenate(
+            [np.append(p._rounding, 0.0) for p in problems])[:-1])
+        self._f_images, self._f_jacobians, self._g_images = _map_calls(problems, self.starts)
+        self._constant_df = all(p.constant_df for p in problems)
+        self._fixed = None
+        self.errors = {}
 
     @property
     def n_steps(self) -> int:
@@ -227,16 +256,13 @@ class ShadowProblem:
         return self.phase.wrap(images - self.points[1:])
 
     def F(self, v):
-        """Chart representations F_j(v_j) of f between indices j and j+1, j < N."""
+        """Chart representations F_j(v_j) of f between rows j and j+1, j < N."""
         return self._chart(self._f_images(self.phase.canon(self.points[:-1] + v), self.steps))
 
-    def G(self, v):
-        """Chart representations G_j(v_j) of g between indices j and j+1, j < N."""
-        return self.charts(v)[1]
-
     def charts(self, v):
-        """F(v) and G(v), from one evaluation of f: one along call per distinct
-        map, none for a g that is f or a ShiftedMap of f."""
+        """F(v) and the chart representations G(v) of g, from one evaluation
+        of f: one along call per distinct map, none for a g that is f or a
+        ShiftedMap of f."""
         x = self.phase.canon(self.points[:-1] + v)
         fx = self._f_images(x, self.steps)
         g_chart = self._chart(self._g_images(x, self.steps, fx))
@@ -252,7 +278,10 @@ class ShadowProblem:
             return self._fixed
         spl = self.splittings
         jac = np.matmul(np.matmul(spl.basis_inv[1:], self.chart_jacobian(xi)), spl.unstable[:-1])
-        return jac[:, : self.dim_u, :]
+        jac = jac[:, : self.dim_u, :]
+        if self._constant_df:
+            self._fixed = jac
+        return jac
 
     def invert_unstable(self, sv, target, base):
         """Newton inversion of the expanding unstable parts of all F_j at once.
@@ -264,7 +293,7 @@ class ShadowProblem:
         must lie in the eta-ball.  Every index runs its own
         Newton iteration and stops once its residual is below NEWTON_TOL,
         or below NEWTON_ULPS ulps of the larger point its step joins where
-        that is more (_newton_tol, set once per problem).  That is what
+        that is more (ShadowProblem._rounding).  That is what
         rounding allows: F_j evaluates f at canon(y_j + x), which rounds at
         the ulps of y_j, and subtracts y_{j+1} from an image of about its
         size, rounded at its ulps, so the computed residual of even the
@@ -272,16 +301,14 @@ class ShadowProblem:
         it is below 2e-15 and the stop is NEWTON_TOL; an affine orbit
         whose coordinates grow to 4e4 needs about 1e-11.
         When indices fail (singular block, stalled Newton, eta-ball
-        escape), the error of the lowest one is raised; a stack keeps the
-        error of each failing problem's lowest index instead (_Stack._fail),
-        and its cuts are no Newton index.
+        escape), errors keeps the error of each failing problem's lowest
+        index; the cuts are no Newton index.
         """
         target = np.asarray(target, dtype=float)
         # seed with the linear prediction; exact for affine charts
         w, singular = _solve_rows(self._unstable_blocks(sv), target)
         live = ~singular
-        if self._cuts is not None:
-            singular[self._cuts] = live[self._cuts] = False
+        singular[self._cuts] = live[self._cuts] = False
         failed = [(np.flatnonzero(singular), _SINGULAR)]  # failing indices, and why
         done = np.zeros_like(live)
         for _ in range(NEWTON_MAX_ITER):
@@ -303,77 +330,31 @@ class ShadowProblem:
         size = np.sqrt(_sq_norms(w))
         l_src = self.l[:-1]
         failed.append((np.flatnonzero(done & (size > self._eta * l_src * (1.0 + 1e-9))), _ESCAPED))
-        errors = {}
+        self.errors = {}
         for row, why in sorted((row, why) for rows, why in failed for row in rows.tolist()):
             k = int(np.searchsorted(self.starts, row, side="right")) - 1
-            if k in errors:  # only the lowest failing index of each problem
+            if k in self.errors:  # only the lowest failing index of each problem
                 continue
             j = row - self.starts[k]
             if why == _SINGULAR:
-                errors[k] = UnstableSolveError(f"singular unstable block at index {j}")
+                self.errors[k] = UnstableSolveError(f"singular unstable block at index {j}")
             elif why == _STALLED:
-                errors[k] = UnstableSolveError(
+                self.errors[k] = UnstableSolveError(
                     f"Newton inversion stalled at index {j} (residual {res[row]:.3e})")
             else:
-                errors[k] = BallInvariantError(
+                self.errors[k] = BallInvariantError(
                     f"inverted unstable component at index {j} has rescaled size "
                     f"{size[row] / l_src[row]:.3e} > eta = {self._eta[row]:.3e}")
-        self._fail(errors)
         return w
-
-    def _fail(self, errors):
-        if errors:
-            raise errors[0]
-
-
-class _Stack(ShadowProblem):
-    """ShadowProblems that share a phase space and dim_u, solved as one: their
-    rows concatenated, so that one apply_operator call updates every one.
-
-    The step from one problem's last row to the next one's first, a cut, is
-    computed like any other and then masked: it adds nothing to the update,
-    is no Newton index and fails nothing.  Every other row is computed by
-    the row operations a problem alone runs, on C-ordered copies of its
-    arrays, so it has the bits it has alone; a stack of one holds the
-    problem's own arrays.  A failing problem does not raise: after each
-    apply_operator call, errors maps the position of every problem that
-    failed in it to its error, and that problem's rows mean nothing.
-    """
-
-    def __init__(self, problems):
-        first = problems[0]
-        if len(problems) == 1:
-            vars(self).update(vars(first))
-        else:
-            if any(p.phase != first.phase or p.dim_u != first.dim_u for p in problems):
-                raise ValueError("stacked problems need one phase space and one dim_u")
-            self.phase, self.dim_u = first.phase, first.dim_u
-            self.starts = np.cumsum([0] + [len(p.points) for p in problems])
-            self.points = _rows([p.points for p in problems])
-            self.splittings = SplittingAssignment(*(
-                _rows([getattr(p.splittings, name) for p in problems])
-                for name in ("unstable", "stable", "basis_inv")))
-            self.l = _rows([p.l for p in problems])
-            # a cut takes step 0, which every step-indexed map has
-            self.steps = np.concatenate([np.append(p.steps, 0) for p in problems])[:-1]
-            self._cuts = self.starts[1:-1] - 1
-            self._eta = _rows([np.append(p._eta, 0.0) for p in problems])[:-1]
-            self._newton_tol = _rows([np.append(p._newton_tol, 0.0) for p in problems])[:-1]
-            self._f_images, self._f_jacobians, self._g_images = _map_calls(problems, self.starts)
-            self._fixed = None
-            if all(p._fixed is not None for p in problems):
-                self._fixed = self._unstable_blocks(np.zeros((self.n_steps, self.phase.dim)))
-        self.errors = {}
-
-    def _fail(self, errors):
-        self.errors = errors
 
 
 def _rows(arrays):
-    """The rows of the arrays, concatenated into one new C-ordered array.
-    (np.concatenate of the broadcast stacks of a constant splitting returns
-    an array whose first axis varies fastest, and np.matmul rounds such a
-    stack differently.)"""
+    """The rows of the arrays, concatenated into one new C-ordered array, or
+    a lone array as it is.  (np.concatenate of the broadcast stacks of a
+    constant splitting returns an array whose first axis varies fastest,
+    and np.matmul rounds such a stack differently.)"""
+    if len(arrays) == 1:
+        return arrays[0]
     out = np.empty((sum(len(a) for a in arrays),) + arrays[0].shape[1:])
     return np.concatenate(arrays, out=out)
 
@@ -399,8 +380,8 @@ def _map_calls(problems, starts):
             key, call = id(p.g), partial(_own_images, p.g)
         gs.setdefault(key, (call, []))[1].append(rows)
     if shifts:
-        shifts = shifts[0] if len(shifts) == 1 else _rows(shifts)  # a view, or one array
-        gs["shift"] = (partial(_shifted_images, problems[0].phase, shifts), gs["shift"][1])
+        gs["shift"] = (partial(_shifted_images, problems[0].po.phase, _rows(shifts)),
+                       gs["shift"][1])
     return (_each_map([(f.along, rows) for f, rows in fs.values()]),
             _each_map([(f.jacobian_along, rows) for f, rows in fs.values()]),
             _each_map(list(gs.values())))
@@ -458,38 +439,42 @@ def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finit
     """One solver update: forward stable rows, backward unstable rows,
     boundary rows per mode ("finite" pins the free components to zero,
     "periodic" wraps them around the seam).  Every row is updated at
-    once from the stacked splittings.  problem may be a _Stack: its cuts add
-    nothing, the boundary rows are those of each problem, and the problems
-    that fail leave their errors in problem.errors instead of raising."""
+    once from the stacked splittings.  A ShadowProblem is updated as a
+    stack of one and raises its error.  problem may be a _Stack: its cuts
+    add nothing, the boundary rows are those of each problem, and the
+    problems that fail leave their errors in problem.errors instead of
+    raising."""
     if boundary not in ("finite", "periodic"):
         raise ValueError(f"unknown boundary mode {boundary!r}")
-    du, spl = problem.dim_u, problem.splittings
+    stack = problem if isinstance(problem, _Stack) else _Stack([problem])
+    du, spl = stack.dim_u, stack.splittings
     src, dst = slice(None, -1), slice(1, None)
     w = np.zeros_like(v)
-    f_imgs, g_imgs = problem.charts(v[:-1])
-    w[1:] += _matvec(spl.stable[dst], problem.coords(dst, g_imgs)[1])
-    sv = _matvec(spl.stable[src], problem.coords(src, v[:-1])[1])
-    f_sv = problem.F(sv)
+    f_imgs, g_imgs = stack.charts(v[:-1])
+    w[1:] += _matvec(spl.stable[dst], stack.coords(dst, g_imgs)[1])
+    sv = _matvec(spl.stable[src], stack.coords(src, v[:-1])[1])
+    f_sv = stack.F(sv)
     target_ambient = -g_imgs + f_imgs - f_sv + v[1:]
     del f_imgs  # not kept through the Newton solve: a higher heap peak costs page faults
-    wu = problem.invert_unstable(sv, problem.coords(dst, target_ambient)[0], f_sv)
+    wu = stack.invert_unstable(sv, stack.coords(dst, target_ambient)[0], f_sv)
+    if stack is not problem and stack.errors:
+        raise stack.errors[0]
     unstable = _matvec(spl.unstable[src], wu)
-    if problem._cuts is not None:  # a cut adds nothing to either row it joins
-        w[problem._cuts + 1] = unstable[problem._cuts] = 0.0
+    w[stack._cuts + 1] = unstable[stack._cuts] = 0.0  # a cut adds nothing to either row it joins
     w[:-1] += unstable
     if boundary == "periodic":
-        for a, b in zip(problem.starts[:-1], problem.starts[1:] - 1):
+        for a, b in zip(stack.starts[:-1], stack.starts[1:] - 1):
             w[a] += spl.stable[a] @ (spl.basis_inv[b] @ w[b])[du:]
             w[b] += spl.unstable[b] @ (spl.basis_inv[a] @ w[a])[:du]
     return w
 
 
-def _ball_norms(problem: ShadowProblem, w: np.ndarray) -> np.ndarray:
+def _ball_norms(stack: _Stack, w: np.ndarray) -> np.ndarray:
     """Largest rescaled box norm max(|w_u|, |w_s|) / l_j over the indices of
     each problem of the stack."""
     # squared component lengths as per-index dot products, rounded as box_norm rounds them
-    sq = [_sq_norms(part) for part in problem.coords(slice(None), w)]
-    return np.maximum.reduceat(np.sqrt(np.maximum(*sq)) / problem.l, problem.starts[:-1])
+    sq = [_sq_norms(part) for part in stack.coords(slice(None), w)]
+    return np.maximum.reduceat(np.sqrt(np.maximum(*sq)) / stack.l, stack.starts[:-1])
 
 
 @dataclass(eq=False)
@@ -610,7 +595,8 @@ def _solve(problems, boundary: str) -> list:
             for i in done:
                 k, rows = live[i], slice(starts[i], starts[i + 1])
                 if out[k] is None:
-                    out[k] = _result(problems[k], v[rows], history[k], ball_worst[k],
+                    alone = stack if len(live) == 1 else _Stack([problems[k]])
+                    out[k] = _result(problems[k], alone, v[rows], history[k], ball_worst[k],
                                      history[k][-1] < problems[k].config.tol_fix, boundary)
             stay = [i for i in range(len(live)) if i not in done]
             live = [live[i] for i in stay]
@@ -619,19 +605,20 @@ def _solve(problems, boundary: str) -> list:
     return out
 
 
-def _result(problem, v, history, ball_worst, converged, boundary) -> "ShadowingResult":
-    """The result of a solve.  A converged solve is reported as not converged
+def _result(problem, alone, v, history, ball_worst, converged, boundary) -> "ShadowingResult":
+    """The result of a solve; alone is the stack of problem alone, whose
+    charts give the residuals.  A converged solve is reported as not converged
     when a rescaled one-step residual exceeds the larger of 10 tol_fix and
     its step's rounding floor (the one the Newton stop allows, over l), or
     when a distance exceeds epsilon1."""
     cfg = problem.config
-    residuals = np.sqrt(_sq_norms(v[1:] - problem.G(v[:-1]))) / problem.l[1:]
+    residuals = np.sqrt(_sq_norms(v[1:] - alone.charts(v[:-1])[1])) / problem.l[1:]
     distances = np.linalg.norm(v, axis=-1)
     floor = np.maximum(10.0 * cfg.tol_fix, problem._rounding / problem.l[1:])
     if converged and ((residuals > floor).any() or distances.max() > cfg.epsilon1):
         converged = False
     return ShadowingResult(
-        v=v, shadow_point=problem.phase.exp(problem.po.points[0], v[0]), distances=distances,
+        v=v, shadow_point=problem.po.phase.exp(problem.po.points[0], v[0]), distances=distances,
         orbit_residuals=residuals, iterations=len(history), converged=converged,
         update_history=history, ball_margin=ball_worst / cfg.eta, scale=problem.l,
         boundary=boundary, config=cfg,

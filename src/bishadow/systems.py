@@ -141,9 +141,13 @@ class TorusLinearMap(SmoothMap):
             raise ValueError("matrix must have a nonzero determinant")
         self.matrix = np.asarray(m, dtype=float)
         self.phase = Phase("torus", self.matrix.shape[0])
+        # BLAS rounds a row as it would alone when its products with torus
+        # points are exact, as they are for entries in {0, +-1, +-2}
+        self._exact = bool((np.abs(self.matrix) <= 2.0).all())
 
     def __call__(self, x):
-        return self.phase.canon(np.asarray(x, dtype=float) @ self.matrix.T)
+        x = np.asarray(x, dtype=float)
+        return self.phase.canon(x @ self.matrix.T if self._exact else _column_sum(x, self.matrix))
 
     def jacobian(self, x):
         return np.broadcast_to(self.matrix, np.shape(x)[:-1] + self.matrix.shape).copy()
@@ -216,16 +220,20 @@ class AffineMap(SmoothMap):
         self.phase = Phase("euclidean", n)
 
     def __call__(self, x):
-        # a fixed-order sum of columns, so each row has the bits it has alone
-        # (a BLAS x @ M.T may round a row by its place in the batch)
-        x = np.asarray(x, dtype=float)
-        y = x[..., 0, None] * self.matrix[:, 0]
-        for k in range(1, self.matrix.shape[1]):
-            y += x[..., k, None] * self.matrix[:, k]
-        return y + self.offset
+        return _column_sum(np.asarray(x, dtype=float), self.matrix) + self.offset
 
     jacobian = TorusLinearMap.jacobian  # the constant Df = M
     derivative_bounds = TorusLinearMap.derivative_bounds
+
+
+def _column_sum(x, matrix):
+    """x @ matrix.T as a fixed-order sum of columns, so that each row has the
+    bits it has alone (a BLAS product may round a row by its place in the
+    batch)."""
+    y = x[..., 0, None] * matrix[:, 0]
+    for k in range(1, matrix.shape[1]):
+        y += x[..., k, None] * matrix[:, k]
+    return y
 
 
 class ShiftedMap(SmoothMap):

@@ -363,7 +363,7 @@ def random_affine_system(rng, lam=0.75):
 def chart_step(problem, m, j, v):
     """Chart representation of the map m between indices j and j+1."""
     y, y1 = problem.po.points[j], problem.po.points[j + 1]
-    return problem.phase.wrap(m.along(problem.phase.canon(y + v), j) - y1)
+    return problem.po.phase.wrap(m.along(problem.po.phase.canon(y + v), j) - y1)
 
 
 def invert_unstable_at(problem, j, sv, target):
@@ -382,7 +382,7 @@ def invert_unstable_at(problem, j, sv, target):
     target = np.asarray(target, dtype=float)
 
     def a_loc(xi):
-        jac = problem.f.jacobian_along(problem.phase.canon(problem.po.points[j] + xi), j)
+        jac = problem.f.jacobian_along(problem.po.phase.canon(problem.po.points[j] + xi), j)
         return (dst.basis_inv @ jac @ sp.unstable)[: dst.dim_u, :]
 
     try:
@@ -391,7 +391,7 @@ def invert_unstable_at(problem, j, sv, target):
         raise UnstableSolveError(f"singular unstable block at index {j}") from exc
     for _ in range(NEWTON_MAX_ITER):
         out = chart_step(problem, problem.f, j, sv + sp.unstable @ w) - base
-        r = unstable_coords(dst, problem.phase.wrap(out)) - target
+        r = unstable_coords(dst, problem.po.phase.wrap(out)) - target
         if np.linalg.norm(r) <= NEWTON_TOL:
             size = float(np.linalg.norm(w))
             if size > cfg.eta * problem.l[j] * (1.0 + 1e-9):
@@ -413,7 +413,7 @@ def apply_operator_per_index(problem, v, boundary="finite"):
     """The solver update one index at a time: forward stable rows through
     G_j, backward unstable rows by a Newton inversion per index, then the
     boundary rows."""
-    n = problem.n_steps
+    n = problem.po.n_steps
     spl = problem.splittings
     w = np.zeros_like(v)
     g_imgs = [chart_step(problem, problem.g, j, v[j]) for j in range(n)]

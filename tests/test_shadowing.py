@@ -11,6 +11,7 @@ from bishadow.shadowing import (
     ShadowProblem,
     UnstableSolveError,
     _ball_norms,
+    _Stack,
     apply_operator,
     make_solver_config,
     shadowing_preconditions,
@@ -68,12 +69,12 @@ def bump_problem(delta=1e-3, n=8):
 class TestLocalMaps:
     def test_genuine_orbit_charts_vanish_at_zero(self):
         f, g, po, spl, cfg = cat_problem(jump=0.0, shift=(0.0, 0.0))
-        problem = ShadowProblem(po, spl, f, f, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, f, cfg)])
         assert np.allclose(problem.F(np.zeros((po.n_steps, 2))), 0.0, atol=1e-15)
 
     def test_chart_offset_at_joins_is_residual(self):
         f, g, po, spl, cfg = cat_problem(jump=1e-4, shift=(0.0, 0.0))
-        problem = ShadowProblem(po, spl, f, f, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, f, cfg)])
         offsets = problem.F(np.zeros((po.n_steps, 2)))
         for i, (start, stop) in enumerate(zip(po.offsets[:-1], po.offsets[1:])):
             j_end = stop - 1
@@ -82,10 +83,10 @@ class TestLocalMaps:
 
     def test_shift_offset_constant_in_charts(self):
         f, g, po, spl, cfg = cat_problem(shift=(1e-4, 0.0))
-        problem = ShadowProblem(po, spl, f, g, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, g, cfg)])
         rng = np.random.default_rng(0)
         v = 1e-3 * rng.standard_normal((po.n_steps, 2))
-        assert np.allclose(problem.G(v) - problem.F(v), [1e-4, 0.0], atol=1e-15)
+        assert np.allclose(problem.charts(v)[1] - problem.F(v), [1e-4, 0.0], atol=1e-15)
 
     def test_linearization_error_quadratic(self):
         from bishadow.systems import PerturbedCatMap
@@ -94,7 +95,7 @@ class TestLocalMaps:
         po = generate(f, [0.3, 0.8], [3, 3], 0.0, 1)
         spl = assign_splittings(po, f, "power")
         cfg = make_solver_config(po, f, lam=0.45, lam_tilde=0.55)
-        problem = ShadowProblem(po, spl, f, f, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, f, cfg)])
         lip = 0.05 * 2 * np.pi  # derivative Lipschitz constant of the shear
         rng = np.random.default_rng(2)
         z = np.zeros((po.n_steps, 2))
@@ -134,7 +135,7 @@ class TestAdaptedWeights:
 class TestUnstableComponent:
     def test_zero_maps_to_zero(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = ShadowProblem(po, spl, f, g, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, g, cfg)])
         z = np.zeros((po.n_steps, 2))
         out = expand_unstable(problem, z, np.zeros((po.n_steps, 1)))
         assert np.allclose(out, 0.0, atol=1e-15)
@@ -142,7 +143,7 @@ class TestUnstableComponent:
 
     def test_linear_diagonal_doubles(self):
         f, po, spl, cfg = bump_problem()
-        problem = ShadowProblem(po, spl, f, f, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, f, cfg)])
         z = np.zeros((po.n_steps, 2))
         w = np.full((po.n_steps, 1), 0.01)
         out = expand_unstable(problem, z, w)
@@ -152,7 +153,7 @@ class TestUnstableComponent:
 
     def test_sampled_expansion_factor(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = ShadowProblem(po, spl, f, g, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, g, cfg)])
         rng = np.random.default_rng(3)
         n = po.n_steps
         z = np.zeros((n, 2))
@@ -167,7 +168,7 @@ class TestUnstableComponent:
 
     def test_newton_round_trip(self):
         f, g, po, spl, cfg = cat_problem()
-        problem = ShadowProblem(po, spl, f, g, cfg)
+        problem = _Stack([ShadowProblem(po, spl, f, g, cfg)])
         rng = np.random.default_rng(4)
         n = po.n_steps
         for _ in range(50):
@@ -228,7 +229,7 @@ class TestOperator:
     @given(dim=st.integers(2, 5), data=st.data())
     def test_ball_check_equals_box_norm_reference(self, dim, data):
         rng, spl, problem = fresh_splitting_problem(dim, data)
-        n = problem.n_steps
+        n = problem.po.n_steps
         cfg = problem.config
 
         def reference(w):
@@ -236,7 +237,7 @@ class TestOperator:
 
         w = rng.standard_normal((n + 1, dim))
         w *= 0.5 * cfg.eta * 10.0 ** -rng.uniform(0.0, 6.0) / reference(w)
-        assert _ball_norms(problem, w).tolist() == [reference(w)]
+        assert _ball_norms(_Stack([problem]), w).tolist() == [reference(w)]
 
     def test_affine_single_application_matches_green_sums(self):
         # one application from zero reproduces the depth-one truncated sums
@@ -248,7 +249,7 @@ class TestOperator:
         cfg = make_solver_config(po, f, lam=0.55, lam_tilde=0.7, epsilon1=1.0)
         problem = ShadowProblem(po, spl, f, f, cfg)
         w = apply_operator(problem, np.zeros((5, 2)))
-        offsets = problem.F(np.zeros((4, 2)))
+        offsets = _Stack([problem]).F(np.zeros((4, 2)))
         for j in range(4):
             r = offsets[j]
             assert np.isclose(w[j + 1][1], r[1] + 0.0, atol=1e-15)   # stable row
@@ -280,7 +281,7 @@ class TestBatchedEqualsPerIndex:
     def test_step_indexed_affine(self, dim, periodic, data):
         rng, spl, problem = fresh_splitting_problem(dim, data, jump=1e-4, shift=1e-4)
         boundary = "periodic" if periodic else "finite"
-        v = 1e-4 * problem.l[:, None] * rng.standard_normal((problem.n_steps + 1, dim))
+        v = 1e-4 * problem.l[:, None] * rng.standard_normal((problem.po.n_steps + 1, dim))
         assert_same_outcome(problem, v, boundary)
 
     @settings(max_examples=25, deadline=None)
@@ -377,7 +378,7 @@ class TestSolveFinite:
         f, g, po, spl, cfg = cat_problem()
         problem = ShadowProblem(po, spl, f, g, cfg)
         res = solve_finite(po, spl, f, g, cfg)
-        gap = res.v[1:] - problem.G(res.v[:-1])
+        gap = res.v[1:] - _Stack([problem]).charts(res.v[:-1])[1]
         assert np.linalg.norm(gap, axis=-1).max() <= 10 * cfg.tol_fix
 
     def test_torus_endomorphism_shadow_is_an_orbit(self):

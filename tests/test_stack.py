@@ -45,34 +45,43 @@ def assert_same(got, alone):
         (alone.iterations, alone.converged, alone.boundary)
 
 
+ENDOMORPHISM = [[3, 1], [1, 1]]  # 2-to-1, with entries whose products with points round
+
+
 def torus_problem(data, maps, closed):
-    """A cat or perturbed cat problem: an open generated orbit, or one
-    period of a jittered cat cycle; f is taken from maps when the draw
-    shares it, so a stack holds shared and distinct map objects."""
-    amp = data.draw(st.sampled_from([0.0, 0.002, 0.02]))
-    if data.draw(st.booleans()) and amp in maps:
-        f = maps[amp]
+    """A cat, perturbed cat or ENDOMORPHISM problem: an open generated orbit,
+    or one period of a jittered cycle of the map's linear part; f is taken
+    from maps when the draw shares it, so a stack holds shared and distinct
+    map objects."""
+    key = data.draw(st.sampled_from([0.0, 0.002, 0.02, "endomorphism"]))
+    linear = TorusLinearMap(ENDOMORPHISM) if key == "endomorphism" else cat_map()
+    if data.draw(st.booleans()) and key in maps:
+        f = maps[key]
     else:
-        f = maps[amp] = cat_map() if amp == 0.0 else PerturbedCatMap(amp)
+        f = maps[key] = PerturbedCatMap(key) if key in (0.002, 0.02) else linear
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if closed:
         p = data.draw(st.integers(1, 4))
-        points = cat_map_periodic_points(p)
+        points = cat_map_periodic_points(p, linear.matrix)
         cycle = np.array(points[int(rng.integers(len(points)))], dtype=float)
         seeds = [cycle]
         for _ in range(p - 1):
-            seeds.append(cat_map()(seeds[-1]))
+            seeds.append(linear(seeds[-1]))
         seeds = f.phase.canon(np.array(seeds) + 1e-6 * rng.standard_normal((p, 2)))
         po = flatten(np.vstack([seeds, seeds[:1]]), [1] * p, f)
     else:
         lengths = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=6))
         po = generate(f, rng.random(2), lengths, 1e-6, int(rng.integers(2**31)))
-    strategy = "eigen" if amp == 0.0 and data.draw(st.booleans()) else "power"
+    strategy = "eigen" if isinstance(f, TorusLinearMap) and data.draw(st.booleans()) else "power"
     spl = assign_splittings(po, f, strategy, depth=8)
-    g = data.draw(st.sampled_from(["f", "shift", "amplitude"]))
-    g = {"f": f, "shift": ShiftedMap(f, rng.uniform(-1e-6, 1e-6, 2)),
-         "amplitude": PerturbedCatMap(amp + 1e-6)}[g]
-    return po, spl, f, g, make_solver_config(po, f, lam=0.45, lam_tilde=0.5)
+    g = data.draw(st.sampled_from(["f", "shift", "other"]))
+    if g == "other":  # a g that maps its rows itself
+        g = (ShiftedMap(TorusLinearMap(ENDOMORPHISM), rng.uniform(-1e-6, 1e-6, 2))
+             if key == "endomorphism" else PerturbedCatMap(key + 1e-6))
+    else:
+        g = f if g == "f" else ShiftedMap(f, rng.uniform(-1e-6, 1e-6, 2))
+    lam, lam_tilde = (0.65, 0.7) if key == "endomorphism" else (0.45, 0.5)
+    return po, spl, f, g, make_solver_config(po, f, lam=lam, lam_tilde=lam_tilde)
 
 
 def affine_problem(data, dim, du, closed):
@@ -204,6 +213,10 @@ def test_stacked_operands_are_c_ordered():
                       make_solver_config(po, f, lam=0.45)))
     problems = [ShadowProblem(*case) for case in cases]
     assert not np.concatenate([p.splittings.basis_inv for p in problems]).flags.c_contiguous
+    # a stack of one holds the problem's own arrays, broadcast or not
+    one = _Stack(problems[:1])
+    assert one.splittings.basis_inv is problems[0].splittings.basis_inv
+    assert one.points is problems[0].po.points
     stack = _Stack(problems)
     spl = stack.splittings
     for array in (stack.points, stack.l, spl.unstable, spl.stable, spl.basis_inv,
@@ -211,6 +224,23 @@ def test_stacked_operands_are_c_ordered():
         assert array.flags.c_contiguous
     for got, case in zip(_solve(problems, "finite"), cases):
         assert_same(got, solve_finite(*case))
+
+
+def test_stack_needs_one_phase_space_and_one_dim_u():
+    f = cat_map()
+    po = generate(f, [0.13, 0.41], [3, 3], 1e-6, 1)
+    torus = ShadowProblem(po, assign_splittings(po, f, "eigen"), f, f,
+                          make_solver_config(po, f, lam=0.45))
+    plane = ShadowProblem(*bump_problem(1e-3, 4))
+    dims = []  # one phase space, two dim_u
+    for du in (1, 2):
+        f = AffineMap(np.diag([3.0, 2.0, 0.5]) if du == 2 else np.diag([2.0, 0.5, 0.25]))
+        po = flatten(np.zeros((3, 3)), [1, 1], f)
+        dims.append(ShadowProblem(po, assign_splittings(po, f, "eigen", dim_u=du), f, f,
+                                  make_solver_config(po, f, lam=0.55, epsilon1=1.0)))
+    for problems in ([torus, plane], dims):
+        with pytest.raises(ValueError, match="stacked problems need one phase space and one dim_u"):
+            _solve(problems, "finite")
 
 
 def test_unstable_blocks_computed_once_when_df_is_constant(monkeypatch):
@@ -235,13 +265,13 @@ def test_unstable_blocks_computed_once_when_df_is_constant(monkeypatch):
         assert result.converged and result.iterations > 2
         # pseudo_orbit_blocks makes one call, and fixed unstable blocks one more
         assert (len(calls) == 2) == once
-        assert problem._fixed is not None if once else problem._fixed is None
+        assert problem.constant_df == once
 
 
 def test_misreported_derivative_keeps_recomputing():
     # a map without derivative_bounds runs on caller-given bounds, whose L = 0
     # does not fix its blocks: its reported Df may depend on the point
     case = misreported_problem({2: "late_singular"}, {2: 1e-4})
-    assert case[4].L == 0.0 and ShadowProblem(*case)._fixed is None
+    assert case[4].L == 0.0 and not ShadowProblem(*case).constant_df
     assert outcome(solve_finite, *case) == (
         UnstableSolveError, "singular unstable block at index 2")
