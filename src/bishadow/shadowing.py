@@ -201,6 +201,11 @@ class ShadowProblem:
         bounds = f.derivative_bounds()
         self.constant_df = bounds is not None and bounds[1] == 0.0
 
+    # read by perfbench/spans.py, which counts the rows of each apply_operator call
+    @property
+    def n_steps(self) -> int:
+        return self.po.n_steps
+
 
 class _Stack:
     """ShadowProblems that share a phase space and dim_u, solved as one: their

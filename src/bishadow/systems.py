@@ -141,13 +141,9 @@ class TorusLinearMap(SmoothMap):
             raise ValueError("matrix must have a nonzero determinant")
         self.matrix = np.asarray(m, dtype=float)
         self.phase = Phase("torus", self.matrix.shape[0])
-        # BLAS rounds a row as it would alone when its products with torus
-        # points are exact, as they are for entries in {0, +-1, +-2}
-        self._exact = bool((np.abs(self.matrix) <= 2.0).all())
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.phase.canon(x @ self.matrix.T if self._exact else _column_sum(x, self.matrix))
+        return self.phase.canon(_column_sum(np.asarray(x, dtype=float), self.matrix))
 
     def jacobian(self, x):
         return np.broadcast_to(self.matrix, np.shape(x)[:-1] + self.matrix.shape).copy()

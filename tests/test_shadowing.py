@@ -140,6 +140,7 @@ class TestUnstableComponent:
         out = expand_unstable(problem, z, np.zeros((po.n_steps, 1)))
         assert np.allclose(out, 0.0, atol=1e-15)
         assert np.allclose(problem.invert_unstable(z, out, problem.F(z)), 0.0, atol=1e-15)
+        assert not problem.errors
 
     def test_linear_diagonal_doubles(self):
         f, po, spl, cfg = bump_problem()
@@ -150,6 +151,7 @@ class TestUnstableComponent:
         assert np.allclose(out, 2.0 * w)
         back = problem.invert_unstable(z, out, problem.F(z))
         assert np.allclose(back, w, atol=1e-14)
+        assert not problem.errors
 
     def test_sampled_expansion_factor(self):
         f, g, po, spl, cfg = cat_problem()
@@ -177,6 +179,7 @@ class TestUnstableComponent:
             t = expand_unstable(problem, v, w)
             sv = np.stack([project_stable(spl[j], v[j]) for j in range(n)])
             assert np.abs(problem.invert_unstable(sv, t, problem.F(sv)) - w).max() <= 1e-12
+            assert not problem.errors
 
 
 def fresh_splitting_problem(dim, data, jump=0.0, shift=0.0):
