@@ -29,8 +29,7 @@ config = make_refinement_config(lam=0.4, lam_tilde=0.5, R=2.63)
 print(f"admissible off-diagonal cap: {config.eps_cap:.3e}")
 
 result = refine(po, splittings, f, config)
-print(f"off-diagonal size after  = {result.max_offdiagonal:.2e}")
-print(f"graph invariance residual = {result.max_invariance_residual:.2e}")
+print(f"off-diagonal size after  = {result.certificate.max_offdiagonal:.2e}")
 print(f"refined certificate at rate 0.5: passed={result.certificate.passed}")
 print(f"block-diagonal at 1e-8: {bs.is_quasi_hyperbolic(result.certificate, 1e-8)}")
 

@@ -104,17 +104,18 @@ def cmd_refine(cfg: RunConfig, args):
     except (PreconditionError, GraphTransformError) as exc:
         kind = "precondition" if isinstance(exc, PreconditionError) else "graph_transform"
         return {"error": {"kind": kind, "message": str(exc)}}, EXIT_FAILED
+    cert = result.certificate
+    invariant = is_quasi_hyperbolic(cert, rcfg.offdiag_tol)
     return {"refinement": {
         "lambda_tilde": rcfg.lam_tilde,
         "eps_cap": rcfg.eps_cap,
         "eps_cap_kind": bounds.kind,
-        "certificate": result.certificate.report(),
-        "is_quasi_hyperbolic": is_quasi_hyperbolic(result.certificate, rcfg.offdiag_tol),
-        "max_offdiagonal": result.max_offdiagonal,
-        "max_invariance_residual": result.max_invariance_residual,
+        "certificate": cert.report(),
+        "is_quasi_hyperbolic": invariant,
+        "max_offdiagonal": cert.max_offdiagonal,
         "splittings": Table({"unstable": result.splittings.unstable,
                              "stable": result.splittings.stable}),
-    }}, EXIT_OK if result.certificate.passed else EXIT_FAILED
+    }}, EXIT_OK if cert.passed and invariant else EXIT_FAILED
 
 
 class _Shared:

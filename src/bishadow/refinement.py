@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certification import (Certificate, OrbitBlocks, _covering, _singular_values,
-                            _solve_stack, certify_pseudo_orbit, pseudo_orbit_blocks)
+from .certification import Certificate, _singular_values, _solve_stack, certify_pseudo_orbit
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, pull_back, push_forward
 from .splitting import min_norm
 from .systems import SmoothMap
@@ -53,8 +52,9 @@ class PreconditionError(RuntimeError):
 
 
 class GraphTransformError(RuntimeError):
-    """A graph solve failed: singular denominator, ball escape, or an
-    invariance residual above tolerance."""
+    """A graph solve failed: a singular denominator, or a graph outside the
+    unit ball.  How invariant the refined splitting is, is read from its
+    certificate's off-diagonal rows, not checked here."""
 
 
 @dataclass(frozen=True)
@@ -147,27 +147,12 @@ def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray,
     return P, Q
 
 
-def unstable_invariance_residuals(P: np.ndarray, blocks: OrbitBlocks) -> np.ndarray:
-    """||P_{j+1} (A_j + B_j P_j) - (C_j + D_j P_j)|| per index."""
-    b = blocks
-    return _singular_values(P[1:] @ (b.A + b.B @ P[:-1]) - (b.C + b.D @ P[:-1]), 0, 0.0)
-
-
-def stable_invariance_residuals(Q: np.ndarray, blocks: OrbitBlocks) -> np.ndarray:
-    """||A_j Q_j + B_j - Q_{j+1} (C_j Q_j + D_j)|| per index."""
-    b = blocks
-    return _singular_values(b.A @ Q[:-1] + b.B - Q[1:] @ (b.C @ Q[:-1] + b.D), 0, 0.0)
-
-
 @dataclass(eq=False)
 class RefinementResult:
     splittings: SplittingAssignment
     certificate: Certificate
     unstable_graphs: np.ndarray
     stable_graphs: np.ndarray
-    blocks: OrbitBlocks
-    max_invariance_residual: float
-    max_offdiagonal: float
 
 
 def refine(
@@ -182,11 +167,11 @@ def refine(
 
     Requires the input blocks to certify at (lam, eps) with eps at most
     eps_cap; returns the graph-tilted splitting family together with its
-    certificate at (lam_tilde, offdiag_tol, delta).  blocks, when given,
-    are what pseudo_orbit_blocks returns and must cover po; the refined
-    blocks on the result have the same form.
+    certificate at (lam_tilde, offdiag_tol, delta), whose B and C blocks
+    are the refined splitting's invariance defect.  blocks, when given, are
+    what pseudo_orbit_blocks returns and must cover po; the refined
+    certificate's blocks have the same form.
     """
-    blocks = _covering(po, splittings, f, blocks)
     if delta is None:
         delta = float(po.residuals.max())
     input_cert = certify_pseudo_orbit(po, splittings, f, config.lam, config.eps_cap, delta,
@@ -206,24 +191,9 @@ def refine(
         )
 
     P, Q = invariant_graphs(splittings, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
-    max_res = float(max(unstable_invariance_residuals(P, blocks).max(),
-                        stable_invariance_residuals(Q, blocks).max()))
-    if max_res > config.offdiag_tol:
-        raise GraphTransformError(
-            f"graph invariance residual {max_res:.3e} exceeds {config.offdiag_tol:.3e}"
-        )
-
     u, s = splittings.unstable, splittings.stable
     refined = SplittingAssignment.from_bases(u + s @ P, s + u @ Q)
-    new_blocks = pseudo_orbit_blocks(po, refined, f)
-    certificate = certify_pseudo_orbit(po, refined, f, config.lam_tilde,
-                                       config.offdiag_tol, delta, blocks=new_blocks)
-    return RefinementResult(
-        splittings=refined,
-        certificate=certificate,
-        unstable_graphs=P,
-        stable_graphs=Q,
-        blocks=new_blocks,
-        max_invariance_residual=max_res,
-        max_offdiagonal=certificate.max_offdiagonal,
-    )
+    certificate = certify_pseudo_orbit(po, refined, f, config.lam_tilde, config.offdiag_tol,
+                                       delta)
+    return RefinementResult(splittings=refined, certificate=certificate, unstable_graphs=P,
+                            stable_graphs=Q)

@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 
-DAMPING = 0.5  # step factor once an update grows
 NEWTON_TOL = 1e-13  # residual at which one index's Newton inversion stops, unless rounding
 NEWTON_ULPS = 8  # allows less: ulps of the larger of the two points a step joins
 NEWTON_MAX_ITER = 50
@@ -547,8 +546,10 @@ class ShadowingResult:
 def _solve(problems, boundary: str) -> list:
     """The solver loop, over a stack of problems that share a phase space
     and dim_u: iterate the solver update from zero until each problem's
-    rescaled update norm drops below its tol_fix; once a problem's update
-    grows, every later step of it is damped.
+    rescaled update norm drops below its tol_fix.  Under the certified
+    preconditions the update is a lam_tilde-contraction, so every step takes
+    it whole; an update that grows anyway ends as an eta-ball escape, as a
+    solve not converged at max_iter, or in _result's residual check.
 
     Each iteration is one apply_operator call for every problem still in
     the stack.  A problem leaves the stack once it converges, reaches its
@@ -562,15 +563,14 @@ def _solve(problems, boundary: str) -> list:
     out = [None] * len(problems)
     history = [[] for _ in problems]
     ball_worst = [0.0] * len(problems)
-    damped = [False] * len(problems)
     live = list(range(len(problems)))
     stack = _Stack(problems)
     v = np.zeros((stack.n_steps + 1, stack.phase.dim))
     while live:
         w = apply_operator(stack, v, boundary=boundary)
-        step = w - v
-        worst = _ball_norms(stack, w).tolist()
-        upd = np.maximum.reduceat(np.linalg.norm(step, axis=-1) / stack.l, stack.starts[:-1])
+        upd = np.maximum.reduceat(np.linalg.norm(w - v, axis=-1) / stack.l, stack.starts[:-1])
+        v = w
+        worst = _ball_norms(stack, v).tolist()
         done = []  # positions in the stack of the problems that leave it
         for i, (k, u) in enumerate(zip(live, upd.tolist())):
             cfg = problems[k].config
@@ -583,18 +583,9 @@ def _solve(problems, boundary: str) -> list:
                 done.append(i)
                 continue
             ball_worst[k] = max(ball_worst[k], worst[i])
-            if history[k] and u > history[k][-1]:
-                damped[k] = True
             history[k].append(u)
             if u < cfg.tol_fix or len(history[k]) == cfg.max_iter:
                 done.append(i)
-        flags = [damped[k] for k in live]
-        if all(flags):
-            v = v + DAMPING * step
-        elif any(flags):
-            v = np.where(np.repeat(flags, np.diff(stack.starts))[:, None], v + DAMPING * step, w)
-        else:
-            v = w
         if done:
             starts = stack.starts.tolist()
             for i in done:

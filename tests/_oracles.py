@@ -4,9 +4,10 @@ Everything here recomputes expected values by a route different from the
 library code under test: finite differences for derivatives, closed-form
 eigenvalues for the cat map, the quadratic formula for constant-block
 graph fixed points, the pinned graph transforms as forward and backward
-recursions on the blocks, synchronous graph-transform sweeps iterated to
-their fixed point, the cocycle passes by one QR factorisation per step,
-splittings, blocks and margin rows built one index at a time, the
+recursions on the blocks, their invariance residuals, synchronous
+graph-transform sweeps iterated to their fixed point, the cocycle passes
+by one QR factorisation per step, splittings, blocks and margin rows
+built one index at a time, the
 shadowing solver update one index at a time, the linear cat-map shadow
 orbit by scalar recursions in eigencoordinates, LP
 feasibility for balance-sequence existence, one well-adapted balance
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bishadow.adapted import InfeasiblePairError
-from bishadow.certification import OrbitBlocks
+from bishadow.certification import OrbitBlocks, _singular_values
 from bishadow.pseudo_orbit import SegmentedPseudoOrbit, _complement, _orth_image
 from bishadow.refinement import GraphTransformError
 from bishadow.splitting import Splitting, _orthonormalize, min_norm, op_norm
@@ -131,6 +132,18 @@ def stable_graph_sweep(Q, blocks):
         lhs = np.eye(a.shape[0]) - np.linalg.solve(a, Q[j + 1] @ c)
         new[j] = np.linalg.solve(lhs, np.linalg.solve(a, Q[j + 1] @ d - b))
     return new
+
+
+def unstable_invariance_residuals(P: np.ndarray, blocks: OrbitBlocks) -> np.ndarray:
+    """||P_{j+1} (A_j + B_j P_j) - (C_j + D_j P_j)|| per index."""
+    b = blocks
+    return _singular_values(P[1:] @ (b.A + b.B @ P[:-1]) - (b.C + b.D @ P[:-1]), 0, 0.0)
+
+
+def stable_invariance_residuals(Q: np.ndarray, blocks: OrbitBlocks) -> np.ndarray:
+    """||A_j Q_j + B_j - Q_{j+1} (C_j Q_j + D_j)|| per index."""
+    b = blocks
+    return _singular_values(b.A @ Q[:-1] + b.B - Q[1:] @ (b.C @ Q[:-1] + b.D), 0, 0.0)
 
 
 def iterate_graph_sweeps(sweep, blocks, tol=1e-12, max_iter=10_000):

@@ -309,6 +309,27 @@ class TestExitCodes:
         report = json.loads(out.read_text())
         assert report["refinement"]["is_quasi_hyperbolic"] is True
         assert "unstable_sweeps" not in report["refinement"]
+        assert "max_invariance_residual" not in report["refinement"]
+
+    def test_refine_not_invariant_fails(self, tmp_path):
+        # the refined offdiag rows pass within PASS_TOL, but their largest
+        # entry is above offdiag_tol: the splitting is not invariant there
+        payload = {
+            "system": {"type": "perturbed_cat_map", "amplitude": 0.02},
+            "pseudo_orbit": {
+                "generator": {"start": [0.13, 0.41], "lengths": [4] * 50,
+                              "jump_amp": 1e-5, "rng_seed": 3}
+            },
+            "certification": {"lambda": 0.45, "epsilon": 1e-9, "delta": 1e-5},
+            "splitting": {"strategy": "power"},
+            "refinement": {"offdiag_tol": 1.2e-15},
+        }
+        code, out = run(tmp_path, "refine", payload)
+        report = json.loads(out.read_text())["refinement"]
+        assert report["certificate"]["passed"] is True
+        assert report["max_offdiagonal"] > 1.2e-15
+        assert report["is_quasi_hyperbolic"] is False
+        assert code == 1
 
 
 class TestCertifyCsv:
