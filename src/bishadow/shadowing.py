@@ -486,7 +486,8 @@ class ShadowingResult:
     """A converged (or diagnosed) shadowing solve.
 
     distances[j] is the chart distance of the shadow orbit from the
-    pseudo-orbit at index j, equal to l_j |v_j|_N by construction.
+    pseudo-orbit at index j, equal to l_j |v_j|_N by construction.  A
+    periodic result also holds its closures and seam gap (solve_periodic).
     """
 
     v: np.ndarray
@@ -503,7 +504,6 @@ class ShadowingResult:
     periodic_closure: float | None = None
     periodic_closure_polished: float | None = None
     seam_gap: float | None = None
-    polish_message: str | None = None
 
     @property
     def max_distance(self) -> float:
@@ -535,8 +535,6 @@ class ShadowingResult:
                 ),
                 "seam_gap": float(self.seam_gap),
             }
-            if self.polish_message:
-                d["closure"]["polish_message"] = self.polish_message
         return d
 
     def to_dict(self) -> dict:
@@ -554,15 +552,19 @@ def _solve(problems, boundary: str) -> list:
     Each iteration is one apply_operator call for every problem still in
     the stack.  A problem leaves the stack once it converges, reaches its
     max_iter or fails, and the others go on with the bits each would have
-    alone.  Returns, in order, each problem's ShadowingResult or the error
-    it failed with.  A converged solve whose residuals or distances come
-    out too large is reported as not converged.
+    alone.  A converged periodic problem takes one more update, its polish,
+    before it leaves.  The running stack's G charts give each leaving
+    problem its residuals and each converging periodic one its closure.
+    Returns, in order, each problem's ShadowingResult or the error it
+    failed with.  A converged solve whose residuals or distances come out
+    too large is reported as not converged.
     """
     if not problems:
         return []
     out = [None] * len(problems)
     history = [[] for _ in problems]
     ball_worst = [0.0] * len(problems)
+    closure = {}  # a converged periodic problem's closure before its polish
     live = list(range(len(problems)))
     stack = _Stack(problems)
     v = np.zeros((stack.n_steps + 1, stack.phase.dim))
@@ -571,7 +573,7 @@ def _solve(problems, boundary: str) -> list:
         upd = np.maximum.reduceat(np.linalg.norm(w - v, axis=-1) / stack.l, stack.starts[:-1])
         v = w
         worst = _ball_norms(stack, v).tolist()
-        done = []  # positions in the stack of the problems that leave it
+        done, polish = [], []  # positions in the stack of the problems that leave it, or polish
         for i, (k, u) in enumerate(zip(live, upd.tolist())):
             cfg = problems[k].config
             if i not in stack.errors and worst[i] > cfg.eta * (1.0 + 1e-9):
@@ -584,16 +586,22 @@ def _solve(problems, boundary: str) -> list:
                 continue
             ball_worst[k] = max(ball_worst[k], worst[i])
             history[k].append(u)
-            if u < cfg.tol_fix or len(history[k]) == cfg.max_iter:
+            if u < cfg.tol_fix and boundary == "periodic" and k not in closure:
+                polish.append(i)
+            elif k in closure or u < cfg.tol_fix or len(history[k]) == cfg.max_iter:
                 done.append(i)
+        starts = stack.starts.tolist()
+        leaving = [i for i in done if out[live[i]] is None]
+        if polish or leaving:
+            g_chart = stack.charts(v[:-1])[1]
+            for i in polish:
+                a, b = starts[i], starts[i + 1]
+                closure[live[i]] = _closure(v[a:b], g_chart[a:b - 1])
+            for i in leaving:
+                k, a, b = live[i], starts[i], starts[i + 1]
+                out[k] = _result(problems[k], v[a:b], g_chart[a:b - 1], history[k],
+                                 ball_worst[k], boundary, closure.get(k))
         if done:
-            starts = stack.starts.tolist()
-            for i in done:
-                k, rows = live[i], slice(starts[i], starts[i + 1])
-                if out[k] is None:
-                    alone = stack if len(live) == 1 else _Stack([problems[k]])
-                    out[k] = _result(problems[k], alone, v[rows], history[k], ball_worst[k],
-                                     history[k][-1] < problems[k].config.tol_fix, boundary)
             stay = [i for i in range(len(live)) if i not in done]
             live = [live[i] for i in stay]
             v = _rows([v[starts[i]:starts[i + 1]] for i in stay]) if stay else None
@@ -601,23 +609,40 @@ def _solve(problems, boundary: str) -> list:
     return out
 
 
-def _result(problem, alone, v, history, ball_worst, converged, boundary) -> "ShadowingResult":
-    """The result of a solve; alone is the stack of problem alone, whose
-    charts give the residuals.  A converged solve is reported as not converged
-    when a rescaled one-step residual exceeds the larger of 10 tol_fix and
-    its step's rounding floor (the one the Newton stop allows, over l), or
-    when a distance exceeds epsilon1."""
+def _closure(v, g_chart) -> float:
+    """Multiple-shooting closure of one period, max_j |G_j(v_j) - v_{(j+1) mod N}|
+    in ambient units, from g_chart = G(v).  Unlike |g^N(x_0) - x_0|, which
+    stretches the error of x_0 by the expansion over N steps, it does not
+    grow with N."""
+    return float(np.sqrt(_sq_norms(g_chart - np.concatenate([v[1:-1], v[:1]]))).max())
+
+
+def _result(problem, v, g_chart, history, ball_worst, boundary, closure) -> "ShadowingResult":
+    """The result of a solve whose G charts at v are g_chart; closure is a
+    periodic solve's closure before its polish, None when it took none.  A
+    solve has converged when it was polished or its last update was below
+    tol_fix.  A converged solve is reported as not converged when a
+    rescaled one-step residual exceeds the larger of 10 tol_fix and its
+    step's rounding floor (the one the Newton stop allows, over l), or when
+    a distance exceeds epsilon1."""
     cfg = problem.config
-    residuals = np.sqrt(_sq_norms(v[1:] - alone.charts(v[:-1])[1])) / problem.l[1:]
+    residuals = np.sqrt(_sq_norms(v[1:] - g_chart)) / problem.l[1:]
     distances = np.linalg.norm(v, axis=-1)
     floor = np.maximum(10.0 * cfg.tol_fix, problem._rounding / problem.l[1:])
+    converged = closure is not None or history[-1] < cfg.tol_fix
     if converged and ((residuals > floor).any() or distances.max() > cfg.epsilon1):
         converged = False
+    periodic = {}
+    if boundary == "periodic":
+        own = _closure(v, g_chart)
+        periodic = {"periodic_closure": own if closure is None else closure,
+                    "periodic_closure_polished": None if closure is None else own,
+                    "seam_gap": float(np.linalg.norm(v[0] - v[-1]))}
     return ShadowingResult(
         v=v, shadow_point=problem.po.phase.exp(problem.po.points[0], v[0]), distances=distances,
         orbit_residuals=residuals, iterations=len(history), converged=converged,
         update_history=history, ball_margin=ball_worst / cfg.eta, scale=problem.l,
-        boundary=boundary, config=cfg,
+        boundary=boundary, config=cfg, **periodic,
     )
 
 
@@ -639,35 +664,6 @@ def solve_finite(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
     return _solved(ShadowProblem(po, splittings, f, g, config, blocks=blocks), "finite")
 
 
-def _periodic_polish(g, phase, x0, nsteps, tol=1e-13, max_iter=16):
-    """Newton solve of g^nsteps(p) = p from x0.
-
-    Returns (res, msg, closure): the residual of the last iterate, why the
-    Newton stopped short of tol (None when it did not), and the distance
-    from x0 to g^nsteps(x0), taken from the first pass.
-    """
-    dim = x0.size
-    p = x0.copy()
-    closure = None
-    for _ in range(max_iter):
-        q = p
-        jac = np.eye(dim)
-        for t in range(nsteps):
-            jac = g.jacobian_along(q, t) @ jac
-            q = g.along(q, t)
-        if closure is None:
-            closure = float(phase.distance(q, p))
-        r = phase.wrap(q - p)
-        res = float(np.linalg.norm(r))
-        if res <= tol:
-            return res, None, closure
-        try:
-            p = phase.canon(p - np.linalg.solve(jac - np.eye(dim), r))
-        except np.linalg.LinAlgError:
-            return res, "polish Jacobian singular (eigenvalue 1 on the cycle)", closure
-    return res, "polish Newton did not reach tolerance", closure
-
-
 def _periodic_problem(po, splittings, f, g, config, blocks=None) -> ShadowProblem:
     """The problem solve_periodic solves: index N takes the splitting of index 0."""
     if not po.closed:
@@ -687,18 +683,13 @@ def solve_periodic(po, splittings, f, g, config, blocks=None) -> ShadowingResult
     The pseudo-orbit must cover exactly one period: its closing seed must
     equal its first seed bitwise.  The seam identifies the first and last
     indices, so the fixed point satisfies v_0 = v_N and the shadow point
-    is periodic with period N.  A Newton polish afterwards drives the
-    orbit closure to roundoff.
+    is periodic with period N.  Once the update falls below tol_fix, one
+    more update polishes v; the result holds the polished v and counts that
+    update.  periodic_closure is the _closure of the solver's v and
+    periodic_closure_polished that of the polished one, None when the solve
+    did not converge and took no polish.
     """
-    n = po.n_steps
-    result = _solved(_periodic_problem(po, splittings, f, g, config, blocks), "periodic")
-    result.seam_gap = float(np.linalg.norm(result.v[0] - result.v[n]))
-    res, msg, closure = _periodic_polish(g, po.phase, result.shadow_point, n)
-    result.periodic_closure = closure
-    if msg is None or res < closure:
-        result.periodic_closure_polished = res
-    result.polish_message = msg
-    return result
+    return _solved(_periodic_problem(po, splittings, f, g, config, blocks), "periodic")
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -466,6 +467,32 @@ def cat_linear_shadow(points, shift):
     for j in range(n - 1, -1, -1):
         cu[j] = (cu[j + 1] - forcing[j, 0]) / CAT_EXPANDING
     return np.outer(cu, e_u) + np.outer(cs, e_s)
+
+
+def cat_cycle(period: int, shift):
+    """One period of the cat-map cycle through (A^p - I)^-1 (1, 0) mod 1, and
+    the point of the periodic orbit of x -> A x + shift (mod 1) next to its
+    first point, x_0 + (I - A^p)^-1 sum_{k<p} A^k shift: both in exact
+    integer and rational arithmetic, each coordinate rounded once to a
+    float.  Any period works: A^1000 has entries of 418 digits."""
+    power, total = [[1, 0], [0, 1]], [[0, 0], [0, 0]]
+    for _ in range(period):
+        total = [[t + a for t, a in zip(*rows)] for rows in zip(total, power)]
+        power = [[2 * a + b for a, b in zip(*power)], [a + b for a, b in zip(*power)]]
+    (m00, m01), (m10, m11) = (power[0][0] - 1, power[0][1]), (power[1][0], power[1][1] - 1)
+    det = m00 * m11 - m01 * m10
+    # (A^p - I)^-1 (1, 0) = (m11, -m10) / det, as numerators over |det|
+    size, sign = abs(det), (1 if det > 0 else -1)
+    first = point = (sign * m11 % size, -sign * m10 % size)
+    cycle = []
+    for _ in range(period):
+        cycle.append([n / size for n in point])  # int / int rounds once
+        point = ((2 * point[0] + point[1]) % size, (point[0] + point[1]) % size)
+    s = [sum(t * Fraction(x) for t, x in zip(row, shift)) for row in total]
+    # (I - A^p)^-1 (s0, s1) = -(m11 s0 - m01 s1, m00 s1 - m10 s0) / det
+    offset = (-(m11 * s[0] - m01 * s[1]) / det, -(m00 * s[1] - m10 * s[0]) / det)
+    start = [float((Fraction(n, size) + e) % 1) for n, e in zip(first, offset)]
+    return np.array(cycle), np.array(start)
 
 
 def margins_csv_rows(cert) -> str:

@@ -19,7 +19,7 @@ from bishadow.refinement import GraphTransformError
 from bishadow.shadowing import BallInvariantError, ShadowProblem, UnstableSolveError
 from bishadow.systems import Phase
 
-from _oracles import margins_csv_rows
+from _oracles import cat_cycle, margins_csv_rows
 
 BASE_CONFIG = {
     "system": {"type": "cat_map"},
@@ -151,9 +151,33 @@ class TestExitCodes:
         }
         code, out = run(tmp_path, "periodic", payload)
         assert code == 0
-        report = json.loads(out.read_text())
-        assert "closure" in report["result"]
-        assert report["result"]["closure"]["pre_polish"] <= 1e-10
+        result = json.loads(out.read_text())["result"]
+        # the exact fixed point: the first update is zero, the second the polish
+        assert result["closure"] == {"pre_polish": 0.0, "post_polish": 0.0, "seam_gap": 0.0}
+        assert result["iterations"] == 2 and result["update_history"] == [0.0, 0.0]
+
+    def test_periodic_thousand_step_cycle(self, tmp_path):
+        # a 1000-step cat cycle, jittered by 1e-9, under a shift of 1e-9
+        p, shift = 1000, [1e-9, 0.0]
+        cycle, start = cat_cycle(p, shift)
+        torus = Phase("torus", 2)
+        dirs = np.random.default_rng(1).standard_normal((p, 2))
+        seeds = torus.canon(cycle + 1e-9 * dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+        payload = {
+            "system": {"type": "cat_map"},
+            "pseudo_orbit": {"seeds": seeds.tolist() + seeds[:1].tolist(), "lengths": [1] * p},
+            "certification": {"lambda": 0.45},
+            "perturbation": {"type": "shift", "offset": shift},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "periodic", payload)
+        assert code == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["converged"] is True
+        assert set(result["closure"]) == {"pre_polish", "post_polish", "seam_gap"}
+        assert result["closure"]["post_polish"] < 1e-10
+        assert np.linalg.norm(torus.wrap(np.array(result["shadow_point"]) - start)) <= 1e-10
 
     def test_periodic_on_perturbed_map(self, tmp_path):
         # a period-3 cat-map cycle as a closed pseudo-orbit of the perturbed

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bishadow.oracle import AffineSequenceSystem, bounded_orbit_closed_form
+from bishadow.oracle import (AffineSequenceSystem, bounded_orbit_closed_form,
+                            cat_map_periodic_points)
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
 from bishadow.certification import certify_pseudo_orbit, min_feasible_lambda, pseudo_orbit_blocks
 from bishadow.shadowing import (
@@ -11,6 +14,7 @@ from bishadow.shadowing import (
     ShadowProblem,
     UnstableSolveError,
     _ball_norms,
+    _periodic_problem,
     _Stack,
     apply_operator,
     make_solver_config,
@@ -34,6 +38,7 @@ from _oracles import (
     apply_operator_per_index,
     assemble,
     box_norm,
+    cat_cycle,
     cat_linear_shadow,
     chart_step,
     iterate_orbit,
@@ -511,7 +516,7 @@ class TestSolvePeriodic:
         res = solve_periodic(po, spl, f, f, cfg)
         assert res.converged
         assert np.array_equal(res.shadow_point, [0.0, 0.0])
-        assert res.periodic_closure == 0.0
+        assert res.periodic_closure == res.periodic_closure_polished == res.seam_gap == 0.0
 
     def test_to_dict_is_the_tree_of_python_values(self):
         f = cat_map()
@@ -531,8 +536,6 @@ class TestSolvePeriodic:
                         "seam_gap": res.seam_gap}}
 
     def test_period_two_cycle_recovered(self):
-        from bishadow.oracle import cat_map_periodic_points
-
         f = cat_map()
         cycle = [p for p in cat_map_periodic_points(2) if p != (0, 0)][0]
         x0 = np.array([float(v) for v in cycle])
@@ -548,8 +551,6 @@ class TestSolvePeriodic:
         assert res.periodic_closure_polished <= 1e-12
 
     def test_perturbed_three_segment_cycle(self):
-        from bishadow.oracle import cat_map_periodic_points
-
         f = cat_map()
         cyc = [p for p in cat_map_periodic_points(3) if p != (0, 0)][0]
         orb = iterate_orbit(f, np.array([float(v) for v in cyc]), 3)
@@ -567,8 +568,6 @@ class TestSolvePeriodic:
 
     def test_translation_invariance_over_repeated_periods(self):
         # q copies of the cycle give the same anchor tangent vector
-        from bishadow.oracle import cat_map_periodic_points
-
         f = cat_map()
         cyc = [p for p in cat_map_periodic_points(2) if p != (0, 0)][0]
         orb = iterate_orbit(f, np.array([float(v) for v in cyc]), 1)
@@ -591,6 +590,94 @@ class TestSolvePeriodic:
         f, g, po, spl, cfg = cat_problem(lengths=(2, 2), jump=1e-4)
         with pytest.raises(ValueError):
             solve_periodic(po, spl, f, g, cfg)
+
+    def _jittered_cycle(self, f, cycle, jitter, rng):
+        # jitter of size `jitter` in a random direction at each point
+        dirs = rng.standard_normal(cycle.shape)
+        seeds = f.phase.canon(cycle + jitter * dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
+        return flatten(np.vstack([seeds, seeds[:1]]), [1] * len(cycle), f)
+
+    def test_polish_is_one_more_periodic_update(self):
+        # the plain loop of periodic updates until one is below tol_fix, then
+        # one more: the returned v, its iterations and both closures
+        f = cat_map()
+        cycle, _ = cat_cycle(5, (0.0, 0.0))
+        po = self._jittered_cycle(f, cycle, 1e-6, np.random.default_rng(3))
+        spl, g = assign_splittings(po, f, "eigen"), ShiftedMap(f, [1e-6, -1e-6])
+        cfg = make_solver_config(po, f, lam=0.45)
+        problem = _periodic_problem(po, spl, f, g, cfg)
+        v, history = np.zeros_like(po.points), []
+        while not history or history[-1] >= cfg.tol_fix:
+            w = apply_operator(problem, v, boundary="periodic")
+            history.append(float(np.max(np.linalg.norm(w - v, axis=1) / problem.l)))
+            v = w
+        polished = apply_operator(problem, v, boundary="periodic")
+        res = solve_periodic(po, spl, f, g, cfg)
+        assert res.converged
+        assert np.array_equal(res.v, polished)
+        assert res.iterations == len(res.update_history) == len(history) + 1
+        assert res.update_history[:-1] == history
+        assert res.periodic_closure_polished < res.periodic_closure <= 10 * cfg.tol_fix
+
+        def closure(v):  # one step of g per index, the last one landing on v_0
+            x = f.phase.canon(po.points[:-1] + v[:-1])
+            steps = f.phase.wrap(g(x) - po.points[1:]) - np.roll(v[:-1], -1, axis=0)
+            return np.linalg.norm(steps, axis=1).max()
+
+        assert res.periodic_closure == pytest.approx(closure(v), abs=1e-16)
+        assert res.periodic_closure_polished == pytest.approx(closure(polished), abs=1e-16)
+        assert res.seam_gap == np.linalg.norm(polished[0] - polished[-1])
+
+    def test_unconverged_periodic_solve_takes_no_polish(self):
+        f = cat_map()
+        cycle, _ = cat_cycle(3, (0.0, 0.0))
+        po = self._jittered_cycle(f, cycle, 1e-6, np.random.default_rng(4))
+        cfg = make_solver_config(po, f, lam=0.45, max_iter=3)
+        res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, f, cfg)
+        assert not res.converged
+        assert res.iterations == len(res.update_history) == 3
+        assert res.periodic_closure > 0.0 and res.periodic_closure_polished is None
+        assert res.to_dict()["closure"]["post_polish"] is None
+
+    @pytest.mark.parametrize("period", [200, 1000])
+    def test_long_cycle_closes_by_multiple_shooting(self, period):
+        # g^p(x) = x by single shooting stretches the point's 1e-12 error by
+        # 2.618^p; each step of the cycle is a one-step residual
+        f, shift = cat_map(), (1e-9, 0.0)
+        cycle, start = cat_cycle(period, shift)
+        po = self._jittered_cycle(f, cycle, 1e-9, np.random.default_rng(period))
+        cfg = make_solver_config(po, f, lam=0.45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, ShiftedMap(f, shift),
+                                 cfg)
+        assert res.converged
+        assert res.periodic_closure_polished < 1e-10
+        assert np.linalg.norm(f.phase.wrap(res.shadow_point - start)) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(period=st.integers(1, 12), data=st.data())
+    def test_closure_is_the_largest_step_residual_around_the_cycle(self, period, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        points = cat_map_periodic_points(period)
+        x = np.array(points[int(rng.integers(len(points)))], dtype=float)
+        cycle = [x]
+        for _ in range(period - 1):
+            cycle.append(np.array([2 * x[0] + x[1], x[0] + x[1]]) % 1.0)
+            x = cycle[-1]
+        f = cat_map()
+        po = self._jittered_cycle(f, np.array(cycle), data.draw(st.floats(1e-10, 1e-5)), rng)
+        shift = np.array([data.draw(st.floats(-1e-5, 1e-5)) for _ in range(2)])
+        cfg = make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
+        res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, ShiftedMap(f, shift), cfg)
+        assert res.converged and res.update_history[-2] < cfg.tol_fix
+        # plain numpy: x_j = y_j + v_j, one step of A x + shift, v_{(j+1) mod N}
+        x = (po.points[:-1] + res.v[:-1]) % 1.0
+        d = x @ np.array([[2.0, 1.0], [1.0, 1.0]]).T + shift - po.points[1:]
+        steps = d - np.round(d) - np.roll(res.v[:-1], -1, axis=0)
+        assert res.periodic_closure_polished == pytest.approx(
+            np.linalg.norm(steps, axis=1).max(), abs=1e-15)
+        assert res.periodic_closure_polished < 1e-10
 
 
 class TestPreconditions:

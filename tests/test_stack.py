@@ -1,6 +1,8 @@
 """Stacks of shadow problems: _solve over several problems gives each one
 the result, or the error, that solving it alone gives, bit for bit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from _oracles import MisreportedSteps
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 FIELDS = ("v", "distances", "orbit_residuals", "shadow_point", "scale", "update_history",
-          "ball_margin")
+          "ball_margin", "periodic_closure", "periodic_closure_polished", "seam_gap")
 
 
 def outcome(solve, *args):
@@ -200,6 +202,25 @@ def test_failing_problem_keeps_its_error_and_spares_the_others(kinds):
         got = stacked[cases.index(case)]
         assert type(got) is error and str(got).startswith(message)
     assert all(stacked[cases.index(case)].converged for case in healthy)
+
+
+@pytest.mark.parametrize("boundary", ["finite", "periodic"])
+def test_rows_failing_as_others_leave_map_without_warning(boundary):
+    # Every failing kind fails on the first update, in which the exact orbit
+    # converges: the stack's G charts that give it its residuals (finite) or
+    # its closure before the polish (periodic) also map the failed rows.
+    build, solve = ((_periodic_problem, solve_periodic) if boundary == "periodic"
+                    else (ShadowProblem, solve_finite))
+    cases = [bump_problem(0.0, 4), *(case for case, _, _ in FAILING.values()),
+             bump_problem(1e-3, 5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = _solve([build(*case) for case in cases], boundary)
+    for got, case in zip(stacked, cases):
+        assert_same(got, outcome(solve, *case))
+    assert [type(got) for got in stacked[1:-1]] == [error for _, error, _ in FAILING.values()]
+    assert stacked[0].iterations == (2 if boundary == "periodic" else 1)
+    assert stacked[0].converged and stacked[-1].converged
 
 
 def test_stacked_operands_are_c_ordered():
