@@ -31,10 +31,21 @@ pseudo-orbit with per-step distance l_j |v_j|_N.  The rescaled norms
 |v|_N = |v| / l_j come from a well-adapted weight sequence per segment
 and make every unstable step uniformly expanding and every stable step
 uniformly contracting, which is what drives the iteration to converge.
+
+Iterated from zero, the update takes ten to twenty iterations, since row j + 1
+of an update reads only row j of the iterate.  So _solve first takes
+whole-orbit quasi-Newton steps (_quasi_newton), the classical numerical
+shadowing method (Hammel, Yorke and Grebogi, Bull. AMS 19, 1988; Coomes,
+Kocak and Palmer, Numer. Math. 69, 1995): each solves the
+block-diagonal linearisation of v_{j+1} = G_j(v_j) along the whole orbit
+as two scalar recurrences, so two or three steps reach the fixed point
+to rounding.  One update then confirms it, and its size bounds the
+distance to the fixed point (ShadowingResult.enclosure_radius).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -191,7 +202,9 @@ class ShadowProblem:
         self.f = f
         self.g = g
         self.config = config
-        m_a, norm_d, _ = _covering(po, splittings, f, blocks).norms
+        blocks = _covering(po, splittings, f, blocks)
+        m_a, norm_d, _ = blocks.norms
+        self._a, self._d = blocks.A, blocks.D  # the diagonal blocks, for _quasi_newton
         self.weights = _segmentwise(partial(well_adapted_sequence, lam=config.lam),
                                     po.offsets, norm_d, m_a)
         self.l = scale_factors(self.weights, po.offsets)
@@ -281,8 +294,8 @@ class _Stack:
         if self._fixed is not None:
             return self._fixed
         spl = self.splittings
-        jac = np.matmul(np.matmul(spl.basis_inv[1:], self.chart_jacobian(xi)), spl.unstable[:-1])
-        jac = jac[:, : self.dim_u, :]
+        jac = np.matmul(np.matmul(spl.basis_inv[1:, : self.dim_u], self.chart_jacobian(xi)),
+                        spl.unstable[:-1])
         if self._constant_df:
             self._fixed = jac
         return jac
@@ -486,8 +499,11 @@ class ShadowingResult:
     """A converged (or diagnosed) shadowing solve.
 
     distances[j] is the chart distance of the shadow orbit from the
-    pseudo-orbit at index j, equal to l_j |v_j|_N by construction.  A
-    periodic result also holds its closures and seam gap (solve_periodic).
+    pseudo-orbit at index j, equal to l_j |v_j|_N by construction.
+    update_history holds the rescaled size of each of the iterations
+    solver updates, and quasi_newton_history that of each quasi-Newton
+    step before them (_quasi_newton).  A periodic result also holds its
+    closures and seam gap (solve_periodic).
     """
 
     v: np.ndarray
@@ -497,6 +513,7 @@ class ShadowingResult:
     iterations: int
     converged: bool
     update_history: list = field(repr=False)
+    quasi_newton_history: list = field(repr=False)
     ball_margin: float
     scale: np.ndarray = field(repr=False)
     boundary: str
@@ -513,6 +530,13 @@ class ShadowingResult:
     def residual_max(self) -> float:
         return float(self.orbit_residuals.max())
 
+    @property
+    def enclosure_radius(self) -> float:
+        """lam_tilde / (1 - lam_tilde) times the last update: the fixed point
+        of the lam_tilde-contraction lies within that rescaled distance of v."""
+        lam_tilde = self.config.lam_tilde
+        return lam_tilde / (1.0 - lam_tilde) * self.update_history[-1]
+
     def report(self) -> dict:
         """The JSON report, its arrays left as arrays for the writer."""
         d = {
@@ -525,6 +549,8 @@ class ShadowingResult:
             "shadow_point": self.shadow_point,
             "boundary": self.boundary,
             "update_history": self.update_history,
+            "quasi_newton_history": self.quasi_newton_history,
+            "enclosure_radius": self.enclosure_radius,
         }
         if self.periodic_closure is not None:
             d["closure"] = {
@@ -543,11 +569,15 @@ class ShadowingResult:
 
 def _solve(problems, boundary: str) -> list:
     """The solver loop, over a stack of problems that share a phase space
-    and dim_u: iterate the solver update from zero until each problem's
-    rescaled update norm drops below its tol_fix.  Under the certified
+    and dim_u: start from the quasi-Newton iterate of each problem
+    (_quasi_newton; zero where it took no steps), then iterate the solver
+    update until each problem's rescaled update norm drops below its
+    tol_fix, usually on the first update.  Under the certified
     preconditions the update is a lam_tilde-contraction, so every step takes
     it whole; an update that grows anyway ends as an eta-ball escape, as a
     solve not converged at max_iter, or in _result's residual check.
+    iterations, update_history, max_iter and the ball margin count these
+    updates only; quasi_newton_history holds the steps.
 
     Each iteration is one apply_operator call for every problem still in
     the stack.  A problem leaves the stack once it converges, reaches its
@@ -567,7 +597,7 @@ def _solve(problems, boundary: str) -> list:
     closure = {}  # a converged periodic problem's closure before its polish
     live = list(range(len(problems)))
     stack = _Stack(problems)
-    v = np.zeros((stack.n_steps + 1, stack.phase.dim))
+    v, qn_history = _quasi_newton(stack, problems, boundary)
     while live:
         w = apply_operator(stack, v, boundary=boundary)
         upd = np.maximum.reduceat(np.linalg.norm(w - v, axis=-1) / stack.l, stack.starts[:-1])
@@ -599,13 +629,96 @@ def _solve(problems, boundary: str) -> list:
                 closure[live[i]] = _closure(v[a:b], g_chart[a:b - 1])
             for i in leaving:
                 k, a, b = live[i], starts[i], starts[i + 1]
-                out[k] = _result(problems[k], v[a:b], g_chart[a:b - 1], history[k],
+                out[k] = _result(problems[k], v[a:b], g_chart[a:b - 1], history[k], qn_history[k],
                                  ball_worst[k], boundary, closure.get(k))
         if done:
             stay = [i for i in range(len(live)) if i not in done]
             live = [live[i] for i in stay]
             v = _rows([v[starts[i]:starts[i + 1]] for i in stay]) if stay else None
             stack = _Stack([problems[k] for k in live]) if live else None
+    return out
+
+
+def _quasi_newton(stack: _Stack, problems, boundary: str):
+    """The start of _solve: v after whole-orbit quasi-Newton steps on the
+    stack, and the rescaled size of each problem's steps, as _solve
+    measures an update.
+
+    A step adds to v the solution of the block-diagonal linearisation of
+    v_{j+1} = G_j(v_j) along the pseudo-orbit.  The residuals
+    r_j = G_j(v_j) - v_{j+1} are split at index j + 1 into (r^u_j, r^s_j);
+    the step is U_j a_j + S_j b_j, with b_{j+1} = D_j b_j + r^s_j run forward
+    from b_0 = 0 and a_j = (a_{j+1} - r^u_j) / A_j backward from a_N = 0,
+    A_j and D_j being the problem's diagonal blocks.  A periodic problem
+    closes both recurrences around the cycle.  A problem takes steps until
+    one is below its tol_fix; that last step is measured, not taken, so an
+    exact orbit keeps v = 0.  Only 1x1 blocks take steps (a phase dim of 2
+    with dim_u = 1).  A problem whose step is not finite, divides by zero,
+    fails to shrink by lam_tilde or leaves the eta-ball goes back to v = 0
+    with no steps, and the plain loop then solves it as if from the start.
+    """
+    v = np.zeros((stack.n_steps + 1, stack.phase.dim))
+    qn_history = [[] for _ in problems]
+    if (stack.phase.dim, stack.dim_u) != (2, 1):
+        return v, qn_history
+    periodic = boundary == "periodic"
+    starts = stack.starts.tolist()
+    diagonal = [(p._a[:, 0, 0].tolist(), p._d[:, 0, 0].tolist()) for p in problems]
+    unstable, stable = stack.splittings.unstable[..., 0], stack.splittings.stable[..., 0]
+    live = list(range(len(problems)))
+    while live:
+        r = stack.charts(v[:-1])[1] - v[1:]
+        ru, rs = (c[:, 0].tolist() for c in stack.coords(slice(1, None), r))
+        a, b = np.zeros(len(v)), np.zeros(len(v))
+        for k in live:
+            (a_k, d_k), lo, hi = diagonal[k], starts[k], starts[k + 1]
+            ru_k, rs_k = ru[lo:hi - 1], rs[lo:hi - 1]
+            try:
+                a[lo:hi] = _backward(a_k, ru_k, 0.0)
+                b[lo:hi] = _forward(d_k, rs_k, 0.0)
+                if periodic:  # x_0 = x_N: (the pass from 0) / (1 - product of the coefficients)
+                    a[lo:hi] = _backward(a_k, ru_k, a[lo] / (1.0 - 1.0 / math.prod(a_k)))
+                    b[lo:hi] = _forward(d_k, rs_k, b[hi - 1] / (1.0 - math.prod(d_k)))
+            except ZeroDivisionError:
+                a[lo:hi] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = v + (unstable * a[:, None] + stable * b[:, None])
+            size = np.maximum.reduceat(np.linalg.norm(w - v, axis=-1) / stack.l,
+                                       stack.starts[:-1]).tolist()
+            ball = _ball_norms(stack, w).tolist()
+        stepping = []
+        for k in live:
+            cfg, lo, hi = problems[k].config, starts[k], starts[k + 1]
+            if size[k] < cfg.tol_fix:
+                qn_history[k].append(size[k])
+            elif (ball[k] <= cfg.eta * (1.0 + 1e-9)  # false for a step that is not finite
+                  and (not qn_history[k] or size[k] < cfg.lam_tilde * qn_history[k][-1])):
+                v[lo:hi] = w[lo:hi]
+                qn_history[k].append(size[k])
+                stepping.append(k)
+            else:
+                v[lo:hi] = 0.0
+                qn_history[k] = []
+        live = stepping
+    return v, qn_history
+
+
+def _forward(c, r, x):
+    """x_0 .. x_N of x_{j+1} = c_j x_j + r_j, from x_0 = x."""
+    out = [x]
+    for c_j, r_j in zip(c, r):
+        x = c_j * x + r_j
+        out.append(x)
+    return out
+
+
+def _backward(c, r, x):
+    """x_0 .. x_N of x_j = (x_{j+1} - r_j) / c_j, from x_N = x."""
+    out = [x]
+    for c_j, r_j in zip(reversed(c), reversed(r)):
+        x = (x - r_j) / c_j
+        out.append(x)
+    out.reverse()
     return out
 
 
@@ -617,7 +730,8 @@ def _closure(v, g_chart) -> float:
     return float(np.sqrt(_sq_norms(g_chart - np.concatenate([v[1:-1], v[:1]]))).max())
 
 
-def _result(problem, v, g_chart, history, ball_worst, boundary, closure) -> "ShadowingResult":
+def _result(problem, v, g_chart, history, qn_history, ball_worst, boundary,
+            closure) -> "ShadowingResult":
     """The result of a solve whose G charts at v are g_chart; closure is a
     periodic solve's closure before its polish, None when it took none.  A
     solve has converged when it was polished or its last update was below
@@ -641,7 +755,8 @@ def _result(problem, v, g_chart, history, ball_worst, boundary, closure) -> "Sha
     return ShadowingResult(
         v=v, shadow_point=problem.po.phase.exp(problem.po.points[0], v[0]), distances=distances,
         orbit_residuals=residuals, iterations=len(history), converged=converged,
-        update_history=history, ball_margin=ball_worst / cfg.eta, scale=problem.l,
+        update_history=history, quasi_newton_history=qn_history, ball_margin=ball_worst / cfg.eta,
+        scale=problem.l,
         boundary=boundary, config=cfg, **periodic,
     )
 
@@ -655,8 +770,8 @@ def _solved(problem, boundary) -> "ShadowingResult":
 
 
 def solve_finite(po, splittings, f, g, config, blocks=None) -> ShadowingResult:
-    """Shadow a finite pseudo-orbit window: iterate the solver update from
-    zero until the rescaled update norm drops below tol_fix.
+    """Shadow a finite pseudo-orbit window: quasi-Newton steps, then the
+    solver update until the rescaled update norm drops below tol_fix (_solve).
 
     Non-convergence is reported on the result (converged=False with the
     full update history), not raised.

@@ -626,8 +626,10 @@ class TestSweep:
             "sweep cell delta=0.0001 failed: solver: iterate left the eta-ball at index 2\n")
 
     def test_unconverged_cell_fails(self, tmp_path, capsys):
+        # below rounding no quasi-Newton step shrinks by lambda_tilde: with
+        # tol_fix = 1e-300 the plain loop starts from zero and runs out
         payload = json.loads(json.dumps(BASE_CONFIG))
-        payload["solver"]["max_iter"] = 2
+        payload["solver"].update(max_iter=2, tol_fix=1e-300)
         payload["sweep"]["values"] = [1e-4]
         code, out = run(tmp_path, "sweep", payload, extra=("--jobs", "1"))
         assert code == 1

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -531,6 +532,8 @@ class TestSolvePeriodic:
             "residual_max": float(res.orbit_residuals.max()), "ball_margin": res.ball_margin,
             "shadow_point": [float(x) for x in res.shadow_point], "boundary": "periodic",
             "update_history": res.update_history,
+            "quasi_newton_history": res.quasi_newton_history,
+            "enclosure_radius": res.enclosure_radius,
             "closure": {"pre_polish": res.periodic_closure,
                         "post_polish": res.periodic_closure_polished,
                         "seam_gap": res.seam_gap}}
@@ -598,25 +601,60 @@ class TestSolvePeriodic:
         return flatten(np.vstack([seeds, seeds[:1]]), [1] * len(cycle), f)
 
     def test_polish_is_one_more_periodic_update(self):
+        # quasi-Newton steps around the cycle until one is below tol_fix, then
         # the plain loop of periodic updates until one is below tol_fix, then
-        # one more: the returned v, its iterations and both closures
+        # one more: the returned v, its steps, its iterations and both closures
         f = cat_map()
         cycle, _ = cat_cycle(5, (0.0, 0.0))
         po = self._jittered_cycle(f, cycle, 1e-6, np.random.default_rng(3))
         spl, g = assign_splittings(po, f, "eigen"), ShiftedMap(f, [1e-6, -1e-6])
         cfg = make_solver_config(po, f, lam=0.45)
         problem = _periodic_problem(po, spl, f, g, cfg)
-        v, history = np.zeros_like(po.points), []
+        blocks = pseudo_orbit_blocks(po, problem.splittings, f)
+        a_blocks, d_blocks = blocks.A[:, 0, 0].tolist(), blocks.D[:, 0, 0].tolist()
+
+        def size(w, v):
+            return float(np.max(np.linalg.norm(w - v, axis=1) / problem.l))
+
+        def forward(b0, rs):  # b_{j+1} = D_j b_j + r^s_j
+            b = [b0]
+            for d, r in zip(d_blocks, rs):
+                b.append(d * b[-1] + r)
+            return b
+
+        def backward(a_n, ru):  # a_j = (a_{j+1} - r^u_j) / A_j
+            a = [a_n]
+            for a_j, r in zip(a_blocks[::-1], ru[::-1]):
+                a.append((a[-1] - r) / a_j)
+            return a[::-1]
+
+        v, steps = np.zeros_like(po.points), []
+        while not steps or steps[-1] >= cfg.tol_fix:
+            x = f.phase.canon(po.points[:-1] + v[:-1])
+            r = f.phase.wrap(g(x) - po.points[1:]) - v[1:]
+            ru, rs = np.matmul(problem.splittings.basis_inv[1:], r[..., None])[..., 0].T.tolist()
+            # each recurrence closed around the cycle: x_0 = x_N
+            b = forward(forward(0.0, rs)[-1] / (1.0 - math.prod(d_blocks)), rs)
+            a = backward(backward(0.0, ru)[0] / (1.0 - 1.0 / math.prod(a_blocks)), ru)
+            w = v + (problem.splittings.unstable[..., 0] * np.array(a)[:, None]
+                     + problem.splittings.stable[..., 0] * np.array(b)[:, None])
+            steps.append(size(w, v))
+            if steps[-1] >= cfg.tol_fix:  # the step below tol_fix is not taken
+                assert len(steps) == 1 or steps[-1] < cfg.lam_tilde * steps[-2]
+                v = w
+        history = []
         while not history or history[-1] >= cfg.tol_fix:
             w = apply_operator(problem, v, boundary="periodic")
-            history.append(float(np.max(np.linalg.norm(w - v, axis=1) / problem.l)))
+            history.append(size(w, v))
             v = w
         polished = apply_operator(problem, v, boundary="periodic")
         res = solve_periodic(po, spl, f, g, cfg)
         assert res.converged
         assert np.array_equal(res.v, polished)
+        assert res.quasi_newton_history == steps and len(steps) >= 2
         assert res.iterations == len(res.update_history) == len(history) + 1
         assert res.update_history[:-1] == history
+        assert res.enclosure_radius == cfg.lam_tilde / (1.0 - cfg.lam_tilde) * size(polished, v)
         assert res.periodic_closure_polished < res.periodic_closure <= 10 * cfg.tol_fix
 
         def closure(v):  # one step of g per index, the last one landing on v_0
@@ -632,9 +670,11 @@ class TestSolvePeriodic:
         f = cat_map()
         cycle, _ = cat_cycle(3, (0.0, 0.0))
         po = self._jittered_cycle(f, cycle, 1e-6, np.random.default_rng(4))
-        cfg = make_solver_config(po, f, lam=0.45, max_iter=3)
+        # below rounding no quasi-Newton step shrinks by lam_tilde: with
+        # tol_fix = 1e-300 the plain loop starts from zero and runs out
+        cfg = make_solver_config(po, f, lam=0.45, tol_fix=1e-300, max_iter=3)
         res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, f, cfg)
-        assert not res.converged
+        assert not res.converged and res.quasi_newton_history == []
         assert res.iterations == len(res.update_history) == 3
         assert res.periodic_closure > 0.0 and res.periodic_closure_polished is None
         assert res.to_dict()["closure"]["post_polish"] is None

@@ -12,8 +12,8 @@ from bishadow.certification import pseudo_orbit_blocks
 from bishadow.oracle import AffineSequenceSystem, cat_map_periodic_points
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
 from bishadow.shadowing import (BallInvariantError, ShadowProblem, UnstableSolveError, _Stack,
-                                _periodic_problem, _solve, make_solver_config, solve_finite,
-                                solve_periodic)
+                                _periodic_problem, _solve, apply_operator, make_solver_config,
+                                solve_finite, solve_periodic)
 from bishadow.splitting import Splitting
 from bishadow.systems import (AffineMap, PerturbedCatMap, ShiftedMap, SystemBounds,
                               TorusLinearMap, cat_map)
@@ -23,7 +23,8 @@ from _oracles import MisreportedSteps
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 FIELDS = ("v", "distances", "orbit_residuals", "shadow_point", "scale", "update_history",
-          "ball_margin", "periodic_closure", "periodic_closure_polished", "seam_gap")
+          "quasi_newton_history", "ball_margin", "periodic_closure", "periodic_closure_polished",
+          "seam_gap")
 
 
 def outcome(solve, *args):
@@ -150,6 +151,98 @@ def test_stack_equals_solving_alone(kind, periodic, size, data):
         assert_same(got, outcome(solve, *case))
 
 
+def plain_loop(problem, boundary):
+    """_solve's plain loop without its quasi-Newton start: (v, update history)
+    of the updates from zero until one is below tol_fix or max_iter of them,
+    and then, periodic, the polish."""
+    cfg = problem.config
+    v, history = np.zeros_like(problem.po.points), []
+    converged = False
+    while not converged and len(history) < cfg.max_iter:
+        w = apply_operator(problem, v, boundary)
+        history.append(float(np.max(np.linalg.norm(w - v, axis=1) / problem.l)))
+        v, converged = w, history[-1] < cfg.tol_fix
+    if converged and boundary == "periodic":
+        w = apply_operator(problem, v, boundary)
+        history.append(float(np.max(np.linalg.norm(w - v, axis=1) / problem.l)))
+        v = w
+    return v, history
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["torus", "sequence"]), periodic=st.booleans(),
+       size=st.integers(1, 4), data=st.data())
+def test_quasi_newton_start_lands_in_the_enclosure(kind, periodic, size, data):
+    # cat, perturbed cat and ENDOMORPHISM problems on T^2, and step-indexed
+    # affine ones on the plane: every problem takes quasi-Newton steps, alone
+    # or stacked.  Its v and the plain loop's v each lie within their
+    # enclosure of the fixed point, widened by the rounding floor rho of one
+    # update (ShadowProblem._rounding over l) divided by 1 - lam_tilde.
+    maps = {}
+    draw = {"torus": lambda: torus_problem(data, maps, periodic),
+            "sequence": lambda: affine_problem(data, 2, 1, periodic)}[kind]
+    boundary = "periodic" if periodic else "finite"
+    problems = [(_periodic_problem if periodic else ShadowProblem)(*draw()) for _ in range(size)]
+    for got, problem in zip(_solve(problems, boundary), problems):
+        assert got.converged and got.quasi_newton_history
+        assert got.quasi_newton_history[-1] < problem.config.tol_fix
+        v, history = plain_loop(problem, boundary)
+        lam_tilde = problem.config.lam_tilde
+        rho = float(np.max(problem._rounding / problem.l[1:]))
+        bound = (got.enclosure_radius + lam_tilde / (1.0 - lam_tilde) * history[-1]
+                 + 2.0 * rho / (1.0 - lam_tilde))
+        assert np.max(np.linalg.norm(got.v - v, axis=1) / problem.l) <= bound
+
+
+def cat_problem(boundary, seed, **solver):
+    """A cat-map problem under a shift of 1e-6: an open generated orbit, or
+    one period of a jittered 3-cycle."""
+    f, rng = cat_map(), np.random.default_rng(seed)
+    if boundary == "periodic":
+        points = cat_map_periodic_points(3, f.matrix)
+        seeds = [np.array(points[int(rng.integers(1, len(points)))], dtype=float)]
+        for _ in range(2):
+            seeds.append(f(seeds[-1]))
+        seeds = f.phase.canon(np.array(seeds) + 1e-6 * rng.standard_normal((3, 2)))
+        po = flatten(np.vstack([seeds, seeds[:1]]), [1] * 3, f)
+    else:
+        po = generate(f, rng.random(2), [4] * 6, 1e-6, seed)
+    cfg = make_solver_config(po, f, lam=0.45, **solver)
+    return po, assign_splittings(po, f, "eigen"), f, ShiftedMap(f, [1e-6, 0.0]), cfg
+
+
+@pytest.mark.parametrize("boundary", ["finite", "periodic"])
+def test_failed_quasi_newton_start_is_the_plain_loop(boundary):
+    # below rounding no step shrinks by lam_tilde: with tol_fix = 1e-300 the
+    # quasi-Newton start falls back, and the plain loop from zero runs out
+    # of updates; stacked with healthy problems, it keeps those bits
+    build, solve = ((_periodic_problem, solve_periodic) if boundary == "periodic"
+                    else (ShadowProblem, solve_finite))
+    case = cat_problem(boundary, 5, tol_fix=1e-300, max_iter=25)
+    [got] = _solve([build(*case)], boundary)
+    v, history = plain_loop(build(*case), boundary)
+    assert got.quasi_newton_history == [] and not got.converged
+    assert np.array_equal(got.v, v) and got.update_history == history and len(history) == 25
+    cases = [cat_problem(boundary, 6), case, cat_problem(boundary, 7)]
+    stacked = _solve([build(*case) for case in cases], boundary)
+    for got, case in zip(stacked, cases):
+        assert_same(got, outcome(solve, *case))
+    assert stacked[0].quasi_newton_history and stacked[2].quasi_newton_history
+
+
+@pytest.mark.parametrize("boundary", ["finite", "periodic"])
+@pytest.mark.parametrize("block, value", [("_a", 0.0), ("_d", np.nan)])
+def test_broken_block_sends_the_quasi_newton_start_back(boundary, block, value):
+    # a zero A_j divides by zero, and a nan D_j makes a step that is not finite
+    build = _periodic_problem if boundary == "periodic" else ShadowProblem
+    problem = build(*cat_problem(boundary, 8))
+    getattr(problem, block)[1] = value
+    [got] = _solve([problem], boundary)
+    v, history = plain_loop(problem, boundary)
+    assert got.converged and got.quasi_newton_history == []
+    assert np.array_equal(got.v, v) and got.update_history == history
+
+
 def misreported_problem(kinds, jumps, n=8):
     """MisreportedSteps with its kind per step; jumps[j] moves seed j + 1 off
     the orbit along the unstable axis, so the first update inverts it."""
@@ -181,7 +274,10 @@ def bump_problem(delta, n):
 FAILING = {
     "singular": (misreported_problem({2: "singular", 5: "singular"}, {2: 1e-4, 5: 1e-4}),
                  UnstableSolveError, "singular unstable block at index 2"),
-    "stalled": (misreported_problem({3: "stall", 6: "stall"}, {3: 1e-4, 6: 1e-4}),
+    # seeds 3 and 6 off the axis, so that the shadow orbit, the zero orbit,
+    # moves them: each stall step is then on its path, and the quasi-Newton
+    # start, which reads the true blocks, overshoots there and falls back
+    "stalled": (misreported_problem({3: "stall", 6: "stall"}, {2: 1e-4, 5: 1e-4}),
                 UnstableSolveError, "Newton inversion stalled at index 3 "),
     "escape": (misreported_problem({}, {4: 1.0, 6: 1.0}),
                BallInvariantError, "inverted unstable component at index 4 "),
@@ -280,19 +376,27 @@ def test_unstable_blocks_computed_once_when_df_is_constant(monkeypatch):
         po = generate(f, [0.13, 0.41], [4] * 5, 1e-7, 1)
         spl = assign_splittings(po, f, "eigen" if f.derivative_bounds()[1] == 0.0 else "power")
         cfg = make_solver_config(po, f, lam=0.45, bounds=bounds)
-        problem = ShadowProblem(po, spl, f, ShiftedMap(f, [1e-9, 0.0]), cfg)
         calls.clear()
-        result = solve_finite(po, spl, f, ShiftedMap(f, [1e-9, 0.0]), cfg)
-        assert result.converged and result.iterations > 2
-        # pseudo_orbit_blocks makes one call, and fixed unstable blocks one more
-        assert (len(calls) == 2) == once
-        assert problem.constant_df == once
+        problem = ShadowProblem(po, spl, f, ShiftedMap(f, [1e-9, 0.0]), cfg)
+        assert len(calls) == 1 and problem.constant_df == once  # pseudo_orbit_blocks
+        assert solve_finite(po, spl, f, ShiftedMap(f, [1e-9, 0.0]), cfg).converged
+        # three updates of one stack from zero, as the plain loop takes them:
+        # fixed unstable blocks make one call in all
+        stack, v = _Stack([problem]), np.zeros_like(po.points)
+        calls.clear()
+        for _ in range(3):
+            w = apply_operator(stack, v)
+            assert np.max(np.linalg.norm(w - v, axis=1) / problem.l) >= cfg.tol_fix
+            v = w
+        assert (len(calls) == 1) == once
 
 
 def test_misreported_derivative_keeps_recomputing():
     # a map without derivative_bounds runs on caller-given bounds, whose L = 0
-    # does not fix its blocks: its reported Df may depend on the point
-    case = misreported_problem({2: "late_singular"}, {2: 1e-4})
+    # does not fix its blocks: its reported Df may depend on the point.  The
+    # stall at step 5, with seed 5 off the axis, makes the quasi-Newton start
+    # fall back, so that the plain loop meets step 2 from zero.
+    case = misreported_problem({2: "late_singular", 5: "stall"}, {2: 1e-4, 4: 1e-4})
     assert case[4].L == 0.0 and not ShadowProblem(*case).constant_df
     assert outcome(solve_finite, *case) == (
         UnstableSolveError, "singular unstable block at index 2")
