@@ -166,10 +166,14 @@ def refine(
     """Upgrade a certified nearly-invariant splitting to an invariant one.
 
     Requires the input blocks to certify at (lam, eps) with eps at most
-    eps_cap; returns the graph-tilted splitting family together with its
-    certificate at (lam_tilde, offdiag_tol, delta), whose B and C blocks
-    are the refined splitting's invariance defect.  blocks, when given, are
-    what pseudo_orbit_blocks returns and must cover po; the refined
+    eps_cap; returns a splitting family together with its certificate at
+    (lam_tilde, offdiag_tol, delta), whose B and C blocks are that
+    splitting's invariance defect.  An input whose off-diagonal blocks are
+    already at most offdiag_tol is returned as it is, with zero graphs and
+    its own blocks certified at lam_tilde: every rate margin grows with the
+    rate and lam < lam_tilde, so that certificate passes.  Any other input
+    is tilted onto the graphs of invariant_graphs.  blocks, when given, are
+    what pseudo_orbit_blocks returns and must cover po; the returned
     certificate's blocks have the same form.
     """
     if delta is None:
@@ -190,10 +194,15 @@ def refine(
             f"(margin {worst.margin:.3e})"
         )
 
-    P, Q = invariant_graphs(splittings, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
-    u, s = splittings.unstable, splittings.stable
-    refined = SplittingAssignment.from_bases(u + s @ P, s + u @ Q)
+    if eps_actual <= config.offdiag_tol:  # invariant already: the input is the answer
+        du, ds = splittings.dim_u, splittings.stable.shape[-1]
+        P, Q = np.zeros((po.n_steps + 1, ds, du)), np.zeros((po.n_steps + 1, du, ds))
+        refined, blocks = splittings, input_cert.blocks
+    else:
+        P, Q = invariant_graphs(splittings, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
+        u, s = splittings.unstable, splittings.stable
+        refined, blocks = SplittingAssignment.from_bases(u + s @ P, s + u @ Q), None
     certificate = certify_pseudo_orbit(po, refined, f, config.lam_tilde, config.offdiag_tol,
-                                       delta)
+                                       delta, blocks=blocks)
     return RefinementResult(splittings=refined, certificate=certificate, unstable_graphs=P,
                             stable_graphs=Q)

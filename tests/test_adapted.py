@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,27 @@ class TestWellAdapted:
     def test_infeasible_error_names_constraint(self):
         with pytest.raises(InfeasiblePairError):
             well_adapted_sequence([0.9], [1.05], 0.5)
+
+    @pytest.mark.parametrize("which, value, message", [
+        ("b", 0.0, "b = 0 at position 2 is not positive and finite"),
+        ("b", np.inf, "b = inf at position 2 is not positive and finite"),
+        ("a", np.nan, "a = nan at position 2 is not nonnegative and finite"),
+        ("a", -0.1, "a = -0.1 at position 2 is not nonnegative and finite"),
+    ])
+    def test_bad_terms_refused_by_position(self, which, value, message):
+        pair = {"a": np.array([0.3, 0.3, 0.2]), "b": np.array([2.0, 2.0, 3.0])}
+        pair[which][1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasiblePairError, match=message):
+                well_adapted_sequence(pair["a"], pair["b"], 0.5)
+
+    def test_zero_contraction_contracts_fully(self):
+        a, b = [0.0, 0.3, 0.2], [2.0, 2.0, 3.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = well_adapted_sequence(a, b, 0.5)
+        assert verify_well_adapted(a, b, c, 0.5)
 
     def test_random_pairs_verified(self):
         rng = np.random.default_rng(0)

@@ -12,6 +12,7 @@ import pytest
 import bishadow.certification
 import bishadow.cli
 import bishadow.config
+import bishadow.refinement
 from bishadow.certification import PASS_TOL
 from bishadow.cli import main
 from bishadow.jsonwriter import SLICE, plain
@@ -43,6 +44,21 @@ REFINE_PAYLOAD = {
     "certification": {"lambda": 0.4},
     "refinement": {"lambda_tilde": 0.5},
     "splitting": {"strategy": "power"},
+}
+
+#: closed: the last seed is the first
+SHALLOW_POWER_CYCLE = {
+    "system": {"type": "perturbed_cat_map", "amplitude": 0.005},
+    "pseudo_orbit": {
+        "seeds": [[0.0, 0.2727272727272727], [0.2727272727272727, 0.2727272727272727],
+                  [0.8181818181818181, 0.5454545454545454],
+                  [0.18181818181818166, 0.36363636363636354],
+                  [0.7272727272727268, 0.5454545454545452], [0.0, 0.2727272727272727]],
+        "lengths": [1] * 5,
+    },
+    "certification": {"lambda": 0.45, "delta": 0.05},
+    "refinement": {"lambda_tilde": 0.6},
+    "splitting": {"strategy": "power", "depth": 1},
 }
 
 
@@ -336,7 +352,9 @@ class TestExitCodes:
         assert "max_invariance_residual" not in report["refinement"]
 
     def test_refine_not_invariant_fails(self, tmp_path):
-        # the refined offdiag rows pass within PASS_TOL, but their largest
+        # the power input's own off-diagonal (1.17e-15) and the graph
+        # transform's rounding both lie above offdiag_tol, so the transform
+        # runs; its offdiag rows pass within PASS_TOL, but their largest
         # entry is above offdiag_tol: the splitting is not invariant there
         payload = {
             "system": {"type": "perturbed_cat_map", "amplitude": 0.02},
@@ -346,14 +364,33 @@ class TestExitCodes:
             },
             "certification": {"lambda": 0.45, "epsilon": 1e-9, "delta": 1e-5},
             "splitting": {"strategy": "power"},
-            "refinement": {"offdiag_tol": 1.2e-15},
+            "refinement": {"offdiag_tol": 1e-16},
         }
         code, out = run(tmp_path, "refine", payload)
         report = json.loads(out.read_text())["refinement"]
         assert report["certificate"]["passed"] is True
-        assert report["max_offdiagonal"] > 1.2e-15
+        assert report["max_offdiagonal"] > 1e-16
         assert report["is_quasi_hyperbolic"] is False
         assert code == 1
+
+    def test_refine_shallow_power_cycle_takes_the_transform(self, tmp_path, monkeypatch):
+        # a perturbed period-5 cat cycle: one warm-up step leaves power's
+        # closed-orbit splitting 2.4e-4 off invariant, and the graph
+        # transform brings it to rounding
+        calls = []
+        real = bishadow.refinement.invariant_graphs
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bishadow.refinement, "invariant_graphs", counting)
+        code, out = run(tmp_path, "refine", SHALLOW_POWER_CYCLE)
+        report = json.loads(out.read_text())["refinement"]
+        assert len(calls) == 1
+        assert report["is_quasi_hyperbolic"] is True
+        assert report["max_offdiagonal"] <= 1e-12
+        assert code == 0
 
 
 class TestCertifyCsv:

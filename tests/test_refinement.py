@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bishadow.certification import is_quasi_hyperbolic, pseudo_orbit_blocks
+import bishadow.refinement
+from bishadow.certification import (_COLUMNS, certify_pseudo_orbit, is_quasi_hyperbolic,
+                                   pseudo_orbit_blocks)
 from bishadow.oracle import AffineSequenceSystem
 from bishadow.pseudo_orbit import SplittingAssignment, assign_splittings, generate
 from bishadow.refinement import (
@@ -193,18 +197,73 @@ class TestGraphSolves:
             assert np.linalg.svd(m, compute_uv=False)[-1] >= 0.5
 
 
+def counted_graphs(monkeypatch):
+    """The calls refine makes to invariant_graphs, recorded as they happen."""
+    calls = []
+    real = bishadow.refinement.invariant_graphs
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bishadow.refinement, "invariant_graphs", counting)
+    return calls
+
+
+def same_certificate(a, b):
+    return ((a.passed, a.lam, a.epsilon, a.delta) == (b.passed, b.lam, b.epsilon, b.delta)
+            and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _COLUMNS))
+
+
+def assert_returned_as_is(monkeypatch, po, spl, f, cfg):
+    """An input invariant at offdiag_tol is the answer: the same object, zero
+    graphs, no graph transform, and its own certificate at lam_tilde."""
+    calls = counted_graphs(monkeypatch)
+    result = refine(po, spl, f, cfg)
+    assert calls == []
+    assert result.splittings is spl
+    n = po.n_steps + 1
+    assert result.unstable_graphs.shape == (n, 1, 1) and not result.unstable_graphs.any()
+    assert result.stable_graphs.shape == (n, 1, 1) and not result.stable_graphs.any()
+    expected = certify_pseudo_orbit(po, spl, f, cfg.lam_tilde, cfg.offdiag_tol,
+                                    float(po.residuals.max()))
+    assert expected.passed and expected.max_offdiagonal <= cfg.offdiag_tol
+    assert same_certificate(result.certificate, expected)
+
+
 class TestRefine:
-    def test_quasi_hyperbolic_input_unchanged(self):
+    def test_quasi_hyperbolic_input_unchanged(self, monkeypatch):
         f = cat_map()
         po = generate(f, [0.2, 0.5], [3, 3], 1e-5, 2)
         spl = assign_splittings(po, f, "eigen")
-        cfg = make_refinement_config(0.45, 0.62, R=2.7)
+        assert_returned_as_is(monkeypatch, po, spl, f, make_refinement_config(0.45, 0.62, R=2.7))
+
+    def test_open_orbit_power_input_unchanged(self, monkeypatch):
+        # power on an open orbit is invariant to rounding
+        f = PerturbedCatMap(0.005)
+        po = generate(f, [0.3, 0.7], [4] * 10, 1e-5, 7)
+        spl = assign_splittings(po, f, "power")
+        assert_returned_as_is(monkeypatch, po, spl, f, make_refinement_config(0.4, 0.5, R=2.63))
+
+    def test_non_invariant_input_takes_the_transform(self, monkeypatch):
+        # off-diagonal blocks of about the amplitude, above offdiag_tol: the
+        # result is the graph transform's, bit for bit
+        f, po, spl = perturbed_setup(amplitude=0.005)
+        cfg = make_refinement_config(0.4, 0.5, R=2.63)
+        assert pseudo_orbit_blocks(po, spl, f).norms[2].max() > cfg.offdiag_tol
+        calls = counted_graphs(monkeypatch)
         result = refine(po, spl, f, cfg)
-        assert np.abs(result.unstable_graphs).max() <= 1e-14
-        assert np.abs(result.stable_graphs).max() <= 1e-14
-        for j in range(po.n_steps + 1):
-            assert np.allclose(result.splittings[j].basis, spl[j].basis, atol=1e-12)
-        assert result.certificate.passed
+        assert len(calls) == 1
+        P, Q = engine_graphs(po, spl, f)
+        refined = SplittingAssignment.from_bases(spl.unstable + spl.stable @ P,
+                                                 spl.stable + spl.unstable @ Q)
+        assert np.array_equal(result.unstable_graphs, P)
+        assert np.array_equal(result.stable_graphs, Q)
+        assert np.array_equal(result.splittings.unstable, refined.unstable)
+        assert np.array_equal(result.splittings.stable, refined.stable)
+        expected = certify_pseudo_orbit(po, refined, f, cfg.lam_tilde, cfg.offdiag_tol,
+                                        float(po.residuals.max()))
+        assert same_certificate(result.certificate, expected)
 
     def test_perturbed_cat_refines_to_invariant(self):
         f, po, spl = perturbed_setup(amplitude=0.005)
@@ -264,6 +323,11 @@ def projector_distance(a, b):
 
 
 def assert_refine_matches_recursions(po, spl, f, cfg):
+    # offdiag_tol = 0 sends every input with a nonzero off-diagonal block
+    # through the graph transform, which is what this compares; at the
+    # default 1e-8 a draw such as amp = 1e-10 on the cat eigenbasis is
+    # returned as it is, with zero graphs
+    cfg = replace(cfg, offdiag_tol=0.0)
     blocks = pseudo_orbit_blocks(po, spl, f)
     p, q, refined = oracle_refined(spl, blocks)
     result = refine(po, spl, f, cfg, blocks=blocks)
