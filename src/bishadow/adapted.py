@@ -52,24 +52,7 @@ def well_adapted_sequence(a, b, lam: float) -> np.ndarray:
     if a.shape != b.shape or a.ndim == 0 or a.size == 0:
         raise ValueError("a and b must be nonempty sequences of equal length")
     n = a.shape[-1]
-    # a_i = 0 contracts fully, and its log is -inf; a b_i that is not positive
-    # and finite, or an a_i that is negative or not finite, has a log that is
-    # not finite or nan, and is refused by position before any pass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.log(a) - math.log(lam)
-        beta = np.log(b) + math.log(lam)
-    bad = np.argwhere(~(alpha <= beta + _TOL) | ~np.isfinite(beta))
-    if bad.size:
-        i = tuple(bad[0])
-        where = f"at position {i[-1] + 1}"
-        if not (np.isfinite(b[i]) and b[i] > 0.0):
-            raise InfeasiblePairError(f"b = {b[i]:.6g} {where} is not positive and finite")
-        if not (np.isfinite(a[i]) and a[i] >= 0.0):
-            raise InfeasiblePairError(f"a = {a[i]:.6g} {where} is not nonnegative and finite")
-        raise InfeasiblePairError(
-            f"empty quotient window {where}: "
-            f"a/lambda = {a[i] / lam:.6g} exceeds b*lambda = {b[i] * lam:.6g}"
-        )
+    alpha, beta = _term_logs(a, b, lam, lambda i: f"at position {i[-1] + 1}")
     # forward pass: reachable interval [lo_k, hi_k] of the k-term partial sum
     lo = np.zeros(a.shape[:-1] + (n + 1,))
     hi = np.zeros_like(lo)
@@ -95,6 +78,32 @@ def well_adapted_sequence(a, b, lam: float) -> np.ndarray:
     gamma = np.diff(s)
     np.clip(gamma, alpha, beta, out=gamma)
     return np.exp(gamma)
+
+
+def _term_logs(a, b, lam: float, place):
+    """ln a_i - ln lam and ln b_i + ln lam, the bounds of each log quotient,
+    after refusing the first term i (in C order) whose window is empty or
+    whose logs are not finite, by an InfeasiblePairError that names it by
+    place(i)."""
+    # a_i = 0 contracts fully, and its log is -inf; a b_i that is not positive
+    # and finite, or an a_i that is negative or not finite, has a log that is
+    # not finite or nan, and is refused by position before any pass
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = np.log(a) - math.log(lam)
+        beta = np.log(b) + math.log(lam)
+    bad = np.argwhere(~(alpha <= beta + _TOL) | ~np.isfinite(beta))
+    if bad.size:
+        i = tuple(bad[0])
+        where = place(i)
+        if not (np.isfinite(b[i]) and b[i] > 0.0):
+            raise InfeasiblePairError(f"b = {b[i]:.6g} {where} is not positive and finite")
+        if not (np.isfinite(a[i]) and a[i] >= 0.0):
+            raise InfeasiblePairError(f"a = {a[i]:.6g} {where} is not nonnegative and finite")
+        raise InfeasiblePairError(
+            f"empty quotient window {where}: "
+            f"a/lambda = {a[i] / lam:.6g} exceeds b*lambda = {b[i] * lam:.6g}"
+        )
+    return alpha, beta
 
 
 def scale_factors(h, offsets) -> np.ndarray:

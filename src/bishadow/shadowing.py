@@ -9,8 +9,9 @@ One solver update rebuilds the sequence componentwise:
 
   * stable components propagate forward through G_j,
   * unstable components are recovered backward by inverting the
-    expanding unstable part of F_j (a Newton solve for every index at
-    once, each index stopping at its own tolerance), and
+    expanding unstable part of F_j (a chord iteration for every index at
+    once, with the certificate's unstable block A_j as its matrix, each
+    index stopping at its own tolerance), and
   * boundary rows pin the free components (zero at the window ends, or
     wrapped around for periodic windows).
 
@@ -51,7 +52,7 @@ from functools import partial
 
 import numpy as np
 
-from .adapted import scale_factors, well_adapted_sequence
+from .adapted import _term_logs, scale_factors, well_adapted_sequence
 from .certification import _covering, _solve_stack, certify_pseudo_orbit
 from .jsonwriter import plain
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
@@ -74,7 +75,7 @@ __all__ = [
 ]
 
 
-NEWTON_TOL = 1e-13  # residual at which one index's Newton inversion stops, unless rounding
+NEWTON_TOL = 1e-13  # residual at which one index's chord inversion stops, unless rounding
 NEWTON_ULPS = 8  # allows less: ulps of the larger of the two points a step joins
 NEWTON_MAX_ITER = 50
 
@@ -87,7 +88,7 @@ class BallInvariantError(RuntimeError):
 
 
 class UnstableSolveError(RuntimeError):
-    """Newton inversion of the expanding component failed."""
+    """Chord inversion of the expanding component failed."""
 
 
 @dataclass(frozen=True)
@@ -186,10 +187,10 @@ class ShadowProblem:
     and the rescaled norms.
 
     blocks, when given, are what pseudo_orbit_blocks returns for these
-    splittings and must cover po; they set the adapted weights.  _rounding
-    is the Newton rounding floor of each step (see _Stack.invert_unstable),
-    and constant_df says whether f.derivative_bounds() gives L = 0, so that
-    Df does not depend on the point.  The update itself acts on a _Stack.
+    splittings and must cover po; they set the adapted weights, and their
+    diagonal blocks A_j and D_j are the only derivatives the solver reads.
+    _rounding is the rounding floor of each step's chord inversion (see
+    _Stack.invert_unstable).  The update itself acts on a _Stack.
     """
 
     def __init__(self, po, splittings, f, g, config, blocks=None):
@@ -204,14 +205,16 @@ class ShadowProblem:
         self.config = config
         blocks = _covering(po, splittings, f, blocks)
         m_a, norm_d, _ = blocks.norms
-        self._a, self._d = blocks.A, blocks.D  # the diagonal blocks, for _quasi_newton
+        self._a, self._d = blocks.A, blocks.D  # the diagonal blocks the solver solves with
+        # the terms are checked on the whole orbit first, so that the lowest
+        # bad one, m(A_j) = 0 say, is named by its orbit index j and segment
+        _term_logs(norm_d, m_a, config.lam, lambda i: f"at index {i[0]} (segment "
+                   f"{po.i_min + np.searchsorted(po.offsets, i[0], side='right') - 1})")
         self.weights = _segmentwise(partial(well_adapted_sequence, lam=config.lam),
                                     po.offsets, norm_d, m_a)
         self.l = scale_factors(self.weights, po.offsets)
         size = np.abs(po.points).max(axis=-1)
         self._rounding = NEWTON_ULPS * np.finfo(float).eps * np.maximum(size[:-1], size[1:])
-        bounds = f.derivative_bounds()
-        self.constant_df = bounds is not None and bounds[1] == 0.0
 
     # read by perfbench/spans.py, which counts the rows of each apply_operator call
     @property
@@ -223,18 +226,17 @@ class _Stack:
     """ShadowProblems that share a phase space and dim_u, solved as one: their
     rows concatenated, so that one apply_operator call updates every one.
 
-    The chart maps, their Jacobians and the Newton inversion read the
-    stacked splittings and act on all rows at a time: row j of an
-    ``(N, n)`` argument is the tangent vector at row j.  The step from one
-    problem's last row to the next one's first, a cut, is computed like any
-    other and then masked: it adds nothing to the update, is no Newton
-    index and fails nothing.  Every other row is computed by the same row
-    operations on C-ordered copies of its problem's arrays, so it has the
-    bits it has alone; a stack of one holds the problem's own arrays.  A
-    failing problem does not raise: after each apply_operator call, errors
-    maps the position of every problem that failed in it to its error, and
-    that problem's rows mean nothing.  When every problem's Df is constant,
-    the unstable blocks of the DF_j are computed once, on first use.
+    The chart maps and the chord inversion read the stacked splittings and
+    unstable blocks and act on all rows at a time: row j of an ``(N, n)``
+    argument is the tangent vector at row j.  The step from one problem's
+    last row to the next one's first, a cut, is computed like any other,
+    with an identity block, and then masked: it adds nothing to the update,
+    is no inverted index and fails nothing.  Every other row is computed
+    by the same row operations on C-ordered copies of its problem's arrays,
+    so it has the bits it has alone; a stack of one holds the problem's own
+    arrays.  A failing problem does not raise: after each apply_operator
+    call, errors maps the position of every problem that failed in it to
+    its error, and that problem's rows mean nothing.
     """
 
     def __init__(self, problems):
@@ -254,9 +256,10 @@ class _Stack:
         self._eta = np.repeat([p.config.eta for p in problems], lengths)[:-1]
         self._newton_tol = np.maximum(NEWTON_TOL, np.concatenate(
             [np.append(p._rounding, 0.0) for p in problems])[:-1])
-        self._f_images, self._f_jacobians, self._g_images = _map_calls(problems, self.starts)
-        self._constant_df = all(p.constant_df for p in problems)
-        self._fixed = None
+        # the diagonal blocks A_j of the problems' certificates; a cut takes the identity
+        eye = np.eye(self.dim_u)[None]
+        self._a = _rows([a for p in problems for a in (p._a, eye)][:-1])
+        self._f_images, self._g_images = _map_calls(problems, self.starts)
         self.errors = {}
 
     @property
@@ -285,47 +288,35 @@ class _Stack:
         g_chart = self._chart(self._g_images(x, self.steps, fx))
         return self._chart(fx), g_chart
 
-    def chart_jacobian(self, xi):
-        """Derivatives of the chart maps F_j at the tangent offsets xi_j."""
-        return self._f_jacobians(self.phase.canon(self.points[:-1] + xi), self.steps)
-
-    def _unstable_blocks(self, xi):
-        # the unstable-to-unstable blocks of DF_j at xi_j, (N, du, du)
-        if self._fixed is not None:
-            return self._fixed
-        spl = self.splittings
-        jac = np.matmul(np.matmul(spl.basis_inv[1:, : self.dim_u], self.chart_jacobian(xi)),
-                        spl.unstable[:-1])
-        if self._constant_df:
-            self._fixed = jac
-        return jac
-
     def invert_unstable(self, sv, target, base):
-        """Newton inversion of the expanding unstable parts of all F_j at once.
+        """Chord inversion of the expanding unstable parts of all F_j at once.
 
         sv holds the stable parts of the v_j and base their images F(sv),
         which the caller has already computed.  Returns the rows w_j, in
         index-j unstable coordinates, such that F_j(sv_j + U_j w_j) - base_j
         has index-(j+1) unstable coordinates equal to target_j; each w_j
-        must lie in the eta-ball.  Every index runs its own
-        Newton iteration and stops once its residual is below NEWTON_TOL,
-        or below NEWTON_ULPS ulps of the larger point its step joins where
-        that is more (ShadowProblem._rounding).  That is what
-        rounding allows: F_j evaluates f at canon(y_j + x), which rounds at
-        the ulps of y_j, and subtracts y_{j+1} from an image of about its
-        size, rounded at its ulps, so the computed residual of even the
-        exact w is of that size.  On a torus, whose points lie in [0, 1),
+        must lie in the eta-ball.  Every index runs its own chord
+        iteration, w_j = A_j^-1 target_j and then w_j -= A_j^-1 r_j with
+        the residual r_j, so that the only derivative it reads is the
+        certificate's block A_j at the pseudo-orbit; where DF is constant,
+        as for an affine map, that is Newton's iteration.  An index stops
+        once its residual is below NEWTON_TOL, or below NEWTON_ULPS ulps of
+        the larger point its step joins where that is more
+        (ShadowProblem._rounding).  That is what rounding allows: F_j
+        evaluates f at canon(y_j + x), which rounds at the ulps of y_j, and
+        subtracts y_{j+1} from an image of about its size, rounded at its
+        ulps, so the computed residual of even the exact w is of that size.  On a torus, whose points lie in [0, 1),
         it is below 2e-15 and the stop is NEWTON_TOL; an affine orbit
         whose coordinates grow to 4e4 needs about 1e-11.
-        When indices fail (singular block, stalled Newton, eta-ball
+        When indices fail (singular block, stalled iteration, eta-ball
         escape), errors keeps the error of each failing problem's lowest
-        index; the cuts are no Newton index.
+        index; the cuts are no inverted index.
         """
         target = np.asarray(target, dtype=float)
         # seed with the linear prediction; exact for affine charts
-        w, singular = _solve_rows(self._unstable_blocks(sv), target)
+        w, singular = _solve_rows(self._a, target)
         live = ~singular
-        singular[self._cuts] = live[self._cuts] = False
+        live[self._cuts] = False
         failed = [(np.flatnonzero(singular), _SINGULAR)]  # failing indices, and why
         done = np.zeros_like(live)
         for _ in range(NEWTON_MAX_ITER):
@@ -337,11 +328,8 @@ class _Stack:
             rows = np.flatnonzero(live)
             if rows.size == 0:
                 break
-            step, singular = _solve_rows(self._unstable_blocks(x)[rows], r[rows])
-            if singular.any():
-                failed.append((rows[singular], _SINGULAR))
-                live[rows[singular]] = False
-            w[rows[~singular]] -= step[~singular]
+            # the seed's blocks: none of the live rows is singular
+            w[rows] -= _solve_rows(self._a[rows], r[rows])[0]
         else:
             failed.append((np.flatnonzero(live), _STALLED))
         size = np.sqrt(_sq_norms(w))
@@ -357,7 +345,7 @@ class _Stack:
                 self.errors[k] = UnstableSolveError(f"singular unstable block at index {j}")
             elif why == _STALLED:
                 self.errors[k] = UnstableSolveError(
-                    f"Newton inversion stalled at index {j} (residual {res[row]:.3e})")
+                    f"chord inversion stalled at index {j} (residual {res[row]:.3e})")
             else:
                 self.errors[k] = BallInvariantError(
                     f"inverted unstable component at index {j} has rescaled size "
@@ -378,11 +366,11 @@ def _rows(arrays):
 
 def _map_calls(problems, starts):
     """The calls that map the stacked rows, each row by its problem's maps:
-    f_images(x, steps), f_jacobians(x, steps) and g_images(x, steps, fx),
-    with one call per distinct map.  g's images come from f's images fx at
-    the same points where they can: a g that is f takes them as they are,
-    and a ShiftedMap of f adds its shift to them (ShiftedMap.along's bits);
-    any other g maps its rows itself.  Each problem's rows include its cut."""
+    f_images(x, steps) and g_images(x, steps, fx), with one call per
+    distinct map.  g's images come from f's images fx at the same points
+    where they can: a g that is f takes them as they are, and a ShiftedMap
+    of f adds its shift to them (ShiftedMap.along's bits); any other g maps
+    its rows itself.  Each problem's rows include its cut."""
     n = int(starts[-1]) - 1
     fs, gs, shifts = {}, {}, []
     for p, a, b in zip(problems, starts[:-1], starts[1:]):
@@ -399,9 +387,7 @@ def _map_calls(problems, starts):
     if shifts:
         gs["shift"] = (partial(_shifted_images, problems[0].po.phase, _rows(shifts)),
                        gs["shift"][1])
-    return (_each_map([(f.along, rows) for f, rows in fs.values()]),
-            _each_map([(f.jacobian_along, rows) for f, rows in fs.values()]),
-            _each_map(list(gs.values())))
+    return _each_map([(f.along, rows) for f, rows in fs.values()]), _each_map(list(gs.values()))
 
 
 def _each_map(plan):
@@ -472,7 +458,7 @@ def apply_operator(problem: ShadowProblem, v: np.ndarray, boundary: str = "finit
     sv = _matvec(spl.stable[src], stack.coords(src, v[:-1])[1])
     f_sv = stack.F(sv)
     target_ambient = -g_imgs + f_imgs - f_sv + v[1:]
-    del f_imgs  # not kept through the Newton solve: a higher heap peak costs page faults
+    del f_imgs  # not kept through the chord solve: a higher heap peak costs page faults
     wu = stack.invert_unstable(sv, stack.coords(dst, target_ambient)[0], f_sv)
     if stack is not problem and stack.errors:
         raise stack.errors[0]
@@ -655,7 +641,8 @@ def _quasi_newton(stack: _Stack, problems, boundary: str):
     exact orbit keeps v = 0.  Only 1x1 blocks take steps (a phase dim of 2
     with dim_u = 1).  A problem whose step is not finite, divides by zero,
     fails to shrink by lam_tilde or leaves the eta-ball goes back to v = 0
-    with no steps, and the plain loop then solves it as if from the start.
+    with no steps, and the plain loop then solves it as if from the start
+    (where it meets a zero A_j again, as a singular block).
     """
     v = np.zeros((stack.n_steps + 1, stack.phase.dim))
     qn_history = [[] for _ in problems]
@@ -737,7 +724,7 @@ def _result(problem, v, g_chart, history, qn_history, ball_worst, boundary,
     solve has converged when it was polished or its last update was below
     tol_fix.  A converged solve is reported as not converged when a
     rescaled one-step residual exceeds the larger of 10 tol_fix and its
-    step's rounding floor (the one the Newton stop allows, over l), or when
+    step's rounding floor (the one the chord stop allows, over l), or when
     a distance exceeds epsilon1."""
     cfg = problem.config
     residuals = np.sqrt(_sq_norms(v[1:] - g_chart)) / problem.l[1:]

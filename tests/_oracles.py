@@ -381,12 +381,13 @@ def chart_step(problem, m, j, v):
 
 
 def invert_unstable_at(problem, j, sv, target):
-    """Per-index Newton inversion of the expanding unstable part of F_j.
+    """Per-index chord inversion of the expanding unstable part of F_j,
+    with the certificate's unstable block A_j as its matrix.
 
     Returns w, in index-j unstable coordinates, with the index-(j+1)
     unstable coordinates of F_j(sv + U_j w) - F_j(sv) equal to target;
-    raises as the solver does when w leaves the eta-ball, a block is
-    singular or Newton stalls.
+    raises as the solver does when w leaves the eta-ball, A_j is singular
+    or the iteration stalls.
     """
     from bishadow.shadowing import (NEWTON_MAX_ITER, NEWTON_TOL, BallInvariantError,
                                     UnstableSolveError)
@@ -394,13 +395,9 @@ def invert_unstable_at(problem, j, sv, target):
     sp, dst, cfg = problem.splittings[j], problem.splittings[j + 1], problem.config
     base = chart_step(problem, problem.f, j, sv)
     target = np.asarray(target, dtype=float)
-
-    def a_loc(xi):
-        jac = problem.f.jacobian_along(problem.po.phase.canon(problem.po.points[j] + xi), j)
-        return (dst.basis_inv @ jac @ sp.unstable)[: dst.dim_u, :]
-
+    a = problem._a[j]
     try:
-        w = np.linalg.solve(a_loc(sv), target)
+        w = np.linalg.solve(a, target)
     except np.linalg.LinAlgError as exc:
         raise UnstableSolveError(f"singular unstable block at index {j}") from exc
     for _ in range(NEWTON_MAX_ITER):
@@ -414,18 +411,15 @@ def invert_unstable_at(problem, j, sv, target):
                     f"{size / problem.l[j]:.3e} > eta = {cfg.eta:.3e}"
                 )
             return w
-        try:
-            w = w - np.linalg.solve(a_loc(sv + sp.unstable @ w), r)
-        except np.linalg.LinAlgError as exc:
-            raise UnstableSolveError(f"singular unstable block at index {j}") from exc
+        w = w - np.linalg.solve(a, r)  # the seed's matrix, which was not singular
     raise UnstableSolveError(
-        f"Newton inversion stalled at index {j} (residual {np.linalg.norm(r):.3e})"
+        f"chord inversion stalled at index {j} (residual {np.linalg.norm(r):.3e})"
     )
 
 
 def apply_operator_per_index(problem, v, boundary="finite"):
     """The solver update one index at a time: forward stable rows through
-    G_j, backward unstable rows by a Newton inversion per index, then the
+    G_j, backward unstable rows by a chord inversion per index, then the
     boundary rows."""
     n = problem.po.n_steps
     spl = problem.splittings
@@ -734,12 +728,15 @@ def flatten_per_step(seeds, lengths, f, i_min: int = 0) -> SegmentedPseudoOrbit:
 
 class MisreportedSteps(SmoothMap):
     """Linear steps x -> (m_j x_1, x_2 / 2) on R^2 whose reported derivative
-    can mislead the Newton inversion, one kind per step: "ok" reports the
-    true derivative (m_j = 2), "singular" a zero unstable entry, "stall"
-    half the true expansion m_j = 4 (Newton oscillates), "late_singular"
-    half of m_j = 4 on the stable axis and zero off it (the first Newton
-    update meets a singular block).  Its Df depends on the point, so it
-    has no derivative_bounds, whose L = 0 would say it does not."""
+    may be wrong, one kind per step: "ok" reports the true derivative
+    (m_j = 2), "singular" a zero unstable entry, "stall" half the true
+    expansion m_j = 4, "late_singular" half of m_j = 4 on the stable axis
+    and zero off it.  The solver reads no derivative but its certificate's
+    blocks, so with the blocks of all-"ok" steps (A_j = 2) a "singular"
+    step solves as an "ok" one, and on a "stall" or "late_singular" step,
+    whose expansion is twice A_j, the chord inversion oscillates and
+    stalls.  Its Df depends on the point, so it has no derivative_bounds,
+    whose L = 0 would say it does not."""
 
     def __init__(self, kinds):
         self.kinds = np.array(kinds)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bishadow.certification import pseudo_orbit_blocks
+from bishadow.certification import OrbitBlocks, pseudo_orbit_blocks
 from bishadow.oracle import AffineSequenceSystem, cat_map_periodic_points
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
 from bishadow.shadowing import (BallInvariantError, ShadowProblem, UnstableSolveError, _Stack,
@@ -233,12 +233,19 @@ def test_failed_quasi_newton_start_is_the_plain_loop(boundary):
 @pytest.mark.parametrize("boundary", ["finite", "periodic"])
 @pytest.mark.parametrize("block, value", [("_a", 0.0), ("_d", np.nan)])
 def test_broken_block_sends_the_quasi_newton_start_back(boundary, block, value):
-    # a zero A_j divides by zero, and a nan D_j makes a step that is not finite
+    # a zero A_j divides by zero, and a nan D_j makes a step that is not
+    # finite; the plain update inverts with the same A_j, so a zero one
+    # fails it too
     build = _periodic_problem if boundary == "periodic" else ShadowProblem
     problem = build(*cat_problem(boundary, 8))
     getattr(problem, block)[1] = value
     [got] = _solve([problem], boundary)
-    v, history = plain_loop(problem, boundary)
+    replayed = outcome(plain_loop, problem, boundary)
+    if block == "_a":
+        singular = (UnstableSolveError, "singular unstable block at index 1")
+        assert (type(got), str(got)) == singular and replayed == singular
+        return
+    v, history = replayed
     assert got.converged and got.quasi_newton_history == []
     assert np.array_equal(got.v, v) and got.update_history == history
 
@@ -257,8 +264,20 @@ def misreported_problem(kinds, jumps, n=8):
     cfg = make_solver_config(po, f, lam=0.55, lam_tilde=0.7, epsilon1=1e-2,
                              bounds=SystemBounds(R=4.0, L=0.0, kind="estimated"))
     spl = assign_splittings(po, f, "user", splittings=AXES)
-    # the blocks of the true derivative: a misreported one may be singular
+    # the blocks of "ok" steps: a misreported derivative may be singular
     return po, spl, f, f, cfg, pseudo_orbit_blocks(po, spl, MisreportedSteps(["ok"] * n))
+
+
+def singular_block_problem(indices, jumps, n=8):
+    """misreported_problem of "ok" steps whose certificate misreports: its
+    A_j is zero at indices, but its norms, which set the weights, are those
+    of the true blocks."""
+    *case, blocks = misreported_problem({}, jumps, n)
+    a = blocks.A.copy()
+    a[indices] = 0.0
+    broken = OrbitBlocks(a, blocks.B, blocks.C, blocks.D)
+    broken.__dict__["norms"] = blocks.norms  # the cached property, set to the true norms
+    return (*case, broken)
 
 
 def bump_problem(delta, n):
@@ -272,13 +291,15 @@ def bump_problem(delta, n):
 
 
 FAILING = {
-    "singular": (misreported_problem({2: "singular", 5: "singular"}, {2: 1e-4, 5: 1e-4}),
+    # the quasi-Newton start divides by the zero A_2 and falls back, and the
+    # plain update's inversion finds it singular
+    "singular": (singular_block_problem([2, 5], {2: 1e-4, 5: 1e-4}),
                  UnstableSolveError, "singular unstable block at index 2"),
     # seeds 3 and 6 off the axis, so that the shadow orbit, the zero orbit,
     # moves them: each stall step is then on its path, and the quasi-Newton
     # start, which reads the true blocks, overshoots there and falls back
     "stalled": (misreported_problem({3: "stall", 6: "stall"}, {2: 1e-4, 5: 1e-4}),
-                UnstableSolveError, "Newton inversion stalled at index 3 "),
+                UnstableSolveError, "chord inversion stalled at index 3 "),
     "escape": (misreported_problem({}, {4: 1.0, 6: 1.0}),
                BallInvariantError, "inverted unstable component at index 4 "),
 }
@@ -360,7 +381,10 @@ def test_stack_needs_one_phase_space_and_one_dim_u():
             _solve(problems, "finite")
 
 
-def test_unstable_blocks_computed_once_when_df_is_constant(monkeypatch):
+def test_solver_reads_no_jacobian(monkeypatch):
+    # every derivative the solver reads is a block of the problem's
+    # certificate: from the blocks on, neither apply_operator nor _solve
+    # evaluates Df, whether or not it is constant
     calls = []
 
     def counting(real):
@@ -371,32 +395,34 @@ def test_unstable_blocks_computed_once_when_df_is_constant(monkeypatch):
 
     monkeypatch.setattr(TorusLinearMap, "jacobian_along", counting(TorusLinearMap.jacobian_along))
     monkeypatch.setattr(PerturbedCatMap, "jacobian_along", counting(PerturbedCatMap.jacobian_along))
-    for f, bounds, once in ((cat_map(), None, True), (PerturbedCatMap(0.02), None, False),
-                            (cat_map(), SystemBounds(R=2.7, L=0.0, kind="estimated"), True)):
+    for f, bounds in ((cat_map(), None), (PerturbedCatMap(0.02), None),
+                      (cat_map(), SystemBounds(R=2.7, L=0.0, kind="estimated"))):
         po = generate(f, [0.13, 0.41], [4] * 5, 1e-7, 1)
         spl = assign_splittings(po, f, "eigen" if f.derivative_bounds()[1] == 0.0 else "power")
         cfg = make_solver_config(po, f, lam=0.45, bounds=bounds)
         calls.clear()
         problem = ShadowProblem(po, spl, f, ShiftedMap(f, [1e-9, 0.0]), cfg)
-        assert len(calls) == 1 and problem.constant_df == once  # pseudo_orbit_blocks
-        assert solve_finite(po, spl, f, ShiftedMap(f, [1e-9, 0.0]), cfg).converged
-        # three updates of one stack from zero, as the plain loop takes them:
-        # fixed unstable blocks make one call in all
-        stack, v = _Stack([problem]), np.zeros_like(po.points)
+        assert len(calls) == 1  # pseudo_orbit_blocks
         calls.clear()
+        [result] = _solve([problem], "finite")
+        assert result.converged
+        # three updates of one stack from zero, as the plain loop takes them
+        stack, v = _Stack([problem]), np.zeros_like(po.points)
         for _ in range(3):
             w = apply_operator(stack, v)
             assert np.max(np.linalg.norm(w - v, axis=1) / problem.l) >= cfg.tol_fix
             v = w
-        assert (len(calls) == 1) == once
+        assert calls == []
 
 
-def test_misreported_derivative_keeps_recomputing():
-    # a map without derivative_bounds runs on caller-given bounds, whose L = 0
-    # does not fix its blocks: its reported Df may depend on the point.  The
-    # stall at step 5, with seed 5 off the axis, makes the quasi-Newton start
-    # fall back, so that the plain loop meets step 2 from zero.
-    case = misreported_problem({2: "late_singular", 5: "stall"}, {2: 1e-4, 4: 1e-4})
-    assert case[4].L == 0.0 and not ShadowProblem(*case).constant_df
-    assert outcome(solve_finite, *case) == (
-        UnstableSolveError, "singular unstable block at index 2")
+def test_misreported_derivative_is_never_read():
+    # a map whose reported Df has a zero unstable entry, on the orbit and off
+    # it, solves bit for bit as the one that reports Df truly, on the blocks
+    # of the true derivative: the solver reads no other
+    jumps = {2: 1e-4, 5: 1e-4}
+    case = misreported_problem({2: "singular", 5: "singular"}, jumps)
+    healthy = misreported_problem({}, jumps)
+    assert not case[2].jacobian_along(case[0].points[:-1], np.arange(8))[[2, 5], 0, 0].any()
+    got = solve_finite(*case)
+    assert got.converged and got.max_distance > 0.0
+    assert_same(got, solve_finite(*healthy))
