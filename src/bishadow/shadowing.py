@@ -489,7 +489,7 @@ class ShadowingResult:
     update_history holds the rescaled size of each of the iterations
     solver updates, and quasi_newton_history that of each quasi-Newton
     step before them (_quasi_newton).  A periodic result also holds its
-    closures and seam gap (solve_periodic).
+    closure and seam gap (solve_periodic).
     """
 
     v: np.ndarray
@@ -505,7 +505,6 @@ class ShadowingResult:
     boundary: str
     config: SolverConfig = field(repr=False)
     periodic_closure: float | None = None
-    periodic_closure_polished: float | None = None
     seam_gap: float | None = None
 
     @property
@@ -540,11 +539,8 @@ class ShadowingResult:
         }
         if self.periodic_closure is not None:
             d["closure"] = {
-                "pre_polish": float(self.periodic_closure),
-                "post_polish": (
-                    None if self.periodic_closure_polished is None
-                    else float(self.periodic_closure_polished)
-                ),
+                # the old name of the one closure, which perfbench still reads
+                "post_polish": float(self.periodic_closure),
                 "seam_gap": float(self.seam_gap),
             }
         return d
@@ -568,9 +564,9 @@ def _solve(problems, boundary: str) -> list:
     Each iteration is one apply_operator call for every problem still in
     the stack.  A problem leaves the stack once it converges, reaches its
     max_iter or fails, and the others go on with the bits each would have
-    alone.  A converged periodic problem takes one more update, its polish,
-    before it leaves.  The running stack's G charts give each leaving
-    problem its residuals and each converging periodic one its closure.
+    alone; a periodic problem leaves by the same rule as a finite one.  The
+    running stack's G charts give each leaving problem its residuals, and a
+    periodic one its closure.
     Returns, in order, each problem's ShadowingResult or the error it
     failed with.  A converged solve whose residuals or distances come out
     too large is reported as not converged.
@@ -580,7 +576,6 @@ def _solve(problems, boundary: str) -> list:
     out = [None] * len(problems)
     history = [[] for _ in problems]
     ball_worst = [0.0] * len(problems)
-    closure = {}  # a converged periodic problem's closure before its polish
     live = list(range(len(problems)))
     stack = _Stack(problems)
     v, qn_history = _quasi_newton(stack, problems, boundary)
@@ -589,7 +584,7 @@ def _solve(problems, boundary: str) -> list:
         upd = np.maximum.reduceat(np.linalg.norm(w - v, axis=-1) / stack.l, stack.starts[:-1])
         v = w
         worst = _ball_norms(stack, v).tolist()
-        done, polish = [], []  # positions in the stack of the problems that leave it, or polish
+        done = []  # positions in the stack of the problems that leave it
         for i, (k, u) in enumerate(zip(live, upd.tolist())):
             cfg = problems[k].config
             if i not in stack.errors and worst[i] > cfg.eta * (1.0 + 1e-9):
@@ -602,21 +597,16 @@ def _solve(problems, boundary: str) -> list:
                 continue
             ball_worst[k] = max(ball_worst[k], worst[i])
             history[k].append(u)
-            if u < cfg.tol_fix and boundary == "periodic" and k not in closure:
-                polish.append(i)
-            elif k in closure or u < cfg.tol_fix or len(history[k]) == cfg.max_iter:
+            if u < cfg.tol_fix or len(history[k]) == cfg.max_iter:
                 done.append(i)
         starts = stack.starts.tolist()
         leaving = [i for i in done if out[live[i]] is None]
-        if polish or leaving:
+        if leaving:
             g_chart = stack.charts(v[:-1])[1]
-            for i in polish:
-                a, b = starts[i], starts[i + 1]
-                closure[live[i]] = _closure(v[a:b], g_chart[a:b - 1])
             for i in leaving:
                 k, a, b = live[i], starts[i], starts[i + 1]
                 out[k] = _result(problems[k], v[a:b], g_chart[a:b - 1], history[k], qn_history[k],
-                                 ball_worst[k], boundary, closure.get(k))
+                                 ball_worst[k], boundary)
         if done:
             stay = [i for i in range(len(live)) if i not in done]
             live = [live[i] for i in stay]
@@ -717,27 +707,23 @@ def _closure(v, g_chart) -> float:
     return float(np.sqrt(_sq_norms(g_chart - np.concatenate([v[1:-1], v[:1]]))).max())
 
 
-def _result(problem, v, g_chart, history, qn_history, ball_worst, boundary,
-            closure) -> "ShadowingResult":
-    """The result of a solve whose G charts at v are g_chart; closure is a
-    periodic solve's closure before its polish, None when it took none.  A
-    solve has converged when it was polished or its last update was below
-    tol_fix.  A converged solve is reported as not converged when a
-    rescaled one-step residual exceeds the larger of 10 tol_fix and its
-    step's rounding floor (the one the chord stop allows, over l), or when
-    a distance exceeds epsilon1."""
+def _result(problem, v, g_chart, history, qn_history, ball_worst, boundary) -> "ShadowingResult":
+    """The result of a solve whose G charts at v are g_chart; a periodic one
+    also holds the _closure of v.  A solve has converged when its last
+    update was below tol_fix.  A converged solve is reported as not
+    converged when a rescaled one-step residual exceeds the larger of
+    10 tol_fix and its step's rounding floor (the one the chord stop allows,
+    over l), or when a distance exceeds epsilon1."""
     cfg = problem.config
     residuals = np.sqrt(_sq_norms(v[1:] - g_chart)) / problem.l[1:]
     distances = np.linalg.norm(v, axis=-1)
     floor = np.maximum(10.0 * cfg.tol_fix, problem._rounding / problem.l[1:])
-    converged = closure is not None or history[-1] < cfg.tol_fix
+    converged = history[-1] < cfg.tol_fix
     if converged and ((residuals > floor).any() or distances.max() > cfg.epsilon1):
         converged = False
     periodic = {}
     if boundary == "periodic":
-        own = _closure(v, g_chart)
-        periodic = {"periodic_closure": own if closure is None else closure,
-                    "periodic_closure_polished": None if closure is None else own,
+        periodic = {"periodic_closure": _closure(v, g_chart),
                     "seam_gap": float(np.linalg.norm(v[0] - v[-1]))}
     return ShadowingResult(
         v=v, shadow_point=problem.po.phase.exp(problem.po.points[0], v[0]), distances=distances,
@@ -785,11 +771,9 @@ def solve_periodic(po, splittings, f, g, config, blocks=None) -> ShadowingResult
     The pseudo-orbit must cover exactly one period: its closing seed must
     equal its first seed bitwise.  The seam identifies the first and last
     indices, so the fixed point satisfies v_0 = v_N and the shadow point
-    is periodic with period N.  Once the update falls below tol_fix, one
-    more update polishes v; the result holds the polished v and counts that
-    update.  periodic_closure is the _closure of the solver's v and
-    periodic_closure_polished that of the polished one, None when the solve
-    did not converge and took no polish.
+    is periodic with period N.  The solve stops by the finite rule (_solve),
+    and periodic_closure is the _closure of the v it returns, converged or
+    not.
     """
     return _solved(_periodic_problem(po, splittings, f, g, config, blocks), "periodic")
 

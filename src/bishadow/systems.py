@@ -327,4 +327,6 @@ def map_distance(f: SmoothMap, g: SmoothMap) -> float:
     if isinstance(f, AffineMap) and isinstance(g, AffineMap) and np.array_equal(f.matrix, g.matrix):
         return float(np.linalg.norm(f.offset - g.offset))
     raise ValueError(f"no closed-form sup distance between {type(f).__name__} and "
-                     f"{type(g).__name__}; pass a known upper bound on it instead")
+                     f"{type(g).__name__}; one exists only for g = f, g = ShiftedMap(f, s), "
+                     "the cat map or PerturbedCatMap against PerturbedCatMap, and affine maps "
+                     "with equal matrices")

@@ -187,8 +187,7 @@ def test_criterion_7_periodic_bishadowing():
         res = bs.solve_periodic(po, spl, f, f, cfg)
         assert res.converged
         assert np.linalg.norm(res.shadow_point - x0) <= 1e-10
-        assert res.periodic_closure <= 1e-10
-        assert res.periodic_closure_polished <= 1e-12
+        assert res.periodic_closure <= 1e-12
 
         cyc3 = [p for p in bs.cat_map_periodic_points(3) if p != (0, 0)][0]
         orb = iterate_orbit(f, np.array([float(v) for v in cyc3]), 3)
@@ -201,12 +200,11 @@ def test_criterion_7_periodic_bishadowing():
         res3 = bs.solve_periodic(po3, spl3, f, g, cfg3)
         assert res3.converged
         assert np.linalg.norm(res3.v[0] - res3.v[po3.n_steps]) <= 1e-10
-        # converged, then polished by one more update; each closure is the
-        # largest one-step residual around the cycle, the polished one at roundoff
-        assert res3.update_history[-2] < cfg3.tol_fix
+        # converged at the first update below tol_fix; the closure is the
+        # largest one-step residual around the cycle, at roundoff
+        assert res3.update_history[-1] < cfg3.tol_fix
         assert res3.iterations == len(res3.update_history)
-        assert res3.periodic_closure <= 1e-10
-        assert res3.periodic_closure_polished <= 1e-12
+        assert res3.periodic_closure <= 1e-12
 
 
 def test_criterion_8_brute_force_sanity():

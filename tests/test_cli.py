@@ -168,9 +168,9 @@ class TestExitCodes:
         code, out = run(tmp_path, "periodic", payload)
         assert code == 0
         result = json.loads(out.read_text())["result"]
-        # the exact fixed point: the first update is zero, the second the polish
-        assert result["closure"] == {"pre_polish": 0.0, "post_polish": 0.0, "seam_gap": 0.0}
-        assert result["iterations"] == 2 and result["update_history"] == [0.0, 0.0]
+        # the exact fixed point: the first update is zero, and the solve stops there
+        assert result["closure"] == {"post_polish": 0.0, "seam_gap": 0.0}
+        assert result["iterations"] == 1 and result["update_history"] == [0.0]
 
     def test_periodic_thousand_step_cycle(self, tmp_path):
         # a 1000-step cat cycle, jittered by 1e-9, under a shift of 1e-9
@@ -191,7 +191,7 @@ class TestExitCodes:
         assert code == 0
         result = json.loads(out.read_text())["result"]
         assert result["converged"] is True
-        assert set(result["closure"]) == {"pre_polish", "post_polish", "seam_gap"}
+        assert set(result["closure"]) == {"post_polish", "seam_gap"}
         assert result["closure"]["post_polish"] < 1e-10
         assert np.linalg.norm(torus.wrap(np.array(result["shadow_point"]) - start)) <= 1e-10
 

@@ -582,7 +582,7 @@ class TestSolvePeriodic:
         res = solve_periodic(po, spl, f, f, cfg)
         assert res.converged
         assert np.array_equal(res.shadow_point, [0.0, 0.0])
-        assert res.periodic_closure == res.periodic_closure_polished == res.seam_gap == 0.0
+        assert res.periodic_closure == res.seam_gap == 0.0
 
     def test_to_dict_is_the_tree_of_python_values(self):
         f = cat_map()
@@ -599,9 +599,7 @@ class TestSolvePeriodic:
             "update_history": res.update_history,
             "quasi_newton_history": res.quasi_newton_history,
             "enclosure_radius": res.enclosure_radius,
-            "closure": {"pre_polish": res.periodic_closure,
-                        "post_polish": res.periodic_closure_polished,
-                        "seam_gap": res.seam_gap}}
+            "closure": {"post_polish": res.periodic_closure, "seam_gap": res.seam_gap}}
 
     def test_period_two_cycle_recovered(self):
         f = cat_map()
@@ -615,8 +613,7 @@ class TestSolvePeriodic:
         res = solve_periodic(po, spl, f, f, cfg)
         assert res.converged
         assert np.linalg.norm(res.shadow_point - x0) <= 1e-12
-        assert res.periodic_closure <= 1e-10
-        assert res.periodic_closure_polished <= 1e-12
+        assert res.periodic_closure <= 1e-12
 
     def test_perturbed_three_segment_cycle(self):
         f = cat_map()
@@ -631,7 +628,7 @@ class TestSolvePeriodic:
         res = solve_periodic(po, spl, f, g, cfg)
         assert res.converged
         assert res.seam_gap <= 1e-10
-        assert res.periodic_closure_polished <= 1e-10
+        assert res.periodic_closure <= 1e-10
         assert res.max_distance <= cfg.epsilon1
 
     def test_translation_invariance_over_repeated_periods(self):
@@ -665,10 +662,18 @@ class TestSolvePeriodic:
         seeds = f.phase.canon(cycle + jitter * dirs / np.linalg.norm(dirs, axis=1, keepdims=True))
         return flatten(np.vstack([seeds, seeds[:1]]), [1] * len(cycle), f)
 
-    def test_polish_is_one_more_periodic_update(self):
+    @staticmethod
+    def _closure(f, g, po, v):
+        """One step of g per index, the last one landing on v_0."""
+        x = f.phase.canon(po.points[:-1] + v[:-1])
+        steps = f.phase.wrap(g(x) - po.points[1:]) - np.roll(v[:-1], -1, axis=0)
+        return np.linalg.norm(steps, axis=1).max()
+
+    def test_periodic_solve_stops_at_its_first_update_below_tol_fix(self):
         # quasi-Newton steps around the cycle until one is below tol_fix, then
-        # the plain loop of periodic updates until one is below tol_fix, then
-        # one more: the returned v, its steps, its iterations and both closures
+        # the plain loop of periodic updates until one is below tol_fix, as a
+        # finite solve stops: the returned v, its steps, its iterations, its
+        # enclosure and its closure
         f = cat_map()
         cycle, _ = cat_cycle(5, (0.0, 0.0))
         po = self._jittered_cycle(f, cycle, 1e-6, np.random.default_rng(3))
@@ -707,42 +712,40 @@ class TestSolvePeriodic:
             if steps[-1] >= cfg.tol_fix:  # the step below tol_fix is not taken
                 assert len(steps) == 1 or steps[-1] < cfg.lam_tilde * steps[-2]
                 v = w
-        history = []
+        history, last = [], v
         while not history or history[-1] >= cfg.tol_fix:
-            w = apply_operator(problem, v, boundary="periodic")
-            history.append(size(w, v))
-            v = w
-        polished = apply_operator(problem, v, boundary="periodic")
+            last, v = v, apply_operator(problem, v, boundary="periodic")
+            history.append(size(v, last))
         res = solve_periodic(po, spl, f, g, cfg)
         assert res.converged
-        assert np.array_equal(res.v, polished)
+        assert np.array_equal(res.v, v)
         assert res.quasi_newton_history == steps and len(steps) >= 2
-        assert res.iterations == len(res.update_history) == len(history) + 1
-        assert res.update_history[:-1] == history
-        assert res.enclosure_radius == cfg.lam_tilde / (1.0 - cfg.lam_tilde) * size(polished, v)
-        assert res.periodic_closure_polished < res.periodic_closure <= 10 * cfg.tol_fix
+        assert res.iterations == len(res.update_history) == len(history)
+        assert res.update_history == history and history[-1] < cfg.tol_fix
+        assert all(u >= cfg.tol_fix for u in history[:-1])
+        assert res.enclosure_radius == cfg.lam_tilde / (1.0 - cfg.lam_tilde) * size(v, last)
+        assert res.periodic_closure == pytest.approx(self._closure(f, g, po, v), abs=1e-16)
+        assert res.periodic_closure <= 10 * cfg.tol_fix
+        assert res.seam_gap == np.linalg.norm(v[0] - v[-1])
 
-        def closure(v):  # one step of g per index, the last one landing on v_0
-            x = f.phase.canon(po.points[:-1] + v[:-1])
-            steps = f.phase.wrap(g(x) - po.points[1:]) - np.roll(v[:-1], -1, axis=0)
-            return np.linalg.norm(steps, axis=1).max()
-
-        assert res.periodic_closure == pytest.approx(closure(v), abs=1e-16)
-        assert res.periodic_closure_polished == pytest.approx(closure(polished), abs=1e-16)
-        assert res.seam_gap == np.linalg.norm(polished[0] - polished[-1])
-
-    def test_unconverged_periodic_solve_takes_no_polish(self):
+    def test_unconverged_periodic_solve_reports_the_closure_of_its_last_iterate(self):
         f = cat_map()
         cycle, _ = cat_cycle(3, (0.0, 0.0))
         po = self._jittered_cycle(f, cycle, 1e-6, np.random.default_rng(4))
         # below rounding no quasi-Newton step shrinks by lam_tilde: with
         # tol_fix = 1e-300 the plain loop starts from zero and runs out
         cfg = make_solver_config(po, f, lam=0.45, tol_fix=1e-300, max_iter=3)
-        res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, f, cfg)
+        spl = assign_splittings(po, f, "eigen")
+        res = solve_periodic(po, spl, f, f, cfg)
         assert not res.converged and res.quasi_newton_history == []
         assert res.iterations == len(res.update_history) == 3
-        assert res.periodic_closure > 0.0 and res.periodic_closure_polished is None
-        assert res.to_dict()["closure"]["post_polish"] is None
+        problem, v = _periodic_problem(po, spl, f, f, cfg), np.zeros_like(po.points)
+        for _ in range(3):
+            v = apply_operator(problem, v, boundary="periodic")
+        assert np.array_equal(res.v, v)
+        assert res.periodic_closure == pytest.approx(self._closure(f, f, po, v), abs=1e-16)
+        assert res.periodic_closure > 0.0
+        assert res.to_dict()["closure"]["post_polish"] == res.periodic_closure
 
     @pytest.mark.parametrize("period", [200, 1000])
     def test_long_cycle_closes_by_multiple_shooting(self, period):
@@ -757,7 +760,7 @@ class TestSolvePeriodic:
             res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, ShiftedMap(f, shift),
                                  cfg)
         assert res.converged
-        assert res.periodic_closure_polished < 1e-10
+        assert res.periodic_closure < 1e-10
         assert np.linalg.norm(f.phase.wrap(res.shadow_point - start)) <= 1e-10
 
     @settings(max_examples=40, deadline=None)
@@ -775,14 +778,60 @@ class TestSolvePeriodic:
         shift = np.array([data.draw(st.floats(-1e-5, 1e-5)) for _ in range(2)])
         cfg = make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
         res = solve_periodic(po, assign_splittings(po, f, "eigen"), f, ShiftedMap(f, shift), cfg)
-        assert res.converged and res.update_history[-2] < cfg.tol_fix
+        assert res.converged and res.update_history[-1] < cfg.tol_fix
         # plain numpy: x_j = y_j + v_j, one step of A x + shift, v_{(j+1) mod N}
         x = (po.points[:-1] + res.v[:-1]) % 1.0
         d = x @ np.array([[2.0, 1.0], [1.0, 1.0]]).T + shift - po.points[1:]
         steps = d - np.round(d) - np.roll(res.v[:-1], -1, axis=0)
-        assert res.periodic_closure_polished == pytest.approx(
+        assert res.periodic_closure == pytest.approx(
             np.linalg.norm(steps, axis=1).max(), abs=1e-15)
-        assert res.periodic_closure_polished < 1e-10
+        assert res.periodic_closure < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(period=st.integers(2, 5), jitter=st.floats(1e-10, 1e-6),
+           shift=st.tuples(st.floats(-1e-5, 1e-5), st.floats(-1e-5, 1e-5)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_windows_over_the_repeated_cycle_find_the_periodic_shadow(self, period, jitter,
+                                                                      shift, seed):
+        # bi-shadowing gives periodicity: the two-sided shadow of a jittered
+        # cycle repeated without end is the periodic shadow of one period.
+        # Windows reach at least 40 steps each way, where the boundary's
+        # influence, of order 0.382^40 times the jitter, is below rounding.
+        f = cat_map()
+        g = ShiftedMap(f, list(shift))
+        rng = np.random.default_rng(seed)
+        points = cat_map_periodic_points(period)
+        cycle = [np.array(points[int(rng.integers(len(points)))], dtype=float)]
+        for _ in range(period - 1):
+            cycle.append(f(cycle[-1]))
+        po = self._jittered_cycle(f, np.array(cycle), jitter, rng)
+        spl = assign_splittings(po, f, "eigen")
+        cfg = make_solver_config(po, f, lam=0.45)
+        res = solve_periodic(po, spl, f, g, cfg)
+        assert res.converged
+
+        reps = -(-40 // period)
+        n = 2 * reps * period + 1  # segments -reps p .. reps p, segment i on seed i mod p
+        master = flatten(np.vstack([po.seeds[:-1]] * (2 * reps + 1))[:n + 1], [1] * n, f,
+                         i_min=-reps * period)
+        wcfg = make_solver_config(master, f, lam=0.45)
+
+        def window_problem(k):
+            w = master.window(-k, k)
+            return w, assign_splittings(w, f, "eigen"), f, g
+
+        ks = range(period, reps * period + 1, period)
+        window, table = solve_infinite(window_problem, ks, wcfg)
+        assert table.converged
+        # each v lies within its enclosure of its fixed point, widened by the
+        # rounding floor rho of one update over 1 - lam_tilde
+        center = master.window(-ks[-1], ks[-1]).center
+        bound = res.enclosure_radius * res.scale[0] + window.enclosure_radius * window.scale[center]
+        for problem in (_periodic_problem(po, spl, f, g, cfg),
+                        ShadowProblem(*window_problem(ks[-1]), wcfg)):
+            rho = float(np.max(problem._rounding / problem.l[1:]))
+            bound += 2.0 * rho / (1.0 - problem.config.lam_tilde)
+        assert np.linalg.norm(table.rows[-1].v0 - res.v[0]) <= bound
 
 
 class TestPreconditions:

@@ -13,7 +13,7 @@ from bishadow.oracle import AffineSequenceSystem, cat_map_periodic_points
 from bishadow.pseudo_orbit import assign_splittings, flatten, generate
 from bishadow.shadowing import (BallInvariantError, ShadowProblem, UnstableSolveError, _Stack,
                                 _periodic_problem, _solve, apply_operator, make_solver_config,
-                                solve_finite, solve_periodic)
+                                shadowing_preconditions, solve_finite, solve_periodic)
 from bishadow.splitting import Splitting
 from bishadow.systems import (AffineMap, PerturbedCatMap, ShiftedMap, SystemBounds,
                               TorusLinearMap, cat_map)
@@ -23,8 +23,7 @@ from _oracles import MisreportedSteps
 AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 FIELDS = ("v", "distances", "orbit_residuals", "shadow_point", "scale", "update_history",
-          "quasi_newton_history", "ball_margin", "periodic_closure", "periodic_closure_polished",
-          "seam_gap")
+          "quasi_newton_history", "ball_margin", "periodic_closure", "seam_gap")
 
 
 def outcome(solve, *args):
@@ -153,8 +152,7 @@ def test_stack_equals_solving_alone(kind, periodic, size, data):
 
 def plain_loop(problem, boundary):
     """_solve's plain loop without its quasi-Newton start: (v, update history)
-    of the updates from zero until one is below tol_fix or max_iter of them,
-    and then, periodic, the polish."""
+    of the updates from zero until one is below tol_fix or max_iter of them."""
     cfg = problem.config
     v, history = np.zeros_like(problem.po.points), []
     converged = False
@@ -162,11 +160,20 @@ def plain_loop(problem, boundary):
         w = apply_operator(problem, v, boundary)
         history.append(float(np.max(np.linalg.norm(w - v, axis=1) / problem.l)))
         v, converged = w, history[-1] < cfg.tol_fix
-    if converged and boundary == "periodic":
-        w = apply_operator(problem, v, boundary)
-        history.append(float(np.max(np.linalg.norm(w - v, axis=1) / problem.l)))
-        v = w
     return v, history
+
+
+def preconditions_hold(problem):
+    """Whether shadowing_preconditions hold for the problem, its seam
+    included; a pair of maps with no closed-form distance certifies nothing."""
+    try:
+        cert, margins, _ = shadowing_preconditions(problem.po, problem.splittings, problem.f,
+                                                   problem.g, problem.config)
+    except ValueError as exc:
+        if "no closed-form sup distance" not in str(exc):
+            raise
+        return False
+    return cert.passed and all(m >= 0 for m in margins.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,16 +181,23 @@ def plain_loop(problem, boundary):
        size=st.integers(1, 4), data=st.data())
 def test_quasi_newton_start_lands_in_the_enclosure(kind, periodic, size, data):
     # cat, perturbed cat and ENDOMORPHISM problems on T^2, and step-indexed
-    # affine ones on the plane: every problem takes quasi-Newton steps, alone
-    # or stacked.  Its v and the plain loop's v each lie within their
-    # enclosure of the fixed point, widened by the rounding floor rho of one
-    # update (ShadowProblem._rounding over l) divided by 1 - lam_tilde.
+    # affine ones on the plane, alone or stacked.  A problem that meets the
+    # shadowing preconditions converges; the affine draws certify nothing,
+    # so one that does not may also fail as the solver documents it.  Every
+    # problem that converges took quasi-Newton steps, and its v and the
+    # plain loop's v each lie within their enclosure of the fixed point,
+    # widened by the rounding floor rho of one update (ShadowProblem._rounding
+    # over l) divided by 1 - lam_tilde.
     maps = {}
     draw = {"torus": lambda: torus_problem(data, maps, periodic),
             "sequence": lambda: affine_problem(data, 2, 1, periodic)}[kind]
     boundary = "periodic" if periodic else "finite"
     problems = [(_periodic_problem if periodic else ShadowProblem)(*draw()) for _ in range(size)]
     for got, problem in zip(_solve(problems, boundary), problems):
+        if isinstance(got, (BallInvariantError, UnstableSolveError)) \
+                and not preconditions_hold(problem):
+            continue
+        assert not isinstance(got, Exception), got
         assert got.converged and got.quasi_newton_history
         assert got.quasi_newton_history[-1] < problem.config.tol_fix
         v, history = plain_loop(problem, boundary)
@@ -324,8 +338,8 @@ def test_failing_problem_keeps_its_error_and_spares_the_others(kinds):
 @pytest.mark.parametrize("boundary", ["finite", "periodic"])
 def test_rows_failing_as_others_leave_map_without_warning(boundary):
     # Every failing kind fails on the first update, in which the exact orbit
-    # converges: the stack's G charts that give it its residuals (finite) or
-    # its closure before the polish (periodic) also map the failed rows.
+    # converges: the stack's G charts that give it its residuals, and its
+    # closure (periodic), also map the failed rows.
     build, solve = ((_periodic_problem, solve_periodic) if boundary == "periodic"
                     else (ShadowProblem, solve_finite))
     cases = [bump_problem(0.0, 4), *(case for case, _, _ in FAILING.values()),
@@ -336,7 +350,7 @@ def test_rows_failing_as_others_leave_map_without_warning(boundary):
     for got, case in zip(stacked, cases):
         assert_same(got, outcome(solve, *case))
     assert [type(got) for got in stacked[1:-1]] == [error for _, error, _ in FAILING.values()]
-    assert stacked[0].iterations == (2 if boundary == "periodic" else 1)
+    assert stacked[0].iterations == 1
     assert stacked[0].converged and stacked[-1].converged
 
 

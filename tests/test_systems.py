@@ -186,7 +186,12 @@ class TestBoundsAndSupDistance:
         assert np.isclose(map_distance(f, g), 1e-3)
 
     def test_map_distance_without_closed_form_raises(self):
-        with pytest.raises(ValueError, match="closed-form"):
+        # the message names the pairs that have a closed form, and offers no
+        # bound that no function takes
+        with pytest.raises(ValueError, match=r"no closed-form sup distance between TorusLinearMap "
+                           r"and TorusLinearMap; one exists only for g = f, g = ShiftedMap\(f, s\), "
+                           r"the cat map or PerturbedCatMap against PerturbedCatMap, and affine "
+                           r"maps with equal matrices$"):
             map_distance(cat_map(), TorusLinearMap([[1, 1], [1, 2]]))
 
 
