@@ -7,13 +7,14 @@ sequence c_i (partial products <= 1, total product 1) is well adapted to
 the pair when dividing by it restores stepwise hyperbolicity:
 a_i/c_i <= lambda <= 1 <= 1/lambda <= b_i/c_i.
 
-The construction works in the log domain.  With gamma_i = ln c_i the
-constraints become gamma_i in [ln a_i - ln lambda, ln b_i + ln lambda],
-partial sums <= 0, total sum = 0: a forward pass propagates the
-reachable interval of partial sums (clipped at 0), a backward pass picks
-midpoints that keep 0 reachable.  Feasibility is exactly
-quasi-hyperbolicity of the pair, and the output is verifiable
-independently.
+The construction works in the log domain: with gamma_i = ln c_i in
+[alpha_i, beta_i] = [ln a_i - ln lambda, ln b_i + ln lambda], the partial
+sums s_k must be <= 0 and s_n = 0.  From s_0 = 0 and s_n = 0 every such
+s has s_k >= max(sum_{i<k} alpha_i, -sum_{i>=k} beta_i), and that envelope
+is itself feasible (max(x + alpha, y + beta) - max(x, y) lies in
+[alpha, beta]).  So a sequence exists exactly when the certificate's
+three rate conditions hold, the lowest one takes two cumulative sums and
+a maximum, and the output is verifiable independently.
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ class InfeasiblePairError(RuntimeError):
 
 
 def well_adapted_sequence(a, b, lam: float) -> np.ndarray:
-    """Construct a balance sequence c with a_i/c_i <= lam and b_i/c_i >= 1/lam.
+    """The lowest balance sequence c with a_i/c_i <= lam and b_i/c_i >= 1/lam.
 
-    Exists for every pair that is quasi-hyperbolic at lam (the product-form
-    inequalities a certificate checks); raises
-    InfeasiblePairError naming the violated constraint otherwise.  a and b
-    may be stacks of shape (..., n): each row is solved as it would be
-    alone, and an infeasible row fails the whole stack.
+    ln(c_1 ... c_k) is minus the smaller of the certificate's two product
+    margins at point k: the contraction margin of the first k terms and
+    the expansion margin of the last n - k.  Exists for every pair that is
+    quasi-hyperbolic at lam; raises InfeasiblePairError naming the violated
+    product and its position otherwise.  a and b may be stacks of shape
+    (..., n): each row is solved as it would be alone, and an infeasible
+    row fails the whole stack.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -53,28 +56,19 @@ def well_adapted_sequence(a, b, lam: float) -> np.ndarray:
         raise ValueError("a and b must be nonempty sequences of equal length")
     n = a.shape[-1]
     alpha, beta = _term_logs(a, b, lam, lambda i: f"at position {i[-1] + 1}")
-    # forward pass: reachable interval [lo_k, hi_k] of the k-term partial sum
-    lo = np.zeros(a.shape[:-1] + (n + 1,))
-    hi = np.zeros_like(lo)
-    for k in range(1, n + 1):
-        lo[..., k] = lo[..., k - 1] + alpha[..., k - 1]
-        hi[..., k] = hi[..., k - 1] + beta[..., k - 1]
-        if k < n:
-            hi[..., k] = np.minimum(hi[..., k], 0.0)
-        if np.any(lo[..., k] > hi[..., k] + _TOL):
-            raise InfeasiblePairError(f"partial-sum window empty after {k} terms")
-    if np.any(lo[..., n] > _TOL) or np.any(hi[..., n] < -_TOL):
-        raise InfeasiblePairError("total product cannot reach 1")
-    # backward pass: midpoint selection keeping the zero total reachable; the
-    # forward pass guarantees l <= h up to rounding, and where rounding leaves
-    # l just above h their midpoint is still the point to take
-    s = np.zeros_like(lo)
-    for k in range(n - 1, 0, -1):
-        l = np.maximum(lo[..., k], s[..., k + 1] - beta[..., k])
-        h = np.minimum(hi[..., k], s[..., k + 1] - alpha[..., k])
-        if np.any(l > h + 1e-9):
-            raise InfeasiblePairError("backward pass lost feasibility")
-        s[..., k] = 0.5 * (l + h)
+    # head[k - 1] = ln(a_1 ... a_k / lam^k) and tail[k] = ln(b_k+1 ... b_n lam^(n-k))
+    head = np.cumsum(alpha, axis=-1)
+    tail = np.cumsum(beta[..., ::-1], axis=-1)[..., ::-1]
+    bad = np.argwhere(head > _TOL)
+    if bad.size:
+        k = int(bad[0][-1]) + 1
+        raise InfeasiblePairError(f"contraction product of the first {k} terms exceeds lam^{k}")
+    bad = np.argwhere(tail < -_TOL)
+    if bad.size:
+        k = n - int(bad[0][-1])
+        raise InfeasiblePairError(f"expansion product of the last {k} terms is below lam^-{k}")
+    s = np.zeros(a.shape[:-1] + (n + 1,))
+    s[..., 1:n] = np.minimum(np.maximum(head[..., :-1], -tail[..., 1:]), 0.0)
     gamma = np.diff(s)
     np.clip(gamma, alpha, beta, out=gamma)
     return np.exp(gamma)
@@ -87,7 +81,7 @@ def _term_logs(a, b, lam: float, place):
     place(i)."""
     # a_i = 0 contracts fully, and its log is -inf; a b_i that is not positive
     # and finite, or an a_i that is negative or not finite, has a log that is
-    # not finite or nan, and is refused by position before any pass
+    # not finite or nan, and is refused by position before any sum
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = np.log(a) - math.log(lam)
         beta = np.log(b) + math.log(lam)

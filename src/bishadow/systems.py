@@ -303,11 +303,24 @@ def cat_amplitude(f: SmoothMap):
     return None
 
 
+_PARAMETERS = {TorusLinearMap: ("matrix",), PerturbedCatMap: ("amplitude",),
+               AffineMap: ("matrix", "offset")}
+
+
+def _same_map(f: SmoothMap, g: SmoothMap) -> bool:
+    """Whether g is f, or a map of f's type with the same matrix, offset
+    or amplitude."""
+    return g is f or (type(g) is type(f) and type(f) in _PARAMETERS and all(
+        np.array_equal(getattr(f, name), getattr(g, name)) for name in _PARAMETERS[type(f)]))
+
+
 def map_distance(f: SmoothMap, g: SmoothMap) -> float:
     """The sup over x of the distance from f(x) to g(x), which is exact.
 
-    It comes from a closed form: g is f (0), g is ShiftedMap(f, s) (|s|, s
-    stored wrapped), the cat map or PerturbedCatMap(c) against
+    It comes from a closed form: g is the same map as f (0), g is
+    ShiftedMap(h, s) for h the same map as f (|s|, s stored wrapped); the
+    same map means f itself or one of f's type with the same matrix,
+    offset or amplitude; the cat map or PerturbedCatMap(c) against
     PerturbedCatMap(c') (sqrt(2) min(|c - c'| / 2 pi, 1/2), at (1/4, 1/4)
     while |c - c'| <= pi), or affine maps with equal matrices.  Any other
     pair raises ValueError: a sampled supremum would only be a lower
@@ -315,9 +328,9 @@ def map_distance(f: SmoothMap, g: SmoothMap) -> float:
     """
     if f.phase != g.phase:
         raise ValueError("maps live on different phase spaces")
-    if g is f:
+    if _same_map(f, g):
         return 0.0
-    if isinstance(g, ShiftedMap) and g.base is f:
+    if isinstance(g, ShiftedMap) and _same_map(f, g.base):
         return float(np.linalg.norm(g.shift))
     cf, cg = cat_amplitude(f), cat_amplitude(g)
     if cf is not None and cg is not None:
@@ -327,6 +340,7 @@ def map_distance(f: SmoothMap, g: SmoothMap) -> float:
     if isinstance(f, AffineMap) and isinstance(g, AffineMap) and np.array_equal(f.matrix, g.matrix):
         return float(np.linalg.norm(f.offset - g.offset))
     raise ValueError(f"no closed-form sup distance between {type(f).__name__} and "
-                     f"{type(g).__name__}; one exists only for g = f, g = ShiftedMap(f, s), "
+                     f"{type(g).__name__}; one exists only for g the same map as f or a ShiftedMap of "
+                     "it, "
                      "the cat map or PerturbedCatMap against PerturbedCatMap, and affine maps "
                      "with equal matrices")

@@ -264,34 +264,34 @@ def margin_rows_per_index(po, blocks, lam, epsilon, delta):
 
 
 def well_adapted_reference(a, b, lam):
-    """One well-adapted balance sequence by scalar passes over one 1-D pair:
-    the per-segment construction the batched well_adapted_sequence replaces."""
+    """The lowest well-adapted balance sequence of one 1-D pair, by scalar
+    sums: s_k = min(0, max(sum_{i<k} alpha_i, -sum_{i>=k} beta_i)), summed
+    term by term in the order np.cumsum sums."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.size
     alpha, beta = quotient_log_bounds(a, b, lam)
     if np.any(alpha > beta + 1e-12):
         raise InfeasiblePairError("empty quotient window")
-    lo = np.zeros(n + 1)
-    hi = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        lo[k] = lo[k - 1] + alpha[k - 1]
-        hi[k] = hi[k - 1] + beta[k - 1]
-        if k < n:
-            hi[k] = min(hi[k], 0.0)
-        if lo[k] > hi[k] + 1e-12:
-            raise InfeasiblePairError(f"partial-sum window empty after {k} terms")
-    if lo[n] > 1e-12 or hi[n] < -1e-12:
-        raise InfeasiblePairError("total product cannot reach 1")
+    head, tail = [0.0] * n, [0.0] * n
+    acc = 0.0
+    for k in range(n):
+        acc += alpha[k]
+        head[k] = acc
+        if acc > 1e-12:
+            raise InfeasiblePairError(f"contraction product of the first {k + 1} terms "
+                                      f"exceeds lam^{k + 1}")
+    acc = 0.0
+    for k in range(n - 1, -1, -1):
+        acc += beta[k]
+        tail[k] = acc
+    for k in range(n):
+        if tail[k] < -1e-12:
+            raise InfeasiblePairError(f"expansion product of the last {n - k} terms "
+                                      f"is below lam^-{n - k}")
     s = np.zeros(n + 1)
-    for k in range(n - 1, 0, -1):
-        l = max(lo[k], s[k + 1] - beta[k])
-        h = min(hi[k], s[k + 1] - alpha[k])
-        if l > h:  # rounding only; the forward pass guarantees feasibility
-            if l > h + 1e-9:
-                raise InfeasiblePairError("backward pass lost feasibility")
-            l = h = 0.5 * (l + h)
-        s[k] = 0.5 * (l + h)
+    for k in range(1, n):
+        s[k] = min(max(head[k - 1], -tail[k]), 0.0)
     gamma = np.diff(s)
     np.clip(gamma, alpha, beta, out=gamma)
     return np.exp(gamma)
@@ -317,14 +317,15 @@ def feasible_by_interval(alpha, beta, tol=1e-12):
     return lo <= tol and hi >= -tol
 
 
-def feasible_by_lp(alpha, beta):
-    """Balance-sequence feasibility as a linear program (scipy HiGHS)."""
+def _balance_lp(alpha, beta, objective):
+    """linprog over the balance polytope: gamma_i in [alpha_i, beta_i],
+    partial sums <= 0, total sum 0 (scipy HiGHS)."""
     from scipy.optimize import linprog
 
     n = len(alpha)
     a_ub = np.tril(np.ones((n - 1, n)))[:, :n] if n > 1 else None
-    res = linprog(
-        c=np.zeros(n),
+    return linprog(
+        c=objective,
         A_ub=a_ub,
         b_ub=np.zeros(n - 1) if n > 1 else None,
         A_eq=np.ones((1, n)),
@@ -332,7 +333,18 @@ def feasible_by_lp(alpha, beta):
         bounds=list(zip(alpha, beta)),
         method="highs",
     )
-    return res.status == 0
+
+
+def feasible_by_lp(alpha, beta):
+    """Balance-sequence feasibility as a linear program."""
+    return _balance_lp(alpha, beta, np.zeros(len(alpha))).status == 0
+
+
+def lowest_partial_sum_by_lp(alpha, beta, k):
+    """The least k-term partial sum of any feasible gamma, by a linear program."""
+    res = _balance_lp(alpha, beta, (np.arange(len(alpha)) < k).astype(float))
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def random_quasi_hyperbolic_pair(rng, n, lam):

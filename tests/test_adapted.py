@@ -15,6 +15,7 @@ from _oracles import (
     feasible_by_interval,
     feasible_by_lp,
     is_balance_sequence,
+    lowest_partial_sum_by_lp,
     quotient_log_bounds,
     random_quasi_hyperbolic_pair,
     rescaled_blocks,
@@ -129,6 +130,19 @@ class TestWellAdapted:
                 got = False
             assert got == expected
 
+    def test_partial_sums_are_the_lowest_feasible(self):
+        # each partial sum of ln c is the least that partial sum of any
+        # feasible log sequence reaches, found by a linear program
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(2, 8))
+            lam = rng.uniform(0.2, 0.8)
+            a, b = random_quasi_hyperbolic_pair(rng, n, lam)
+            alpha, beta = quotient_log_bounds(a, b, lam)
+            sums = np.cumsum(np.log(well_adapted_sequence(a, b, lam)))
+            for k in range(1, n):
+                assert abs(sums[k - 1] - lowest_partial_sum_by_lp(alpha, beta, k)) <= 1e-12
+
 
 def random_pair_stack(rng, rows, n, lam):
     """rows quasi-hyperbolic pairs of length n, as two (rows, n) stacks."""
@@ -148,7 +162,10 @@ class TestBatchedWeights:
 
     @pytest.mark.parametrize("a_bad, b_bad, message", [
         (0.99, 1.01, "empty quotient window"),  # a/lam > b lam at one position
-        (0.6, 10.0, "partial-sum window empty"),  # a/lam > 1: the partial sums leave [., 0]
+        # a/lam > 1 at the first position: the first partial sum is above 0
+        (0.6, 10.0, "contraction product of the first 1 terms exceeds lam\\^1"),
+        # b lam < 1 at every position: the whole row cannot expand by lam^-4
+        (0.1, 1.5, "expansion product of the last 4 terms is below lam\\^-4"),
     ])
     def test_one_infeasible_row_fails_the_stack(self, a_bad, b_bad, message):
         a, b = random_pair_stack(np.random.default_rng(5), 6, 4, 0.5)

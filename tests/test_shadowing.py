@@ -139,6 +139,41 @@ class TestAdaptedWeights:
         assert np.unique(expected).size > 2 * po.n_segments
         assert np.array_equal(ShadowProblem(po, spl, f, f, cfg).weights, expected)
 
+    def test_scale_factors_are_the_certificates_binding_margins(self):
+        # ln l_j = -min(the contraction and expansion margins at step j) inside
+        # every segment, to 4 ulps of the larger side of those margin rows; and
+        # l >= 1 / C wherever the shadowing preconditions hold
+        checked = certified = 0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            f = PerturbedCatMap(float(rng.choice([0.002, 0.02, 0.05])))
+            lengths = rng.integers(1, 7, int(rng.integers(1, 10)))
+            po = generate(f, rng.random(2), lengths, float(rng.choice([1e-8, 1e-5])),
+                          int(rng.integers(2**31)))
+            spl = assign_splittings(po, f, "power")
+            cfg = make_solver_config(po, f, lam=float(rng.choice([0.4, 0.45, 0.5])))
+            try:
+                problem = ShadowProblem(po, spl, f, f, cfg)
+            except InfeasiblePairError:
+                continue
+            cert = certify_pseudo_orbit(po, spl, f, cfg.lam, cfg.eps0, cfg.delta0)
+            binding = np.full(po.n_steps + 1, np.inf)
+            size = np.zeros(po.n_steps + 1)
+            rows = np.isin(cert.condition, ["contraction_product", "expansion_product"])
+            np.minimum.at(binding, cert.step[rows], cert.margin[rows])
+            np.maximum.at(size, cert.step[rows],
+                          np.maximum(np.abs(cert.lhs[rows]), np.abs(cert.rhs[rows])))
+            inner = np.setdiff1d(np.arange(po.n_steps + 1), po.offsets)
+            assert np.all(np.abs(np.log(problem.l[inner]) + binding[inner])
+                          <= 4 * np.spacing(size[inner]))
+            checked += inner.size
+            _, margins, _ = shadowing_preconditions(po, spl, f, ShiftedMap(f, [1e-9, 0.0]), cfg,
+                                                    certificate=cert)
+            if cert.passed and min(margins.values()) >= 0:
+                assert problem.l.min() >= 1.0 / cfg.C
+                certified += 1
+        assert checked > 100 and certified > 10
+
     def test_zero_unstable_block_refused_by_position(self):
         # an invertible Df that swaps the axes: A_j = D_j = 0 in the axis
         # splitting, so m(A_j) = 0 has no logarithm and no weight

@@ -189,10 +189,28 @@ class TestBoundsAndSupDistance:
         # the message names the pairs that have a closed form, and offers no
         # bound that no function takes
         with pytest.raises(ValueError, match=r"no closed-form sup distance between TorusLinearMap "
-                           r"and TorusLinearMap; one exists only for g = f, g = ShiftedMap\(f, s\), "
-                           r"the cat map or PerturbedCatMap against PerturbedCatMap, and affine "
+                           r"and TorusLinearMap; one exists only for g the same map as f or a "
+                           r"ShiftedMap of it, the cat map or PerturbedCatMap against PerturbedCatMap, and affine "
                            r"maps with equal matrices$"):
             map_distance(cat_map(), TorusLinearMap([[1, 1], [1, 2]]))
+
+    @pytest.mark.parametrize("make", [
+        cat_map,
+        lambda: TorusLinearMap([[3, 1], [1, 1]]),
+        lambda: AffineMap([[2.0, 0.3], [0.1, 0.5]], [0.2, -0.1]),
+    ])
+    def test_shift_of_a_separately_built_equal_map(self, make):
+        # the same map built twice is one map: f and g's base differ as objects only
+        s = np.array([3e-7, -4e-7])
+        assert map_distance(make(), make()) == 0.0
+        assert map_distance(make(), ShiftedMap(make(), s)) == float(np.linalg.norm(s))
+
+    def test_shift_of_a_different_map_raises(self):
+        for f, base in [(TorusLinearMap([[3, 1], [1, 1]]), TorusLinearMap([[2, 1], [1, 1]])),
+                        (PerturbedCatMap(0.02), PerturbedCatMap(0.03)),
+                        (AffineMap(np.eye(2) * 2.0), AffineMap(np.eye(2) * 2.0, [1e-3, 0.0]))]:
+            with pytest.raises(ValueError, match="no closed-form sup distance"):
+                map_distance(f, ShiftedMap(base, [1e-6, 0.0]))
 
 
 class TestMapsWithoutAnalyticBounds:
