@@ -100,6 +100,28 @@ def _term_logs(a, b, lam: float, place):
     return alpha, beta
 
 
+def _orbit_weights(a, b, lam: float, offsets, place) -> np.ndarray:
+    """well_adapted_sequence of each segment of an orbit cut at offsets, one
+    call per segment length.  A bad term, or else a failed product (summed
+    with well_adapted_sequence's bits), is refused at its lowest orbit index
+    j, named by place((j,)): the contraction product that ends at j, else
+    the expansion product that starts at j."""
+    alpha, beta = _term_logs(a, b, lam, place)
+    try:
+        return _segmentwise(partial(well_adapted_sequence, lam=lam), offsets, a, b)
+    except InfeasiblePairError:
+        cumsum = partial(np.cumsum, axis=1)
+        head = _segmentwise(cumsum, offsets, alpha)
+        tail = _segmentwise(cumsum, offsets[-1] - offsets[::-1], beta[::-1])[::-1]
+        j = int(np.flatnonzero((head > _TOL) | (tail < -_TOL))[0])
+        start, end = offsets[np.searchsorted(offsets, j, side="right") - 1 :][:2]
+        if head[j] > _TOL:
+            raise InfeasiblePairError(f"contraction product of the first {j + 1 - start} terms "
+                                      f"exceeds lam^{j + 1 - start} {place((j,))}") from None
+        raise InfeasiblePairError(f"expansion product of the last {end - j} terms is below "
+                                  f"lam^-{end - j} {place((j,))}") from None
+
+
 def scale_factors(h, offsets) -> np.ndarray:
     """Cumulative products of the adapted weights, reset at each segment start.
 

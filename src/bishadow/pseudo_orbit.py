@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splitting import Splitting, _checked_basis, _orthonormalize, eigen_splitting
+from .splitting import Splitting, _checked_basis, eigen_splitting
 from .systems import Phase, SmoothMap
 
 __all__ = [
@@ -211,14 +211,6 @@ class SplittingAssignment:
             raise ValueError("need nonempty stacks of one length")
 
     @classmethod
-    def from_bases(cls, unstable, stable, **check) -> "SplittingAssignment":
-        """Orthonormalize and check stacked bases, every index at once;
-        check holds _checked_basis's min_gap and gap_error."""
-        u = _orthonormalize(np.asarray(unstable, dtype=float))
-        s = _orthonormalize(np.asarray(stable, dtype=float))
-        return cls(u, s, _checked_basis(u, s, **check)[1])
-
-    @classmethod
     def constant(cls, sp: Splitting, size: int) -> "SplittingAssignment":
         return cls(*(np.broadcast_to(x, (size,) + x.shape)
                      for x in (sp.unstable, sp.stable, sp.basis_inv)))
@@ -354,7 +346,8 @@ def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
     (closing seed equal to the first) is one period of a cycle: both
     passes start `depth` steps early, wrapping around, and index N is
     set to index 0.  A step whose Jacobian sends a pass column to zero
-    raises SplittingError naming that step.
+    raises SplittingError naming that step, and a gap below 1e-6 at the
+    first such index.  The pass bases are orthonormal, and are the splitting.
     """
     n = po.n_steps
     warm = depth if po.closed else 0
@@ -369,8 +362,8 @@ def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
     u, s = u[warm:], s[: n + 1]  # indices 0..N
     if po.closed:
         u[n], s[n] = u[0], s[0]
-    return SplittingAssignment.from_bases(u, s, min_gap=1e-6, gap_error=lambda j: SplittingError(
-        f"power iteration failed to separate subspaces at index {j}"))
+    return SplittingAssignment(u, s, _checked_basis(u, s, 1e-6, lambda j: SplittingError(
+        f"power iteration failed to separate subspaces at index {j}"))[1])
 
 
 def assign_splittings(

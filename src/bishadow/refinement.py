@@ -33,7 +33,7 @@ import numpy as np
 
 from .certification import Certificate, _singular_values, _solve_stack, certify_pseudo_orbit
 from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, pull_back, push_forward
-from .splitting import min_norm
+from .splitting import _checked_basis, min_norm
 from .systems import SmoothMap
 
 __all__ = [
@@ -59,19 +59,18 @@ class GraphTransformError(RuntimeError):
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    """Rates and tolerance for one refinement solve.
-
-    eps_cap is the largest admissible off-diagonal size,
-    min((1 - lam0^2) / ((lam0^2 + 6) R), (lam0 - lam) / (lam0 R)) for an
-    interior rate lam0 between the certified and the target rate.
-    """
+    """Rates and tolerance for one refinement solve; eps_cap, a property of
+    the fields, is the largest admissible off-diagonal size for an interior
+    rate lam0 between the certified and the target rate."""
 
     lam: float
     lam_tilde: float
     lam0: float
     R: float
-    eps_cap: float
     offdiag_tol: float = 1e-8
+    eps_cap = property(lambda self: min(
+        (1.0 - self.lam0 * self.lam0) / ((self.lam0 * self.lam0 + 6.0) * self.R),
+        (self.lam0 - self.lam) / (self.lam0 * self.R)))
 
 
 def make_refinement_config(
@@ -89,14 +88,7 @@ def make_refinement_config(
         raise ValueError("lam0 must lie strictly between lam and lam_tilde")
     if R < 1.0:
         raise ValueError("R must be at least 1")
-    eps_cap = min(
-        (1.0 - lam0 * lam0) / ((lam0 * lam0 + 6.0) * R),
-        (lam0 - lam) / (lam0 * R),
-    )
-    return RefinementConfig(
-        lam=lam, lam_tilde=lam_tilde, lam0=lam0, R=R, eps_cap=eps_cap,
-        offdiag_tol=offdiag_tol,
-    )
+    return RefinementConfig(lam=lam, lam_tilde=lam_tilde, lam0=lam0, R=R, offdiag_tol=offdiag_tol)
 
 
 def _graphs(num, den):
@@ -110,9 +102,10 @@ def _graphs(num, den):
     return G, np.where(singular, np.inf, _singular_values(G, 0, 0.0))
 
 
-def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray, np.ndarray]:
+def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple:
     """Pinned fixed points P ``(N + 1, ds, du)`` and Q ``(N + 1, du, ds)`` of
-    both graph transforms, for the splittings and the N Jacobians jacs.
+    both graph transforms, for the splittings and the N Jacobians jacs, and
+    the invariant splitting: the two pass stacks, in their orientation.
 
     graph(P_j) = span(u_j + s_j P_j) is the image of span(u_0) under
     J_{j-1}...J_0 (push_forward), graph(Q_j) the preimage of span(s_N)
@@ -125,7 +118,7 @@ def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray,
     P, the highest for Q), where a per-index recursion would stop.
     """
     du = splittings.dim_u
-    cu = splittings.basis_inv @ push_forward(jacs, splittings.unstable)
+    cu = splittings.basis_inv @ (u := push_forward(jacs, splittings.unstable))
     P, norms = _graphs(cu[:, du:], cu[:, :du])
     bad = np.flatnonzero(norms > 1.0 + 1e-9)
     if bad.size and np.isinf(norms[j := bad[0]]):
@@ -135,7 +128,7 @@ def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray,
     if bad.size:
         raise GraphTransformError(f"graph left the unit ball at index {j} (norm {norms[j]:.6f}); "
                                   "off-diagonal bounds too weak")
-    cs = splittings.basis_inv @ pull_back(jacs, splittings.stable)
+    cs = splittings.basis_inv @ (s := pull_back(jacs, splittings.stable))
     Q, norms = _graphs(cs[:, :du], cs[:, du:])
     bad = np.flatnonzero(norms > 1.0 + 1e-9)
     if bad.size and np.isinf(norms[j := bad[-1]]):
@@ -144,7 +137,7 @@ def invariant_graphs(splittings: SplittingAssignment, jacs) -> tuple[np.ndarray,
         raise GraphTransformError(f"stable graph left the unit ball at index {j} "
                                   f"(norm {norms[j]:.6f})")
     P[0], Q[-1] = 0.0, 0.0  # the pinned boundary
-    return P, Q
+    return P, Q, SplittingAssignment(u, s, _checked_basis(u, s)[1])
 
 
 @dataclass(eq=False)
@@ -172,9 +165,9 @@ def refine(
     already at most offdiag_tol is returned as it is, with zero graphs and
     its own blocks certified at lam_tilde: every rate margin grows with the
     rate and lam < lam_tilde, so that certificate passes.  Any other input
-    is tilted onto the graphs of invariant_graphs.  blocks, when given, are
-    what pseudo_orbit_blocks returns and must cover po; the returned
-    certificate's blocks have the same form.
+    is tilted onto the graphs of invariant_graphs, and its pass bases are
+    the refined splitting.  blocks, when given, are what pseudo_orbit_blocks
+    returns and must cover po; the returned certificate's blocks have the same form.
     """
     if delta is None:
         delta = float(po.residuals.max())
@@ -199,9 +192,9 @@ def refine(
         P, Q = np.zeros((po.n_steps + 1, ds, du)), np.zeros((po.n_steps + 1, du, ds))
         refined, blocks = splittings, input_cert.blocks
     else:
-        P, Q = invariant_graphs(splittings, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
-        u, s = splittings.unstable, splittings.stable
-        refined, blocks = SplittingAssignment.from_bases(u + s @ P, s + u @ Q), None
+        P, Q, refined = invariant_graphs(splittings,
+                                         f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
+        blocks = None
     certificate = certify_pseudo_orbit(po, refined, f, config.lam_tilde, config.offdiag_tol,
                                        delta, blocks=blocks)
     return RefinementResult(splittings=refined, certificate=certificate, unstable_graphs=P,

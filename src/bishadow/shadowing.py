@@ -52,10 +52,10 @@ from functools import partial
 
 import numpy as np
 
-from .adapted import _term_logs, scale_factors, well_adapted_sequence
+from .adapted import _orbit_weights, scale_factors
 from .certification import _covering, _solve_stack, certify_pseudo_orbit
 from .jsonwriter import plain
-from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment, _segmentwise
+from .pseudo_orbit import SegmentedPseudoOrbit, SplittingAssignment
 from .systems import ShiftedMap, SmoothMap, SystemBounds, map_distance, system_bounds
 
 __all__ = [
@@ -95,11 +95,10 @@ class UnstableSolveError(RuntimeError):
 class SolverConfig:
     """Rates, radii, and budgets for one shadowing solve.
 
-    Derived quantities follow the usual recipe: with R bounding the
-    derivative norms and a_max the longest segment, C = R^a_max couples
-    the admissible jump size delta0 = delta1 / C and map distance
-    d0 = (1 - lam_tilde) eta / (4 C) to the window geometry, and
-    eps0 = (1 + lam - 2 lam_tilde) / (4 R) caps the off-diagonal size.
+    The derived sizes are properties of the fields: with R bounding the
+    derivative norms and a_max the longest segment, C couples the
+    admissible jump size delta0 and map distance d0 to the window
+    geometry, and eps0 caps the off-diagonal size.
     L is the Lipschitz constant of Df that set eta, and kind says whether
     R and L are "exact", analytic bounds ("bound") or "estimated"; every
     derived constant inherits that kind.
@@ -111,15 +110,15 @@ class SolverConfig:
     eta: float
     R: float
     a_max: int
-    C: float
-    eps0: float
-    delta1: float
-    delta0: float
-    d0: float
     tol_fix: float = 1e-12
     max_iter: int = 10_000
     L: float = 0.0
     kind: str = "estimated"
+    C = property(lambda self: self.R ** self.a_max)
+    eps0 = property(lambda self: (1.0 + self.lam - 2.0 * self.lam_tilde) / (4.0 * self.R))
+    delta1 = property(lambda self: (1.0 - self.lam_tilde) * self.eta / 4.0)
+    delta0 = property(lambda self: self.delta1 / self.C)
+    d0 = property(lambda self: (1.0 - self.lam_tilde) * self.eta / (4.0 * self.C))
 
     def to_dict(self) -> dict:
         return {
@@ -169,16 +168,9 @@ def make_solver_config(
     R, L = max(bounds.R, 1.0), bounds.L
     if L > 0.0:
         eta_val = min(eta_val, (lam_tilde - lam) / (5.0 * R * L))
-    a_max = int(np.max(po.lengths))
-    C = R ** a_max
-    delta1 = (1.0 - lam_tilde) * eta_val / 4.0
     return SolverConfig(
-        lam=lam, lam_tilde=lam_tilde, epsilon1=epsilon1, eta=eta_val,
-        R=R, a_max=a_max, C=C,
-        eps0=(1.0 + lam - 2.0 * lam_tilde) / (4.0 * R),
-        delta1=delta1, delta0=delta1 / C,
-        d0=(1.0 - lam_tilde) * eta_val / (4.0 * C),
-        tol_fix=tol_fix, max_iter=max_iter, L=L, kind=bounds.kind,
+        lam=lam, lam_tilde=lam_tilde, epsilon1=epsilon1, eta=eta_val, R=R,
+        a_max=int(np.max(po.lengths)), tol_fix=tol_fix, max_iter=max_iter, L=L, kind=bounds.kind,
     )
 
 
@@ -206,12 +198,11 @@ class ShadowProblem:
         blocks = _covering(po, splittings, f, blocks)
         m_a, norm_d, _ = blocks.norms
         self._a, self._d = blocks.A, blocks.D  # the diagonal blocks the solver solves with
-        # the terms are checked on the whole orbit first, so that the lowest
-        # bad one, m(A_j) = 0 say, is named by its orbit index j and segment
-        _term_logs(norm_d, m_a, config.lam, lambda i: f"at index {i[0]} (segment "
-                   f"{po.i_min + np.searchsorted(po.offsets, i[0], side='right') - 1})")
-        self.weights = _segmentwise(partial(well_adapted_sequence, lam=config.lam),
-                                    po.offsets, norm_d, m_a)
+        # a bad term, m(A_j) = 0 say, or else a failed product is named by its
+        # lowest orbit index j and segment
+        self.weights = _orbit_weights(norm_d, m_a, config.lam, po.offsets, lambda i: (
+            f"at index {i[0]} (segment "
+            f"{po.i_min + np.searchsorted(po.offsets, i[0], side='right') - 1})"))
         self.l = scale_factors(self.weights, po.offsets)
         size = np.abs(po.points).max(axis=-1)
         self._rounding = NEWTON_ULPS * np.finfo(float).eps * np.maximum(size[:-1], size[1:])

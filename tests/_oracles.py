@@ -200,8 +200,8 @@ def pull_back_qr(jacs, s_end):
 
 
 def power_splittings_per_index(po, f, depth, seed):
-    """The chained power passes one index at a time, each index through
-    Splitting.from_bases: for every j, iterate the seed's unstable basis
+    """The chained power passes one index at a time, each index's bases
+    taken as the steps leave them: for every j, iterate the seed's unstable basis
     forward from a fixed start up to j and its stable basis backward from
     a fixed end down to j, each step by the passes' own step _orth_image
     (on the backward side, of the transposed Jacobian on the complement of
@@ -224,7 +224,7 @@ def power_splittings_per_index(po, f, depth, seed):
         c = _complement(seed.stable)
         for t in range(n - 1 + warm, j - 1, -1):
             c = _orth_image(jacs[t % n].T, c, np.empty_like(c))
-        out.append(Splitting.from_bases(u, _complement(c)))
+        out.append(Splitting(u, _complement(c)))
     return out
 
 

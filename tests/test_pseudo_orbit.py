@@ -420,7 +420,8 @@ class TestAssignSplittings:
                 c = _orth_image(jacs[t].T, c, np.empty_like(c))
             us.append(u)
             ss.append(_complement(c))
-        windowed = SplittingAssignment.from_bases(np.stack(us), np.stack(ss))
+        u, s = np.stack(us), np.stack(ss)
+        windowed = SplittingAssignment(u, s, np.linalg.inv(np.concatenate([u, s], axis=-1)))
         chained = assign_splittings(po, f, "power", depth=depth)
         for name in ("unstable", "stable", "basis_inv"):
             assert np.array_equal(getattr(chained, name), getattr(windowed, name))

@@ -9,7 +9,8 @@ import bishadow.refinement
 from bishadow.certification import (_COLUMNS, certify_pseudo_orbit, is_quasi_hyperbolic,
                                    pseudo_orbit_blocks)
 from bishadow.oracle import AffineSequenceSystem
-from bishadow.pseudo_orbit import SplittingAssignment, assign_splittings, generate
+from bishadow.pseudo_orbit import (SplittingAssignment, assign_splittings, generate, pull_back,
+                                   push_forward)
 from bishadow.refinement import (
     GraphTransformError,
     PreconditionError,
@@ -45,7 +46,7 @@ def scalar_blocks(n=60, a=2.0, b=0.1, c=0.1, d=0.5):
 
 def engine_graphs(po, spl, f):
     """P and Q from the cocycle passes over po's Jacobians."""
-    return invariant_graphs(spl, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))
+    return invariant_graphs(spl, f.jacobian_along(po.points[:-1], np.arange(po.n_steps)))[:2]
 
 
 def perturbed_setup(amplitude=0.005, lengths=(3, 3, 3), jump=1e-5, seed=7):
@@ -210,6 +211,17 @@ def counted_graphs(monkeypatch):
     return calls
 
 
+def count_passes(monkeypatch):
+    """The cocycle passes refine runs, named in the order they run."""
+    calls = []
+    for name in ("push_forward", "pull_back"):
+        def counting(*args, _name=name, _real=getattr(bishadow.refinement, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(bishadow.refinement, name, counting)
+    return calls
+
+
 def same_certificate(a, b):
     return ((a.passed, a.lam, a.epsilon, a.delta) == (b.passed, b.lam, b.epsilon, b.delta)
             and all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _COLUMNS))
@@ -247,20 +259,24 @@ class TestRefine:
 
     def test_non_invariant_input_takes_the_transform(self, monkeypatch):
         # off-diagonal blocks of about the amplitude, above offdiag_tol: the
-        # result is the graph transform's, bit for bit
+        # result is the graph transform's, bit for bit, and the refined
+        # splitting is its two pass stacks as they are, with no second
+        # orthonormalisation
         f, po, spl = perturbed_setup(amplitude=0.005)
         cfg = make_refinement_config(0.4, 0.5, R=2.63)
         assert pseudo_orbit_blocks(po, spl, f).norms[2].max() > cfg.offdiag_tol
         calls = counted_graphs(monkeypatch)
+        passes = count_passes(monkeypatch)
         result = refine(po, spl, f, cfg)
-        assert len(calls) == 1
+        assert len(calls) == 1 and passes == ["push_forward", "pull_back"]
         P, Q = engine_graphs(po, spl, f)
-        refined = SplittingAssignment.from_bases(spl.unstable + spl.stable @ P,
-                                                 spl.stable + spl.unstable @ Q)
+        jacs = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
+        u, s = push_forward(jacs, spl.unstable), pull_back(jacs, spl.stable)
+        refined = SplittingAssignment(u, s, np.linalg.inv(np.concatenate([u, s], axis=-1)))
         assert np.array_equal(result.unstable_graphs, P)
         assert np.array_equal(result.stable_graphs, Q)
-        assert np.array_equal(result.splittings.unstable, refined.unstable)
-        assert np.array_equal(result.splittings.stable, refined.stable)
+        for name in ("unstable", "stable", "basis_inv"):
+            assert np.array_equal(getattr(result.splittings, name), getattr(refined, name))
         expected = certify_pseudo_orbit(po, refined, f, cfg.lam_tilde, cfg.offdiag_tol,
                                         float(po.residuals.max()))
         assert same_certificate(result.certificate, expected)
@@ -309,10 +325,10 @@ AXES = Splitting(np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
 def oracle_refined(spl, blocks):
-    """P, Q and the refined bases from the per-index recursions."""
+    """P, Q and orthonormal bases of their graphs from the per-index recursions."""
     p, q = solve_unstable_graphs(blocks), solve_stable_graphs(blocks)
     u, s = spl.unstable, spl.stable
-    return p, q, SplittingAssignment.from_bases(u + s @ p, s + u @ q)
+    return p, q, (np.linalg.qr(u + s @ p)[0], np.linalg.qr(s + u @ q)[0])
 
 
 def projector_distance(a, b):
@@ -329,12 +345,12 @@ def assert_refine_matches_recursions(po, spl, f, cfg):
     # returned as it is, with zero graphs
     cfg = replace(cfg, offdiag_tol=0.0)
     blocks = pseudo_orbit_blocks(po, spl, f)
-    p, q, refined = oracle_refined(spl, blocks)
+    p, q, (u, s) = oracle_refined(spl, blocks)
     result = refine(po, spl, f, cfg, blocks=blocks)
     assert np.abs(result.unstable_graphs - p).max() <= 1e-12
     assert np.abs(result.stable_graphs - q).max() <= 1e-12
-    assert projector_distance(result.splittings.unstable, refined.unstable) <= 1e-12
-    assert projector_distance(result.splittings.stable, refined.stable) <= 1e-12
+    assert projector_distance(result.splittings.unstable, u) <= 1e-12
+    assert projector_distance(result.splittings.stable, s) <= 1e-12
 
 
 class TestPassesEqualRecursions:

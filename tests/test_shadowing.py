@@ -201,6 +201,24 @@ class TestAdaptedWeights:
                                match=r"b = 0 at index 2 \(segment 1\) is not positive"):
                 ShadowProblem(po, spl, f, f, cfg)
 
+    @pytest.mark.parametrize("f, message", [
+        # every segment fails its first contraction product; the segment of
+        # length 1 is the first that the per-length weights would meet
+        (AffineMap([[10.0, 0.0], [0.0, 0.6]]),
+         r"^contraction product of the first 1 terms exceeds lam\^1 at index 0 \(segment 0\)$"),
+        # segments 1 and 2 fail their expansion products, segment 0 holds
+        (AffineSequenceSystem(np.array([np.diag([2.0, 0.5])] * 2 + [np.diag([1.5, 0.3])] * 4),
+                              np.zeros((6, 2)), AXES, validate=False),
+         r"^expansion product of the last 3 terms is below lam\^-3 at index 2 \(segment 1\)$"),
+    ], ids=["contraction", "expansion"])
+    def test_failed_product_named_by_its_orbit_index(self, f, message):
+        # AXES is the eigen splitting of both maps' diagonal steps
+        po = flatten(np.zeros((4, 2)), [2, 3, 1], f)
+        spl = assign_splittings(po, f, "user", splittings=AXES)
+        cfg = make_solver_config(po, f, lam=0.5, epsilon1=1.0)
+        with pytest.raises(InfeasiblePairError, match=message):
+            ShadowProblem(po, spl, f, f, cfg)
+
 
 class TestUnstableComponent:
     def test_zero_maps_to_zero(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,20 @@ class TestMapsWithoutAnalyticBounds:
         cfg = make_solver_config(po, self.f, lam=0.4, bounds=SystemBounds(4.0, 3.2, "estimated"))
         assert (cfg.R, cfg.L, cfg.kind) == (4.0, 3.2, "estimated")
         assert cfg.C == 4.0 ** 2
+
+    def test_replaced_eta_carries_into_the_derived_sizes(self):
+        # delta0 and d0 are properties of eta, so a replaced eta gives the
+        # constants a fresh config with that eta has, bit for bit
+        po = generate(self.f, [0.2, 0.6], [2, 3], 1e-4, 0)
+        bounds = SystemBounds(4.0, 0.0, "estimated")
+        cfg = make_solver_config(po, self.f, lam=0.4, bounds=bounds)
+        eta = cfg.eta / 8.0
+        replaced = dataclasses.replace(cfg, eta=eta)
+        fresh = make_solver_config(po, self.f, lam=0.4, eta=eta, bounds=bounds)
+        assert (replaced.delta0, replaced.d0) == (fresh.delta0, fresh.d0)
+        assert replaced.to_dict() == fresh.to_dict()
+        assert replaced.delta0 == pytest.approx(cfg.delta0 / 8.0, rel=1e-15)
+        assert replaced.d0 == pytest.approx(cfg.d0 / 8.0, rel=1e-15)
 
 
 AMPLITUDES = st.floats(0.0, 0.35)

@@ -272,16 +272,28 @@ def unit_columns(angles):
     return np.stack([np.cos(angles), np.sin(angles)], axis=-1)[..., None]
 
 
+def gap_offsets(min_gap):
+    """Lists of offsets from [-0.5, 0.5] or [-1, 1e6], drawn outside the band
+    |offset| <= 32 EPS sqrt(2) / min_gap: there s_min, about min_gap (1 +
+    offset), could lie within 16 EPS sqrt(2) of min_gap, where the closed
+    form need not give the SVD's verdict.  The band is twice that width, for
+    the rounding of the columns and of phi + t."""
+    band = 32 * EPS * np.sqrt(2.0) / min_gap
+    side = (st.floats(-0.5, -band) | st.floats(band, 0.5)
+            | st.floats(-1.0, -band) | st.floats(band, 1e6))
+    return st.tuples(st.just(min_gap), st.lists(side, min_size=1, max_size=8))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.floats(0.0, 2 * np.pi), st.sampled_from([1e-12, 1e-6]),
-       st.lists(st.floats(-0.5, 0.5) | st.floats(-1.0, 1e6), min_size=1, max_size=8))
-def test_gap_check_gives_the_svd_verdict(phi, min_gap, offsets):
+@given(st.floats(0.0, 2 * np.pi), st.sampled_from([1e-12, 1e-6]).flatmap(gap_offsets))
+def test_gap_check_gives_the_svd_verdict(phi, gap_and_offsets):
     # the columns of [u | s] at angle t have s_min = sqrt(2) sin(t / 2), so
     # t = sqrt(2) min_gap (1 + offset) puts s_min near the threshold
+    min_gap, offsets = gap_and_offsets
     t = np.sqrt(2.0) * min_gap * (1.0 + np.array(offsets))
     u, s = unit_columns(np.full_like(t, phi)), unit_columns(phi + t)
     ref_min = extremes_svd(np.concatenate([u, s], axis=-1))[1]
-    assume((np.abs(ref_min - min_gap) > 16 * EPS * np.sqrt(2.0)).all())
+    assert (np.abs(ref_min - min_gap) > 16 * EPS * np.sqrt(2.0)).all()
     narrow = np.flatnonzero(ref_min < min_gap)
 
     def gap_error(j):
