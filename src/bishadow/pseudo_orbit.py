@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splitting import Splitting, _checked_basis, eigen_splitting
+from .splitting import (Splitting, _checked_basis, _eigen_columns, _orthonormalize,
+                        eigen_splitting)
 from .systems import Phase, SmoothMap
 
 __all__ = [
@@ -234,12 +235,27 @@ class SplittingAssignment:
                                    self.basis_inv[j_lo : j_hi + 1])
 
 
+def _unit_step(j00, j01, j10, j11, x, y) -> tuple:
+    """The 2x1 pass step in floats: (x', y') = J (x, y), each divided by
+    sqrt(x'^2 + y'^2), one rounding per operation.  A zero norm divides as
+    numpy does, with its warning: a zero image turns to nan."""
+    x, y = j00 * x + j01 * y, j10 * x + j11 * y
+    norm = math.sqrt(x * x + y * y)
+    if not norm:
+        return np.float64(x) / norm, np.float64(y) / norm
+    return x / norm, y / norm
+
+
 def _orth_image(m, b, out) -> np.ndarray:
     """out = m @ b with its columns orthonormalised in place by Gram-Schmidt:
     the Q factor of m @ b whose R has a positive diagonal, as in
     _orthonormalize.  Each column is projected off the earlier ones twice,
     which keeps the columns orthonormal at roundoff even when m is badly
-    conditioned; a single column is only normalised.  A zero image turns to nan."""
+    conditioned; a single column is only normalised.  A zero image turns to
+    nan.  A 2x1 column takes _unit_step."""
+    if b.shape == (2, 1):
+        out[:, 0] = _unit_step(*m.ravel().tolist(), *b[:, 0].tolist())
+        return out
     np.dot(m, b, out=out)
     for j in range(out.shape[1]):
         col, done = out[:, j], out[:, :j]
@@ -251,7 +267,17 @@ def _orth_image(m, b, out) -> np.ndarray:
 
 def _orth_images(m, b, out) -> np.ndarray:
     """_orth_image on stacks, out[c] = orth(m[c] @ b[c]) for every c, with its
-    bits: the projections are matmuls and each norm is sqrt(col^T col)."""
+    bits: the projections are matmuls and each norm is sqrt(col^T col).  2x1
+    columns take _unit_step elementwise, with the same operations in the same
+    order, b not aliasing out."""
+    if b.shape[-2:] == (2, 1):
+        x, y, xo, yo = b[..., 0, 0], b[..., 1, 0], out[..., 0, 0], out[..., 1, 0]
+        np.add(m[..., 0, 0] * x, m[..., 0, 1] * y, out=xo)
+        np.add(m[..., 1, 0] * x, m[..., 1, 1] * y, out=yo)
+        norm = np.sqrt(xo * xo + yo * yo)
+        xo /= norm
+        yo /= norm
+        return out
     np.matmul(m, b, out=out)
     for j in range(out.shape[-1]):
         col, done = out[..., j : j + 1], out[..., :j]
@@ -262,7 +288,16 @@ def _orth_images(m, b, out) -> np.ndarray:
 
 
 def _complement(b) -> np.ndarray:
-    """Orthonormal complements of span(b), b ``(..., n, k)``: n - k columns of one QR."""
+    """Orthonormal complements of span(b), b ``(..., n, k)``: n - k columns of one
+    QR.  A 2x1 column (a, b) has copysign(1, a) (-b, a), exactly orthogonal to it
+    and of its norm, and (0, 1) where b == 0: the complete QR's column, which
+    LAPACK rounds and which takes no reflection at b == 0, within 4 eps."""
+    if b.shape[-2:] == (2, 1):
+        x, y = b[..., :1, :], b[..., 1:, :]
+        sign = np.copysign(1.0, x)
+        out = np.concatenate([-y * sign, x * sign], axis=-2)
+        out[(y == 0.0)[..., 0, 0]] = [[0.0], [1.0]]
+        return out
     return np.linalg.qr(b, mode="complete")[0][..., b.shape[-1]:]
 
 
@@ -288,12 +323,13 @@ def _pass(jacs, seeds) -> np.ndarray:
     collapsed to nan: its later steps then have the one-chain pass's bits,
     where a seam off by roundoff could grow in the next step.  If any seam
     fails, or there is one chain, the pass is one chain of single steps
-    from seeds[0].
+    from seeds[0], for 2x1 columns _unit_step on Python floats.
     """
     steps, (chains, n, k) = len(jacs), seeds.shape
     if chains > 1:
         # step s of chain c is jacs[cW + s]; the fancy index keeps the strides
         # of a transposed view, which BLAS then reads with its transpose flag
+        # (the 2x1 step reads the entries elementwise)
         ms = jacs[np.minimum(np.arange(2 * _W)[:, None] + _W * np.arange(chains), steps - 1)]
         runs = np.empty((2 * _W, chains, n, k))
         b = seeds
@@ -305,6 +341,13 @@ def _pass(jacs, seeds) -> np.ndarray:
         if (matched | ~np.isfinite(before).all(axis=(1, 2))).all():
             kept = runs[_W:, 1:].swapaxes(0, 1).reshape(-1, n, k)
             return np.concatenate([seeds[:1], runs[:, 0], kept])[: steps + 1]
+    if (n, k) == (2, 1):  # no numpy call per step
+        x, y = seeds[0, :, 0].tolist()
+        cols = [x, y]
+        for (j00, j01), (j10, j11) in jacs.tolist():
+            x, y = _unit_step(j00, j01, j10, j11, x, y)
+            cols += x, y
+        return np.array(cols, dtype=float).reshape(steps + 1, 2, 1)
     u = np.empty((steps + 1, n, k))
     u[0] = seeds[0]
     for jac, prev, out in zip(jacs, u, u[1:]):
@@ -332,15 +375,17 @@ def pull_back(jacs, stable) -> np.ndarray:
     them, with no inverse: as <J^T f, J^{-1} s> = <f, s>, s_t is the complement of a
     pass of J_{T-1}^T, ..., J_t^T from index T down.  stable is one basis
     ``(n, ds)`` or a stack ``(T + 1, n, ds)``; the pass's chains start from
-    the complements of stable at their starts, T - cW, the only ones taken."""
+    the complements of stable at their starts, T - cW, the only ones taken.
+    On T^2 both complements are the exact closed form of _complement, so
+    the stable bases are unit to the pass's roundoff, and no QR is taken."""
     steps = len(jacs)
     seeds = _complement(_seeds(stable, steps - _chain_starts(steps)))
     return _complement(_pass(np.swapaxes(jacs, -1, -2)[::-1], seeds)[::-1])
 
 
-def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
-    """Chained subspace iteration: push_forward carries the seed's unstable
-    basis along the orbit and pull_back carries its stable basis back.
+def _power_splittings(po, jacs, depth, unstable, stable) -> SplittingAssignment:
+    """Chained subspace iteration: push_forward carries the seed basis
+    unstable along the orbit and pull_back carries the seed basis stable back.
 
     An open pseudo-orbit starts the passes at its ends.  A closed one
     (closing seed equal to the first) is one period of a cycle: both
@@ -352,8 +397,8 @@ def _power_splittings(po, jacs, depth, seed: Splitting) -> SplittingAssignment:
     n = po.n_steps
     warm = depth if po.closed else 0
     with np.errstate(invalid="ignore"):  # a column sent to zero normalises to nan
-        u = push_forward(jacs[np.arange(-warm, n) % n], seed.unstable)
-        s = pull_back(jacs[np.arange(n + warm) % n], seed.stable)
+        u = push_forward(jacs[np.arange(-warm, n) % n], unstable)
+        s = pull_back(jacs[np.arange(n + warm) % n], stable)
     # a collapse at pass step t (from the warm-up's start) fills u[t + 1:] and s[:t + 1]
     lost = np.concatenate([np.flatnonzero(~np.isfinite(u[1:]).all(axis=(1, 2)))[:1] - warm,
                            np.flatnonzero(~np.isfinite(s).all(axis=(1, 2)))[-1:]]) % n
@@ -409,4 +454,5 @@ def assign_splittings(
         return SplittingAssignment.constant(eigen_splitting(jac[0], dim_u=dim_u), n + 1)
     if depth < 0:
         raise ValueError("power splittings need a nonnegative depth")
-    return _power_splittings(po, jac, depth, eigen_splitting(jac[0], dim_u=dim_u))
+    unstable, stable = _eigen_columns(jac[0], dim_u)
+    return _power_splittings(po, jac, depth, _orthonormalize(unstable), _orthonormalize(stable))

@@ -90,7 +90,10 @@ def _checked_basis(u: np.ndarray, s: np.ndarray, min_gap: float = _ORTHO_TOL,
     """[u | s] and its inverse for one orthonormal basis pair or for stacks
     ``(..., n, du)``/``(..., n, ds)`` of them, each check run on the whole stack.
     A basis whose smallest singular value is below min_gap raises
-    gap_error(j), j the first such index of a stack."""
+    gap_error(j), j the first such index of a stack, before any inversion.
+    A 2x2 basis [[a, b], [c, d]] is inverted as [[d, -b], [-c, a]] / (ad - bc),
+    whose determinant is about min_gap in size or more, as its columns are unit;
+    every other shape by LAPACK."""
     if u.shape[-2] != s.shape[-2]:
         raise ValueError("bases live in different ambient dimensions")
     if u.shape[-1] + s.shape[-1] != u.shape[-2]:
@@ -103,6 +106,11 @@ def _checked_basis(u: np.ndarray, s: np.ndarray, min_gap: float = _ORTHO_TOL,
     narrow = np.flatnonzero(_extreme_singular_values(basis)[1] < min_gap)
     if narrow.size:
         raise gap_error(int(narrow[0]))
+    if basis.shape[-2:] == (2, 2):  # the adjugate over the determinant
+        a, b, c, d = basis[..., 0, 0], basis[..., 0, 1], basis[..., 1, 0], basis[..., 1, 1]
+        inv = np.stack([d, -b, -c, a], axis=-1).reshape(basis.shape)
+        inv /= (a * d - b * c)[..., None, None]
+        return basis, inv
     return basis, np.linalg.inv(basis)
 
 
@@ -178,6 +186,12 @@ def eigen_splitting(matrix, dim_u: int | None = None) -> Splitting:
     Only real spectra are supported; by default the unstable part
     collects the eigenvalues of modulus greater than one.
     """
+    return Splitting.from_bases(*_eigen_columns(matrix, dim_u))
+
+
+def _eigen_columns(matrix, dim_u: int | None = None) -> tuple:
+    """The unstable and stable eigenvector columns of eigen_splitting, before
+    their orthonormalisation."""
     m = np.asarray(matrix, dtype=float)
     w, v = np.linalg.eig(m)
     scale = max(1.0, float(np.abs(w).max()))
@@ -195,4 +209,4 @@ def eigen_splitting(matrix, dim_u: int | None = None) -> Splitting:
         nz = np.flatnonzero(np.abs(v[:, k]) > 1e-14)[0]
         if v[nz, k] < 0:
             v[:, k] = -v[:, k]
-    return Splitting.from_bases(v[:, :dim_u], v[:, dim_u:])
+    return v[:, :dim_u], v[:, dim_u:]

@@ -16,7 +16,8 @@ margin table written one CSV row at a time.  The tiny-stack forms of the
 kernel (canon by floor, |a| and division for 1x1 blocks, closed-form
 extreme singular values of 2x2 stacks and dlarfg's arithmetic for 2x1
 columns) are checked against the forms they replaced: np.mod, batched
-SVD, LAPACK solves and LAPACK's QR.
+SVD, LAPACK solves and LAPACK's QR.  The adjugate inverse of 2x2 bases has
+a reference in Python floats, one matrix at a time.
 
 The last section holds the single-object references the package itself
 does not run: one block decomposition, splitting coordinates and box
@@ -532,6 +533,16 @@ def orthonormalize_qr(basis):
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return q * signs[..., None, :]
+
+
+def adjugate_inverses(bases):
+    """[[d, -b], [-c, a]] / (ad - bc) of every 2x2 matrix in the stack, one
+    matrix at a time in Python floats, one rounding per operation."""
+    out = []
+    for (a, b), (c, d) in np.asarray(bases, dtype=float).tolist():
+        det = a * d - b * c
+        out.append([[d / det, -b / det], [-c / det, a / det]])
+    return np.array(out).reshape(np.shape(bases))
 
 
 def solve_stack_lapack(a, b):

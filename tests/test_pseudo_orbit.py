@@ -25,7 +25,8 @@ from bishadow.pseudo_orbit import (
 from bishadow.splitting import Splitting, eigen_splitting
 from bishadow.systems import AffineMap, PerturbedCatMap, ShiftedMap, SmoothMap, cat_map
 
-from _oracles import flatten_per_step, iterate_orbit, pull_back_qr, push_forward_qr
+from _oracles import (adjugate_inverses, flatten_per_step, iterate_orbit, pull_back_qr,
+                      push_forward_qr)
 
 
 def orbit_seeds(f, x0, lengths):
@@ -328,18 +329,24 @@ class TestAssignSplittings:
             assign_splittings(flatten(np.array([[0.0, 0.0], [1.0, 0.0]]), [2], f), f, "power")
 
     def test_power_takes_no_svd_or_column_qr_on_t2(self, monkeypatch):
-        # on T^2 the gap check of the bases and the orthonormalisation of
-        # their columns have closed forms; only the complements take a QR
+        # on T^2 the passes, the complements, the gap check and the inverse of
+        # the bases have closed forms: the one numpy.linalg call of a power
+        # assignment is the eig of its seed, short or long, open or closed
         f = PerturbedCatMap(0.02)
-        po = generate(f, [0.37, 0.58], [4] * 6, 1e-6, 2)
         calls = []
-        for name in ("svd", "qr"):
-            def recorded(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
-                calls.append((_name, kwargs.get("mode", "reduced")))
-                return _call(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, recorded)
-        assign_splittings(po, f, "power")
-        assert calls and set(calls) == {("qr", "complete")}
+        for name in np.linalg.__all__:
+            if name != "LinAlgError":
+                def recorded(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                    calls.append((_name, np.shape(a)))
+                    return _call(a, *args, **kwargs)
+                monkeypatch.setattr(np.linalg, name, recorded)
+        for lengths in ([4] * 6, [4] * 150):
+            po = generate(f, [0.37, 0.58], lengths, 1e-6, 2)
+            closed = flatten(np.vstack([po.seeds[:-1], po.seeds[:1]]), lengths, f)
+            for orbit in (po, closed):
+                calls.clear()
+                assign_splittings(orbit, f, "power")
+                assert calls == [("eig", (2, 2))]
 
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("step", [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]],
@@ -421,7 +428,7 @@ class TestAssignSplittings:
             us.append(u)
             ss.append(_complement(c))
         u, s = np.stack(us), np.stack(ss)
-        windowed = SplittingAssignment(u, s, np.linalg.inv(np.concatenate([u, s], axis=-1)))
+        windowed = SplittingAssignment(u, s, adjugate_inverses(np.concatenate([u, s], axis=-1)))
         chained = assign_splittings(po, f, "power", depth=depth)
         for name in ("unstable", "stable", "basis_inv"):
             assert np.array_equal(getattr(chained, name), getattr(windowed, name))
@@ -630,7 +637,8 @@ class TestChunkedPass:
 
     def test_step_counts(self, monkeypatch):
         # a long power assignment makes 2W stacked steps per pass and no
-        # single step; a short one only single steps
+        # single step; a short one on T^2 steps in floats, with no step
+        # function and no numpy call per step, and one in R^3 only single steps
         counts = {}
         for name in ("_orth_image", "_orth_images"):
             def counted(*args, _name=name, _call=getattr(pseudo_orbit, name)):
@@ -638,15 +646,33 @@ class TestChunkedPass:
                 return _call(*args)
             monkeypatch.setattr(pseudo_orbit, name, counted)
 
+        class CountedNumpy:  # numpy as pseudo_orbit sees it, counting each call
+            def __getattr__(self, name, _np=np):
+                attr = getattr(_np, name)
+                if not callable(attr):
+                    return attr
+
+                def counted(*args, **kwargs):
+                    counts["numpy"] = counts.get("numpy", 0) + 1
+                    return attr(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(pseudo_orbit, "np", CountedNumpy())
+
         def calls(steps):
             f = PerturbedCatMap(0.02)
             po = generate(f, [0.3, 0.7], segment_lengths(steps, 4), 1e-5, 7)
             counts.clear()
             assign_splittings(po, f, "power")
-            return counts.get("_orth_image", 0), counts.get("_orth_images", 0)
+            return counts.get("_orth_image", 0), counts.get("_orth_images", 0), counts["numpy"]
 
-        single, stacked = calls(10**4)
+        single, stacked, _ = calls(10**4)
         assert single == 0 and 0 < stacked <= 2 * 2 * _W
-        single, stacked = calls(18)
-        assert single == 2 * 18 and stacked == 0
+        short, longer = calls(18), calls(4 * _W)
+        assert short[:2] == longer[:2] == (0, 0) and short[2] == longer[2]
+        jacs = dominated_jacobians(np.random.default_rng(3), 3, 1, 18, 10.0)
+        counts.clear()
+        push_forward(jacs, np.eye(3)[:, :1])
+        pull_back(jacs, np.eye(3)[:, 1:])
+        assert (counts.get("_orth_image", 0), counts.get("_orth_images", 0)) == (2 * 18, 0)
         assert len(_chain_starts(4 * _W)) == 1 < len(_chain_starts(4 * _W + 1))

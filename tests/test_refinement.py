@@ -27,6 +27,7 @@ from bishadow.splitting import (
 from bishadow.systems import PerturbedCatMap, cat_map, system_bounds
 
 from _oracles import (
+    adjugate_inverses,
     assembled,
     block_decompose,
     constant_blocks,
@@ -272,7 +273,7 @@ class TestRefine:
         P, Q = engine_graphs(po, spl, f)
         jacs = f.jacobian_along(po.points[:-1], np.arange(po.n_steps))
         u, s = push_forward(jacs, spl.unstable), pull_back(jacs, spl.stable)
-        refined = SplittingAssignment(u, s, np.linalg.inv(np.concatenate([u, s], axis=-1)))
+        refined = SplittingAssignment(u, s, adjugate_inverses(np.concatenate([u, s], axis=-1)))
         assert np.array_equal(result.unstable_graphs, P)
         assert np.array_equal(result.stable_graphs, Q)
         for name in ("unstable", "stable", "basis_inv"):
@@ -425,9 +426,12 @@ class TestPassReadBack:
 
 class TestPassCallCounts:
     def test_no_linalg_call_per_step(self, monkeypatch):
-        # power splittings and refine make a fixed number of qr and inv
-        # calls, and no solve, however long the orbit: the passes do no
-        # per-step factorisation
+        # on T^2 power splittings and refine, whether it returns its input or
+        # takes the graph transform, make no qr, inv or solve call, however
+        # long the orbit: the complements and the inverses of the bases have
+        # closed forms, and every graph solve is a stack of 1x1 systems,
+        # which divides.  In R^3 they make a fixed number of qr and inv
+        # calls: the passes do no per-step factorisation
         counts = {}
         for name in ("qr", "solve", "inv"):
             def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
@@ -436,16 +440,25 @@ class TestPassCallCounts:
             monkeypatch.setattr(np.linalg, name, counted)
 
         def calls(steps):
-            f = PerturbedCatMap(0.005)
-            po = generate(f, [0.3, 0.7], [4] * (steps // 4), 1e-5, 7)
+            f, po, eigen = perturbed_setup(lengths=[4] * (steps // 4))
             counts.clear()
-            spl = assign_splittings(po, f, "power")
-            result = refine(po, spl, f, make_refinement_config(0.4, 0.5, R=2.63))
-            assert result.certificate.passed
+            power = assign_splittings(po, f, "power")
+            for spl, transformed in ((power, False), (eigen, True)):
+                result = refine(po, spl, f, make_refinement_config(0.4, 0.5, R=2.63))
+                assert result.certificate.passed
+                assert (result.splittings is not spl) == transformed
             return dict(counts)
 
-        short, long = calls(100), calls(400)
+        assert calls(100) == calls(400) == {}
+
+        def calls_3d(steps):
+            mats = np.broadcast_to(np.diag([2.0, 0.5, 0.4]), (steps, 3, 3))
+            f = AffineSequenceSystem(mats, np.zeros((steps, 3)), Splitting(np.eye(3)[:, :1],
+                                                                            np.eye(3)[:, 1:]))
+            counts.clear()
+            assign_splittings(f.zero_pseudo_orbit(), f, "power")
+            return dict(counts)
+
+        short = calls_3d(100)
         assert min(short.get(name, 0) for name in ("qr", "inv")) >= 1  # counters see calls
-        # on T^2 every graph solve is a stack of 1x1 systems, which divides
-        assert short.get("solve", 0) == long.get("solve", 0) == 0
-        assert long == short
+        assert calls_3d(400) == short

@@ -12,7 +12,13 @@ of LAPACK's, so both checks give LAPACK's verdict outside a band of
 orthonormalised by LAPACK's own Householder arithmetic, with its bits.
 No certify, power or solve path on T^2 calls svd on a 2x2 stack or the
 reduced QR on 2x1 columns.
+
+The complement of a 2x1 column (a, b) is copysign(1, a) (-b, a), exactly
+orthogonal to it, and within 4 eps of the complete QR's column; a 2x2
+basis is inverted by its adjugate, as accurately as by LAPACK.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -22,15 +28,16 @@ from hypothesis import strategies as st
 from bishadow.certification import (_singular_values, _solve_stack, certify_pseudo_orbit,
                                     min_feasible_lambda, pseudo_orbit_blocks)
 from bishadow.oracle import AffineSequenceSystem, cat_map_periodic_points
-from bishadow.pseudo_orbit import SplittingAssignment, assign_splittings, flatten, generate
+from bishadow.pseudo_orbit import (SplittingAssignment, _complement, assign_splittings, flatten,
+                                   generate)
 from bishadow.refinement import _graphs, make_refinement_config, refine
 from bishadow.shadowing import _solve_rows, make_solver_config, solve_finite, solve_periodic
 from bishadow.splitting import (_SAFMIN, _checked_basis, _extreme_singular_values,
                                 _householder_columns, _orthonormalize, eigen_splitting)
 from bishadow.systems import Phase, PerturbedCatMap, ShiftedMap, cat_map, system_bounds
 
-from _oracles import (canon_mod, graphs_lapack, iterate_orbit, orthonormalize_qr,
-                      singular_values_svd, solve_stack_lapack)
+from _oracles import (adjugate_inverses, canon_mod, graphs_lapack, iterate_orbit,
+                      orthonormalize_qr, singular_values_svd, solve_stack_lapack)
 
 TORUS = Phase("torus", 2)
 SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
@@ -304,6 +311,76 @@ def test_gap_check_gives_the_svd_verdict(phi, gap_and_offsets):
             _checked_basis(u, s, min_gap, gap_error)
     else:
         _checked_basis(u, s, min_gap, gap_error)
+
+
+def complement_qr(b):
+    """The complement column of the complete QR of 2x1 columns b."""
+    return np.linalg.qr(b, mode="complete")[0][..., 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(MID | st.sampled_from([0.0, -0.0]), MID), min_size=1, max_size=12))
+@example([(0.0, 2.5), (-0.0, -2.5), (2.5, 0.0), (-2.5, -0.0), (0.0, 0.0), (-0.0, 0.0)])
+def test_2x1_complement_is_exact(rows):
+    # a signed permutation of the column, so exactly orthogonal to it and of
+    # its norm, and (0, 1) wherever b == 0, where LAPACK takes no reflection
+    x = np.array(rows).reshape(-1, 2, 1)
+    c = _complement(x)
+    (a, b), (ca, cb) = x[..., 0].T, c[..., 0].T
+    assert np.array_equal(a * ca + b * cb, np.zeros_like(a))
+    moved = b != 0.0
+    assert same_bits(np.sort(np.abs(c[moved]), axis=1), np.sort(np.abs(x[moved]), axis=1))
+    assert same_bits(c[~moved], np.broadcast_to([[0.0], [1.0]], c[~moved].shape))
+    assert np.array_equal(np.signbit(c), np.signbit(complement_qr(x)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 2 * np.pi) | st.sampled_from(
+    [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 1e-300, np.pi / 2 + 1e-16]), min_size=1, max_size=12))
+def test_2x1_complement_is_the_qr_column(angles):
+    # on unit columns, within 4 eps of the complete QR's column, whose (1, 1)
+    # entry LAPACK rounds as a fused product (3.5 eps seen on 4e6 columns)
+    x = unit_columns(np.array(angles))
+    x /= np.sqrt(np.sum(x * x, axis=-2, keepdims=True))
+    assert (np.abs(_complement(x) - complement_qr(x)) <= 4 * EPS).all()
+
+
+@pytest.mark.parametrize("a, b", [(sa * 0.0, sb * 1.0) for sa in (1, -1) for sb in (1, -1)]
+                         + [(sa * 1.0, sb * 0.0) for sa in (1, -1) for sb in (1, -1)])
+def test_axis_complements_are_the_qr_columns(a, b):
+    # signed zeros on the axes: QR's column bit for bit
+    x = np.array([[[a], [b]]])
+    assert same_bits(_complement(x), complement_qr(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 2 * np.pi), st.lists(st.floats(1e-10, np.pi - 1e-10)
+                                           | signed(st.floats(1e-10, 1e-3)), min_size=1,
+                                           max_size=12))
+def test_2x2_inverse_is_the_adjugate(phi, offsets):
+    # bases of unit columns at angle t apart pass the gap check; the inverse
+    # is the adjugate over the determinant, and as accurate as LAPACK's
+    t = np.array(offsets)
+    u, s = unit_columns(np.full_like(t, phi)), unit_columns(phi + t)
+    basis, inv = _checked_basis(u, s)
+    assert same_bits(inv, adjugate_inverses(basis))
+    s_min = extremes_svd(basis)[1]
+    assert (np.abs(basis @ inv - np.eye(2)).max(axis=(1, 2)) <= 4 * EPS / s_min).all()
+    assert same_bits(_checked_basis(u[0], s[0])[1], inv[0])
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-14, np.pi, 1e-300])
+def test_narrow_basis_raises_before_the_inverse(t):
+    # a determinant of zero or near it never reaches the division: floating
+    # point errors and RuntimeWarnings are raised, and neither is seen
+    u = unit_columns(np.array([0.0, 0.3, 0.3]))
+    s = unit_columns(np.array([np.pi / 2, 0.3 + t, 0.3]))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^rank-deficient splitting"):
+            _checked_basis(u, s)
+        with pytest.raises(ValueError, match="^rank-deficient splitting"):
+            _checked_basis(u[1], s[1])
 
 
 @pytest.mark.parametrize("step", [np.ones((2, 2)), np.zeros((2, 2))], ids=["rank-one", "zero"])
