@@ -97,8 +97,9 @@ class Certificate:
 
     @property
     def max_offdiagonal(self) -> float:
-        """Largest off-diagonal size max(||B_j||, ||C_j||) along the orbit."""
-        return float(self.lhs[self.condition == "offdiag"].max())
+        """Largest off-diagonal size max(||B_j||, ||C_j||) along the orbit: the
+        offdiag rows' lhs, read from the blocks."""
+        return float(self.blocks.norms[2].max())
 
     def report(self) -> dict:
         """The JSON report, its margin rows left as columns for the writer."""

@@ -311,28 +311,33 @@ def _chain_starts(steps: int) -> np.ndarray:
     return np.arange(0, steps - _W if steps > 4 * _W else 1, _W)
 
 
-def _pass(jacs, seeds) -> np.ndarray:
-    """The T + 1 bases of a pass over the T matrices of jacs whose chains start
-    from seeds ``(chains, n, k)`` at indices 0, W, 2W, ... (_chain_starts).
+def push_forward(jacs, seed) -> np.ndarray:
+    """Orthonormal bases u_0, the seed ``(n, k)``, and u_{t+1} = orth(J_t u_t) of
+    the images of span(u_0) under the T matrices of jacs: one forward pass,
+    T + 1 bases.
 
-    Chain 0 runs 2W steps from index 0 and keeps them all; chain c >= 1 runs
-    2W steps from index cW and keeps the last W, once a warm-up of W steps has
-    forgotten its seed.  All chains advance together, one stacked step per
-    loop step.  After its warm-up, at index cW + W, chain c must match the
-    chain before it bit for bit, unless that chain's column has already
-    collapsed to nan: its later steps then have the one-chain pass's bits,
-    where a seam off by roundoff could grow in the next step.  If any seam
-    fails, or there is one chain, the pass is one chain of single steps
-    from seeds[0], for 2x1 columns _unit_step on Python floats.
+    A pass of more than 4W steps is cut into chains, all started from the
+    seed, at indices 0, W, 2W, ... (_chain_starts).  Chain 0 runs 2W steps
+    from index 0 and keeps them all; chain c >= 1 runs 2W steps from index cW
+    and keeps the last W, once a warm-up of W steps has forgotten its seed.
+    All chains advance together, one stacked step per loop step.  After its
+    warm-up, at index cW + W, chain c must match the chain before it bit for
+    bit, unless that chain's column has already collapsed to nan: its later
+    steps then have the one-chain pass's bits, where a seam off by roundoff
+    could grow in the next step.  If any seam fails, or there is one chain,
+    the pass is one chain of single steps, for 2x1 columns _unit_step on
+    Python floats.
     """
-    steps, (chains, n, k) = len(jacs), seeds.shape
+    seed = np.asarray(seed, dtype=float)
+    steps, (n, k) = len(jacs), seed.shape
+    chains = len(_chain_starts(steps))
     if chains > 1:
         # step s of chain c is jacs[cW + s]; the fancy index keeps the strides
         # of a transposed view, which BLAS then reads with its transpose flag
         # (the 2x1 step reads the entries elementwise)
         ms = jacs[np.minimum(np.arange(2 * _W)[:, None] + _W * np.arange(chains), steps - 1)]
         runs = np.empty((2 * _W, chains, n, k))
-        b = seeds
+        b = np.repeat(seed[None], chains, axis=0)
         with np.errstate(invalid="ignore"):  # a chain's collapsed column is nan; the seams see it
             for m, out in zip(ms, runs):
                 b = _orth_images(m, b, out)
@@ -340,47 +345,30 @@ def _pass(jacs, seeds) -> np.ndarray:
         matched = (before == after).all(axis=(1, 2))
         if (matched | ~np.isfinite(before).all(axis=(1, 2))).all():
             kept = runs[_W:, 1:].swapaxes(0, 1).reshape(-1, n, k)
-            return np.concatenate([seeds[:1], runs[:, 0], kept])[: steps + 1]
+            return np.concatenate([seed[None], runs[:, 0], kept])[: steps + 1]
     if (n, k) == (2, 1):  # no numpy call per step
-        x, y = seeds[0, :, 0].tolist()
+        x, y = seed[:, 0].tolist()
         cols = [x, y]
         for (j00, j01), (j10, j11) in jacs.tolist():
             x, y = _unit_step(j00, j01, j10, j11, x, y)
             cols += x, y
         return np.array(cols, dtype=float).reshape(steps + 1, 2, 1)
     u = np.empty((steps + 1, n, k))
-    u[0] = seeds[0]
+    u[0] = seed
     for jac, prev, out in zip(jacs, u, u[1:]):
         _orth_image(jac, prev, out)
     return u
 
 
-def _seeds(seeds, at) -> np.ndarray:
-    """The chain seeds ``(chains, n, k)`` at orbit indices `at`, from one basis
-    ``(n, k)`` for every chain or a stack ``(T + 1, n, k)`` over the orbit."""
-    seeds = np.asarray(seeds, dtype=float)
-    return seeds[at] if seeds.ndim == 3 else np.repeat(seeds[None], len(at), axis=0)
-
-
-def push_forward(jacs, seeds) -> np.ndarray:
-    """Orthonormal bases u_0, the first seed, and u_{t+1} = orth(J_t u_t) of the
-    images of span(u_0) under the T matrices of jacs: one forward pass, T + 1
-    bases.  seeds is one basis ``(n, k)`` or a stack ``(T + 1, n, k)``; a long
-    pass starts its chains from seeds at their starts (see _pass)."""
-    return _pass(jacs, _seeds(seeds, _chain_starts(len(jacs))))
-
-
 def pull_back(jacs, stable) -> np.ndarray:
-    """Orthonormal bases s_T of span(stable[T]) and s_t of J_t^{-1} span(s_{t+1}), T + 1 of
+    """Orthonormal bases s_T of span(stable) and s_t of J_t^{-1} span(s_{t+1}), T + 1 of
     them, with no inverse: as <J^T f, J^{-1} s> = <f, s>, s_t is the complement of a
-    pass of J_{T-1}^T, ..., J_t^T from index T down.  stable is one basis
-    ``(n, ds)`` or a stack ``(T + 1, n, ds)``; the pass's chains start from
-    the complements of stable at their starts, T - cW, the only ones taken.
-    On T^2 both complements are the exact closed form of _complement, so
-    the stable bases are unit to the pass's roundoff, and no QR is taken."""
-    steps = len(jacs)
-    seeds = _complement(_seeds(stable, steps - _chain_starts(steps)))
-    return _complement(_pass(np.swapaxes(jacs, -1, -2)[::-1], seeds)[::-1])
+    push_forward of J_{T-1}^T, ..., J_t^T from index T down, seeded by the complement
+    of stable ``(n, ds)``.  On T^2 both complements are the exact closed form of
+    _complement, so the stable bases are unit to the pass's roundoff, and no QR is
+    taken."""
+    seed = _complement(np.asarray(stable, dtype=float))
+    return _complement(push_forward(np.swapaxes(jacs, -1, -2)[::-1], seed)[::-1])
 
 
 def _power_splittings(po, jacs, depth, unstable, stable) -> SplittingAssignment:
@@ -426,7 +414,8 @@ def assign_splittings(
       ``eigen``  constant eigen-splitting of the (constant) derivative;
       ``user``   pass through the provided splitting(s) unchanged;
       ``power``  chained forward/backward subspace iteration, started
-                 from the eigen-splitting of the derivative's linear part.
+                 from the orthonormalised eigenvector columns of the first
+                 step's Jacobian.
 
     On an open pseudo-orbit the ``power`` passes start at the orbit's ends,
     which is the limit of per-index windows as their depth grows, so

@@ -748,7 +748,8 @@ def _periodic_problem(po, splittings, f, g, config, blocks=None) -> ShadowProble
     if not po.closed:
         raise ValueError("periodic solve needs the closing seed equal to the first seed")
     n = po.n_steps
-    if not np.allclose(*splittings.basis[[0, n]], atol=1e-9):
+    if not all(np.allclose(b[0], b[n], rtol=0.0, atol=1e-9)
+               for b in (splittings.unstable, splittings.stable)):
         raise ValueError("periodic solve needs matching splittings at the seam")
     seam = np.r_[0:n, 0]
     splittings = SplittingAssignment(splittings.unstable[seam], splittings.stable[seam],

@@ -15,7 +15,7 @@ __all__ = [
 
 _ORTHO_TOL = 1e-12
 #: LAPACK's safe minimum over its epsilon, dlamch('S') / dlamch('E'), 2^-969:
-#: below it dlarfg rescales its column
+#: below it the closed-form singular values lose their relative accuracy
 _SAFMIN = np.finfo(float).tiny / (np.finfo(float).eps / 2)
 _MAX = np.finfo(float).max
 
@@ -24,40 +24,10 @@ def _orthonormalize(basis: np.ndarray) -> np.ndarray:
     """QR-orthonormalize the columns of one ``(n, k)`` basis or a stack
     ``(..., n, k)`` of them, with a deterministic sign convention: the Q
     column signs make R's diagonal nonnegative."""
-    if not basis.shape[-1]:
-        return basis
-    if basis.shape[-2:] == (2, 1):
-        q = _householder_columns(basis)
-        if q is not None:
-            return q
     q, r = np.linalg.qr(basis)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return q * signs[..., None, :]
-
-
-def _householder_columns(x):
-    """_orthonormalize of 2x1 columns x ``(..., 2, 1)`` by LAPACK's own
-    arithmetic, for its bits: dlarfg turns (a, b) into beta = -sign(a)
-    lapy2(a, b), tau = (beta - a) / beta and v1 = b * (1 / (a - beta)), and
-    dorg2r's column is (1 - tau, -tau v1), signed by beta here.  None where
-    LAPACK takes another path or overflows: some b is zero (no reflection),
-    some |beta| is below _SAFMIN (dlarfg rescales) or not finite."""
-    a, b = x[..., 0, 0], x[..., 1, 0]
-    abs_a, abs_b = np.abs(a), np.abs(b)
-    w, z = np.maximum(abs_a, abs_b), np.minimum(abs_a, abs_b)
-    with np.errstate(over="ignore", invalid="ignore"):  # as LAPACK's, past 8.9e307
-        norm = w * np.sqrt(1.0 + np.square(z / w))  # dlapy2
-        if not (b.all() and _SAFMIN <= np.minimum.reduce(norm, axis=None)
-                and np.maximum.reduce(norm, axis=None) <= _MAX):
-            return None
-        beta = -np.copysign(norm, a)
-        tau = (beta - a) / beta
-        sign = np.sign(beta)
-        q = np.empty_like(x)
-        np.multiply(1.0 - tau, sign, out=q[..., 0, 0])
-        np.multiply(-tau * (b * (1.0 / (a - beta))), sign, out=q[..., 1, 0])
-    return q
 
 
 def _extreme_singular_values(x):
@@ -101,7 +71,8 @@ def _checked_basis(u: np.ndarray, s: np.ndarray, min_gap: float = _ORTHO_TOL,
     for name, b in (("unstable", u), ("stable", s)):
         gram = np.swapaxes(b, -1, -2) @ b
         if b.shape[-1] and np.abs(gram - np.eye(b.shape[-1])).max() > 1e-9:
-            raise ValueError(f"{name} basis is not orthonormal; use from_bases")
+            raise ValueError(f"{name} basis is not orthonormal; "
+                             "use Splitting.from_bases for a single pair")
     basis = np.concatenate([u, s], axis=-1)
     narrow = np.flatnonzero(_extreme_singular_values(basis)[1] < min_gap)
     if narrow.size:

@@ -251,6 +251,16 @@ class TestStackedEqualsPerIndex:
         assert cert.passed == all(m >= -PASS_TOL for *_, m in rows)
         worst = min(rows, key=lambda r: r[-1])
         assert cert.worst() == MarginRow(*worst[:3], *map(float, worst[3:]))
+        # max_offdiagonal reads the blocks' norms: the offdiag rows' largest
+        # lhs, also when an infinite B block makes its norm NaN
+        B = cert.blocks.B.copy()
+        B[len(B) // 2] = np.inf
+        infinite = certify_pseudo_orbit(po, spl, f, lam, epsilon, delta,
+                                        blocks=dataclasses.replace(cert.blocks, B=B))
+        for c in (cert, infinite):
+            offdiag = c.lhs[c.condition == "offdiag"].max()
+            assert np.array_equal(c.max_offdiagonal, offdiag, equal_nan=True)
+        assert math.isnan(infinite.max_offdiagonal)
 
 
 class TestBlockNorms:

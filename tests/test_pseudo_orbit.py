@@ -328,10 +328,11 @@ class TestAssignSplittings:
                            match="^power iteration failed to separate subspaces at index 1$"):
             assign_splittings(flatten(np.array([[0.0, 0.0], [1.0, 0.0]]), [2], f), f, "power")
 
-    def test_power_takes_no_svd_or_column_qr_on_t2(self, monkeypatch):
+    def test_power_takes_no_linalg_call_past_its_seed_on_t2(self, monkeypatch):
         # on T^2 the passes, the complements, the gap check and the inverse of
-        # the bases have closed forms: the one numpy.linalg call of a power
-        # assignment is the eig of its seed, short or long, open or closed
+        # the bases have closed forms: the numpy.linalg calls of a power
+        # assignment are its seed's, the eig of the first Jacobian and one QR
+        # per eigenvector column, short or long, open or closed
         f = PerturbedCatMap(0.02)
         calls = []
         for name in np.linalg.__all__:
@@ -346,7 +347,7 @@ class TestAssignSplittings:
             for orbit in (po, closed):
                 calls.clear()
                 assign_splittings(orbit, f, "power")
-                assert calls == [("eig", (2, 2))]
+                assert calls == [("eig", (2, 2)), ("qr", (2, 1)), ("qr", (2, 1))]
 
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("step", [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]],
@@ -570,21 +571,19 @@ class TestChunkedPass:
         assert np.array_equal(pull_back(back, sp.stable), one_chain_back(back, sp.stable))
 
     @settings(max_examples=40, deadline=None)
-    @given(du=st.integers(1, 2), steps=st.integers(130, 400), stacked=st.booleans(),
+    @given(du=st.integers(1, 2), steps=st.integers(130, 400),
            log_kappa=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
-    @example(du=2, steps=199, stacked=False, log_kappa=3.0, seed=4_294_967_294)
-    def test_affine_sequences_match_one_chain(self, du, steps, stacked, log_kappa, seed):
+    @example(du=2, steps=199, log_kappa=3.0, seed=4_294_967_294)
+    def test_affine_sequences_match_one_chain(self, du, steps, log_kappa, seed):
         # weakly dominated steps fail a seam and fall back to one chain; the
         # others pass every seam bit for bit, so both give the reference's
         # bits.  A seam off by 6e-14 in the example grows to 2e-13 in the
-        # next kept step.  stacked seeds start each chain from its own random
-        # basis, as refinement starts them from its input splitting
+        # next kept step
         rng = np.random.default_rng(seed)
         jacs = dominated_jacobians(rng, 3, du, steps, 10.0 ** log_kappa)
-        bases = np.linalg.qr(rng.standard_normal((steps + 1, 3, 3)))[0]
-        seeds, first, last = (bases, bases[0], bases[-1]) if stacked else (bases[0],) * 3
-        pairs = ((push_forward(jacs, seeds[..., :du]), one_chain_forward(jacs, first[:, :du])),
-                 (pull_back(jacs, seeds[..., du:]), one_chain_back(jacs, last[:, du:])))
+        basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        pairs = ((push_forward(jacs, basis[:, :du]), one_chain_forward(jacs, basis[:, :du])),
+                 (pull_back(jacs, basis[:, du:]), one_chain_back(jacs, basis[:, du:])))
         for ours, ref in pairs:
             assert ours.shape == ref.shape
             assert np.array_equal(ours, ref)
@@ -609,12 +608,12 @@ class TestChunkedPass:
         kill = np.array([[0.5, -2.0], [0.5, -2.0]])
         jacs = np.broadcast_to(hyperbolic, (300, 2, 2)).copy()
         jacs[chain * _W + 1] = kill
-        seeds = np.broadcast_to(np.array([[1.0], [1.0]]) / np.sqrt(2.0), (301, 2, 1))
+        seed = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ours = push_forward(jacs, seeds)
+            ours = push_forward(jacs, seed)
         assert np.isfinite(ours).all()
-        assert np.array_equal(ours, one_chain_forward(jacs, seeds[0]))
+        assert np.array_equal(ours, one_chain_forward(jacs, seed))
 
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("step", [np.zeros((2, 2)), [[0.0, 1.0], [0.0, 1.0]],

@@ -25,7 +25,7 @@ from bishadow.shadowing import (
     solve_infinite,
     solve_periodic,
 )
-from bishadow.splitting import Splitting
+from bishadow.splitting import Splitting, eigen_splitting
 from bishadow.systems import (
     AffineMap,
     PerturbedCatMap,
@@ -708,6 +708,27 @@ class TestSolvePeriodic:
         f, g, po, spl, cfg = cat_problem(lengths=(2, 2), jump=1e-4)
         with pytest.raises(ValueError):
             solve_periodic(po, spl, f, g, cfg)
+
+    @pytest.mark.parametrize("angle", [0.0, 5e-6])
+    def test_seam_guard(self, angle):
+        # index N's splitting must be index 0's to 1e-9 absolute: a rotation
+        # by 5e-6 rad moves the bases by about 4.3e-6, which numpy's default
+        # rtol of 1e-5 would let through
+        f = cat_map()
+        cycle = [p for p in cat_map_periodic_points(2) if p != (0, 0)][0]
+        orbit = iterate_orbit(f, np.array([float(v) for v in cycle]), 1)
+        po = flatten(np.array([orbit[0], orbit[1], orbit[0]]), [1, 1], f)
+        sp = eigen_splitting(f.jacobian(po.points[0]))
+        c, s = np.cos(angle), np.sin(angle)
+        rotation = np.array([[c, -s], [s, c]])
+        seam = Splitting(rotation @ sp.unstable, rotation @ sp.stable)
+        spl = assign_splittings(po, f, "user", splittings=[sp, sp, seam])
+        cfg = make_solver_config(po, f, lam=0.4, lam_tilde=0.5)
+        if angle:
+            with pytest.raises(ValueError, match="needs matching splittings at the seam"):
+                solve_periodic(po, spl, f, f, cfg)
+        else:
+            assert solve_periodic(po, spl, f, f, cfg).converged
 
     def _jittered_cycle(self, f, cycle, jitter, rng):
         # jitter of size `jitter` in a random direction at each point

@@ -39,6 +39,16 @@ class TestSplitting:
                                              "transverse$"):
             Splitting(v, v)
 
+    def test_non_orthonormal_rejected(self):
+        # Splitting keeps its bases as given, so they must be orthonormal;
+        # Splitting.from_bases orthonormalises the same columns first
+        u, s = np.array([[2.0], [0.0]]), np.array([[1.0], [1.0]])
+        with pytest.raises(ValueError, match="^unstable basis is not orthonormal; use "
+                                             "Splitting.from_bases for a single pair$"):
+            Splitting(u, s)
+        sp = Splitting.from_bases(u, s)
+        assert np.array_equal(sp.unstable, [[1.0], [0.0]])
+
     def test_coords_assemble_round_trip(self):
         rng = np.random.default_rng(1)
         sp = random_splitting(rng, 3, 1)

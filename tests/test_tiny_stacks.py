@@ -8,10 +8,9 @@ and no kernel path hands LAPACK a stack of 1x1 matrices.
 The 2x2 Jacobians and bases of T^2 are checked for singularity and
 transversality by closed-form extreme singular values, within 8 eps s_max
 of LAPACK's, so both checks give LAPACK's verdict outside a band of
-16 eps s_max around their thresholds.  2x1 basis columns are
-orthonormalised by LAPACK's own Householder arithmetic, with its bits.
-No certify, power or solve path on T^2 calls svd on a 2x2 stack or the
-reduced QR on 2x1 columns.
+16 eps s_max around their thresholds.  No certify, power or solve path
+on T^2 calls svd on a 2x2 stack, and the only reduced QRs of 2x1 columns
+are the two of a power assignment's seed, one per eigenvector column.
 
 The complement of a 2x1 column (a, b) is copysign(1, a) (-b, a), exactly
 orthogonal to it, and within 4 eps of the complete QR's column; a 2x2
@@ -32,8 +31,8 @@ from bishadow.pseudo_orbit import (SplittingAssignment, _complement, assign_spli
                                    generate)
 from bishadow.refinement import _graphs, make_refinement_config, refine
 from bishadow.shadowing import _solve_rows, make_solver_config, solve_finite, solve_periodic
-from bishadow.splitting import (_SAFMIN, _checked_basis, _extreme_singular_values,
-                                _householder_columns, _orthonormalize, eigen_splitting)
+from bishadow.splitting import (_checked_basis, _extreme_singular_values, _orthonormalize,
+                                eigen_splitting)
 from bishadow.systems import Phase, PerturbedCatMap, ShiftedMap, cat_map, system_bounds
 
 from _oracles import (adjugate_inverses, canon_mod, graphs_lapack, iterate_orbit,
@@ -114,7 +113,8 @@ def test_no_lapack_call_on_a_1x1_stack(monkeypatch, problems):
     tiny = [c for c in calls if len(c[1]) >= 3 and c[1][-2:] == (1, 1)]
     svd_2x2 = [c for c in calls if c[0] == "svd" and len(c[1]) >= 3 and c[1][-2:] == (2, 2)]
     qr_2x1 = [c for c in calls if c[0] == "qr" and c[1][-2:] == (2, 1) and c[2] == "reduced"]
-    assert (tiny, svd_2x2, qr_2x1) == ([], [], [])
+    assert (tiny, svd_2x2) == ([], [])
+    assert qr_2x1 == [("qr", (2, 1), "reduced")] * 4  # the seeds of the two power assignments
     assert mods == []
 
 
@@ -241,13 +241,8 @@ COLUMN_ENTRY = WIDE | st.sampled_from(SPECIAL + [1e-300, -1e300, 1.7e308, -1.7e3
 def test_2x1_columns_are_lapack_qr(rows):
     x = np.array(rows).reshape(-1, 2, 1)
     assert same_bits(_orthonormalize(x), orthonormalize_qr(x))
-    for col in x:  # each column alone, so that one b = 0 or nan keeps no other off its path
-        ref = orthonormalize_qr(col)
-        assert same_bits(_orthonormalize(col), ref)
-        a, b = col[:, 0]
-        w = np.abs(col).max()
-        if b != 0.0 and _SAFMIN <= w <= 1e308:  # finite, and so is lapy2(a, b) <= sqrt(2) w
-            assert same_bits(_householder_columns(col), ref)  # the closed form, not LAPACK
+    for col in x:  # each column alone, as power orthonormalises its seed's columns
+        assert same_bits(_orthonormalize(col), orthonormalize_qr(col))
 
 
 MID = signed(st.floats(1e-100, 1e100))
